@@ -48,6 +48,7 @@ from .series import (
     random_series,
     read_coefficients,
     representation_formula,
+    slice_components,
     slice_evaluator,
     split,
     taylor_truncate,

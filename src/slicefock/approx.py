@@ -31,7 +31,7 @@ from .quaternion import (
     left_mult_matrix,
     slice_unit,
 )
-from .quadrature import QuadratureGrid, slice_grid, volume_grid
+from .quadrature import QuadratureGrid, slice_grid, slice_points, volume_grid
 from .series import (
     DEGREE_CAP,
     SliceSeries,
@@ -43,7 +43,13 @@ from .series import (
     prepared_for_radius,
     taylor_truncate,
 )
-from .spaces import NormSpec, _slice_raw_power, norm
+from .spaces import (
+    SPHERE_AREA,
+    NormSpec,
+    _slice_raw_power,
+    _weighted_components,
+    norm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -214,35 +220,31 @@ def first_kind_gram(n: int, alpha: float,
     algebra.  Real, banded: entries vanish unless the degrees agree or
     differ by exactly two."""
     grid = grid or volume_grid(alpha)
-    z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes)).ravel()
-    wq = np.outer(grid.radial_weights, grid.angular_weights).ravel()
+    z, wq = slice_points(grid)
     w2 = wq * np.exp(-alpha * np.abs(z) ** 2)
     vand = z[:, None] ** np.arange(n + 1)
     c = vand.conj().T @ (w2[:, None] * vand)
-    total_sphere = float(np.sum(grid.sphere_weights))
-    return (alpha / math.pi) ** 2 * total_sphere * c.real
+    return (alpha / math.pi) ** 2 * SPHERE_AREA * c.real
 
 
 def _first_kind_rhs(f: SliceSeries, n: int, alpha: float,
                     grid: QuadratureGrid) -> tuple[np.ndarray, float]:
     """Moments <q^m, f> for m <= n (rows of quaternion components) and
-    ||f||^2, in one sweep over the volume grid."""
-    z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes)).ravel()
-    wq = np.outer(grid.radial_weights, grid.angular_weights).ravel()
+    ||f||^2, from one plane evaluation.
+
+    On q = x + u y, f = a + u b and q^m = Re z^m + u Im z^m, so the sphere
+    integral of conj(q^m) f is 4 pi (Re z^m a + Im z^m b) and that of |f|^2
+    is 4 pi (|a|^2 + |b|^2).
+    """
+    z, wq = slice_points(grid)
     half = np.exp(-0.5 * alpha * np.abs(z) ** 2)
     fe, _ = prepared_for_radius(f, grid.max_radius)
-    vand = (z[:, None] ** np.arange(n + 1)).conj() * half[:, None]
-    b = np.zeros((n + 1, 4))
-    nf2 = 0.0
-    for u, wu in zip(grid.sphere_units, grid.sphere_weights):
-        unit = ImaginaryUnit(u[0], u[1], u[2])
-        lm = left_mult_matrix(unit.as_quaternion()).T
-        fv = eval_on_slice(fe, unit, z, prepare=False) * half[:, None]
-        b += wu * ((vand.real * wq[:, None]).T @ fv
-                   + (vand.imag * wq[:, None]).T @ (fv @ lm))
-        nf2 += wu * float(np.dot(wq, np.sum(fv * fv, axis=1)))
-    pref = (alpha / math.pi) ** 2
-    return pref * b, pref * nf2
+    a, b = _weighted_components(fe, z, alpha)
+    vand = (z[:, None] ** np.arange(n + 1)) * (half * wq)[:, None]
+    moments = vand.real.T @ a + vand.imag.T @ b
+    nf2 = float(np.dot(wq, np.sum(a * a, axis=1) + np.sum(b * b, axis=1)))
+    pref = (alpha / math.pi) ** 2 * SPHERE_AREA
+    return pref * moments, pref * nf2
 
 
 def best_approx_first(f: SliceSeries, n: int, alpha: float,

@@ -3,8 +3,8 @@ smoothness moduli, best approximation, growth reports, and kernel fits.
 
 Sweeps are emitted as CSV (header row, '.' decimal separator, one leading
 timestamp comment line); single reports as JSON with deterministic key
-order.  Exit codes: 0 success, 1 argument or parse errors, 2 when a norm
-diverges ("not in space").
+order.  Exit codes: 0 success, 1 argument, parse or validation errors, 2
+when a norm diverges ("not in space").
 """
 
 from __future__ import annotations
@@ -348,7 +348,10 @@ def build_parser() -> _Parser:
                        help="i | j | k | x,y,z | sup:<M>")
         p.add_argument("--quad-radial", type=int, default=None)
         p.add_argument("--quad-angular", type=int, default=None)
-        p.add_argument("--quad-sphere", type=int, default=None)
+        p.add_argument("--quad-sphere", type=int, default=None,
+                       help="sphere nodes of the volume rule; first-kind "
+                       "norms integrate the sphere exactly, so this only "
+                       "sets the recorded grid size")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     except NotInSpaceError as exc:
         print(f"not in space: {exc}", file=sys.stderr)
         return 2
-    except SliceFockError as exc:
+    except (SliceFockError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,11 @@ degree below the node count).  The 4D rule writes q = rho (cos t + u sin t)
 with t in [0, pi] and u on the imaginary sphere, where the volume element is
 rho^3 sin^2(t) drho dt dsigma(u); the polar factor is handled by the
 Gauss-Chebyshev rule of the second kind (nodes uniform in t) and the sphere
-by a Gauss-Legendre (polar) times uniform (azimuth) product rule.
+by a Gauss-Legendre (polar) times uniform (azimuth) product rule.  That
+sphere rule serves :func:`integrate_volume` for a generic g(q) and sizes the
+grid; norms and inner products of slice-regular series integrate the sphere
+exactly through the representation formula (see :mod:`slicefock.spaces`)
+and read only the radial and polar nodes.
 
 Integrands must be assembled with their Gaussian decay included, e.g.
 (|f(q)| e^{-alpha |q|^2 / 2})^p as one expression, never as a huge factor
@@ -79,11 +83,18 @@ def _scaled_laguerre(n: int, order: float):
     return s, np.exp(np.log(w) + s)
 
 
+def _check_counts(**counts: int) -> None:
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} node count must be at least 1, got {n}")
+
+
 def slice_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
                n_angular: int = DEFAULT_ANGULAR) -> QuadratureGrid:
     """Rule for integrals over one complex plane against the area element."""
     if scale <= 0.0:
         raise ValueError("radial scale must be positive")
+    _check_counts(radial=n_radial, angular=n_angular)
     s, w = _scaled_laguerre(n_radial, 0.0)
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
     return QuadratureGrid(
@@ -113,9 +124,14 @@ def _sphere_rule(n_sphere: int):
 def volume_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
                 n_angular: int = DEFAULT_VOLUME_ANGULAR,
                 n_sphere: int = DEFAULT_SPHERE) -> QuadratureGrid:
-    """Rule for integrals over the whole algebra against the 4D volume element."""
+    """Rule for integrals over the whole algebra against the 4D volume element.
+
+    The sphere rule it carries serves :func:`integrate_volume`; first-kind
+    norms and inner products integrate the sphere in closed form instead.
+    """
     if scale <= 0.0:
         raise ValueError("radial scale must be positive")
+    _check_counts(radial=n_radial, angular=n_angular, sphere=n_sphere)
     s, w = _scaled_laguerre(n_radial, 1.0)
     theta = math.pi * np.arange(1, n_angular + 1) / (n_angular + 1)
     ang_w = (math.pi / (n_angular + 1)) * np.sin(theta) ** 2

@@ -22,6 +22,7 @@ from .quaternion import (
     ORTHO_TOL,
     ImaginaryUnit,
     Quaternion,
+    UNIT_I,
     left_mult_matrix,
     slice_unit,
 )
@@ -413,6 +414,23 @@ def eval_on_slice(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
     for k in range(coeffs.shape[0] - 2, -1, -1):
         out = x * out + y * (out @ lm) + coeffs[k]
     return out
+
+
+def slice_components(f: SliceSeries, z: np.ndarray,
+                     prepare: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) at complex coordinates z such that f(x + u y) = alpha +
+    u beta for every imaginary unit u, z = x + i y.
+
+    One plane evaluation at z and conj(z) on the i-plane gives both through
+    the representation formula: alpha = (f+ + f-) / 2 and
+    beta = -i (f+ - f-) / 2 with f+- = f(x +- i y).  Returns two (n, 4)
+    arrays of quaternion components.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    vals = eval_on_slice(f, UNIT_I, np.concatenate([z, z.conj()]), prepare)
+    plus, minus = vals[:z.size], vals[z.size:]
+    lm = left_mult_matrix(UNIT_I.as_quaternion()).T
+    return 0.5 * (plus + minus), -0.5 * ((plus - minus) @ lm)
 
 
 def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:

@@ -8,6 +8,16 @@ On a fixed plane the monomials are orthogonal, with
 || q^k ||^2 = k! / alpha^k at p = 2; over the whole algebra they are not:
 powers whose degrees differ by exactly two overlap.
 
+Every sphere integral is exact.  On q = x + u y the representation formula
+gives f(q) = a + u b for every unit u, with a and b read off one plane
+evaluation at x +- i y (:func:`slice_components`).  So |f|^2 = A + u.w is
+affine in u and the sphere integral of its p/2-th power has a closed form,
+while conj(f) g integrates to 4 pi (conj(a_f) a_g + conj(b_f) b_g).
+First-kind norms and inner products thus evaluate one plane per grid; the
+sphere rule a volume grid carries serves only generic integrands
+(:func:`integrate_volume`).  The sup over planes reads each sampled plane
+from the same (a, b).
+
 Membership is decided numerically: the radial profile of the weighted
 integrand must decay toward the grid boundary and the value must be stable
 under grid refinement, otherwise the function is reported as outside the
@@ -20,8 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_legendre
 
-from .errors import IntegrandOverflowError, NotInSpaceError, TruncationError
+from .errors import NotInSpaceError, TruncationError
 from .prng import SplitMix64
 from .quaternion import (
     ImaginaryUnit,
@@ -37,8 +48,10 @@ from .quadrature import (
     DEFAULT_SPHERE,
     DEFAULT_VOLUME_ANGULAR,
     QuadratureGrid,
+    _check_finite,
     refined,
     slice_grid,
+    slice_points,
     volume_grid,
 )
 from .series import (
@@ -47,6 +60,7 @@ from .series import (
     eval_on_slice,
     evaluate,
     prepared_for_radius,
+    slice_components,
     underflow_drop_logs,
 )
 
@@ -59,6 +73,12 @@ DEFAULT_SUP_SAMPLES = 32
 
 #: Relative growth under grid refinement beyond which a norm counts as divergent.
 DIVERGENCE_GROWTH = 1e-2
+
+#: Area of the imaginary unit sphere: the sphere integral of a constant.
+SPHERE_AREA = 4.0 * math.pi
+
+#: Gauss-Legendre node count of the zonal underflow integral (first kind).
+_ZONAL_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -137,12 +157,16 @@ class NormReport:
 def default_grid(spec: NormSpec, n_radial: int | None = None,
                  n_angular: int | None = None,
                  n_sphere: int | None = None) -> QuadratureGrid:
+    """Library default rule for ``spec``; a count left as None takes its
+    default.  ``n_sphere`` only sizes the sphere rule a volume grid carries
+    for :func:`integrate_volume` (norms integrate the sphere exactly)."""
+    n_radial = DEFAULT_RADIAL if n_radial is None else n_radial
     if spec.kind == "second":
-        return slice_grid(spec.scale, n_radial or DEFAULT_RADIAL,
-                          n_angular or DEFAULT_ANGULAR)
-    return volume_grid(spec.scale, n_radial or DEFAULT_RADIAL,
-                       n_angular or DEFAULT_VOLUME_ANGULAR,
-                       n_sphere or DEFAULT_SPHERE)
+        return slice_grid(spec.scale, n_radial,
+                          DEFAULT_ANGULAR if n_angular is None else n_angular)
+    return volume_grid(spec.scale, n_radial,
+                       DEFAULT_VOLUME_ANGULAR if n_angular is None else n_angular,
+                       DEFAULT_SPHERE if n_sphere is None else n_sphere)
 
 
 def _weighted_amplitude(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
@@ -163,23 +187,13 @@ def _check_tail_budget(raw: float, delta: float, p: float) -> None:
             f"{NORM_TAIL_BUDGET:g} of the result")
 
 
-def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
-                     p: float, alpha: float,
-                     err_logs: np.ndarray | None = None
-                     ) -> tuple[float, np.ndarray]:
-    """Raw integral of (|f| w_alpha)^p over the plane plus its radial profile.
-
-    ``err_logs`` optionally bounds (log scale, per radial node) the pointwise
-    evaluation error of f; its weighted contribution is checked against the
-    norm tail budget.
-    """
-    z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes))
-    amp = _weighted_amplitude(f, unit, z.ravel(), alpha).reshape(z.shape)
+def _plane_raw_power(amp: np.ndarray, z: np.ndarray, grid: QuadratureGrid,
+                     p: float, alpha: float, err_logs: np.ndarray | None
+                     ) -> tuple[float, np.ndarray, float]:
+    """Raw integral of amp^p over the plane grid, its radial profile and the
+    underflow contribution, from the weighted amplitude at the nodes z."""
     integ = amp ** p
-    if not np.all(np.isfinite(integ)):
-        bad = np.argwhere(~np.isfinite(integ))[0]
-        raise IntegrandOverflowError(
-            f"integrand overflow at node {z[tuple(bad)]!r}", node=z[tuple(bad)])
+    _check_finite(integ.ravel(), z.ravel())
     shell = integ @ grid.angular_weights
     profile = grid.radial_weights * shell
     raw = float(np.sum(profile))
@@ -191,29 +205,101 @@ def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
     return raw, profile, delta_total
 
 
+def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
+                     p: float, alpha: float,
+                     err_logs: np.ndarray | None = None
+                     ) -> tuple[float, np.ndarray, float]:
+    """Raw integral of (|f| w_alpha)^p over the plane plus its radial profile.
+
+    ``err_logs`` optionally bounds (log scale, per radial node) the pointwise
+    evaluation error of f; its weighted contribution is checked against the
+    norm tail budget.
+    """
+    z = _polar_nodes(grid)
+    amp = _weighted_amplitude(f, unit, z.ravel(), alpha).reshape(z.shape)
+    return _plane_raw_power(amp, z, grid, p, alpha, err_logs)
+
+
+def _polar_nodes(grid: QuadratureGrid) -> np.ndarray:
+    """Complex nodes r e^{i theta} of the grid, shape (radial, angular)."""
+    return np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes))
+
+
+def _weighted_components(f: SliceSeries, z: np.ndarray, alpha: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of :func:`slice_components` for a prepared f, each
+    already carrying the weight e^{-alpha |z|^2 / 2}."""
+    a, b = slice_components(f, z, prepare=False)
+    half = np.exp(-0.5 * alpha * np.abs(z) ** 2)[:, None]
+    return a * half, b * half
+
+
+def _affine_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|a + u b|^2 = A + u.w for every unit u: returns A and the (n, 3) w."""
+    amp_sq = np.sum(a * a, axis=1) + np.sum(b * b, axis=1)
+    return amp_sq, 2.0 * quat_mul_array(a, quat_conj_array(b))[:, 1:]
+
+
+def _sphere_power(amp_sq: np.ndarray, wnorm: np.ndarray, p: float) -> np.ndarray:
+    """int over the unit sphere of (A + u.w)^(p/2) d sigma(u), in closed form
+    2 pi (b^s - a^s) / (s |w|) with s = p/2 + 1, a = A - |w|, b = A + |w|.
+
+    b^s - a^s is taken as a^s expm1(s log1p(2|w|/a)) while a > b/2, so no
+    digits cancel when |w| is small against A; |w| = 0 gives 4 pi A^(p/2).
+    """
+    s = 0.5 * p + 1.0
+    b = amp_sq + wnorm
+    a = np.maximum(amp_sq - wnorm, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        close = a > 0.5 * b
+        diff = np.where(close, a ** s * np.expm1(s * np.log1p(2.0 * wnorm / a)),
+                        b ** s - a ** s)
+        value = 2.0 * math.pi * diff / (s * wnorm)
+    return np.where(wnorm > 0.0, value, SPHERE_AREA * amp_sq ** (0.5 * p))
+
+
+def _sphere_underflow(amp_sq: np.ndarray, wnorm: np.ndarray, damped: np.ndarray,
+                      p: float) -> np.ndarray:
+    """int over the unit sphere of (sqrt(A + u.w) + d)^p - (A + u.w)^(p/2).
+
+    The integrand depends on u only through t = u.w/|w|, so the sphere
+    integral is 2 pi int_{-1}^{1} G(sqrt(A + |w| t)) dt with
+    G(v) = (v + d)^p - v^p.  With v = sqrt(A + |w| t) that is
+    2 pi (2 / (sqrt(a) + sqrt(b))) int_{sqrt a}^{sqrt b} G(v) v dv, whose
+    integrand is smooth (a polynomial for integer p), taken by Gauss-Legendre.
+    """
+    ra = np.sqrt(np.maximum(amp_sq - wnorm, 0.0))[:, None]
+    rb = np.sqrt(amp_sq + wnorm)[:, None]
+    d = damped[:, None]
+    x, weights = roots_legendre(_ZONAL_NODES)
+    v = 0.5 * (rb + ra) + 0.5 * (rb - ra) * x
+    zonal = (((v + d) ** p - v ** p) * v) @ weights
+    span = (ra + rb)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zonal = np.where(span > 0.0, 2.0 * zonal / span, 2.0 * damped ** p)
+    return 2.0 * math.pi * zonal
+
+
 def _volume_raw_power(f: SliceSeries, grid: QuadratureGrid,
                       p: float, alpha: float,
                       err_logs: np.ndarray | None = None
-                      ) -> tuple[float, np.ndarray]:
-    z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes))
-    zr = z.ravel()
-    profile = np.zeros(grid.radial_nodes.size)
-    delta_total = 0.0
-    check_err = err_logs is not None and np.any(err_logs > -math.inf)
-    for u, wu in zip(grid.sphere_units, grid.sphere_weights):
-        unit = ImaginaryUnit(u[0], u[1], u[2])
-        amp = _weighted_amplitude(f, unit, zr, alpha).reshape(z.shape)
-        integ = amp ** p
-        if not np.all(np.isfinite(integ)):
-            bad = np.argwhere(~np.isfinite(integ))[0]
-            raise IntegrandOverflowError(
-                f"integrand overflow at node {z[tuple(bad)]!r}", node=z[tuple(bad)])
-        profile += wu * grid.radial_weights * (integ @ grid.angular_weights)
-        if check_err:
-            damped = np.exp(err_logs - 0.5 * alpha * grid.radial_nodes ** 2)
-            delta = ((amp + damped[:, None]) ** p - integ) @ grid.angular_weights
-            delta_total += wu * float(np.dot(grid.radial_weights, delta))
+                      ) -> tuple[float, np.ndarray, float]:
+    """Raw whole-algebra integral of (|f| w_alpha)^p, its radial profile and
+    the underflow contribution, from one plane evaluation: on q = x + u y,
+    |f|^2 w_alpha^2 = A + u.w, so each sphere integral is closed-form."""
+    z = _polar_nodes(grid)
+    amp_sq, w = _affine_square(*_weighted_components(f, z.ravel(), alpha))
+    wnorm = np.sqrt(np.sum(w * w, axis=1))
+    integ = _sphere_power(amp_sq, wnorm, p).reshape(z.shape)
+    _check_finite(integ.ravel(), z.ravel())
+    profile = grid.radial_weights * (integ @ grid.angular_weights)
     raw = float(np.sum(profile))
+    delta_total = 0.0
+    if err_logs is not None and np.any(err_logs > -math.inf):
+        damped = np.exp(err_logs - 0.5 * alpha * grid.radial_nodes ** 2)
+        damped = np.repeat(damped, grid.angular_nodes.size)
+        delta = _sphere_underflow(amp_sq, wnorm, damped, p).reshape(z.shape)
+        delta_total = float(grid.radial_weights @ (delta @ grid.angular_weights))
     return raw, profile, delta_total
 
 
@@ -240,16 +326,24 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
             # a diverging integrand outranks the tail budget
             _check_tail_budget(raw, delta, spec.p)
         return value, rising, tail
-    if spec.sup_samples is not None:
-        units = sphere_grid(spec.sup_samples)
+    if spec.sup_samples is None:
+        raw, profile, delta = _slice_raw_power(fe, spec.slice_unit, grid, spec.p,
+                                               spec.alpha, err_logs)
+        planes = [(raw, profile, delta)]
     else:
-        units = (spec.slice_unit,)
+        # every sampled plane's amplitude comes from one shared evaluation
+        z = _polar_nodes(grid)
+        amp_sq, w = _affine_square(*_weighted_components(fe, z.ravel(),
+                                                         spec.alpha))
+        planes = []
+        for unit in sphere_grid(spec.sup_samples):
+            amp = np.sqrt(np.maximum(amp_sq + w @ unit.vector(), 0.0))
+            planes.append(_plane_raw_power(amp.reshape(z.shape), z, grid,
+                                           spec.p, spec.alpha, err_logs))
     best = 0.0
     rising = False
     worst_ratio = 0.0
-    for unit in units:
-        raw, profile, delta = _slice_raw_power(fe, unit, grid, spec.p,
-                                               spec.alpha, err_logs)
+    for raw, profile, delta in planes:
         rising = rising or _profile_rising(profile)
         best = max(best, (pref * raw) ** (1.0 / spec.p))
         worst_ratio = max(worst_ratio, delta / (spec.p * max(raw, 1e-300)))
@@ -341,21 +435,19 @@ def inner_first(f: SliceSeries, g: SliceSeries, alpha: float,
     """Whole-algebra inner product (alpha/pi)^2 int conj(f) g e^{-alpha |q|^2} dm.
 
     Monomials q^m, q^n are orthogonal here only when |m - n| is odd or at
-    least 4; degrees differing by two genuinely overlap.
+    least 4; degrees differing by two genuinely overlap.  With f = a_f + u b_f
+    and g = a_g + u b_g on q = x + u y, the sphere integral of conj(f) g is
+    4 pi (conj(a_f) a_g + conj(b_f) b_g) exactly.
     """
     grid = grid or volume_grid(alpha)
-    z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes)).ravel()
-    wq = np.outer(grid.radial_weights, grid.angular_weights).ravel()
+    z, wq = slice_points(grid)
     fe, _ = prepared_for_radius(f, grid.max_radius)
     ge, _ = prepared_for_radius(g, grid.max_radius)
-    half = np.exp(-0.5 * alpha * np.abs(z) ** 2)[:, None]
-    comps = np.zeros(4)
-    for u, wu in zip(grid.sphere_units, grid.sphere_weights):
-        unit = ImaginaryUnit(u[0], u[1], u[2])
-        fv = eval_on_slice(fe, unit, z, prepare=False) * half
-        gv = eval_on_slice(ge, unit, z, prepare=False) * half
-        prod = quat_mul_array(quat_conj_array(fv), gv)
-        comps += wu * (wq @ prod)
+    af, bf = _weighted_components(fe, z, alpha)
+    ag, bg = _weighted_components(ge, z, alpha)
+    prod = (quat_mul_array(quat_conj_array(af), ag)
+            + quat_mul_array(quat_conj_array(bf), bg))
+    comps = SPHERE_AREA * (wq @ prod)
     return Quaternion.from_array(comps * (alpha / math.pi) ** 2)
 
 

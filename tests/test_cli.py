@@ -144,3 +144,20 @@ def test_config_round_trips_canonically():
     a, b = vars(args), vars(again)
     a.pop("func"), b.pop("func")
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--fn", "exp", "--p", "0"),
+    ("norm", "--fn", "exp", "--alpha", "-1"),
+    # refinement doubles the radial count past MAX_RADIAL
+    ("norm", "--fn", "mono:2", "--quad-radial", "100"),
+    ("multipliers", "--family", "fejer", "--n", "0"),
+    ("norm", "--fn", "exp", "--quad-radial", "0"),
+    ("norm", "--fn", "exp", "--quad-angular", "0"),
+    ("norm", "--fn", "mono:2", "--kind", "first", "--quad-sphere", "0"),
+])
+def test_invalid_values_exit_1_without_traceback(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr

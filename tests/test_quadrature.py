@@ -112,3 +112,20 @@ def test_grid_sizes_and_weights():
     gv = volume_grid(2.0, 32, 32, 32)
     assert gv.sizes[0] == 32
     assert np.sum(gv.sphere_weights) == pytest.approx(4 * math.pi, rel=1e-13)
+
+
+def test_node_counts_below_one_rejected():
+    from slicefock.spaces import NormSpec, default_grid
+
+    with pytest.raises(ValueError):
+        slice_grid(1.0, 0)
+    with pytest.raises(ValueError):
+        slice_grid(1.0, 8, 0)
+    with pytest.raises(ValueError):
+        volume_grid(1.0, 8, 8, 0)
+    # an explicit zero is an error, not a request for the default
+    with pytest.raises(ValueError):
+        default_grid(NormSpec("second", 2.0, 1.0), n_radial=0)
+    with pytest.raises(ValueError):
+        default_grid(NormSpec("first", 2.0, 1.0), n_sphere=0)
+    assert default_grid(NormSpec("first", 2.0, 1.0)).sizes == volume_grid(1.0).sizes

@@ -20,6 +20,7 @@ from slicefock.series import (
     random_series,
     read_coefficients,
     representation_formula,
+    slice_components,
     slice_evaluator,
     split,
     taylor_truncate,
@@ -209,6 +210,18 @@ def test_representation_formula_random_family(rng):
         got = representation_formula(ev, unit, q)
         want = evaluate(f, q)
         assert (got - want).norm() < 1e-11 * max(1.0, want.norm())
+
+
+def test_slice_components_reproduce_every_plane(rng):
+    f = SliceSeries(random_poly_coeffs(rng, 8))
+    z = rng.uniform(-2.0, 2.0, size=12) + 1j * rng.uniform(-2.0, 2.0, size=12)
+    a, b = slice_components(f, z)
+    for _ in range(5):
+        unit = random_unit(rng)
+        want = eval_on_slice(f, unit, z)
+        ub = np.array([(unit.as_quaternion() * Quaternion.from_array(row)).to_array()
+                       for row in b])
+        assert np.max(np.abs(a + ub - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_log_abs_evaluate_matches_direct():
