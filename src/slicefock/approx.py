@@ -37,7 +37,6 @@ from .series import (
     SliceSeries,
     _row_norms,
     embed_complex,
-    eval_on_slice,
     evaluate,
     extended,
     prepared_for_radius,
@@ -46,6 +45,7 @@ from .series import (
 from .spaces import (
     SPHERE_AREA,
     NormSpec,
+    _plane_values,
     _slice_raw_power,
     _weighted_components,
     norm,
@@ -239,7 +239,7 @@ def _first_kind_rhs(f: SliceSeries, n: int, alpha: float,
     z, wq = slice_points(grid)
     half = np.exp(-0.5 * alpha * np.abs(z) ** 2)
     fe, _ = prepared_for_radius(f, grid.max_radius)
-    a, b = _weighted_components(fe, z, alpha)
+    a, b = (c.reshape(-1, 4) for c in _weighted_components(fe, grid, alpha))
     vand = (z[:, None] ** np.arange(n + 1)) * (half * wq)[:, None]
     moments = vand.real.T @ a + vand.imag.T @ b
     nf2 = float(np.dot(wq, np.sum(a * a, axis=1) + np.sum(b * b, axis=1)))
@@ -296,10 +296,9 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         raise ValueError("descent requires the convex range p >= 1")
     grid = grid or slice_grid(alpha * p / 2.0)
     fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
-    z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes)).ravel()
-    w = np.outer(grid.radial_weights, grid.angular_weights).ravel()
+    z, w = slice_points(grid)
     wp = np.exp(-0.5 * alpha * np.abs(z) ** 2) ** p
-    fv = eval_on_slice(fe, unit, z, prepare=False)
+    fv = _plane_values(fe, unit, grid).reshape(-1, 4)
     vand = z[:, None] ** np.arange(n + 1)
     lm = left_mult_matrix(unit.as_quaternion()).T
     pref = alpha * p / (2.0 * math.pi)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -402,8 +403,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> _Parser:
+    """One parser per process for :func:`main`; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

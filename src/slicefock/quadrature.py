@@ -15,6 +15,15 @@ grid; norms and inner products of slice-regular series integrate the sphere
 exactly through the representation formula (see :mod:`slicefock.spaces`)
 and read only the radial and polar nodes.
 
+Both angular rules sit on a uniform circle: plane node j is 2 pi j / N, and
+volume node j is pi j / (N + 1) = 2 pi j / (2 (N + 1)), half of a circle
+whose other half holds the conjugates.  ``circle_size`` and
+``circle_index`` name that circle, so series values on a grid come from one
+FFT per radius (:func:`slicefock.series.eval_polar`) and the nodes
+themselves are built only here (:func:`slice_points`).  The Laguerre,
+Legendre and sphere rules are cached per node count and returned
+read-only; every grid's arrays are read-only too.
+
 Integrands must be assembled with their Gaussian decay included, e.g.
 (|f(q)| e^{-alpha |q|^2 / 2})^p as one expression, never as a huge factor
 times a tiny weight.
@@ -22,8 +31,9 @@ times a tiny weight.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_laguerre, roots_legendre
@@ -57,6 +67,12 @@ class QuadratureGrid:
     sphere_units: np.ndarray | None = None     # (m, 3) rows on the sphere
     sphere_weights: np.ndarray | None = None
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
     @property
     def max_radius(self) -> float:
         return float(self.radial_nodes[-1])
@@ -68,7 +84,32 @@ class QuadratureGrid:
         return (self.radial_nodes.size, self.angular_nodes.size,
                 self.sphere_units.shape[0])
 
+    @property
+    def circle_size(self) -> int:
+        """Node count of the uniform circle holding the angular nodes."""
+        n = self.angular_nodes.size
+        return n if self.mode == "slice" else 2 * (n + 1)
 
+    @property
+    def circle_index(self) -> np.ndarray:
+        """Position of each angular node on that circle: angular node j is
+        2 pi circle_index[j] / circle_size."""
+        n = self.angular_nodes.size
+        return np.arange(n) if self.mode == "slice" else np.arange(1, n + 1)
+
+    @property
+    def plane_weights(self) -> np.ndarray:
+        """(radial, angular) product weights of the plane or half-plane rule."""
+        return np.outer(self.radial_weights, self.angular_weights)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
 def _scaled_laguerre(n: int, order: float):
     """Nodes s_i and weights w_i e^{s_i} for integrating s^order e^{-s} h(s)
     written as plain int h(s) s^order ... with the decay inside h."""
@@ -80,7 +121,13 @@ def _scaled_laguerre(n: int, order: float):
         s, w = roots_laguerre(n)
     else:
         s, w = roots_genlaguerre(n, order)
-    return s, np.exp(np.log(w) + s)
+    return _read_only(s, np.exp(np.log(w) + s))
+
+
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return _read_only(*roots_legendre(n))
 
 
 def _check_counts(**counts: int) -> None:
@@ -107,10 +154,11 @@ def slice_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _sphere_rule(n_sphere: int):
     n_polar = max(1, int(round(math.sqrt(n_sphere / 2.0))))
     n_azimuth = max(2, int(math.ceil(n_sphere / n_polar)))
-    x, w = roots_legendre(n_polar)
+    x, w = _legendre_rule(n_polar)
     psi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
     sin_phi = np.sqrt(1.0 - x * x)
     units = np.empty((n_polar * n_azimuth, 3))
@@ -118,7 +166,7 @@ def _sphere_rule(n_sphere: int):
     units[:, 1] = np.outer(sin_phi, np.sin(psi)).ravel()
     units[:, 2] = np.repeat(x, n_azimuth)
     weights = np.repeat(w, n_azimuth) * (2.0 * math.pi / n_azimuth)
-    return units, weights          # weights sum to 4 pi
+    return _read_only(units, weights)          # weights sum to 4 pi
 
 
 def volume_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
@@ -161,8 +209,7 @@ def refined(grid: QuadratureGrid, factor: int = 2) -> QuadratureGrid:
 def slice_points(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Flattened complex nodes r e^{i theta} and matching weights."""
     z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes)).ravel()
-    w = np.outer(grid.radial_weights, grid.angular_weights).ravel()
-    return z, w
+    return z, grid.plane_weights.ravel()
 
 
 def _check_finite(values: np.ndarray, nodes) -> None:
@@ -198,7 +245,7 @@ def integrate_volume(g, grid: QuadratureGrid) -> float:
     rho = grid.radial_nodes
     re = np.outer(rho, np.cos(grid.angular_nodes)).ravel()
     im = np.outer(rho, np.sin(grid.angular_nodes)).ravel()
-    wq = np.outer(grid.radial_weights, grid.angular_weights).ravel()
+    wq = grid.plane_weights.ravel()
     total = 0.0
     q = np.empty((re.size, 4))
     q[:, 0] = re

@@ -8,6 +8,13 @@ may carry a generator tag ("exp", "gauss:<beta>", "mono:<k>",
 can be produced on demand, so entire functions are handled through finite
 truncations whose tail is certified below a tolerance before any
 evaluation.
+
+Two evaluators share that convention.  :func:`eval_on_slice` runs a Horner
+recursion at scattered points of a plane.  :func:`eval_polar` serves every
+quadrature grid, whose angular nodes are uniform on a circle: for each
+radius the values are one inverse FFT of the log-scaled terms r^k a_k,
+folded modulo the node count, so a grid costs O(R (D + n log n)) instead of
+the O(R n D) of Horner.
 """
 
 from __future__ import annotations
@@ -369,6 +376,16 @@ def _log_total_bound(f: SliceSeries, radius: float) -> float:
     return -math.inf
 
 
+def max_modulus_type(f: SliceSeries) -> float:
+    """Order-2 type sigma of f, log max |f| on |q| = r being sigma r^2 + o(r^2),
+    from the generator's closed form: |beta| d^2 for gauss:<beta> with
+    dilation d; 0 for polynomials and the order-1 families."""
+    g = f.generator
+    if g is not None and g.startswith("gauss:"):
+        return abs(float(g.split(":", 1)[1])) * f.dilation ** 2
+    return 0.0
+
+
 def underflow_drop_logs(f: SliceSeries, radii: np.ndarray) -> np.ndarray:
     """log bounds, per radius, for the term mass dropped because generator
     rows underflowed to zero in storage; -inf where nothing is dropped.
@@ -416,6 +433,58 @@ def eval_on_slice(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
     return out
 
 
+def _log_scaled_terms(coeffs: np.ndarray, radii: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of the series at each radius in log scale: (scaled, top, dirs)
+    with scaled[i, k] = |a_k| r_i^k e^{-top_i} <= 1, top_i the log of the
+    largest term (0 where every term vanishes) and dirs the unit rows
+    a_k / |a_k| (zero rows kept)."""
+    mags = _row_norms(coeffs)
+    dirs = coeffs / np.where(mags > 0.0, mags, 1.0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mags = np.log(mags)
+        logs = log_mags + np.multiply.outer(np.log(radii), np.arange(mags.size))
+    logs[:, 0] = log_mags[0]                   # r^0 = 1, also at r = 0
+    top = np.max(logs, axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.exp(logs - top[:, None]), top, dirs
+
+
+def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
+               n_circle: int) -> np.ndarray:
+    """Values of an already prepared f at r_i exp(2 pi i j / n_circle) on the
+    plane of ``unit``, shape (R, n_circle, 4): what :func:`eval_on_slice`
+    gives at those nodes.
+
+    On the circle of radius r, f = sum_k r^k (cos(k t) a_k + sin(k t) I a_k)
+    = Re S + I Im S with S(t) = sum_k r^k a_k e^{i k t} taken componentwise.
+    At the n uniform angles S is one inverse DFT of the terms folded modulo
+    n.  Each radius scales its terms by e^{-top}, top the log of its largest
+    term magnitude (:func:`_log_scaled_terms`, shared with
+    :func:`_log_abs_on_circle`), so r^k never overflows; the scale is
+    multiplied back at the end.  Temporaries are (R, D) scalars and (R, n)
+    quaternions, never (R, D, 4).
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    scaled, top, dirs = _log_scaled_terms(f.coeffs, radii)
+    n_terms = dirs.shape[0]
+    folded = np.zeros((radii.size, n_circle, 4))
+    for start in range(0, n_terms, n_circle):
+        stop = min(start + n_circle, n_terms)
+        folded[:, :stop - start] += scaled[:, start:stop, None] * dirs[start:stop]
+    s = np.fft.ifft(folded, axis=1, norm="forward")
+    lm = left_mult_matrix(unit.as_quaternion()).T
+    return (s.real + s.imag @ lm) * np.exp(top)[:, None, None]
+
+
+def _from_conjugates(plus: np.ndarray, minus: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of the representation formula from f+- = f(x +- i y) on
+    the i-plane: alpha = (f+ + f-) / 2, beta = -i (f+ - f-) / 2."""
+    lm = left_mult_matrix(UNIT_I.as_quaternion()).T
+    return 0.5 * (plus + minus), -0.5 * ((plus - minus) @ lm)
+
+
 def slice_components(f: SliceSeries, z: np.ndarray,
                      prepare: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) at complex coordinates z such that f(x + u y) = alpha +
@@ -428,9 +497,19 @@ def slice_components(f: SliceSeries, z: np.ndarray,
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     vals = eval_on_slice(f, UNIT_I, np.concatenate([z, z.conj()]), prepare)
-    plus, minus = vals[:z.size], vals[z.size:]
-    lm = left_mult_matrix(UNIT_I.as_quaternion()).T
-    return 0.5 * (plus + minus), -0.5 * ((plus - minus) @ lm)
+    return _from_conjugates(vals[:z.size], vals[z.size:])
+
+
+def polar_components(f: SliceSeries, radii: np.ndarray, n_circle: int,
+                     index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`slice_components` of an already prepared f at
+    r_i exp(2 pi i index_j / n_circle), each of shape (R, len(index), 4).
+
+    The conjugate of node j of the circle is node n_circle - j, so one
+    :func:`eval_polar` gives both halves of the representation formula.
+    """
+    vals = eval_polar(f, UNIT_I, radii, n_circle)
+    return _from_conjugates(vals[:, index], vals[:, -index % n_circle])
 
 
 def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:
@@ -456,28 +535,17 @@ def _log_abs_on_circle(f: SliceSeries, unit: ImaginaryUnit, radius: float,
     """log |f| at the points radius * (cos t + unit sin t); f must already be
     prepared for this radius."""
     coeffs = f.coeffs
-    deg = coeffs.shape[0] - 1
     if radius == 0.0:
         a0 = math.sqrt(float(np.sum(np.square(coeffs[0]))))
         return np.full(thetas.shape, math.log(a0) if a0 > 0.0 else -math.inf)
-    mags = _row_norms(coeffs)
-    with np.errstate(divide="ignore"):
-        logs = np.log(mags)
-    logs = logs + np.arange(deg + 1) * math.log(radius)
-    top = float(np.max(logs))
-    if top == -math.inf:
-        return np.full(thetas.shape, -math.inf)
-    scale = np.exp(logs - top)                      # (D+1,)
-    lm = left_mult_matrix(unit.as_quaternion()).T
-    dirs = coeffs / np.where(mags > 0.0, mags, 1.0)[:, None]
-    a = dirs * scale[:, None]
-    ia = a @ lm
-    k = np.arange(deg + 1)
-    ang = np.outer(thetas, k)
+    scaled, top, dirs = _log_scaled_terms(coeffs, np.array([radius]))
+    a = dirs * scaled[0][:, None]
+    ia = a @ left_mult_matrix(unit.as_quaternion()).T
+    ang = np.outer(thetas, np.arange(coeffs.shape[0]))
     vals = np.cos(ang) @ a + np.sin(ang) @ ia       # (n, 4)
     norms = np.sqrt(np.sum(np.square(vals), axis=1))
     with np.errstate(divide="ignore"):
-        return top + np.log(norms)
+        return top[0] + np.log(norms)
 
 
 # ---------------------------------------------------------------------------

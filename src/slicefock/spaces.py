@@ -18,10 +18,18 @@ sphere rule a volume grid carries serves only generic integrands
 (:func:`integrate_volume`).  The sup over planes reads each sampled plane
 from the same (a, b).
 
+Every grid evaluation goes through :func:`slicefock.series.eval_polar`, one
+FFT per radius: plane norms and inner products read the grid's circle
+directly, and (a, b) on a plane or volume grid take the nodes x + i y and
+x - i y from the same circle (:func:`slicefock.series.polar_components`).
+
 Membership is decided numerically: the radial profile of the weighted
 integrand must decay toward the grid boundary and the value must be stable
 under grid refinement, otherwise the function is reported as outside the
-space.
+space.  A generator whose closed-form max-modulus type exceeds the weight's
+alpha / 2 (gauss:<beta> with |beta| > alpha / 2) is reported outside the
+space before its tail is certified, because its tail cannot be certified
+on a grid that reaches where the weighted integrand grows.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import NotInSpaceError, TruncationError
 from .prng import SplitMix64
@@ -49,6 +56,7 @@ from .quadrature import (
     DEFAULT_VOLUME_ANGULAR,
     QuadratureGrid,
     _check_finite,
+    _legendre_rule,
     refined,
     slice_grid,
     slice_points,
@@ -57,8 +65,10 @@ from .quadrature import (
 from .series import (
     SliceSeries,
     _log_abs_on_circle,
-    eval_on_slice,
-    evaluate,
+    eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
+    eval_polar,
+    max_modulus_type,
+    polar_components,
     prepared_for_radius,
     slice_components,
     underflow_drop_logs,
@@ -169,13 +179,35 @@ def default_grid(spec: NormSpec, n_radial: int | None = None,
                        DEFAULT_SPHERE if n_sphere is None else n_sphere)
 
 
-def _weighted_amplitude(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
-                        alpha: float) -> np.ndarray:
-    """|f| e^{-alpha |z|^2 / 2} at plane points z, assembled before any power
-    is taken so growth-bounded functions never overflow."""
-    vals = eval_on_slice(f, unit, z, prepare=False)
-    amp = np.sqrt(np.sum(np.square(vals), axis=1))
-    return amp * np.exp(-0.5 * alpha * np.abs(z) ** 2)
+def _half_weight(grid: QuadratureGrid, alpha: float) -> np.ndarray:
+    """e^{-alpha r^2 / 2} per radial node, shaped to scale (R, n, 4) values."""
+    return np.exp(-0.5 * alpha * grid.radial_nodes ** 2)[:, None, None]
+
+
+def _plane_values(f: SliceSeries, unit: ImaginaryUnit,
+                  grid: QuadratureGrid) -> np.ndarray:
+    """Values of a prepared f at the grid's (radial, angular) nodes on the
+    plane of ``unit``, shape (R, n, 4)."""
+    return eval_polar(f, unit, grid.radial_nodes,
+                      grid.circle_size)[:, grid.circle_index]
+
+
+def _weighted_components(f: SliceSeries, grid: QuadratureGrid, alpha: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of :func:`slice_components` for a prepared f at the
+    grid's nodes, each (R, n, 4) and carrying the weight
+    e^{-alpha |z|^2 / 2}."""
+    a, b = polar_components(f, grid.radial_nodes, grid.circle_size,
+                            grid.circle_index)
+    half = _half_weight(grid, alpha)
+    return a * half, b * half
+
+
+def _check_grid_finite(values: np.ndarray, grid: QuadratureGrid) -> None:
+    """:func:`_check_finite` on (radial, angular) samples; the nodes are
+    built only to name a failing one."""
+    if not np.all(np.isfinite(values)):
+        _check_finite(values.ravel(), slice_points(grid)[0])
 
 
 def _check_tail_budget(raw: float, delta: float, p: float) -> None:
@@ -187,13 +219,13 @@ def _check_tail_budget(raw: float, delta: float, p: float) -> None:
             f"{NORM_TAIL_BUDGET:g} of the result")
 
 
-def _plane_raw_power(amp: np.ndarray, z: np.ndarray, grid: QuadratureGrid,
+def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid,
                      p: float, alpha: float, err_logs: np.ndarray | None
                      ) -> tuple[float, np.ndarray, float]:
     """Raw integral of amp^p over the plane grid, its radial profile and the
-    underflow contribution, from the weighted amplitude at the nodes z."""
+    underflow contribution, from the (radial, angular) weighted amplitude."""
     integ = amp ** p
-    _check_finite(integ.ravel(), z.ravel())
+    _check_grid_finite(integ, grid)
     shell = integ @ grid.angular_weights
     profile = grid.radial_weights * shell
     raw = float(np.sum(profile))
@@ -215,29 +247,16 @@ def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
     evaluation error of f; its weighted contribution is checked against the
     norm tail budget.
     """
-    z = _polar_nodes(grid)
-    amp = _weighted_amplitude(f, unit, z.ravel(), alpha).reshape(z.shape)
-    return _plane_raw_power(amp, z, grid, p, alpha, err_logs)
-
-
-def _polar_nodes(grid: QuadratureGrid) -> np.ndarray:
-    """Complex nodes r e^{i theta} of the grid, shape (radial, angular)."""
-    return np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes))
-
-
-def _weighted_components(f: SliceSeries, z: np.ndarray, alpha: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of :func:`slice_components` for a prepared f, each
-    already carrying the weight e^{-alpha |z|^2 / 2}."""
-    a, b = slice_components(f, z, prepare=False)
-    half = np.exp(-0.5 * alpha * np.abs(z) ** 2)[:, None]
-    return a * half, b * half
+    # |f| times the weight before any power, so growth-bounded f never overflows
+    vals = _plane_values(f, unit, grid) * _half_weight(grid, alpha)
+    amp = np.sqrt(np.sum(np.square(vals), axis=-1))
+    return _plane_raw_power(amp, grid, p, alpha, err_logs)
 
 
 def _affine_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|a + u b|^2 = A + u.w for every unit u: returns A and the (n, 3) w."""
-    amp_sq = np.sum(a * a, axis=1) + np.sum(b * b, axis=1)
-    return amp_sq, 2.0 * quat_mul_array(a, quat_conj_array(b))[:, 1:]
+    """|a + u b|^2 = A + u.w for every unit u: returns A and the (..., 3) w."""
+    amp_sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
+    return amp_sq, 2.0 * quat_mul_array(a, quat_conj_array(b))[..., 1:]
 
 
 def _sphere_power(amp_sq: np.ndarray, wnorm: np.ndarray, p: float) -> np.ndarray:
@@ -268,13 +287,13 @@ def _sphere_underflow(amp_sq: np.ndarray, wnorm: np.ndarray, damped: np.ndarray,
     2 pi (2 / (sqrt(a) + sqrt(b))) int_{sqrt a}^{sqrt b} G(v) v dv, whose
     integrand is smooth (a polynomial for integer p), taken by Gauss-Legendre.
     """
-    ra = np.sqrt(np.maximum(amp_sq - wnorm, 0.0))[:, None]
-    rb = np.sqrt(amp_sq + wnorm)[:, None]
-    d = damped[:, None]
-    x, weights = roots_legendre(_ZONAL_NODES)
+    ra = np.sqrt(np.maximum(amp_sq - wnorm, 0.0))[..., None]
+    rb = np.sqrt(amp_sq + wnorm)[..., None]
+    d = damped[..., None]
+    x, weights = _legendre_rule(_ZONAL_NODES)
     v = 0.5 * (rb + ra) + 0.5 * (rb - ra) * x
     zonal = (((v + d) ** p - v ** p) * v) @ weights
-    span = (ra + rb)[:, 0]
+    span = (ra + rb)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         zonal = np.where(span > 0.0, 2.0 * zonal / span, 2.0 * damped ** p)
     return 2.0 * math.pi * zonal
@@ -287,18 +306,16 @@ def _volume_raw_power(f: SliceSeries, grid: QuadratureGrid,
     """Raw whole-algebra integral of (|f| w_alpha)^p, its radial profile and
     the underflow contribution, from one plane evaluation: on q = x + u y,
     |f|^2 w_alpha^2 = A + u.w, so each sphere integral is closed-form."""
-    z = _polar_nodes(grid)
-    amp_sq, w = _affine_square(*_weighted_components(f, z.ravel(), alpha))
-    wnorm = np.sqrt(np.sum(w * w, axis=1))
-    integ = _sphere_power(amp_sq, wnorm, p).reshape(z.shape)
-    _check_finite(integ.ravel(), z.ravel())
+    amp_sq, w = _affine_square(*_weighted_components(f, grid, alpha))
+    wnorm = np.sqrt(np.sum(w * w, axis=-1))
+    integ = _sphere_power(amp_sq, wnorm, p)
+    _check_grid_finite(integ, grid)
     profile = grid.radial_weights * (integ @ grid.angular_weights)
     raw = float(np.sum(profile))
     delta_total = 0.0
     if err_logs is not None and np.any(err_logs > -math.inf):
         damped = np.exp(err_logs - 0.5 * alpha * grid.radial_nodes ** 2)
-        damped = np.repeat(damped, grid.angular_nodes.size)
-        delta = _sphere_underflow(amp_sq, wnorm, damped, p).reshape(z.shape)
+        delta = _sphere_underflow(amp_sq, wnorm, damped[:, None], p)
         delta_total = float(grid.radial_weights @ (delta @ grid.angular_weights))
     return raw, profile, delta_total
 
@@ -314,6 +331,11 @@ def _profile_rising(profile: np.ndarray) -> bool:
 def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
                 ) -> tuple[float, bool, float]:
     """Returns (value, boundary_flag, tail_bound)."""
+    sigma = max_modulus_type(f)
+    if sigma > spec.alpha / 2.0:
+        raise NotInSpaceError(
+            f"max-modulus type {sigma:g} exceeds alpha / 2 = "
+            f"{spec.alpha / 2.0:g}: not in the space")
     fe, tail = prepared_for_radius(f, grid.max_radius, drop_ok=True)
     err_logs = underflow_drop_logs(fe, grid.radial_nodes)
     pref = spec.alpha * spec.p / (2.0 * math.pi)
@@ -332,14 +354,12 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
         planes = [(raw, profile, delta)]
     else:
         # every sampled plane's amplitude comes from one shared evaluation
-        z = _polar_nodes(grid)
-        amp_sq, w = _affine_square(*_weighted_components(fe, z.ravel(),
-                                                         spec.alpha))
+        amp_sq, w = _affine_square(*_weighted_components(fe, grid, spec.alpha))
         planes = []
         for unit in sphere_grid(spec.sup_samples):
             amp = np.sqrt(np.maximum(amp_sq + w @ unit.vector(), 0.0))
-            planes.append(_plane_raw_power(amp.reshape(z.shape), z, grid,
-                                           spec.p, spec.alpha, err_logs))
+            planes.append(_plane_raw_power(amp, grid, spec.p, spec.alpha,
+                                           err_logs))
     best = 0.0
     rising = False
     worst_ratio = 0.0
@@ -418,15 +438,13 @@ def inner_second(f: SliceSeries, g: SliceSeries, alpha: float,
     the rescaled monomials e_k = sqrt(alpha^k / k!) q^k come out orthonormal.
     """
     grid = grid or slice_grid(alpha)
-    z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes)).ravel()
-    w = np.outer(grid.radial_weights, grid.angular_weights).ravel()
     fe, _ = prepared_for_radius(f, grid.max_radius)
     ge, _ = prepared_for_radius(g, grid.max_radius)
-    half = np.exp(-0.5 * alpha * np.abs(z) ** 2)[:, None]
-    fv = eval_on_slice(fe, unit, z, prepare=False) * half
-    gv = eval_on_slice(ge, unit, z, prepare=False) * half
+    half = _half_weight(grid, alpha)
+    fv = _plane_values(fe, unit, grid) * half
+    gv = _plane_values(ge, unit, grid) * half
     prod = quat_mul_array(quat_conj_array(fv), gv)
-    comps = w @ prod
+    comps = grid.plane_weights.ravel() @ prod.reshape(-1, 4)
     return Quaternion.from_array(comps * (alpha / math.pi))
 
 
@@ -440,14 +458,13 @@ def inner_first(f: SliceSeries, g: SliceSeries, alpha: float,
     4 pi (conj(a_f) a_g + conj(b_f) b_g) exactly.
     """
     grid = grid or volume_grid(alpha)
-    z, wq = slice_points(grid)
     fe, _ = prepared_for_radius(f, grid.max_radius)
     ge, _ = prepared_for_radius(g, grid.max_radius)
-    af, bf = _weighted_components(fe, z, alpha)
-    ag, bg = _weighted_components(ge, z, alpha)
+    af, bf = _weighted_components(fe, grid, alpha)
+    ag, bg = _weighted_components(ge, grid, alpha)
     prod = (quat_mul_array(quat_conj_array(af), ag)
             + quat_mul_array(quat_conj_array(bf), bg))
-    comps = SPHERE_AREA * (wq @ prod)
+    comps = SPHERE_AREA * (grid.plane_weights.ravel() @ prod.reshape(-1, 4))
     return Quaternion.from_array(comps * (alpha / math.pi) ** 2)
 
 
@@ -480,22 +497,28 @@ def growth_bound_check(f: SliceSeries, spec: NormSpec, samples,
     """Check |f(q)| <= c e^{alpha |q|^2 / 2} ||f|| on the sample points.
 
     Reports the largest observed ratio |f(q)| e^{-alpha |q|^2 / 2} / ||f||
-    and every violating point.
+    and every violating point.  All samples come from one plane evaluation:
+    with q = x + u y, f(q) = a + u b for (a, b) of :func:`slice_components`
+    at x + i y, the series prepared once for the largest |q|.
     """
     nval = norm(f, spec, grid)
     c = growth_constant(spec)
     if nval == 0.0:
         return GrowthBoundReport(c, 0.0, 0.0, Quaternion(), ())
-    max_ratio = -1.0
-    worst = Quaternion()
-    bad = []
-    for q in samples:
-        ratio = abs(evaluate(f, q)) * math.exp(-0.5 * spec.alpha * q.norm_sq()) / nval
-        if ratio > max_ratio:
-            max_ratio, worst = ratio, q
-        if ratio > c * (1.0 + 1e-12):
-            bad.append(q)
-    return GrowthBoundReport(c, nval, max_ratio, worst, tuple(bad))
+    samples = list(samples)
+    if not samples:
+        return GrowthBoundReport(c, nval, -1.0, Quaternion(), ())
+    qs = np.array([q.to_array() for q in samples])
+    y = np.sqrt(np.sum(qs[:, 1:] ** 2, axis=1))
+    a, b = slice_components(f, qs[:, 0] + 1j * y)
+    units = np.zeros_like(qs)
+    units[:, 1:] = qs[:, 1:] / np.where(y > 0.0, y, 1.0)[:, None]
+    values = a + quat_mul_array(units, b)
+    ratio = (np.sqrt(np.sum(values * values, axis=1))
+             * np.exp(-0.5 * spec.alpha * np.sum(qs * qs, axis=1)) / nval)
+    worst = int(np.argmax(ratio))
+    bad = tuple(q for q, r in zip(samples, ratio) if r > c * (1.0 + 1e-12))
+    return GrowthBoundReport(c, nval, float(ratio[worst]), samples[worst], bad)
 
 
 def sample_ball(count: int, radius: float, seed: int) -> list[Quaternion]:

@@ -161,3 +161,29 @@ def test_invalid_values_exit_1_without_traceback(argv):
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("kind,p", [("first", "1"), ("first", "2"),
+                                    ("second", "1")])
+def test_norm_gauss_outside_space_exits_2(kind, p):
+    res = run_cli("norm", "--fn", "gauss:0.6", "--kind", kind, "--p", p,
+                  "--alpha", "1")
+    assert res.returncode == 2
+    assert "not in space" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_main_reuses_one_parser(capsys):
+    from slicefock import cli
+
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    outputs = []
+    for n in ("2", "3", "2"):
+        assert cli.main(["multipliers", "--family", "fejer", "--n", n,
+                         "--format", "json"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out)["rho"])
+    assert outputs[0] == outputs[2] == [1.0, 0.5]
+    assert outputs[1] == pytest.approx([1.0, 2 / 3, 1 / 3])
+    assert cli.main(["multipliers", "--n", "2"]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -129,3 +129,29 @@ def test_node_counts_below_one_rejected():
     with pytest.raises(ValueError):
         default_grid(NormSpec("first", 2.0, 1.0), n_sphere=0)
     assert default_grid(NormSpec("first", 2.0, 1.0)).sizes == volume_grid(1.0).sizes
+
+
+def test_cached_rules_equal_fresh_ones_and_are_read_only():
+    from slicefock.quadrature import _legendre_rule, _scaled_laguerre, _sphere_rule
+
+    warm = [slice_grid(0.7, 20, 40), volume_grid(0.7, 12, 10, 32)]
+    for cached in (_scaled_laguerre, _legendre_rule, _sphere_rule):
+        cached.cache_clear()
+    fresh = [slice_grid(0.7, 20, 40), volume_grid(0.7, 12, 10, 32)]
+    again = [slice_grid(0.7, 20, 40), volume_grid(0.7, 12, 10, 32)]
+    assert _scaled_laguerre.cache_info().hits >= 2
+    assert _sphere_rule.cache_info().hits >= 1
+    for grids in zip(warm, fresh, again):
+        for name in ("radial_nodes", "radial_weights", "angular_nodes",
+                     "angular_weights", "sphere_units", "sphere_weights"):
+            arrays = [getattr(g, name) for g in grids]
+            if arrays[0] is None:
+                continue
+            for a in arrays:
+                np.testing.assert_array_equal(a, arrays[1])
+                assert not a.flags.writeable
+    for rule in (_scaled_laguerre(20, 0.0), _legendre_rule(16), _sphere_rule(32)):
+        for a in rule:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0

@@ -256,3 +256,38 @@ def test_gram_orthonormality_sample():
             gram[a, b] = gram[b, a] = inner_second(basis[a], basis[b], alpha,
                                                    DIAG).w
     assert np.max(np.abs(gram - np.eye(n))) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_growth_bound_check_matches_pointwise_evaluation(kind):
+    from slicefock.series import evaluate
+
+    f = SliceSeries(random_poly_coeffs(np.random.default_rng(8), 6))
+    spec = NormSpec(kind, 2.0, 1.0)
+    samples = sample_ball(40, 3.0, seed=9) + [Quaternion(1.5), Quaternion()]
+    rep = growth_bound_check(f, spec, samples)
+    ratios = [abs(evaluate(f, q)) * math.exp(-0.5 * q.norm_sq()) / rep.norm_value
+              for q in samples]
+    assert rep.max_ratio == pytest.approx(max(ratios), rel=1e-13)
+    assert rep.worst_point == samples[int(np.argmax(ratios))]
+    assert rep.passed
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
+def test_gauss_above_the_weight_type_is_not_in_space(kind, p):
+    with pytest.raises(NotInSpaceError):
+        norm(gauss_series(0.6), NormSpec(kind, p, 1.0))
+    with pytest.raises(NotInSpaceError):
+        norm(gauss_series(-0.3), NormSpec(kind, p, 0.5))
+
+
+def test_max_modulus_type_follows_dilation():
+    from slicefock.series import max_modulus_type
+
+    assert max_modulus_type(gauss_series(-0.6)) == 0.6
+    assert max_modulus_type(dilate(gauss_series(0.6), 0.5)) == pytest.approx(0.15)
+    assert max_modulus_type(exp_series()) == 0.0
+    assert max_modulus_type(monomial(3)) == 0.0
+    value = norm(dilate(gauss_series(0.6), 0.5), NormSpec("first", 1.0, 1.0))
+    assert math.isfinite(value) and value > 0.0
