@@ -13,6 +13,7 @@ from .errors import (
     ConditioningError,
     IntegrandOverflowError,
     NotInSpaceError,
+    RefinementError,
     SliceFockError,
     SolverError,
     TruncationError,

@@ -23,6 +23,7 @@ from . import approx, kernels, operators, spaces
 from .errors import NotInSpaceError, SliceFockError
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K
 from .series import (
+    DEGREE_CAP,
     SliceSeries,
     exp_series,
     from_generator,
@@ -44,21 +45,29 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _capped_degree(text: str) -> int:
+    degree = int(text)
+    if degree > DEGREE_CAP:
+        raise CliError(f"degree {degree} exceeds the degree cap {DEGREE_CAP}")
+    return degree
+
+
 def parse_function(spec: str) -> SliceSeries:
     """Function specs: exp | gauss:<beta> | mono:<k> | poly:<path> |
-    random:<deg>:<seed> | kernel-section:<w>,<x>,<y>,<z>,<alpha>."""
+    random:<deg>:<seed> | kernel-section:<w>,<x>,<y>,<z>,<alpha>.
+    Degrees of mono and random are capped at ``DEGREE_CAP``."""
     try:
         if spec == "exp":
             return exp_series()
         if spec.startswith("gauss:"):
             return gauss_series(float(spec.split(":", 1)[1]))
         if spec.startswith("mono:"):
-            return monomial(int(spec.split(":", 1)[1]))
+            return monomial(_capped_degree(spec.split(":", 1)[1]))
         if spec.startswith("poly:"):
             return read_coefficients(spec.split(":", 1)[1])
         if spec.startswith("random:"):
             _, deg, seed = spec.split(":")
-            return random_series(int(deg), int(seed))
+            return random_series(_capped_degree(deg), int(seed))
         if spec.startswith("kernel-section:"):
             return from_generator(spec)
     except CliError:
@@ -236,13 +245,15 @@ def cmd_multipliers(args) -> int:
 def cmd_smoothness(args) -> int:
     f = parse_function(args.fn)
     unit = _slice_unit(args)
+    grid = _grid_for(args, spaces.NormSpec("second", args.p, args.alpha,
+                                           slice_unit=unit))
     deltas = _parse_float_list(args.delta_list)
     rows = []
     for d in deltas:
         query = approx.ModulusQuery(k=args.k, delta=d, p=args.p,
                                     alpha=args.alpha, unit=unit,
                                     h_grid=args.h_grid)
-        rows.append((d, approx.modulus(f, query)))
+        rows.append((d, approx.modulus(f, query, grid)))
     record = {"fn": args.fn, "k": args.k,
               "rows": [{"delta": r[0], "omega": r[1]} for r in rows]}
     _format_rows(args, ("delta", "omega"), rows, record)
@@ -251,15 +262,23 @@ def cmd_smoothness(args) -> int:
 
 def cmd_bestapprox(args) -> int:
     f = parse_function(args.fn)
+    if args.kind == "first":
+        # the whole-algebra best approximation is the p = 2 projection
+        grid = _grid_for(args, spaces.NormSpec("first", 2.0, args.alpha))
+    else:
+        unit = _slice_unit(args)
+        grid = _grid_for(args, spaces.NormSpec("second", args.p, args.alpha,
+                                               slice_unit=unit))
     rows = []
     for n in _parse_int_list(args.n_list):
         if args.kind == "first":
-            res = approx.best_approx_first(f, n, args.alpha)
+            res = approx.best_approx_first(f, n, args.alpha, grid)
         elif args.p == 2.0:
-            res = approx.best_approx_second(f, n, args.alpha, _slice_unit(args))
+            # exact from coefficients: no grid enters
+            res = approx.best_approx_second(f, n, args.alpha, unit)
         else:
-            res = approx.best_approx_lp(f, n, args.p, args.alpha,
-                                        _slice_unit(args))
+            res = approx.best_approx_lp(f, n, args.p, args.alpha, unit,
+                                        grid=grid)
         rows.append((n, res.value, res.method))
     record = {"fn": args.fn,
               "rows": [{"n": r[0], "value": r[1], "method": r[2]} for r in rows]}

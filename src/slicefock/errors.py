@@ -22,6 +22,11 @@ class NotInSpaceError(SliceFockError):
     or the value keeps increasing under grid refinement."""
 
 
+class RefinementError(SliceFockError):
+    """A norm moved by more than the refinement tolerance when the grid was
+    refined without growing: the grid does not resolve the integral."""
+
+
 class ConditioningError(SliceFockError):
     """A Gram matrix is too ill-conditioned to solve reliably."""
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInSpaceError, TruncationError
+from .errors import NotInSpaceError, RefinementError, TruncationError
 from .prng import SplitMix64
 from .quaternion import (
     ImaginaryUnit,
@@ -81,7 +81,8 @@ NORM_TAIL_BUDGET = 1e-10
 #: Sphere sample size used to realize the sup over planes.
 DEFAULT_SUP_SAMPLES = 32
 
-#: Relative growth under grid refinement beyond which a norm counts as divergent.
+#: Relative change under grid refinement beyond which a norm is rejected:
+#: as divergent when it grows, as unresolved by the grid otherwise.
 DIVERGENCE_GROWTH = 1e-2
 
 #: Area of the imaginary unit sphere: the sphere integral of a constant.
@@ -396,7 +397,9 @@ def norm_report(f: SliceSeries, spec: NormSpec,
     Evaluates on the base grid and once more with all node counts doubled;
     reports the refined value and the relative deviation.  A rising radial
     profile or growth beyond ``DIVERGENCE_GROWTH`` under refinement raises
-    :class:`NotInSpaceError`.
+    :class:`NotInSpaceError`; any other relative deviation beyond it raises
+    :class:`RefinementError`, since the base grid does not resolve the
+    integral.
     """
     grid = grid or default_grid(spec)
     v1, rising, tail1 = _norm_value(f, spec, grid)
@@ -414,6 +417,10 @@ def norm_report(f: SliceSeries, spec: NormSpec,
             f"norm grows under grid refinement ({v1:.6g} -> {v2:.6g}): "
             "not in the space")
     stability = abs(v2 - v1) / max(abs(v2), 1e-300)
+    if stability > DIVERGENCE_GROWTH:
+        raise RefinementError(
+            f"norm moves by {stability:.3g} relative under grid refinement "
+            f"({v1:.6g} -> {v2:.6g}): refine the grid")
     return NormReport(
         value=v2,
         kind=spec.kind,

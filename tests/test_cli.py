@@ -187,3 +187,56 @@ def test_main_reuses_one_parser(capsys):
     assert outputs[1] == pytest.approx([1.0, 2 / 3, 1 / 3])
     assert cli.main(["multipliers", "--n", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+
+def _json_rows(res, key):
+    assert res.returncode == 0
+    return [row[key] for row in json.loads(res.stdout)["rows"]]
+
+
+def test_bestapprox_uses_grid_flags():
+    from slicefock.approx import best_approx_first, best_approx_lp
+    from slicefock.quadrature import slice_grid, volume_grid
+    from slicefock.series import exp_series
+
+    flags = ("--fn", "exp", "--n-list", "3", "--quad-radial", "8",
+             "--quad-angular", "16", "--format", "json")
+    got = _json_rows(run_cli("bestapprox", "--p", "1", *flags), "value")
+    want = best_approx_lp(exp_series(), 3, 1.0, 1.0, grid=slice_grid(0.5, 8, 16))
+    assert got[0] == pytest.approx(want.value, rel=1e-12)
+    got = _json_rows(run_cli("bestapprox", "--kind", "first", *flags), "value")
+    want = best_approx_first(exp_series(), 3, 1.0, volume_grid(1.0, 8, 16))
+    assert got[0] == pytest.approx(want.value, rel=1e-12)
+
+
+def test_smoothness_uses_grid_flags():
+    from slicefock.approx import ModulusQuery, modulus
+    from slicefock.quadrature import slice_grid
+    from slicefock.series import exp_series
+
+    res = run_cli("smoothness", "--fn", "exp", "--p", "1", "--delta-list",
+                  "0.5", "--quad-radial", "8", "--quad-angular", "16",
+                  "--format", "json")
+    query = ModulusQuery(k=1, delta=0.5, p=1.0, alpha=1.0)
+    want = modulus(exp_series(), query, slice_grid(0.5, 8, 16))
+    assert _json_rows(res, "omega")[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["mono:513", "random:513:1"])
+def test_generator_degree_above_cap_exits_1(spec):
+    res = run_cli("norm", "--fn", spec)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "degree cap" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_norm_unresolved_by_coarse_grid_exits_1():
+    # 2 x 2 nodes give 2.239, their refinement 1.741, against sqrt(e)
+    res = run_cli("norm", "--fn", "exp", "--quad-radial", "2",
+                  "--quad-angular", "2")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "refinement" in res.stderr
+    assert "Traceback" not in res.stderr

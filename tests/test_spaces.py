@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from slicefock.errors import NotInSpaceError
+from slicefock.errors import NotInSpaceError, RefinementError
+from slicefock.quadrature import slice_grid
 from slicefock.quaternion import ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K
 from slicefock.series import (
     SliceSeries,
@@ -291,3 +292,14 @@ def test_max_modulus_type_follows_dilation():
     assert max_modulus_type(monomial(3)) == 0.0
     value = norm(dilate(gauss_series(0.6), 0.5), NormSpec("first", 1.0, 1.0))
     assert math.isfinite(value) and value > 0.0
+
+
+def test_norm_report_rejects_a_shrinking_value_under_refinement():
+    # the coarse value overshoots sqrt(e) = 1.6487 by a third and falls
+    # under refinement: no growth, so not a divergence, but no norm either
+    spec = NormSpec("second", 2.0, 1.0)
+    with pytest.raises(RefinementError, match="refinement"):
+        norm_report(exp_series(), spec, slice_grid(1.0, 2, 2))
+    rep = norm_report(exp_series(), spec, slice_grid(1.0, 16, 32))
+    assert rep.value == pytest.approx(math.exp(0.5), rel=1e-10)
+    assert not issubclass(RefinementError, NotInSpaceError)
