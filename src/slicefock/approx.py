@@ -109,15 +109,6 @@ def difference_series(f: SliceSeries, k: int, h: float,
     return SliceSeries(out)
 
 
-def raw_slice_lp(f: SliceSeries, p: float, alpha: float, unit: ImaginaryUnit,
-                 grid: QuadratureGrid | None = None) -> float:
-    """(int (|f| e^{-alpha |z|^2 / 2})^p dm)^(1/p) without any prefactor."""
-    grid = grid or slice_grid(alpha * p / 2.0)
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
-    raw, _, _ = _slice_raw_power(fe, unit, grid, p, alpha)
-    return raw ** (1.0 / p)
-
-
 def modulus(f: SliceSeries, query: ModulusQuery,
             grid: QuadratureGrid | None = None) -> float:
     """Weighted modulus of smoothness: sup over 0 <= h <= delta of the raw

@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -34,6 +35,13 @@ from .series import (
     read_coefficients,
     taylor_truncate,
 )
+
+
+#: Accepted ``growth --radii`` counts: the fit needs four radii, and each
+#: radius is a full max-modulus sweep.
+GROWTH_RADII = (4, 1000)
+#: Largest ``smoothness --h-grid``: each step size is a full plane norm.
+H_GRID_CAP = 4096
 
 
 class CliError(Exception):
@@ -145,6 +153,24 @@ def _slice_unit(args) -> ImaginaryUnit:
     return sl
 
 
+def _check_operator_degree(name: str, n: int, m: int, p: float) -> None:
+    """Refuse an operator whose result degree exceeds ``DEGREE_CAP`` before
+    any of its tables or series is allocated."""
+    if name == "taylor":
+        bound = n
+    elif name == "fejer":
+        bound = n - 1
+    elif name == "vdp":
+        bound = 2 * n - 1
+    else:
+        if not math.isfinite(p):
+            raise CliError(f"the jackson operator needs a finite --p, got {p!r}")
+        bound = operators.jackson_rule_r(m, p) * (n - 1)
+    if bound > DEGREE_CAP:
+        raise CliError(f"{name} operator at n = {n} has degree {bound}, "
+                       f"above the degree cap {DEGREE_CAP}")
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -193,8 +219,10 @@ def cmd_converge(args) -> int:
     if spec.kind != "second" or spec.sup_samples is not None:
         raise CliError("converge works on a concrete second-kind slice")
     unit = spec.slice_unit
-    grid = _grid_for(args, spec)
     n_list = _parse_int_list(args.n_list)
+    for n in n_list:
+        _check_operator_degree(args.operator, n, args.m, args.p)
+    grid = _grid_for(args, spec)
     rows = []
     for n in n_list:
         if args.operator == "taylor":
@@ -222,6 +250,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_multipliers(args) -> int:
+    _check_operator_degree(args.family, args.n, args.m, args.p)
     if args.family == "fejer":
         op = operators.fejer_op(args.n)
     elif args.family == "vdp":
@@ -243,6 +272,10 @@ def cmd_multipliers(args) -> int:
 
 
 def cmd_smoothness(args) -> int:
+    if args.kind == "first":
+        raise CliError("smoothness works on a plane only: use --kind second")
+    if args.h_grid > H_GRID_CAP:
+        raise CliError(f"--h-grid {args.h_grid} exceeds {H_GRID_CAP}")
     f = parse_function(args.fn)
     unit = _slice_unit(args)
     grid = _grid_for(args, spaces.NormSpec("second", args.p, args.alpha,
@@ -261,6 +294,9 @@ def cmd_smoothness(args) -> int:
 
 
 def cmd_bestapprox(args) -> int:
+    if args.kind == "first" and args.p != 2.0:
+        raise CliError("bestapprox --kind first computes the p = 2 projection "
+                       f"only, not p = {args.p:g}")
     f = parse_function(args.fn)
     if args.kind == "first":
         # the whole-algebra best approximation is the p = 2 projection
@@ -287,6 +323,9 @@ def cmd_bestapprox(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    low, high = GROWTH_RADII
+    if not low <= args.radii <= high:
+        raise CliError(f"--radii must lie in [{low}, {high}], got {args.radii}")
     f = parse_function(args.fn)
     radii = np.geomspace(args.r_min, args.r_max, args.radii)
     rep = spaces.order_type(f, radii)

@@ -29,6 +29,11 @@ from .series import SliceSeries, evaluate, extended, from_generator
 from .approx import parseval_log_weights
 
 
+#: L(e_c) for the basis quaternions e_c, so that L(q) = sum_c q_c L(e_c).
+_LEFT_BASIS = np.stack([left_mult_matrix(Quaternion.from_array(e))
+                        for e in np.eye(4)])
+
+
 def kernel_section(q0: Quaternion, alpha: float, degree: int = 24) -> SliceSeries:
     """Series of the kernel section centered at q0 with weight alpha."""
     tag = (f"kernel-section:{q0.w!r},{q0.x!r},{q0.y!r},{q0.z!r},{float(alpha)!r}")
@@ -88,18 +93,14 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float,
     weights = np.exp(gammaln(k + 1.0) - k * math.log(alpha))        # k! / alpha^k
 
     n = len(centers)
-    gram = np.zeros((4 * n, 4 * n))
-    rhs = np.zeros(4 * n)
-    for i in range(n):
-        gi = np.sum(weights[:, None] *
-                    quat_mul_array(quat_conj_array(smats[i]), fe.coeffs), axis=0)
-        rhs[4 * i: 4 * i + 4] = gi
-        for j in range(n):
-            gij = np.sum(weights[:, None] *
-                         quat_mul_array(quat_conj_array(smats[i]), smats[j]),
-                         axis=0)
-            block = left_mult_matrix(Quaternion.from_array(gij))
-            gram[4 * i: 4 * i + 4, 4 * j: 4 * j + 4] = block
+    conj = quat_conj_array(smats)
+    # Gram entries sum_k w_k conj(s_i,k) s_j,k as quaternions g_ij; the real
+    # system acts by left multiplication, block (i, j) being L(g_ij)
+    gij = np.einsum("k,ijkc->ijc", weights,
+                    quat_mul_array(conj[:, None], smats[None]))
+    gram = np.einsum("ijc,cab->iajb", gij, _LEFT_BASIS).reshape(4 * n, 4 * n)
+    rhs = np.einsum("k,ikc->ic", weights,
+                    quat_mul_array(conj, fe.coeffs[None])).reshape(4 * n)
 
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > cond_limit:
@@ -109,10 +110,7 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float,
     sol = np.linalg.solve(gram, rhs)
     coeffs = tuple(Quaternion.from_array(sol[4 * i: 4 * i + 4]) for i in range(n))
 
-    combo = np.einsum("nkc->kc", np.stack([
-        quat_mul_array(smats[i], np.broadcast_to(sol[4 * i: 4 * i + 4],
-                                                 (deg + 1, 4)))
-        for i in range(n)]))
+    combo = np.sum(quat_mul_array(smats, sol.reshape(n, 1, 4)), axis=0)
     resid_coeffs = fe.coeffs - combo
     resid_sq = float(np.sum(weights * np.sum(resid_coeffs ** 2, axis=1)))
     return SectionFit(coeffs, math.sqrt(max(resid_sq, 0.0)), cond)

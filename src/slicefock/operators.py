@@ -5,8 +5,9 @@ Rotating the argument inside a power q^k multiplies it by a plane rotation:
 rotations against an even probability kernel K therefore scales each
 coefficient by the real cosine moment int cos(k t) K(t) dt, so every
 operator here is a finite real multiplier sequence rho_k applied as
-a_k -> rho_k a_k.  The rotational integral itself survives only as a test
-oracle; the multiplier form is exact up to the 1D moment quadrature.
+a_k -> rho_k a_k.  The moments are exact: the kernel's Fourier
+coefficients are a self-convolution of the Fejer triangle.  The rotational
+integral itself survives only as a test oracle.
 
 Two kernel families are provided: the nonnegative even polynomial kernel
 (sin(n t / 2) / sin(t / 2))^(2 r) normalized to unit integral, with r = 1
@@ -93,24 +94,42 @@ def kernel_eval(kernel: TrigKernel, t) -> np.ndarray | float:
     return float(vals[0]) if scalar else vals
 
 
-def _moment_nodes(n: int, r: int, extra_degree: int = 0) -> int:
-    # alias-safe for cos(k t) * kernel up to k = trig degree + extra_degree
-    return max(8 * r * n, 2 * (r * (n - 1) + extra_degree) + 17)
+def _moment_nodes(n: int, r: int) -> int:
+    # alias-safe for the kernel's trigonometric degree r (n - 1)
+    return max(8 * r * n, 2 * r * (n - 1) + 17)
+
+
+def _cosine_moments(n: int, r: int) -> np.ndarray:
+    """c_k / c_0 for k = 0 .. r (n - 1), with c_k the Fourier coefficients of
+    the unnormalized kernel (sin(n t / 2) / sin(t / 2))^(2 r).
+
+    The r = 1 kernel is the Fejer triangle sum_{|k| < n} (n - |k|) e^{i k t},
+    so the c_k are its r-fold self-convolution, exact up to rounding.  Every
+    entry is positive, so the convolution sums carry no cancellation; each
+    step is rescaled to unit maximum so that no (n, r) overflows.
+    """
+    if n < 1 or r < 1:
+        raise ValueError("kernel parameters must be at least 1")
+    tri = (n - np.abs(np.arange(1 - n, n))) / n
+    c = np.ones(1)
+    for _ in range(r):
+        c = np.convolve(c, tri)
+        c /= c.max()
+    deg = r * (n - 1)
+    return c[deg:] / c[deg]
 
 
 def multipliers(kernel: TrigKernel) -> np.ndarray:
     """Cosine moments rho_k = int cos(k t) K(t) dt for k = 0 .. trig degree.
 
     Sine moments vanish by evenness; rho_0 = 1 because the kernel is a
-    probability density.  Applying the sequence to coefficients reproduces
-    the rotational-average operator exactly.
+    probability density.  The moments are the exact ratios c_k / c_0 of the
+    kernel's Fourier coefficients, the r-fold self-convolution of the Fejer
+    triangle (:func:`_cosine_moments`), so no quadrature enters; at r = 1
+    they are the triangular 1 - k / n.  Applying the sequence to
+    coefficients reproduces the rotational-average operator exactly.
     """
-    deg = kernel.trig_degree
-    nodes = _moment_nodes(kernel.n, kernel.r, extra_degree=deg)
-    t = circle_nodes(nodes)
-    kv = kernel_eval(kernel, t)
-    ang = np.outer(np.arange(deg + 1), t)
-    return (np.cos(ang) @ kv) * (2.0 * math.pi / nodes)
+    return _cosine_moments(kernel.n, kernel.r)
 
 
 @dataclass(frozen=True)
@@ -162,25 +181,22 @@ def jackson_op(n: int, m: int, p: float) -> MultiplierOperator:
     """Multipliers of the smoothing-difference operator of order m + 1.
 
     tau_j = -sum_{k=1}^{m+1} (-1)^k C(m+1, k) c_{j k} with
-    c_{j k} = int cos(j k t) K_{n,r}(t) dt and r from :func:`jackson_rule_r`;
-    tau_0 = 1 and tau_j = 0 beyond r (n - 1).
+    c_{j k} = int cos(j k t) K_{n,r}(t) dt, the exact moments of
+    :func:`multipliers` (zero for j k beyond r (n - 1)), and r from
+    :func:`jackson_rule_r`; tau_0 = 1 and tau_j = 0 beyond r (n - 1).
     """
     if m < 0:
         raise ValueError("difference order m must be nonnegative")
     if p < 1.0:
         raise ValueError("the smoothing-difference operator needs p >= 1")
     r = jackson_rule_r(m, p)
-    kernel = jackson_kernel(n, r)
-    deg = kernel.trig_degree
-    nodes = _moment_nodes(n, r, extra_degree=deg * (m + 1))
-    t = circle_nodes(nodes)
-    kv = kernel_eval(kernel, t)
-    ks = np.arange(1, m + 2)
-    signs = np.array([-((-1.0) ** k) * math.comb(m + 1, k) for k in ks])
+    rho = _cosine_moments(n, r)
+    deg = rho.size - 1
+    j = np.arange(deg + 1)
     tau = np.zeros(deg + 1)
-    for k, s in zip(ks, signs):
-        ang = np.outer(np.arange(deg + 1) * k, t)
-        tau += s * ((np.cos(ang) @ kv) * (2.0 * math.pi / nodes))
+    for k in range(1, m + 2):
+        jk = j[j * k <= deg]                   # c_{jk} vanishes past the degree
+        tau[jk] -= (-1.0) ** k * math.comb(m + 1, k) * rho[jk * k]
     return MultiplierOperator(tau, f"jackson:{n}:{m}:r{r}", deg)
 
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import TruncationError
 from .quaternion import (
@@ -204,13 +205,20 @@ def _generator_coeffs(tag: str, degree: int) -> np.ndarray:
         if k <= degree:
             out[k, 0] = 1.0
     elif tag.startswith("kernel-section:"):
+        # a_k = c^k / k! with c = alpha conj(q0) = |c| (cos phi + u sin phi),
+        # so c^k = |c|^k (cos k phi + u sin k phi); the magnitude is taken in
+        # log space, k log|c| - log k!, and underflows only where it must
         w, x, y, z, alpha = (float(s) for s in tag.split(":", 1)[1].split(","))
-        conj = Quaternion(w, -x, -y, -z)
-        acc = Quaternion(1.0)
-        out[0] = acc.to_array()
-        for k in range(1, degree + 1):
-            acc = acc * conj * (alpha / k)
-            out[k] = acc.to_array()
+        c = alpha * np.array([w, -x, -y, -z])
+        im = math.hypot(*c[1:])
+        k = np.arange(degree + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag = np.exp(k * np.log(math.hypot(c[0], im)) - gammaln(k + 1.0))
+        mag[0] = 1.0                            # c^0 = 1, also for c = 0
+        phi = k * math.atan2(im, c[0])
+        out[:, 0] = mag * np.cos(phi)
+        if im > 0.0:
+            out[:, 1:] = (mag * np.sin(phi))[:, None] * (c[1:] / im)
     else:
         raise ValueError(f"unknown generator tag: {tag!r}")
     return out
@@ -450,6 +458,25 @@ def _log_scaled_terms(coeffs: np.ndarray, radii: np.ndarray
     return np.exp(logs - top[:, None]), top, dirs
 
 
+def _eval_polar_scaled(f: SliceSeries, unit: ImaginaryUnit,
+                       radii: np.ndarray, n_circle: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eval_polar` before the scale is multiplied back: returns
+    (values e^{-top_i}, top) with top_i the log of the largest term magnitude
+    at radius r_i, so that callers working in log space (log |f| far past
+    the overflow range) never form e^{top}."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    scaled, top, dirs = _log_scaled_terms(f.coeffs, radii)
+    n_terms = dirs.shape[0]
+    folded = np.zeros((radii.size, n_circle, 4))
+    for start in range(0, n_terms, n_circle):
+        stop = min(start + n_circle, n_terms)
+        folded[:, :stop - start] += scaled[:, start:stop, None] * dirs[start:stop]
+    s = np.fft.ifft(folded, axis=1, norm="forward")
+    lm = left_mult_matrix(unit.as_quaternion()).T
+    return s.real + s.imag @ lm, top
+
+
 def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
                n_circle: int) -> np.ndarray:
     """Values of an already prepared f at r_i exp(2 pi i j / n_circle) on the
@@ -461,20 +488,13 @@ def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
     At the n uniform angles S is one inverse DFT of the terms folded modulo
     n.  Each radius scales its terms by e^{-top}, top the log of its largest
     term magnitude (:func:`_log_scaled_terms`, shared with
-    :func:`_log_abs_on_circle`), so r^k never overflows; the scale is
-    multiplied back at the end.  Temporaries are (R, D) scalars and (R, n)
-    quaternions, never (R, D, 4).
+    :func:`_log_abs_on_circle`), so r^k never overflows; the scaled values
+    come from :func:`_eval_polar_scaled` and the scale is multiplied back
+    here.  Temporaries are (R, D) scalars and (R, n) quaternions, never
+    (R, D, 4).
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    scaled, top, dirs = _log_scaled_terms(f.coeffs, radii)
-    n_terms = dirs.shape[0]
-    folded = np.zeros((radii.size, n_circle, 4))
-    for start in range(0, n_terms, n_circle):
-        stop = min(start + n_circle, n_terms)
-        folded[:, :stop - start] += scaled[:, start:stop, None] * dirs[start:stop]
-    s = np.fft.ifft(folded, axis=1, norm="forward")
-    lm = left_mult_matrix(unit.as_quaternion()).T
-    return (s.real + s.imag @ lm) * np.exp(top)[:, None, None]
+    values, top = _eval_polar_scaled(f, unit, radii, n_circle)
+    return values * np.exp(top)[:, None, None]
 
 
 def _from_conjugates(plus: np.ndarray, minus: np.ndarray

@@ -48,6 +48,7 @@ from .quaternion import (
     quat_conj_array,
     quat_mul_array,
     sphere_grid,
+    units_array,
 )
 from .quadrature import (
     DEFAULT_ANGULAR,
@@ -64,6 +65,8 @@ from .quadrature import (
 )
 from .series import (
     SliceSeries,
+    _eval_polar_scaled,
+    _from_conjugates,
     _log_abs_on_circle,
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
     eval_polar,
@@ -587,15 +590,32 @@ class GrowthReport:
 
 def log_max_modulus(f: SliceSeries, radius: float, units=None,
                     n_theta: int = 64) -> float:
-    """log max |f| over sampled directions at the given radius."""
+    """log max |f| over sampled directions at the given radius: the points
+    radius (cos t + u sin t) for every sampled unit u (default the first 8
+    of :func:`sphere_grid`) and n_theta angles t evenly spaced in [0, pi].
+
+    The angles t_j = pi j / (n_theta - 1) are nodes j of a uniform circle of
+    2 (n_theta - 1) nodes, whose conjugates are nodes 2 (n_theta - 1) - j, so
+    one log-scaled FFT on the i-plane (:func:`_eval_polar_scaled`) gives the
+    representation-formula (a, b) at every angle.  Then
+    |f|^2 = A + u.w for every unit (:func:`_affine_square`), and all sampled
+    units are one (units x n_theta) product, taken in log space so that no
+    radius overflows.
+    """
     units = units if units is not None else sphere_grid(8)
     fe, _ = prepared_for_radius(f, radius)
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    best = -math.inf
-    for unit in units:
-        vals = _log_abs_on_circle(fe, unit, radius, thetas)
-        best = max(best, float(np.max(vals)))
-    return best
+    if n_theta < 2:
+        thetas = np.linspace(0.0, math.pi, n_theta)
+        return max((float(np.max(_log_abs_on_circle(fe, u, radius, thetas)))
+                    for u in units), default=-math.inf)
+    n_circle = 2 * (n_theta - 1)
+    values, top = _eval_polar_scaled(fe, UNIT_I, np.array([radius]), n_circle)
+    j = np.arange(n_theta)
+    amp_sq, w = _affine_square(*_from_conjugates(values[0, j],
+                                                  values[0, -j % n_circle]))
+    sq = amp_sq + units_array(units).reshape(-1, 3) @ w.T
+    peak = float(np.max(sq, initial=0.0))
+    return float(top[0]) + 0.5 * math.log(peak) if peak > 0.0 else -math.inf
 
 
 def order_type(f: SliceSeries, radii=None, units=None,

@@ -240,3 +240,46 @@ def test_norm_unresolved_by_coarse_grid_exits_1():
     assert res.stderr.startswith("error:")
     assert "refinement" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("bestapprox", "--fn", "exp", "--kind", "first", "--p", "1",
+     "--n-list", "2"),
+    ("smoothness", "--fn", "exp", "--kind", "first", "--delta-list", "0.5"),
+])
+def test_first_kind_requests_without_a_first_kind_answer_exit_1(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("growth", "--fn", "exp", "--radii", "3"),
+    ("growth", "--fn", "exp", "--radii", "1001"),
+    ("smoothness", "--fn", "exp", "--h-grid", "4097"),
+    ("multipliers", "--family", "fejer", "--n", "514"),
+    ("multipliers", "--family", "vdp", "--n", "257"),
+    ("multipliers", "--family", "jackson", "--n", "258"),
+    ("converge", "--fn", "exp", "--operator", "taylor", "--n-list", "2,513"),
+    ("converge", "--fn", "exp", "--operator", "fejer", "--n-list", "514"),
+    ("converge", "--fn", "exp", "--operator", "vdp", "--n-list", "257"),
+    ("converge", "--fn", "exp", "--operator", "jackson", "--n-list", "258"),
+    ("multipliers", "--family", "jackson", "--n", "4", "--p", "inf"),
+])
+def test_size_caps_exit_1_before_allocating(argv):
+    from slicefock import cli
+
+    assert cli.main(list(argv)) == 1
+
+
+def test_size_cap_messages(capsys):
+    from slicefock import cli
+
+    assert cli.main(["multipliers", "--family", "vdp", "--n", "257"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "degree cap 512" in err
+    assert cli.main(["growth", "--fn", "exp", "--radii", "1001"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
