@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from datetime import datetime, timezone
 
@@ -156,16 +155,7 @@ def _slice_unit(args) -> ImaginaryUnit:
 def _check_operator_degree(name: str, n: int, m: int, p: float) -> None:
     """Refuse an operator whose result degree exceeds ``DEGREE_CAP`` before
     any of its tables or series is allocated."""
-    if name == "taylor":
-        bound = n
-    elif name == "fejer":
-        bound = n - 1
-    elif name == "vdp":
-        bound = 2 * n - 1
-    else:
-        if not math.isfinite(p):
-            raise CliError(f"the jackson operator needs a finite --p, got {p!r}")
-        bound = operators.jackson_rule_r(m, p) * (n - 1)
+    bound = operators.degree_bound(name, n, m, p)
     if bound > DEGREE_CAP:
         raise CliError(f"{name} operator at n = {n} has degree {bound}, "
                        f"above the degree cap {DEGREE_CAP}")

@@ -94,10 +94,11 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float,
 
     n = len(centers)
     conj = quat_conj_array(smats)
-    # Gram entries sum_k w_k conj(s_i,k) s_j,k as quaternions g_ij; the real
-    # system acts by left multiplication, block (i, j) being L(g_ij)
-    gij = np.einsum("k,ijkc->ijc", weights,
-                    quat_mul_array(conj[:, None], smats[None]))
+    # Gram entries sum_k w_k conj(s_i,k) s_j,k as quaternions g_ij, one row
+    # i at a time so that memory stays O(n D); the real system acts by left
+    # multiplication, block (i, j) being L(g_ij)
+    gij = np.stack([np.einsum("k,jkc->jc", weights, quat_mul_array(ci, smats))
+                    for ci in conj])
     gram = np.einsum("ijc,cab->iajb", gij, _LEFT_BASIS).reshape(4 * n, 4 * n)
     rhs = np.einsum("k,ikc->ic", weights,
                     quat_mul_array(conj, fe.coeffs[None])).reshape(4 * n)

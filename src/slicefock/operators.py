@@ -151,9 +151,26 @@ class MultiplierOperator:
         object.__setattr__(self, "rho", arr)
 
 
+def degree_bound(family: str, n: int, m: int = 0, p: float = 2.0) -> int:
+    """Degree of the polynomial the operator of ``family`` at parameter n
+    produces: n for the Taylor truncation, n - 1 for the Fejer mean,
+    2n - 1 for the delayed mean and r (n - 1) for the smoothing-difference
+    operator with r from :func:`jackson_rule_r`.  Computed without building
+    the operator, so callers can refuse a size before allocating it."""
+    if family == "taylor":
+        return n
+    if family == "fejer":
+        return n - 1
+    if family == "vdp":
+        return 2 * n - 1
+    if family == "jackson":
+        return jackson_rule_r(m, p) * (n - 1)
+    raise ValueError(f"unknown operator family {family!r}")
+
+
 def fejer_op(n: int) -> MultiplierOperator:
     rho = multipliers(fejer_kernel(n))
-    return MultiplierOperator(rho, f"fejer:{n}", n - 1)
+    return MultiplierOperator(rho, f"fejer:{n}", degree_bound("fejer", n))
 
 
 def vdp_op(n: int) -> MultiplierOperator:
@@ -169,11 +186,14 @@ def vdp_op(n: int) -> MultiplierOperator:
     v = 2.0 * big
     v[: small.size] -= small
     v[: n + 1] = 1.0
-    return MultiplierOperator(v, f"vdp:{n}", 2 * n - 1)
+    return MultiplierOperator(v, f"vdp:{n}", degree_bound("vdp", n))
 
 
 def jackson_rule_r(m: int, p: float) -> int:
     """Smallest integer r with r >= (p (m + 1) + 2) / 2."""
+    if not math.isfinite(p):
+        raise ValueError(f"the smoothing-difference operator needs a finite p, "
+                         f"got {p!r}")
     return math.ceil((p * (m + 1) + 2.0) / 2.0 - 1e-12)
 
 
@@ -191,7 +211,7 @@ def jackson_op(n: int, m: int, p: float) -> MultiplierOperator:
         raise ValueError("the smoothing-difference operator needs p >= 1")
     r = jackson_rule_r(m, p)
     rho = _cosine_moments(n, r)
-    deg = rho.size - 1
+    deg = degree_bound("jackson", n, m, p)
     j = np.arange(deg + 1)
     tau = np.zeros(deg + 1)
     for k in range(1, m + 2):

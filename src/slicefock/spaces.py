@@ -67,7 +67,6 @@ from .series import (
     SliceSeries,
     _eval_polar_scaled,
     _from_conjugates,
-    _log_abs_on_circle,
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
     eval_polar,
     max_modulus_type,
@@ -595,20 +594,19 @@ def log_max_modulus(f: SliceSeries, radius: float, units=None,
     of :func:`sphere_grid`) and n_theta angles t evenly spaced in [0, pi].
 
     The angles t_j = pi j / (n_theta - 1) are nodes j of a uniform circle of
-    2 (n_theta - 1) nodes, whose conjugates are nodes 2 (n_theta - 1) - j, so
+    2 (n_theta - 1) nodes (one node, t = 0, when n_theta = 1), whose
+    conjugates are nodes 2 (n_theta - 1) - j, so
     one log-scaled FFT on the i-plane (:func:`_eval_polar_scaled`) gives the
     representation-formula (a, b) at every angle.  Then
     |f|^2 = A + u.w for every unit (:func:`_affine_square`), and all sampled
     units are one (units x n_theta) product, taken in log space so that no
     radius overflows.
     """
+    if n_theta < 1:
+        raise ValueError("need at least one sampled angle")
     units = units if units is not None else sphere_grid(8)
     fe, _ = prepared_for_radius(f, radius)
-    if n_theta < 2:
-        thetas = np.linspace(0.0, math.pi, n_theta)
-        return max((float(np.max(_log_abs_on_circle(fe, u, radius, thetas)))
-                    for u in units), default=-math.inf)
-    n_circle = 2 * (n_theta - 1)
+    n_circle = max(2 * (n_theta - 1), 1)
     values, top = _eval_polar_scaled(fe, UNIT_I, np.array([radius]), n_circle)
     j = np.arange(n_theta)
     amp_sq, w = _affine_square(*_from_conjugates(values[0, j],

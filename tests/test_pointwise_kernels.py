@@ -188,6 +188,29 @@ def test_jackson_op_rejects_bad_degree_parameter():
         operators.jackson_op(0, 0, 2.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_jackson_rejects_non_finite_p(p):
+    with pytest.raises(ValueError):
+        operators.jackson_rule_r(1, p)
+    with pytest.raises(ValueError):
+        operators.jackson_op(4, 1, p)
+    with pytest.raises(ValueError):
+        operators.degree_bound("jackson", 4, 1, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_degree_bound_matches_constructors(n):
+    assert operators.degree_bound("taylor", n) == n
+    assert operators.fejer_op(n).degree_bound == operators.degree_bound("fejer", n)
+    assert operators.vdp_op(n).degree_bound == operators.degree_bound("vdp", n)
+    for m, p in [(0, 1.0), (1, 2.0), (3, 4.0)]:
+        op = operators.jackson_op(n, m, p)
+        assert op.degree_bound == operators.degree_bound("jackson", n, m, p)
+        assert op.degree_bound == op.rho.size - 1
+    with pytest.raises(ValueError):
+        operators.degree_bound("cesaro", n)
+
+
 # ---------------------------------------------------------------------------
 # kernel sections
 
