@@ -22,7 +22,6 @@ from .quaternion import (
     DEFAULT_UNIT,
     ImaginaryUnit,
     Quaternion,
-    TrigForm,
     UNIT_I,
     UNIT_J,
     UNIT_K,
@@ -36,7 +35,6 @@ from .quaternion import (
 from .series import (
     DEGREE_CAP,
     SliceSeries,
-    SplitPair,
     TAIL_TOL,
     dilate,
     evaluate,
@@ -113,5 +111,4 @@ from .approx import (
 )
 from .kernels import SectionFit, fit_with_sections, kernel_section
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -149,13 +149,11 @@ def parseval_log_weights(f: SliceSeries, alpha: float,
         top = float(np.max(logw))
         if top == -math.inf:
             return fe, logw
-        # term ratio of the weighted tail: (coefficient ratio)^2 (k+1) / alpha
-        from .series import _future_term_ratio
-
-        cr = _future_term_ratio(fe, 1.0, deg)
-        step = 2 if (fe.generator or "").startswith("gauss:") else 1
-        ratio = cr * cr * (deg + 1.0) * (deg + 2.0) / (alpha ** step) \
-            if step == 2 else cr * cr * (deg + 1.0) / alpha
+        # term ratio of the weighted tail over one stride s:
+        # (coefficient ratio)^2 (k+1)...(k+s) / alpha^s
+        g = fe.generator
+        ratio = 0.0 if g is None else g.term_ratio(1.0, deg) ** 2 \
+            * math.perm(deg + g.stride, g.stride) / alpha ** g.stride
         scaled = np.exp(logw - top)
         last = float(np.max(scaled[-2:])) if deg >= 1 else float(scaled[-1])
         total = float(np.sum(scaled))

@@ -25,10 +25,7 @@ from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K
 from .series import (
     DEGREE_CAP,
     SliceSeries,
-    exp_series,
     from_generator,
-    gauss_series,
-    monomial,
     prepared_for_radius,
     random_series,
     read_coefficients,
@@ -64,24 +61,18 @@ def parse_function(spec: str) -> SliceSeries:
     random:<deg>:<seed> | kernel-section:<w>,<x>,<y>,<z>,<alpha>.
     Degrees of mono and random are capped at ``DEGREE_CAP``."""
     try:
-        if spec == "exp":
-            return exp_series()
-        if spec.startswith("gauss:"):
-            return gauss_series(float(spec.split(":", 1)[1]))
-        if spec.startswith("mono:"):
-            return monomial(_capped_degree(spec.split(":", 1)[1]))
         if spec.startswith("poly:"):
             return read_coefficients(spec.split(":", 1)[1])
         if spec.startswith("random:"):
             _, deg, seed = spec.split(":")
             return random_series(_capped_degree(deg), int(seed))
-        if spec.startswith("kernel-section:"):
-            return from_generator(spec)
+        if spec.startswith("mono:"):
+            _capped_degree(spec.split(":", 1)[1])
+        return from_generator(spec)
     except CliError:
         raise
     except Exception as exc:
         raise CliError(f"bad function spec {spec!r}: {exc}") from exc
-    raise CliError(f"unknown function spec {spec!r}")
 
 
 def parse_slice(spec: str):

@@ -25,7 +25,7 @@ from .quaternion import (
     quat_conj_array,
     quat_mul_array,
 )
-from .series import SliceSeries, evaluate, extended, from_generator
+from .series import ExpGenerator, SliceSeries, evaluate, extended
 from .approx import parseval_log_weights
 
 
@@ -35,9 +35,9 @@ _LEFT_BASIS = np.stack([left_mult_matrix(Quaternion.from_array(e))
 
 
 def kernel_section(q0: Quaternion, alpha: float, degree: int = 24) -> SliceSeries:
-    """Series of the kernel section centered at q0 with weight alpha."""
-    tag = (f"kernel-section:{q0.w!r},{q0.x!r},{q0.y!r},{q0.z!r},{float(alpha)!r}")
-    return from_generator(tag, degree)
+    """Series of the kernel section centered at q0 with weight alpha: the
+    exponential generator with c = alpha conj(q0)."""
+    return ExpGenerator(q0.conjugate().to_array() * float(alpha)).series(degree)
 
 
 def kernel_eval(q0: Quaternion, alpha: float, r: Quaternion) -> Quaternion:

@@ -76,12 +76,12 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     __abs__ = norm
 
     def imag_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.hypot(self.x, self.y, self.z)
 
     def is_real(self) -> bool:
         return self.x == 0.0 and self.y == 0.0 and self.z == 0.0
@@ -125,9 +125,11 @@ class ImaginaryUnit:
     def from_vector(v) -> "ImaginaryUnit":
         """Normalize an arbitrary nonzero 3-vector onto the sphere."""
         x, y, z = (float(c) for c in v)
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
+        m = max(abs(x), abs(y), abs(z))
+        if m == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        x, y, z = x / m, y / m, z / m           # tiny vectors: no underflow
+        n = math.sqrt(x * x + y * y + z * z)
         return ImaginaryUnit(x / n, y / n, z / n)
 
     def as_quaternion(self) -> Quaternion:
@@ -155,10 +157,9 @@ def slice_unit(q: Quaternion) -> tuple[ImaginaryUnit, bool]:
     Im(q)/|Im(q)| and the flag is False.  Real quaternions belong to every
     plane; they get ``DEFAULT_UNIT`` and the flag True.
     """
-    n = q.imag_norm()
-    if n == 0.0:
+    if q.is_real():
         return DEFAULT_UNIT, True
-    return ImaginaryUnit(q.x / n, q.y / n, q.z / n), False
+    return ImaginaryUnit.from_vector((q.x, q.y, q.z)), False
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,18 +3,20 @@
 A series f(q) = sum_k q^k a_k is stored as the coefficient array a_k (one
 quaternion per row).  Coefficients sit strictly on the right of the powers;
 all operator algebra in this package relies on that convention.  A series
-may carry a generator tag ("exp", "gauss:<beta>", "mono:<k>",
-"kernel-section:<w>,<x>,<y>,<z>,<alpha>") from which further coefficients
-can be produced on demand, so entire functions are handled through finite
+may carry an :class:`ExpGenerator`, sum_m q^{s m} c^m / m! with a
+quaternion c and stride s in {1, 2} (the slice exponential, e(beta q^2) and
+the reproducing-kernel sections), from which further coefficients are
+produced on demand, so entire functions are handled through finite
 truncations whose tail is certified below a tolerance before any
 evaluation.
 
-Two evaluators share that convention.  :func:`eval_on_slice` runs a Horner
-recursion at scattered points of a plane.  :func:`eval_polar` serves every
-quadrature grid, whose angular nodes are uniform on a circle: for each
-radius the values are one inverse FFT of the log-scaled terms r^k a_k,
-folded modulo the node count, so a grid costs O(R (D + n log n)) instead of
-the O(R n D) of Horner.
+Both evaluators use one identity: on the plane of a unit u,
+f(x + u y) = Re S + u Im S with S(z) = sum_k z^k a_k taken componentwise.
+:func:`eval_on_slice` runs a complex Horner recursion for S at scattered
+points.  :func:`eval_polar` serves every quadrature grid, whose angular
+nodes are uniform on a circle: for each radius S is one inverse FFT of the
+log-scaled terms r^k a_k, folded modulo the node count, so a grid costs
+O(R (D + n log n)) instead of the O(R n D) of Horner.
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError
 from .quaternion import (
     ORTHO_TOL,
     ImaginaryUnit,
     Quaternion,
-    UNIT_I,
     left_mult_matrix,
     slice_unit,
 )
@@ -41,20 +41,107 @@ DEGREE_CAP = 512
 #: term-magnitude scale at radius R (absolute when that scale is below 1).
 TAIL_TOL = 1e-14
 
+#: float(m!) for every m whose factorial is a finite float.
+_FACTORIALS = [float(math.factorial(m)) for m in range(171)]
+
+
+def _exp_magnitudes(a: float, count: int) -> np.ndarray:
+    """a^m / m! for m < count: the canonical float a^m / float(m!) while
+    both are finite floats, then the running quotient t_m = t_{m-1} / (m / a),
+    which for a = 1 is the exact sequence t_{m-1} / m."""
+    head = min(count, len(_FACTORIALS))
+    if a > 1.0:
+        head = min(head, int(709.0 / math.log(a)) + 1)
+    mags = np.empty(count)
+    mags[:head] = [a ** m / _FACTORIALS[m] for m in range(head)]
+    if count > head:
+        with np.errstate(divide="ignore"):
+            steps = np.arange(head, count) / a
+        mags[head - 1:] = np.divide.accumulate(np.append(mags[head - 1], steps))
+    return mags
+
+
+@dataclass(frozen=True)
+class ExpGenerator:
+    """The entire series sum_m q^{s m} c^m / m! for a quaternion c (a
+    4-tuple) and a stride s in {1, 2}: coefficient a_{s m} = c^m / m!, every
+    other row zero.
+
+    The slice exponential is c = 1, s = 1; e(beta q^2) is c = beta, s = 2;
+    the kernel section centered at q0 is c = alpha conj(q0), s = 1.  With
+    c = |c| (cos phi + u sin phi), c^m = |c|^m (cos m phi + u sin m phi).
+    """
+
+    c: tuple[float, float, float, float]
+    stride: int = 1
+
+    def __post_init__(self):
+        c = tuple(float(x) for x in self.c)
+        if len(c) != 4 or not all(math.isfinite(x) for x in c):
+            raise ValueError(f"generator constant must be 4 finite floats, got {c!r}")
+        if self.stride not in (1, 2):
+            raise ValueError(f"generator stride must be 1 or 2, got {self.stride!r}")
+        object.__setattr__(self, "c", c)
+
+    @property
+    def size(self) -> float:
+        """|c|."""
+        return math.hypot(*self.c)
+
+    @property
+    def type(self) -> float:
+        """Order-2 type: log max |f| on |q| = r is type r^2 + o(r^2)."""
+        return self.size if self.stride == 2 else 0.0
+
+    def coeffs(self, degree: int) -> np.ndarray:
+        """Rows a_0..a_degree, shape (degree + 1, 4)."""
+        m = np.arange(degree // self.stride + 1)
+        mags = _exp_magnitudes(self.size, m.size)
+        w, im = self.c[0], math.hypot(*self.c[1:])
+        phi = m * math.atan2(im, w)
+        out = np.zeros((degree + 1, 4))
+        out[::self.stride, 0] = mags * np.cos(phi)
+        if im > 0.0:
+            out[::self.stride, 1:] = (mags * np.sin(phi))[:, None] \
+                * (np.array(self.c[1:]) / im)
+        return out
+
+    def log_coeff(self, k: int) -> float:
+        """log |a_k| from the closed form, valid far below float underflow."""
+        m, rest = divmod(k, self.stride)
+        if rest or (m and self.size == 0.0):
+            return -math.inf
+        return m * math.log(self.size) - math.lgamma(m + 1) if m else 0.0
+
+    def term_ratio(self, r: float, degree: int) -> float:
+        """Bound on |a_{k+s}| r^s / |a_k| for every k > degree; it decreases
+        in k, so the tail past ``degree`` is dominated by a geometric series."""
+        return self.size * r ** self.stride / (degree // self.stride + 1)
+
+    def log_total(self, r: float) -> float:
+        """log of sum_k |a_k| r^k <= e^{|c| r^s}, a cap on any dropped mass."""
+        return self.size * r ** self.stride
+
+    def dilated(self, r: float) -> "ExpGenerator":
+        """Generator of q -> f(r q): c -> c r^s."""
+        scale = r ** self.stride
+        return ExpGenerator(tuple(x * scale for x in self.c), self.stride)
+
+    def series(self, degree: int) -> "SliceSeries":
+        return SliceSeries(self.coeffs(degree), generator=self)
+
 
 @dataclass(frozen=True)
 class SliceSeries:
     """Right-coefficient power series, optionally extendable via a generator.
 
-    ``coeffs`` has shape (D+1, 4); row k holds the quaternion a_k.
-    ``dilation`` records an accumulated radial rescale: the stored rows are
-    the generator's coefficients times dilation^k, so generator extension
-    stays exact for dilated series.
+    ``coeffs`` has shape (D+1, 4); row k holds the quaternion a_k.  With a
+    ``generator`` the rows are its first D+1 coefficients, and
+    :func:`extended` produces more.
     """
 
     coeffs: np.ndarray
-    generator: str | None = None
-    dilation: float = 1.0
+    generator: ExpGenerator | None = None
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -73,8 +160,7 @@ class SliceSeries:
             return Quaternion.from_array(self.coeffs[k])
         if self.generator is None:
             return Quaternion()
-        return Quaternion.from_array(_generator_coeffs(self.generator, k)[k]
-                                     * self.dilation ** k)
+        return Quaternion.from_array(self.generator.coeffs(k)[k])
 
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
         if not isinstance(other, SliceSeries):
@@ -143,23 +229,37 @@ def monomial(k: int, coefficient: Quaternion = Quaternion(1.0)) -> SliceSeries:
         raise ValueError("monomial degree must be nonnegative")
     out = np.zeros((k + 1, 4))
     out[k] = coefficient.to_array()
-    tag = f"mono:{k}" if coefficient == Quaternion(1.0) else None
-    return SliceSeries(out, generator=tag)
+    return SliceSeries(out)
 
 
 def exp_series(degree: int = 24) -> SliceSeries:
     """The slice exponential: a_k = 1/k!."""
-    return SliceSeries(_generator_coeffs("exp", degree), generator="exp")
+    return ExpGenerator((1.0, 0.0, 0.0, 0.0)).series(degree)
 
 
 def gauss_series(beta: float, degree: int = 24) -> SliceSeries:
     """The squared-variable exponential q -> e(beta q^2): a_{2m} = beta^m/m!."""
-    tag = f"gauss:{float(beta)!r}"
-    return SliceSeries(_generator_coeffs(tag, degree), generator=tag)
+    return ExpGenerator((beta, 0.0, 0.0, 0.0), stride=2).series(degree)
 
 
 def from_generator(tag: str, degree: int = 24) -> SliceSeries:
-    return SliceSeries(_generator_coeffs(tag, degree), generator=tag)
+    """The series a function tag names: ``exp``, ``gauss:<beta>``,
+    ``mono:<k>`` (the polynomial q^k) or
+    ``kernel-section:<w>,<x>,<y>,<z>,<alpha>`` (the section centered at
+    q0 = w + x i + y j + z k, c = alpha conj(q0)).  This is the only place
+    a tag is parsed."""
+    name, _, arg = tag.partition(":")
+    if tag == "exp":
+        return exp_series(degree)
+    if name == "gauss":
+        return gauss_series(float(arg), degree)
+    if name == "mono":
+        return monomial(int(arg))
+    if name == "kernel-section":
+        w, x, y, z, alpha = (float(s) for s in arg.split(","))
+        return ExpGenerator((alpha * w, -alpha * x, -alpha * y, -alpha * z)
+                            ).series(degree)
+    raise ValueError(f"unknown generator tag: {tag!r}")
 
 
 def random_series(degree: int, seed: int) -> SliceSeries:
@@ -178,52 +278,6 @@ def random_series(degree: int, seed: int) -> SliceSeries:
     return SliceSeries(out)
 
 
-def _generator_coeffs(tag: str, degree: int) -> np.ndarray:
-    """Closed-form coefficients a_0..a_degree for a generator tag."""
-    out = np.zeros((degree + 1, 4))
-    if tag == "exp":
-        # canonical float of 1/k! while the factorial is float-representable,
-        # then the stable running product for the (sub)normal tail
-        acc = 0.0
-        for k in range(degree + 1):
-            if k <= 170:
-                acc = 1.0 / math.factorial(k)
-            else:
-                acc /= k
-            out[k, 0] = acc
-    elif tag.startswith("gauss:"):
-        beta = float(tag.split(":", 1)[1])
-        acc = 0.0
-        for m in range(degree // 2 + 1):
-            if m <= 170 and abs(beta) ** m < math.inf:
-                acc = beta ** m / math.factorial(m)
-            else:
-                acc *= beta / m
-            out[2 * m, 0] = acc
-    elif tag.startswith("mono:"):
-        k = int(tag.split(":", 1)[1])
-        if k <= degree:
-            out[k, 0] = 1.0
-    elif tag.startswith("kernel-section:"):
-        # a_k = c^k / k! with c = alpha conj(q0) = |c| (cos phi + u sin phi),
-        # so c^k = |c|^k (cos k phi + u sin k phi); the magnitude is taken in
-        # log space, k log|c| - log k!, and underflows only where it must
-        w, x, y, z, alpha = (float(s) for s in tag.split(":", 1)[1].split(","))
-        c = alpha * np.array([w, -x, -y, -z])
-        im = math.hypot(*c[1:])
-        k = np.arange(degree + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = np.exp(k * np.log(math.hypot(c[0], im)) - gammaln(k + 1.0))
-        mag[0] = 1.0                            # c^0 = 1, also for c = 0
-        phi = k * math.atan2(im, c[0])
-        out[:, 0] = mag * np.cos(phi)
-        if im > 0.0:
-            out[:, 1:] = (mag * np.sin(phi))[:, None] * (c[1:] / im)
-    else:
-        raise ValueError(f"unknown generator tag: {tag!r}")
-    return out
-
-
 def extended(f: SliceSeries, degree: int) -> SliceSeries:
     """Copy of f holding coefficients up to ``degree`` (exact per generator;
     zero padding for plain polynomials)."""
@@ -233,10 +287,7 @@ def extended(f: SliceSeries, degree: int) -> SliceSeries:
         out = np.zeros((degree + 1, 4))
         out[: f.coeffs.shape[0]] = f.coeffs
         return SliceSeries(out)
-    base = _generator_coeffs(f.generator, degree)
-    if f.dilation != 1.0:
-        base = base * (f.dilation ** np.arange(degree + 1))[:, None]
-    return SliceSeries(base, generator=f.generator, dilation=f.dilation)
+    return f.generator.series(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +299,6 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     m = np.max(np.abs(a), axis=1)
     safe = np.where(m > 0.0, m, 1.0)
     return m * np.sqrt(np.sum(np.square(a / safe[:, None]), axis=1))
-
-
-def _future_term_ratio(f: SliceSeries, radius: float, degree: int) -> float:
-    """Upper bound for the ratio of consecutive nonzero term magnitudes
-    |a_{k+1}| R^{k+1} / |a_k| R^k past ``degree``.  All generator families
-    have factorially decaying coefficients, so the bound decreases in k."""
-    g = f.generator
-    if g is None or g.startswith("mono:"):
-        return 0.0
-    r_eff = radius * f.dilation
-    if g == "exp":
-        return r_eff / (degree + 1)
-    if g.startswith("gauss:"):
-        beta = abs(float(g.split(":", 1)[1]))
-        return beta * r_eff * r_eff / (degree // 2 + 1)
-    if g.startswith("kernel-section:"):
-        w, x, y, z, alpha = (float(s) for s in g.split(":", 1)[1].split(","))
-        center = math.sqrt(w * w + x * x + y * y + z * z)
-        return abs(alpha) * center * r_eff / (degree + 1)
-    raise ValueError(f"unknown generator tag: {g!r}")
 
 
 def prepared_for_radius(f: SliceSeries, radius: float,
@@ -304,11 +335,11 @@ def prepared_for_radius(f: SliceSeries, radius: float,
         # scale = max(1, sum of term magnitudes), tracked in log space
         log_ref = max(0.0, log_scale + math.log(total)) if total > 0 else 0.0
 
-        ratio = _future_term_ratio(fe, radius, deg)
+        ratio = f.generator.term_ratio(radius, deg) if f.generator else 0.0
         last = float(np.max(scaled[-2:])) if deg >= 1 else float(scaled[-1])
         if ratio < 1.0:
-            # geometric bound on the discarded tail; the term ratio of every
-            # generator family decreases with the degree, so it is valid
+            # geometric bound on the discarded tail; the generator's term
+            # ratio decreases with the degree, so it is valid
             if ratio == 0.0 or last == 0.0:
                 log_tail = -math.inf
             else:
@@ -332,66 +363,10 @@ def prepared_for_radius(f: SliceSeries, radius: float,
         fe = extended(f, min(cap, max(2 * (deg + 1), 16)))
 
 
-def _log_generator_coeff_mag(f: SliceSeries, k: int) -> float:
-    """log |a_k| straight from the generator's closed form (dilation
-    included), valid far below the float underflow threshold."""
-    g = f.generator
-    log_dil = k * math.log(f.dilation) if f.dilation != 1.0 else 0.0
-    if g == "exp":
-        return -math.lgamma(k + 1) + log_dil
-    if g.startswith("gauss:"):
-        beta = abs(float(g.split(":", 1)[1]))
-        if k % 2 == 1 or beta == 0.0:
-            return -math.inf
-        m = k // 2
-        return m * math.log(beta) - math.lgamma(m + 1) + log_dil
-    if g.startswith("kernel-section:"):
-        w, x, y, z, alpha = (float(s) for s in g.split(":", 1)[1].split(","))
-        center = math.sqrt(w * w + x * x + y * y + z * z)
-        if center == 0.0:
-            return 0.0 if k == 0 else -math.inf
-        return k * math.log(abs(alpha) * center) - math.lgamma(k + 1) + log_dil
-    return -math.inf
-
-
-def _underflow_start(f: SliceSeries) -> int | None:
-    """First index whose generator coefficient underflowed to zero in
-    storage, or None when every stored row is faithful."""
-    g = f.generator
-    if g is None or g.startswith("mono:"):
-        return None
-    mags = _row_norms(f.coeffs)
-    if g.startswith("gauss:"):
-        idx = np.flatnonzero(mags[::2] == 0.0)
-        return int(idx[0]) * 2 if idx.size else None
-    idx = np.flatnonzero(mags == 0.0)
-    return int(idx[0]) if idx.size else None
-
-
-def _log_total_bound(f: SliceSeries, radius: float) -> float:
-    """log of sum_k |a_k| r^k for the full (untruncated) generator series,
-    a crude but always-finite cap on any dropped mass."""
-    g = f.generator
-    r_eff = radius * f.dilation
-    if g == "exp":
-        return r_eff
-    if g.startswith("gauss:"):
-        beta = abs(float(g.split(":", 1)[1]))
-        return beta * r_eff * r_eff
-    if g.startswith("kernel-section:"):
-        w, x, y, z, alpha = (float(s) for s in g.split(":", 1)[1].split(","))
-        return abs(alpha) * math.sqrt(w * w + x * x + y * y + z * z) * r_eff
-    return -math.inf
-
-
 def max_modulus_type(f: SliceSeries) -> float:
     """Order-2 type sigma of f, log max |f| on |q| = r being sigma r^2 + o(r^2),
-    from the generator's closed form: |beta| d^2 for gauss:<beta> with
-    dilation d; 0 for polynomials and the order-1 families."""
-    g = f.generator
-    if g is not None and g.startswith("gauss:"):
-        return abs(float(g.split(":", 1)[1])) * f.dilation ** 2
-    return 0.0
+    from the generator's closed form; 0 for polynomials."""
+    return f.generator.type if f.generator else 0.0
 
 
 def underflow_drop_logs(f: SliceSeries, radii: np.ndarray) -> np.ndarray:
@@ -403,14 +378,18 @@ def underflow_drop_logs(f: SliceSeries, radii: np.ndarray) -> np.ndarray:
     """
     radii = np.asarray(radii, dtype=float)
     out = np.full(radii.shape, -math.inf)
-    k0 = _underflow_start(f)
-    if k0 is None:
+    g = f.generator
+    if g is None:
         return out
-    log_base = _log_generator_coeff_mag(f, k0)
+    dropped = np.flatnonzero(_row_norms(f.coeffs)[::g.stride] == 0.0)
+    if not dropped.size:
+        return out
+    k0 = int(dropped[0]) * g.stride
+    log_base = g.log_coeff(k0)
     for i, r in enumerate(radii):
-        ratio = _future_term_ratio(f, float(r), k0)
+        ratio = g.term_ratio(float(r), k0)
         if ratio >= 1.0:
-            out[i] = _log_total_bound(f, float(r))
+            out[i] = g.log_total(float(r))
         elif r > 0.0 and log_base > -math.inf:
             out[i] = log_base + k0 * math.log(r) - math.log(1.0 - ratio)
     return out
@@ -419,26 +398,37 @@ def underflow_drop_logs(f: SliceSeries, radii: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _slice_sum(f: SliceSeries, z: np.ndarray, prepare: bool) -> np.ndarray:
+    """S(z) = sum_k z^k a_k taken componentwise, an (n, 4) complex array, by
+    one complex Horner recursion; f is prepared for max |z| first unless
+    ``prepare`` is off."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if prepare:
+        f, _ = prepared_for_radius(f, float(np.max(np.abs(z))) if z.size else 0.0)
+    coeffs = f.coeffs
+    zc = z[:, None]
+    s = np.broadcast_to(coeffs[-1], (z.size, 4)).astype(complex)
+    for k in range(coeffs.shape[0] - 2, -1, -1):
+        s *= zc
+        s += coeffs[k]
+    return s
+
+
+def _lift(s: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
+    """Re S + unit Im S: the values on the plane of ``unit`` from S."""
+    return s.real + s.imag @ left_mult_matrix(unit.as_quaternion()).T
+
+
 def eval_on_slice(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
                   prepare: bool = True) -> np.ndarray:
     """Values of f on the plane of ``unit`` at complex coordinates z.
 
     The point x + i y stands for the quaternion x + unit y.  Returns an
-    (n, 4) array of quaternion components.  Uses a Horner recursion
-    q (s) + a_k, which is valid with right coefficients because the factor
-    q multiplies from the left.
+    (n, 4) array of quaternion components, Re S + unit Im S with S from one
+    complex Horner recursion (:func:`_slice_sum`): (x + unit y)^k equals
+    Re z^k + unit Im z^k and the coefficients sit on the right.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if prepare:
-        f, _ = prepared_for_radius(f, float(np.max(np.abs(z))) if z.size else 0.0)
-    lm = left_mult_matrix(unit.as_quaternion()).T
-    x = z.real[:, None]
-    y = z.imag[:, None]
-    coeffs = f.coeffs
-    out = np.broadcast_to(coeffs[-1], (z.shape[0], 4)).copy()
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        out = x * out + y * (out @ lm) + coeffs[k]
-    return out
+    return _lift(_slice_sum(f, z, prepare), unit)
 
 
 def _log_scaled_terms(coeffs: np.ndarray, radii: np.ndarray
@@ -458,13 +448,13 @@ def _log_scaled_terms(coeffs: np.ndarray, radii: np.ndarray
     return np.exp(logs - top[:, None]), top, dirs
 
 
-def _eval_polar_scaled(f: SliceSeries, unit: ImaginaryUnit,
-                       radii: np.ndarray, n_circle: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eval_polar` before the scale is multiplied back: returns
-    (values e^{-top_i}, top) with top_i the log of the largest term magnitude
-    at radius r_i, so that callers working in log space (log |f| far past
-    the overflow range) never form e^{top}."""
+def _polar_sum(f: SliceSeries, radii: np.ndarray, n_circle: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """S at r_i exp(2 pi i j / n_circle) before the scale is multiplied back:
+    returns (S e^{-top_i}, top), S of shape (R, n_circle, 4) complex and top_i
+    the log of the largest term magnitude at radius r_i, so that callers
+    working in log space (log |f| far past the overflow range) never form
+    e^{top}."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     scaled, top, dirs = _log_scaled_terms(f.coeffs, radii)
     n_terms = dirs.shape[0]
@@ -472,9 +462,7 @@ def _eval_polar_scaled(f: SliceSeries, unit: ImaginaryUnit,
     for start in range(0, n_terms, n_circle):
         stop = min(start + n_circle, n_terms)
         folded[:, :stop - start] += scaled[:, start:stop, None] * dirs[start:stop]
-    s = np.fft.ifft(folded, axis=1, norm="forward")
-    lm = left_mult_matrix(unit.as_quaternion()).T
-    return s.real + s.imag @ lm, top
+    return np.fft.ifft(folded, axis=1, norm="forward"), top
 
 
 def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
@@ -486,23 +474,14 @@ def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
     On the circle of radius r, f = sum_k r^k (cos(k t) a_k + sin(k t) I a_k)
     = Re S + I Im S with S(t) = sum_k r^k a_k e^{i k t} taken componentwise.
     At the n uniform angles S is one inverse DFT of the terms folded modulo
-    n.  Each radius scales its terms by e^{-top}, top the log of its largest
-    term magnitude (:func:`_log_scaled_terms`, shared with
-    :func:`_log_abs_on_circle`), so r^k never overflows; the scaled values
-    come from :func:`_eval_polar_scaled` and the scale is multiplied back
-    here.  Temporaries are (R, D) scalars and (R, n) quaternions, never
-    (R, D, 4).
+    n (:func:`_polar_sum`).  Each radius scales its terms by e^{-top}, top
+    the log of its largest term magnitude (:func:`_log_scaled_terms`, shared
+    with :func:`_log_abs_on_circle`), so r^k never overflows; the scale is
+    multiplied back here.  Temporaries are (R, D) scalars and (R, n)
+    quaternions, never (R, D, 4).
     """
-    values, top = _eval_polar_scaled(f, unit, radii, n_circle)
-    return values * np.exp(top)[:, None, None]
-
-
-def _from_conjugates(plus: np.ndarray, minus: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of the representation formula from f+- = f(x +- i y) on
-    the i-plane: alpha = (f+ + f-) / 2, beta = -i (f+ - f-) / 2."""
-    lm = left_mult_matrix(UNIT_I.as_quaternion()).T
-    return 0.5 * (plus + minus), -0.5 * ((plus - minus) @ lm)
+    s, top = _polar_sum(f, radii, n_circle)
+    return _lift(s, unit) * np.exp(top)[:, None, None]
 
 
 def slice_components(f: SliceSeries, z: np.ndarray,
@@ -510,26 +489,21 @@ def slice_components(f: SliceSeries, z: np.ndarray,
     """(alpha, beta) at complex coordinates z such that f(x + u y) = alpha +
     u beta for every imaginary unit u, z = x + i y.
 
-    One plane evaluation at z and conj(z) on the i-plane gives both through
-    the representation formula: alpha = (f+ + f-) / 2 and
-    beta = -i (f+ - f-) / 2 with f+- = f(x +- i y).  Returns two (n, 4)
-    arrays of quaternion components.
+    These are Re S and Im S of the componentwise sum S(z) = sum_k z^k a_k
+    (:func:`_slice_sum`), two (n, 4) arrays of quaternion components.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    vals = eval_on_slice(f, UNIT_I, np.concatenate([z, z.conj()]), prepare)
-    return _from_conjugates(vals[:z.size], vals[z.size:])
+    s = _slice_sum(f, z, prepare)
+    return s.real, s.imag
 
 
 def polar_components(f: SliceSeries, radii: np.ndarray, n_circle: int,
                      index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`slice_components` of an already prepared f at
-    r_i exp(2 pi i index_j / n_circle), each of shape (R, len(index), 4).
-
-    The conjugate of node j of the circle is node n_circle - j, so one
-    :func:`eval_polar` gives both halves of the representation formula.
-    """
-    vals = eval_polar(f, UNIT_I, radii, n_circle)
-    return _from_conjugates(vals[:, index], vals[:, -index % n_circle])
+    r_i exp(2 pi i index_j / n_circle), each of shape (R, len(index), 4):
+    Re S and Im S from one :func:`_polar_sum`."""
+    s, top = _polar_sum(f, radii, n_circle)
+    s = s[:, index] * np.exp(top)[:, None, None]
+    return s.real, s.imag
 
 
 def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:
@@ -576,8 +550,8 @@ def dilate(f: SliceSeries, r: float) -> SliceSeries:
     if not 0.0 < r <= 1.0:
         raise ValueError(f"dilation factor must lie in (0, 1], got {r!r}")
     scale = r ** np.arange(f.coeffs.shape[0])
-    return SliceSeries(f.coeffs * scale[:, None], generator=f.generator,
-                       dilation=f.dilation * r)
+    g = f.generator
+    return SliceSeries(f.coeffs * scale[:, None], g.dilated(r) if g else None)
 
 
 def taylor_truncate(f: SliceSeries, n: int) -> SliceSeries:

@@ -9,8 +9,9 @@ On a fixed plane the monomials are orthogonal, with
 powers whose degrees differ by exactly two overlap.
 
 Every sphere integral is exact.  On q = x + u y the representation formula
-gives f(q) = a + u b for every unit u, with a and b read off one plane
-evaluation at x +- i y (:func:`slice_components`).  So |f|^2 = A + u.w is
+gives f(q) = a + u b for every unit u, with (a, b) = (Re S, Im S) for the
+componentwise sum S(z) = sum_k z^k a_k at z = x + i y
+(:func:`slice_components`).  So |f|^2 = A + u.w is
 affine in u and the sphere integral of its p/2-th power has a closed form,
 while conj(f) g integrates to 4 pi (conj(a_f) a_g + conj(b_f) b_g).
 First-kind norms and inner products thus evaluate one plane per grid; the
@@ -20,8 +21,8 @@ from the same (a, b).
 
 Every grid evaluation goes through :func:`slicefock.series.eval_polar`, one
 FFT per radius: plane norms and inner products read the grid's circle
-directly, and (a, b) on a plane or volume grid take the nodes x + i y and
-x - i y from the same circle (:func:`slicefock.series.polar_components`).
+directly, and (a, b) on a plane or volume grid are Re S and Im S on the
+same circle (:func:`slicefock.series.polar_components`).
 
 Membership is decided numerically: the radial profile of the weighted
 integrand must decay toward the grid boundary and the value must be stable
@@ -65,8 +66,7 @@ from .quadrature import (
 )
 from .series import (
     SliceSeries,
-    _eval_polar_scaled,
-    _from_conjugates,
+    _polar_sum,
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
     eval_polar,
     max_modulus_type,
@@ -594,10 +594,9 @@ def log_max_modulus(f: SliceSeries, radius: float, units=None,
     of :func:`sphere_grid`) and n_theta angles t evenly spaced in [0, pi].
 
     The angles t_j = pi j / (n_theta - 1) are nodes j of a uniform circle of
-    2 (n_theta - 1) nodes (one node, t = 0, when n_theta = 1), whose
-    conjugates are nodes 2 (n_theta - 1) - j, so
-    one log-scaled FFT on the i-plane (:func:`_eval_polar_scaled`) gives the
-    representation-formula (a, b) at every angle.  Then
+    2 (n_theta - 1) nodes (one node, t = 0, when n_theta = 1), so one
+    log-scaled FFT (:func:`_polar_sum`) gives the representation-formula
+    (a, b) = (Re S, Im S) at every angle.  Then
     |f|^2 = A + u.w for every unit (:func:`_affine_square`), and all sampled
     units are one (units x n_theta) product, taken in log space so that no
     radius overflows.
@@ -607,10 +606,8 @@ def log_max_modulus(f: SliceSeries, radius: float, units=None,
     units = units if units is not None else sphere_grid(8)
     fe, _ = prepared_for_radius(f, radius)
     n_circle = max(2 * (n_theta - 1), 1)
-    values, top = _eval_polar_scaled(fe, UNIT_I, np.array([radius]), n_circle)
-    j = np.arange(n_theta)
-    amp_sq, w = _affine_square(*_from_conjugates(values[0, j],
-                                                  values[0, -j % n_circle]))
+    s, top = _polar_sum(fe, np.array([radius]), n_circle)
+    amp_sq, w = _affine_square(s[0, :n_theta].real, s[0, :n_theta].imag)
     sq = amp_sq + units_array(units).reshape(-1, 3) @ w.T
     peak = float(np.max(sq, initial=0.0))
     return float(top[0]) + 0.5 * math.log(peak) if peak > 0.0 else -math.inf
@@ -644,9 +641,9 @@ def order_type(f: SliceSeries, radii=None, units=None,
     logm = np.asarray(logs)
     half = len(used) // 2
     x = np.log(used[half:])
-    y = np.log(logm[half:])
-    if not np.all(np.isfinite(y)):
+    if not np.all((logm[half:] > 0.0) & np.isfinite(logm[half:])):
         raise ValueError("max modulus not positive enough for a growth fit")
+    y = np.log(logm[half:])
     a = np.vstack([x, np.ones_like(x)]).T
     sol, *_ = np.linalg.lstsq(a, y, rcond=None)
     fit_residual = float(np.sqrt(np.mean((a @ sol - y) ** 2)))

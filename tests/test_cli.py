@@ -283,3 +283,11 @@ def test_size_cap_messages(capsys):
     assert cli.main(["growth", "--fn", "exp", "--radii", "1001"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
+
+
+def test_growth_with_vanishing_log_modulus_prints_one_error_line():
+    # log M(r) <= 0 at these radii: the fit is refused before any log of it
+    res = run_cli("growth", "--fn", "exp", "--r-min", "1e-300", "--r-max", "1e-290")
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
