@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConditioningError, SolverError, TruncationError
 from .operators import MultiplierOperator, apply, jackson_op, jackson_rule_r, vdp_op
@@ -49,11 +48,17 @@ from .spaces import (
     SPHERE_AREA,
     NormSpec,
     NORM_TAIL_BUDGET,
+    _check_positive,
     _plane_values,
     _slice_raw_power,
     _weighted_components,
     norm,
 )
+
+#: Condition number past which a Gram matrix is refused rather than solved.
+COND_LIMIT = 1e12
+#: Relative tail tolerance of the Parseval terms |a_k|^2 k! / alpha^k.
+PARSEVAL_TAIL_TOL = 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +79,8 @@ class ModulusQuery:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("difference order must be at least 1")
+        _check_positive("exponent p", self.p)
+        _check_positive("weight parameter alpha", self.alpha)
         if not 0.0 <= self.delta <= math.pi:
             raise ValueError("step bound must lie in [0, pi]")
         if self.h_grid < 8:
@@ -133,12 +140,13 @@ def modulus(f: SliceSeries, query: ModulusQuery,
 # ---------------------------------------------------------------------------
 # plane Parseval data (p = 2)
 
-def parseval_log_weights(f: SliceSeries, alpha: float,
-                         tol: float = 1e-30, cap: int = DEGREE_CAP
+def parseval_log_weights(f: SliceSeries, alpha: float
                          ) -> tuple[SliceSeries, np.ndarray]:
-    """Extend f until the Parseval terms |a_k|^2 k! / alpha^k are summable
-    with a certified tail below ``tol`` relative; returns the extended series
-    and the log of each term (log 0 for vanishing coefficients)."""
+    """Extend f until the Parseval terms |a_k|^2 k! / alpha^k have a tail
+    below ``PARSEVAL_TAIL_TOL`` relative; returns the extended series and
+    the log of each term (log 0 for vanishing coefficients)."""
+    from scipy.special import gammaln
+
     fe = f
     while True:
         deg = fe.degree
@@ -147,24 +155,29 @@ def parseval_log_weights(f: SliceSeries, alpha: float,
             logw = 2.0 * np.log(mags) + gammaln(np.arange(deg + 1) + 1.0) \
                 - np.arange(deg + 1) * math.log(alpha)
         top = float(np.max(logw))
+        if not top < math.inf:
+            raise TruncationError("weighted coefficients overflow")
         if top == -math.inf:
             return fe, logw
         # term ratio of the weighted tail over one stride s:
         # (coefficient ratio)^2 (k+1)...(k+s) / alpha^s
         g = fe.generator
-        ratio = 0.0 if g is None else g.term_ratio(1.0, deg) ** 2 \
-            * math.perm(deg + g.stride, g.stride) / alpha ** g.stride
+        try:
+            ratio = 0.0 if g is None else g.term_ratio(1.0, deg) ** 2 \
+                * math.perm(deg + g.stride, g.stride) / alpha ** g.stride
+        except (OverflowError, ZeroDivisionError):   # past the float range
+            ratio = math.inf
         scaled = np.exp(logw - top)
         last = float(np.max(scaled[-2:])) if deg >= 1 else float(scaled[-1])
         total = float(np.sum(scaled))
         if ratio < 1.0 and (last == 0.0 or ratio == 0.0 or
-                            last * ratio / (1.0 - ratio) <= tol * total):
+                            last * ratio / (1.0 - ratio) <= PARSEVAL_TAIL_TOL * total):
             return fe, logw
-        if deg >= cap:
+        if deg >= DEGREE_CAP:
             raise TruncationError(
                 "weighted coefficient tail not summable under the degree cap "
                 f"(alpha = {alpha:g})")
-        fe = extended(f, min(cap, max(2 * (deg + 1), 16)))
+        fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
 
 
 def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
@@ -191,14 +204,13 @@ class BestApproxResult:
     lower: float | None = None
 
 
-def best_approx_second(f: SliceSeries, n: int, alpha: float,
-                       unit: ImaginaryUnit = UNIT_I) -> BestApproxResult:
+def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult:
     """Best degree-n approximation in the plane Hilbert norm (p = 2).
 
     Monomials are orthogonal there, so the minimizer is the Taylor
     truncation and the error is the weighted coefficient tail
-    (sum_{k>n} |a_k|^2 k! / alpha^k)^(1/2); no quadrature enters.  The value
-    does not depend on the plane, ``unit`` only labels the result.
+    (sum_{k>n} |a_k|^2 k! / alpha^k)^(1/2); no quadrature enters, and the
+    value is the same on every plane.
     """
     fe, logw = parseval_log_weights(f, alpha)
     tail = logw[n + 1:]
@@ -245,8 +257,7 @@ def _first_kind_rhs(f: SliceSeries, n: int, alpha: float,
 
 
 def best_approx_first(f: SliceSeries, n: int, alpha: float,
-                      grid: QuadratureGrid | None = None,
-                      cond_limit: float = 1e12) -> BestApproxResult:
+                      grid: QuadratureGrid | None = None) -> BestApproxResult:
     """Best degree-n approximation in the whole-algebra Hilbert norm (p = 2).
 
     Solves the normal equations with the quadrature Gram of the monomials
@@ -259,9 +270,9 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
     d = 1.0 / np.sqrt(np.diag(gram))
     gs = gram * d[:, None] * d[None, :]
     cond = float(np.linalg.cond(gs))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         size = next(m for m in range(1, n + 2)
-                    if np.linalg.cond(gs[:m, :m]) > cond_limit)
+                    if np.linalg.cond(gs[:m, :m]) > COND_LIMIT)
         raise ConditioningError(
             f"monomial Gram matrix nearly singular (cond {cond:.3g})",
             condition=cond, leading_minor=size)
@@ -337,8 +348,9 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     result carries both bounds.  Raises :class:`SolverError` carrying the
     best iterate when the gap is not met within ``max_iter`` Newton steps.
     """
-    if p < 1.0:
-        raise ValueError("descent requires the convex range p >= 1")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"descent requires a finite p >= 1, got {p!r}")
+    _check_positive("weight parameter alpha", alpha)
     grid = grid or slice_grid(alpha * p / 2.0)
     fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
     z, w = slice_points(grid)
@@ -507,8 +519,7 @@ def vdp_constant(p: float) -> float:
 
 def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
                unit: ImaginaryUnit = UNIT_I,
-               grid: QuadratureGrid | None = None,
-               tol: float = 1e-8) -> VdpReport:
+               grid: QuadratureGrid | None = None) -> VdpReport:
     """Check ||V_n f - f|| <= (2^((p-1)/p) (2^p + 1)^(1/p) + 1) E_n(f).
 
     E_n is exact (coefficient tail) at p = 2 and comes from the certified
@@ -520,9 +531,9 @@ def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
     diff = operator_error_series(vdp_op(n), f, grid.max_radius)
     lhs = norm(diff, spec, grid)
     if p == 2.0:
-        best = best_approx_second(f, n, alpha, unit)
+        best = best_approx_second(f, n, alpha)
     else:
-        best = best_approx_lp(f, n, p, alpha, unit, tol=tol, grid=grid)
+        best = best_approx_lp(f, n, p, alpha, unit, grid=grid)
     c = vdp_constant(p)
     rhs = c * best.value
     return VdpReport(n, p, c, lhs, best.value, rhs, rhs - lhs, best.method,
@@ -531,8 +542,7 @@ def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
 
 def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
                    unit: ImaginaryUnit = UNIT_I,
-                   grid: QuadratureGrid | None = None,
-                   h_grid: int = 16) -> JacksonReport:
+                   grid: QuadratureGrid | None = None) -> JacksonReport:
     """Compare the smoothing-difference operator error with the modulus of
     smoothness of order m + 1 at step 1/n; the ratio should stay within a
     constant factor across n."""
@@ -541,8 +551,7 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
     op = jackson_op(n, m, p)
     diff = operator_error_series(op, f, grid.max_radius)
     lhs = norm(diff, spec, grid)
-    query = ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit,
-                         h_grid=h_grid)
+    query = ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit)
     rhs = modulus(f, query, grid)
     degenerate = rhs < 1e-150
     ratio = None if degenerate else lhs / rhs

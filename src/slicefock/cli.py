@@ -1,10 +1,12 @@
 """Command-line front end: norms, convergence sweeps, multiplier tables,
 smoothness moduli, best approximation, growth reports, and kernel fits.
 
-Sweeps are emitted as CSV (header row, '.' decimal separator, one leading
-timestamp comment line); single reports as JSON with deterministic key
-order.  Exit codes: 0 success, 1 argument, parse or validation errors, 2
-when a norm diverges ("not in space").
+Each subcommand accepts exactly the flags it reads.  Sweeps are emitted as
+CSV (header row, '.' decimal separator, one leading timestamp comment line)
+or JSON; ``norm`` and ``growth`` reports are JSON with deterministic key
+order.  Exit codes: 0 success, 1 argument, parse or validation errors (also
+non-finite values and sizes past the caps below, refused before anything is
+allocated), 2 when a norm diverges ("not in space").
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ from .series import (
 GROWTH_RADII = (4, 1000)
 #: Largest ``smoothness --h-grid``: each step size is a full plane norm.
 H_GRID_CAP = 4096
+#: Largest ``--slice sup:<M>``: each sampled plane is a full plane integral.
+SUP_SAMPLES_CAP = 1024
+#: Largest ``kernel-fit --centers`` count: every prefix of the centers is a
+#: (4 n)^2 Gram with its condition number.
+CENTERS_CAP = 64
+#: Largest ``--quad-angular``: refinement doubles it, and every radius holds
+#: that many quaternion values.
+ANGULAR_CAP = 4096
 
 
 class CliError(Exception):
@@ -47,6 +57,13 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
+
+
+def _check_range(what: str, value: int, low: int, high: int) -> None:
+    """Refuse a size from the command line outside [low, high] before
+    anything of that size is allocated."""
+    if not low <= value <= high:
+        raise CliError(f"{what} must lie in [{low}, {high}], got {value}")
 
 
 def _capped_degree(text: str) -> int:
@@ -86,8 +103,7 @@ def parse_slice(spec: str):
             m = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise CliError(f"bad sup sample count in {spec!r}") from exc
-        if m < 1:
-            raise CliError("sup sample count must be positive")
+        _check_range("sup sample count", m, 1, SUP_SAMPLES_CAP)
         return ("sup", m)
     parts = spec.split(",")
     if len(parts) == 3:
@@ -101,11 +117,10 @@ def parse_slice(spec: str):
 def parse_centers(spec: str) -> list[Quaternion]:
     """Comma-separated centers; each one either a bare real or a colon-joined
     4-tuple w:x:y:z."""
+    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    _check_range("center count", len(tokens), 1, CENTERS_CAP)
     out = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in tokens:
         try:
             if ":" in tok:
                 parts = [float(p) for p in tok.split(":")]
@@ -116,36 +131,39 @@ def parse_centers(spec: str) -> list[Quaternion]:
                 out.append(Quaternion(float(tok)))
         except ValueError as exc:
             raise CliError(f"bad center {tok!r}: {exc}") from exc
-    if not out:
-        raise CliError("no centers given")
     return out
 
 
-def _norm_spec(args) -> spaces.NormSpec:
-    if args.kind == "first":
-        return spaces.NormSpec("first", args.p, args.alpha)
-    sl = parse_slice(args.slice)
+def _norm_spec(args, kind: str = "second") -> spaces.NormSpec:
+    """The norm ``--p``, ``--alpha`` and ``--slice`` name; :class:`NormSpec`
+    refuses a slice given with the first kind."""
+    sl = None if args.slice is None else parse_slice(args.slice)
     if isinstance(sl, tuple):
-        return spaces.NormSpec("second", args.p, args.alpha, sup_samples=sl[1])
-    return spaces.NormSpec("second", args.p, args.alpha, slice_unit=sl)
+        return spaces.NormSpec(kind, args.p, args.alpha, sup_samples=sl[1])
+    return spaces.NormSpec(kind, args.p, args.alpha, slice_unit=sl)
+
+
+def _plane_spec(args) -> spaces.NormSpec:
+    """:func:`_norm_spec` for the subcommands that work on one plane."""
+    spec = _norm_spec(args)
+    if spec.sup_samples is not None:
+        raise CliError(f"{args.command} works on one plane, not a sup policy")
+    return spec
 
 
 def _grid_for(args, spec: spaces.NormSpec):
+    if args.quad_angular is not None:
+        _check_range("--quad-angular", args.quad_angular, 1, ANGULAR_CAP)
     return spaces.default_grid(spec, n_radial=args.quad_radial,
-                               n_angular=args.quad_angular,
-                               n_sphere=args.quad_sphere)
-
-
-def _slice_unit(args) -> ImaginaryUnit:
-    sl = parse_slice(args.slice)
-    if isinstance(sl, tuple):
-        raise CliError("this command needs a concrete slice, not a sup policy")
-    return sl
+                               n_angular=args.quad_angular)
 
 
 def _check_operator_degree(name: str, n: int, m: int, p: float) -> None:
-    """Refuse an operator whose result degree exceeds ``DEGREE_CAP`` before
-    any of its tables or series is allocated."""
+    """Refuse an operator whose result degree, or whose kernel power r,
+    exceeds ``DEGREE_CAP`` before any of its tables or series is built: at
+    n = 1 the degree is 0 for every r, but the kernel still takes r steps."""
+    if name == "jackson":
+        _check_range("kernel power r", operators.jackson_rule_r(m, p), 1, DEGREE_CAP)
     bound = operators.degree_bound(name, n, m, p)
     if bound > DEGREE_CAP:
         raise CliError(f"{name} operator at n = {n} has degree {bound}, "
@@ -176,11 +194,13 @@ def _json_text(record) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def _format_rows(args, header, rows, record):
+def _format_rows(args, header, rows, **fields):
+    """The rows as CSV, or as JSON: ``fields`` plus the rows keyed by header."""
     if args.format == "csv":
         _emit(args, _csv_text(header, rows))
     else:
-        _emit(args, _json_text(record))
+        _emit(args, _json_text({**fields,
+                                "rows": [dict(zip(header, r)) for r in rows]}))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +208,7 @@ def _format_rows(args, header, rows, record):
 
 def cmd_norm(args) -> int:
     f = parse_function(args.fn)
-    spec = _norm_spec(args)
+    spec = _norm_spec(args, args.kind)
     report = spaces.norm_report(f, spec, _grid_for(args, spec))
     _emit(args, _json_text(report.to_record()))
     return 0
@@ -196,11 +216,9 @@ def cmd_norm(args) -> int:
 
 def cmd_converge(args) -> int:
     f = parse_function(args.fn)
-    spec = _norm_spec(args)
-    if spec.kind != "second" or spec.sup_samples is not None:
-        raise CliError("converge works on a concrete second-kind slice")
+    spec = _plane_spec(args)
     unit = spec.slice_unit
-    n_list = _parse_int_list(args.n_list)
+    n_list = _parse_list(args.n_list)
     for n in n_list:
         _check_operator_degree(args.operator, n, args.m, args.p)
     grid = _grid_for(args, spec)
@@ -217,16 +235,12 @@ def cmd_converge(args) -> int:
         elif args.operator == "vdp":
             rep = approx.verify_vdp(f, n, args.p, args.alpha, unit, grid)
             rows.append((n, rep.lhs, rep.rhs, rep.slack))
-        elif args.operator == "jackson":
+        else:
             rep = approx.verify_jackson(f, n, args.m, args.p, args.alpha, unit,
                                         grid)
             rows.append((n, rep.lhs, rep.rhs, None))
-        else:
-            raise CliError(f"unknown operator {args.operator!r}")
-    record = {"operator": args.operator, "fn": args.fn,
-              "rows": [{"n": r[0], "error": r[1], "bound": r[2], "slack": r[3]}
-                       for r in rows]}
-    _format_rows(args, ("n", "error", "bound", "slack"), rows, record)
+    _format_rows(args, ("n", "error", "bound", "slack"), rows,
+                 operator=args.operator, fn=args.fn)
     return 0
 
 
@@ -236,41 +250,34 @@ def cmd_multipliers(args) -> int:
         op = operators.fejer_op(args.n)
     elif args.family == "vdp":
         op = operators.vdp_op(args.n)
-    elif args.family == "jackson":
-        op = operators.jackson_op(args.n, args.m, args.p)
     else:
-        raise CliError(f"unknown multiplier family {args.family!r}")
+        op = operators.jackson_op(args.n, args.m, args.p)
     rows = [(k, float(r), args.family, args.n,
              args.m if args.family == "jackson" else None,
              operators.jackson_rule_r(args.m, args.p)
              if args.family == "jackson" else None)
             for k, r in enumerate(op.rho)]
-    record = {"family": args.family, "n": args.n,
-              "rho": [float(r) for r in op.rho],
-              "degree_bound": op.degree_bound}
-    _format_rows(args, ("k", "rho_k", "family", "n", "m", "r"), rows, record)
+    if args.format == "csv":
+        _emit(args, _csv_text(("k", "rho_k", "family", "n", "m", "r"), rows))
+    else:
+        _emit(args, _json_text({"family": args.family, "n": args.n,
+                                "rho": [float(r) for r in op.rho],
+                                "degree_bound": op.degree_bound}))
     return 0
 
 
 def cmd_smoothness(args) -> int:
-    if args.kind == "first":
-        raise CliError("smoothness works on a plane only: use --kind second")
-    if args.h_grid > H_GRID_CAP:
-        raise CliError(f"--h-grid {args.h_grid} exceeds {H_GRID_CAP}")
+    _check_range("--h-grid", args.h_grid, 1, H_GRID_CAP)
     f = parse_function(args.fn)
-    unit = _slice_unit(args)
-    grid = _grid_for(args, spaces.NormSpec("second", args.p, args.alpha,
-                                           slice_unit=unit))
-    deltas = _parse_float_list(args.delta_list)
+    spec = _plane_spec(args)
+    grid = _grid_for(args, spec)
     rows = []
-    for d in deltas:
+    for d in _parse_list(args.delta_list, float):
         query = approx.ModulusQuery(k=args.k, delta=d, p=args.p,
-                                    alpha=args.alpha, unit=unit,
+                                    alpha=args.alpha, unit=spec.slice_unit,
                                     h_grid=args.h_grid)
         rows.append((d, approx.modulus(f, query, grid)))
-    record = {"fn": args.fn, "k": args.k,
-              "rows": [{"delta": r[0], "omega": r[1]} for r in rows]}
-    _format_rows(args, ("delta", "omega"), rows, record)
+    _format_rows(args, ("delta", "omega"), rows, fn=args.fn, k=args.k)
     return 0
 
 
@@ -278,35 +285,33 @@ def cmd_bestapprox(args) -> int:
     if args.kind == "first" and args.p != 2.0:
         raise CliError("bestapprox --kind first computes the p = 2 projection "
                        f"only, not p = {args.p:g}")
+    n_list = _parse_list(args.n_list)
+    for n in n_list:
+        _check_range("degree", n, 0, DEGREE_CAP)
     f = parse_function(args.fn)
-    if args.kind == "first":
-        # the whole-algebra best approximation is the p = 2 projection
-        grid = _grid_for(args, spaces.NormSpec("first", 2.0, args.alpha))
-    else:
-        unit = _slice_unit(args)
-        grid = _grid_for(args, spaces.NormSpec("second", args.p, args.alpha,
-                                               slice_unit=unit))
+    spec = _norm_spec(args, "first") if args.kind == "first" else _plane_spec(args)
+    grid = _grid_for(args, spec)
     rows = []
-    for n in _parse_int_list(args.n_list):
+    for n in n_list:
         if args.kind == "first":
             res = approx.best_approx_first(f, n, args.alpha, grid)
         elif args.p == 2.0:
             # exact from coefficients: no grid enters
-            res = approx.best_approx_second(f, n, args.alpha, unit)
+            res = approx.best_approx_second(f, n, args.alpha)
         else:
-            res = approx.best_approx_lp(f, n, args.p, args.alpha, unit,
-                                        grid=grid)
+            res = approx.best_approx_lp(f, n, args.p, args.alpha,
+                                        spec.slice_unit, grid=grid)
         rows.append((n, res.value, res.method))
-    record = {"fn": args.fn,
-              "rows": [{"n": r[0], "value": r[1], "method": r[2]} for r in rows]}
-    _format_rows(args, ("n", "value", "method"), rows, record)
+    _format_rows(args, ("n", "value", "method"), rows, fn=args.fn)
     return 0
 
 
 def cmd_growth(args) -> int:
-    low, high = GROWTH_RADII
-    if not low <= args.radii <= high:
-        raise CliError(f"--radii must lie in [{low}, {high}], got {args.radii}")
+    _check_range("--radii", args.radii, *GROWTH_RADII)
+    if not 0.0 < args.r_min < args.r_max < np.inf:
+        # the fit reads the outer half of an increasing radius grid
+        raise CliError(f"need 0 < --r-min < --r-max < inf, got {args.r_min!r} "
+                       f"and {args.r_max!r}")
     f = parse_function(args.fn)
     radii = np.geomspace(args.r_min, args.r_max, args.radii)
     rep = spaces.order_type(f, radii)
@@ -324,35 +329,23 @@ def cmd_growth(args) -> int:
 
 def cmd_kernel_fit(args) -> int:
     f = parse_function(args.fn)
-    if args.p != 2.0:
-        raise CliError("kernel fits are least squares: use --p 2")
     centers = parse_centers(args.centers)
     rows = []
     for count in range(1, len(centers) + 1):
-        fit = kernels.fit_with_sections(f, centers[:count], args.alpha,
-                                        _slice_unit(args))
+        fit = kernels.fit_with_sections(f, centers[:count], args.alpha)
         rows.append((count, fit.residual, fit.condition))
-    record = {"fn": args.fn, "alpha": args.alpha,
-              "rows": [{"centers": r[0], "residual": r[1], "condition": r[2]}
-                       for r in rows]}
-    _format_rows(args, ("centers", "residual", "condition"), rows, record)
+    _format_rows(args, ("centers", "residual", "condition"), rows,
+                 fn=args.fn, alpha=args.alpha)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind=int) -> list:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise CliError(f"bad integer list {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad float list {text!r}") from exc
+        raise CliError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 def canonical_argv(args: argparse.Namespace) -> list[str]:
@@ -374,33 +367,38 @@ def canonical_argv(args: argparse.Namespace) -> list[str]:
     return out
 
 
+def _norm_flags(p, kind: bool = False) -> None:
+    """--fn and the weighted norm on its grid: the flags of every subcommand
+    that integrates f, with ``--kind`` where both kinds are answered."""
+    p.add_argument("--fn", required=True, help="function spec")
+    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=1.0)
+    if kind:
+        p.add_argument("--kind", choices=("first", "second"), default="second")
+    p.add_argument("--slice", default=None,
+                   help="i | j | k | x,y,z | sup:<M> (second kind; default i)")
+    p.add_argument("--quad-radial", type=int, default=None)
+    p.add_argument("--quad-angular", type=int, default=None)
+
+
+def _output_flags(p, table: bool = True) -> None:
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="slicefock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fn=True):
-        if fn:
-            p.add_argument("--fn", required=True, help="function spec")
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--kind", choices=("first", "second"), default="second")
-        p.add_argument("--slice", default="i",
-                       help="i | j | k | x,y,z | sup:<M>")
-        p.add_argument("--quad-radial", type=int, default=None)
-        p.add_argument("--quad-angular", type=int, default=None)
-        p.add_argument("--quad-sphere", type=int, default=None,
-                       help="sphere nodes of the volume rule; first-kind "
-                       "norms integrate the sphere exactly, so this only "
-                       "sets the recorded grid size")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
     p = sub.add_parser("norm", help="weighted norm with stability evidence")
-    common(p)
+    _norm_flags(p, kind=True)
+    _output_flags(p, table=False)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("converge", help="operator error sweep over degrees")
-    common(p)
+    _norm_flags(p)
+    _output_flags(p)
     p.add_argument("--operator", required=True,
                    choices=("taylor", "fejer", "vdp", "jackson"))
     p.add_argument("--n-list", default="2,4,8,16")
@@ -408,35 +406,41 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("multipliers", help="dump multiplier tables")
-    common(p, fn=False)
     p.add_argument("--family", required=True, choices=("fejer", "vdp", "jackson"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=int, default=0, help="difference order (jackson)")
+    p.add_argument("--p", type=float, default=2.0, help="exponent (jackson)")
+    _output_flags(p)
     p.set_defaults(func=cmd_multipliers)
 
     p = sub.add_parser("smoothness", help="modulus of smoothness sweep")
-    common(p)
+    _norm_flags(p)
+    _output_flags(p)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--delta-list", default="0.5,0.25,0.125,0.0625")
     p.add_argument("--h-grid", type=int, default=16)
     p.set_defaults(func=cmd_smoothness)
 
     p = sub.add_parser("bestapprox", help="best polynomial approximation sweep")
-    common(p)
+    _norm_flags(p, kind=True)
+    _output_flags(p)
     p.add_argument("--n-list", default="0,1,2,3,4")
     p.set_defaults(func=cmd_bestapprox)
 
     p = sub.add_parser("growth", help="entire-function order/type report")
-    common(p)
+    p.add_argument("--fn", required=True, help="function spec")
     p.add_argument("--r-min", type=float, default=2.0)
     p.add_argument("--r-max", type=float, default=16.0)
     p.add_argument("--radii", type=int, default=10)
+    _output_flags(p, table=False)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("kernel-fit", help="least-squares fit by kernel sections")
-    common(p)
+    p.add_argument("--fn", required=True, help="function spec")
+    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--centers", required=True,
                    help="comma-separated centers; real or w:x:y:z tuples")
+    _output_flags(p)
     p.set_defaults(func=cmd_kernel_fit)
 
     return parser

@@ -14,19 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConditioningError
 from .quaternion import (
-    ImaginaryUnit,
     Quaternion,
-    UNIT_I,
     left_mult_matrix,
     quat_conj_array,
     quat_mul_array,
 )
 from .series import ExpGenerator, SliceSeries, evaluate, extended
-from .approx import parseval_log_weights
+from .spaces import _check_positive
+from .approx import COND_LIMIT, parseval_log_weights
 
 
 #: L(e_c) for the basis quaternions e_c, so that L(q) = sum_c q_c L(e_c).
@@ -58,35 +56,27 @@ class SectionFit:
     condition: float
 
 
-def _common_degree(sections, f: SliceSeries, alpha: float) -> int:
-    deg = f.degree
-    for s in sections:
-        se, _ = parseval_log_weights(s, alpha)
-        deg = max(deg, se.degree)
-    fe, _ = parseval_log_weights(f, alpha)
-    return max(deg, fe.degree)
-
-
-def fit_with_sections(f: SliceSeries, centers, alpha: float,
-                      unit: ImaginaryUnit = UNIT_I,
-                      cond_limit: float = 1e12) -> SectionFit:
+def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     """Minimize the plane Hilbert distance from f to right combinations
     sum_k section(q_k) b_k (p = 2; the coefficient representation makes the
     problem a finite quaternion least-squares system).
 
     Clustered centers produce genuinely ill-conditioned Gram matrices; past
-    ``cond_limit`` this raises :class:`ConditioningError` rather than
+    ``COND_LIMIT`` this raises :class:`ConditioningError` rather than
     regularize silently.  The residual can only decrease as centers are
-    appended.  ``unit`` labels the plane; the p = 2 value is the same on all
-    of them.
+    appended.  The p = 2 value is the same on every plane.
     """
+    from scipy.special import gammaln
+
+    _check_positive("weight parameter alpha", alpha)
     centers = list(centers)
     if not centers:
         raise ValueError("need at least one center")
     if len(set((c.w, c.x, c.y, c.z) for c in centers)) != len(centers):
         raise ValueError("centers must be distinct")
     sections = [kernel_section(c, alpha) for c in centers]
-    deg = _common_degree(sections, f, alpha)
+    # the degree at which every Parseval tail is certified
+    deg = max(parseval_log_weights(g, alpha)[0].degree for g in (*sections, f))
     fe = extended(f, deg)
     smats = np.stack([extended(s, deg).coeffs for s in sections])   # (N, D+1, 4)
     k = np.arange(deg + 1)
@@ -104,7 +94,7 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float,
                     quat_mul_array(conj, fe.coeffs[None])).reshape(4 * n)
 
     cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ConditioningError(
             f"section Gram matrix nearly singular (cond {cond:.3g}); "
             "centers too clustered", condition=cond)

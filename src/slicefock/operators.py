@@ -191,10 +191,11 @@ def vdp_op(n: int) -> MultiplierOperator:
 
 def jackson_rule_r(m: int, p: float) -> int:
     """Smallest integer r with r >= (p (m + 1) + 2) / 2."""
-    if not math.isfinite(p):
-        raise ValueError(f"the smoothing-difference operator needs a finite p, "
-                         f"got {p!r}")
-    return math.ceil((p * (m + 1) + 2.0) / 2.0 - 1e-12)
+    half = (p * (m + 1) + 2.0) / 2.0
+    if not math.isfinite(half):
+        raise ValueError(f"the smoothing-difference operator needs a finite "
+                         f"p (m + 1), got p = {p!r}, m = {m!r}")
+    return math.ceil(half - 1e-12)
 
 
 def jackson_op(n: int, m: int, p: float) -> MultiplierOperator:
@@ -231,15 +232,14 @@ def apply(op: MultiplierOperator, f: SliceSeries) -> SliceSeries:
     return SliceSeries(out)
 
 
-def rotational_average(kernel: TrigKernel, f: SliceSeries, q,
-                       n_nodes: int | None = None):
+def rotational_average(kernel: TrigKernel, f: SliceSeries, q):
     """Direct evaluation of the rotational integral
     int f(q e^{u t}) K(t) dt with u the axis of q (test oracle for
     :func:`multipliers`; the multiplier action must agree with it)."""
     from .quaternion import Quaternion, slice_unit
     from .series import eval_on_slice, prepared_for_radius
 
-    nodes = n_nodes or _moment_nodes(kernel.n, kernel.r)
+    nodes = _moment_nodes(kernel.n, kernel.r)
     t = circle_nodes(nodes)
     kv = kernel_eval(kernel, t)
     unit, _ = slice_unit(q)
@@ -251,7 +251,7 @@ def rotational_average(kernel: TrigKernel, f: SliceSeries, q,
     return Quaternion.from_array(comps)
 
 
-def moment_bound(n: int, m: int, p: float, n_nodes: int | None = None) -> float:
+def moment_bound(n: int, m: int, p: float) -> float:
     """int (n |t| + 1)^{(m+1) p} K_{n,r}(t) dt with r from the rule.
 
     Finite uniformly in n; swept over n this stays within a constant factor,
@@ -259,7 +259,7 @@ def moment_bound(n: int, m: int, p: float, n_nodes: int | None = None) -> float:
     """
     r = jackson_rule_r(m, p)
     kernel = jackson_kernel(n, r)
-    nodes = n_nodes or max(_moment_nodes(n, r), 4096)
+    nodes = max(_moment_nodes(n, r), 4096)
     t = circle_nodes(nodes)
     kv = kernel_eval(kernel, t)
     weight = (n * np.abs(t) + 1.0) ** ((m + 1) * p)

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_laguerre, roots_legendre
 
 from .errors import IntegrandOverflowError
 
@@ -113,6 +112,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _scaled_laguerre(n: int, order: float):
     """Nodes s_i and weights w_i e^{s_i} for integrating s^order e^{-s} h(s)
     written as plain int h(s) s^order ... with the decay inside h."""
+    from scipy.special import roots_genlaguerre, roots_laguerre
+
     if n > MAX_RADIAL:
         raise ValueError(
             f"radial node count {n} exceeds {MAX_RADIAL}; Laguerre weights "
@@ -127,6 +128,8 @@ def _scaled_laguerre(n: int, order: float):
 @functools.lru_cache(maxsize=64)
 def _legendre_rule(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1]."""
+    from scipy.special import roots_legendre
+
     return _read_only(*roots_legendre(n))
 
 
@@ -196,14 +199,14 @@ def volume_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
     )
 
 
-def refined(grid: QuadratureGrid, factor: int = 2) -> QuadratureGrid:
-    """Same rule with every node count multiplied by ``factor``."""
+def refined(grid: QuadratureGrid) -> QuadratureGrid:
+    """Same rule with every node count doubled."""
     if grid.mode == "slice":
-        return slice_grid(grid.scale, factor * grid.radial_nodes.size,
-                          factor * grid.angular_nodes.size)
-    return volume_grid(grid.scale, factor * grid.radial_nodes.size,
-                       factor * grid.angular_nodes.size,
-                       factor * grid.sphere_units.shape[0])
+        return slice_grid(grid.scale, 2 * grid.radial_nodes.size,
+                          2 * grid.angular_nodes.size)
+    return volume_grid(grid.scale, 2 * grid.radial_nodes.size,
+                       2 * grid.angular_nodes.size,
+                       2 * grid.sphere_units.shape[0])
 
 
 def slice_points(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:

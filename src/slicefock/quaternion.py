@@ -123,8 +123,10 @@ class ImaginaryUnit:
 
     @staticmethod
     def from_vector(v) -> "ImaginaryUnit":
-        """Normalize an arbitrary nonzero 3-vector onto the sphere."""
+        """Normalize an arbitrary nonzero finite 3-vector onto the sphere."""
         x, y, z = (float(c) for c in v)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"vector components must be finite, got {(x, y, z)!r}")
         m = max(abs(x), abs(y), abs(z))
         if m == 0.0:
             raise ValueError("cannot normalize the zero vector")

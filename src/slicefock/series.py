@@ -48,16 +48,17 @@ _FACTORIALS = [float(math.factorial(m)) for m in range(171)]
 def _exp_magnitudes(a: float, count: int) -> np.ndarray:
     """a^m / m! for m < count: the canonical float a^m / float(m!) while
     both are finite floats, then the running quotient t_m = t_{m-1} / (m / a),
-    which for a = 1 is the exact sequence t_{m-1} / m."""
+    which for a = 1 is the exact sequence t_{m-1} / m; past the float range
+    the magnitudes are inf."""
     head = min(count, len(_FACTORIALS))
     if a > 1.0:
         head = min(head, int(709.0 / math.log(a)) + 1)
     mags = np.empty(count)
     mags[:head] = [a ** m / _FACTORIALS[m] for m in range(head)]
     if count > head:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             steps = np.arange(head, count) / a
-        mags[head - 1:] = np.divide.accumulate(np.append(mags[head - 1], steps))
+            mags[head - 1:] = np.divide.accumulate(np.append(mags[head - 1], steps))
     return mags
 
 
@@ -295,21 +296,21 @@ def extended(f: SliceSeries, degree: int) -> SliceSeries:
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each coefficient row, scaled so that tiny rows do
-    not underflow when squared."""
+    not underflow when squared; a row holding inf has norm inf."""
     m = np.max(np.abs(a), axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
+    safe = np.minimum(np.maximum(m, 5e-324), 1.7976931348623157e308)  # m if 0 < m < inf
     return m * np.sqrt(np.sum(np.square(a / safe[:, None]), axis=1))
 
 
 def prepared_for_radius(f: SliceSeries, radius: float,
-                        tol: float = TAIL_TOL, cap: int = DEGREE_CAP,
                         drop_ok: bool = False) -> tuple[SliceSeries, float]:
     """Extend f until its tail beyond the stored degree is certified small
     at the given radius.
 
     Returns ``(series, tail)`` where ``tail`` bounds
-    sum_{k > D} |a_k| R^k relative to max(1, sum_{k <= D} |a_k| R^k).
-    Raises :class:`TruncationError` if the bound is unreachable at the cap,
+    sum_{k > D} |a_k| R^k relative to max(1, sum_{k <= D} |a_k| R^k), below
+    ``TAIL_TOL``.  Raises :class:`TruncationError` if the bound is
+    unreachable at ``DEGREE_CAP``,
     or if generator coefficients underflowed to zero while their terms still
     matter at this radius; ``drop_ok`` skips the latter so that integrators
     can budget the dropped mass against their Gaussian damping instead (see
@@ -325,6 +326,8 @@ def prepared_for_radius(f: SliceSeries, radius: float,
         if radius > 0.0:
             logs = logs + np.arange(deg + 1) * math.log(radius)
         top = float(np.max(logs))
+        if not top < math.inf:
+            raise TruncationError(f"series terms overflow at radius {radius:g}")
         if top == -math.inf:            # identically zero so far
             scaled = np.zeros(deg + 1)
             log_scale = 0.0
@@ -344,23 +347,23 @@ def prepared_for_radius(f: SliceSeries, radius: float,
                 log_tail = -math.inf
             else:
                 log_tail = log_scale + math.log(last) + math.log(ratio / (1.0 - ratio))
-            if log_tail <= log_ref + math.log(tol):
+            if log_tail <= log_ref + math.log(TAIL_TOL):
                 # Generator coefficients that underflowed to zero drop true
                 # mass; certify that the dropped part is below tolerance too.
                 if f.generator is not None and not drop_ok:
                     log_drop = float(underflow_drop_logs(fe, np.array([radius]))[0])
-                    if log_drop > log_ref + math.log(tol):
+                    if log_drop > log_ref + math.log(TAIL_TOL):
                         raise TruncationError(
                             "coefficients underflow before the tail is "
                             f"controlled at radius {radius:g}")
                     log_tail = max(log_tail, log_drop)
                 tail_rel = 0.0 if log_tail == -math.inf else math.exp(log_tail - log_ref)
                 return fe, tail_rel
-        if deg >= cap:
+        if deg >= DEGREE_CAP:
             raise TruncationError(
                 f"truncation error exceeds tolerance: tail not certified below "
-                f"{tol:g} at radius {radius:g} with degree cap {cap}")
-        fe = extended(f, min(cap, max(2 * (deg + 1), 16)))
+                f"{TAIL_TOL:g} at radius {radius:g} with degree cap {DEGREE_CAP}")
+        fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
 
 
 def max_modulus_type(f: SliceSeries) -> float:

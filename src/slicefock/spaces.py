@@ -94,6 +94,11 @@ SPHERE_AREA = 4.0 * math.pi
 _ZONAL_NODES = 16
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Which weighted norm to evaluate.
@@ -112,10 +117,8 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ("first", "second"):
             raise ValueError(f"kind must be 'first' or 'second', got {self.kind!r}")
-        if not self.p > 0.0:
-            raise ValueError("exponent p must be positive")
-        if not self.alpha > 0.0:
-            raise ValueError("weight parameter alpha must be positive")
+        _check_positive("exponent p", self.p)
+        _check_positive("weight parameter alpha", self.alpha)
         if self.kind == "second":
             if self.slice_unit is not None and self.sup_samples is not None:
                 raise ValueError("give either a slice unit or a sup sampling count")
@@ -341,40 +344,26 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
             f"{spec.alpha / 2.0:g}: not in the space")
     fe, tail = prepared_for_radius(f, grid.max_radius, drop_ok=True)
     err_logs = underflow_drop_logs(fe, grid.radial_nodes)
+    # each kind is a list of (raw, profile, delta) and its prefactor
     pref = spec.alpha * spec.p / (2.0 * math.pi)
     if spec.kind == "first":
-        raw, profile, delta = _volume_raw_power(fe, grid, spec.p, spec.alpha,
-                                                err_logs)
-        value = (pref * pref * raw) ** (1.0 / spec.p)
-        rising = _profile_rising(profile)
-        if not rising:
-            # a diverging integrand outranks the tail budget
-            _check_tail_budget(raw, delta, spec.p)
-        return value, rising, tail
-    if spec.sup_samples is None:
-        raw, profile, delta = _slice_raw_power(fe, spec.slice_unit, grid, spec.p,
-                                               spec.alpha, err_logs)
-        planes = [(raw, profile, delta)]
+        pref *= pref
+        planes = [_volume_raw_power(fe, grid, spec.p, spec.alpha, err_logs)]
+    elif spec.sup_samples is None:
+        planes = [_slice_raw_power(fe, spec.slice_unit, grid, spec.p, spec.alpha,
+                                   err_logs)]
     else:
         # every sampled plane's amplitude comes from one shared evaluation
         amp_sq, w = _affine_square(*_weighted_components(fe, grid, spec.alpha))
-        planes = []
-        for unit in sphere_grid(spec.sup_samples):
-            amp = np.sqrt(np.maximum(amp_sq + w @ unit.vector(), 0.0))
-            planes.append(_plane_raw_power(amp, grid, spec.p, spec.alpha,
-                                           err_logs))
-    best = 0.0
-    rising = False
-    worst_ratio = 0.0
-    for raw, profile, delta in planes:
-        rising = rising or _profile_rising(profile)
-        best = max(best, (pref * raw) ** (1.0 / spec.p))
-        worst_ratio = max(worst_ratio, delta / (spec.p * max(raw, 1e-300)))
-    if not rising and worst_ratio > NORM_TAIL_BUDGET:
-        raise TruncationError(
-            "truncated-tail contribution bound exceeds "
-            f"{NORM_TAIL_BUDGET:g} of the result")
-    return best, rising, tail
+        planes = [_plane_raw_power(np.sqrt(np.maximum(amp_sq + w @ u.vector(), 0.0)),
+                                   grid, spec.p, spec.alpha, err_logs)
+                  for u in sphere_grid(spec.sup_samples)]
+    rising = any(_profile_rising(profile) for _, profile, _ in planes)
+    if not rising:
+        # a diverging integrand outranks the tail budget
+        for raw, _, delta in planes:
+            _check_tail_budget(raw, delta, spec.p)
+    return max((pref * raw) ** (1.0 / spec.p) for raw, _, _ in planes), rising, tail
 
 
 def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> float:
@@ -622,8 +611,6 @@ def order_type(f: SliceSeries, radii=None, units=None,
     estimate; the type is the median of log M(r) / r^2 there and is only
     reported when the estimated order is within 0.1 of 2.
     """
-    from .errors import TruncationError
-
     radii = np.asarray(radii if radii is not None else np.geomspace(2.0, 16.0, 10),
                        dtype=float)
     logs = []

@@ -291,3 +291,151 @@ def test_growth_with_vanishing_log_modulus_prints_one_error_line():
     assert res.returncode == 1
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+def _main(capsys, argv):
+    from slicefock import cli
+
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    # flags a subcommand does not read
+    ("kernel-fit", "--fn", "exp", "--centers", "0.5", "--kind", "first"),
+    ("growth", "--fn", "exp", "--alpha", "5"),
+    ("multipliers", "--family", "fejer", "--n", "4", "--slice", "j"),
+    ("norm", "--fn", "exp", "--format", "csv"),
+    ("norm", "--fn", "exp", "--quad-sphere", "8"),
+    # a slice is no part of a first-kind norm
+    ("norm", "--fn", "mono:3", "--kind", "first", "--slice", "j"),
+    ("bestapprox", "--fn", "exp", "--kind", "first", "--slice", "sup:4"),
+    # one plane only
+    ("smoothness", "--fn", "exp", "--slice", "sup:3"),
+    ("bestapprox", "--fn", "exp", "--slice", "sup:3", "--p", "1"),
+])
+def test_options_without_a_meaning_exit_1(capsys, argv):
+    code, out, err = _main(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    import argparse
+
+    from slicefock.cli import build_parser
+
+    grid = ["--fn", "--p", "--alpha", "--slice", "--quad-radial",
+            "--quad-angular", "--out"]
+    want = {
+        "norm": grid + ["--kind"],
+        "converge": grid + ["--format", "--operator", "--n-list", "--m"],
+        "multipliers": ["--family", "--n", "--m", "--p", "--out", "--format"],
+        "smoothness": grid + ["--format", "--k", "--delta-list", "--h-grid"],
+        "bestapprox": grid + ["--kind", "--format", "--n-list"],
+        "growth": ["--fn", "--r-min", "--r-max", "--radii", "--out"],
+        "kernel-fit": ["--fn", "--alpha", "--centers", "--out", "--format"],
+    }
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [a.option_strings[0] for a in p._actions
+                  if a.option_strings and a.option_strings[0] != "-h"]
+           for name, p in sub.choices.items()}
+    assert {k: sorted(v) for k, v in got.items()} == \
+        {k: sorted(v) for k, v in want.items()}
+    assert sum(len(v) for v in got.values()) == 56
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--fn", "exp", "--p", "inf"),
+    ("norm", "--fn", "mono:3", "--p", "inf", "--kind", "first"),
+    ("norm", "--fn", "exp", "--p", "nan"),
+    ("norm", "--fn", "exp", "--alpha", "inf"),
+    ("norm", "--fn", "exp", "--slice", "nan,1,0"),
+    ("norm", "--fn", "exp", "--slice", "inf,0,0"),
+    ("smoothness", "--fn", "exp", "--p", "inf", "--delta-list", "0.5"),
+    ("smoothness", "--fn", "exp", "--alpha", "nan", "--delta-list", "0.5"),
+    ("bestapprox", "--fn", "exp", "--p", "inf", "--n-list", "2"),
+    ("converge", "--fn", "exp", "--operator", "vdp", "--p", "inf",
+     "--n-list", "2"),
+    ("multipliers", "--family", "jackson", "--n", "4", "--p", "1e308",
+     "--m", "3"),
+])
+def test_non_finite_values_exit_1(capsys, argv):
+    code, out, err = _main(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "finite" in err and out == ""
+
+
+def test_library_rejects_non_finite_values():
+    from slicefock.approx import ModulusQuery, best_approx_lp
+    from slicefock.quaternion import ImaginaryUnit
+    from slicefock.series import exp_series
+    from slicefock.spaces import NormSpec
+
+    nan, inf = math.nan, math.inf
+    for p, alpha in ((inf, 1.0), (nan, 1.0), (2.0, inf), (2.0, nan)):
+        with pytest.raises(ValueError, match="finite"):
+            NormSpec("second", p, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            ModulusQuery(k=1, delta=0.5, p=p, alpha=alpha)
+        with pytest.raises(ValueError, match="finite"):
+            best_approx_lp(exp_series(), 2, 1.0 if p == 2.0 else p, alpha)
+    for v in ((nan, 1.0, 0.0), (0.0, inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ImaginaryUnit.from_vector(v)
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel-fit", "--fn", "exp", "--centers", "1e200"),
+    # alpha^2 underflows to 0 in the Parseval term ratio of gauss
+    ("kernel-fit", "--fn", "gauss:0.1", "--centers", "1", "--alpha", "1e-200"),
+])
+def test_kernel_fit_past_the_float_range_exits_1(capsys, argv):
+    code, out, err = _main(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_parseval_ratio_overflow_is_a_truncation_error():
+    from slicefock.approx import parseval_log_weights
+    from slicefock.errors import TruncationError
+    from slicefock.series import ExpGenerator
+
+    # a_0 = 1 only, so no stored term overflows: the tail ratio does
+    with pytest.raises(TruncationError):
+        parseval_log_weights(ExpGenerator((1e200, 0.0, 0.0, 0.0)).series(0), 1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--fn", "exp", "--slice", "sup:1025"),
+    ("norm", "--fn", "exp", "--slice", "sup:1000000000000"),
+    ("kernel-fit", "--fn", "exp",
+     "--centers", ",".join(str(k) for k in range(65))),
+    ("kernel-fit", "--fn", "exp", "--centers", "1," * 100000),
+    ("bestapprox", "--fn", "exp", "--n-list", "2,513"),
+    ("bestapprox", "--fn", "exp", "--n-list", "1000000000", "--kind", "first"),
+    ("bestapprox", "--fn", "exp", "--n-list", "-1"),
+    ("norm", "--fn", "exp", "--quad-angular", "1000000000000"),
+    ("multipliers", "--family", "jackson", "--n", "1", "--m", "1000000000"),
+    ("multipliers", "--family", "jackson", "--n", "1", "--p", "1e300"),
+    ("converge", "--fn", "exp", "--operator", "jackson", "--n-list", "1",
+     "--m", "1000000000"),
+])
+def test_outside_sizes_refused_before_allocating(capsys, argv):
+    code, out, err = _main(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "must lie in" in err and out == ""
+
+
+@pytest.mark.parametrize("r_min,r_max", [("2", "inf"), ("-0.3", "16"),
+                                         ("nan", "16"), ("16", "2")])
+def test_growth_needs_an_increasing_finite_radius_range(capsys, r_min, r_max):
+    # the fit reads the outer half of the grid, which must be its large radii
+    code, out, err = _main(capsys, ("growth", "--fn", "exp", "--r-min", r_min,
+                                    "--r-max", r_max))
+    assert code == 1
+    assert err.splitlines() == [err.strip()] and err.startswith("error:")
+    assert out == ""
