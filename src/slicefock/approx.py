@@ -10,11 +10,13 @@ unlike the norms (any constant ends up inside the reported ratios).
 
 Best approximation is exact in the plane Hilbert case (monomials are
 orthogonal, so the minimizer is the Taylor truncation and the error is a
-weighted coefficient tail), Gram-based over the whole algebra (monomials
-overlap at degree distance two), and a Newton solve of the discretized
-convex problem for general p >= 1, which stops only on a certified duality
-gap: its result carries a lower bound on the minimum from weak duality next
-to the value it attains.
+weighted coefficient tail), one least-squares solve over the whole algebra
+(monomials overlap at degree distance two; the value is the norm of the
+residual itself), and a Newton solve of the discretized convex problem for
+general p >= 1, which stops only on a certified duality gap: its result
+carries a lower bound on the minimum from weak duality next to the value it
+attains.  :func:`least_squares` is the one p = 2 solver, shared with the
+kernel-section fit, and the one place ``COND_LIMIT`` is checked.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, SolverError, TruncationError
+from .errors import ConditioningError, IntegrandOverflowError, SolverError, TruncationError
 from .operators import MultiplierOperator, apply, jackson_op, jackson_rule_r, vdp_op
 from .quaternion import (
     ImaginaryUnit,
@@ -109,10 +111,14 @@ def finite_difference(f: SliceSeries, k: int, h: float, z: Quaternion,
 def difference_series(f: SliceSeries, k: int, h: float,
                       unit: ImaginaryUnit) -> SliceSeries:
     """Coefficients of the k-th rotational difference on the plane of
-    ``unit``: a_j -> (e^{I j h} - 1)^k a_j."""
-    w = (np.exp(1j * h * np.arange(f.coeffs.shape[0])) - 1.0) ** k
-    lm = left_mult_matrix(unit.as_quaternion()).T
-    out = w.real[:, None] * f.coeffs + w.imag[:, None] * (f.coeffs @ lm)
+    ``unit``: a_j -> (e^{I j h} - 1)^k a_j, up to 2^k |a_j| in modulus."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (np.exp(1j * h * np.arange(f.coeffs.shape[0])) - 1.0) ** k
+        lm = left_mult_matrix(unit.as_quaternion()).T
+        out = w.real[:, None] * f.coeffs + w.imag[:, None] * (f.coeffs @ lm)
+    if not np.all(np.isfinite(out)):
+        raise IntegrandOverflowError(
+            f"order-{k} difference coefficients overflow at step {h:g}")
     return SliceSeries(out)
 
 
@@ -140,38 +146,53 @@ def modulus(f: SliceSeries, query: ModulusQuery,
 # ---------------------------------------------------------------------------
 # plane Parseval data (p = 2)
 
+def _parseval_ratio(f: SliceSeries, alpha: float, degree: int) -> float:
+    """Bound on t_{k+s} / t_k, k >= ``degree``, for the Parseval terms
+    t_k = |a_k|^2 k! / alpha^k of f's generator: |c|^2 / ((k+1) alpha) at
+    stride 1, and at stride 2 the limit 4 |c|^2 / alpha^2 of the ratios."""
+    g = f.generator
+    if g is None:
+        return 0.0
+    scaled = g.size / alpha                        # inf past the float range
+    return scaled * g.size / (degree + 1) if g.stride == 1 else 4.0 * scaled * scaled
+
+
 def parseval_log_weights(f: SliceSeries, alpha: float
                          ) -> tuple[SliceSeries, np.ndarray]:
     """Extend f until the Parseval terms |a_k|^2 k! / alpha^k have a tail
     below ``PARSEVAL_TAIL_TOL`` relative; returns the extended series and
-    the log of each term (log 0 for vanishing coefficients)."""
+    the log of each term (log 0 for vanishing coefficients).  The mass of
+    generator rows that underflowed to zero in storage, bounded from
+    ``log_coeff``, must stay below that tolerance too."""
     from scipy.special import gammaln
 
     fe = f
     while True:
         deg = fe.degree
+        k = np.arange(deg + 1)
         mags = _row_norms(fe.coeffs)
         with np.errstate(divide="ignore"):
-            logw = 2.0 * np.log(mags) + gammaln(np.arange(deg + 1) + 1.0) \
-                - np.arange(deg + 1) * math.log(alpha)
+            logw = 2.0 * np.log(mags) + gammaln(k + 1.0) - k * math.log(alpha)
         top = float(np.max(logw))
         if not top < math.inf:
             raise TruncationError("weighted coefficients overflow")
         if top == -math.inf:
             return fe, logw
-        # term ratio of the weighted tail over one stride s:
-        # (coefficient ratio)^2 (k+1)...(k+s) / alpha^s
-        g = fe.generator
-        try:
-            ratio = 0.0 if g is None else g.term_ratio(1.0, deg) ** 2 \
-                * math.perm(deg + g.stride, g.stride) / alpha ** g.stride
-        except (OverflowError, ZeroDivisionError):   # past the float range
-            ratio = math.inf
         scaled = np.exp(logw - top)
-        last = float(np.max(scaled[-2:])) if deg >= 1 else float(scaled[-1])
-        total = float(np.sum(scaled))
-        if ratio < 1.0 and (last == 0.0 or ratio == 0.0 or
-                            last * ratio / (1.0 - ratio) <= PARSEVAL_TAIL_TOL * total):
+        last = float(np.max(scaled[-2:]))
+        log_budget = top + math.log(PARSEVAL_TAIL_TOL * float(np.sum(scaled)))
+        ratio = _parseval_ratio(f, alpha, deg)
+        if ratio < 1.0 and (last == 0.0 or ratio == 0.0 or top + math.log(last)
+                            + math.log(ratio) - math.log1p(-ratio) <= log_budget):
+            g = f.generator
+            dropped = np.flatnonzero(mags[::g.stride] == 0.0) if g else ()
+            if len(dropped):
+                k0 = int(dropped[0]) * g.stride      # first dropped term, then geometric
+                log_t0 = 2.0 * g.log_coeff(k0) + math.lgamma(k0 + 1.0) - k0 * math.log(alpha)
+                if log_t0 - math.log1p(-min(_parseval_ratio(f, alpha, k0), 1.0)) > log_budget:
+                    raise TruncationError(
+                        "coefficients underflow before the Parseval tail is "
+                        f"controlled (alpha = {alpha:g})")
             return fe, logw
         if deg >= DEGREE_CAP:
             raise TruncationError(
@@ -214,13 +235,38 @@ def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult
     """
     fe, logw = parseval_log_weights(f, alpha)
     tail = logw[n + 1:]
-    if tail.size == 0:
-        value = 0.0
-    else:
-        top = float(np.max(tail))
-        value = 0.0 if top == -math.inf else \
-            math.sqrt(float(np.sum(np.exp(tail - top)))) * math.exp(0.5 * top)
+    top = float(np.max(tail, initial=-math.inf))
+    value = 0.0 if top == -math.inf else \
+        math.sqrt(float(np.sum(np.exp(tail - top)))) * math.exp(0.5 * top)
     return BestApproxResult(n, value, taylor_truncate(fe, n), "projection")
+
+
+def least_squares(design: np.ndarray, data: np.ndarray
+                  ) -> tuple[np.ndarray, float, float]:
+    """x minimizing ||design @ x - data|| (Frobenius, by SVD), that norm, and
+    cond = (s_max / s_min)^2, the condition number of design^T design; past
+    ``COND_LIMIT`` raises :class:`ConditioningError`, never regularizes."""
+    sol, _, _, sv = np.linalg.lstsq(design, data, rcond=None)
+    ratio = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else math.inf
+    cond = ratio * ratio                   # Python floats: inf past the range, no warning
+    if not cond <= COND_LIMIT:
+        raise ConditioningError(
+            f"least-squares design nearly rank deficient (normal-equations "
+            f"cond {cond:.3g})", condition=cond)
+    return sol, float(np.linalg.norm(design @ sol - data)), cond
+
+
+def _first_kind_design(n: int, alpha: float, grid: QuadratureGrid
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials q^0..q^n as design columns, and the root weights sqrt(mu)
+    of the plane nodes.  On q = x + u y, f = a + u b, q^m = Re z^m + u Im z^m
+    and |f|^2 integrates over the sphere to 4 pi (|a|^2 + |b|^2), so rows
+    sqrt(mu) e^{-alpha |z|^2 / 2} (Re z^m; Im z^m) carry the first-kind norm."""
+    z, wq = slice_points(grid)
+    root = alpha / math.pi * np.sqrt(SPHERE_AREA * wq)
+    vand = (z[:, None] ** np.arange(n + 1)) \
+        * (root * np.exp(-0.5 * alpha * np.abs(z) ** 2))[:, None]
+    return np.concatenate([vand.real, vand.imag]), root
 
 
 def first_kind_gram(n: int, alpha: float,
@@ -228,65 +274,25 @@ def first_kind_gram(n: int, alpha: float,
     """Quadrature Gram matrix of the monomials q^0..q^n over the whole
     algebra.  Real, banded: entries vanish unless the degrees agree or
     differ by exactly two."""
-    grid = grid or volume_grid(alpha)
-    z, wq = slice_points(grid)
-    w2 = wq * np.exp(-alpha * np.abs(z) ** 2)
-    vand = z[:, None] ** np.arange(n + 1)
-    c = vand.conj().T @ (w2[:, None] * vand)
-    return (alpha / math.pi) ** 2 * SPHERE_AREA * c.real
-
-
-def _first_kind_rhs(f: SliceSeries, n: int, alpha: float,
-                    grid: QuadratureGrid) -> tuple[np.ndarray, float]:
-    """Moments <q^m, f> for m <= n (rows of quaternion components) and
-    ||f||^2, from one plane evaluation.
-
-    On q = x + u y, f = a + u b and q^m = Re z^m + u Im z^m, so the sphere
-    integral of conj(q^m) f is 4 pi (Re z^m a + Im z^m b) and that of |f|^2
-    is 4 pi (|a|^2 + |b|^2).
-    """
-    z, wq = slice_points(grid)
-    half = np.exp(-0.5 * alpha * np.abs(z) ** 2)
-    fe, _ = prepared_for_radius(f, grid.max_radius)
-    a, b = (c.reshape(-1, 4) for c in _weighted_components(fe, grid, alpha))
-    vand = (z[:, None] ** np.arange(n + 1)) * (half * wq)[:, None]
-    moments = vand.real.T @ a + vand.imag.T @ b
-    nf2 = float(np.dot(wq, np.sum(a * a, axis=1) + np.sum(b * b, axis=1)))
-    pref = (alpha / math.pi) ** 2 * SPHERE_AREA
-    return pref * moments, pref * nf2
+    design, _ = _first_kind_design(n, alpha, grid or volume_grid(alpha))
+    return design.T @ design
 
 
 def best_approx_first(f: SliceSeries, n: int, alpha: float,
                       grid: QuadratureGrid | None = None) -> BestApproxResult:
-    """Best degree-n approximation in the whole-algebra Hilbert norm (p = 2).
-
-    Solves the normal equations with the quadrature Gram of the monomials
-    (orthonormalizing under the hood via a scaled Cholesky factorization);
-    the projection genuinely mixes degrees because monomials two degrees
-    apart overlap.
-    """
+    """Best degree-n approximation in the whole-algebra Hilbert norm (p = 2):
+    one least-squares solve of the monomial design, columns scaled to unit
+    norm, against sqrt(mu) (a; b) of f; the value is the residual norm.
+    Monomials two degrees apart overlap, so the projection mixes degrees."""
     grid = grid or volume_grid(alpha)
-    gram = first_kind_gram(n, alpha, grid)
-    d = 1.0 / np.sqrt(np.diag(gram))
-    gs = gram * d[:, None] * d[None, :]
-    cond = float(np.linalg.cond(gs))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        size = next(m for m in range(1, n + 2)
-                    if np.linalg.cond(gs[:m, :m]) > COND_LIMIT)
-        raise ConditioningError(
-            f"monomial Gram matrix nearly singular (cond {cond:.3g})",
-            condition=cond, leading_minor=size)
-    b, nf2 = _first_kind_rhs(f, n, alpha, grid)
-    try:
-        chol = np.linalg.cholesky(gs)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("monomial Gram matrix not positive definite",
-                                condition=cond) from exc
-    y = np.linalg.solve(chol, d[:, None] * b)
-    coeffs = d[:, None] * np.linalg.solve(chol.T, y)
-    err_sq = nf2 - float(np.sum(coeffs * b))
-    value = math.sqrt(max(err_sq, 0.0))
-    return BestApproxResult(n, value, SliceSeries(coeffs), "gram")
+    design, root = _first_kind_design(n, alpha, grid)
+    fe, _ = prepared_for_radius(f, grid.max_radius)
+    data = np.concatenate([root[:, None] * c.reshape(-1, 4)
+                           for c in _weighted_components(fe, grid, alpha)])
+    # a column that vanishes on every node stays zero, and is refused
+    d = 1.0 / np.maximum(np.linalg.norm(design, axis=0), np.finfo(float).tiny)
+    sol, value, _ = least_squares(design * d, data)
+    return BestApproxResult(n, value, SliceSeries(d[:, None] * sol), "gram")
 
 
 #: Row-block size (numbers) of the Newton Hessian's rank-one terms.
@@ -334,9 +340,9 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     Taylor truncation.  Newton runs on Psi_eps = sum_i mu_i
     (|r_i|^2 + eps^2)^(p/2): eps = 0 for p >= 2; for p < 2 eps starts at a
     tenth of the mean residual and shrinks tenfold whenever Newton has
-    settled.  Its systems are solved in the coordinates R c, with R^T R the
-    mu-Gram of the monomials (R is the R factor of the weighted
-    Vandermonde), in which the monomials are orthonormal.
+    settled.  Its systems are solved in the coordinates W^{-1} c, with
+    W^T G W = I for the mu-Gram G of the monomials (W from the eigenvectors
+    of G scaled to unit diagonal), in which the monomials are orthonormal.
 
     Every step bounds the minimum from below by weak duality: the dual
     vector lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i, projected onto the
@@ -362,13 +368,15 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     vand = z[:, None] ** np.arange(n + 1)
     vr, vi = vand.real.copy(), vand.imag.copy()
     del vand
-    # the mu-Gram of the monomials is R^T R; Newton solves in R c
-    try:
-        rinv = np.linalg.inv(np.linalg.cholesky(_gram_expanded(vr, vi, mu, lm)).T)
-    except np.linalg.LinAlgError as exc:
+    # W^T G W = I from the eigenvectors of the unit-diagonal mu-Gram G
+    gram = _gram_expanded(vr, vi, mu, lm)
+    d = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
+    eig, vec = np.linalg.eigh(gram * d[:, None] * d[None, :])
+    if not eig[0] > eig.size * np.finfo(float).eps * eig[-1]:
         raise ConditioningError(
             f"monomials up to degree {n} are not independent on the grid "
-            f"nodes ({len(z)})") from exc
+            f"nodes ({len(z)})")
+    whiten = d[:, None] * vec / np.sqrt(eig)
     q = math.inf if p == 1.0 else p / (p - 1.0)
     sampled_err = min(tol, NORM_TAIL_BUDGET) * \
         float(mu @ np.sum(fv * fv, axis=1) ** (0.5 * p)) ** (1.0 / p)
@@ -381,7 +389,7 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(se > 0.0, se ** (0.5 * p - 1.0) * r, 0.0)
         moments = _act_adjoint(vr, vi, mu[:, None] * lam, lm).ravel()
-        lam -= _act(vr, vi, (rinv @ (rinv.T @ moments)).reshape(-1, 4), lm)
+        lam -= _act(vr, vi, (whiten @ (whiten.T @ moments)).reshape(-1, 4), lm)
         size = np.sqrt(np.sum(lam * lam, axis=1))
         qnorm = float(np.max(size[mu > 0.0])) if q == math.inf else \
             float(mu @ size ** q) ** (1.0 / q)
@@ -432,7 +440,7 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
                                  - vi[blk] * rl[blk, j, None])
                 u = u.reshape(len(u), -1)
                 hess += math.copysign(1.0, p - 2.0) * (u.T @ u)
-        step = rinv @ np.linalg.solve(rinv.T @ hess @ rinv, -(rinv.T @ grad))
+        step = whiten @ np.linalg.solve(whiten.T @ hess @ whiten, -(whiten.T @ grad))
         dec = -float(grad @ step)
         step = step.reshape(-1, 4)
         moved = _act(vr, vi, step, lm)

@@ -43,8 +43,11 @@ H_GRID_CAP = 4096
 #: Largest ``--slice sup:<M>``: each sampled plane is a full plane integral.
 SUP_SAMPLES_CAP = 1024
 #: Largest ``kernel-fit --centers`` count: every prefix of the centers is a
-#: (4 n)^2 Gram with its condition number.
+#: least-squares solve with 4 n columns and its singular values.
 CENTERS_CAP = 64
+#: Largest ``smoothness --k``: the difference multipliers (e^{I j h} - 1)^k
+#: reach 2^k in modulus, a finite float only up to k = 1023.
+DIFFERENCE_ORDER_CAP = 1023
 #: Largest ``--quad-angular``: refinement doubles it, and every radius holds
 #: that many quaternion values.
 ANGULAR_CAP = 4096
@@ -268,6 +271,7 @@ def cmd_multipliers(args) -> int:
 
 def cmd_smoothness(args) -> int:
     _check_range("--h-grid", args.h_grid, 1, H_GRID_CAP)
+    _check_range("--k", args.k, 1, DIFFERENCE_ORDER_CAP)
     f = parse_function(args.fn)
     spec = _plane_spec(args)
     grid = _grid_for(args, spec)

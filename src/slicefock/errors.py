@@ -28,12 +28,12 @@ class RefinementError(SliceFockError):
 
 
 class ConditioningError(SliceFockError):
-    """A Gram matrix is too ill-conditioned to solve reliably."""
+    """A least-squares design or Gram matrix is too ill-conditioned to solve
+    reliably; ``condition`` is its normal-equations condition number."""
 
-    def __init__(self, message, condition=None, leading_minor=None):
+    def __init__(self, message, condition=None):
         super().__init__(message)
         self.condition = condition
-        self.leading_minor = leading_minor
 
 
 class SolverError(SliceFockError):

@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError
-from .quaternion import (
-    Quaternion,
-    left_mult_matrix,
-    quat_conj_array,
-    quat_mul_array,
-)
+from .errors import TruncationError
+from .quaternion import Quaternion, left_mult_matrix
 from .series import ExpGenerator, SliceSeries, evaluate, extended
 from .spaces import _check_positive
-from .approx import COND_LIMIT, parseval_log_weights
+from .approx import least_squares, parseval_log_weights
 
 
 #: L(e_c) for the basis quaternions e_c, so that L(q) = sum_c q_c L(e_c).
@@ -58,13 +53,11 @@ class SectionFit:
 
 def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     """Minimize the plane Hilbert distance from f to right combinations
-    sum_k section(q_k) b_k (p = 2; the coefficient representation makes the
-    problem a finite quaternion least-squares system).
-
-    Clustered centers produce genuinely ill-conditioned Gram matrices; past
-    ``COND_LIMIT`` this raises :class:`ConditioningError` rather than
-    regularize silently.  The residual can only decrease as centers are
-    appended.  The p = 2 value is the same on every plane.
+    sum_i section(q_i) b_i (p = 2), the same on every plane: row k of
+    section(q_i) b_i is L(s_ik) b_i, so this is one least-squares solve
+    against the design sqrt(k! / alpha^k) L(s_ik).  Clustered centers make
+    it genuinely ill-conditioned, and past ``COND_LIMIT`` it raises
+    :class:`ConditioningError`.  Appending centers cannot raise the residual.
     """
     from scipy.special import gammaln
 
@@ -77,31 +70,16 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     sections = [kernel_section(c, alpha) for c in centers]
     # the degree at which every Parseval tail is certified
     deg = max(parseval_log_weights(g, alpha)[0].degree for g in (*sections, f))
-    fe = extended(f, deg)
-    smats = np.stack([extended(s, deg).coeffs for s in sections])   # (N, D+1, 4)
     k = np.arange(deg + 1)
-    weights = np.exp(gammaln(k + 1.0) - k * math.log(alpha))        # k! / alpha^k
-
-    n = len(centers)
-    conj = quat_conj_array(smats)
-    # Gram entries sum_k w_k conj(s_i,k) s_j,k as quaternions g_ij, one row
-    # i at a time so that memory stays O(n D); the real system acts by left
-    # multiplication, block (i, j) being L(g_ij)
-    gij = np.stack([np.einsum("k,jkc->jc", weights, quat_mul_array(ci, smats))
-                    for ci in conj])
-    gram = np.einsum("ijc,cab->iajb", gij, _LEFT_BASIS).reshape(4 * n, 4 * n)
-    rhs = np.einsum("k,ikc->ic", weights,
-                    quat_mul_array(conj, fe.coeffs[None])).reshape(4 * n)
-
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(
-            f"section Gram matrix nearly singular (cond {cond:.3g}); "
-            "centers too clustered", condition=cond)
-    sol = np.linalg.solve(gram, rhs)
-    coeffs = tuple(Quaternion.from_array(sol[4 * i: 4 * i + 4]) for i in range(n))
-
-    combo = np.sum(quat_mul_array(smats, sol.reshape(n, 1, 4)), axis=0)
-    resid_coeffs = fe.coeffs - combo
-    resid_sq = float(np.sum(weights * np.sum(resid_coeffs ** 2, axis=1)))
-    return SectionFit(coeffs, math.sqrt(max(resid_sq, 0.0)), cond)
+    with np.errstate(over="ignore"):
+        root = np.exp(0.5 * (gammaln(k + 1.0) - k * math.log(alpha)))   # sqrt(k!/alpha^k)
+    if not np.all(np.isfinite(root)):
+        raise TruncationError(
+            f"weights k!/alpha^k overflow by degree {deg} (alpha = {alpha:g})")
+    smats = np.stack([extended(s, deg).coeffs for s in sections])   # (N, D+1, 4)
+    design = np.einsum("k,ikc,cab->kaib", root, smats, _LEFT_BASIS)
+    sol, residual, cond = least_squares(
+        design.reshape(4 * deg + 4, -1),
+        (root[:, None] * extended(f, deg).coeffs).ravel())
+    return SectionFit(tuple(Quaternion.from_array(b) for b in sol.reshape(-1, 4)),
+                      residual, cond)

@@ -178,8 +178,8 @@ def vdp_op(n: int) -> MultiplierOperator:
 
     v_k = 1 exactly for k <= n (the triangular moments cancel term by term),
     so polynomials of degree up to n are reproduced coefficientwise; the
-    result degree is bounded by 2n - 1.  The leading ones are pinned to the
-    closed-form value rather than left to moment-quadrature roundoff.
+    result degree is bounded by 2n - 1.  The leading ones are pinned to
+    their closed-form value 1.
     """
     big = multipliers(fejer_kernel(2 * n))        # length 2n
     small = multipliers(fejer_kernel(n))          # length n

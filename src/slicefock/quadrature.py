@@ -182,6 +182,8 @@ def volume_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
     """
     if scale <= 0.0:
         raise ValueError("radial scale must be positive")
+    if not 0.5 / scale / scale < math.inf:
+        raise ValueError(f"radial scale {scale:g} too small: 1 / (2 scale^2) overflows")
     _check_counts(radial=n_radial, angular=n_angular, sphere=n_sphere)
     s, w = _scaled_laguerre(n_radial, 1.0)
     theta = math.pi * np.arange(1, n_angular + 1) / (n_angular + 1)

@@ -102,9 +102,10 @@ class ExpGenerator:
         phi = m * math.atan2(im, w)
         out = np.zeros((degree + 1, 4))
         out[::self.stride, 0] = mags * np.cos(phi)
-        if im > 0.0:
-            out[::self.stride, 1:] = (mags * np.sin(phi))[:, None] \
-                * (np.array(self.c[1:]) / im)
+        if im > 0.0:   # only the unit's own axes: an inf magnitude times 0 is nan
+            axes = np.flatnonzero(self.c[1:])
+            out[::self.stride, 1 + axes] = np.outer(
+                mags * np.sin(phi), np.take(self.c[1:], axes) / im)
         return out
 
     def log_coeff(self, k: int) -> float:
@@ -484,7 +485,8 @@ def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
     quaternions, never (R, D, 4).
     """
     s, top = _polar_sum(f, radii, n_circle)
-    return _lift(s, unit) * np.exp(top)[:, None, None]
+    with np.errstate(over="ignore"):       # inf past the float range
+        return _lift(s, unit) * np.exp(top)[:, None, None]
 
 
 def slice_components(f: SliceSeries, z: np.ndarray,
@@ -505,7 +507,8 @@ def polar_components(f: SliceSeries, radii: np.ndarray, n_circle: int,
     r_i exp(2 pi i index_j / n_circle), each of shape (R, len(index), 4):
     Re S and Im S from one :func:`_polar_sum`."""
     s, top = _polar_sum(f, radii, n_circle)
-    s = s[:, index] * np.exp(top)[:, None, None]
+    with np.errstate(over="ignore"):       # inf past the float range
+        s = s[:, index] * np.exp(top)[:, None, None]
     return s.real, s.imag
 
 

@@ -230,7 +230,8 @@ def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid,
                      ) -> tuple[float, np.ndarray, float]:
     """Raw integral of amp^p over the plane grid, its radial profile and the
     underflow contribution, from the (radial, angular) weighted amplitude."""
-    integ = amp ** p
+    with np.errstate(over="ignore"):       # reported as a non-finite sample
+        integ = amp ** p
     _check_grid_finite(integ, grid)
     shell = integ @ grid.angular_weights
     profile = grid.radial_weights * shell
@@ -255,7 +256,8 @@ def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
     """
     # |f| times the weight before any power, so growth-bounded f never overflows
     vals = _plane_values(f, unit, grid) * _half_weight(grid, alpha)
-    amp = np.sqrt(np.sum(np.square(vals), axis=-1))
+    with np.errstate(over="ignore"):       # reported as a non-finite sample
+        amp = np.sqrt(np.sum(np.square(vals), axis=-1))
     return _plane_raw_power(amp, grid, p, alpha, err_logs)
 
 

@@ -270,3 +270,45 @@ def test_verify_vdp_gauss_family():
         rep = verify_vdp(gauss_series(0.25), 4, p, 1.0,
                          grid=slice_grid(p / 2.0, 48, 96))
         assert rep.slack >= 0.0
+
+
+def test_parseval_tail_counts_underflowed_generator_rows():
+    # exp at alpha = 0.01: 1/k! underflows near k = 178, where the terms
+    # 100^k / k! are still 1e-9 of the largest one
+    from slicefock.errors import TruncationError
+
+    with pytest.raises(TruncationError, match="underflow"):
+        parseval_norm_sq(exp_series(), 0.01)
+    for n in (176, 180):
+        with pytest.raises(TruncationError, match="underflow"):
+            best_approx_second(exp_series(), n, 0.01)
+    assert parseval_norm_sq(exp_series(), 0.1) == pytest.approx(
+        math.exp(10.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("beta,alpha", [(0.25, 1.0), (0.4, 1.0), (0.1, 0.5)])
+def test_parseval_stride_two_ratio_bounds_every_later_ratio(beta, alpha):
+    from slicefock.approx import _parseval_ratio
+
+    f = gauss_series(beta)
+    g = f.generator
+    k = np.arange(0, 1200, 2)
+    logt = [2.0 * g.log_coeff(int(j)) + math.lgamma(j + 1.0) - j * math.log(alpha)
+            for j in k]
+    ratios = np.exp(np.diff(logt))
+    for deg in (0, 16, 64, 256):
+        assert np.all(ratios[k[:-1] >= deg] <= _parseval_ratio(f, alpha, deg))
+    # the sum itself: sum_m C(2m, m) (beta / alpha)^(2m) = (1 - 4 beta^2 / alpha^2)^(-1/2)
+    assert parseval_norm_sq(f, alpha) == pytest.approx(
+        (1.0 - 4.0 * beta * beta / (alpha * alpha)) ** -0.5, rel=1e-14)
+
+
+def test_difference_series_overflow_is_a_named_error():
+    import warnings
+
+    from slicefock.errors import IntegrandOverflowError
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrandOverflowError, match="difference"):
+            difference_series(exp_series(), 100000, 0.5, UNIT_I)

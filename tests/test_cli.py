@@ -423,6 +423,7 @@ def test_parseval_ratio_overflow_is_a_truncation_error():
     ("multipliers", "--family", "jackson", "--n", "1", "--p", "1e300"),
     ("converge", "--fn", "exp", "--operator", "jackson", "--n-list", "1",
      "--m", "1000000000"),
+    ("smoothness", "--fn", "exp", "--k", "100000", "--delta-list", "0.5"),
 ])
 def test_outside_sizes_refused_before_allocating(capsys, argv):
     code, out, err = _main(capsys, argv)
@@ -439,3 +440,22 @@ def test_growth_needs_an_increasing_finite_radius_range(capsys, r_min, r_max):
     assert code == 1
     assert err.splitlines() == [err.strip()] and err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,names", [
+    (("kernel-fit", "--fn", "mono:2", "--centers", "0.5", "--alpha", "1e-200"),
+     "k!/alpha^k"),
+    (("norm", "--fn", "kernel-section:1e200,1,0,0,1"), "overflow"),
+    (("bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"),
+     "underflow"),
+])
+def test_float_range_failures_are_one_error_line_without_warnings(capsys, argv,
+                                                                  names):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _main(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and names in err
+    assert len(err.splitlines()) == 1

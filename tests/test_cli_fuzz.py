@@ -4,7 +4,8 @@ Each example draws a subcommand, a subset of its own flags with values from
 every family of spec strings (malformed ones included), and at times one
 flag the subcommand does not take, then calls ``cli.main`` with stdout and
 stderr captured.  Whatever the input, the CLI must answer with an exit code
-in {0, 1, 2} and never with an escaped exception or a traceback.
+in {0, 1, 2} and never with an escaped exception, a traceback or a numpy
+``RuntimeWarning`` (each is raised as an error inside the example).
 
 The drawn sizes stay small (degrees <= 8, node counts <= 16, lists of at
 most 4 entries, ``sup:`` <= 8) and ``--out`` is never drawn: these limits
@@ -15,8 +16,9 @@ bound only what one example allocates, the caps themselves are tested in
 import argparse
 import contextlib
 import io
+import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slicefock import cli
@@ -119,6 +121,11 @@ def invocations(draw):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
+# sizes and values past the float range that once overflowed with warnings
+@example(argv=["kernel-fit", "--fn", "mono:2", "--centers", "0.5", "--alpha", "1e-200"])
+@example(argv=["norm", "--fn", "kernel-section:1e200,1,0,0,1"])
+@example(argv=["smoothness", "--fn", "exp", "--k", "100000", "--delta-list", "0.5"])
+@example(argv=["bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"])
 def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, argv):
     good = tmp_path_factory.getbasetemp() / "fuzz_poly.txt"
     bad = good.with_suffix(".bad")
@@ -126,7 +133,9 @@ def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, argv):
     bad.write_text("1 2 3\n")
     argv = [a.format(good=good, bad=bad) for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
