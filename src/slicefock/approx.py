@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, IntegrandOverflowError, SolverError, TruncationError
+from .errors import ConditioningError, IntegrandOverflowError, SolverError
 from .operators import MultiplierOperator, apply, jackson_op, jackson_rule_r, vdp_op
 from .quaternion import (
     ImaginaryUnit,
@@ -35,14 +35,12 @@ from .quaternion import (
     left_mult_matrix,
     slice_unit,
 )
-from .quadrature import QuadratureGrid, slice_grid, slice_points, volume_grid
+from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points, volume_grid
 from .series import (
-    DEGREE_CAP,
     SliceSeries,
-    _row_norms,
+    _certified,
     embed_complex,
     evaluate,
-    extended,
     prepared_for_radius,
     taylor_truncate,
 )
@@ -146,15 +144,12 @@ def modulus(f: SliceSeries, query: ModulusQuery,
 # ---------------------------------------------------------------------------
 # plane Parseval data (p = 2)
 
-def _parseval_ratio(f: SliceSeries, alpha: float, degree: int) -> float:
-    """Bound on t_{k+s} / t_k, k >= ``degree``, for the Parseval terms
-    t_k = |a_k|^2 k! / alpha^k of f's generator: |c|^2 / ((k+1) alpha) at
-    stride 1, and at stride 2 the limit 4 |c|^2 / alpha^2 of the ratios."""
-    g = f.generator
-    if g is None:
-        return 0.0
-    scaled = g.size / alpha                        # inf past the float range
-    return scaled * g.size / (degree + 1) if g.stride == 1 else 4.0 * scaled * scaled
+def _parseval_log_terms(log_sq, k, alpha: float):
+    """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
+    squared plane norm of q^k at p = 2."""
+    from scipy.special import gammaln
+
+    return log_sq + gammaln(k + 1.0) - k * math.log(alpha)
 
 
 def parseval_log_weights(f: SliceSeries, alpha: float
@@ -164,41 +159,11 @@ def parseval_log_weights(f: SliceSeries, alpha: float
     the log of each term (log 0 for vanishing coefficients).  The mass of
     generator rows that underflowed to zero in storage, bounded from
     ``log_coeff``, must stay below that tolerance too."""
-    from scipy.special import gammaln
-
-    fe = f
-    while True:
-        deg = fe.degree
-        k = np.arange(deg + 1)
-        mags = _row_norms(fe.coeffs)
-        with np.errstate(divide="ignore"):
-            logw = 2.0 * np.log(mags) + gammaln(k + 1.0) - k * math.log(alpha)
-        top = float(np.max(logw))
-        if not top < math.inf:
-            raise TruncationError("weighted coefficients overflow")
-        if top == -math.inf:
-            return fe, logw
-        scaled = np.exp(logw - top)
-        last = float(np.max(scaled[-2:]))
-        log_budget = top + math.log(PARSEVAL_TAIL_TOL * float(np.sum(scaled)))
-        ratio = _parseval_ratio(f, alpha, deg)
-        if ratio < 1.0 and (last == 0.0 or ratio == 0.0 or top + math.log(last)
-                            + math.log(ratio) - math.log1p(-ratio) <= log_budget):
-            g = f.generator
-            dropped = np.flatnonzero(mags[::g.stride] == 0.0) if g else ()
-            if len(dropped):
-                k0 = int(dropped[0]) * g.stride      # first dropped term, then geometric
-                log_t0 = 2.0 * g.log_coeff(k0) + math.lgamma(k0 + 1.0) - k0 * math.log(alpha)
-                if log_t0 - math.log1p(-min(_parseval_ratio(f, alpha, k0), 1.0)) > log_budget:
-                    raise TruncationError(
-                        "coefficients underflow before the Parseval tail is "
-                        f"controlled (alpha = {alpha:g})")
-            return fe, logw
-        if deg >= DEGREE_CAP:
-            raise TruncationError(
-                "weighted coefficient tail not summable under the degree cap "
-                f"(alpha = {alpha:g})")
-        fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
+    fe, logw, _ = _certified(
+        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
+        lambda deg: f.generator.parseval_ratio(alpha, deg), PARSEVAL_TAIL_TOL,
+        -math.inf, f"alpha = {alpha:g}")
+    return fe, logw
 
 
 def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
@@ -364,9 +329,16 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         np.exp(-0.5 * alpha * np.abs(z) ** 2) ** p
     fv = _plane_values(fe, unit, grid).reshape(-1, 4)
     lm = left_mult_matrix(unit.as_quaternion()).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        vand = z[:, None] ** np.arange(n + 1)
+    _check_finite(fv, z)
+    _check_finite(vand, z)
+    # each column scaled by an exact power of two, so that no Gram entry
+    # overflows; the coefficients live in the scaled basis until returned
+    _, exps = np.frexp(np.max(np.abs(vand), axis=0))
+    scale = np.ldexp(1.0, -exps)
     # contiguous real and imaginary parts keep every product in real BLAS
-    vand = z[:, None] ** np.arange(n + 1)
-    vr, vi = vand.real.copy(), vand.imag.copy()
+    vr, vi = vand.real * scale, vand.imag * scale
     del vand
     # W^T G W = I from the eigenvectors of the unit-diagonal mu-Gram G
     gram = _gram_expanded(vr, vi, mu, lm)
@@ -395,7 +367,7 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
             float(mu @ size ** q) ** (1.0 / q)
         return float(mu @ np.sum(lam * fv, axis=1)) / qnorm if qnorm > 0.0 else 0.0
 
-    coeffs = taylor_truncate(fe, n).coeffs
+    coeffs = taylor_truncate(fe, n).coeffs / scale[:, None]
     r = fv - _act(vr, vi, coeffs, lm)
     s = np.sum(r * r, axis=1)
     eps = 0.0 if p >= 2.0 else 0.1 * float(mu @ np.sqrt(s)) / float(np.sum(mu))
@@ -406,15 +378,14 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         # an attained value bounds the minimum too: rounding may leave the
         # dual bound an ulp above it at an exact optimum
         lower = min(lower_bound(r, s, eps), upper)
+        result = BestApproxResult(n, upper, SliceSeries(coeffs * scale[:, None]),
+                                  "descent", lower=lower)
         if upper - lower <= tol * upper + sampled_err:
-            return BestApproxResult(n, upper, SliceSeries(coeffs), "descent",
-                                    lower=lower)
+            return result
         if steps == max_iter or (dec == 0.0 and eps == 0.0):
             raise SolverError(
                 f"duality gap {upper - lower:.3g} above tolerance after "
-                f"{steps} Newton steps",
-                best=BestApproxResult(n, upper, SliceSeries(coeffs), "descent",
-                                      lower=lower))
+                f"{steps} Newton steps", best=result)
         cur = psi(s, eps)
         if dec <= 1e-20 * cur:
             # Newton has settled on this smoothing: sharpen it

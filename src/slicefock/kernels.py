@@ -10,7 +10,6 @@ only lower the residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import TruncationError
 from .quaternion import Quaternion, left_mult_matrix
 from .series import ExpGenerator, SliceSeries, evaluate, extended
 from .spaces import _check_positive
-from .approx import least_squares, parseval_log_weights
+from .approx import _parseval_log_terms, least_squares, parseval_log_weights
 
 
 #: L(e_c) for the basis quaternions e_c, so that L(q) = sum_c q_c L(e_c).
@@ -59,8 +58,6 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     it genuinely ill-conditioned, and past ``COND_LIMIT`` it raises
     :class:`ConditioningError`.  Appending centers cannot raise the residual.
     """
-    from scipy.special import gammaln
-
     _check_positive("weight parameter alpha", alpha)
     centers = list(centers)
     if not centers:
@@ -72,7 +69,7 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     deg = max(parseval_log_weights(g, alpha)[0].degree for g in (*sections, f))
     k = np.arange(deg + 1)
     with np.errstate(over="ignore"):
-        root = np.exp(0.5 * (gammaln(k + 1.0) - k * math.log(alpha)))   # sqrt(k!/alpha^k)
+        root = np.exp(0.5 * _parseval_log_terms(0.0, k, alpha))   # sqrt(k!/alpha^k)
     if not np.all(np.isfinite(root)):
         raise TruncationError(
             f"weights k!/alpha^k overflow by degree {deg} (alpha = {alpha:g})")

@@ -218,11 +218,13 @@ def slice_points(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_finite(values: np.ndarray, nodes) -> None:
-    bad = ~np.isfinite(values)
+    """Refuse the first node whose row of ``values`` (one row per node) holds
+    a non-finite number, named as a plain Python number."""
+    bad = ~np.all(np.isfinite(values.reshape(len(values), -1)), axis=1)
     if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
+        node = nodes[int(np.flatnonzero(bad)[0])]
         raise IntegrandOverflowError(
-            f"integrand overflow at node {nodes[idx]!r}", node=nodes[idx])
+            f"integrand overflow at node {np.asarray(node).tolist()!r}", node=node)
 
 
 def integrate_slice(g, grid: QuadratureGrid) -> float:

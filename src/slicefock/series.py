@@ -120,6 +120,15 @@ class ExpGenerator:
         in k, so the tail past ``degree`` is dominated by a geometric series."""
         return self.size * r ** self.stride / (degree // self.stride + 1)
 
+    def parseval_ratio(self, alpha: float, degree: int) -> float:
+        """Bound on t_{k+s} / t_k for every k >= ``degree``, t_k the Parseval
+        terms |a_k|^2 k! / alpha^k: |c|^2 / ((k+1) alpha) at stride 1,
+        decreasing in k; at stride 2 the ratios increase to their limit
+        4 |c|^2 / alpha^2, which bounds them all."""
+        scaled = self.size / alpha                     # inf past the float range
+        return scaled * self.size / (degree + 1) if self.stride == 1 \
+            else 4.0 * scaled * scaled
+
     def log_total(self, r: float) -> float:
         """log of sum_k |a_k| r^k <= e^{|c| r^s}, a cap on any dropped mass."""
         return self.size * r ** self.stride
@@ -303,6 +312,62 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return m * np.sqrt(np.sum(np.square(a / safe[:, None]), axis=1))
 
 
+def _first_dropped(g: ExpGenerator, mags: np.ndarray) -> int:
+    """Index of the first generator row whose norm (from ``mags``, the row
+    norms already at hand) underflowed to zero in storage; -1 if none."""
+    dropped = np.flatnonzero(mags[::g.stride] == 0.0)
+    return int(dropped[0]) * g.stride if dropped.size else -1
+
+
+def _certified(f: SliceSeries, log_terms, ratio, tol: float, log_floor: float,
+               where: str, drop_ok: bool = False
+               ) -> tuple[SliceSeries, np.ndarray, float]:
+    """Extend f, doubling its stored degree up to ``DEGREE_CAP``, until the
+    tail of the terms t_k (log t_k = ``log_terms(log |a_k|, k)``) past the
+    stored degree is below ``tol`` times max(e^log_floor, sum of the stored
+    t_k), bounded from the last two stored terms by the generator's
+    ``ratio(degree)`` on t_{k+s} / t_k for every later k.  Rows that
+    underflowed to zero in storage drop mass bounded the same way from the
+    first of them, which must meet the tolerance too unless ``drop_ok``.
+    Returns (series, log t_k, relative tail bound); a
+    :class:`TruncationError` names ``where``."""
+    g = f.generator
+    fe = f
+    while True:
+        deg = fe.degree
+        mags = _row_norms(fe.coeffs)
+        with np.errstate(divide="ignore"):
+            logs = log_terms(np.log(mags), np.arange(deg + 1))
+        top = float(np.max(logs))
+        if not top < math.inf:
+            raise TruncationError(f"series terms overflow at {where}")
+        scaled = np.exp(logs - top) if top > -math.inf else np.zeros(deg + 1)
+        total = float(np.sum(scaled))
+        log_ref = max(log_floor, top + math.log(total)) if total > 0.0 else log_floor
+        log_budget = log_ref + math.log(tol)
+        rho = ratio(deg) if g else 0.0
+        last = float(np.max(scaled[-2:]))
+        if rho < 1.0:
+            log_tail = -math.inf if rho == 0.0 or last == 0.0 else \
+                top + math.log(last) + math.log(rho / (1.0 - rho))
+            if log_tail <= log_budget:
+                break
+        if deg >= DEGREE_CAP:
+            raise TruncationError(
+                f"truncation error exceeds tolerance: tail not certified below "
+                f"{tol:g} at {where} with degree cap {DEGREE_CAP}")
+        fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
+    if g and not drop_ok and (k0 := _first_dropped(g, mags)) >= 0:
+        rho = ratio(k0)
+        log_drop = log_terms(g.log_coeff(k0), k0) - math.log1p(-rho) \
+            if rho < 1.0 else math.inf
+        if log_drop > log_budget:
+            raise TruncationError(
+                f"coefficients underflow before the tail is controlled at {where}")
+        log_tail = max(log_tail, log_drop)
+    return fe, logs, 0.0 if log_tail == -math.inf else math.exp(log_tail - log_ref)
+
+
 def prepared_for_radius(f: SliceSeries, radius: float,
                         drop_ok: bool = False) -> tuple[SliceSeries, float]:
     """Extend f until its tail beyond the stored degree is certified small
@@ -318,53 +383,11 @@ def prepared_for_radius(f: SliceSeries, radius: float,
     :func:`underflow_drop_logs`).
     """
     radius = float(abs(radius))
-    fe = f
-    while True:
-        deg = fe.degree
-        mags = _row_norms(fe.coeffs)
-        with np.errstate(divide="ignore"):
-            logs = np.log(mags)
-        if radius > 0.0:
-            logs = logs + np.arange(deg + 1) * math.log(radius)
-        top = float(np.max(logs))
-        if not top < math.inf:
-            raise TruncationError(f"series terms overflow at radius {radius:g}")
-        if top == -math.inf:            # identically zero so far
-            scaled = np.zeros(deg + 1)
-            log_scale = 0.0
-        else:
-            scaled = np.exp(logs - top)
-            log_scale = top
-        total = float(np.sum(scaled))
-        # scale = max(1, sum of term magnitudes), tracked in log space
-        log_ref = max(0.0, log_scale + math.log(total)) if total > 0 else 0.0
-
-        ratio = f.generator.term_ratio(radius, deg) if f.generator else 0.0
-        last = float(np.max(scaled[-2:])) if deg >= 1 else float(scaled[-1])
-        if ratio < 1.0:
-            # geometric bound on the discarded tail; the generator's term
-            # ratio decreases with the degree, so it is valid
-            if ratio == 0.0 or last == 0.0:
-                log_tail = -math.inf
-            else:
-                log_tail = log_scale + math.log(last) + math.log(ratio / (1.0 - ratio))
-            if log_tail <= log_ref + math.log(TAIL_TOL):
-                # Generator coefficients that underflowed to zero drop true
-                # mass; certify that the dropped part is below tolerance too.
-                if f.generator is not None and not drop_ok:
-                    log_drop = float(underflow_drop_logs(fe, np.array([radius]))[0])
-                    if log_drop > log_ref + math.log(TAIL_TOL):
-                        raise TruncationError(
-                            "coefficients underflow before the tail is "
-                            f"controlled at radius {radius:g}")
-                    log_tail = max(log_tail, log_drop)
-                tail_rel = 0.0 if log_tail == -math.inf else math.exp(log_tail - log_ref)
-                return fe, tail_rel
-        if deg >= DEGREE_CAP:
-            raise TruncationError(
-                f"truncation error exceeds tolerance: tail not certified below "
-                f"{TAIL_TOL:g} at radius {radius:g} with degree cap {DEGREE_CAP}")
-        fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
+    log_r = math.log(radius) if radius > 0.0 else 0.0
+    fe, _, tail = _certified(f, lambda log_mags, k: log_mags + k * log_r,
+                             lambda deg: f.generator.term_ratio(radius, deg),
+                             TAIL_TOL, 0.0, f"radius {radius:g}", drop_ok)
+    return fe, tail
 
 
 def max_modulus_type(f: SliceSeries) -> float:
@@ -383,12 +406,9 @@ def underflow_drop_logs(f: SliceSeries, radii: np.ndarray) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     out = np.full(radii.shape, -math.inf)
     g = f.generator
-    if g is None:
+    k0 = _first_dropped(g, _row_norms(f.coeffs)) if g else -1
+    if k0 < 0:
         return out
-    dropped = np.flatnonzero(_row_norms(f.coeffs)[::g.stride] == 0.0)
-    if not dropped.size:
-        return out
-    k0 = int(dropped[0]) * g.stride
     log_base = g.log_coeff(k0)
     for i, r in enumerate(radii):
         ratio = g.term_ratio(float(r), k0)
@@ -485,7 +505,9 @@ def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
     quaternions, never (R, D, 4).
     """
     s, top = _polar_sum(f, radii, n_circle)
-    with np.errstate(over="ignore"):       # inf past the float range
+    # inf past the float range, nan where it meets a zero component: the
+    # callers' finite checks name the node
+    with np.errstate(over="ignore", invalid="ignore"):
         return _lift(s, unit) * np.exp(top)[:, None, None]
 
 
@@ -507,7 +529,7 @@ def polar_components(f: SliceSeries, radii: np.ndarray, n_circle: int,
     r_i exp(2 pi i index_j / n_circle), each of shape (R, len(index), 4):
     Re S and Im S from one :func:`_polar_sum`."""
     s, top = _polar_sum(f, radii, n_circle)
-    with np.errstate(over="ignore"):       # inf past the float range
+    with np.errstate(over="ignore", invalid="ignore"):   # as in eval_polar
         s = s[:, index] * np.exp(top)[:, None, None]
     return s.real, s.imag
 

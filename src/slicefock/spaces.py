@@ -262,9 +262,11 @@ def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
 
 
 def _affine_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|a + u b|^2 = A + u.w for every unit u: returns A and the (..., 3) w."""
-    amp_sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
-    return amp_sq, 2.0 * quat_mul_array(a, quat_conj_array(b))[..., 1:]
+    """|a + u b|^2 = A + u.w for every unit u: returns A and the (..., 3) w,
+    inf or nan past the float range (reported as a non-finite sample)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp_sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
+        return amp_sq, 2.0 * quat_mul_array(a, quat_conj_array(b))[..., 1:]
 
 
 def _sphere_power(amp_sq: np.ndarray, wnorm: np.ndarray, p: float) -> np.ndarray:

@@ -286,10 +286,18 @@ def test_parseval_tail_counts_underflowed_generator_rows():
         math.exp(10.0), rel=1e-14)
 
 
+def test_parseval_rows_underflowing_while_terms_grow_are_a_truncation_error():
+    # |c| = 1e-100: rows past a_3 underflow, while the Parseval terms
+    # 10^k / k! still grow there (ratio 2 at k = 4)
+    from slicefock.errors import TruncationError
+    from slicefock.series import ExpGenerator
+
+    with pytest.raises(TruncationError, match="underflow"):
+        parseval_norm_sq(ExpGenerator((1e-100, 0.0, 0.0, 0.0)).series(24), 1e-201)
+
+
 @pytest.mark.parametrize("beta,alpha", [(0.25, 1.0), (0.4, 1.0), (0.1, 0.5)])
 def test_parseval_stride_two_ratio_bounds_every_later_ratio(beta, alpha):
-    from slicefock.approx import _parseval_ratio
-
     f = gauss_series(beta)
     g = f.generator
     k = np.arange(0, 1200, 2)
@@ -297,7 +305,7 @@ def test_parseval_stride_two_ratio_bounds_every_later_ratio(beta, alpha):
             for j in k]
     ratios = np.exp(np.diff(logt))
     for deg in (0, 16, 64, 256):
-        assert np.all(ratios[k[:-1] >= deg] <= _parseval_ratio(f, alpha, deg))
+        assert np.all(ratios[k[:-1] >= deg] <= g.parseval_ratio(alpha, deg))
     # the sum itself: sum_m C(2m, m) (beta / alpha)^(2m) = (1 - 4 beta^2 / alpha^2)^(-1/2)
     assert parseval_norm_sq(f, alpha) == pytest.approx(
         (1.0 - 4.0 * beta * beta / (alpha * alpha)) ** -0.5, rel=1e-14)

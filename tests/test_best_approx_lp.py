@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import minimize
 
 from slicefock.approx import best_approx_lp, verify_vdp
-from slicefock.errors import ConditioningError
+from slicefock.errors import ConditioningError, IntegrandOverflowError
 from slicefock.quadrature import slice_grid, slice_points
 from slicefock.quaternion import ImaginaryUnit, UNIT_I, left_mult_matrix
 from slicefock.series import (
@@ -145,3 +145,14 @@ def test_degree_beyond_the_grid_is_a_conditioning_error():
     # 4 nodes cannot separate 7 monomials
     with pytest.raises(ConditioningError):
         best_approx_lp(exp_series(), 6, 1.0, 1.0, grid=slice_grid(0.5, 2, 2))
+
+
+def test_tiny_alpha_scales_the_monomials_before_the_gram():
+    # at alpha = 1e-20 the nodes reach |z| ~ 1e11: z^16 is finite, but the
+    # unscaled Gram of such columns overflowed; f has degree 8, so E_16 = 0
+    f = random_series(8, 3)
+    res = best_approx_lp(f, 16, 1.5, 1e-20)
+    assert res.value <= 1e-10 * best_approx_lp(f, 4, 1.5, 1e-20).value
+    # z^40 itself overflows there, and is refused before any Gram is formed
+    with pytest.raises(IntegrandOverflowError, match="overflow at node"):
+        best_approx_lp(f, 40, 1.5, 1e-20)

@@ -448,6 +448,8 @@ def test_growth_needs_an_increasing_finite_radius_range(capsys, r_min, r_max):
     (("norm", "--fn", "kernel-section:1e200,1,0,0,1"), "overflow"),
     (("bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"),
      "underflow"),
+    (("smoothness", "--fn", "exp", "--k", "1023", "--delta-list", "0.5"),
+     "integrand overflow at node ("),
 ])
 def test_float_range_failures_are_one_error_line_without_warnings(capsys, argv,
                                                                   names):
@@ -458,4 +460,5 @@ def test_float_range_failures_are_one_error_line_without_warnings(capsys, argv,
         code, out, err = _main(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and names in err
+    assert "np." not in err          # numbers print as plain Python numbers
     assert len(err.splitlines()) == 1

@@ -126,6 +126,14 @@ def invocations(draw):
 @example(argv=["norm", "--fn", "kernel-section:1e200,1,0,0,1"])
 @example(argv=["smoothness", "--fn", "exp", "--k", "100000", "--delta-list", "0.5"])
 @example(argv=["bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"])
+@example(argv=["converge", "--fn", "random:8:3", "--operator", "vdp", "--p", "1.5",
+               "--alpha", "1e-20", "--n-list", "4,16"])
+@example(argv=["norm", "--fn", "mono:4", "--kind", "first", "--p", "3",
+               "--alpha", "1e-150"])
+@example(argv=["norm", "--fn", "mono:4", "--alpha", "1e-200"])
+@example(argv=["converge", "--fn", "mono:4", "--operator", "taylor", "--alpha", "1e-200"])
+@example(argv=["bestapprox", "--fn", "mono:4", "--alpha", "1e-200", "--p", "1.5",
+               "--n-list", "2"])
 def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, argv):
     good = tmp_path_factory.getbasetemp() / "fuzz_poly.txt"
     bad = good.with_suffix(".bad")
