@@ -6,7 +6,9 @@ coefficient form a_j -> (e^{I j h} - 1)^k a_j, since rotating the argument
 by h multiplies the degree-j coefficient by e^{I j h}.  The modulus of
 smoothness is the sup over step sizes of the weighted L^p size of that
 difference; following its definition it carries no normalization prefactor,
-unlike the norms (any constant ends up inside the reported ratios).
+unlike the norms (any constant ends up inside the reported ratios).  At
+p = 2 that size is a weighted coefficient sum, since |e^{I j h} - 1| =
+2 |sin(j h / 2)|; elsewhere it is a plane quadrature per step.
 
 Best approximation is exact in the plane Hilbert case (monomials are
 orthogonal, so the minimizer is the Taylor truncation and the error is a
@@ -26,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, IntegrandOverflowError, SolverError
+from .errors import (
+    ConditioningError,
+    IntegrandOverflowError,
+    SolverError,
+    TruncationError,
+)
 from .operators import MultiplierOperator, apply, jackson_op, jackson_rule_r, vdp_op
 from .quaternion import (
     ImaginaryUnit,
@@ -127,8 +134,13 @@ def modulus(f: SliceSeries, query: ModulusQuery,
 
     The sup is realized as a max over ``h_grid`` uniform step sizes
     including the endpoint; it vanishes at delta = 0 and is nondecreasing
-    in delta.
+    in delta.  At p = 2 the value is exact from coefficients
+    (:func:`_modulus_second`) and ``grid`` is not read; the monomials are
+    orthogonal on every plane, so it does not depend on ``query.unit``
+    either.  Otherwise each step is one plane quadrature on ``grid``.
     """
+    if query.p == 2.0:
+        return _modulus_second(f, query)
     grid = grid or slice_grid(query.alpha * query.p / 2.0)
     fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
     best = 0.0
@@ -139,6 +151,50 @@ def modulus(f: SliceSeries, query: ModulusQuery,
         raw, _, _ = _slice_raw_power(diff, query.unit, grid, query.p, query.alpha)
         best = max(best, raw ** (1.0 / query.p))
     return best
+
+
+def _modulus_second(f: SliceSeries, query: ModulusQuery) -> float:
+    """The p = 2 modulus from f's Parseval terms t_j = |a_j|^2 j! / alpha^j:
+    |e^{I j h} - 1| = 2 |sin(j h / 2)|, so the squared plane norm of the
+    k-th difference is (pi / alpha) sum_j (2 sin(j h / 2))^{2k} t_j, taken
+    for every sampled step at once in log space.
+
+    The stored difference's tail is at most 4^k times f's certified
+    Parseval tail, and must stay below ``NORM_TAIL_BUDGET`` of the squared
+    value (:class:`TruncationError` otherwise).  A value past the float
+    range raises :class:`IntegrandOverflowError`.
+    """
+    _, logw, tail = _parseval_terms(f, query.alpha)
+    k = query.k
+    steps = np.linspace(0.0, query.delta, query.h_grid)[1:]
+    with np.errstate(divide="ignore"):
+        logs = 2.0 * k * np.log(np.abs(2.0 * np.sin(
+            0.5 * np.outer(steps, np.arange(logw.size))))) + logw
+    # log-sum-exp per step, each row scaled by its largest term
+    top = np.max(logs, axis=1)
+    top = np.where(top > -math.inf, top, 0.0)
+    sums = np.sum(np.exp(logs - top[:, None]), axis=1)
+    with np.errstate(divide="ignore"):
+        log_sq = top + np.log(sums)
+    best = int(np.argmax(log_sq))
+    if log_sq[best] == -math.inf:
+        return 0.0
+    if tail > 0.0:
+        top_f = float(np.max(logw))
+        log_tail = k * math.log(4.0) + math.log(tail) + top_f + \
+            math.log(float(np.sum(np.exp(logw - top_f))))
+        if log_tail > math.log(NORM_TAIL_BUDGET) + float(log_sq[best]):
+            raise TruncationError(
+                f"order-{k} difference tail exceeds {NORM_TAIL_BUDGET:g} of "
+                f"the modulus at alpha = {query.alpha:g}")
+    try:
+        value = math.sqrt(float(sums[best])) * math.exp(
+            0.5 * (float(top[best]) + math.log(math.pi) - math.log(query.alpha)))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise IntegrandOverflowError(f"order-{k} modulus exceeds the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +208,16 @@ def _parseval_log_terms(log_sq, k, alpha: float):
     return log_sq + gammaln(k + 1.0) - k * math.log(alpha)
 
 
+def _parseval_terms(f: SliceSeries, alpha: float
+                    ) -> tuple[SliceSeries, np.ndarray, float]:
+    """:func:`parseval_log_weights` plus the certified tail bound, relative
+    to the sum of the terms (0 for polynomials)."""
+    return _certified(
+        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
+        lambda deg: f.generator.parseval_ratio(alpha, deg), PARSEVAL_TAIL_TOL,
+        -math.inf, f"alpha = {alpha:g}")
+
+
 def parseval_log_weights(f: SliceSeries, alpha: float
                          ) -> tuple[SliceSeries, np.ndarray]:
     """Extend f until the Parseval terms |a_k|^2 k! / alpha^k have a tail
@@ -159,10 +225,7 @@ def parseval_log_weights(f: SliceSeries, alpha: float
     the log of each term (log 0 for vanishing coefficients).  The mass of
     generator rows that underflowed to zero in storage, bounded from
     ``log_coeff``, must stay below that tolerance too."""
-    fe, logw, _ = _certified(
-        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
-        lambda deg: f.generator.parseval_ratio(alpha, deg), PARSEVAL_TAIL_TOL,
-        -math.inf, f"alpha = {alpha:g}")
+    fe, logw, _ = _parseval_terms(f, alpha)
     return fe, logw
 
 
@@ -524,7 +587,8 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
                    grid: QuadratureGrid | None = None) -> JacksonReport:
     """Compare the smoothing-difference operator error with the modulus of
     smoothness of order m + 1 at step 1/n; the ratio should stay within a
-    constant factor across n."""
+    constant factor across n.  The error is a norm on ``grid``; at p = 2
+    the modulus is exact from coefficients and reads no grid."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
     op = jackson_op(n, m, p)

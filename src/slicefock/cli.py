@@ -38,7 +38,8 @@ from .series import (
 #: Accepted ``growth --radii`` counts: the fit needs four radii, and each
 #: radius is a full max-modulus sweep.
 GROWTH_RADII = (4, 1000)
-#: Largest ``smoothness --h-grid``: each step size is a full plane norm.
+#: Largest ``smoothness --h-grid``: each step size is a full plane norm at
+#: p != 2, and a row of coefficient terms at p = 2.
 H_GRID_CAP = 4096
 #: Largest ``--slice sup:<M>``: each sampled plane is a full plane integral.
 SUP_SAMPLES_CAP = 1024
@@ -225,10 +226,11 @@ def cmd_converge(args) -> int:
     for n in n_list:
         _check_operator_degree(args.operator, n, args.m, args.p)
     grid = _grid_for(args, spec)
+    if args.operator == "taylor":
+        fe, _ = prepared_for_radius(f, grid.max_radius)
     rows = []
     for n in n_list:
         if args.operator == "taylor":
-            fe, _ = prepared_for_radius(f, grid.max_radius)
             err = spaces.norm(fe - taylor_truncate(fe, n), spec, grid)
             rows.append((n, err, None, None))
         elif args.operator == "fejer":
@@ -350,25 +352,6 @@ def _parse_list(text: str, kind=int) -> list:
         return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise CliError(f"bad {kind.__name__} list {text!r}") from exc
-
-
-def canonical_argv(args: argparse.Namespace) -> list[str]:
-    """Rebuild a canonical command line from a parsed configuration.
-
-    Parsing the result reproduces an identical namespace, so configurations
-    round-trip; unknown flags are rejected by the parser itself.
-    """
-    out = [args.command]
-    skip = {"command", "func"}
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        if value is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        out.extend([flag, str(value)])
-    return out
 
 
 def _norm_flags(p, kind: bool = False) -> None:

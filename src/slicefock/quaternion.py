@@ -258,10 +258,6 @@ def quat_conj_array(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def quat_abs_array(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.square(p), axis=-1))
-
-
 def left_mult_matrix(q: Quaternion) -> np.ndarray:
     """4x4 real matrix L with L @ vec(p) = vec(q p)."""
     w, x, y, z = q.w, q.x, q.y, q.z

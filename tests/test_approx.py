@@ -19,8 +19,8 @@ from slicefock.approx import (
     verify_vdp,
 )
 from slicefock.errors import SolverError
-from slicefock.quaternion import Quaternion, UNIT_I, slice_exp
-from slicefock.quadrature import slice_grid
+from slicefock.quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_exp
+from slicefock.quadrature import DEFAULT_ANGULAR, DEFAULT_RADIAL, slice_grid
 from slicefock.series import (
     SliceSeries,
     evaluate,
@@ -28,6 +28,8 @@ from slicefock.series import (
     from_quaternions,
     gauss_series,
     monomial,
+    prepared_for_radius,
+    random_series,
     taylor_truncate,
 )
 from slicefock.spaces import NormSpec, default_grid, inner_first, norm
@@ -320,3 +322,102 @@ def test_difference_series_overflow_is_a_named_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(IntegrandOverflowError, match="difference"):
             difference_series(exp_series(), 100000, 0.5, UNIT_I)
+
+
+# ---------------------------------------------------------------------------
+# the p = 2 modulus from Parseval terms
+
+SKEW_UNIT = ImaginaryUnit.from_vector([0.3, -0.4, 0.5])
+P2_FAMILIES = {"exp": exp_series(), "gauss:0.25": gauss_series(0.25),
+               "random:8": random_series(8, 7)}
+
+
+def _quadrature_modulus(f, query, grid):
+    """The modulus by plane quadrature: each sampled step's k-th difference
+    integrated on ``grid``, without the norm's prefactor alpha / pi."""
+    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
+    spec = NormSpec("second", 2.0, query.alpha, slice_unit=query.unit)
+    best = max(norm(difference_series(fe, query.k, float(h), query.unit), spec, grid)
+               for h in np.linspace(0.0, query.delta, query.h_grid)[1:])
+    return best * math.sqrt(math.pi / query.alpha)
+
+
+@pytest.mark.parametrize("name", sorted(P2_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_p2_modulus_matches_quadrature_on_a_refined_grid(name, k):
+    f = P2_FAMILIES[name]
+    grid = slice_grid(1.0, 2 * DEFAULT_RADIAL, 2 * DEFAULT_ANGULAR)
+    for unit in (UNIT_I, SKEW_UNIT):
+        for delta in (1.0 / 16.0, 1.5):
+            query = ModulusQuery(k=k, delta=delta, p=2.0, alpha=1.0, unit=unit)
+            assert modulus(f, query) == pytest.approx(
+                _quadrature_modulus(f, query, grid), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(P2_FAMILIES))
+def test_p2_modulus_reads_neither_grid_nor_unit(name):
+    f = P2_FAMILIES[name]
+    for alpha in (1.0, 2.5):
+        query = ModulusQuery(k=2, delta=0.3, p=2.0, alpha=alpha)
+        want = modulus(f, query)
+        assert want > 0.0
+        assert modulus(f, query, slice_grid(alpha, 2, 2)) == want
+        assert modulus(f, ModulusQuery(k=2, delta=0.3, p=2.0, alpha=alpha,
+                                       unit=SKEW_UNIT)) == want
+
+
+@pytest.mark.parametrize("name", sorted(P2_FAMILIES))
+def test_p2_modulus_monotone_in_delta(name):
+    # below pi / 8 every term (2 sin(j h / 2))^(2k) of degree j <= 8 grows
+    # with h, and the higher terms of exp and gauss are far below them
+    f = P2_FAMILIES[name]
+    for k in (1, 2, 3):
+        vals = [modulus(f, ModulusQuery(k=k, delta=d, p=2.0, alpha=1.0))
+                for d in np.geomspace(1.0 / 256.0, 0.375, 12)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_p2_modulus_charges_four_to_the_k_times_the_parseval_tail():
+    from slicefock.approx import _parseval_terms
+    from slicefock.errors import TruncationError
+    from slicefock.spaces import NORM_TAIL_BUDGET
+
+    f, k, delta = exp_series(), 5, 1.5e-6
+    _, logw, tail = _parseval_terms(f, 1.0)
+    total = float(np.sum(np.exp(logw)))
+    j = np.arange(logw.size)
+    sq = float(np.sum((2.0 * np.sin(0.5 * delta * j)) ** (2 * k) * np.exp(logw)))
+    # the stored difference is certified against f's tail alone, not
+    # against the 4^k it can grow by
+    assert tail * total < NORM_TAIL_BUDGET * sq < 4.0 ** k * tail * total
+    with pytest.raises(TruncationError, match="order-5 difference tail"):
+        modulus(f, ModulusQuery(k=k, delta=delta, p=2.0, alpha=1.0))
+    assert modulus(f, ModulusQuery(k=k, delta=1e-4, p=2.0, alpha=1.0)) > 0.0
+    # a polynomial has no tail: any step is certified
+    assert modulus(monomial(3), ModulusQuery(k=k, delta=delta, p=2.0,
+                                             alpha=1.0)) > 0.0
+
+
+def test_p2_modulus_past_the_float_range_names_the_order():
+    import warnings
+
+    from slicefock.errors import IntegrandOverflowError
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrandOverflowError, match="order-1023"):
+            modulus(exp_series(), ModulusQuery(k=1023, delta=0.5, p=2.0,
+                                               alpha=0.1))
+
+
+def test_p2_modulus_at_order_1023_matches_a_50_digit_sum():
+    import mpmath
+
+    with mpmath.workdps(50):
+        # exp: Parseval terms 1/j!; 4^1023 / j! is negligible past j = 120
+        best = max(mpmath.fsum((2 * mpmath.sin(j * mpmath.mpf(float(h)) / 2)) ** 2046
+                               / mpmath.factorial(j) for j in range(120))
+                   for h in np.linspace(0.0, 0.5, 16)[1:])
+        want = float(mpmath.sqrt(mpmath.pi * best))
+    got = modulus(exp_series(), ModulusQuery(k=1023, delta=0.5, p=2.0, alpha=1.0))
+    assert got == pytest.approx(want, rel=1e-12)

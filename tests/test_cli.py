@@ -131,8 +131,19 @@ def test_bestapprox_json_format():
     assert values == sorted(values, reverse=True)
 
 
+def canonical_argv(args) -> list[str]:
+    """A canonical command line from a parsed configuration: the subcommand,
+    then every set option as ``--flag value`` in sorted order."""
+    out = [args.command]
+    for key in sorted(vars(args)):
+        value = getattr(args, key)
+        if key not in ("command", "func") and value is not None:
+            out.extend(["--" + key.replace("_", "-"), str(value)])
+    return out
+
+
 def test_config_round_trips_canonically():
-    from slicefock.cli import build_parser, canonical_argv
+    from slicefock.cli import build_parser
 
     parser = build_parser()
     argv = ["converge", "--fn", "exp", "--operator", "vdp", "--n-list", "2,4",
@@ -230,6 +241,25 @@ def test_generator_degree_above_cap_exits_1(spec):
     assert res.stderr.startswith("error:")
     assert "degree cap" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (("norm", "--fn", "exp", "--alpha", "0.01"), "error: truncated-tail"),
+    (("smoothness", "--fn", "exp", "--alpha", "0.01"),
+     "error: coefficients underflow"),
+    (("converge", "--fn", "exp", "--alpha", "0.01", "--operator", "jackson",
+      "--n-list", "4"), "error: coefficients underflow"),
+])
+def test_exp_at_alpha_001_is_refused_by_norm_smoothness_and_jackson(capsys, argv,
+                                                                    prefix):
+    # 1/k! underflows near k = 178, while the weighted terms still matter
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _main(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
 
 
 def test_norm_unresolved_by_coarse_grid_exits_1():
@@ -448,7 +478,7 @@ def test_growth_needs_an_increasing_finite_radius_range(capsys, r_min, r_max):
     (("norm", "--fn", "kernel-section:1e200,1,0,0,1"), "overflow"),
     (("bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"),
      "underflow"),
-    (("smoothness", "--fn", "exp", "--k", "1023", "--delta-list", "0.5"),
+    (("smoothness", "--fn", "exp", "--k", "1023", "--delta-list", "0.5", "--p", "1"),
      "integrand overflow at node ("),
 ])
 def test_float_range_failures_are_one_error_line_without_warnings(capsys, argv,

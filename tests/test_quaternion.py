@@ -13,7 +13,6 @@ from slicefock.quaternion import (
     UNIT_K,
     mul,
     perpendicular_unit,
-    quat_abs_array,
     quat_mul_array,
     slice_exp,
     slice_unit,
@@ -45,6 +44,10 @@ def test_mul_examples():
     q = Quaternion(0.3, -1.2, 0.5, 2.0)
     assert mul(q, Quaternion(1)) == q
     assert mul(Quaternion(1, 1, 0, 0), Quaternion(1, -1, 0, 0)) == Quaternion(2)
+
+
+def quat_abs_array(p: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(np.square(p), axis=-1))
 
 
 def test_mul_bulk_invariants(rng):
