@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Order/type survey: growth reports for exponential-type functions and the
-divergence gate demonstration for weights past the membership threshold."""
+membership gate demonstration for a type past alpha / 2."""
 
 import argparse
 import json

@@ -46,20 +46,24 @@ from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points,
 from .series import (
     SliceSeries,
     _certified,
+    _refuse_drop,
     embed_complex,
     evaluate,
-    prepared_for_radius,
     taylor_truncate,
 )
 from .spaces import (
     SPHERE_AREA,
     NormSpec,
     NORM_TAIL_BUDGET,
+    _charged_norm,
     _check_positive,
+    _check_tail_budget,
+    _half_weight,
+    _plane_raw_power,
     _plane_values,
     _slice_raw_power,
     _weighted_components,
-    norm,
+    prepared_for_grid,
 )
 
 #: Condition number past which a Gram matrix is refused rather than solved.
@@ -137,20 +141,23 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     in delta.  At p = 2 the value is exact from coefficients
     (:func:`_modulus_second`) and ``grid`` is not read; the monomials are
     orthogonal on every plane, so it does not depend on ``query.unit``
-    either.  Otherwise each step is one plane quadrature on ``grid``.
+    either.  Otherwise each step is one plane quadrature on ``grid``, and
+    f's underflowed rows are charged at 2^k, the largest multiplier.
     """
     if query.p == 2.0:
         return _modulus_second(f, query)
     grid = grid or slice_grid(query.alpha * query.p / 2.0)
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
-    best = 0.0
-    for h in np.linspace(0.0, query.delta, query.h_grid):
-        if h == 0.0:
-            continue
+    fe, _, drop, _ = prepared_for_grid(f, query.alpha, grid)
+    if drop is not None:
+        with np.errstate(over="ignore"):   # inf is refused by the budget
+            drop = drop * 2.0 ** query.k
+    best = upper = 0.0
+    for h in np.linspace(0.0, query.delta, query.h_grid)[1:]:
         diff = difference_series(fe, query.k, float(h), query.unit)
-        raw, _, _ = _slice_raw_power(diff, query.unit, grid, query.p, query.alpha)
-        best = max(best, raw ** (1.0 / query.p))
-    return best
+        raw, delta = _slice_raw_power(diff, query.unit, grid, query.p, query.alpha, drop)
+        best, upper = max(best, raw), max(upper, raw + delta)
+    _check_tail_budget(best, upper - best, query.p)
+    return best ** (1.0 / query.p)
 
 
 def _modulus_second(f: SliceSeries, query: ModulusQuery) -> float:
@@ -161,32 +168,38 @@ def _modulus_second(f: SliceSeries, query: ModulusQuery) -> float:
 
     The stored difference's tail is at most 4^k times f's certified
     Parseval tail, and must stay below ``NORM_TAIL_BUDGET`` of the squared
-    value (:class:`TruncationError` otherwise).  A value past the float
-    range raises :class:`IntegrandOverflowError`.
+    value, else f's terms are certified once more at the tail that value
+    needs.  A value past the float range raises
+    :class:`IntegrandOverflowError`.
     """
-    _, logw, tail = _parseval_terms(f, query.alpha)
     k = query.k
     steps = np.linspace(0.0, query.delta, query.h_grid)[1:]
-    with np.errstate(divide="ignore"):
-        logs = 2.0 * k * np.log(np.abs(2.0 * np.sin(
-            0.5 * np.outer(steps, np.arange(logw.size))))) + logw
-    # log-sum-exp per step, each row scaled by its largest term
-    top = np.max(logs, axis=1)
-    top = np.where(top > -math.inf, top, 0.0)
-    sums = np.sum(np.exp(logs - top[:, None]), axis=1)
-    with np.errstate(divide="ignore"):
-        log_sq = top + np.log(sums)
-    best = int(np.argmax(log_sq))
-    if log_sq[best] == -math.inf:
-        return 0.0
-    if tail > 0.0:
+    tol = PARSEVAL_TAIL_TOL
+    while True:
+        _, logw, tail = _parseval_terms(f, query.alpha, tol)
+        with np.errstate(divide="ignore"):
+            logs = 2.0 * k * np.log(np.abs(2.0 * np.sin(
+                0.5 * np.outer(steps, np.arange(logw.size))))) + logw
+        # log-sum-exp per step, each row scaled by its largest term
+        top = np.max(logs, axis=1)
+        top = np.where(top > -math.inf, top, 0.0)
+        sums = np.sum(np.exp(logs - top[:, None]), axis=1)
+        with np.errstate(divide="ignore"):
+            log_sq = top + np.log(sums)
+        best = int(np.argmax(log_sq))
+        if log_sq[best] == -math.inf:
+            return 0.0
         top_f = float(np.max(logw))
-        log_tail = k * math.log(4.0) + math.log(tail) + top_f + \
-            math.log(float(np.sum(np.exp(logw - top_f))))
-        if log_tail > math.log(NORM_TAIL_BUDGET) + float(log_sq[best]):
+        need = math.exp(math.log(NORM_TAIL_BUDGET) + float(log_sq[best])
+                        - k * math.log(4.0) - top_f
+                        - math.log(float(np.sum(np.exp(logw - top_f)))))
+        if tail <= need:
+            break
+        if tol < PARSEVAL_TAIL_TOL:
             raise TruncationError(
                 f"order-{k} difference tail exceeds {NORM_TAIL_BUDGET:g} of "
                 f"the modulus at alpha = {query.alpha:g}")
+        tol = max(need, 5e-324)               # the smallest float
     try:
         value = math.sqrt(float(sums[best])) * math.exp(
             0.5 * (float(top[best]) + math.log(math.pi) - math.log(query.alpha)))
@@ -208,14 +221,15 @@ def _parseval_log_terms(log_sq, k, alpha: float):
     return log_sq + gammaln(k + 1.0) - k * math.log(alpha)
 
 
-def _parseval_terms(f: SliceSeries, alpha: float
+def _parseval_terms(f: SliceSeries, alpha: float, tol: float = PARSEVAL_TAIL_TOL
                     ) -> tuple[SliceSeries, np.ndarray, float]:
-    """:func:`parseval_log_weights` plus the certified tail bound, relative
-    to the sum of the terms (0 for polynomials)."""
-    return _certified(
+    """:func:`parseval_log_weights` at tail tolerance ``tol`` plus the tail
+    bound, relative to the sum of the terms (0 for polynomials)."""
+    where = f"alpha = {alpha:g}"
+    fe, logs, tail, drop, _ = _certified(
         f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
-        lambda deg: f.generator.parseval_ratio(alpha, deg), PARSEVAL_TAIL_TOL,
-        -math.inf, f"alpha = {alpha:g}")
+        lambda deg: f.generator.parseval_ratio(alpha, deg), tol, -math.inf, where)
+    return fe, logs, _refuse_drop(tail, drop, tol, where)
 
 
 def parseval_log_weights(f: SliceSeries, alpha: float
@@ -311,15 +325,22 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
     """Best degree-n approximation in the whole-algebra Hilbert norm (p = 2):
     one least-squares solve of the monomial design, columns scaled to unit
     norm, against sqrt(mu) (a; b) of f; the value is the residual norm.
-    Monomials two degrees apart overlap, so the projection mixes degrees."""
+    Monomials two degrees apart overlap, so the projection mixes degrees.
+    The underflowed rows of f are charged on the residual at every node."""
     grid = grid or volume_grid(alpha)
     design, root = _first_kind_design(n, alpha, grid)
-    fe, _ = prepared_for_radius(f, grid.max_radius)
+    fe, _, drop, _ = prepared_for_grid(f, alpha, grid)
     data = np.concatenate([root[:, None] * c.reshape(-1, 4)
                            for c in _weighted_components(fe, grid, alpha)])
     # a column that vanishes on every node stays zero, and is refused
     d = 1.0 / np.maximum(np.linalg.norm(design, axis=0), np.finfo(float).tiny)
-    sol, value, _ = least_squares(design * d, data)
+    design = design * d
+    sol, value, _ = least_squares(design, data)
+    if drop is not None:
+        res = (design @ sol - data).reshape(2, -1, 4)
+        amp = np.sqrt(np.sum(res * res, axis=(0, 2)))
+        bound = root * np.repeat(drop, grid.angular_nodes.size)
+        _check_tail_budget(value * value, float(np.sum(bound * (2.0 * amp + bound))), 2.0)
     return BestApproxResult(n, value, SliceSeries(d[:, None] * sol), "gram")
 
 
@@ -381,12 +402,13 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     second term being the error the sampled values already carry, and the
     result carries both bounds.  Raises :class:`SolverError` carrying the
     best iterate when the gap is not met within ``max_iter`` Newton steps.
+    The underflowed rows of f are charged on the residual it attains.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"descent requires a finite p >= 1, got {p!r}")
     _check_positive("weight parameter alpha", alpha)
     grid = grid or slice_grid(alpha * p / 2.0)
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
+    fe, _, drop, _ = prepared_for_grid(f, alpha, grid)
     z, w = slice_points(grid)
     mu = alpha * p / (2.0 * math.pi) * w * \
         np.exp(-0.5 * alpha * np.abs(z) ** 2) ** p
@@ -444,6 +466,10 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         result = BestApproxResult(n, upper, SliceSeries(coeffs * scale[:, None]),
                                   "descent", lower=lower)
         if upper - lower <= tol * upper + sampled_err:
+            if drop is not None:
+                amp = np.sqrt(s).reshape(-1, grid.angular_nodes.size)
+                _check_tail_budget(*_plane_raw_power(
+                    amp * _half_weight(grid, alpha)[..., 0], grid, p, drop), p)
             return result
         if steps == max_iter or (dec == 0.0 and eps == 0.0):
             raise SolverError(
@@ -544,14 +570,16 @@ class VdpReport:
         }
 
 
-def operator_error_series(op: MultiplierOperator, f: SliceSeries,
-                          radius: float) -> SliceSeries:
-    """Series of op(f) - f with f extended so its tail at ``radius`` is
-    certified; the difference is then an honest polynomial plus that tail
-    (plus any storage-underflow drop of f, which the Gaussian weight damps
-    far below the norm tolerances at these radii)."""
-    fe, _ = prepared_for_radius(f, radius, drop_ok=True)
-    return apply(op, fe) - fe
+def operator_error(op: MultiplierOperator, prepared, spec: NormSpec,
+                   grid: QuadratureGrid) -> float:
+    """Norm of op(f) - f under ``spec`` on ``grid``, f given by its
+    :func:`slicefock.spaces.prepared_for_grid` record; its underflowed rows
+    are charged at the largest |1 - rho_k| over them (1 past the degree)."""
+    fe, _, drop, k0 = prepared
+    if drop is not None:
+        with np.errstate(over="ignore"):   # inf is refused by the budget
+            drop = drop * float(np.max(np.abs(1.0 - op.rho[k0:]), initial=1.0))
+    return _charged_norm(apply(op, fe) - fe, drop, spec, grid)[0]
 
 
 def vdp_constant(p: float) -> float:
@@ -570,8 +598,7 @@ def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
     """
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    diff = operator_error_series(vdp_op(n), f, grid.max_radius)
-    lhs = norm(diff, spec, grid)
+    lhs = operator_error(vdp_op(n), prepared_for_grid(f, alpha, grid), spec, grid)
     if p == 2.0:
         best = best_approx_second(f, n, alpha)
     else:
@@ -591,9 +618,8 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
     the modulus is exact from coefficients and reads no grid."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    op = jackson_op(n, m, p)
-    diff = operator_error_series(op, f, grid.max_radius)
-    lhs = norm(diff, spec, grid)
+    lhs = operator_error(jackson_op(n, m, p), prepared_for_grid(f, alpha, grid),
+                         spec, grid)
     query = ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit)
     rhs = modulus(f, query, grid)
     degenerate = rhs < 1e-150

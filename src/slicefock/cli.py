@@ -6,7 +6,8 @@ CSV (header row, '.' decimal separator, one leading timestamp comment line)
 or JSON; ``norm`` and ``growth`` reports are JSON with deterministic key
 order.  Exit codes: 0 success, 1 argument, parse or validation errors (also
 non-finite values and sizes past the caps below, refused before anything is
-allocated), 2 when a norm diverges ("not in space").
+allocated, and values the library cannot certify), 2 when f is not in the
+space ("not in space": its order-2 type is at least alpha / 2).
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .series import (
     DEGREE_CAP,
     SliceSeries,
     from_generator,
-    prepared_for_radius,
     random_series,
     read_coefficients,
-    taylor_truncate,
 )
 
 
@@ -226,17 +225,14 @@ def cmd_converge(args) -> int:
     for n in n_list:
         _check_operator_degree(args.operator, n, args.m, args.p)
     grid = _grid_for(args, spec)
-    if args.operator == "taylor":
-        fe, _ = prepared_for_radius(f, grid.max_radius)
+    make_op = {"taylor": operators.taylor_op, "fejer": operators.fejer_op}.get(args.operator)
+    if make_op:
+        prepared = spaces.prepared_for_grid(f, args.alpha, grid)   # once per sweep
     rows = []
     for n in n_list:
-        if args.operator == "taylor":
-            err = spaces.norm(fe - taylor_truncate(fe, n), spec, grid)
+        if make_op:
+            err = approx.operator_error(make_op(n), prepared, spec, grid)
             rows.append((n, err, None, None))
-        elif args.operator == "fejer":
-            diff = approx.operator_error_series(operators.fejer_op(n), f,
-                                                grid.max_radius)
-            rows.append((n, spaces.norm(diff, spec, grid), None, None))
         elif args.operator == "vdp":
             rep = approx.verify_vdp(f, n, args.p, args.alpha, unit, grid)
             rows.append((n, rep.lhs, rep.rhs, rep.slack))

@@ -18,13 +18,13 @@ class IntegrandOverflowError(SliceFockError):
 
 
 class NotInSpaceError(SliceFockError):
-    """Weighted norm diverges: the integrand grows toward the grid boundary
-    or the value keeps increasing under grid refinement."""
+    """f is not in the weighted space: its order-2 type is at least alpha / 2,
+    so the weighted integrand does not decay."""
 
 
 class RefinementError(SliceFockError):
     """A norm moved by more than the refinement tolerance when the grid was
-    refined without growing: the grid does not resolve the integral."""
+    refined: the grid does not resolve the integral."""
 
 
 class ConditioningError(SliceFockError):

@@ -32,7 +32,7 @@ def kernel_section(q0: Quaternion, alpha: float, degree: int = 24) -> SliceSerie
     return ExpGenerator(q0.conjugate().to_array() * float(alpha)).series(degree)
 
 
-def kernel_eval(q0: Quaternion, alpha: float, r: Quaternion) -> Quaternion:
+def section_value(q0: Quaternion, alpha: float, r: Quaternion) -> Quaternion:
     """Value of the section at r: sum_k alpha^k r^k conj(q0)^k / k!.
 
     Reduces to the scalar exponential e^{alpha r q0} when both arguments are

@@ -168,6 +168,11 @@ def degree_bound(family: str, n: int, m: int = 0, p: float = 2.0) -> int:
     raise ValueError(f"unknown operator family {family!r}")
 
 
+def taylor_op(n: int) -> MultiplierOperator:
+    """The Taylor truncation to degree n: rho_k = 1 up to n."""
+    return MultiplierOperator(np.ones(n + 1), f"taylor:{n}", degree_bound("taylor", n))
+
+
 def fejer_op(n: int) -> MultiplierOperator:
     rho = multipliers(fejer_kernel(n))
     return MultiplierOperator(rho, f"fejer:{n}", degree_bound("fejer", n))

@@ -312,25 +312,16 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return m * np.sqrt(np.sum(np.square(a / safe[:, None]), axis=1))
 
 
-def _first_dropped(g: ExpGenerator, mags: np.ndarray) -> int:
-    """Index of the first generator row whose norm (from ``mags``, the row
-    norms already at hand) underflowed to zero in storage; -1 if none."""
-    dropped = np.flatnonzero(mags[::g.stride] == 0.0)
-    return int(dropped[0]) * g.stride if dropped.size else -1
-
-
 def _certified(f: SliceSeries, log_terms, ratio, tol: float, log_floor: float,
-               where: str, drop_ok: bool = False
-               ) -> tuple[SliceSeries, np.ndarray, float]:
+               where: str) -> tuple[SliceSeries, np.ndarray, float, float, int]:
     """Extend f, doubling its stored degree up to ``DEGREE_CAP``, until the
     tail of the terms t_k (log t_k = ``log_terms(log |a_k|, k)``) past the
     stored degree is below ``tol`` times max(e^log_floor, sum of the stored
     t_k), bounded from the last two stored terms by the generator's
     ``ratio(degree)`` on t_{k+s} / t_k for every later k.  Rows that
     underflowed to zero in storage drop mass bounded the same way from the
-    first of them, which must meet the tolerance too unless ``drop_ok``.
-    Returns (series, log t_k, relative tail bound); a
-    :class:`TruncationError` names ``where``."""
+    first, k0.  Returns (series, log t_k, relative tail bound, relative drop
+    bound, k0 or -1); a :class:`TruncationError` names ``where``."""
     g = f.generator
     fe = f
     while True:
@@ -344,79 +335,68 @@ def _certified(f: SliceSeries, log_terms, ratio, tol: float, log_floor: float,
         scaled = np.exp(logs - top) if top > -math.inf else np.zeros(deg + 1)
         total = float(np.sum(scaled))
         log_ref = max(log_floor, top + math.log(total)) if total > 0.0 else log_floor
-        log_budget = log_ref + math.log(tol)
         rho = ratio(deg) if g else 0.0
         last = float(np.max(scaled[-2:]))
         if rho < 1.0:
             log_tail = -math.inf if rho == 0.0 or last == 0.0 else \
                 top + math.log(last) + math.log(rho / (1.0 - rho))
-            if log_tail <= log_budget:
+            if log_tail <= log_ref + math.log(tol):
                 break
         if deg >= DEGREE_CAP:
             raise TruncationError(
                 f"truncation error exceeds tolerance: tail not certified below "
                 f"{tol:g} at {where} with degree cap {DEGREE_CAP}")
         fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
-    if g and not drop_ok and (k0 := _first_dropped(g, mags)) >= 0:
+    dropped = np.flatnonzero(mags[::g.stride] == 0.0) if g else ()
+    k0 = int(dropped[0]) * g.stride if len(dropped) else -1
+    log_drop = -math.inf
+    if k0 >= 0:
         rho = ratio(k0)
         log_drop = log_terms(g.log_coeff(k0), k0) - math.log1p(-rho) \
             if rho < 1.0 else math.inf
-        if log_drop > log_budget:
-            raise TruncationError(
-                f"coefficients underflow before the tail is controlled at {where}")
-        log_tail = max(log_tail, log_drop)
-    return fe, logs, 0.0 if log_tail == -math.inf else math.exp(log_tail - log_ref)
+    tail, drop = (0.0 if x == -math.inf else math.exp(x - log_ref)
+                  for x in (log_tail, log_drop))
+    return fe, logs, tail, drop, k0
 
 
-def prepared_for_radius(f: SliceSeries, radius: float,
-                        drop_ok: bool = False) -> tuple[SliceSeries, float]:
+def _refuse_drop(tail: float, drop: float, tol: float, where: str) -> float:
+    """max(tail, drop) of a pointwise certificate, which has no weight to
+    damp the mass of underflowed rows: above ``tol`` that mass is refused."""
+    if drop > tol:
+        raise TruncationError(
+            f"coefficients underflow before the tail is controlled at {where}")
+    return max(tail, drop)
+
+
+def _radius_certificate(f: SliceSeries, radius: float
+                        ) -> tuple[SliceSeries, np.ndarray, float, float, int]:
+    """:func:`_certified` on the terms |a_k| R^k at ``TAIL_TOL``."""
+    log_r = math.log(radius) if radius > 0.0 else 0.0
+    return _certified(f, lambda log_mags, k: log_mags + k * log_r,
+                      lambda deg: f.generator.term_ratio(radius, deg),
+                      TAIL_TOL, 0.0, f"radius {radius:g}")
+
+
+def prepared_for_radius(f: SliceSeries, radius: float) -> tuple[SliceSeries, float]:
     """Extend f until its tail beyond the stored degree is certified small
     at the given radius.
 
     Returns ``(series, tail)`` where ``tail`` bounds
     sum_{k > D} |a_k| R^k relative to max(1, sum_{k <= D} |a_k| R^k), below
     ``TAIL_TOL``.  Raises :class:`TruncationError` if the bound is
-    unreachable at ``DEGREE_CAP``,
-    or if generator coefficients underflowed to zero while their terms still
-    matter at this radius; ``drop_ok`` skips the latter so that integrators
-    can budget the dropped mass against their Gaussian damping instead (see
-    :func:`underflow_drop_logs`).
+    unreachable at ``DEGREE_CAP``, or if generator coefficients underflowed
+    to zero while their terms still matter at this radius (the weighted
+    consumers charge that mass instead: :func:`spaces.prepared_for_grid`).
     """
     radius = float(abs(radius))
-    log_r = math.log(radius) if radius > 0.0 else 0.0
-    fe, _, tail = _certified(f, lambda log_mags, k: log_mags + k * log_r,
-                             lambda deg: f.generator.term_ratio(radius, deg),
-                             TAIL_TOL, 0.0, f"radius {radius:g}", drop_ok)
-    return fe, tail
+    fe, _, tail, drop, _ = _radius_certificate(f, radius)
+    return fe, _refuse_drop(tail, drop, TAIL_TOL, f"radius {radius:g}")
 
 
 def max_modulus_type(f: SliceSeries) -> float:
     """Order-2 type sigma of f, log max |f| on |q| = r being sigma r^2 + o(r^2),
     from the generator's closed form; 0 for polynomials."""
     return f.generator.type if f.generator else 0.0
-
-
-def underflow_drop_logs(f: SliceSeries, radii: np.ndarray) -> np.ndarray:
-    """log bounds, per radius, for the term mass dropped because generator
-    rows underflowed to zero in storage; -inf where nothing is dropped.
-
-    Uses the geometric tail bound from the first dropped index where the
-    terms already decay, and the whole-series bound where they still grow.
-    """
-    radii = np.asarray(radii, dtype=float)
-    out = np.full(radii.shape, -math.inf)
-    g = f.generator
-    k0 = _first_dropped(g, _row_norms(f.coeffs)) if g else -1
-    if k0 < 0:
-        return out
-    log_base = g.log_coeff(k0)
-    for i, r in enumerate(radii):
-        ratio = g.term_ratio(float(r), k0)
-        if ratio >= 1.0:
-            out[i] = g.log_total(float(r))
-        elif r > 0.0 and log_base > -math.inf:
-            out[i] = log_base + k0 * math.log(r) - math.log(1.0 - ratio)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from slicefock.spaces import (
     inner_second,
     norm,
     order_type,
+    prepared_for_grid,
     sample_ball,
 )
 
@@ -245,7 +246,7 @@ def test_criterion_08_vdp_inequality():
     min_slack = math.inf
     for f in family:
         for n in (2, 4, 8, 16):
-            fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
+            fe = prepared_for_grid(f, alpha, grid)[0]
             lhs = norm(apply(vdp_op(n), fe) - fe, spec, grid)
             best = best_approx_second(f, n, alpha)
             min_slack = min(min_slack, const * best.value - lhs)

@@ -20,7 +20,7 @@ from slicefock.approx import (
 )
 from slicefock.errors import SolverError
 from slicefock.quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_exp
-from slicefock.quadrature import DEFAULT_ANGULAR, DEFAULT_RADIAL, slice_grid
+from slicefock.quadrature import DEFAULT_ANGULAR, DEFAULT_RADIAL, slice_grid, volume_grid
 from slicefock.series import (
     SliceSeries,
     evaluate,
@@ -28,11 +28,17 @@ from slicefock.series import (
     from_quaternions,
     gauss_series,
     monomial,
-    prepared_for_radius,
     random_series,
     taylor_truncate,
 )
-from slicefock.spaces import NormSpec, default_grid, inner_first, norm
+from slicefock.spaces import (
+    NormSpec,
+    default_grid,
+    inner_first,
+    inner_second,
+    norm,
+    prepared_for_grid,
+)
 from conftest import random_poly_coeffs
 
 
@@ -313,6 +319,37 @@ def test_parseval_stride_two_ratio_bounds_every_later_ratio(beta, alpha):
         (1.0 - 4.0 * beta * beta / (alpha * alpha)) ** -0.5, rel=1e-14)
 
 
+#: Every Gaussian-weighted consumer, on a grid of scale alpha / 2 (the
+#: p = 1 plane grid), as a function of (f, alpha) returning a float.
+WEIGHTED_CONSUMERS = {
+    "norm": lambda f, a: norm(f, NormSpec("second", 1.0, a)),
+    "norm first": lambda f, a: norm(f, NormSpec("first", 1.0, a)),
+    "inner_second": lambda f, a: inner_second(f, f, a, grid=slice_grid(a / 2.0)).w,
+    "inner_first": lambda f, a: inner_first(f, f, a, grid=volume_grid(a / 2.0)).w,
+    "best_approx_first": lambda f, a: best_approx_first(
+        f, 4, a, volume_grid(a / 2.0)).value,
+    "best_approx_lp": lambda f, a: best_approx_lp(f, 4, 1.0, a).value,
+    "modulus": lambda f, a: modulus(f, ModulusQuery(k=2, delta=0.5, p=1.0, alpha=a)),
+    "verify_vdp": lambda f, a: verify_vdp(f, 4, 1.0, a).lhs,
+    "verify_jackson": lambda f, a: verify_jackson(f, 4, 0, 1.0, a).lhs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_CONSUMERS))
+def test_every_weighted_consumer_charges_underflowed_rows(name):
+    from slicefock.errors import TruncationError
+
+    consume = WEIGHTED_CONSUMERS[name]
+    # both drop generator rows on these grids: 1/k! near k = 178 at alpha =
+    # 0.01, whose weighted mass misses the budget, and beta^m / m! near
+    # m = 150 for gauss:0.25 at alpha = 1, whose weighted mass meets it
+    for f, alpha in ((exp_series(), 0.01), (gauss_series(0.25), 1.0)):
+        assert prepared_for_grid(f, alpha, slice_grid(alpha / 2.0))[2] is not None
+    with pytest.raises(TruncationError, match="truncated-tail"):
+        consume(exp_series(), 0.01)
+    assert consume(gauss_series(0.25), 1.0) > 0.0
+
+
 def test_difference_series_overflow_is_a_named_error():
     import warnings
 
@@ -335,7 +372,7 @@ P2_FAMILIES = {"exp": exp_series(), "gauss:0.25": gauss_series(0.25),
 def _quadrature_modulus(f, query, grid):
     """The modulus by plane quadrature: each sampled step's k-th difference
     integrated on ``grid``, without the norm's prefactor alpha / pi."""
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
+    fe = prepared_for_grid(f, query.alpha, grid)[0]
     spec = NormSpec("second", 2.0, query.alpha, slice_unit=query.unit)
     best = max(norm(difference_series(fe, query.k, float(h), query.unit), spec, grid)
                for h in np.linspace(0.0, query.delta, query.h_grid)[1:])
@@ -377,25 +414,59 @@ def test_p2_modulus_monotone_in_delta(name):
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_p2_modulus_charges_four_to_the_k_times_the_parseval_tail():
-    from slicefock.approx import _parseval_terms
-    from slicefock.errors import TruncationError
+def _mp_modulus(log_term, k, delta, degree):
+    """sqrt(pi max_h sum_j (2 sin(j h / 2))^(2k) t_j) at alpha = 1 over the
+    sampled steps, the Parseval terms t_j = e^{log_term(j)} for j < degree,
+    at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        best = max(mpmath.fsum((2 * mpmath.sin(j * mpmath.mpf(float(h)) / 2)) ** (2 * k)
+                               * mpmath.exp(log_term(j)) for j in range(degree))
+                   for h in np.linspace(0.0, delta, 16)[1:])
+        return float(mpmath.sqrt(mpmath.pi * best))
+
+
+@pytest.mark.parametrize("name,delta", [("exp", 1.5e-6), ("gauss:0.25", 1e-3)])
+def test_p2_modulus_recertifies_the_tail_a_tiny_step_needs(monkeypatch, name, delta):
+    import mpmath
+
+    from slicefock import approx
     from slicefock.spaces import NORM_TAIL_BUDGET
 
-    f, k, delta = exp_series(), 5, 1.5e-6
-    _, logw, tail = _parseval_terms(f, 1.0)
-    total = float(np.sum(np.exp(logw)))
-    j = np.arange(logw.size)
-    sq = float(np.sum((2.0 * np.sin(0.5 * delta * j)) ** (2 * k) * np.exp(logw)))
-    # the stored difference is certified against f's tail alone, not
-    # against the 4^k it can grow by
-    assert tail * total < NORM_TAIL_BUDGET * sq < 4.0 ** k * tail * total
-    with pytest.raises(TruncationError, match="order-5 difference tail"):
-        modulus(f, ModulusQuery(k=k, delta=delta, p=2.0, alpha=1.0))
-    assert modulus(f, ModulusQuery(k=k, delta=1e-4, p=2.0, alpha=1.0)) > 0.0
-    # a polynomial has no tail: any step is certified
+    f, k = P2_FAMILIES[name], 5
+    calls = []
+    certify = approx._parseval_terms
+
+    def spy(g, alpha, tol=approx.PARSEVAL_TAIL_TOL):
+        out = certify(g, alpha, tol)
+        calls.append((tol, out))
+        return out
+
+    monkeypatch.setattr(approx, "_parseval_terms", spy)
+    got = modulus(f, ModulusQuery(k=k, delta=delta, p=2.0, alpha=1.0))
+    # at PARSEVAL_TAIL_TOL the stored difference's tail, up to 4^k times
+    # f's, misses the budget of the tiny value, so f's terms are certified
+    # once more at the tolerance that step needs
+    assert len(calls) == 2
+    (_, (_, logw, tail)), (tol, _) = calls
+    total, sq = float(np.sum(np.exp(logw))), got * got / math.pi
+    assert NORM_TAIL_BUDGET * sq < 4.0 ** k * tail * total
+    assert tol <= NORM_TAIL_BUDGET * sq / (4.0 ** k * total) * (1.0 + 1e-9)
+    if name == "exp":
+        # f's tail alone meets the budget here: the 4^k is what misses it
+        assert tail * total < NORM_TAIL_BUDGET * sq
+        want = _mp_modulus(lambda j: -mpmath.loggamma(j + 1), k, delta, 80)
+    else:   # t_{2m} = beta^(2m) (2m)! / m!^2
+        want = _mp_modulus(lambda j: -mpmath.inf if j % 2 else
+                           j * mpmath.log(0.25) + mpmath.loggamma(j + 1)
+                           - 2 * mpmath.loggamma(j // 2 + 1), k, delta, 400)
+    assert got == pytest.approx(want, rel=1e-12)
+    # a polynomial has no tail: any step is certified at once
+    calls.clear()
     assert modulus(monomial(3), ModulusQuery(k=k, delta=delta, p=2.0,
                                              alpha=1.0)) > 0.0
+    assert len(calls) == 1
 
 
 def test_p2_modulus_past_the_float_range_names_the_order():

@@ -19,11 +19,10 @@ from slicefock.series import (
     eval_on_slice,
     exp_series,
     gauss_series,
-    prepared_for_radius,
     random_series,
     taylor_truncate,
 )
-from slicefock.spaces import NORM_TAIL_BUDGET, NormSpec, norm
+from slicefock.spaces import NORM_TAIL_BUDGET, NormSpec, norm, prepared_for_grid
 
 SEEDED_UNIT = ImaginaryUnit.from_vector(np.random.default_rng(11).normal(size=3))
 FAMILIES = {
@@ -36,7 +35,7 @@ FAMILIES = {
 def bfgs_minimum(f, n, p, alpha, unit, grid):
     """min over P of sum mu |f - P|^p on the grid nodes, by BFGS in
     coefficients scaled by the weighted size of each monomial."""
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
+    fe = prepared_for_grid(f, alpha, grid)[0]
     z, w = slice_points(grid)
     mu = alpha * p / (2 * math.pi) * w * np.exp(-0.5 * p * alpha * np.abs(z) ** 2)
     fv = eval_on_slice(fe, unit, z)          # Horner, not the grid's FFT
@@ -126,7 +125,7 @@ def test_minimizer_reproduces_value_through_norm(name, n, p, unit):
     f = FAMILIES[name]
     grid = slice_grid(p / 2.0, 24, 48)
     res = best_approx_lp(f, n, p, 1.0, unit, grid=grid)
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
+    fe = prepared_for_grid(f, 1.0, grid)[0]
     got = norm(fe - res.minimizer, NormSpec("second", p, 1.0, slice_unit=unit),
                grid)
     assert got == pytest.approx(res.value, rel=1e-10)

@@ -247,8 +247,9 @@ def test_generator_degree_above_cap_exits_1(spec):
     (("norm", "--fn", "exp", "--alpha", "0.01"), "error: truncated-tail"),
     (("smoothness", "--fn", "exp", "--alpha", "0.01"),
      "error: coefficients underflow"),
+    # the operator error is charged with the dropped rows before the modulus
     (("converge", "--fn", "exp", "--alpha", "0.01", "--operator", "jackson",
-      "--n-list", "4"), "error: coefficients underflow"),
+      "--n-list", "4"), "error: truncated-tail"),
 ])
 def test_exp_at_alpha_001_is_refused_by_norm_smoothness_and_jackson(capsys, argv,
                                                                     prefix):
@@ -260,6 +261,47 @@ def test_exp_at_alpha_001_is_refused_by_norm_smoothness_and_jackson(capsys, argv
         code, out, err = _main(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+EXP_001 = ("--fn", "exp", "--alpha", "0.01", "--n-list", "4")
+GAUSS_P1 = ("--fn", "gauss:0.25", "--p", "1", "--n-list", "4,16")
+
+
+@pytest.mark.parametrize("argv,code,says", [
+    # exp at alpha = 0.01 drops rows whose weighted mass misses the budget
+    (("norm", *EXP_001[:4]), 1, "error:"),
+    (("smoothness", *EXP_001[:4], "--p", "1"), 1, "error:"),
+    (("converge", *EXP_001, "--operator", "fejer"), 1, "error:"),
+    (("converge", *EXP_001, "--operator", "vdp", "--p", "1"), 1, "error:"),
+    (("converge", *EXP_001, "--operator", "taylor"), 1, "error:"),
+    # gauss:0.25 at p = 1 drops rows whose weighted mass meets it
+    (("converge", *GAUSS_P1, "--operator", "taylor"), 0, "4,0.1373466105975517,,"),
+    (("converge", *GAUSS_P1, "--operator", "fejer"), 0, "4,0.3517887522768784,,"),
+    (("norm", "--fn", "gauss:0.25", "--p", "1", "--kind", "first"), 0,
+     "0.7698003589195008"),
+    (("norm", "--fn", "gauss:0.25", "--p", "1", "--kind", "second"), 0,
+     "1.154700538379254"),
+    (("norm", "--fn", "exp", "--alpha", "0.012", "--kind", "first"), 0,
+     "1.2462449532958474e+18"),
+    (("norm", "--fn", "exp", "--alpha", "0.012", "--kind", "second"), 0,
+     "1.246244953295846e+18"),
+    # membership is type < alpha / 2, whatever p
+    (("norm", "--fn", "gauss:0.5", "--p", "1"), 2, "not in space:"),
+    (("norm", "--fn", "gauss:0.5", "--p", "2"), 2, "not in space:"),
+    (("norm", "--fn", "gauss:0.499", "--p", "1"), 1, "error:"),
+    (("norm", "--fn", "gauss:0.499", "--p", "2"), 1, "error:"),
+])
+def test_one_verdict_per_input(capsys, argv, code, says):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, out, err = _main(capsys, argv)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith(says) and len(err.splitlines()) == 1
+    else:
+        assert err == "" and says in out
 
 
 def test_norm_unresolved_by_coarse_grid_exits_1():
@@ -479,6 +521,8 @@ def test_growth_needs_an_increasing_finite_radius_range(capsys, r_min, r_max):
     (("bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"),
      "underflow"),
     (("smoothness", "--fn", "exp", "--k", "1023", "--delta-list", "0.5", "--p", "1"),
+     "integrand overflow at node ("),
+    (("norm", "--fn", "mono:100", "--kind", "first", "--p", "4"),
      "integrand overflow at node ("),
 ])
 def test_float_range_failures_are_one_error_line_without_warnings(capsys, argv,

@@ -134,6 +134,28 @@ def invocations(draw):
 @example(argv=["converge", "--fn", "mono:4", "--operator", "taylor", "--alpha", "1e-200"])
 @example(argv=["bestapprox", "--fn", "mono:4", "--alpha", "1e-200", "--p", "1.5",
                "--n-list", "2"])
+@example(argv=["norm", "--fn", "mono:100", "--kind", "first", "--p", "4"])
+# one verdict per input: the table of test_cli.py::test_one_verdict_per_input
+@example(argv=["norm", "--fn", "exp", "--alpha", "0.01"])
+@example(argv=["smoothness", "--fn", "exp", "--alpha", "0.01", "--p", "1"])
+@example(argv=["converge", "--fn", "exp", "--alpha", "0.01", "--n-list", "4",
+               "--operator", "fejer"])
+@example(argv=["converge", "--fn", "exp", "--alpha", "0.01", "--n-list", "4",
+               "--operator", "vdp", "--p", "1"])
+@example(argv=["converge", "--fn", "exp", "--alpha", "0.01", "--n-list", "4",
+               "--operator", "taylor"])
+@example(argv=["converge", "--fn", "gauss:0.25", "--p", "1", "--n-list", "4,16",
+               "--operator", "taylor"])
+@example(argv=["converge", "--fn", "gauss:0.25", "--p", "1", "--n-list", "4,16",
+               "--operator", "fejer"])
+@example(argv=["norm", "--fn", "gauss:0.25", "--p", "1", "--kind", "first"])
+@example(argv=["norm", "--fn", "gauss:0.25", "--p", "1", "--kind", "second"])
+@example(argv=["norm", "--fn", "exp", "--alpha", "0.012", "--kind", "first"])
+@example(argv=["norm", "--fn", "exp", "--alpha", "0.012", "--kind", "second"])
+@example(argv=["norm", "--fn", "gauss:0.5", "--p", "1"])
+@example(argv=["norm", "--fn", "gauss:0.5", "--p", "2"])
+@example(argv=["norm", "--fn", "gauss:0.499", "--p", "1"])
+@example(argv=["norm", "--fn", "gauss:0.499", "--p", "2"])
 def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, argv):
     good = tmp_path_factory.getbasetemp() / "fuzz_poly.txt"
     bad = good.with_suffix(".bad")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slicefock.errors import ConditioningError
-from slicefock.kernels import fit_with_sections, kernel_eval, kernel_section
+from slicefock.kernels import fit_with_sections, kernel_section, section_value
 from slicefock.quaternion import Quaternion, UNIT_I
 from slicefock.series import exp_series, monomial, taylor_truncate
 from slicefock.spaces import inner_second
@@ -12,12 +12,12 @@ from slicefock.spaces import inner_second
 
 def test_section_at_zero_center_is_one():
     for r in (Quaternion(), Quaternion(2, 1, 0.5, 0)):
-        v = kernel_eval(Quaternion(), 1.0, r)
+        v = section_value(Quaternion(), 1.0, r)
         assert (v - Quaternion(1)).norm() < 1e-14
 
 
 def test_section_real_arguments_scalar_exponential():
-    got = kernel_eval(Quaternion(0.7), 1.3, Quaternion(0.5))
+    got = section_value(Quaternion(0.7), 1.3, Quaternion(0.5))
     assert got.w == pytest.approx(math.exp(1.3 * 0.5 * 0.7), rel=1e-14)
     assert got.imag_norm() == 0.0
 
@@ -26,7 +26,7 @@ def test_section_same_slice_matches_complex_kernel():
     z0 = complex(0.4, 0.6)
     r = complex(0.2, -0.9)
     alpha = 1.1
-    got = kernel_eval(Quaternion(z0.real, z0.imag, 0, 0), alpha,
+    got = section_value(Quaternion(z0.real, z0.imag, 0, 0), alpha,
                       Quaternion(r.real, r.imag, 0, 0))
     want = np.exp(alpha * r * np.conj(z0))
     assert abs(complex(got.w, got.x) - want) < 1e-10 * abs(want)

@@ -14,6 +14,7 @@ import pytest
 from slicefock.quadrature import slice_grid, volume_grid
 from slicefock.quaternion import UNIT_I, ImaginaryUnit
 from slicefock.series import (
+    _radius_certificate,
     _row_norms,
     eval_on_slice,
     eval_polar,
@@ -21,7 +22,6 @@ from slicefock.series import (
     extended,
     from_generator,
     polar_components,
-    prepared_for_radius,
     random_series,
     slice_components,
 )
@@ -64,8 +64,8 @@ def assert_close(got, want, f, radii):
 
 
 def prepared(name, radius):
-    f, _ = prepared_for_radius(FAMILIES[name](), radius, drop_ok=True)
-    return f
+    # the series a weighted consumer integrates: underflowed rows kept
+    return _radius_certificate(FAMILIES[name](), radius)[0]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

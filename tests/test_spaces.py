@@ -233,6 +233,26 @@ def test_norm_report_record_fields():
     assert rep.stability < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_norm_report_tail_bound_carries_the_charged_drop(kind):
+    # gauss:0.25 at p = 1 drops generator rows on the default grid: the
+    # tail bound reports their charged mass relative to the value, not 0
+    rep = norm_report(gauss_series(0.25), NormSpec(kind, 1.0, 1.0))
+    assert 0.0 < rep.tail_bound <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_membership_is_type_below_half_alpha(kind):
+    # at type alpha / 2 the weighted integrand of e(beta q^2) is constant
+    # along the real axis, for every p
+    for p in (1.0, 2.0):
+        with pytest.raises(NotInSpaceError, match="not below alpha / 2"):
+            norm(gauss_series(0.5), NormSpec(kind, p, 1.0))
+        with pytest.raises(NotInSpaceError):
+            norm(gauss_series(-0.25), NormSpec(kind, p, 0.5))
+    assert norm(gauss_series(0.2), NormSpec(kind, 1.0, 1.0)) > 0.0
+
+
 def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec("third", 2.0, 1.0)

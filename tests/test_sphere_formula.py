@@ -28,16 +28,15 @@ from slicefock.series import (
     gauss_series,
     prepared_for_radius,
     slice_components,
-    underflow_drop_logs,
 )
 from slicefock.spaces import (
     NormSpec,
     _affine_square,
     _sphere_power,
-    _sphere_underflow,
     _volume_raw_power,
     inner_first,
     norm,
+    prepared_for_grid,
 )
 
 
@@ -57,8 +56,9 @@ def sphere_planes(grid):
         yield ImaginaryUnit(u[0], u[1], u[2]), wu
 
 
-def loop_raw_power(f, grid, p, alpha, err_logs=None):
-    """Raw first-kind integral and underflow contribution, plane by plane."""
+def loop_raw_power(f, grid, p, alpha, drop=None):
+    """Raw first-kind integral and the contribution of a per-radius bound
+    ``drop`` on the weighted |f|, plane by plane."""
     z = np.outer(grid.radial_nodes, np.exp(1j * grid.angular_nodes))
     half = np.exp(-0.5 * alpha * np.abs(z.ravel()) ** 2)
     raw = delta = 0.0
@@ -67,15 +67,14 @@ def loop_raw_power(f, grid, p, alpha, err_logs=None):
         amp = (np.sqrt(np.sum(vals * vals, axis=1)) * half).reshape(z.shape)
         integ = amp ** p
         raw += wu * float(grid.radial_weights @ (integ @ grid.angular_weights))
-        if err_logs is not None:
-            damped = np.exp(err_logs - 0.5 * alpha * grid.radial_nodes ** 2)
-            extra = ((amp + damped[:, None]) ** p - integ) @ grid.angular_weights
+        if drop is not None:
+            extra = ((amp + drop[:, None]) ** p - integ) @ grid.angular_weights
             delta += wu * float(grid.radial_weights @ extra)
     return raw, delta
 
 
 def loop_norm_first(f, p, alpha, grid):
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
+    fe = prepared_for_grid(f, alpha, grid)[0]
     raw, _ = loop_raw_power(fe, grid, p, alpha)
     pref = alpha * p / (2.0 * math.pi)
     return (pref * pref * raw) ** (1.0 / p)
@@ -141,23 +140,37 @@ def test_first_norm_even_p_matches_default_sphere(p):
     assert got == pytest.approx(loop_norm_first(f, p, 1.0, grid), rel=1e-13)
 
 
-def test_underflow_delta_matches_sphere_loop():
+def test_underflow_bound_matches_sphere_loop_for_real_coefficients():
     # real coefficients: |f| is the same on every plane, so a small sphere
-    # rule is exact; the zonal test below covers w != 0
+    # rule is exact and so is the bound; the test below covers w != 0
     f = gauss_series(0.25)
     grid = volume_grid(0.5, 64, 64, 8)
-    fe, _ = prepared_for_radius(f, grid.max_radius, drop_ok=True)
-    err_logs = underflow_drop_logs(fe, grid.radial_nodes)
-    assert np.any(err_logs > -math.inf)
-    raw, _, delta = _volume_raw_power(fe, grid, 1.0, 1.0, err_logs)
-    want_raw, want_delta = loop_raw_power(fe, grid, 1.0, 1.0, err_logs)
+    fe, _, drop, _ = prepared_for_grid(f, 1.0, grid)
+    assert drop is not None and np.any(drop > 0.0)
+    raw, delta = _volume_raw_power(fe, grid, 1.0, 1.0, drop)
+    want_raw, want_delta = loop_raw_power(fe, grid, 1.0, 1.0, drop)
     assert raw == pytest.approx(want_raw, rel=1e-13)
     assert delta > 0.0
+    assert delta >= want_delta * (1.0 - 1e-9)
     assert delta == pytest.approx(want_delta, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.5, 3.0, 4.0])
+def test_underflow_bound_covers_the_sphere_loop(p):
+    # complex coefficients, so |f| varies over the sphere: the bound takes
+    # the extreme |f| on it, and is exact at p = 1 only
+    f = seeded_series(8, 51)
+    grid = volume_grid(p / 2.0, 16, 16, 1024)
+    drop = np.linspace(0.2, 0.01, 16)
+    _, delta = _volume_raw_power(f, grid, p, 1.0, drop)
+    _, want = loop_raw_power(f, grid, p, 1.0, drop)
+    assert delta >= want * (1.0 - 1e-12)
+    if p == 1.0:
+        assert delta == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0])
-def test_zonal_closed_forms_match_sphere_rule(p):
+def test_sphere_power_matches_sphere_rule(p):
     rng = np.random.default_rng(7)
     w = rng.normal(size=(40, 3))
     wnorm = np.linalg.norm(w, axis=1)
@@ -165,15 +178,11 @@ def test_zonal_closed_forms_match_sphere_rule(p):
     amp_sq[:3] = [1.0, 0.0, 2.0]
     w[:3] = 0.0
     wnorm[:3] = 0.0
-    damped = rng.uniform(0.0, 0.2, size=40)
     units, weights = _sphere_rule(1024)
     x = amp_sq[:, None] + w @ units.T
     want_power = (x ** (p / 2.0)) @ weights
-    want_delta = ((np.sqrt(x) + damped[:, None]) ** p - x ** (p / 2.0)) @ weights
     np.testing.assert_allclose(_sphere_power(amp_sq, wnorm, p), want_power,
                                rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(_sphere_underflow(amp_sq, wnorm, damped, p),
-                               want_delta, rtol=1e-12, atol=0.0)
 
 
 def test_inner_first_matches_sphere_loop():
