@@ -55,7 +55,9 @@ from .spaces import (
     SPHERE_AREA,
     NormSpec,
     NORM_TAIL_BUDGET,
+    Prepared,
     _charged_norm,
+    _check_in_space,
     _check_positive,
     _check_tail_budget,
     _half_weight,
@@ -132,7 +134,8 @@ def difference_series(f: SliceSeries, k: int, h: float,
 
 
 def modulus(f: SliceSeries, query: ModulusQuery,
-            grid: QuadratureGrid | None = None) -> float:
+            grid: QuadratureGrid | None = None,
+            prepared: Prepared | None = None) -> float:
     """Weighted modulus of smoothness: sup over 0 <= h <= delta of the raw
     weighted L^p size of the k-th rotational difference.
 
@@ -141,13 +144,15 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     in delta.  At p = 2 the value is exact from coefficients
     (:func:`_modulus_second`) and ``grid`` is not read; the monomials are
     orthogonal on every plane, so it does not depend on ``query.unit``
-    either.  Otherwise each step is one plane quadrature on ``grid``, and
-    f's underflowed rows are charged at 2^k, the largest multiplier.
+    either.  Otherwise each step is one plane quadrature on ``grid`` of f as
+    ``prepared`` for it (here when None), and f's underflowed rows are
+    charged at 2^k, the largest multiplier.
     """
     if query.p == 2.0:
         return _modulus_second(f, query)
     grid = grid or slice_grid(query.alpha * query.p / 2.0)
-    fe, _, drop, _ = prepared_for_grid(f, query.alpha, grid)
+    prepared = prepared or prepared_for_grid(f, query.alpha, grid)
+    fe, drop = prepared.series, prepared.drop
     if drop is not None:
         with np.errstate(over="ignore"):   # inf is refused by the budget
             drop = drop * 2.0 ** query.k
@@ -224,7 +229,9 @@ def _parseval_log_terms(log_sq, k, alpha: float):
 def _parseval_terms(f: SliceSeries, alpha: float, tol: float = PARSEVAL_TAIL_TOL
                     ) -> tuple[SliceSeries, np.ndarray, float]:
     """:func:`parseval_log_weights` at tail tolerance ``tol`` plus the tail
-    bound, relative to the sum of the terms (0 for polynomials)."""
+    bound, relative to the sum of the terms (0 for polynomials); f outside
+    the spaces of weight ``alpha`` raises :class:`NotInSpaceError`."""
+    _check_in_space(f, alpha)
     where = f"alpha = {alpha:g}"
     fe, logs, tail, drop, _ = _certified(
         f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
@@ -326,7 +333,7 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
     one least-squares solve of the monomial design, columns scaled to unit
     norm, against sqrt(mu) (a; b) of f; the value is the residual norm.
     Monomials two degrees apart overlap, so the projection mixes degrees.
-    The underflowed rows of f are charged on the residual at every node."""
+    The underflowed rows of f are charged on the norm of the residual."""
     grid = grid or volume_grid(alpha)
     design, root = _first_kind_design(n, alpha, grid)
     fe, _, drop, _ = prepared_for_grid(f, alpha, grid)
@@ -334,14 +341,11 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
                            for c in _weighted_components(fe, grid, alpha)])
     # a column that vanishes on every node stays zero, and is refused
     d = 1.0 / np.maximum(np.linalg.norm(design, axis=0), np.finfo(float).tiny)
-    design = design * d
-    sol, value, _ = least_squares(design, data)
+    sol, value, _ = least_squares(design * d, data)
+    minimizer = SliceSeries(d[:, None] * sol)
     if drop is not None:
-        res = (design @ sol - data).reshape(2, -1, 4)
-        amp = np.sqrt(np.sum(res * res, axis=(0, 2)))
-        bound = root * np.repeat(drop, grid.angular_nodes.size)
-        _check_tail_budget(value * value, float(np.sum(bound * (2.0 * amp + bound))), 2.0)
-    return BestApproxResult(n, value, SliceSeries(d[:, None] * sol), "gram")
+        _charged_norm(fe - minimizer, drop, NormSpec("first", 2.0, alpha), grid)
+    return BestApproxResult(n, value, minimizer, "gram")
 
 
 #: Row-block size (numbers) of the Newton Hessian's rank-one terms.
@@ -570,15 +574,16 @@ class VdpReport:
         }
 
 
-def operator_error(op: MultiplierOperator, prepared, spec: NormSpec,
+def operator_error(op: MultiplierOperator, prepared: Prepared, spec: NormSpec,
                    grid: QuadratureGrid) -> float:
-    """Norm of op(f) - f under ``spec`` on ``grid``, f given by its
-    :func:`slicefock.spaces.prepared_for_grid` record; its underflowed rows
-    are charged at the largest |1 - rho_k| over them (1 past the degree)."""
-    fe, _, drop, k0 = prepared
+    """Norm of op(f) - f under ``spec`` on ``grid``, f as
+    :func:`slicefock.spaces.prepared_for_grid` returns it; its underflowed
+    rows are charged at the largest |1 - rho_k| over them (1 past the
+    degree)."""
+    fe, drop = prepared.series, prepared.drop
     if drop is not None:
         with np.errstate(over="ignore"):   # inf is refused by the budget
-            drop = drop * float(np.max(np.abs(1.0 - op.rho[k0:]), initial=1.0))
+            drop = drop * float(np.max(np.abs(1.0 - op.rho[prepared.k0:]), initial=1.0))
     return _charged_norm(apply(op, fe) - fe, drop, spec, grid)[0]
 
 
@@ -618,10 +623,10 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
     the modulus is exact from coefficients and reads no grid."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    lhs = operator_error(jackson_op(n, m, p), prepared_for_grid(f, alpha, grid),
-                         spec, grid)
+    prepared = prepared_for_grid(f, alpha, grid)
+    lhs = operator_error(jackson_op(n, m, p), prepared, spec, grid)
     query = ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit)
-    rhs = modulus(f, query, grid)
+    rhs = modulus(f, query, grid, prepared)
     degenerate = rhs < 1e-150
     ratio = None if degenerate else lhs / rhs
     return JacksonReport(n, m, p, jackson_rule_r(m, p), lhs, rhs, ratio,

@@ -98,10 +98,6 @@ class Quaternion:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
-ONE = Quaternion(1.0)
-ZERO = Quaternion()
-
-
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product p q.  The norm is multiplicative: |p q| = |p| |q|."""
     return p * q

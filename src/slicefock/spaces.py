@@ -31,14 +31,17 @@ integrand of e(c q^2) does not decay along the ray where Re(c z^2) peaks.
 :func:`prepared_for_grid`, the one preparation of every Gaussian-weighted
 consumer, decides membership so and bounds the mass of generator rows that
 underflowed in storage; each consumer adds it, times the largest factor it
-puts on those rows, to the amplitudes it integrates, charged through
-:func:`_check_tail_budget`.
+puts on those rows, to the amplitudes it integrates (:func:`_drop_delta`),
+charged through :func:`_check_tail_budget`.  Every quadrature power refuses
+a grid whose weighted radial profile peaks in its last two shells
+(:class:`RefinementError`): the grid does not reach the integrand's mass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,9 +83,6 @@ from .series import (
 #: A certified truncation or underflow tail may contribute at most this
 #: relative amount to a reported norm.
 NORM_TAIL_BUDGET = 1e-10
-
-#: Sphere sample size used to realize the sup over planes.
-DEFAULT_SUP_SAMPLES = 32
 
 #: Relative change under grid refinement beyond which a norm is rejected as
 #: unresolved by the grid.
@@ -207,13 +207,6 @@ def _weighted_components(f: SliceSeries, grid: QuadratureGrid, alpha: float
     return a * half, b * half
 
 
-def _check_grid_finite(values: np.ndarray, grid: QuadratureGrid) -> None:
-    """:func:`_check_finite` on (radial, angular) samples; the nodes are
-    built only to name a failing one."""
-    if not np.all(np.isfinite(values)):
-        _check_finite(values.ravel(), slice_points(grid)[0])
-
-
 def _check_tail_budget(raw: float, delta: float, p: float) -> float:
     """The evaluation-error contribution ``delta`` to the raw p-th power must
     stay below NORM_TAIL_BUDGET of the result (norm scale: raw / p); returns
@@ -225,53 +218,87 @@ def _check_tail_budget(raw: float, delta: float, p: float) -> float:
     return delta / (max(raw, 1e-300) * p)
 
 
-def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
-                      ) -> tuple[SliceSeries, float, np.ndarray | None, int]:
-    """The one preparation of f for a Gaussian-weighted consumer on ``grid``:
-    refused outside the spaces of weight ``alpha`` (:class:`NotInSpaceError`),
-    its tail at the grid's radius certified as by :func:`prepared_for_radius`,
-    and the mass of its generator rows from k0, the first that underflowed
-    in storage, bounded per radial node times e^{-alpha r^2 / 2} instead of
-    refused.  Returns (series, relative tail, that bound or None, k0 or -1).
-    """
+def _check_in_space(f: SliceSeries, alpha: float) -> None:
+    """Refuse f of order-2 type sigma >= alpha / 2 (:class:`NotInSpaceError`)."""
     sigma = max_modulus_type(f)
     if sigma >= alpha / 2.0:
         raise NotInSpaceError(
             f"max-modulus type {sigma:g} is not below alpha / 2 = "
             f"{alpha / 2.0:g}: not in the space")
+
+
+class Prepared(NamedTuple):
+    """f prepared on one grid (:func:`prepared_for_grid`): the extended
+    series, its relative tail, the bound on its underflowed rows per radial
+    node (None without any) and k0, the first of those rows (-1)."""
+
+    series: SliceSeries
+    tail: float
+    drop: np.ndarray | None
+    k0: int
+
+
+def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
+                      ) -> Prepared:
+    """The one preparation of f for a Gaussian-weighted consumer on ``grid``:
+    refused outside the spaces of weight ``alpha`` (:class:`NotInSpaceError`),
+    its tail at the grid's radius certified as by :func:`prepared_for_radius`,
+    and the mass of its generator rows from k0, the first that underflowed
+    in storage, bounded per radial node times e^{-alpha r^2 / 2} instead of
+    refused."""
+    _check_in_space(f, alpha)
     fe, _, tail, _, k0 = _radius_certificate(f, grid.max_radius)
     if k0 < 0:
-        return fe, tail, None, k0
+        return Prepared(fe, tail, None, k0)
     g, r = fe.generator, grid.radial_nodes
     ratio = g.term_ratio(r, k0)
     # geometric from k0 where the terms decay, else the whole series' bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logs = np.where(ratio < 1.0, g.log_coeff(k0) + k0 * np.log(r)
                         - np.log(1.0 - ratio), g.log_total(r))
-        return fe, tail, np.exp(logs - 0.5 * alpha * r * r), k0
+        return Prepared(fe, tail, np.exp(logs - 0.5 * alpha * r * r), k0)
 
 
-def _raise_power(v: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
-    """(v + d)^p - v^p for v, d >= 0, as v^p expm1(p log1p(d / v)) where
-    d < v, so that no digit of a bound far below v cancels."""
+def _drop_delta(amp: np.ndarray, drop: np.ndarray | None, grid: QuadratureGrid,
+                p: float) -> float:
+    """What adding the per-radius bound ``drop`` to the (radial, angular)
+    amplitude ``amp`` can add to the grid sum of amp^p (0 without one):
+    the sum of (amp + d)^p - amp^p, taken as amp^p expm1(p log1p(d / amp))
+    where d < amp, so that no digit of a bound far below amp cancels."""
+    if drop is None:
+        return 0.0
+    d = drop[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(d < v, v ** p * np.expm1(p * np.log1p(d / v)),
-                        (v + d) ** p - v ** p)
+        extra = np.where(d < amp, amp ** p * np.expm1(p * np.log1p(d / amp)),
+                         (amp + d) ** p - amp ** p)
+        return float(grid.radial_weights @ (extra @ grid.angular_weights))
+
+
+def _grid_sum(integ: np.ndarray, grid: QuadratureGrid) -> float:
+    """Grid sum of a (radial, angular) integrand.  A non-finite sample is
+    named by :func:`_check_finite` (the nodes are built only then), and a
+    radial profile that peaks in the last two of four or more shells raises
+    :class:`RefinementError`: the grid does not reach the integrand's mass."""
+    if not np.all(np.isfinite(integ)):
+        _check_finite(integ.ravel(), slice_points(grid)[0])
+    with np.errstate(over="ignore"):       # a non-finite norm
+        profile = grid.radial_weights * (integ @ grid.angular_weights)
+        raw = float(np.sum(profile))
+    if math.isfinite(raw) and raw > 0.0 and 4 <= profile.size <= np.argmax(profile) + 2:
+        raise RefinementError(
+            "weighted integrand peaks at the grid's outermost radial nodes: "
+            "refine the grid")
+    return raw
 
 
 def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float,
                      drop: np.ndarray | None) -> tuple[float, float]:
     """Raw integral of amp^p over the plane grid from the (radial, angular)
     weighted amplitude, and what adding the per-radius bound ``drop`` to
-    amp adds to it (0 without one)."""
-    with np.errstate(over="ignore"):       # a non-finite sample or norm
+    amp adds to it (:func:`_drop_delta`)."""
+    with np.errstate(over="ignore"):       # a non-finite sample
         integ = amp ** p
-        _check_grid_finite(integ, grid)
-        raw = float(np.sum(grid.radial_weights * (integ @ grid.angular_weights)))
-    if drop is None:
-        return raw, 0.0
-    delta = _raise_power(amp, drop[:, None], p) @ grid.angular_weights
-    return raw, float(np.dot(grid.radial_weights, delta))
+    return _grid_sum(integ, grid), _drop_delta(amp, drop, grid, p)
 
 
 def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
@@ -321,15 +348,11 @@ def _volume_raw_power(f: SliceSeries, grid: QuadratureGrid, p: float,
     below: exact at p = 1 and for w = 0."""
     amp_sq, w = _affine_square(*_weighted_components(f, grid, alpha))
     wnorm = np.sqrt(np.sum(w * w, axis=-1))
-    integ = _sphere_power(amp_sq, wnorm, p)
-    _check_grid_finite(integ, grid)
-    with np.errstate(over="ignore"):       # a non-finite norm
-        raw = float(np.sum(grid.radial_weights * (integ @ grid.angular_weights)))
+    raw = _grid_sum(_sphere_power(amp_sq, wnorm, p), grid)
     if drop is None:
         return raw, 0.0
     v = np.sqrt(amp_sq + wnorm if p >= 1.0 else np.maximum(amp_sq - wnorm, 0.0))
-    delta = SPHERE_AREA * _raise_power(v, drop[:, None], p)
-    return raw, float(grid.radial_weights @ (delta @ grid.angular_weights))
+    return raw, SPHERE_AREA * _drop_delta(v, drop, grid, p)
 
 
 def _charged_norm(fe: SliceSeries, drop: np.ndarray | None, spec: NormSpec,
@@ -359,16 +382,18 @@ def _charged_norm(fe: SliceSeries, drop: np.ndarray | None, spec: NormSpec,
 def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
                 ) -> tuple[float, float]:
     """(value, the larger of f's relative tail and its charged drop)."""
-    fe, tail, drop, _ = prepared_for_grid(f, spec.alpha, grid)
-    value, charge = _charged_norm(fe, drop, spec, grid)
-    return value, max(tail, charge)
+    prepared = prepared_for_grid(f, spec.alpha, grid)
+    value, charge = _charged_norm(prepared.series, prepared.drop, spec, grid)
+    return value, max(prepared.tail, charge)
 
 
 def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> float:
     """Weighted norm of f under ``spec`` on the given (or default) grid.
 
     Raises :class:`NotInSpaceError` when f is not in the space (type at
-    least alpha / 2).  Use :func:`norm_report` for the refinement check.
+    least alpha / 2) and :class:`RefinementError` when the grid stops short
+    of the integrand's mass.  Use :func:`norm_report` for the refinement
+    check.
     """
     return _norm_value(f, spec, grid or default_grid(spec))[0]
 
@@ -431,11 +456,11 @@ def inner_second(f: SliceSeries, g: SliceSeries, alpha: float,
     the rescaled monomials e_k = sqrt(alpha^k / k!) q^k come out orthonormal.
     """
     grid = grid or slice_grid(alpha)
-    (fe, _, df, _), (ge, _, dg, _) = (prepared_for_grid(h, alpha, grid) for h in (f, g))
+    pf, pg = (prepared_for_grid(h, alpha, grid) for h in (f, g))
     half = _half_weight(grid, alpha)
-    fv = _plane_values(fe, unit, grid) * half
-    gv = _plane_values(ge, unit, grid) * half
-    _charge_pair((fv,), (gv,), df, dg, grid)
+    fv = _plane_values(pf.series, unit, grid) * half
+    gv = _plane_values(pg.series, unit, grid) * half
+    _charge_pair((fv,), (gv,), pf.drop, pg.drop, grid)
     prod = quat_mul_array(quat_conj_array(fv), gv)
     comps = grid.plane_weights.ravel() @ prod.reshape(-1, 4)
     return Quaternion.from_array(comps * (alpha / math.pi))
@@ -451,10 +476,10 @@ def inner_first(f: SliceSeries, g: SliceSeries, alpha: float,
     4 pi (conj(a_f) a_g + conj(b_f) b_g) exactly.
     """
     grid = grid or volume_grid(alpha)
-    (fe, _, df, _), (ge, _, dg, _) = (prepared_for_grid(h, alpha, grid) for h in (f, g))
-    af, bf = _weighted_components(fe, grid, alpha)
-    ag, bg = _weighted_components(ge, grid, alpha)
-    _charge_pair((af, bf), (ag, bg), df, dg, grid)
+    pf, pg = (prepared_for_grid(h, alpha, grid) for h in (f, g))
+    af, bf = _weighted_components(pf.series, grid, alpha)
+    ag, bg = _weighted_components(pg.series, grid, alpha)
+    _charge_pair((af, bf), (ag, bg), pf.drop, pg.drop, grid)
     prod = (quat_mul_array(quat_conj_array(af), ag)
             + quat_mul_array(quat_conj_array(bf), bg))
     comps = SPHERE_AREA * (grid.plane_weights.ravel() @ prod.reshape(-1, 4))

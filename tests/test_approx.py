@@ -492,3 +492,39 @@ def test_p2_modulus_at_order_1023_matches_a_50_digit_sum():
         want = float(mpmath.sqrt(mpmath.pi * best))
     got = modulus(exp_series(), ModulusQuery(k=1023, delta=0.5, p=2.0, alpha=1.0))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_verify_jackson_prepares_f_once(monkeypatch):
+    from slicefock import approx
+
+    calls = []
+    prepare = approx.prepared_for_grid
+
+    def spy(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(approx, "prepared_for_grid", spy)
+    rep = verify_jackson(gauss_series(0.25), 8, 1, 1.5, 1.0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rep.rhs == modulus(gauss_series(0.25), ModulusQuery(
+        k=2, delta=1.0 / 8, p=1.5, alpha=1.0), slice_grid(0.75))
+
+
+def test_parseval_consumers_refuse_type_at_least_half_alpha():
+    from slicefock.approx import parseval_log_weights
+    from slicefock.errors import NotInSpaceError
+    from slicefock.kernels import fit_with_sections
+
+    f = gauss_series(0.5)
+    for consume in (lambda: parseval_log_weights(f, 1.0),
+                    lambda: parseval_norm_sq(f, 1.0),
+                    lambda: best_approx_second(f, 4, 1.0),
+                    lambda: modulus(f, ModulusQuery(k=1, delta=0.5, p=2.0, alpha=1.0)),
+                    lambda: fit_with_sections(f, [Quaternion(0.5)], 1.0)):
+        with pytest.raises(NotInSpaceError, match="not below alpha / 2"):
+            consume()
+    # just inside, the coefficient sum converges
+    assert parseval_norm_sq(gauss_series(0.25), 1.0) == pytest.approx(
+        1.0 / math.sqrt(1.0 - 4 * 0.25 ** 2), rel=1e-12)

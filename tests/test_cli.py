@@ -290,6 +290,20 @@ GAUSS_P1 = ("--fn", "gauss:0.25", "--p", "1", "--n-list", "4,16")
     (("norm", "--fn", "gauss:0.5", "--p", "2"), 2, "not in space:"),
     (("norm", "--fn", "gauss:0.499", "--p", "1"), 1, "error:"),
     (("norm", "--fn", "gauss:0.499", "--p", "2"), 1, "error:"),
+    # the Parseval consumers (p = 2) decide membership by the same rule
+    (("smoothness", "--fn", "gauss:0.5"), 2, "not in space:"),
+    (("smoothness", "--fn", "gauss:0.5", "--p", "1"), 2, "not in space:"),
+    (("bestapprox", "--fn", "gauss:0.5"), 2, "not in space:"),
+    (("kernel-fit", "--fn", "gauss:0.1", "--centers", "1", "--alpha", "1e-200"), 2,
+     "not in space:"),
+    # a grid that stops short of the weighted mass: the profile peaks at its
+    # edge (q^40 peaks at |z|^2 = 40, 8 Laguerre nodes reach about 23)
+    (("converge", "--fn", "mono:40", "--operator", "taylor", "--n-list", "4",
+      "--quad-radial", "8"), 1, "error: weighted integrand peaks"),
+    (("smoothness", "--fn", "mono:40", "--p", "1", "--quad-radial", "8"), 1,
+     "error: weighted integrand peaks"),
+    (("converge", "--fn", "mono:300", "--operator", "taylor", "--n-list", "4"), 1,
+     "error:"),
 ])
 def test_one_verdict_per_input(capsys, argv, code, says):
     import warnings
@@ -461,8 +475,6 @@ def test_library_rejects_non_finite_values():
 
 @pytest.mark.parametrize("argv", [
     ("kernel-fit", "--fn", "exp", "--centers", "1e200"),
-    # alpha^2 underflows to 0 in the Parseval term ratio of gauss
-    ("kernel-fit", "--fn", "gauss:0.1", "--centers", "1", "--alpha", "1e-200"),
 ])
 def test_kernel_fit_past_the_float_range_exits_1(capsys, argv):
     code, out, err = _main(capsys, argv)

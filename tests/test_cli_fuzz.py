@@ -156,6 +156,12 @@ def invocations(draw):
 @example(argv=["norm", "--fn", "gauss:0.5", "--p", "2"])
 @example(argv=["norm", "--fn", "gauss:0.499", "--p", "1"])
 @example(argv=["norm", "--fn", "gauss:0.499", "--p", "2"])
+@example(argv=["smoothness", "--fn", "gauss:0.5"])
+@example(argv=["bestapprox", "--fn", "gauss:0.5"])
+@example(argv=["kernel-fit", "--fn", "gauss:0.1", "--centers", "1", "--alpha", "1e-200"])
+@example(argv=["converge", "--fn", "mono:40", "--operator", "taylor", "--n-list", "4",
+               "--quad-radial", "8"])
+@example(argv=["converge", "--fn", "mono:300", "--operator", "taylor", "--n-list", "4"])
 def test_cli_exits_0_1_or_2_without_traceback(tmp_path_factory, argv):
     good = tmp_path_factory.getbasetemp() / "fuzz_poly.txt"
     bad = good.with_suffix(".bad")

@@ -323,3 +323,18 @@ def test_norm_report_rejects_a_shrinking_value_under_refinement():
     rep = norm_report(exp_series(), spec, slice_grid(1.0, 16, 32))
     assert rep.value == pytest.approx(math.exp(0.5), rel=1e-10)
     assert not issubclass(RefinementError, NotInSpaceError)
+
+
+@pytest.mark.parametrize("kind", ["first", "second", "sup"])
+def test_grid_short_of_the_mass_is_unresolved(kind):
+    # |q^40|^2 e^{-|q|^2} peaks at |q|^2 = 40; 8 Laguerre nodes reach about
+    # 23, so the radial profile peaks in the last shells and the single-grid
+    # norm (no refinement) is refused instead of returned too small
+    spec = NormSpec("second", 2.0, 1.0, sup_samples=4) if kind == "sup" \
+        else NormSpec(kind, 2.0, 1.0)
+    coarse = default_grid(spec, 8, 16, 8)
+    with pytest.raises(RefinementError, match="outermost"):
+        norm(monomial(40), spec, coarse)
+    # the default grid reaches it: the closed forms 40! and 41!
+    want = math.factorial(41 if kind == "first" else 40)
+    assert norm(monomial(40), spec) ** 2 == pytest.approx(want, rel=1e-10)
