@@ -32,7 +32,6 @@ from .errors import (
     ConditioningError,
     IntegrandOverflowError,
     SolverError,
-    TruncationError,
 )
 from .operators import MultiplierOperator, apply, jackson_op, jackson_rule_r, vdp_op
 from .quaternion import (
@@ -45,33 +44,35 @@ from .quaternion import (
 from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points, volume_grid
 from .series import (
     SliceSeries,
-    _certified,
     _refuse_drop,
     embed_complex,
     evaluate,
     taylor_truncate,
 )
 from .spaces import (
+    PARSEVAL_TAIL_TOL,
     SPHERE_AREA,
     NormSpec,
     NORM_TAIL_BUDGET,
+    ParsevalTerms,
     Prepared,
     _charged_norm,
-    _check_in_space,
     _check_positive,
     _check_tail_budget,
+    _checked_exp,
     _half_weight,
+    _parseval_power,
+    _parseval_terms,
     _plane_raw_power,
     _plane_values,
     _slice_raw_power,
     _weighted_components,
     prepared_for_grid,
+    prepared_for_spec,
 )
 
 #: Condition number past which a Gram matrix is refused rather than solved.
 COND_LIMIT = 1e12
-#: Relative tail tolerance of the Parseval terms |a_k|^2 k! / alpha^k.
-PARSEVAL_TAIL_TOL = 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +136,22 @@ def difference_series(f: SliceSeries, k: int, h: float,
 
 def modulus(f: SliceSeries, query: ModulusQuery,
             grid: QuadratureGrid | None = None,
-            prepared: Prepared | None = None) -> float:
+            prepared: Prepared | ParsevalTerms | None = None) -> float:
     """Weighted modulus of smoothness: sup over 0 <= h <= delta of the raw
     weighted L^p size of the k-th rotational difference.
 
     The sup is realized as a max over ``h_grid`` uniform step sizes
     including the endpoint; it vanishes at delta = 0 and is nondecreasing
-    in delta.  At p = 2 the value is exact from coefficients
-    (:func:`_modulus_second`) and ``grid`` is not read; the monomials are
-    orthogonal on every plane, so it does not depend on ``query.unit``
-    either.  Otherwise each step is one plane quadrature on ``grid`` of f as
-    ``prepared`` for it (here when None), and f's underflowed rows are
-    charged at 2^k, the largest multiplier.
+    in delta.  At p = 2 the value is exact from f's Parseval terms
+    (:func:`_modulus_second`, ``prepared`` the terms when given) and
+    ``grid`` is not read; the monomials are orthogonal on every plane, so it
+    does not depend on ``query.unit`` either.  Otherwise each step is one
+    plane quadrature on ``grid`` of f as ``prepared`` for it (here when
+    None), and f's underflowed rows are charged at 2^k, the largest
+    multiplier.
     """
     if query.p == 2.0:
-        return _modulus_second(f, query)
+        return _modulus_second(prepared or _parseval_terms(f, query.alpha), query)
     grid = grid or slice_grid(query.alpha * query.p / 2.0)
     prepared = prepared or prepared_for_grid(f, query.alpha, grid)
     fe, drop = prepared.series, prepared.drop
@@ -165,79 +167,29 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     return best ** (1.0 / query.p)
 
 
-def _modulus_second(f: SliceSeries, query: ModulusQuery) -> float:
+def _modulus_second(terms: ParsevalTerms, query: ModulusQuery) -> float:
     """The p = 2 modulus from f's Parseval terms t_j = |a_j|^2 j! / alpha^j:
     |e^{I j h} - 1| = 2 |sin(j h / 2)|, so the squared plane norm of the
     k-th difference is (pi / alpha) sum_j (2 sin(j h / 2))^{2k} t_j, taken
-    for every sampled step at once in log space.
-
-    The stored difference's tail is at most 4^k times f's certified
-    Parseval tail, and must stay below ``NORM_TAIL_BUDGET`` of the squared
-    value, else f's terms are certified once more at the tail that value
-    needs.  A value past the float range raises
+    for every sampled step at once in log space (:func:`_parseval_power`,
+    which charges f's tail and underflowed rows at 2^k, the largest
+    multiplier).  A value past the float range raises
     :class:`IntegrandOverflowError`.
     """
     k = query.k
     steps = np.linspace(0.0, query.delta, query.h_grid)[1:]
-    tol = PARSEVAL_TAIL_TOL
-    while True:
-        _, logw, tail = _parseval_terms(f, query.alpha, tol)
+
+    def log_mult(j):
         with np.errstate(divide="ignore"):
-            logs = 2.0 * k * np.log(np.abs(2.0 * np.sin(
-                0.5 * np.outer(steps, np.arange(logw.size))))) + logw
-        # log-sum-exp per step, each row scaled by its largest term
-        top = np.max(logs, axis=1)
-        top = np.where(top > -math.inf, top, 0.0)
-        sums = np.sum(np.exp(logs - top[:, None]), axis=1)
-        with np.errstate(divide="ignore"):
-            log_sq = top + np.log(sums)
-        best = int(np.argmax(log_sq))
-        if log_sq[best] == -math.inf:
-            return 0.0
-        top_f = float(np.max(logw))
-        need = math.exp(math.log(NORM_TAIL_BUDGET) + float(log_sq[best])
-                        - k * math.log(4.0) - top_f
-                        - math.log(float(np.sum(np.exp(logw - top_f)))))
-        if tail <= need:
-            break
-        if tol < PARSEVAL_TAIL_TOL:
-            raise TruncationError(
-                f"order-{k} difference tail exceeds {NORM_TAIL_BUDGET:g} of "
-                f"the modulus at alpha = {query.alpha:g}")
-        tol = max(need, 5e-324)               # the smallest float
-    try:
-        value = math.sqrt(float(sums[best])) * math.exp(
-            0.5 * (float(top[best]) + math.log(math.pi) - math.log(query.alpha)))
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise IntegrandOverflowError(f"order-{k} modulus exceeds the float range")
-    return value
+            return 2.0 * k * np.log(np.abs(2.0 * np.sin(0.5 * np.outer(steps, j))))
+
+    log_sq, _ = _parseval_power(terms, query.alpha, log_mult, k * math.log(2.0))
+    return _checked_exp(0.5 * (log_sq + math.log(math.pi) - math.log(query.alpha)),
+                        f"order-{k} modulus")
 
 
 # ---------------------------------------------------------------------------
 # plane Parseval data (p = 2)
-
-def _parseval_log_terms(log_sq, k, alpha: float):
-    """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
-    squared plane norm of q^k at p = 2."""
-    from scipy.special import gammaln
-
-    return log_sq + gammaln(k + 1.0) - k * math.log(alpha)
-
-
-def _parseval_terms(f: SliceSeries, alpha: float, tol: float = PARSEVAL_TAIL_TOL
-                    ) -> tuple[SliceSeries, np.ndarray, float]:
-    """:func:`parseval_log_weights` at tail tolerance ``tol`` plus the tail
-    bound, relative to the sum of the terms (0 for polynomials); f outside
-    the spaces of weight ``alpha`` raises :class:`NotInSpaceError`."""
-    _check_in_space(f, alpha)
-    where = f"alpha = {alpha:g}"
-    fe, logs, tail, drop, _ = _certified(
-        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
-        lambda deg: f.generator.parseval_ratio(alpha, deg), tol, -math.inf, where)
-    return fe, logs, _refuse_drop(tail, drop, tol, where)
-
 
 def parseval_log_weights(f: SliceSeries, alpha: float
                          ) -> tuple[SliceSeries, np.ndarray]:
@@ -246,17 +198,16 @@ def parseval_log_weights(f: SliceSeries, alpha: float
     the log of each term (log 0 for vanishing coefficients).  The mass of
     generator rows that underflowed to zero in storage, bounded from
     ``log_coeff``, must stay below that tolerance too."""
-    fe, logw, _ = _parseval_terms(f, alpha)
+    fe, logw, tail, drop = _parseval_terms(f, alpha)
+    _refuse_drop(tail, drop, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
     return fe, logw
 
 
 def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
-    """Squared plane norm at p = 2 from coefficients: sum |a_k|^2 k! / alpha^k."""
-    _, logw = parseval_log_weights(f, alpha)
-    top = float(np.max(logw))
-    if top == -math.inf:
-        return 0.0
-    return float(np.sum(np.exp(logw - top))) * math.exp(top)
+    """Squared plane norm at p = 2 from coefficients: sum |a_k|^2 k! / alpha^k,
+    with f's tail and underflowed rows charged against it."""
+    log_sq, _ = _parseval_power(_parseval_terms(f, alpha), alpha)
+    return _checked_exp(log_sq, "squared weighted norm")
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +233,18 @@ def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult
     (sum_{k>n} |a_k|^2 k! / alpha^k)^(1/2); no quadrature enters, and the
     value is the same on every plane.
     """
-    fe, logw = parseval_log_weights(f, alpha)
-    tail = logw[n + 1:]
-    top = float(np.max(tail, initial=-math.inf))
-    value = 0.0 if top == -math.inf else \
-        math.sqrt(float(np.sum(np.exp(tail - top)))) * math.exp(0.5 * top)
-    return BestApproxResult(n, value, taylor_truncate(fe, n), "projection")
+    return _best_approx_terms(_parseval_terms(f, alpha), n, alpha)
+
+
+def _best_approx_terms(terms: ParsevalTerms, n: int, alpha: float
+                       ) -> BestApproxResult:
+    """:func:`best_approx_second` from f's Parseval terms: the multipliers
+    are 0 up to degree n and 1 past it, f's tail and underflowed rows
+    charged on the value (:func:`_parseval_power`)."""
+    log_sq, _ = _parseval_power(
+        terms, alpha, lambda k: np.where(k > n, 0.0, -math.inf))
+    return BestApproxResult(n, _checked_exp(0.5 * log_sq, "weighted norm"),
+                            taylor_truncate(terms.series, n), "projection")
 
 
 def least_squares(design: np.ndarray, data: np.ndarray
@@ -574,12 +531,27 @@ class VdpReport:
         }
 
 
-def operator_error(op: MultiplierOperator, prepared: Prepared, spec: NormSpec,
-                   grid: QuadratureGrid) -> float:
-    """Norm of op(f) - f under ``spec`` on ``grid``, f as
-    :func:`slicefock.spaces.prepared_for_grid` returns it; its underflowed
-    rows are charged at the largest |1 - rho_k| over them (1 past the
-    degree)."""
+def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
+                   spec: NormSpec, grid: QuadratureGrid) -> float:
+    """Norm of op(f) - f under ``spec``, f as
+    :func:`slicefock.spaces.prepared_for_spec` returns it.
+
+    At p = 2 in the second kind that is the coefficient sum
+    sum_k |1 - rho_k|^2 t_k over f's Parseval terms, with rho_k = 0 past
+    the operator's length, and ``grid`` is not read; otherwise a norm on
+    ``grid``.  f's underflowed rows (and at p = 2 its tail) are charged at
+    the largest |1 - rho_k| over them (1 past the operator's length)."""
+    if spec.parseval:
+        def log_mult(k):
+            m = np.ones(k.size)
+            used = min(k.size, op.rho.size)
+            m[:used] = 1.0 - op.rho[:used]
+            with np.errstate(divide="ignore"):
+                return 2.0 * np.log(np.abs(m))
+
+        bound = float(np.max(np.abs(1.0 - op.rho), initial=1.0))
+        log_sq, _ = _parseval_power(prepared, spec.alpha, log_mult, math.log(bound))
+        return _checked_exp(0.5 * log_sq, "weighted norm")
     fe, drop = prepared.series, prepared.drop
     if drop is not None:
         with np.errstate(over="ignore"):   # inf is refused by the budget
@@ -594,18 +566,23 @@ def vdp_constant(p: float) -> float:
 
 def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
                unit: ImaginaryUnit = UNIT_I,
-               grid: QuadratureGrid | None = None) -> VdpReport:
+               grid: QuadratureGrid | None = None,
+               prepared: Prepared | ParsevalTerms | None = None) -> VdpReport:
     """Check ||V_n f - f|| <= (2^((p-1)/p) (2^p + 1)^(1/p) + 1) E_n(f).
 
-    E_n is exact (coefficient tail) at p = 2 and comes from the certified
-    Newton solve of :func:`best_approx_lp` otherwise, whose lower bound on
-    E_n the report also carries; the slack must be nonnegative.
+    At p = 2 both sides are exact from f's Parseval terms (E_n is their
+    tail), and ``grid`` is not read; otherwise the error is a norm on
+    ``grid`` and E_n comes from the certified Newton solve of
+    :func:`best_approx_lp`, whose lower bound on E_n the report also
+    carries.  f is prepared once (:func:`slicefock.spaces.prepared_for_spec`)
+    unless ``prepared`` is given; the slack must be nonnegative.
     """
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    lhs = operator_error(vdp_op(n), prepared_for_grid(f, alpha, grid), spec, grid)
+    prepared = prepared or prepared_for_spec(f, spec, grid)
+    lhs = operator_error(vdp_op(n), prepared, spec, grid)
     if p == 2.0:
-        best = best_approx_second(f, n, alpha)
+        best = _best_approx_terms(prepared, n, alpha)
     else:
         best = best_approx_lp(f, n, p, alpha, unit, grid=grid)
     c = vdp_constant(p)
@@ -616,14 +593,18 @@ def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
 
 def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
                    unit: ImaginaryUnit = UNIT_I,
-                   grid: QuadratureGrid | None = None) -> JacksonReport:
+                   grid: QuadratureGrid | None = None,
+                   prepared: Prepared | ParsevalTerms | None = None
+                   ) -> JacksonReport:
     """Compare the smoothing-difference operator error with the modulus of
     smoothness of order m + 1 at step 1/n; the ratio should stay within a
-    constant factor across n.  The error is a norm on ``grid``; at p = 2
-    the modulus is exact from coefficients and reads no grid."""
+    constant factor across n.  f is prepared once for both
+    (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
+    given; at p = 2 both are exact from its Parseval terms and read no
+    grid, otherwise both are quadratures on ``grid``."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    prepared = prepared_for_grid(f, alpha, grid)
+    prepared = prepared or prepared_for_spec(f, spec, grid)
     lhs = operator_error(jackson_op(n, m, p), prepared, spec, grid)
     query = ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit)
     rhs = modulus(f, query, grid, prepared)

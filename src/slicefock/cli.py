@@ -24,6 +24,7 @@ import numpy as np
 
 from . import approx, kernels, operators, spaces
 from .errors import NotInSpaceError, SliceFockError
+from .quadrature import MAX_RADIAL
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, UNIT_J, UNIT_K
 from .series import (
     DEGREE_CAP,
@@ -40,7 +41,8 @@ GROWTH_RADII = (4, 1000)
 #: Largest ``smoothness --h-grid``: each step size is a full plane norm at
 #: p != 2, and a row of coefficient terms at p = 2.
 H_GRID_CAP = 4096
-#: Largest ``--slice sup:<M>``: each sampled plane is a full plane integral.
+#: Largest ``--slice sup:<M>``: at p != 2 each sampled plane is a full plane
+#: integral.
 SUP_SAMPLES_CAP = 1024
 #: Largest ``kernel-fit --centers`` count: every prefix of the centers is a
 #: least-squares solve with 4 n columns and its singular values.
@@ -210,6 +212,9 @@ def _format_rows(args, header, rows, **fields):
 # subcommands
 
 def cmd_norm(args) -> int:
+    if args.quad_radial is not None:
+        # the report doubles it; refused alike where the norm reads no grid
+        _check_range("--quad-radial", args.quad_radial, 1, MAX_RADIAL // 2)
     f = parse_function(args.fn)
     spec = _norm_spec(args, args.kind)
     report = spaces.norm_report(f, spec, _grid_for(args, spec))
@@ -225,20 +230,19 @@ def cmd_converge(args) -> int:
     for n in n_list:
         _check_operator_degree(args.operator, n, args.m, args.p)
     grid = _grid_for(args, spec)
+    prepared = spaces.prepared_for_spec(f, spec, grid)   # once per sweep
     make_op = {"taylor": operators.taylor_op, "fejer": operators.fejer_op}.get(args.operator)
-    if make_op:
-        prepared = spaces.prepared_for_grid(f, args.alpha, grid)   # once per sweep
     rows = []
     for n in n_list:
         if make_op:
             err = approx.operator_error(make_op(n), prepared, spec, grid)
             rows.append((n, err, None, None))
         elif args.operator == "vdp":
-            rep = approx.verify_vdp(f, n, args.p, args.alpha, unit, grid)
+            rep = approx.verify_vdp(f, n, args.p, args.alpha, unit, grid, prepared)
             rows.append((n, rep.lhs, rep.rhs, rep.slack))
         else:
             rep = approx.verify_jackson(f, n, args.m, args.p, args.alpha, unit,
-                                        grid)
+                                        grid, prepared)
             rows.append((n, rep.lhs, rep.rhs, None))
     _format_rows(args, ("n", "error", "bound", "slack"), rows,
                  operator=args.operator, fn=args.fn)

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import TruncationError
 from .quaternion import Quaternion, left_mult_matrix
 from .series import ExpGenerator, SliceSeries, evaluate, extended
-from .spaces import _check_positive
-from .approx import _parseval_log_terms, least_squares, parseval_log_weights
+from .spaces import _check_positive, _parseval_log_terms
+from .approx import least_squares, parseval_log_weights
 
 
 #: L(e_c) for the basis quaternions e_c, so that L(q) = sum_c q_c L(e_c).

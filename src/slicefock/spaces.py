@@ -8,6 +8,14 @@ On a fixed plane the monomials are orthogonal, with
 || q^k ||^2 = k! / alpha^k at p = 2; over the whole algebra they are not:
 powers whose degrees differ by exactly two overlap.
 
+So every second-kind number at p = 2 is a coefficient sum and reads no
+grid: the squared norm of f on every plane (hence also its sup over planes)
+is sum_k t_k over the Parseval terms t_k = |a_k|^2 k! / alpha^k, and that of
+a multiplier image sum_k m_k^2 t_k.  :func:`_parseval_terms` is their one
+certificate (:class:`ParsevalTerms`), and :func:`_parseval_power` the one
+sum, which charges f's tail and underflowed rows.  Everything below about
+grids concerns p != 2 and the first kind.
+
 Every sphere integral is exact.  On q = x + u y the representation formula
 gives f(q) = a + u b for every unit u, with (a, b) = (Re S, Im S) for the
 componentwise sum S(z) = sum_k z^k a_k at z = x + i y
@@ -28,13 +36,15 @@ Every series the library builds is a polynomial or an exponential
 generator of order-2 type sigma, in the spaces of weight alpha (both kinds,
 every p) exactly when sigma < alpha / 2: at sigma = alpha / 2 the weighted
 integrand of e(c q^2) does not decay along the ray where Re(c z^2) peaks.
-:func:`prepared_for_grid`, the one preparation of every Gaussian-weighted
-consumer, decides membership so and bounds the mass of generator rows that
-underflowed in storage; each consumer adds it, times the largest factor it
-puts on those rows, to the amplitudes it integrates (:func:`_drop_delta`),
-charged through :func:`_check_tail_budget`.  Every quadrature power refuses
-a grid whose weighted radial profile peaks in its last two shells
-(:class:`RefinementError`): the grid does not reach the integrand's mass.
+:func:`prepared_for_grid`, the one preparation of every consumer that
+reads a grid, decides membership so and bounds the mass of generator rows
+that underflowed in storage; each consumer adds it, times the largest
+factor it puts on those rows, to the amplitudes it integrates
+(:func:`_drop_delta`), charged through :func:`_check_tail_budget`, as the
+coefficient sums charge theirs (:func:`_parseval_power`).  Every quadrature
+power refuses a grid whose weighted radial profile peaks in its last two
+shells (:class:`RefinementError`): the grid does not reach the integrand's
+mass.
 """
 
 from __future__ import annotations
@@ -70,6 +80,8 @@ from .quadrature import (
 )
 from .series import (
     SliceSeries,
+    _certified,
+    _lift,
     _polar_sum,
     _radius_certificate,
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
@@ -87,6 +99,9 @@ NORM_TAIL_BUDGET = 1e-10
 #: Relative change under grid refinement beyond which a norm is rejected as
 #: unresolved by the grid.
 DIVERGENCE_GROWTH = 1e-2
+
+#: Relative tail tolerance at which the Parseval terms are first certified.
+PARSEVAL_TAIL_TOL = 1e-30
 
 #: Area of the imaginary unit sphere: the sphere integral of a constant.
 SPHERE_AREA = 4.0 * math.pi
@@ -130,6 +145,12 @@ class NormSpec:
     def scale(self) -> float:
         """Radial decay rate of the weighted integrand, alpha p / 2."""
         return self.alpha * self.p / 2.0
+
+    @property
+    def parseval(self) -> bool:
+        """Whether the norm is a coefficient sum read from no grid: the
+        second kind at p = 2, the same on every plane."""
+        return self.kind == "second" and self.p == 2.0
 
     def slice_label(self) -> str | None:
         if self.kind == "first":
@@ -213,7 +234,7 @@ def _check_tail_budget(raw: float, delta: float, p: float) -> float:
     it relative to the result, delta / (p raw)."""
     if not math.isfinite(delta) or delta > NORM_TAIL_BUDGET * max(raw, 1e-300) * p:
         raise TruncationError(
-            "truncated-tail contribution bound exceeds "
+            "truncated-tail or underflowed-row contribution bound exceeds "
             f"{NORM_TAIL_BUDGET:g} of the result")
     return delta / (max(raw, 1e-300) * p)
 
@@ -257,6 +278,91 @@ def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
         logs = np.where(ratio < 1.0, g.log_coeff(k0) + k0 * np.log(r)
                         - np.log(1.0 - ratio), g.log_total(r))
         return Prepared(fe, tail, np.exp(logs - 0.5 * alpha * r * r), k0)
+
+
+# ---------------------------------------------------------------------------
+# second kind at p = 2: coefficient sums
+
+def _parseval_log_terms(log_sq, k, alpha: float):
+    """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
+    squared plane norm of q^k at p = 2."""
+    from scipy.special import gammaln
+
+    return log_sq + gammaln(k + 1.0) - k * math.log(alpha)
+
+
+class ParsevalTerms(NamedTuple):
+    """f's certified Parseval terms t_k = |a_k|^2 k! / alpha^k
+    (:func:`_parseval_terms`): the extended series, log t_k (log 0 for a
+    vanishing row), and, relative to the sum of the stored terms, the bound
+    on the terms past the stored degree and the bound on those of generator
+    rows that underflowed in storage."""
+
+    series: SliceSeries
+    logw: np.ndarray
+    tail: float
+    drop: float
+
+
+def _parseval_terms(f: SliceSeries, alpha: float, tol: float = PARSEVAL_TAIL_TOL
+                    ) -> ParsevalTerms:
+    """The one Parseval certificate: f refused outside the spaces of weight
+    ``alpha`` (:class:`NotInSpaceError`), then extended until its terms'
+    tail is below ``tol`` relative (:func:`slicefock.series._certified`).
+    Its underflowed rows are bounded, not refused: :func:`_parseval_power`
+    charges them with the tail."""
+    _check_in_space(f, alpha)
+    fe, logs, tail, drop, _ = _certified(
+        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
+        lambda deg: f.generator.parseval_ratio(alpha, deg), tol, -math.inf,
+        f"alpha = {alpha:g}")
+    return ParsevalTerms(fe, logs, tail, drop)
+
+
+def _log_sum(logs: np.ndarray) -> np.ndarray:
+    """log sum_k e^{logs[..., k]} over the last axis, each row scaled by its
+    largest entry; -inf for a row of -inf."""
+    top = np.max(logs, axis=-1)
+    top = np.where(top > -math.inf, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.sum(np.exp(logs - top[..., None]), axis=-1))
+
+
+def _parseval_power(terms: ParsevalTerms, alpha: float, log_mult=None,
+                    log_bound: float = 0.0) -> tuple[float, float]:
+    """log of the largest p = 2 power sum_k m_k^2 t_k of f's Parseval terms
+    over the rows of log m_k^2 = ``log_mult(k)`` (one row, or one per
+    candidate, for the stored degrees k; m_k = 1 when None), and the charge
+    of f's tail and underflowed rows relative to the value.
+
+    Every |m_k|, past the stored rows too, is at most e^log_bound, so those
+    rows add at most (tail + drop) e^{2 log_bound} sum_k t_k to the power,
+    charged through :func:`_check_tail_budget`.  Where the tail alone misses
+    its half of the budget, f's terms are certified once more at the tail
+    that power needs."""
+    def weighted(terms):
+        logs = terms.logw if log_mult is None else \
+            log_mult(np.arange(terms.logw.size)) + terms.logw
+        log_sq = float(np.max(_log_sum(logs)))
+        # what a unit of relative tail adds to the power, relative to it
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp(float(_log_sum(terms.logw)) + 2.0 * log_bound - log_sq)
+        return log_sq, lambda x: float(x * scale) if x else 0.0
+
+    log_sq, charge = weighted(terms)
+    if charge(terms.tail) > NORM_TAIL_BUDGET >= charge(terms.drop):
+        terms = _parseval_terms(terms.series, alpha, max(
+            NORM_TAIL_BUDGET / charge(1.0), 5e-324))   # the smallest float
+        log_sq, charge = weighted(terms)
+    return log_sq, _check_tail_budget(1.0, charge(terms.tail + terms.drop), 2.0)
+
+
+def _checked_exp(log_value: float, what: str) -> float:
+    """e^log_value; past the float range :class:`IntegrandOverflowError`."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise IntegrandOverflowError(f"{what} exceeds the float range") from None
 
 
 def _drop_delta(amp: np.ndarray, drop: np.ndarray | None, grid: QuadratureGrid,
@@ -304,11 +410,15 @@ def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float,
 def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
                      p: float, alpha: float, drop: np.ndarray | None = None
                      ) -> tuple[float, float]:
-    """:func:`_plane_raw_power` of (|f| w_alpha) on the plane of ``unit``."""
-    # |f| times the weight before any power, so growth-bounded f never overflows
+    """:func:`_plane_raw_power` of (|f| w_alpha) on the plane of ``unit``:
+    |Re S + u Im S| of the log-scaled polar sum (:func:`_polar_sum`) times
+    e^{top - alpha r^2 / 2}, one exponential per radius, so that neither f
+    nor its square overflows where the weighted amplitude is finite."""
+    s, top = _polar_sum(f, grid.radial_nodes, grid.circle_size)
+    scaled = _lift(s[:, grid.circle_index], unit)
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite sample
-        vals = _plane_values(f, unit, grid) * _half_weight(grid, alpha)
-        amp = np.sqrt(np.sum(np.square(vals), axis=-1))
+        amp = np.sqrt(np.sum(np.square(scaled), axis=-1)) \
+            * np.exp(top - 0.5 * alpha * grid.radial_nodes ** 2)[:, None]
     return _plane_raw_power(amp, grid, p, drop)
 
 
@@ -379,9 +489,24 @@ def _charged_norm(fe: SliceSeries, drop: np.ndarray | None, spec: NormSpec,
     return value, charge
 
 
-def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
+def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
+                      ) -> Prepared | ParsevalTerms:
+    """The one preparation of f for the numbers of ``spec``: its Parseval
+    terms where they are coefficient sums (:attr:`NormSpec.parseval`), else
+    f prepared on ``grid`` (:func:`prepared_for_grid`)."""
+    if spec.parseval:
+        return _parseval_terms(f, spec.alpha)
+    return prepared_for_grid(f, spec.alpha, grid)
+
+
+def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
                 ) -> tuple[float, float]:
-    """(value, the larger of f's relative tail and its charged drop)."""
+    """(value, the larger of f's relative tail and its charged drop), on
+    ``grid`` or the default one where a grid is read."""
+    if spec.parseval:
+        log_sq, charge = _parseval_power(_parseval_terms(f, spec.alpha), spec.alpha)
+        return _checked_exp(0.5 * log_sq, "weighted norm"), charge
+    grid = grid or default_grid(spec)
     prepared = prepared_for_grid(f, spec.alpha, grid)
     value, charge = _charged_norm(prepared.series, prepared.drop, spec, grid)
     return value, max(prepared.tail, charge)
@@ -390,12 +515,16 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
 def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> float:
     """Weighted norm of f under ``spec`` on the given (or default) grid.
 
-    Raises :class:`NotInSpaceError` when f is not in the space (type at
-    least alpha / 2) and :class:`RefinementError` when the grid stops short
-    of the integrand's mass.  Use :func:`norm_report` for the refinement
-    check.
+    At p = 2 in the second kind (:attr:`NormSpec.parseval`), on a plane or
+    as a sup over planes, it is the coefficient sum sqrt(sum_k t_k) and
+    ``grid`` is not read; f's tail and underflowed rows are charged against
+    ``NORM_TAIL_BUDGET`` of it (:func:`_parseval_power`).  Raises
+    :class:`NotInSpaceError` when f is not in the space (type at least
+    alpha / 2), :class:`RefinementError` when the grid stops short of the
+    integrand's mass and :class:`IntegrandOverflowError` for a value past
+    the float range.  Use :func:`norm_report` for the refinement check.
     """
-    return _norm_value(f, spec, grid or default_grid(spec))[0]
+    return _norm_value(f, spec, grid)[0]
 
 
 def norm_report(f: SliceSeries, spec: NormSpec,
@@ -406,7 +535,13 @@ def norm_report(f: SliceSeries, spec: NormSpec,
     reports the refined value, the relative deviation and the larger tail
     bound.  A relative deviation beyond ``DIVERGENCE_GROWTH`` raises
     :class:`RefinementError`: the base grid does not resolve the integral.
+    A coefficient sum (:attr:`NormSpec.parseval`) is evaluated once and
+    reads no grid: its report has stability 0.0 and no grid sizes.
     """
+    if spec.parseval:
+        value, tail = _norm_value(f, spec, grid)
+        return NormReport(value, spec.kind, spec.p, spec.alpha,
+                          spec.slice_label(), (), tail, 0.0)
     grid = grid or default_grid(spec)
     v1, tail1 = _norm_value(f, spec, grid)
     fine = refined(grid)

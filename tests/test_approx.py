@@ -13,6 +13,7 @@ from slicefock.approx import (
     finite_difference,
     first_kind_gram,
     modulus,
+    operator_error,
     parseval_norm_sq,
     vdp_constant,
     verify_jackson,
@@ -39,7 +40,17 @@ from slicefock.spaces import (
     norm,
     prepared_for_grid,
 )
+from slicefock.operators import apply, fejer_op, jackson_op, taylor_op, vdp_op
 from conftest import random_poly_coeffs
+
+
+def _quadrature_p2(g, unit, alpha, grid):
+    """The plane norm at p = 2 by quadrature on ``grid``: the check the
+    coefficient sums replace."""
+    from slicefock.spaces import _slice_raw_power
+
+    raw, _ = _slice_raw_power(g, unit, grid, 2.0, alpha)
+    return math.sqrt(alpha / math.pi * raw)
 
 
 def test_finite_difference_annihilates_constants():
@@ -154,7 +165,7 @@ def test_best_approx_second_quadrature_cross_check():
     fe, _ = prepared_for_radius(exp_series(), grid.max_radius)
     for n in (0, 2, 5):
         res = best_approx_second(exp_series(), n, 1.0)
-        direct = norm(fe - taylor_truncate(fe, n), spec, grid)
+        direct = _quadrature_p2(fe - taylor_truncate(fe, n), UNIT_I, 1.0, grid)
         assert direct == pytest.approx(res.value, rel=1e-9)
 
 
@@ -268,9 +279,9 @@ def test_verify_jackson_m1_ratio_stable():
 
 def test_parseval_norm_matches_quadrature(rng):
     f = SliceSeries(random_poly_coeffs(rng, 9))
-    spec = NormSpec("second", 2.0, 1.0)
+    grid = default_grid(NormSpec("second", 2.0, 1.0))
     assert math.sqrt(parseval_norm_sq(f, 1.0)) == pytest.approx(
-        norm(f, spec), rel=1e-11)
+        _quadrature_p2(f, UNIT_I, 1.0, grid), rel=1e-11)
 
 
 def test_verify_vdp_gauss_family():
@@ -282,11 +293,13 @@ def test_verify_vdp_gauss_family():
 
 def test_parseval_tail_counts_underflowed_generator_rows():
     # exp at alpha = 0.01: 1/k! underflows near k = 178, where the terms
-    # 100^k / k! are still 1e-9 of the largest one
+    # 100^k / k! are still 1e-9 of the largest one.  Their mass, 1.35e-12 of
+    # the sum, is charged: within the budget of the whole sum (which lacks
+    # just that much of e^100), past it for the tails E_n from n = 176 on
     from slicefock.errors import TruncationError
 
-    with pytest.raises(TruncationError, match="underflow"):
-        parseval_norm_sq(exp_series(), 0.01)
+    got = parseval_norm_sq(exp_series(), 0.01)
+    assert 0.0 < 1.0 - got / math.exp(100.0) <= 1.36e-12
     for n in (176, 180):
         with pytest.raises(TruncationError, match="underflow"):
             best_approx_second(exp_series(), n, 0.01)
@@ -373,8 +386,8 @@ def _quadrature_modulus(f, query, grid):
     """The modulus by plane quadrature: each sampled step's k-th difference
     integrated on ``grid``, without the norm's prefactor alpha / pi."""
     fe = prepared_for_grid(f, query.alpha, grid)[0]
-    spec = NormSpec("second", 2.0, query.alpha, slice_unit=query.unit)
-    best = max(norm(difference_series(fe, query.k, float(h), query.unit), spec, grid)
+    best = max(_quadrature_p2(difference_series(fe, query.k, float(h), query.unit),
+                              query.unit, query.alpha, grid)
                for h in np.linspace(0.0, query.delta, query.h_grid)[1:])
     return best * math.sqrt(math.pi / query.alpha)
 
@@ -434,6 +447,8 @@ def test_p2_modulus_recertifies_the_tail_a_tiny_step_needs(monkeypatch, name, de
     from slicefock import approx
     from slicefock.spaces import NORM_TAIL_BUDGET
 
+    from slicefock import spaces
+
     f, k = P2_FAMILIES[name], 5
     calls = []
     certify = approx._parseval_terms
@@ -443,13 +458,15 @@ def test_p2_modulus_recertifies_the_tail_a_tiny_step_needs(monkeypatch, name, de
         calls.append((tol, out))
         return out
 
+    # the first certificate is made by modulus, a further one by the sum
     monkeypatch.setattr(approx, "_parseval_terms", spy)
+    monkeypatch.setattr(spaces, "_parseval_terms", spy)
     got = modulus(f, ModulusQuery(k=k, delta=delta, p=2.0, alpha=1.0))
     # at PARSEVAL_TAIL_TOL the stored difference's tail, up to 4^k times
     # f's, misses the budget of the tiny value, so f's terms are certified
     # once more at the tolerance that step needs
     assert len(calls) == 2
-    (_, (_, logw, tail)), (tol, _) = calls
+    (_, (_, logw, tail, _)), (tol, _) = calls
     total, sq = float(np.sum(np.exp(logw))), got * got / math.pi
     assert NORM_TAIL_BUDGET * sq < 4.0 ** k * tail * total
     assert tol <= NORM_TAIL_BUDGET * sq / (4.0 ** k * total) * (1.0 + 1e-9)
@@ -494,17 +511,87 @@ def test_p2_modulus_at_order_1023_matches_a_50_digit_sum():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_verify_jackson_prepares_f_once(monkeypatch):
-    from slicefock import approx
+# ---------------------------------------------------------------------------
+# second-kind p = 2 norms and operator errors from Parseval terms
+
+P2_OPERATORS = {"taylor": lambda n: taylor_op(n), "fejer": lambda n: fejer_op(n),
+                "vdp": lambda n: vdp_op(n), "jackson": lambda n: jackson_op(n, 0, 2.0)}
+
+
+@pytest.mark.parametrize("name", sorted(P2_FAMILIES))
+def test_p2_norms_and_operator_errors_match_quadrature_on_a_refined_grid(name):
+    from slicefock.spaces import prepared_for_spec
+
+    f = P2_FAMILIES[name]
+    grid = slice_grid(1.0, 2 * DEFAULT_RADIAL, 2 * DEFAULT_ANGULAR)
+    fe = prepared_for_grid(f, 1.0, grid).series
+    for unit in (UNIT_I, SKEW_UNIT):
+        spec = NormSpec("second", 2.0, 1.0, slice_unit=unit)
+        want = _quadrature_p2(fe, unit, 1.0, grid)
+        assert norm(f, spec) == pytest.approx(want, rel=1e-12)
+        assert norm(f, NormSpec("second", 2.0, 1.0, sup_samples=8)) == \
+            pytest.approx(want, rel=1e-12)
+        terms = prepared_for_spec(f, spec, grid)
+        for op_name, make in P2_OPERATORS.items():
+            for n in (2, 4, 8, 16, 32):
+                op = make(n)
+                want = _quadrature_p2(apply(op, fe) - fe, unit, 1.0, grid)
+                got = operator_error(op, terms, spec, grid)
+                assert got == pytest.approx(want, rel=1e-12), (op_name, n, unit)
+                if op_name == "vdp":
+                    assert verify_vdp(f, n, 2.0, 1.0, unit).lhs == got
+                if op_name == "jackson":
+                    assert verify_jackson(f, n, 0, 2.0, 1.0, unit).lhs == got
+
+
+def test_p2_operator_error_charges_the_underflowed_rows():
+    # exp at alpha = 0.01: the dropped rows are 1.35e-12 of the sum of the
+    # Parseval terms, within the budget of the n = 4 error, past that of the
+    # error from n = 176 on, which is the tail of the terms themselves
+    from slicefock.errors import TruncationError
+    from slicefock.spaces import prepared_for_spec
+
+    spec = NormSpec("second", 2.0, 0.01)
+    terms = prepared_for_spec(exp_series(), spec, None)
+    assert terms.drop > 1e-12 and terms.tail == 0.0
+    assert operator_error(taylor_op(4), terms, spec, None) == pytest.approx(
+        math.exp(50.0), rel=1e-12)
+    with pytest.raises(TruncationError, match="underflowed-row"):
+        operator_error(taylor_op(176), terms, spec, None)
+
+
+def test_converge_sweep_certifies_f_once(monkeypatch, capsys):
+    from slicefock import cli, series, spaces
 
     calls = []
-    prepare = approx.prepared_for_grid
+    certify = series._certified
+
+    def spy(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(series, "_certified", spy)
+    monkeypatch.setattr(spaces, "_certified", spy)
+    for fn in ("gauss:0.25", "random:8:3"):
+        calls.clear()
+        assert cli.main(["converge", "--fn", fn, "--operator", "vdp",
+                         "--n-list", "2,4,8,16,32"]) == 0
+        assert len(calls) == 1, fn
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert len(rows) == 5
+
+
+def test_verify_jackson_prepares_f_once(monkeypatch):
+    from slicefock import spaces
+
+    calls = []
+    prepare = spaces.prepared_for_grid
 
     def spy(*args):
         calls.append(args)
         return prepare(*args)
 
-    monkeypatch.setattr(approx, "prepared_for_grid", spy)
+    monkeypatch.setattr(spaces, "prepared_for_grid", spy)
     rep = verify_jackson(gauss_series(0.25), 8, 1, 1.5, 1.0)
     assert len(calls) == 1
     monkeypatch.undo()

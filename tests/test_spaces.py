@@ -233,6 +233,19 @@ def test_norm_report_record_fields():
     assert rep.stability < 1e-12
 
 
+@pytest.mark.parametrize("slice_spec", [{}, {"sup_samples": 8}])
+def test_p2_norm_report_reads_no_grid(slice_spec):
+    # a coefficient sum: evaluated once, no refinement and no grid sizes,
+    # whatever grid is passed
+    spec = NormSpec("second", 2.0, 1.0, **slice_spec)
+    for grid in (None, slice_grid(1.0, 2, 2)):
+        rep = norm_report(exp_series(), spec, grid)
+        assert rep.stability == 0.0 and rep.grid_sizes == ()
+        assert rep.to_record()["grid"] == []
+        assert rep.value == pytest.approx(math.exp(0.5), rel=1e-15)
+        assert 0.0 <= rep.tail_bound <= 1e-10
+
+
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_norm_report_tail_bound_carries_the_charged_drop(kind):
     # gauss:0.25 at p = 1 drops generator rows on the default grid: the
@@ -315,26 +328,34 @@ def test_max_modulus_type_follows_dilation():
 
 
 def test_norm_report_rejects_a_shrinking_value_under_refinement():
-    # the coarse value overshoots sqrt(e) = 1.6487 by a third and falls
-    # under refinement: no growth, so not a divergence, but no norm either
-    spec = NormSpec("second", 2.0, 1.0)
+    # at p = 1 the coarse value overshoots sqrt(e) = 1.6487 (the norm of exp
+    # at every p) by nearly half and falls by 0.412 relative under
+    # refinement: no growth, so not a divergence, but no norm either
+    spec = NormSpec("second", 1.0, 1.0)
     with pytest.raises(RefinementError, match="refinement"):
-        norm_report(exp_series(), spec, slice_grid(1.0, 2, 2))
-    rep = norm_report(exp_series(), spec, slice_grid(1.0, 16, 32))
+        norm_report(exp_series(), spec, slice_grid(0.5, 2, 2))
+    rep = norm_report(exp_series(), spec, slice_grid(0.5, 16, 32))
     assert rep.value == pytest.approx(math.exp(0.5), rel=1e-10)
     assert not issubclass(RefinementError, NotInSpaceError)
 
 
 @pytest.mark.parametrize("kind", ["first", "second", "sup"])
 def test_grid_short_of_the_mass_is_unresolved(kind):
-    # |q^40|^2 e^{-|q|^2} peaks at |q|^2 = 40; 8 Laguerre nodes reach about
-    # 23, so the radial profile peaks in the last shells and the single-grid
-    # norm (no refinement) is refused instead of returned too small
-    spec = NormSpec("second", 2.0, 1.0, sup_samples=4) if kind == "sup" \
-        else NormSpec(kind, 2.0, 1.0)
+    # |q^40|^p e^{-p |q|^2 / 2} peaks at |q|^2 = 40; 8 Laguerre nodes reach
+    # about 23, so the radial profile peaks in the last shells and the
+    # single-grid norm (no refinement) is refused instead of returned too
+    # small.  The second kind reads a grid at p != 2 only: p = 4 there.
+    p = 2.0 if kind == "first" else 4.0
+    spec = NormSpec("second", p, 1.0, sup_samples=4) if kind == "sup" \
+        else NormSpec(kind, p, 1.0)
     coarse = default_grid(spec, 8, 16, 8)
     with pytest.raises(RefinementError, match="outermost"):
         norm(monomial(40), spec, coarse)
-    # the default grid reaches it: the closed forms 40! and 41!
+    # at p = 2 the closed forms 40! and 41!: the first kind on the default
+    # grid, the second from coefficients, whatever the grid
     want = math.factorial(41 if kind == "first" else 40)
-    assert norm(monomial(40), spec) ** 2 == pytest.approx(want, rel=1e-10)
+    exact = NormSpec("second", 2.0, 1.0, sup_samples=4) if kind == "sup" \
+        else NormSpec(kind, 2.0, 1.0)
+    assert norm(monomial(40), exact) ** 2 == pytest.approx(want, rel=1e-10)
+    if kind != "first":
+        assert norm(monomial(40), exact, coarse) ** 2 == pytest.approx(want, rel=1e-13)
