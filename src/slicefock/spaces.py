@@ -322,10 +322,10 @@ def _parseval_terms(f: SliceSeries, alpha: float, tol: float = PARSEVAL_TAIL_TOL
 def _log_sum(logs: np.ndarray) -> np.ndarray:
     """log sum_k e^{logs[..., k]} over the last axis, each row scaled by its
     largest entry; -inf for a row of -inf."""
-    top = np.max(logs, axis=-1)
-    top = np.where(top > -math.inf, top, 0.0)
+    top = logs.max(axis=-1, keepdims=True)
+    np.maximum(top, -1e308, out=top)      # a row of -inf sums to 0: log -inf
     with np.errstate(divide="ignore"):
-        return top + np.log(np.sum(np.exp(logs - top[..., None]), axis=-1))
+        return top[..., 0] + np.log(np.exp(logs - top).sum(axis=-1))
 
 
 def _parseval_power(terms: ParsevalTerms, alpha: float, log_mult=None,
@@ -341,13 +341,18 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, log_mult=None,
     its half of the budget, f's terms are certified once more at the tail
     that power needs."""
     def weighted(terms):
-        logs = terms.logw if log_mult is None else \
-            log_mult(np.arange(terms.logw.size)) + terms.logw
-        log_sq = float(np.max(_log_sum(logs)))
-        # what a unit of relative tail adds to the power, relative to it
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.exp(float(_log_sum(terms.logw)) + 2.0 * log_bound - log_sq)
-        return log_sq, lambda x: float(x * scale) if x else 0.0
+        log_total = float(_log_sum(terms.logw))
+        log_sq = log_total if log_mult is None else float(np.max(_log_sum(
+            log_mult(np.arange(terms.logw.size)) + terms.logw)))
+        # log of what a unit of relative tail adds to the power, relative to it
+        gap = log_total + 2.0 * log_bound - log_sq
+
+        def charge(x):
+            if not x:
+                return 0.0
+            y = math.log(x) + gap
+            return math.exp(y) if y < 709.0 else math.inf   # inf is refused
+        return log_sq, charge
 
     log_sq, charge = weighted(terms)
     if charge(terms.tail) > NORM_TAIL_BUDGET >= charge(terms.drop):
