@@ -58,6 +58,7 @@ from .spaces import (
     Prepared,
     _charged_norm,
     _check_positive,
+    _check_prepared,
     _check_tail_budget,
     _checked_exp,
     _half_weight,
@@ -67,6 +68,7 @@ from .spaces import (
     _plane_values,
     _slice_raw_power,
     _weighted_components,
+    default_grid,
     prepared_for_grid,
     prepared_for_spec,
 )
@@ -141,19 +143,23 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     weighted L^p size of the k-th rotational difference.
 
     The sup is realized as a max over ``h_grid`` uniform step sizes
-    including the endpoint; it vanishes at delta = 0 and is nondecreasing
-    in delta.  At p = 2 the value is exact from f's Parseval terms
-    (:func:`_modulus_second`, ``prepared`` the terms when given) and
-    ``grid`` is not read; the monomials are orthogonal on every plane, so it
-    does not depend on ``query.unit`` either.  Otherwise each step is one
-    plane quadrature on ``grid`` of f as ``prepared`` for it (here when
-    None), and f's underflowed rows are charged at 2^k, the largest
+    including the endpoint; it is nondecreasing in delta and 0 at delta = 0,
+    where nothing of f's tail or underflowed rows is charged.  f is taken as ``prepared`` when given, else prepared here,
+    both as :func:`slicefock.spaces.prepared_for_spec` returns it for the
+    second-kind p-norm.  At p = 2 those are f's Parseval terms, the value is
+    exact from them (:func:`_modulus_second`) and ``grid`` is not read; the
+    monomials are orthogonal on every plane, so it does not depend on
+    ``query.unit`` either.  Otherwise each step is one plane quadrature on
+    ``grid``, and f's underflowed rows are charged at 2^k, the largest
     multiplier.
     """
-    if query.p == 2.0:
-        return _modulus_second(prepared or _parseval_terms(f, query.alpha), query)
-    grid = grid or slice_grid(query.alpha * query.p / 2.0)
-    prepared = prepared or prepared_for_grid(f, query.alpha, grid)
+    spec = NormSpec("second", query.p, query.alpha, slice_unit=query.unit)
+    grid = grid or default_grid(spec)
+    prepared = prepared_for_spec(f, spec, grid, prepared)
+    if query.delta == 0.0:
+        return 0.0      # every difference is 0, past the stored rows too
+    if isinstance(prepared, ParsevalTerms):
+        return _modulus_second(prepared, query)
     fe, drop = prepared.series, prepared.drop
     if drop is not None:
         with np.errstate(over="ignore"):   # inf is refused by the budget
@@ -534,14 +540,15 @@ class VdpReport:
 def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
                    spec: NormSpec, grid: QuadratureGrid) -> float:
     """Norm of op(f) - f under ``spec``, f as
-    :func:`slicefock.spaces.prepared_for_spec` returns it.
+    :func:`slicefock.spaces.prepared_for_spec` returns it for ``spec`` (a
+    record of the other kind raises :class:`ValueError`).
 
     At p = 2 in the second kind that is the coefficient sum
     sum_k |1 - rho_k|^2 t_k over f's Parseval terms, with rho_k = 0 past
     the operator's length, and ``grid`` is not read; otherwise a norm on
     ``grid``.  f's underflowed rows (and at p = 2 its tail) are charged at
     the largest |1 - rho_k| over them (1 past the operator's length)."""
-    if spec.parseval:
+    if isinstance(_check_prepared(prepared, spec), ParsevalTerms):
         def log_mult(k):
             m = np.ones(k.size)
             used = min(k.size, op.rho.size)
@@ -575,13 +582,14 @@ def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
     ``grid`` and E_n comes from the certified Newton solve of
     :func:`best_approx_lp`, whose lower bound on E_n the report also
     carries.  f is prepared once (:func:`slicefock.spaces.prepared_for_spec`)
-    unless ``prepared`` is given; the slack must be nonnegative.
+    unless ``prepared`` is given, which must be of the kind that returns;
+    the slack must be nonnegative.
     """
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    prepared = prepared or prepared_for_spec(f, spec, grid)
+    prepared = prepared_for_spec(f, spec, grid, prepared)
     lhs = operator_error(vdp_op(n), prepared, spec, grid)
-    if p == 2.0:
+    if isinstance(prepared, ParsevalTerms):
         best = _best_approx_terms(prepared, n, alpha)
     else:
         best = best_approx_lp(f, n, p, alpha, unit, grid=grid)
@@ -600,11 +608,11 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
     smoothness of order m + 1 at step 1/n; the ratio should stay within a
     constant factor across n.  f is prepared once for both
     (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
-    given; at p = 2 both are exact from its Parseval terms and read no
+    given, which must be of the kind that returns; at p = 2 both are exact from its Parseval terms and read no
     grid, otherwise both are quadratures on ``grid``."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    prepared = prepared or prepared_for_spec(f, spec, grid)
+    prepared = prepared_for_spec(f, spec, grid, prepared)
     lhs = operator_error(jackson_op(n, m, p), prepared, spec, grid)
     query = ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit)
     rhs = modulus(f, query, grid, prepared)

@@ -494,25 +494,42 @@ def _charged_norm(fe: SliceSeries, drop: np.ndarray | None, spec: NormSpec,
     return value, charge
 
 
-def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
+def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,
+                      prepared: Prepared | ParsevalTerms | None = None
                       ) -> Prepared | ParsevalTerms:
     """The one preparation of f for the numbers of ``spec``: its Parseval
     terms where they are coefficient sums (:attr:`NormSpec.parseval`), else
-    f prepared on ``grid`` (:func:`prepared_for_grid`)."""
+    f prepared on ``grid`` (:func:`prepared_for_grid`).  Its consumers
+    dispatch on the record's type.  A given ``prepared`` is returned as it
+    is when it is of the kind ``spec`` needs, else refused
+    (:func:`_check_prepared`)."""
+    if prepared is not None:
+        return _check_prepared(prepared, spec)
     if spec.parseval:
         return _parseval_terms(f, spec.alpha)
     return prepared_for_grid(f, spec.alpha, grid)
+
+
+def _check_prepared(prepared: Prepared | ParsevalTerms, spec: NormSpec
+                   ) -> Prepared | ParsevalTerms:
+    """``prepared``, when it is the kind of preparation ``spec`` needs
+    (:func:`prepared_for_spec`); else :class:`ValueError`."""
+    if isinstance(prepared, ParsevalTerms) != spec.parseval:
+        need = "Parseval terms" if spec.parseval else "a grid preparation"
+        raise ValueError(f"the {spec.kind}-kind p = {spec.p:g} numbers need "
+                         f"{need} of f, not {type(prepared).__name__}")
+    return prepared
 
 
 def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
                 ) -> tuple[float, float]:
     """(value, the larger of f's relative tail and its charged drop), on
     ``grid`` or the default one where a grid is read."""
-    if spec.parseval:
-        log_sq, charge = _parseval_power(_parseval_terms(f, spec.alpha), spec.alpha)
-        return _checked_exp(0.5 * log_sq, "weighted norm"), charge
     grid = grid or default_grid(spec)
-    prepared = prepared_for_grid(f, spec.alpha, grid)
+    prepared = prepared_for_spec(f, spec, grid)
+    if isinstance(prepared, ParsevalTerms):
+        log_sq, charge = _parseval_power(prepared, spec.alpha)
+        return _checked_exp(0.5 * log_sq, "weighted norm"), charge
     value, charge = _charged_norm(prepared.series, prepared.drop, spec, grid)
     return value, max(prepared.tail, charge)
 

@@ -86,8 +86,12 @@ def test_modulus_vanishes_for_constants():
     f = from_quaternions([Quaternion(3, 0, 1, 0)])
     q = ModulusQuery(k=1, delta=0.7, p=2.0, alpha=1.0)
     assert modulus(f, q) == 0.0
-    assert modulus(exp_series(), ModulusQuery(k=1, delta=0.0, p=2.0,
-                                              alpha=1.0)) == 0.0
+    # at delta = 0 also for members whose tail or underflowed rows a nonzero
+    # value would be charged for
+    for f, alpha in ((exp_series(), 1.0), (exp_series(), 0.05),
+                     (gauss_series(0.25), 1.0)):
+        for p in (1.0, 2.0, 4.0):
+            assert modulus(f, ModulusQuery(k=1, delta=0.0, p=p, alpha=alpha)) == 0.0
 
 
 def test_modulus_first_order_monomial_closed_form():
@@ -560,6 +564,27 @@ def test_p2_operator_error_charges_the_underflowed_rows():
         operator_error(taylor_op(176), terms, spec, None)
 
 
+def test_a_record_of_the_other_kind_is_refused():
+    # the spec decides which preparation of f its numbers read; a record of
+    # the other kind is a clear error, not a number of the wrong norm
+    from slicefock.spaces import prepared_for_spec
+
+    f, grid = exp_series(), slice_grid(1.0)
+    p2, p1 = NormSpec("second", 2.0, 1.0), NormSpec("second", 1.0, 1.0)
+    terms = prepared_for_spec(f, p2, grid)
+    on_grid = prepared_for_spec(f, p1, grid)
+    with pytest.raises(ValueError, match="need a grid preparation"):
+        operator_error(taylor_op(4), terms, p1, grid)
+    with pytest.raises(ValueError, match="need Parseval terms"):
+        operator_error(taylor_op(4), on_grid, p2, grid)
+    with pytest.raises(ValueError, match="need Parseval terms"):
+        modulus(f, ModulusQuery(k=1, delta=0.5, p=2.0, alpha=1.0), grid, on_grid)
+    with pytest.raises(ValueError, match="need Parseval terms"):
+        verify_vdp(f, 4, 2.0, 1.0, grid=grid, prepared=on_grid)
+    with pytest.raises(ValueError, match="need a grid preparation"):
+        verify_jackson(f, 4, 0, 1.0, 1.0, grid=grid, prepared=terms)
+
+
 def test_converge_sweep_certifies_f_once(monkeypatch, capsys):
     from slicefock import cli, series, spaces
 
@@ -582,7 +607,7 @@ def test_converge_sweep_certifies_f_once(monkeypatch, capsys):
 
 
 def test_verify_jackson_prepares_f_once(monkeypatch):
-    from slicefock import spaces
+    from slicefock import approx, spaces
 
     calls = []
     prepare = spaces.prepared_for_grid
@@ -591,6 +616,9 @@ def test_verify_jackson_prepares_f_once(monkeypatch):
         calls.append(args)
         return prepare(*args)
 
+    # verify_jackson prepares f through spaces, a second preparation inside
+    # modulus would go through the name bound in approx
+    monkeypatch.setattr(approx, "prepared_for_grid", spy)
     monkeypatch.setattr(spaces, "prepared_for_grid", spy)
     rep = verify_jackson(gauss_series(0.25), 8, 1, 1.5, 1.0)
     assert len(calls) == 1

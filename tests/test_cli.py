@@ -332,6 +332,17 @@ GAUSS_P1 = ("--fn", "gauss:0.25", "--p", "1", "--n-list", "4,16")
     # finite weighted amplitude, 1e158 at its peak: the root is taken
     # before the scale is multiplied back, so nothing overflows
     (("norm", "--fn", "mono:250", "--p", "1"), 0, "8.00802307374"),
+    # at delta = 0 every difference is 0, past the stored rows too: nothing
+    # of the tail or of the underflowed rows is charged, at any p
+    (("smoothness", "--fn", "gauss:0.25", "--delta-list", "0"), 0, "0.0,0.0"),
+    (("smoothness", "--fn", "gauss:0.25", "--delta-list", "0,0.5"), 0,
+     "0.5,0.8018030587238616"),
+    (("smoothness", "--fn", "exp", "--alpha", "0.05", "--delta-list", "0"), 0,
+     "0.0,0.0"),
+    (("smoothness", "--fn", "gauss:0.25", "--delta-list", "0", "--p", "1"), 0,
+     "0.0,0.0"),
+    # membership is still decided first
+    (("smoothness", "--fn", "gauss:0.5", "--delta-list", "0"), 2, "not in space:"),
 ])
 def test_one_verdict_per_input(capsys, argv, code, says):
     import warnings
