@@ -44,6 +44,7 @@ from .quaternion import (
 from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points, volume_grid
 from .series import (
     SliceSeries,
+    _lift,
     _refuse_drop,
     embed_complex,
     evaluate,
@@ -61,13 +62,14 @@ from .spaces import (
     _check_prepared,
     _check_tail_budget,
     _checked_exp,
-    _half_weight,
+    _checked_ldexp,
+    _grid_sum,
     _parseval_power,
     _parseval_terms,
     _plane_raw_power,
-    _plane_values,
+    _scaled_drop,
     _slice_raw_power,
-    _weighted_components,
+    _weighted_plane,
     default_grid,
     prepared_for_grid,
     prepared_for_spec,
@@ -164,13 +166,15 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     if drop is not None:
         with np.errstate(over="ignore"):   # inf is refused by the budget
             drop = drop * 2.0 ** query.k
-    best = upper = 0.0
-    for h in np.linspace(0.0, query.delta, query.h_grid)[1:]:
-        diff = difference_series(fe, query.k, float(h), query.unit)
-        raw, delta = _slice_raw_power(diff, query.unit, grid, query.p, query.alpha, drop)
-        best, upper = max(best, raw), max(upper, raw + delta)
+    raw, delta, e = np.array([
+        _slice_raw_power(difference_series(fe, query.k, float(h), query.unit),
+                         query.unit, grid, query.p, query.alpha, drop)
+        for h in np.linspace(0.0, query.delta, query.h_grid)[1:]]).T
+    # every step on the scale 2^{e p} of the largest exponent
+    scale = 2.0 ** (query.p * (e - e.max()))
+    best, upper = float(np.max(raw * scale)), float(np.max((raw + delta) * scale))
     _check_tail_budget(best, upper - best, query.p)
-    return best ** (1.0 / query.p)
+    return _checked_ldexp(best ** (1.0 / query.p), int(e.max()), f"order-{query.k} modulus")
 
 
 def _modulus_second(terms: ParsevalTerms, query: ModulusQuery) -> float:
@@ -204,8 +208,8 @@ def parseval_log_weights(f: SliceSeries, alpha: float
     the log of each term (log 0 for vanishing coefficients).  The mass of
     generator rows that underflowed to zero in storage, bounded from
     ``log_coeff``, must stay below that tolerance too."""
-    fe, logw, tail, drop = _parseval_terms(f, alpha)
-    _refuse_drop(tail, drop, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
+    fe, logw, log_tail, log_drop = _parseval_terms(f, alpha)
+    _refuse_drop(log_tail, log_drop, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
     return fe, logw
 
 
@@ -294,21 +298,23 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
                       grid: QuadratureGrid | None = None) -> BestApproxResult:
     """Best degree-n approximation in the whole-algebra Hilbert norm (p = 2):
     one least-squares solve of the monomial design, columns scaled to unit
-    norm, against sqrt(mu) (a; b) of f; the value is the residual norm.
-    Monomials two degrees apart overlap, so the projection mixes degrees.
-    The underflowed rows of f are charged on the norm of the residual."""
+    norm, against sqrt(mu) (a; b) of f from the plane kernel; the value is
+    the residual norm.  Monomials two degrees apart overlap, so the
+    projection mixes degrees.  f's weighted profile is checked as its norm's
+    is, and its underflowed rows are charged on the norm of the residual."""
     grid = grid or volume_grid(alpha)
     design, root = _first_kind_design(n, alpha, grid)
     fe, _, drop, _ = prepared_for_grid(f, alpha, grid)
-    data = np.concatenate([root[:, None] * c.reshape(-1, 4)
-                           for c in _weighted_components(fe, grid, alpha)])
+    v, e = _weighted_plane(fe, grid, alpha)
+    _grid_sum(np.sum(v.real ** 2 + v.imag ** 2, axis=-1), grid)   # f's profile
+    data = np.concatenate([root[:, None] * c.reshape(-1, 4) for c in (v.real, v.imag)])
     # a column that vanishes on every node stays zero, and is refused
     d = 1.0 / np.maximum(np.linalg.norm(design, axis=0), np.finfo(float).tiny)
     sol, value, _ = least_squares(design * d, data)
-    minimizer = SliceSeries(d[:, None] * sol)
+    minimizer = SliceSeries(np.ldexp(d[:, None] * sol, e))
     if drop is not None:
         _charged_norm(fe - minimizer, drop, NormSpec("first", 2.0, alpha), grid)
-    return BestApproxResult(n, value, minimizer, "gram")
+    return BestApproxResult(n, _checked_ldexp(value, e, "weighted norm"), minimizer, "gram")
 
 
 #: Row-block size (numbers) of the Newton Hessian's rank-one terms.
@@ -350,41 +356,54 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     """Best degree-n approximation in the weighted plane L^p norm, p >= 1,
     with a certified duality gap.
 
-    Minimizes sum_i mu_i |f(z_i) - P(z_i)|^p over the real quaternion
-    coefficients of P, mu_i = (alpha p / 2 pi) w_i e^{-p alpha |z_i|^2 / 2}
-    on the grid nodes, by Newton's method with Armijo backtracking from the
-    Taylor truncation.  Newton runs on Psi_eps = sum_i mu_i
+    Minimizes sum_i mu_i |(f - P)(z_i) w_i|^p over the real quaternion
+    coefficients of P, mu_i = (alpha p / 2 pi) times the grid weight and
+    w_i = e^{-alpha |z_i|^2 / 2} inside the values (the plane kernel's) and
+    the monomial columns, by Newton's method with Armijo backtracking from
+    the Taylor truncation.  Newton runs on Psi_eps = sum_i mu_i
     (|r_i|^2 + eps^2)^(p/2): eps = 0 for p >= 2; for p < 2 eps starts at a
     tenth of the mean residual and shrinks tenfold whenever Newton has
     settled.  Its systems are solved in the coordinates W^{-1} c, with
-    W^T G W = I for the mu-Gram G of the monomials (W from the eigenvectors
-    of G scaled to unit diagonal), in which the monomials are orthonormal.
+    W^T G W = I for the mu-Gram G of the weighted monomials (W from the
+    eigenvectors of G scaled to unit diagonal), in which they are orthonormal.
 
     Every step bounds the minimum from below by weak duality: the dual
     vector lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i, projected onto the
-    mu-orthogonal complement of the polynomials, gives
-    Re <lam, f>_mu / ||lam||_q <= ||f - P||_p for every P (Hoelder,
+    mu-orthogonal complement of the weighted polynomials, gives
+    Re <lam, f w>_mu / ||lam||_q <= ||f - P||_p for every P (Hoelder,
     q = p / (p - 1), a max over the nodes at p = 1).  The solve stops when
     value - lower <= tol value + min(tol, NORM_TAIL_BUDGET) ||f||_p, the
     second term being the error the sampled values already carry, and the
     result carries both bounds.  Raises :class:`SolverError` carrying the
     best iterate when the gap is not met within ``max_iter`` Newton steps.
-    The underflowed rows of f are charged on the residual it attains.
+    f's weighted profile is checked as its norm's is, and its underflowed
+    rows are charged on the residual it attains.
     """
+    return _best_approx_lp(f, n, p, alpha, unit, grid, tol, max_iter)
+
+
+def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
+                    unit: ImaginaryUnit, grid: QuadratureGrid | None,
+                    tol: float = 1e-8, max_iter: int = 200,
+                    prepared: Prepared | None = None) -> BestApproxResult:
+    """:func:`best_approx_lp`, f taken as ``prepared`` on ``grid`` when given
+    (:func:`slicefock.spaces.prepared_for_grid`)."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"descent requires a finite p >= 1, got {p!r}")
     _check_positive("weight parameter alpha", alpha)
     grid = grid or slice_grid(alpha * p / 2.0)
-    fe, _, drop, _ = prepared_for_grid(f, alpha, grid)
+    fe, _, drop, _ = prepared or prepared_for_grid(f, alpha, grid)
     z, w = slice_points(grid)
-    mu = alpha * p / (2.0 * math.pi) * w * \
-        np.exp(-0.5 * alpha * np.abs(z) ** 2) ** p
-    fv = _plane_values(fe, unit, grid).reshape(-1, 4)
+    mu = alpha * p / (2.0 * math.pi) * w
+    v, e = _weighted_plane(fe, grid, alpha)
+    fv = _lift(v, unit).reshape(-1, 4)
     lm = left_mult_matrix(unit.as_quaternion()).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        vand = z[:, None] ** np.arange(n + 1)
-    _check_finite(fv, z)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        vand = z[:, None] ** np.arange(n + 1) * np.exp(-0.5 * alpha * np.abs(z) ** 2)[:, None]
     _check_finite(vand, z)
+    # f's own weighted profile is refused where its norm's is (_grid_sum)
+    amp_p = np.sum(fv * fv, axis=1).reshape(-1, grid.angular_nodes.size) ** (0.5 * p)
+    f_norm = (alpha * p / (2.0 * math.pi) * _grid_sum(amp_p, grid)) ** (1.0 / p)
     # each column scaled by an exact power of two, so that no Gram entry
     # overflows; the coefficients live in the scaled basis until returned
     _, exps = np.frexp(np.max(np.abs(vand), axis=0))
@@ -402,8 +421,7 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
             f"nodes ({len(z)})")
     whiten = d[:, None] * vec / np.sqrt(eig)
     q = math.inf if p == 1.0 else p / (p - 1.0)
-    sampled_err = min(tol, NORM_TAIL_BUDGET) * \
-        float(mu @ np.sum(fv * fv, axis=1) ** (0.5 * p)) ** (1.0 / p)
+    sampled_err = min(tol, NORM_TAIL_BUDGET) * f_norm
 
     def psi(s, eps):
         return float(mu @ (s + eps * eps) ** (0.5 * p))
@@ -419,7 +437,8 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
             float(mu @ size ** q) ** (1.0 / q)
         return float(mu @ np.sum(lam * fv, axis=1)) / qnorm if qnorm > 0.0 else 0.0
 
-    coeffs = taylor_truncate(fe, n).coeffs / scale[:, None]
+    # the Taylor coefficients on the scale 2^e of v, in the scaled basis
+    coeffs = np.ldexp(taylor_truncate(fe, n).coeffs, -e) / scale[:, None]
     r = fv - _act(vr, vi, coeffs, lm)
     s = np.sum(r * r, axis=1)
     eps = 0.0 if p >= 2.0 else 0.1 * float(mu @ np.sqrt(s)) / float(np.sum(mu))
@@ -430,18 +449,20 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         # an attained value bounds the minimum too: rounding may leave the
         # dual bound an ulp above it at an exact optimum
         lower = min(lower_bound(r, s, eps), upper)
-        result = BestApproxResult(n, upper, SliceSeries(coeffs * scale[:, None]),
-                                  "descent", lower=lower)
+        result = BestApproxResult(
+            n, _checked_ldexp(upper, e, "weighted norm"),
+            SliceSeries(np.ldexp(coeffs * scale[:, None], e)), "descent",
+            lower=math.ldexp(lower, e))
         if upper - lower <= tol * upper + sampled_err:
             if drop is not None:
                 amp = np.sqrt(s).reshape(-1, grid.angular_nodes.size)
                 _check_tail_budget(*_plane_raw_power(
-                    amp * _half_weight(grid, alpha)[..., 0], grid, p, drop), p)
+                    amp, grid, p, _scaled_drop(drop, e)), p)
             return result
         if steps == max_iter or (dec == 0.0 and eps == 0.0):
             raise SolverError(
-                f"duality gap {upper - lower:.3g} above tolerance after "
-                f"{steps} Newton steps", best=result)
+                f"duality gap {result.value - result.lower:.3g} above tolerance "
+                f"after {steps} Newton steps", best=result)
         cur = psi(s, eps)
         if dec <= 1e-20 * cur:
             # Newton has settled on this smoothing: sharpen it
@@ -592,7 +613,7 @@ def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
     if isinstance(prepared, ParsevalTerms):
         best = _best_approx_terms(prepared, n, alpha)
     else:
-        best = best_approx_lp(f, n, p, alpha, unit, grid=grid)
+        best = _best_approx_lp(f, n, p, alpha, unit, grid, prepared=prepared)
     c = vdp_constant(p)
     rhs = c * best.value
     return VdpReport(n, p, c, lhs, best.value, rhs, rhs - lhs, best.method,

@@ -13,10 +13,12 @@ evaluation.
 Both evaluators use one identity: on the plane of a unit u,
 f(x + u y) = Re S + u Im S with S(z) = sum_k z^k a_k taken componentwise.
 :func:`eval_on_slice` runs a complex Horner recursion for S at scattered
-points.  :func:`eval_polar` serves every quadrature grid, whose angular
+points.  :func:`_polar_sum` serves every quadrature grid, whose angular
 nodes are uniform on a circle: for each radius S is one inverse FFT of the
 log-scaled terms r^k a_k, folded modulo the node count, so a grid costs
-O(R (D + n log n)) instead of the O(R n D) of Horner.
+O(R (D + n log n)) instead of the O(R n D) of Horner; the scale e^{top}
+it leaves out is applied with the Gaussian weight by the one grid kernel,
+:func:`slicefock.spaces._weighted_plane`.
 """
 
 from __future__ import annotations
@@ -312,16 +314,17 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return m * np.sqrt(np.sum(np.square(a / safe[:, None]), axis=1))
 
 
-def _certified(f: SliceSeries, log_terms, ratio, tol: float, log_floor: float,
+def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: float,
                where: str) -> tuple[SliceSeries, np.ndarray, float, float, int]:
     """Extend f, doubling its stored degree up to ``DEGREE_CAP``, until the
     tail of the terms t_k (log t_k = ``log_terms(log |a_k|, k)``) past the
-    stored degree is below ``tol`` times max(e^log_floor, sum of the stored
-    t_k), bounded from the last two stored terms by the generator's
+    stored degree is below e^log_tol times max(e^log_floor, sum of the
+    stored t_k), bounded from the last two stored terms by the generator's
     ``ratio(degree)`` on t_{k+s} / t_k for every later k.  Rows that
     underflowed to zero in storage drop mass bounded the same way from the
-    first, k0.  Returns (series, log t_k, relative tail bound, relative drop
-    bound, k0 or -1); a :class:`TruncationError` names ``where``."""
+    first, k0.  Returns (series, log t_k, the logs of the tail and drop
+    bounds relative to that reference, k0 or -1); a :class:`TruncationError`
+    names ``where``."""
     g = f.generator
     fe = f
     while True:
@@ -340,12 +343,12 @@ def _certified(f: SliceSeries, log_terms, ratio, tol: float, log_floor: float,
         if rho < 1.0:
             log_tail = -math.inf if rho == 0.0 or last == 0.0 else \
                 top + math.log(last) + math.log(rho / (1.0 - rho))
-            if log_tail <= log_ref + math.log(tol):
+            if log_tail <= log_ref + log_tol:
                 break
         if deg >= DEGREE_CAP:
             raise TruncationError(
                 f"truncation error exceeds tolerance: tail not certified below "
-                f"{tol:g} at {where} with degree cap {DEGREE_CAP}")
+                f"{math.exp(log_tol):g} at {where} with degree cap {DEGREE_CAP}")
         fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
     dropped = np.flatnonzero(mags[::g.stride] == 0.0) if g else ()
     k0 = int(dropped[0]) * g.stride if len(dropped) else -1
@@ -354,18 +357,18 @@ def _certified(f: SliceSeries, log_terms, ratio, tol: float, log_floor: float,
         rho = ratio(k0)
         log_drop = log_terms(g.log_coeff(k0), k0) - math.log1p(-rho) \
             if rho < 1.0 else math.inf
-    tail, drop = (0.0 if x == -math.inf else math.exp(x - log_ref)
-                  for x in (log_tail, log_drop))
-    return fe, logs, tail, drop, k0
+    log_tail, log_drop = (-math.inf if x == -math.inf else x - log_ref
+                          for x in (log_tail, log_drop))
+    return fe, logs, log_tail, log_drop, k0
 
 
-def _refuse_drop(tail: float, drop: float, tol: float, where: str) -> float:
-    """max(tail, drop) of a pointwise certificate, which has no weight to
-    damp the mass of underflowed rows: above ``tol`` that mass is refused."""
-    if drop > tol:
+def _refuse_drop(log_tail: float, log_drop: float, tol: float, where: str) -> float:
+    """max(tail, drop) of a pointwise certificate from their logs: with no
+    weight to damp the mass of underflowed rows, above ``tol`` it is refused."""
+    if log_drop > math.log(tol):
         raise TruncationError(
             f"coefficients underflow before the tail is controlled at {where}")
-    return max(tail, drop)
+    return math.exp(max(log_tail, log_drop))
 
 
 def _radius_certificate(f: SliceSeries, radius: float
@@ -374,7 +377,7 @@ def _radius_certificate(f: SliceSeries, radius: float
     log_r = math.log(radius) if radius > 0.0 else 0.0
     return _certified(f, lambda log_mags, k: log_mags + k * log_r,
                       lambda deg: f.generator.term_ratio(radius, deg),
-                      TAIL_TOL, 0.0, f"radius {radius:g}")
+                      math.log(TAIL_TOL), 0.0, f"radius {radius:g}")
 
 
 def prepared_for_radius(f: SliceSeries, radius: float) -> tuple[SliceSeries, float]:
@@ -389,8 +392,8 @@ def prepared_for_radius(f: SliceSeries, radius: float) -> tuple[SliceSeries, flo
     consumers charge that mass instead: :func:`spaces.prepared_for_grid`).
     """
     radius = float(abs(radius))
-    fe, _, tail, drop, _ = _radius_certificate(f, radius)
-    return fe, _refuse_drop(tail, drop, TAIL_TOL, f"radius {radius:g}")
+    fe, _, log_tail, log_drop, _ = _radius_certificate(f, radius)
+    return fe, _refuse_drop(log_tail, log_drop, TAIL_TOL, f"radius {radius:g}")
 
 
 def max_modulus_type(f: SliceSeries) -> float:
@@ -469,28 +472,6 @@ def _polar_sum(f: SliceSeries, radii: np.ndarray, n_circle: int
     return np.fft.ifft(folded, axis=1, norm="forward"), top
 
 
-def eval_polar(f: SliceSeries, unit: ImaginaryUnit, radii: np.ndarray,
-               n_circle: int) -> np.ndarray:
-    """Values of an already prepared f at r_i exp(2 pi i j / n_circle) on the
-    plane of ``unit``, shape (R, n_circle, 4): what :func:`eval_on_slice`
-    gives at those nodes.
-
-    On the circle of radius r, f = sum_k r^k (cos(k t) a_k + sin(k t) I a_k)
-    = Re S + I Im S with S(t) = sum_k r^k a_k e^{i k t} taken componentwise.
-    At the n uniform angles S is one inverse DFT of the terms folded modulo
-    n (:func:`_polar_sum`).  Each radius scales its terms by e^{-top}, top
-    the log of its largest term magnitude (:func:`_log_scaled_terms`, shared
-    with :func:`_log_abs_on_circle`), so r^k never overflows; the scale is
-    multiplied back here.  Temporaries are (R, D) scalars and (R, n)
-    quaternions, never (R, D, 4).
-    """
-    s, top = _polar_sum(f, radii, n_circle)
-    # inf past the float range, nan where it meets a zero component: the
-    # callers' finite checks name the node
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _lift(s, unit) * np.exp(top)[:, None, None]
-
-
 def slice_components(f: SliceSeries, z: np.ndarray,
                      prepare: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) at complex coordinates z such that f(x + u y) = alpha +
@@ -500,17 +481,6 @@ def slice_components(f: SliceSeries, z: np.ndarray,
     (:func:`_slice_sum`), two (n, 4) arrays of quaternion components.
     """
     s = _slice_sum(f, z, prepare)
-    return s.real, s.imag
-
-
-def polar_components(f: SliceSeries, radii: np.ndarray, n_circle: int,
-                     index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`slice_components` of an already prepared f at
-    r_i exp(2 pi i index_j / n_circle), each of shape (R, len(index), 4):
-    Re S and Im S from one :func:`_polar_sum`."""
-    s, top = _polar_sum(f, radii, n_circle)
-    with np.errstate(over="ignore", invalid="ignore"):   # as in eval_polar
-        s = s[:, index] * np.exp(top)[:, None, None]
     return s.real, s.imag
 
 

@@ -27,10 +27,11 @@ sphere rule a volume grid carries serves only generic integrands
 (:func:`integrate_volume`).  The sup over planes reads each sampled plane
 from the same (a, b).
 
-Every grid evaluation goes through :func:`slicefock.series.eval_polar`, one
-FFT per radius: plane norms and inner products read the grid's circle
-directly, and (a, b) on a plane or volume grid are Re S and Im S on the
-same circle (:func:`slicefock.series.polar_components`).
+Every grid consumer reads one kernel, :func:`_weighted_plane`: the
+weighted (a, b) = (Re v, Im v) 2^e at the grid's nodes, so nothing
+overflows for a member whose weighted integrand is finite.  Each consumer
+multiplies 2^e back once, and a result past the float range raises
+:class:`IntegrandOverflowError`.
 
 Every series the library builds is a polynomial or an exponential
 generator of order-2 type sigma, in the spaces of weight alpha (both kinds,
@@ -85,9 +86,7 @@ from .series import (
     _polar_sum,
     _radius_certificate,
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
-    eval_polar,
     max_modulus_type,
-    polar_components,
     prepared_for_radius,
     slice_components,
 )
@@ -204,30 +203,6 @@ def default_grid(spec: NormSpec, n_radial: int | None = None,
                        DEFAULT_SPHERE if n_sphere is None else n_sphere)
 
 
-def _half_weight(grid: QuadratureGrid, alpha: float) -> np.ndarray:
-    """e^{-alpha r^2 / 2} per radial node, shaped to scale (R, n, 4) values."""
-    return np.exp(-0.5 * alpha * grid.radial_nodes ** 2)[:, None, None]
-
-
-def _plane_values(f: SliceSeries, unit: ImaginaryUnit,
-                  grid: QuadratureGrid) -> np.ndarray:
-    """Values of a prepared f at the grid's (radial, angular) nodes on the
-    plane of ``unit``, shape (R, n, 4)."""
-    return eval_polar(f, unit, grid.radial_nodes,
-                      grid.circle_size)[:, grid.circle_index]
-
-
-def _weighted_components(f: SliceSeries, grid: QuadratureGrid, alpha: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of :func:`slice_components` for a prepared f at the
-    grid's nodes, each (R, n, 4) and carrying the weight
-    e^{-alpha |z|^2 / 2}."""
-    a, b = polar_components(f, grid.radial_nodes, grid.circle_size,
-                            grid.circle_index)
-    half = _half_weight(grid, alpha)
-    return a * half, b * half
-
-
 def _check_tail_budget(raw: float, delta: float, p: float) -> float:
     """The evaluation-error contribution ``delta`` to the raw p-th power must
     stay below NORM_TAIL_BUDGET of the result (norm scale: raw / p); returns
@@ -268,7 +243,8 @@ def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
     in storage, bounded per radial node times e^{-alpha r^2 / 2} instead of
     refused."""
     _check_in_space(f, alpha)
-    fe, _, tail, _, k0 = _radius_certificate(f, grid.max_radius)
+    fe, _, log_tail, _, k0 = _radius_certificate(f, grid.max_radius)
+    tail = math.exp(log_tail)          # at most TAIL_TOL
     if k0 < 0:
         return Prepared(fe, tail, None, k0)
     g, r = fe.generator, grid.radial_nodes
@@ -294,29 +270,28 @@ def _parseval_log_terms(log_sq, k, alpha: float):
 class ParsevalTerms(NamedTuple):
     """f's certified Parseval terms t_k = |a_k|^2 k! / alpha^k
     (:func:`_parseval_terms`): the extended series, log t_k (log 0 for a
-    vanishing row), and, relative to the sum of the stored terms, the bound
-    on the terms past the stored degree and the bound on those of generator
-    rows that underflowed in storage."""
+    vanishing row), and, relative to the sum of the stored terms, the log of
+    the bound on the terms past the stored degree and the log of the bound
+    on those of generator rows that underflowed in storage."""
 
     series: SliceSeries
     logw: np.ndarray
-    tail: float
-    drop: float
+    log_tail: float
+    log_drop: float
 
 
-def _parseval_terms(f: SliceSeries, alpha: float, tol: float = PARSEVAL_TAIL_TOL
-                    ) -> ParsevalTerms:
+def _parseval_terms(f: SliceSeries, alpha: float,
+                    log_tol: float = math.log(PARSEVAL_TAIL_TOL)) -> ParsevalTerms:
     """The one Parseval certificate: f refused outside the spaces of weight
     ``alpha`` (:class:`NotInSpaceError`), then extended until its terms'
-    tail is below ``tol`` relative (:func:`slicefock.series._certified`).
+    tail is below e^log_tol relative (:func:`slicefock.series._certified`).
     Its underflowed rows are bounded, not refused: :func:`_parseval_power`
     charges them with the tail."""
     _check_in_space(f, alpha)
-    fe, logs, tail, drop, _ = _certified(
+    return ParsevalTerms(*_certified(
         f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
-        lambda deg: f.generator.parseval_ratio(alpha, deg), tol, -math.inf,
-        f"alpha = {alpha:g}")
-    return ParsevalTerms(fe, logs, tail, drop)
+        lambda deg: f.generator.parseval_ratio(alpha, deg), log_tol, -math.inf,
+        f"alpha = {alpha:g}")[:4])
 
 
 def _log_sum(logs: np.ndarray) -> np.ndarray:
@@ -337,9 +312,9 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, log_mult=None,
 
     Every |m_k|, past the stored rows too, is at most e^log_bound, so those
     rows add at most (tail + drop) e^{2 log_bound} sum_k t_k to the power,
-    charged through :func:`_check_tail_budget`.  Where the tail alone misses
-    its half of the budget, f's terms are certified once more at the tail
-    that power needs."""
+    charged through :func:`_check_tail_budget` from their logs.  Where the
+    tail alone misses its half of the budget, f's terms are certified once
+    more at the tail that power needs (the smallest float if it is 0)."""
     def weighted(terms):
         log_total = float(_log_sum(terms.logw))
         log_sq = log_total if log_mult is None else float(np.max(_log_sum(
@@ -347,19 +322,20 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, log_mult=None,
         # log of what a unit of relative tail adds to the power, relative to it
         gap = log_total + 2.0 * log_bound - log_sq
 
-        def charge(x):
-            if not x:
+        def charge(log_x):
+            if log_x == -math.inf:
                 return 0.0
-            y = math.log(x) + gap
+            y = log_x + gap
             return math.exp(y) if y < 709.0 else math.inf   # inf is refused
-        return log_sq, charge
+        return log_sq, gap, charge
 
-    log_sq, charge = weighted(terms)
-    if charge(terms.tail) > NORM_TAIL_BUDGET >= charge(terms.drop):
-        terms = _parseval_terms(terms.series, alpha, max(
-            NORM_TAIL_BUDGET / charge(1.0), 5e-324))   # the smallest float
-        log_sq, charge = weighted(terms)
-    return log_sq, _check_tail_budget(1.0, charge(terms.tail + terms.drop), 2.0)
+    log_sq, gap, charge = weighted(terms)
+    if charge(terms.log_tail) > NORM_TAIL_BUDGET >= charge(terms.log_drop):
+        terms = _parseval_terms(terms.series, alpha, math.log(NORM_TAIL_BUDGET) - gap
+                                if gap < math.inf else math.log(5e-324))
+        log_sq, _, charge = weighted(terms)
+    log_bounds = float(np.logaddexp(terms.log_tail, terms.log_drop))
+    return log_sq, _check_tail_budget(1.0, charge(log_bounds), 2.0)
 
 
 def _checked_exp(log_value: float, what: str) -> float:
@@ -368,6 +344,42 @@ def _checked_exp(log_value: float, what: str) -> float:
         return math.exp(log_value)
     except OverflowError:
         raise IntegrandOverflowError(f"{what} exceeds the float range") from None
+
+
+def _checked_ldexp(x: float, e: int, what: str) -> float:
+    """x 2^e (the kernel's scale, :func:`_weighted_plane`); a result past the
+    float range raises :class:`IntegrandOverflowError`."""
+    try:
+        value = math.ldexp(x, e)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise IntegrandOverflowError(f"{what} exceeds the float range")
+    return value
+
+
+def _weighted_plane(f: SliceSeries, grid: QuadratureGrid, alpha: float
+                    ) -> tuple[np.ndarray, int]:
+    """The one plane-evaluation kernel: S e^{-alpha |z|^2 / 2} at the grid's
+    nodes for a prepared f, S(z) = sum_k z^k a_k componentwise, as a complex
+    (R, n, 4) array v and an integer e; f(q) e^{-alpha |q|^2 / 2} is
+    (Re v + u Im v) 2^e on q = x + u y.  S comes from one FFT per radius
+    with its scale e^{top} left out (:func:`slicefock.series._polar_sum`);
+    each radius's e^{top - alpha r^2 / 2 - e ln 2} is applied once, e the
+    integer nearest the largest exponent over ln 2.  So v is finite where
+    the weighted values are, and no square of it overflows."""
+    s, top = _polar_sum(f, grid.radial_nodes, grid.circle_size)
+    lam = top - 0.5 * alpha * grid.radial_nodes ** 2
+    e = int(np.rint(np.max(lam) / math.log(2.0)))
+    return s[:, grid.circle_index] * np.exp(lam - e * math.log(2.0))[:, None, None], e
+
+
+def _scaled_drop(drop: np.ndarray | None, e: int) -> np.ndarray | None:
+    """A per-radius drop bound on the scale of the kernel's v: drop 2^-e."""
+    if drop is None:
+        return None
+    with np.errstate(over="ignore"):       # inf is refused by the budget
+        return np.ldexp(drop, -e)
 
 
 def _drop_delta(amp: np.ndarray, drop: np.ndarray | None, grid: QuadratureGrid,
@@ -414,25 +426,19 @@ def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float,
 
 def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
                      p: float, alpha: float, drop: np.ndarray | None = None
-                     ) -> tuple[float, float]:
-    """:func:`_plane_raw_power` of (|f| w_alpha) on the plane of ``unit``:
-    |Re S + u Im S| of the log-scaled polar sum (:func:`_polar_sum`) times
-    e^{top - alpha r^2 / 2}, one exponential per radius, so that neither f
-    nor its square overflows where the weighted amplitude is finite."""
-    s, top = _polar_sum(f, grid.radial_nodes, grid.circle_size)
-    scaled = _lift(s[:, grid.circle_index], unit)
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite sample
-        amp = np.sqrt(np.sum(np.square(scaled), axis=-1)) \
-            * np.exp(top - 0.5 * alpha * grid.radial_nodes ** 2)[:, None]
-    return _plane_raw_power(amp, grid, p, drop)
+                     ) -> tuple[float, float, int]:
+    """:func:`_plane_raw_power` of |f| w_alpha on the plane of ``unit``, from
+    |Re v + u Im v| of the kernel's v (:func:`_weighted_plane`): (raw,
+    delta, e), the true raw power and delta being 2^{e p} times these."""
+    v, e = _weighted_plane(f, grid, alpha)
+    amp = np.sqrt(np.sum(np.square(_lift(v, unit)), axis=-1))
+    return (*_plane_raw_power(amp, grid, p, _scaled_drop(drop, e)), e)
 
 
 def _affine_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|a + u b|^2 = A + u.w for every unit u: returns A and the (..., 3) w,
-    inf or nan past the float range (reported as a non-finite sample)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        amp_sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
-        return amp_sq, 2.0 * quat_mul_array(a, quat_conj_array(b))[..., 1:]
+    """|a + u b|^2 = A + u.w for every unit u: returns A and the (..., 3) w."""
+    amp_sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
+    return amp_sq, 2.0 * quat_mul_array(a, quat_conj_array(b))[..., 1:]
 
 
 def _sphere_power(amp_sq: np.ndarray, wnorm: np.ndarray, p: float) -> np.ndarray:
@@ -455,43 +461,46 @@ def _sphere_power(amp_sq: np.ndarray, wnorm: np.ndarray, p: float) -> np.ndarray
 
 def _volume_raw_power(f: SliceSeries, grid: QuadratureGrid, p: float,
                       alpha: float, drop: np.ndarray | None = None
-                      ) -> tuple[float, float]:
-    """:func:`_plane_raw_power` over the whole algebra from one plane: on
-    q = x + u y, |f|^2 w_alpha^2 = A + u.w, so the power's sphere integral is
-    closed-form, and that of G(v) = (v + d)^p - v^p, monotone in v, is at
-    most 4 pi G at the largest v = sqrt(A + u.w) for p >= 1, the smallest
+                      ) -> tuple[float, float, int]:
+    """(raw, delta, e) as :func:`_slice_raw_power` returns them, over the
+    whole algebra from one plane: on q = x + u y, |f|^2 w_alpha^2 is
+    (A + u.w) 4^e for (a, b) = (Re v, Im v), so the power's sphere integral
+    is closed-form, and that of G(x) = (x + d)^p - x^p, monotone in x, is at
+    most 4 pi G at the largest x = sqrt(A + u.w) for p >= 1, the smallest
     below: exact at p = 1 and for w = 0."""
-    amp_sq, w = _affine_square(*_weighted_components(f, grid, alpha))
+    v, e = _weighted_plane(f, grid, alpha)
+    amp_sq, w = _affine_square(v.real, v.imag)
     wnorm = np.sqrt(np.sum(w * w, axis=-1))
     raw = _grid_sum(_sphere_power(amp_sq, wnorm, p), grid)
     if drop is None:
-        return raw, 0.0
-    v = np.sqrt(amp_sq + wnorm if p >= 1.0 else np.maximum(amp_sq - wnorm, 0.0))
-    return raw, SPHERE_AREA * _drop_delta(v, drop, grid, p)
+        return raw, 0.0, e
+    x = np.sqrt(amp_sq + wnorm if p >= 1.0 else np.maximum(amp_sq - wnorm, 0.0))
+    return raw, SPHERE_AREA * _drop_delta(x, _scaled_drop(drop, e), grid, p), e
 
 
 def _charged_norm(fe: SliceSeries, drop: np.ndarray | None, spec: NormSpec,
                   grid: QuadratureGrid) -> tuple[float, float]:
     """Norm of a prepared f under ``spec`` and the charge of its ``drop``
     (see :func:`prepared_for_grid`) relative to it."""
-    # each kind is a list of (raw, delta) and its prefactor
+    # each kind is a list of (raw, delta) on one scale 2^{e p}, and its prefactor
     pref = spec.alpha * spec.p / (2.0 * math.pi)
     if spec.kind == "first":
         pref *= pref
-        planes = [_volume_raw_power(fe, grid, spec.p, spec.alpha, drop)]
+        *plane, e = _volume_raw_power(fe, grid, spec.p, spec.alpha, drop)
+        planes = [plane]
     elif spec.sup_samples is None:
-        planes = [_slice_raw_power(fe, spec.slice_unit, grid, spec.p, spec.alpha, drop)]
+        *plane, e = _slice_raw_power(fe, spec.slice_unit, grid, spec.p, spec.alpha, drop)
+        planes = [plane]
     else:
         # every sampled plane's amplitude comes from one shared evaluation
-        amp_sq, w = _affine_square(*_weighted_components(fe, grid, spec.alpha))
+        v, e = _weighted_plane(fe, grid, spec.alpha)
+        amp_sq, w = _affine_square(v.real, v.imag)
         planes = [_plane_raw_power(np.sqrt(np.maximum(amp_sq + w @ u.vector(), 0.0)),
-                                   grid, spec.p, drop)
+                                   grid, spec.p, _scaled_drop(drop, e))
                   for u in sphere_grid(spec.sup_samples)]
     charge = max(_check_tail_budget(raw, delta, spec.p) for raw, delta in planes)
     value = max((pref * raw) ** (1.0 / spec.p) for raw, _ in planes)
-    if not math.isfinite(value):
-        raise IntegrandOverflowError("weighted norm exceeds the float range")
-    return value, charge
+    return _checked_ldexp(value, e, "weighted norm"), charge
 
 
 def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,
@@ -588,20 +597,32 @@ def norm_report(f: SliceSeries, spec: NormSpec,
 # ---------------------------------------------------------------------------
 # inner products (p = 2)
 
-def _charge_pair(f_parts, g_parts, df: np.ndarray | None, dg: np.ndarray | None,
-                 grid: QuadratureGrid) -> None:
-    """Charge the underflowed rows of an inner product's factors: with fa the
-    root sum of squares of ``f_parts`` (|f| w_alpha, or its sphere mean over
-    the algebra), the value moves by at most the integral of fa dg + df (ga + dg)."""
-    if df is None and dg is None:
-        return
-    fa, ga = (np.sqrt(sum(np.sum(v * v, axis=-1) for v in parts))
-              for parts in (f_parts, g_parts))
-    df, dg = (0.0 if d is None else d[:, None] for d in (df, dg))
-    w = grid.plane_weights
-    with np.errstate(over="ignore", invalid="ignore"):   # refused as non-finite
-        _check_tail_budget(float(np.sum(w * fa * ga)),
-                           float(np.sum(w * (fa * dg + df * (ga + dg)))), 1.0)
+def _inner(f: SliceSeries, g: SliceSeries, alpha: float, grid: QuadratureGrid,
+           unit: ImaginaryUnit | None = None) -> Quaternion:
+    """int conj(f) g e^{-alpha |q|^2} over the plane of ``unit`` times
+    alpha / pi, or without one over the algebra times 4 pi (alpha / pi)^2,
+    from the kernel's v of each factor (:func:`_weighted_plane`).  With fa
+    the root sum of squares of f's parts and df its drop bound, both on the
+    scale of its v, the underflowed rows move the value by at most the
+    integral of fa dg + df (ga + dg)."""
+    parts, drops, e = [], [], 0
+    for h in (f, g):
+        prep = prepared_for_grid(h, alpha, grid)
+        v, eh = _weighted_plane(prep.series, grid, alpha)
+        parts.append((v.real, v.imag) if unit is None else (_lift(v, unit),))
+        drops.append(_scaled_drop(prep.drop, eh))
+        e += eh
+    if any(d is not None for d in drops):
+        fa, ga = (np.sqrt(sum(np.sum(x * x, axis=-1) for x in ps)) for ps in parts)
+        df, dg = (0.0 if d is None else d[:, None] for d in drops)
+        w = grid.plane_weights
+        with np.errstate(over="ignore", invalid="ignore"):   # refused as non-finite
+            _check_tail_budget(float(np.sum(w * fa * ga)),
+                               float(np.sum(w * (fa * dg + df * (ga + dg)))), 1.0)
+    prod = sum(quat_mul_array(quat_conj_array(a), b) for a, b in zip(*parts))
+    pref = SPHERE_AREA * (alpha / math.pi) ** 2 if unit is None else alpha / math.pi
+    comps = pref * (grid.plane_weights.ravel() @ prod.reshape(-1, 4))
+    return Quaternion(*(_checked_ldexp(float(c), e, "inner product") for c in comps))
 
 
 def inner_second(f: SliceSeries, g: SliceSeries, alpha: float,
@@ -612,15 +633,7 @@ def inner_second(f: SliceSeries, g: SliceSeries, alpha: float,
     Normalized so that <f, f> equals the squared second-kind norm at p = 2;
     the rescaled monomials e_k = sqrt(alpha^k / k!) q^k come out orthonormal.
     """
-    grid = grid or slice_grid(alpha)
-    pf, pg = (prepared_for_grid(h, alpha, grid) for h in (f, g))
-    half = _half_weight(grid, alpha)
-    fv = _plane_values(pf.series, unit, grid) * half
-    gv = _plane_values(pg.series, unit, grid) * half
-    _charge_pair((fv,), (gv,), pf.drop, pg.drop, grid)
-    prod = quat_mul_array(quat_conj_array(fv), gv)
-    comps = grid.plane_weights.ravel() @ prod.reshape(-1, 4)
-    return Quaternion.from_array(comps * (alpha / math.pi))
+    return _inner(f, g, alpha, grid or slice_grid(alpha), unit)
 
 
 def inner_first(f: SliceSeries, g: SliceSeries, alpha: float,
@@ -632,15 +645,7 @@ def inner_first(f: SliceSeries, g: SliceSeries, alpha: float,
     and g = a_g + u b_g on q = x + u y, the sphere integral of conj(f) g is
     4 pi (conj(a_f) a_g + conj(b_f) b_g) exactly.
     """
-    grid = grid or volume_grid(alpha)
-    pf, pg = (prepared_for_grid(h, alpha, grid) for h in (f, g))
-    af, bf = _weighted_components(pf.series, grid, alpha)
-    ag, bg = _weighted_components(pg.series, grid, alpha)
-    _charge_pair((af, bf), (ag, bg), pf.drop, pg.drop, grid)
-    prod = (quat_mul_array(quat_conj_array(af), ag)
-            + quat_mul_array(quat_conj_array(bf), bg))
-    comps = SPHERE_AREA * (grid.plane_weights.ravel() @ prod.reshape(-1, 4))
-    return Quaternion.from_array(comps * (alpha / math.pi) ** 2)
+    return _inner(f, g, alpha, grid or volume_grid(alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ def _quadrature_p2(g, unit, alpha, grid):
     coefficient sums replace."""
     from slicefock.spaces import _slice_raw_power
 
-    raw, _ = _slice_raw_power(g, unit, grid, 2.0, alpha)
-    return math.sqrt(alpha / math.pi * raw)
+    raw, _, e = _slice_raw_power(g, unit, grid, 2.0, alpha)
+    return math.ldexp(math.sqrt(alpha / math.pi * raw), e)
 
 
 def test_finite_difference_annihilates_constants():
@@ -457,9 +457,9 @@ def test_p2_modulus_recertifies_the_tail_a_tiny_step_needs(monkeypatch, name, de
     calls = []
     certify = approx._parseval_terms
 
-    def spy(g, alpha, tol=approx.PARSEVAL_TAIL_TOL):
-        out = certify(g, alpha, tol)
-        calls.append((tol, out))
+    def spy(g, alpha, log_tol=math.log(approx.PARSEVAL_TAIL_TOL)):
+        out = certify(g, alpha, log_tol)
+        calls.append((math.exp(log_tol), out))
         return out
 
     # the first certificate is made by modulus, a further one by the sum
@@ -470,7 +470,8 @@ def test_p2_modulus_recertifies_the_tail_a_tiny_step_needs(monkeypatch, name, de
     # f's, misses the budget of the tiny value, so f's terms are certified
     # once more at the tolerance that step needs
     assert len(calls) == 2
-    (_, (_, logw, tail, _)), (tol, _) = calls
+    (_, (_, logw, log_tail, _)), (tol, _) = calls
+    tail = math.exp(log_tail)
     total, sq = float(np.sum(np.exp(logw))), got * got / math.pi
     assert NORM_TAIL_BUDGET * sq < 4.0 ** k * tail * total
     assert tol <= NORM_TAIL_BUDGET * sq / (4.0 ** k * total) * (1.0 + 1e-9)
@@ -557,7 +558,7 @@ def test_p2_operator_error_charges_the_underflowed_rows():
 
     spec = NormSpec("second", 2.0, 0.01)
     terms = prepared_for_spec(exp_series(), spec, None)
-    assert terms.drop > 1e-12 and terms.tail == 0.0
+    assert math.exp(terms.log_drop) > 1e-12 and terms.log_tail == -math.inf
     assert operator_error(taylor_op(4), terms, spec, None) == pytest.approx(
         math.exp(50.0), rel=1e-12)
     with pytest.raises(TruncationError, match="underflowed-row"):

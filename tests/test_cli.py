@@ -289,12 +289,13 @@ GAUSS_P1 = ("--fn", "gauss:0.25", "--p", "1", "--n-list", "4,16")
     # gauss:0.25 at p = 1 drops rows whose weighted mass meets it
     (("converge", *GAUSS_P1, "--operator", "taylor"), 0, "4,0.1373466105975517,,"),
     (("converge", *GAUSS_P1, "--operator", "fejer"), 0, "4,0.3517887522768784,,"),
+    # closed forms below: (1/4 pi^2) (pi/(1/2 - beta))^(1/2) (pi/(1/2 + beta))^(3/2)
     (("norm", "--fn", "gauss:0.25", "--p", "1", "--kind", "first"), 0,
-     "0.7698003589195008"),
+     "0.76980035891950"),
     (("norm", "--fn", "gauss:0.25", "--p", "1", "--kind", "second"), 0,
      "1.154700538379254"),
     (("norm", "--fn", "exp", "--alpha", "0.012", "--kind", "first"), 0,
-     "1.2462449532958474e+18"),
+     "1.24624495329"),
     (("norm", "--fn", "exp", "--alpha", "0.012", "--kind", "second"), 0,
      "1.2462449532958"),
     # membership is type < alpha / 2, whatever p
@@ -355,11 +356,16 @@ def test_one_verdict_per_input(capsys, argv, code, says):
         assert out == "" and err.startswith(says) and len(err.splitlines()) == 1
     else:
         assert err == "" and says in out
-    if code == 0 and argv[:3] == ("norm", "--fn", "exp") and "first" not in argv:
-        # the second kind at p = 2: the closed form e^{1/(2 alpha)}
+    if code == 0 and argv[:3] == ("norm", "--fn", "exp"):
+        # p = 2, either kind: the closed form e^{1/(2 alpha)}
         alpha = float(argv[argv.index("--alpha") + 1])
         assert json.loads(out)["value"] == pytest.approx(math.exp(0.5 / alpha),
                                                          rel=1e-12)
+    if code == 0 and argv[:3] == ("norm", "--fn", "gauss:0.25") and "first" in argv:
+        # p = 1 over the algebra: |e(beta q^2)| = e^{beta (x^2 - |y|^2)}, so
+        # the integral splits into one Gaussian in x and one in y
+        want = math.sqrt(math.pi / 0.25) * (math.pi / 0.75) ** 1.5 / (4 * math.pi ** 2)
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", ["1", "0.05", "0.012"])
@@ -608,10 +614,12 @@ def test_growth_needs_an_increasing_finite_radius_range(capsys, r_min, r_max):
     (("norm", "--fn", "kernel-section:1e200,1,0,0,1"), "overflow"),
     (("bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"),
      "underflow"),
-    (("smoothness", "--fn", "exp", "--k", "1023", "--delta-list", "0.5", "--p", "4"),
-     "integrand overflow at node ("),
-    (("norm", "--fn", "mono:100", "--kind", "first", "--p", "4"),
-     "integrand overflow at node ("),
+    # past the float range on grids that resolve them: the weighted mass
+    # sits where it does at alpha = 1, at radii 1 / sqrt(alpha) times larger
+    (("smoothness", "--fn", "mono:4", "--alpha", "1e-200", "--delta-list", "0.5",
+      "--p", "4"), "order-1 modulus exceeds the float range"),
+    (("norm", "--fn", "mono:8", "--kind", "first", "--p", "4", "--alpha", "1e-150"),
+     "weighted norm exceeds the float range"),
 ])
 def test_float_range_failures_are_one_error_line_without_warnings(capsys, argv,
                                                                   names):

@@ -1,9 +1,11 @@
-"""The polar-FFT plane evaluator against the Horner recursion.
+"""The plane-evaluation kernel against the Horner recursion.
 
-``eval_polar`` gives the values of a prepared series at
-r_i exp(2 pi i j / n) from one inverse FFT per radius; ``eval_on_slice``
-runs Horner at the same nodes and is the oracle.  Agreement is measured
-against each radius's term scale sum_k |a_k| r^k.
+``spaces._weighted_plane`` gives S w_alpha, S(z) = sum_k z^k a_k taken
+componentwise and w_alpha = e^{-alpha |z|^2 / 2}, at a grid's nodes
+r_i exp(2 pi i index_j / n) as an array v and an integer e, the values
+being v 2^e; one inverse FFT per radius.  ``eval_on_slice`` runs Horner at
+the same nodes and is the oracle.  Agreement is measured against each
+radius's weighted term scale sum_k |a_k| r^k w_alpha(r).
 """
 
 import math
@@ -11,20 +13,21 @@ import math
 import numpy as np
 import pytest
 
-from slicefock.quadrature import slice_grid, volume_grid
+from slicefock.quadrature import QuadratureGrid, slice_grid, volume_grid
 from slicefock.quaternion import UNIT_I, ImaginaryUnit
 from slicefock.series import (
+    _lift,
     _radius_certificate,
     _row_norms,
     eval_on_slice,
-    eval_polar,
     exp_series,
     extended,
     from_generator,
-    polar_components,
+    monomial,
     random_series,
     slice_components,
 )
+from slicefock.spaces import _weighted_plane
 
 TOL = 1e-13
 
@@ -38,28 +41,48 @@ FAMILIES = {
 }
 
 
-def term_scale(f, radii):
-    """sum_k |a_k| r^k per radius, summed in log space."""
+def circle_grid(radii, n_circle):
+    """A plane grid whose angular nodes are the whole circle of n_circle."""
+    n = n_circle
+    return QuadratureGrid(
+        mode="slice", scale=1.0, radial_nodes=np.asarray(radii, dtype=float),
+        radial_weights=np.ones(len(radii)),
+        angular_nodes=2.0 * math.pi * np.arange(n) / n,
+        angular_weights=np.full(n, 2.0 * math.pi / n))
+
+
+def term_scale(f, radii, alpha=0.0):
+    """sum_k |a_k| r^k w_alpha(r) per radius, summed in log space."""
     mags = _row_norms(f.coeffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(mags) + np.multiply.outer(np.log(radii),
                                                 np.arange(mags.size))
     logs[:, 0] = math.log(mags[0]) if mags[0] > 0.0 else -math.inf
     top = np.max(logs, axis=1)
-    return np.exp(top) * np.sum(np.exp(logs - top[:, None]), axis=1)
+    return np.exp(top - 0.5 * alpha * radii ** 2) \
+        * np.sum(np.exp(logs - top[:, None]), axis=1)
 
 
-def horner_on_circle(f, unit, radii, n_circle, index=None):
+def horner_on_circle(f, unit, radii, n_circle, index=None, alpha=0.0):
+    """Horner's values times the weight at r_i exp(2 pi i index_j / n)."""
     index = np.arange(n_circle) if index is None else index
     z = np.outer(radii, np.exp(2j * math.pi * index / n_circle))
     vals = eval_on_slice(f, unit, z.ravel(), prepare=False)
-    return vals.reshape(z.shape + (4,))
+    weight = np.exp(-0.5 * alpha * np.asarray(radii) ** 2)[:, None, None]
+    return vals.reshape(z.shape + (4,)) * weight
 
 
-def assert_close(got, want, f, radii):
+def kernel_values(f, unit, grid, alpha=0.0):
+    """The kernel's plane values (Re v + u Im v) 2^e."""
+    v, e = _weighted_plane(f, grid, alpha)
+    assert np.all(np.isfinite(v))
+    return np.ldexp(_lift(v, unit), e)
+
+
+def assert_close(got, want, f, radii, alpha=0.0):
     assert got.shape == want.shape
     assert np.all(np.isfinite(got))
-    err = np.max(np.abs(got - want), axis=(1, 2)) / term_scale(f, radii)
+    err = np.max(np.abs(got - want), axis=(1, 2)) / term_scale(f, radii, alpha)
     assert np.max(err) <= TOL, float(np.max(err))
 
 
@@ -73,9 +96,10 @@ def prepared(name, radius):
 def test_slice_layout_matches_horner(name, unit):
     grid = slice_grid(0.5, 24, 48)
     f = prepared(name, grid.max_radius)
-    got = eval_polar(f, unit, grid.radial_nodes, grid.circle_size)
-    want = horner_on_circle(f, unit, grid.radial_nodes, grid.circle_size)
-    assert_close(got, want, f, grid.radial_nodes)
+    radii = grid.radial_nodes
+    got = kernel_values(f, unit, grid, alpha=1.0)
+    want = horner_on_circle(f, unit, radii, grid.circle_size, alpha=1.0)
+    assert_close(got, want, f, radii, alpha=1.0)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -87,17 +111,21 @@ def test_volume_half_circle_components_match_horner(name):
                                rtol=0, atol=1e-15)
     f = prepared(name, grid.max_radius)
     radii = grid.radial_nodes
-    full = eval_polar(f, UNIT_I, radii, n)
+    assert_close(kernel_values(f, UNIT_I, grid, alpha=1.0),
+                 horner_on_circle(f, UNIT_I, radii, n, index, alpha=1.0),
+                 f, radii, alpha=1.0)
     # node n - j of the circle is the conjugate of node j
-    assert_close(full[:, index], horner_on_circle(f, UNIT_I, radii, n, index),
-                 f, radii)
+    full = kernel_values(f, UNIT_I, circle_grid(radii, n), alpha=1.0)
     assert_close(full[:, -index % n],
-                 horner_on_circle(f, UNIT_I, radii, n, -index), f, radii)
-    a, b = polar_components(f, radii, n, index)
+                 horner_on_circle(f, UNIT_I, radii, n, -index, alpha=1.0),
+                 f, radii, alpha=1.0)
+    # (a, b) of the representation formula are Re v and Im v
+    v, e = _weighted_plane(f, grid, 1.0)
     z = np.outer(radii, np.exp(1j * grid.angular_nodes))
     want_a, want_b = slice_components(f, z.ravel(), prepare=False)
-    assert_close(a, want_a.reshape(a.shape), f, radii)
-    assert_close(b, want_b.reshape(b.shape), f, radii)
+    weight = np.exp(-0.5 * radii ** 2)[:, None, None]
+    assert_close(np.ldexp(v.real, e), want_a.reshape(v.shape) * weight, f, radii, 1.0)
+    assert_close(np.ldexp(v.imag, e), want_b.reshape(v.shape) * weight, f, radii, 1.0)
 
 
 @pytest.mark.parametrize("n_circle", [1, 2, 3, 7])
@@ -106,7 +134,7 @@ def test_fold_aliases_above_the_node_count(name, n_circle):
     radii = np.array([0.0, 0.5, 3.0, 6.0])
     f = prepared(name, float(radii[-1]))
     assert f.degree >= n_circle
-    got = eval_polar(f, SEEDED_UNIT, radii, n_circle)
+    got = kernel_values(f, SEEDED_UNIT, circle_grid(radii, n_circle))
     want = horner_on_circle(f, SEEDED_UNIT, radii, n_circle)
     assert_close(got, want, f, radii)
 
@@ -114,7 +142,7 @@ def test_fold_aliases_above_the_node_count(name, n_circle):
 def test_single_node_is_the_real_axis():
     f = prepared("exp", 4.0)
     radii = np.array([0.0, 1.0, 4.0])
-    got = eval_polar(f, SEEDED_UNIT, radii, 1)
+    got = kernel_values(f, SEEDED_UNIT, circle_grid(radii, 1))
     assert got.shape == (3, 1, 4)
     np.testing.assert_allclose(got[:, 0, 0], np.exp(radii), rtol=1e-14)
     np.testing.assert_array_equal(got[:, 0, 1:], 0.0)
@@ -127,7 +155,7 @@ def test_large_radius_at_the_degree_cap(radius):
     with np.errstate(over="ignore"):
         assert np.isinf(np.float64(radius) ** 512)
     radii = np.array([radius])
-    got = eval_polar(f, SEEDED_UNIT, radii, 16)
+    got = kernel_values(f, SEEDED_UNIT, circle_grid(radii, 16))
     want = horner_on_circle(f, SEEDED_UNIT, radii, 16)
     assert_close(got, want, f, radii)
     np.testing.assert_allclose(got[0, 0, 0], math.exp(radius), rtol=1e-13)
@@ -135,5 +163,22 @@ def test_large_radius_at_the_degree_cap(radius):
 
 def test_zero_series_gives_zeros():
     f = random_series(3, 1) - random_series(3, 1)
-    got = eval_polar(f, UNIT_I, np.array([0.0, 2.0]), 5)
-    np.testing.assert_array_equal(got, 0.0)
+    v, _ = _weighted_plane(f, circle_grid([0.0, 2.0], 5), 1.0)
+    np.testing.assert_array_equal(v, 0.0)
+
+
+def test_weighted_values_past_the_float_range_stay_finite():
+    # q^250 at the outer nodes of the default p = 1 plane grid: r^250 is far
+    # past the float range, r^250 e^{-r^2 / 2} is not, and neither is v
+    grid = slice_grid(0.5)
+    r = grid.radial_nodes
+    assert 250 * math.log(r[-1]) > 709.8
+    v, e = _weighted_plane(monomial(250), grid, 1.0)
+    assert np.all(np.isfinite(v)) and np.max(np.abs(v)) <= 2.0
+    amp = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
+    normal = amp[:, 0] > 1e-300           # the inner radii underflow, harmlessly
+    assert normal[-1] and np.sum(normal) > r.size // 2
+    got = np.log(amp[normal]) + e * math.log(2.0)
+    want = 250 * np.log(r[normal]) - 0.5 * r[normal] ** 2
+    np.testing.assert_allclose(got, np.broadcast_to(want[:, None], got.shape),
+                               rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
