@@ -16,9 +16,9 @@ f(x + u y) = Re S + u Im S with S(z) = sum_k z^k a_k taken componentwise.
 points.  :func:`_polar_sum` serves every quadrature grid, whose angular
 nodes are uniform on a circle: for each radius S is one inverse FFT of the
 log-scaled terms r^k a_k, folded modulo the node count, so a grid costs
-O(R (D + n log n)) instead of the O(R n D) of Horner; the scale e^{top}
-it leaves out is applied with the Gaussian weight by the one grid kernel,
-:func:`slicefock.spaces._weighted_plane`.
+O(R (D + n log n)) instead of the O(R n D) of Horner.  The one grid
+kernel, :func:`slicefock.spaces._weighted_plane`, gives it each radius's
+terms already scaled by the Gaussian weight.
 """
 
 from __future__ import annotations
@@ -455,21 +455,19 @@ def _log_scaled_terms(coeffs: np.ndarray, radii: np.ndarray
     return np.exp(logs - top[:, None]), top, dirs
 
 
-def _polar_sum(f: SliceSeries, radii: np.ndarray, n_circle: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """S at r_i exp(2 pi i j / n_circle) before the scale is multiplied back:
-    returns (S e^{-top_i}, top), S of shape (R, n_circle, 4) complex and top_i
-    the log of the largest term magnitude at radius r_i, so that callers
-    working in log space (log |f| far past the overflow range) never form
-    e^{top}."""
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    scaled, top, dirs = _log_scaled_terms(f.coeffs, radii)
+def _polar_sum(scaled: np.ndarray, dirs: np.ndarray, n_circle: int) -> np.ndarray:
+    """S at r_i exp(2 pi i j / n_circle) from its log-scaled terms
+    (:func:`_log_scaled_terms`, each radius's row rescaled as the caller
+    needs): sum_k scaled[i, k] dirs[k] e^{2 pi i j k / n_circle}, shape
+    (R, n_circle, 4) complex, the terms folded modulo the node count and
+    transformed once, so that callers working in log space (log |f| far
+    past the overflow range) never form e^{top}."""
     n_terms = dirs.shape[0]
-    folded = np.zeros((radii.size, n_circle, 4))
+    folded = np.zeros((scaled.shape[0], n_circle, 4))
     for start in range(0, n_terms, n_circle):
         stop = min(start + n_circle, n_terms)
         folded[:, :stop - start] += scaled[:, start:stop, None] * dirs[start:stop]
-    return np.fft.ifft(folded, axis=1, norm="forward"), top
+    return np.fft.ifft(folded, axis=1, norm="forward")
 
 
 def slice_components(f: SliceSeries, z: np.ndarray,

@@ -83,6 +83,7 @@ from .series import (
     SliceSeries,
     _certified,
     _lift,
+    _log_scaled_terms,
     _polar_sum,
     _radius_certificate,
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
@@ -363,15 +364,16 @@ def _weighted_plane(f: SliceSeries, grid: QuadratureGrid, alpha: float
     """The one plane-evaluation kernel: S e^{-alpha |z|^2 / 2} at the grid's
     nodes for a prepared f, S(z) = sum_k z^k a_k componentwise, as a complex
     (R, n, 4) array v and an integer e; f(q) e^{-alpha |q|^2 / 2} is
-    (Re v + u Im v) 2^e on q = x + u y.  S comes from one FFT per radius
-    with its scale e^{top} left out (:func:`slicefock.series._polar_sum`);
-    each radius's e^{top - alpha r^2 / 2 - e ln 2} is applied once, e the
-    integer nearest the largest exponent over ln 2.  So v is finite where
-    the weighted values are, and no square of it overflows."""
-    s, top = _polar_sum(f, grid.radial_nodes, grid.circle_size)
+    (Re v + u Im v) 2^e on q = x + u y.  S comes from one FFT per radius of
+    its log-scaled terms (:func:`slicefock.series._polar_sum`), each radius's
+    terms scaled by e^{top - alpha r^2 / 2 - e ln 2} before the transform, e
+    the integer nearest the largest exponent over ln 2.  So v is finite
+    where the weighted values are, and no square of it overflows."""
+    scaled, top, dirs = _log_scaled_terms(f.coeffs, grid.radial_nodes)
     lam = top - 0.5 * alpha * grid.radial_nodes ** 2
     e = int(np.rint(np.max(lam) / math.log(2.0)))
-    return s[:, grid.circle_index] * np.exp(lam - e * math.log(2.0))[:, None, None], e
+    scaled *= np.exp(lam - e * math.log(2.0))[:, None]
+    return _polar_sum(scaled, dirs, grid.circle_size)[:, grid.circle_index], e
 
 
 def _scaled_drop(drop: np.ndarray | None, e: int) -> np.ndarray | None:
@@ -777,7 +779,8 @@ def log_max_modulus(f: SliceSeries, radius: float, units=None,
     units = units if units is not None else sphere_grid(8)
     fe, _ = prepared_for_radius(f, radius)
     n_circle = max(2 * (n_theta - 1), 1)
-    s, top = _polar_sum(fe, np.array([radius]), n_circle)
+    scaled, top, dirs = _log_scaled_terms(fe.coeffs, np.array([radius]))
+    s = _polar_sum(scaled, dirs, n_circle)
     amp_sq, w = _affine_square(s[0, :n_theta].real, s[0, :n_theta].imag)
     sq = amp_sq + units_array(units).reshape(-1, 3) @ w.T
     peak = float(np.max(sq, initial=0.0))

@@ -22,23 +22,24 @@ from slicefock.errors import IntegrandOverflowError, TruncationError
 from slicefock.quadrature import volume_grid
 from slicefock.series import exp_series, monomial
 
-mpmath.mp.dps = 40
-
 
 def mono_first_p1(k):
     """First kind, p = 1: (1 / 4 pi^2) 2 pi^2 int r^{k+3} e^{-r^2/2} dr
     = 2^{k/2} Gamma(k/2 + 2)."""
-    return float(mpmath.mpf(2) ** (k / 2) * mpmath.gamma(k / 2 + 2))
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(2) ** (k / 2) * mpmath.gamma(k / 2 + 2))
 
 
 def mono_second_p1(k):
     """Second kind, p = 1, on every plane: 2^{k/2} Gamma(k/2 + 1)."""
-    return float(mpmath.mpf(2) ** (k / 2) * mpmath.gamma(k / 2 + 1))
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(2) ** (k / 2) * mpmath.gamma(k / 2 + 1))
 
 
 def mono_first_p4(k):
     """First kind, p = 4: ((2k + 1)! / 4^k)^(1/4)."""
-    return float((mpmath.factorial(2 * k + 1) / mpmath.mpf(4) ** k) ** 0.25)
+    with mpmath.workdps(40):
+        return float((mpmath.factorial(2 * k + 1) / mpmath.mpf(4) ** k) ** 0.25)
 
 
 def run(capsys, *argv):
@@ -100,8 +101,9 @@ def test_p1_best_approximation_and_vdp_bound_of_mono_200(capsys):
 def test_first_kind_best_approximation_of_mono_250_on_a_grid_that_reaches_it():
     # q^250 is orthogonal to every polynomial of degree 4 over the algebra
     res = approx.best_approx_first(monomial(250), 4, 1.0, volume_grid(1.0, 96))
-    assert res.value == pytest.approx(float(mpmath.sqrt(mpmath.factorial(251))),
-                                      rel=1e-12)
+    with mpmath.workdps(40):
+        want = float(mpmath.sqrt(mpmath.factorial(251)))
+    assert res.value == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,13 +143,13 @@ def test_parseval_tail_below_the_smallest_float_is_charged(capsys):
     # 1/k! underflows from k = 178: E_170 sums stored rows, while every row
     # of E_180 and E_200 is past the stored ones, whose mass is charged in
     # log space and refused instead of read as 0
-    exact = {n: float(mpmath.sqrt(mpmath.nsum(lambda j: 1 / mpmath.factorial(j),
-                                              [n + 1, mpmath.inf])))
-             for n in (170, 180, 200)}
+    with mpmath.workdps(40):
+        e_170 = float(mpmath.sqrt(mpmath.nsum(lambda j: 1 / mpmath.factorial(j),
+                                              [171, mpmath.inf])))
     code, out, err = run(capsys, "bestapprox", "--fn", "exp", "--n-list", "170")
     assert code == 0 and err == ""
     assert rows(out)[0][1] == "2.846931860618236e-155"
-    assert float(rows(out)[0][1]) == pytest.approx(exact[170], rel=1e-10)
+    assert float(rows(out)[0][1]) == pytest.approx(e_170, rel=1e-10)
     for n in (180, 200):
         code, out, err = run(capsys, "bestapprox", "--fn", "exp", "--n-list", str(n))
         assert code == 1 and out == ""
