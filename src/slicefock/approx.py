@@ -172,7 +172,8 @@ def modulus(f: SliceSeries, query: ModulusQuery,
         for h in np.linspace(0.0, query.delta, query.h_grid)[1:]]).T
     # every step on the scale 2^{e p} of the largest exponent
     scale = 2.0 ** (query.p * (e - e.max()))
-    best, upper = float(np.max(raw * scale)), float(np.max((raw + delta) * scale))
+    with np.errstate(invalid="ignore"):    # an inf delta times 0 is refused below
+        best, upper = float(np.max(raw * scale)), float(np.max((raw + delta) * scale))
     _check_tail_budget(best, upper - best, query.p)
     return _checked_ldexp(best ** (1.0 / query.p), int(e.max()), f"order-{query.k} modulus")
 
