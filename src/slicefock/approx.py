@@ -6,9 +6,9 @@ coefficient form a_j -> (e^{I j h} - 1)^k a_j, since rotating the argument
 by h multiplies the degree-j coefficient by e^{I j h}.  The modulus of
 smoothness is the sup over step sizes of the weighted L^p size of that
 difference; following its definition it carries no normalization prefactor,
-unlike the norms (any constant ends up inside the reported ratios).  At
-p = 2 that size is a weighted coefficient sum, since |e^{I j h} - 1| =
-2 |sin(j h / 2)|; elsewhere it is a plane quadrature per step.
+unlike the norms (any constant ends up inside the reported ratios).  It,
+every operator error and the plane E_n at p = 2 are each one call of
+:func:`slicefock.spaces._multiplier_norm`, the one multiplier-image norm.
 
 Best approximation is exact in the plane Hilbert case (monomials are
 orthogonal, so the minimizer is the Taylor truncation and the error is a
@@ -33,7 +33,7 @@ from .errors import (
     IntegrandOverflowError,
     SolverError,
 )
-from .operators import MultiplierOperator, apply, jackson_op, jackson_rule_r, vdp_op
+from .operators import MultiplierOperator, jackson_op, jackson_rule_r, vdp_op
 from .quaternion import (
     ImaginaryUnit,
     Quaternion,
@@ -57,18 +57,17 @@ from .spaces import (
     NORM_TAIL_BUDGET,
     ParsevalTerms,
     Prepared,
-    _charged_norm,
     _check_positive,
-    _check_prepared,
     _check_tail_budget,
     _checked_exp,
     _checked_ldexp,
     _grid_sum,
+    _multiplier_image,
+    _multiplier_norm,
     _parseval_power,
     _parseval_terms,
     _plane_raw_power,
     _scaled_drop,
-    _slice_raw_power,
     _weighted_plane,
     default_grid,
     prepared_for_grid,
@@ -124,18 +123,25 @@ def finite_difference(f: SliceSeries, k: int, h: float, z: Quaternion,
     return acc
 
 
+def _difference_multipliers(k: int, steps, degrees: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{I j h} - 1)^k for steps h (rows) and degrees j as r e^{I theta}, r =
+    (2 sin(j h / 2))^k and theta = k (j h + pi) / 2, so no digit cancels at
+    a small step; past the float range :class:`IntegrandOverflowError`."""
+    half = 0.5 * np.outer(steps, degrees)
+    with np.errstate(over="ignore"):
+        r = (2.0 * np.sin(half)) ** k
+    if not np.all(np.isfinite(r)):
+        raise IntegrandOverflowError(f"order-{k} difference multipliers overflow")
+    return r, k * (half + 0.5 * math.pi)
+
+
 def difference_series(f: SliceSeries, k: int, h: float,
                       unit: ImaginaryUnit) -> SliceSeries:
     """Coefficients of the k-th rotational difference on the plane of
     ``unit``: a_j -> (e^{I j h} - 1)^k a_j, up to 2^k |a_j| in modulus."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = (np.exp(1j * h * np.arange(f.coeffs.shape[0])) - 1.0) ** k
-        lm = left_mult_matrix(unit.as_quaternion()).T
-        out = w.real[:, None] * f.coeffs + w.imag[:, None] * (f.coeffs @ lm)
-    if not np.all(np.isfinite(out)):
-        raise IntegrandOverflowError(
-            f"order-{k} difference coefficients overflow at step {h:g}")
-    return SliceSeries(out)
+    r, theta = _difference_multipliers(k, [h], np.arange(f.coeffs.shape[0]))
+    return _multiplier_image(f.coeffs, r[0], theta[0], unit)
 
 
 def modulus(f: SliceSeries, query: ModulusQuery,
@@ -144,59 +150,23 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     """Weighted modulus of smoothness: sup over 0 <= h <= delta of the raw
     weighted L^p size of the k-th rotational difference.
 
-    The sup is realized as a max over ``h_grid`` uniform step sizes
-    including the endpoint; it is nondecreasing in delta and 0 at delta = 0,
-    where nothing of f's tail or underflowed rows is charged.  f is taken as ``prepared`` when given, else prepared here,
-    both as :func:`slicefock.spaces.prepared_for_spec` returns it for the
-    second-kind p-norm.  At p = 2 those are f's Parseval terms, the value is
-    exact from them (:func:`_modulus_second`) and ``grid`` is not read; the
-    monomials are orthogonal on every plane, so it does not depend on
-    ``query.unit`` either.  Otherwise each step is one plane quadrature on
-    ``grid``, and f's underflowed rows are charged at 2^k, the largest
-    multiplier.
-    """
+    The sup is a max over ``h_grid`` uniform steps including the endpoint,
+    nondecreasing in delta and 0 at delta = 0, where nothing is charged.
+    f is ``prepared`` as :func:`slicefock.spaces.prepared_for_spec` returns
+    it for the second-kind p-norm, here unless given.  The max over the
+    steps' multiplier images is one :func:`slicefock.spaces._multiplier_norm`,
+    f's tail and underflowed rows charged at 2^k: exact at p = 2, reading
+    neither ``grid`` nor ``query.unit``, else a plane quadrature per step."""
     spec = NormSpec("second", query.p, query.alpha, slice_unit=query.unit)
     grid = grid or default_grid(spec)
     prepared = prepared_for_spec(f, spec, grid, prepared)
     if query.delta == 0.0:
         return 0.0      # every difference is 0, past the stored rows too
-    if isinstance(prepared, ParsevalTerms):
-        return _modulus_second(prepared, query)
-    fe, drop = prepared.series, prepared.drop
-    if drop is not None:
-        with np.errstate(over="ignore"):   # inf is refused by the budget
-            drop = drop * 2.0 ** query.k
-    raw, delta, e = np.array([
-        _slice_raw_power(difference_series(fe, query.k, float(h), query.unit),
-                         query.unit, grid, query.p, query.alpha, drop)
-        for h in np.linspace(0.0, query.delta, query.h_grid)[1:]]).T
-    # every step on the scale 2^{e p} of the largest exponent
-    scale = 2.0 ** (query.p * (e - e.max()))
-    with np.errstate(invalid="ignore"):    # an inf delta times 0 is refused below
-        best, upper = float(np.max(raw * scale)), float(np.max((raw + delta) * scale))
-    _check_tail_budget(best, upper - best, query.p)
-    return _checked_ldexp(best ** (1.0 / query.p), int(e.max()), f"order-{query.k} modulus")
-
-
-def _modulus_second(terms: ParsevalTerms, query: ModulusQuery) -> float:
-    """The p = 2 modulus from f's Parseval terms t_j = |a_j|^2 j! / alpha^j:
-    |e^{I j h} - 1| = 2 |sin(j h / 2)|, so the squared plane norm of the
-    k-th difference is (pi / alpha) sum_j (2 sin(j h / 2))^{2k} t_j, taken
-    for every sampled step at once in log space (:func:`_parseval_power`,
-    which charges f's tail and underflowed rows at 2^k, the largest
-    multiplier).  A value past the float range raises
-    :class:`IntegrandOverflowError`.
-    """
-    k = query.k
     steps = np.linspace(0.0, query.delta, query.h_grid)[1:]
-
-    def log_mult(j):
-        with np.errstate(divide="ignore"):
-            return 2.0 * k * np.log(np.abs(2.0 * np.sin(0.5 * np.outer(steps, j))))
-
-    log_sq, _ = _parseval_power(terms, query.alpha, log_mult, k * math.log(2.0))
-    return _checked_exp(0.5 * (log_sq + math.log(math.pi) - math.log(query.alpha)),
-                        f"order-{k} modulus")
+    return _multiplier_norm(
+        prepared, spec, grid, lambda j: _difference_multipliers(query.k, steps, j),
+        2.0 ** query.k if query.k < 1024 else math.inf, False,
+        f"order-{query.k} modulus")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +179,7 @@ def parseval_log_weights(f: SliceSeries, alpha: float
     the log of each term (log 0 for vanishing coefficients).  The mass of
     generator rows that underflowed to zero in storage, bounded from
     ``log_coeff``, must stay below that tolerance too."""
-    fe, logw, log_tail, log_drop = _parseval_terms(f, alpha)
+    fe, logw, log_tail, log_drop, _ = _parseval_terms(f, alpha)
     _refuse_drop(log_tail, log_drop, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
     return fe, logw
 
@@ -247,15 +217,12 @@ def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult
     return _best_approx_terms(_parseval_terms(f, alpha), n, alpha)
 
 
-def _best_approx_terms(terms: ParsevalTerms, n: int, alpha: float
-                       ) -> BestApproxResult:
-    """:func:`best_approx_second` from f's Parseval terms: the multipliers
-    are 0 up to degree n and 1 past it, f's tail and underflowed rows
-    charged on the value (:func:`_parseval_power`)."""
-    log_sq, _ = _parseval_power(
-        terms, alpha, lambda k: np.where(k > n, 0.0, -math.inf))
-    return BestApproxResult(n, _checked_exp(0.5 * log_sq, "weighted norm"),
-                            taylor_truncate(terms.series, n), "projection")
+def _best_approx_terms(terms: ParsevalTerms, n: int, alpha: float) -> BestApproxResult:
+    """:func:`best_approx_second` from f's Parseval terms: the norm of the
+    multiplier image 0 up to degree n and 1 past it."""
+    value, _ = _multiplier_norm(terms, NormSpec("second", 2.0, alpha), None,
+                                lambda k: ((k > n).astype(float), 0.0))
+    return BestApproxResult(n, value, taylor_truncate(terms.series, n), "projection")
 
 
 def least_squares(design: np.ndarray, data: np.ndarray
@@ -305,16 +272,17 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
     is, and its underflowed rows are charged on the norm of the residual."""
     grid = grid or volume_grid(alpha)
     design, root = _first_kind_design(n, alpha, grid)
-    fe, _, drop, _ = prepared_for_grid(f, alpha, grid)
-    v, e = _weighted_plane(fe, grid, alpha)
+    prepared = prepared_for_grid(f, alpha, grid)
+    v, e = _weighted_plane(prepared.series, grid, alpha)
     _grid_sum(np.sum(v.real ** 2 + v.imag ** 2, axis=-1), grid)   # f's profile
     data = np.concatenate([root[:, None] * c.reshape(-1, 4) for c in (v.real, v.imag)])
     # a column that vanishes on every node stays zero, and is refused
     d = 1.0 / np.maximum(np.linalg.norm(design, axis=0), np.finfo(float).tiny)
     sol, value, _ = least_squares(design * d, data)
     minimizer = SliceSeries(np.ldexp(d[:, None] * sol, e))
-    if drop is not None:
-        _charged_norm(fe - minimizer, drop, NormSpec("first", 2.0, alpha), grid)
+    if prepared.drop is not None:
+        _multiplier_norm(prepared._replace(series=prepared.series - minimizer),
+                         NormSpec("first", 2.0, alpha), grid)
     return BestApproxResult(n, _checked_ldexp(value, e, "weighted norm"), minimizer, "gram")
 
 
@@ -562,30 +530,17 @@ class VdpReport:
 def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
                    spec: NormSpec, grid: QuadratureGrid) -> float:
     """Norm of op(f) - f under ``spec``, f as
-    :func:`slicefock.spaces.prepared_for_spec` returns it for ``spec`` (a
-    record of the other kind raises :class:`ValueError`).
-
-    At p = 2 in the second kind that is the coefficient sum
-    sum_k |1 - rho_k|^2 t_k over f's Parseval terms, with rho_k = 0 past
-    the operator's length, and ``grid`` is not read; otherwise a norm on
-    ``grid``.  f's underflowed rows (and at p = 2 its tail) are charged at
-    the largest |1 - rho_k| over them (1 past the operator's length)."""
-    if isinstance(_check_prepared(prepared, spec), ParsevalTerms):
-        def log_mult(k):
-            m = np.ones(k.size)
-            used = min(k.size, op.rho.size)
-            m[:used] = 1.0 - op.rho[:used]
-            with np.errstate(divide="ignore"):
-                return 2.0 * np.log(np.abs(m))
-
-        bound = float(np.max(np.abs(1.0 - op.rho), initial=1.0))
-        log_sq, _ = _parseval_power(prepared, spec.alpha, log_mult, math.log(bound))
-        return _checked_exp(0.5 * log_sq, "weighted norm")
-    fe, drop = prepared.series, prepared.drop
-    if drop is not None:
-        with np.errstate(over="ignore"):   # inf is refused by the budget
-            drop = drop * float(np.max(np.abs(1.0 - op.rho[prepared.k0:]), initial=1.0))
-    return _charged_norm(apply(op, fe) - fe, drop, spec, grid)[0]
+    :func:`slicefock.spaces.prepared_for_spec` returns it for ``spec`` (else
+    :class:`ValueError`): the multiplier image 1 - rho_k (rho_k = 0 past the
+    operator) under :func:`slicefock.spaces._multiplier_norm`, reading no
+    ``grid`` at p = 2.  The rows f's certificate charges (underflowed from
+    k0, at p = 2 also past its stored degree) are charged at the largest
+    |1 - rho_k| over them."""
+    m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
+    first = prepared.k0 if prepared.k0 >= 0 else prepared.series.degree + 1
+    bound = float(np.max(np.abs(m[min(first, m.size - 1):])))
+    return _multiplier_norm(prepared, spec, grid,
+                            lambda k: (m[np.minimum(k, m.size - 1)], 0.0), bound)[0]
 
 
 def vdp_constant(p: float) -> float:
@@ -630,8 +585,8 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
     smoothness of order m + 1 at step 1/n; the ratio should stay within a
     constant factor across n.  f is prepared once for both
     (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
-    given, which must be of the kind that returns; at p = 2 both are exact from its Parseval terms and read no
-    grid, otherwise both are quadratures on ``grid``."""
+    given; at p = 2 both are exact and read no grid, otherwise both are
+    quadratures on ``grid``."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
     prepared = prepared_for_spec(f, spec, grid, prepared)

@@ -10,7 +10,8 @@ class TruncationError(SliceFockError):
 
 
 class IntegrandOverflowError(SliceFockError):
-    """A quadrature integrand produced a non-finite sample."""
+    """A quadrature integrand produced a non-finite sample, or a nonzero
+    value lies outside the normal float range."""
 
     def __init__(self, message, node=None):
         super().__init__(message)

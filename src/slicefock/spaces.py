@@ -8,13 +8,13 @@ On a fixed plane the monomials are orthogonal, with
 || q^k ||^2 = k! / alpha^k at p = 2; over the whole algebra they are not:
 powers whose degrees differ by exactly two overlap.
 
-So every second-kind number at p = 2 is a coefficient sum and reads no
-grid: the squared norm of f on every plane (hence also its sup over planes)
-is sum_k t_k over the Parseval terms t_k = |a_k|^2 k! / alpha^k, and that of
-a multiplier image sum_k m_k^2 t_k.  :func:`_parseval_terms` is their one
-certificate (:class:`ParsevalTerms`), and :func:`_parseval_power` the one
-sum, which charges f's tail and underflowed rows.  Everything below about
-grids concerns p != 2 and the first kind.
+Every second-kind number is the norm of a multiplier image sum_k q^k m_k a_k
+of f (m_k = 1, 1 - rho_k, (e^{I j h} - 1)^k, or 1 past degree n for E_n),
+all through :func:`_multiplier_norm`: at p = 2 a sum sum_k |m_k|^2 t_k over
+the Parseval terms t_k = |a_k|^2 k! / alpha^k, read from no grid, with
+:func:`_parseval_terms` their one certificate (:class:`ParsevalTerms`) and
+:func:`_parseval_power` the one sum, which charges f's tail and underflowed
+rows.  Everything below about grids concerns p != 2 and the first kind.
 
 Every sphere integral is exact.  On q = x + u y the representation formula
 gives f(q) = a + u b for every unit u, with (a, b) = (Re S, Im S) for the
@@ -30,8 +30,8 @@ from the same (a, b).
 Every grid consumer reads one kernel, :func:`_weighted_plane`: the
 weighted (a, b) = (Re v, Im v) 2^e at the grid's nodes, so nothing
 overflows for a member whose weighted integrand is finite.  Each consumer
-multiplies 2^e back once, and a result past the float range raises
-:class:`IntegrandOverflowError`.
+multiplies 2^e back once, and a nonzero result past the float range, above
+or below, raises :class:`IntegrandOverflowError`.
 
 Every series the library builds is a polynomial or an exponential
 generator of order-2 type sigma, in the spaces of weight alpha (both kinds,
@@ -41,16 +41,17 @@ integrand of e(c q^2) does not decay along the ray where Re(c z^2) peaks.
 reads a grid, decides membership so and bounds the mass of generator rows
 that underflowed in storage; each consumer adds it, times the largest
 factor it puts on those rows, to the amplitudes it integrates
-(:func:`_drop_delta`), charged through :func:`_check_tail_budget`, as the
-coefficient sums charge theirs (:func:`_parseval_power`).  Every quadrature
-power refuses a grid whose weighted radial profile peaks in its last two
-shells (:class:`RefinementError`): the grid does not reach the integrand's
-mass.
+(:func:`_drop_delta`), charged through :func:`_check_tail_budget` against
+the largest value it reports, as the coefficient sums charge theirs
+(:func:`_parseval_power`).  Every quadrature power refuses a grid whose
+weighted radial profile peaks in its last two shells
+(:class:`RefinementError`): the grid does not reach the integrand's mass.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,6 +63,7 @@ from .quaternion import (
     ImaginaryUnit,
     Quaternion,
     UNIT_I,
+    left_mult_matrix,
     quat_conj_array,
     quat_mul_array,
     sphere_grid,
@@ -262,10 +264,11 @@ def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
 
 def _parseval_log_terms(log_sq, k, alpha: float):
     """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
-    squared plane norm of q^k at p = 2."""
+    squared plane norm of q^k at p = 2; k log alpha is rounded once, from
+    extended precision."""
     from scipy.special import gammaln
 
-    return log_sq + gammaln(k + 1.0) - k * math.log(alpha)
+    return log_sq + gammaln(k + 1.0) - np.asarray(k * np.log(np.longdouble(alpha)), float)
 
 
 class ParsevalTerms(NamedTuple):
@@ -273,12 +276,13 @@ class ParsevalTerms(NamedTuple):
     (:func:`_parseval_terms`): the extended series, log t_k (log 0 for a
     vanishing row), and, relative to the sum of the stored terms, the log of
     the bound on the terms past the stored degree and the log of the bound
-    on those of generator rows that underflowed in storage."""
+    on those of generator rows from k0, the first that underflowed (-1)."""
 
     series: SliceSeries
     logw: np.ndarray
     log_tail: float
     log_drop: float
+    k0: int
 
 
 def _parseval_terms(f: SliceSeries, alpha: float,
@@ -286,13 +290,23 @@ def _parseval_terms(f: SliceSeries, alpha: float,
     """The one Parseval certificate: f refused outside the spaces of weight
     ``alpha`` (:class:`NotInSpaceError`), then extended until its terms'
     tail is below e^log_tol relative (:func:`slicefock.series._certified`).
-    Its underflowed rows are bounded, not refused: :func:`_parseval_power`
-    charges them with the tail."""
+    Generator rows stored below the smallest normal float are read from
+    ``log_coeff``; underflowed rows are bounded, not refused
+    (:func:`_parseval_power` charges them with the tail)."""
     _check_in_space(f, alpha)
+    g = f.generator
+
+    def log_terms(log_mags, k):
+        if g is not None and np.ndim(k):
+            sub = (log_mags > -math.inf) & (log_mags < math.log(sys.float_info.min))
+            if sub.any():
+                log_mags = np.where(sub, [g.log_coeff(int(j)) if s else 0.0
+                                          for j, s in zip(k, sub)], log_mags)
+        return _parseval_log_terms(2.0 * log_mags, k, alpha)
+
     return ParsevalTerms(*_certified(
-        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
-        lambda deg: f.generator.parseval_ratio(alpha, deg), log_tol, -math.inf,
-        f"alpha = {alpha:g}")[:4])
+        f, log_terms, lambda deg: g.parseval_ratio(alpha, deg), log_tol, -math.inf,
+        f"alpha = {alpha:g}"))
 
 
 def _log_sum(logs: np.ndarray) -> np.ndarray:
@@ -304,24 +318,22 @@ def _log_sum(logs: np.ndarray) -> np.ndarray:
         return top[..., 0] + np.log(np.exp(logs - top).sum(axis=-1))
 
 
-def _parseval_power(terms: ParsevalTerms, alpha: float, log_mult=None,
-                    log_bound: float = 0.0) -> tuple[float, float]:
-    """log of the largest p = 2 power sum_k m_k^2 t_k of f's Parseval terms
-    over the rows of log m_k^2 = ``log_mult(k)`` (one row, or one per
-    candidate, for the stored degrees k; m_k = 1 when None), and the charge
-    of f's tail and underflowed rows relative to the value.
-
-    Every |m_k|, past the stored rows too, is at most e^log_bound, so those
-    rows add at most (tail + drop) e^{2 log_bound} sum_k t_k to the power,
-    charged through :func:`_check_tail_budget` from their logs.  Where the
-    tail alone misses its half of the budget, f's terms are certified once
-    more at the tail that power needs (the smallest float if it is 0)."""
+def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
+                    bound: float = 1.0) -> tuple[float, float]:
+    """log of the largest p = 2 power sum_k |m_k|^2 t_k of f's Parseval terms
+    over the rows of m (``mult`` as :func:`_multiplier_norm` takes it; 1 when
+    None), and the charge of f's tail and underflowed rows relative to it:
+    with |m_k| <= ``bound`` there they add at most (tail + drop) bound^2
+    sum_k t_k, charged from their logs (:func:`_check_tail_budget`).  Where
+    the tail alone misses its half of the budget, f's terms are certified
+    once more at the tail that power needs (the smallest float if it is 0)."""
     def weighted(terms):
         log_total = float(_log_sum(terms.logw))
-        log_sq = log_total if log_mult is None else float(np.max(_log_sum(
-            log_mult(np.arange(terms.logw.size)) + terms.logw)))
+        with np.errstate(divide="ignore"):   # a multiplier 0 drops its row
+            log_sq = log_total if mult is None else float(np.max(_log_sum(
+                2.0 * np.log(np.abs(mult(np.arange(terms.logw.size))[0])) + terms.logw)))
         # log of what a unit of relative tail adds to the power, relative to it
-        gap = log_total + 2.0 * log_bound - log_sq
+        gap = log_total + 2.0 * math.log(bound) - log_sq
 
         def charge(log_x):
             if log_x == -math.inf:
@@ -340,22 +352,26 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, log_mult=None,
 
 
 def _checked_exp(log_value: float, what: str) -> float:
-    """e^log_value; past the float range :class:`IntegrandOverflowError`."""
+    """e^log_value (0 for log 0), checked as by :func:`_checked_ldexp`."""
     try:
-        return math.exp(log_value)
+        x = math.exp(log_value)
     except OverflowError:
-        raise IntegrandOverflowError(f"{what} exceeds the float range") from None
+        x = math.inf
+    return _checked_ldexp(x, 0, what, log_value > -math.inf)
 
 
-def _checked_ldexp(x: float, e: int, what: str) -> float:
-    """x 2^e (the kernel's scale, :func:`_weighted_plane`); a result past the
-    float range raises :class:`IntegrandOverflowError`."""
+def _checked_ldexp(x: float, e: int, what: str, nonzero: bool | None = None) -> float:
+    """x 2^e (the kernel's scale, :func:`_weighted_plane`), a value nonzero
+    in exact arithmetic where x is (or as ``nonzero`` says): past the float
+    range, or below its smallest normal number, :class:`IntegrandOverflowError`."""
     try:
         value = math.ldexp(x, e)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise IntegrandOverflowError(f"{what} exceeds the float range")
+    if (x != 0.0 if nonzero is None else nonzero) and abs(value) < sys.float_info.min:
+        raise IntegrandOverflowError(f"{what} is nonzero and below the float range")
     return value
 
 
@@ -480,29 +496,72 @@ def _volume_raw_power(f: SliceSeries, grid: QuadratureGrid, p: float,
     return raw, SPHERE_AREA * _drop_delta(x, _scaled_drop(drop, e), grid, p), e
 
 
-def _charged_norm(fe: SliceSeries, drop: np.ndarray | None, spec: NormSpec,
-                  grid: QuadratureGrid) -> tuple[float, float]:
-    """Norm of a prepared f under ``spec`` and the charge of its ``drop``
-    (see :func:`prepared_for_grid`) relative to it."""
-    # each kind is a list of (raw, delta) on one scale 2^{e p}, and its prefactor
-    pref = spec.alpha * spec.p / (2.0 * math.pi)
+def _multiplier_image(coeffs: np.ndarray, r: np.ndarray, theta: np.ndarray,
+                      unit: ImaginaryUnit | None) -> SliceSeries:
+    """sum_k q^k m_k a_k on the plane of ``unit`` (any, for real m), m_k =
+    r_k e^{I theta_k}: rows Re m_k a_k + Im m_k (u a_k), refused past the
+    float range (:class:`IntegrandOverflowError`)."""
+    lm = left_mult_matrix(unit.as_quaternion()).T if np.any(theta) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (r * np.cos(theta))[:, None] * coeffs
+        if lm is not None:
+            out += (r * np.sin(theta))[:, None] * (coeffs @ lm)
+    if not np.all(np.isfinite(out)):
+        raise IntegrandOverflowError("multiplier image coefficients overflow")
+    return SliceSeries(out)
+
+
+def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
+                     grid: QuadratureGrid | None, mult=None, bound: float = 1.0,
+                     prefactor: bool = True, what: str = "weighted norm"
+                     ) -> tuple[float, float]:
+    """The largest ``spec``-norm of sum_k q^k m_k a_k over the rows of m_k =
+    r_k e^{I theta_k}, (r, theta) = ``mult(k)`` (theta 0 for real m; f
+    itself without ``mult``), prefactor left out unless ``prefactor``, and
+    f's relative tail or charge, f ``prepared`` as ``spec`` needs
+    (:func:`_check_prepared`).  A sum of :func:`_parseval_power` at p = 2 in
+    the second kind; else the largest power of the images on every plane
+    ``spec`` reads, on the scale of the largest exponent, charged with the
+    largest drop delta at ``bound`` >= |m_k| on f's charged rows: nothing
+    cancels, and a sup is charged as one."""
+    _check_prepared(prepared, spec)
+    if spec.parseval:
+        log_sq, charge = _parseval_power(prepared, spec.alpha, mult, bound)
+        if not prefactor:
+            log_sq = log_sq + math.log(math.pi) - math.log(spec.alpha)
+        return _checked_exp(0.5 * log_sq, what), charge
+    fe, drop = prepared.series, prepared.drop
+    if drop is not None:
+        with np.errstate(over="ignore", invalid="ignore"):   # refused by the budget
+            drop = drop * bound
+    if mult is None:
+        images = [fe]
+    else:
+        r, theta = np.broadcast_arrays(*mult(np.arange(fe.coeffs.shape[0])))
+        images = [_multiplier_image(fe.coeffs, rr, tt, spec.slice_unit)
+                  for rr, tt in zip(np.atleast_2d(r), np.atleast_2d(theta))]
+    rows = []   # (raw, delta, e) of every image on every plane spec reads
+    for g in images:
+        if spec.kind == "first":
+            rows.append(_volume_raw_power(g, grid, spec.p, spec.alpha, drop))
+        elif spec.sup_samples is None:
+            rows.append(_slice_raw_power(g, spec.slice_unit, grid, spec.p, spec.alpha, drop))
+        else:   # every sampled plane from one shared evaluation
+            v, e = _weighted_plane(g, grid, spec.alpha)
+            amp_sq, lin = _affine_square(v.real, v.imag)
+            rows += [(*_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u.vector(), 0.0)),
+                                        grid, spec.p, _scaled_drop(drop, e)), e)
+                     for u in sphere_grid(spec.sup_samples)]
+    raw, delta, e = np.array(rows).T
+    scale = 2.0 ** (spec.p * (e - e.max()))
+    with np.errstate(invalid="ignore"):    # an inf delta times 0 is refused below
+        best, worst = float(np.max(raw * scale)), float(np.max(delta * scale))
+    charge = _check_tail_budget(best, worst, spec.p)
+    pref = spec.alpha * spec.p / (2.0 * math.pi) if prefactor else 1.0
     if spec.kind == "first":
         pref *= pref
-        *plane, e = _volume_raw_power(fe, grid, spec.p, spec.alpha, drop)
-        planes = [plane]
-    elif spec.sup_samples is None:
-        *plane, e = _slice_raw_power(fe, spec.slice_unit, grid, spec.p, spec.alpha, drop)
-        planes = [plane]
-    else:
-        # every sampled plane's amplitude comes from one shared evaluation
-        v, e = _weighted_plane(fe, grid, spec.alpha)
-        amp_sq, w = _affine_square(v.real, v.imag)
-        planes = [_plane_raw_power(np.sqrt(np.maximum(amp_sq + w @ u.vector(), 0.0)),
-                                   grid, spec.p, _scaled_drop(drop, e))
-                  for u in sphere_grid(spec.sup_samples)]
-    charge = max(_check_tail_budget(raw, delta, spec.p) for raw, delta in planes)
-    value = max((pref * raw) ** (1.0 / spec.p) for raw, _ in planes)
-    return _checked_ldexp(value, e, "weighted norm"), charge
+    return (_checked_ldexp((pref * best) ** (1.0 / spec.p), int(e.max()), what),
+            max(prepared.tail, charge))
 
 
 def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,
@@ -510,9 +569,8 @@ def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,
                       ) -> Prepared | ParsevalTerms:
     """The one preparation of f for the numbers of ``spec``: its Parseval
     terms where they are coefficient sums (:attr:`NormSpec.parseval`), else
-    f prepared on ``grid`` (:func:`prepared_for_grid`).  Its consumers
-    dispatch on the record's type.  A given ``prepared`` is returned as it
-    is when it is of the kind ``spec`` needs, else refused
+    f prepared on ``grid`` (:func:`prepared_for_grid`).  A given ``prepared``
+    is returned when it is of the kind ``spec`` needs, else refused
     (:func:`_check_prepared`)."""
     if prepared is not None:
         return _check_prepared(prepared, spec)
@@ -537,21 +595,15 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
     """(value, the larger of f's relative tail and its charged drop), on
     ``grid`` or the default one where a grid is read."""
     grid = grid or default_grid(spec)
-    prepared = prepared_for_spec(f, spec, grid)
-    if isinstance(prepared, ParsevalTerms):
-        log_sq, charge = _parseval_power(prepared, spec.alpha)
-        return _checked_exp(0.5 * log_sq, "weighted norm"), charge
-    value, charge = _charged_norm(prepared.series, prepared.drop, spec, grid)
-    return value, max(prepared.tail, charge)
+    return _multiplier_norm(prepared_for_spec(f, spec, grid), spec, grid)
 
 
 def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> float:
     """Weighted norm of f under ``spec`` on the given (or default) grid.
 
-    At p = 2 in the second kind (:attr:`NormSpec.parseval`), on a plane or
-    as a sup over planes, it is the coefficient sum sqrt(sum_k t_k) and
-    ``grid`` is not read; f's tail and underflowed rows are charged against
-    ``NORM_TAIL_BUDGET`` of it (:func:`_parseval_power`).  Raises
+    It is :func:`_multiplier_norm` of f itself (at p = 2 in the second kind
+    the coefficient sum sqrt(sum_k t_k), reading no ``grid``), f's tail and
+    underflowed rows charged against ``NORM_TAIL_BUDGET`` of it.  Raises
     :class:`NotInSpaceError` when f is not in the space (type at least
     alpha / 2), :class:`RefinementError` when the grid stops short of the
     integrand's mass and :class:`IntegrandOverflowError` for a value past
@@ -584,16 +636,8 @@ def norm_report(f: SliceSeries, spec: NormSpec,
         raise RefinementError(
             f"norm moves by {stability:.3g} relative under grid refinement "
             f"({v1:.6g} -> {v2:.6g}): refine the grid")
-    return NormReport(
-        value=v2,
-        kind=spec.kind,
-        p=spec.p,
-        alpha=spec.alpha,
-        slice_label=spec.slice_label(),
-        grid_sizes=fine.sizes,
-        tail_bound=max(tail1, tail2),
-        stability=stability,
-    )
+    return NormReport(v2, spec.kind, spec.p, spec.alpha, spec.slice_label(),
+                      fine.sizes, max(tail1, tail2), stability)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,20 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 from slicefock.quaternion import ImaginaryUnit, Quaternion
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, so
+    that a child interpreter imports the slicefock under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -470,7 +470,7 @@ def test_p2_modulus_recertifies_the_tail_a_tiny_step_needs(monkeypatch, name, de
     # f's, misses the budget of the tiny value, so f's terms are certified
     # once more at the tolerance that step needs
     assert len(calls) == 2
-    (_, (_, logw, log_tail, _)), (tol, _) = calls
+    (_, (_, logw, log_tail, *_)), (tol, _) = calls
     tail = math.exp(log_tail)
     total, sq = float(np.sum(np.exp(logw))), got * got / math.pi
     assert NORM_TAIL_BUDGET * sq < 4.0 ** k * tail * total
@@ -547,6 +547,62 @@ def test_p2_norms_and_operator_errors_match_quadrature_on_a_refined_grid(name):
                     assert verify_vdp(f, n, 2.0, 1.0, unit).lhs == got
                 if op_name == "jackson":
                     assert verify_jackson(f, n, 0, 2.0, 1.0, unit).lhs == got
+
+
+# ---------------------------------------------------------------------------
+# the grid side of the multiplier-image norm against per-image loops
+
+def _step_loop_modulus(f, query, grid):
+    """The modulus as a loop over the sampled steps: each step's difference
+    coefficients (e^{I j h} - 1)^k a_j formed directly, integrated on the
+    plane by quadrature, and the largest taken on the scale of the largest
+    exponent."""
+    from slicefock.quaternion import left_mult_matrix
+    from slicefock.spaces import _slice_raw_power
+
+    fe = prepared_for_grid(f, query.alpha, grid).series
+    lm = left_mult_matrix(query.unit.as_quaternion()).T
+    steps = []
+    for h in np.linspace(0.0, query.delta, query.h_grid)[1:]:
+        w = (np.exp(1j * h * np.arange(fe.coeffs.shape[0])) - 1.0) ** query.k
+        g = SliceSeries(w.real[:, None] * fe.coeffs + w.imag[:, None] * (fe.coeffs @ lm))
+        raw, _, e = _slice_raw_power(g, query.unit, grid, query.p, query.alpha)
+        steps.append((raw, e))
+    top = max(e for _, e in steps)
+    best = max(raw * 2.0 ** (query.p * (e - top)) for raw, e in steps)
+    return math.ldexp(best ** (1.0 / query.p), top)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("name", sorted(P2_FAMILIES))
+def test_grid_modulus_and_operator_errors_match_their_per_image_loops(name, p):
+    f = P2_FAMILIES[name]
+    grid = slice_grid(p / 2.0, 32, 64)
+    for unit in (UNIT_I, SKEW_UNIT):
+        for k, delta in ((1, 0.5), (3, 1.5)):
+            query = ModulusQuery(k=k, delta=delta, p=p, alpha=1.0, unit=unit)
+            assert modulus(f, query, grid) == pytest.approx(
+                _step_loop_modulus(f, query, grid), rel=1e-13), (k, unit)
+        spec = NormSpec("second", p, 1.0, slice_unit=unit)
+        prepared = prepared_for_grid(f, 1.0, grid)
+        fe = prepared.series
+        for op in (fejer_op(8), vdp_op(4), jackson_op(8, 1, p)):
+            assert operator_error(op, prepared, spec, grid) == pytest.approx(
+                norm(apply(op, fe) - fe, spec, grid), rel=1e-13), (op.provenance, unit)
+
+
+def test_grid_modulus_charges_the_underflowed_rows_at_2_to_the_k():
+    # exp at alpha = 0.015 on the p = 1 grid drops rows (1/k! near k = 178)
+    # whose charge is 2e-12 of the norm; a 4th difference is charged at
+    # 2^4, which misses the budget of the small value at delta = 0.003
+    # (1.6e-11 of it at the factor 1) and meets it at delta = 0.01
+    from slicefock.errors import TruncationError
+
+    f, alpha = exp_series(), 0.015
+    assert prepared_for_grid(f, alpha, slice_grid(alpha / 2.0)).drop is not None
+    with pytest.raises(TruncationError, match="underflowed-row"):
+        modulus(f, ModulusQuery(k=4, delta=0.003, p=1.0, alpha=alpha))
+    assert modulus(f, ModulusQuery(k=4, delta=0.01, p=1.0, alpha=alpha)) > 0.0
 
 
 def test_p2_operator_error_charges_the_underflowed_rows():

@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
+from conftest import child_env
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "slicefock", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_norm_monomial_value():
@@ -344,6 +346,12 @@ GAUSS_P1 = ("--fn", "gauss:0.25", "--p", "1", "--n-list", "4,16")
      "0.0,0.0"),
     # membership is still decided first
     (("smoothness", "--fn", "gauss:0.5", "--delta-list", "0"), 2, "not in space:"),
+    # ||q^4|| = sqrt(24) 1e-400 is nonzero and below the float range, a
+    # coefficient sum at p = 2 and a quadrature at p = 1: refused, not 0.0
+    (("norm", "--fn", "mono:4", "--alpha", "1e200"), 1, "error:"),
+    (("norm", "--fn", "mono:4", "--alpha", "1e200", "--p", "1"), 1, "error:"),
+    # a true zero still prints 0.0: E_n of a polynomial within the degree
+    (("bestapprox", "--fn", "mono:4", "--n-list", "4"), 0, "4,0.0,"),
 ])
 def test_one_verdict_per_input(capsys, argv, code, says):
     import warnings
@@ -390,11 +398,37 @@ def test_norm_of_mono_250_at_p1_is_the_closed_form():
     assert json.loads(res.stdout)["value"] == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.25])
+def test_exp_best_approximation_near_the_subnormal_rows_meets_mpmath(capsys, alpha):
+    # 1/k! is stored as a subnormal float from k = 171 and as 0 from about
+    # k = 178; E_n^2 = sum_{k>n} alpha^{-k} / k! lives in those rows
+    import mpmath
+
+    from slicefock.series import exp_series
+
+    with mpmath.workdps(40):
+        tail = [mpmath.mpf(alpha) ** -k / mpmath.factorial(k) for k in range(166, 400)]
+        want = {n: float(mpmath.sqrt(mpmath.fsum(tail[n - 165:]))) for n in range(166, 178)}
+    assert exp_series().coeffs.shape[0] < 166
+    for n, value in want.items():
+        code, out, err = _main(capsys, ("bestapprox", "--fn", "exp", "--alpha",
+                                        repr(alpha), "--n-list", str(n)))
+        if code:
+            assert code == 1 and out == "" and len(err.splitlines()) == 1
+            assert err.startswith("error: truncated-tail or underflowed-row")
+        else:
+            got = float(out.splitlines()[-1].split(",")[1])
+            assert got == pytest.approx(value, rel=1e-10), (alpha, n)
+    if alpha == 1.0:
+        code, out, _ = _main(capsys, ("bestapprox", "--fn", "exp", "--n-list", "170"))
+        assert code == 0 and "170,2.8469318606182" in out
+
+
 def test_p2_norm_past_the_float_range_is_one_error_line():
     # ||q^4||_2 = sqrt(4!) / alpha^2 = 4.9e400 at alpha = 1e-200
     res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
                           "slicefock", "norm", "--fn", "mono:4", "--alpha", "1e-200"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert "float range" in res.stderr

@@ -131,6 +131,8 @@ def invocations(draw):
 @example(argv=["norm", "--fn", "mono:4", "--kind", "first", "--p", "3",
                "--alpha", "1e-150"])
 @example(argv=["norm", "--fn", "mono:4", "--alpha", "1e-200"])
+@example(argv=["norm", "--fn", "mono:4", "--alpha", "1e200"])
+@example(argv=["norm", "--fn", "mono:4", "--alpha", "1e200", "--p", "1"])
 @example(argv=["converge", "--fn", "mono:4", "--operator", "taylor", "--alpha", "1e-200"])
 @example(argv=["bestapprox", "--fn", "mono:4", "--alpha", "1e-200", "--p", "1.5",
                "--n-list", "2"])

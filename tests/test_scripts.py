@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from conftest import child_env
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -18,7 +20,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 def test_script_runs_and_writes_output(tmp_path, name, args):
     res = subprocess.run([sys.executable, str(SCRIPTS / name),
                           *(a.format(tmp=tmp_path) for a in args)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0, res.stderr
     outputs = sorted(tmp_path.iterdir())
     assert outputs and all(p.stat().st_size > 0 for p in outputs)
