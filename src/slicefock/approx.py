@@ -10,20 +10,22 @@ unlike the norms (any constant ends up inside the reported ratios).  It,
 every operator error and the plane E_n at p = 2 are each one call of
 :func:`slicefock.spaces._multiplier_norm`, the one multiplier-image norm.
 
-Best approximation is exact in the plane Hilbert case (monomials are
-orthogonal, so the minimizer is the Taylor truncation and the error is a
-weighted coefficient tail), one least-squares solve over the whole algebra
-(monomials overlap at degree distance two; the value is the norm of the
-residual itself), and a Newton solve of the discretized convex problem for
-general p >= 1, which stops only on a certified duality gap: its result
-carries a lower bound on the minimum from weak duality next to the value it
-attains.  :func:`least_squares` is the one p = 2 solver, shared with the
-kernel-section fit, and the one place ``COND_LIMIT`` is checked.
+Best approximation at p = 2 is exact from coefficients in both kinds: on a
+plane the monomials are orthogonal, so the minimizer is the Taylor
+truncation and the error a weighted coefficient tail; over the whole
+algebra, where monomials two degrees apart overlap, one recurrence per
+parity on the banded Gram's bidiagonal factor gives the residual, whose norm
+is the value.  For general p >= 1 on a plane a Newton solve of the
+discretized convex problem stops only on a certified duality gap: its
+result carries a lower bound on the minimum from weak duality next to the
+value it attains.  :func:`least_squares` is the kernel-section fit's
+solver, and the one place ``COND_LIMIT`` is checked.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +43,18 @@ from .quaternion import (
     left_mult_matrix,
     slice_unit,
 )
-from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points, volume_grid
+from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points
 from .series import (
     SliceSeries,
     _lift,
     _refuse_drop,
     embed_complex,
     evaluate,
+    extended,
     taylor_truncate,
 )
 from .spaces import (
     PARSEVAL_TAIL_TOL,
-    SPHERE_AREA,
     NormSpec,
     NORM_TAIL_BUDGET,
     ParsevalTerms,
@@ -61,9 +63,11 @@ from .spaces import (
     _check_tail_budget,
     _checked_exp,
     _checked_ldexp,
+    _first_images,
     _grid_sum,
     _multiplier_image,
     _multiplier_norm,
+    _parseval_log_terms,
     _parseval_power,
     _parseval_terms,
     _plane_raw_power,
@@ -124,24 +128,35 @@ def finite_difference(f: SliceSeries, k: int, h: float, z: Quaternion,
 
 
 def _difference_multipliers(k: int, steps, degrees: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{I j h} - 1)^k for steps h (rows) and degrees j as r e^{I theta}, r =
-    (2 sin(j h / 2))^k and theta = k (j h + pi) / 2, so no digit cancels at
-    a small step; past the float range :class:`IntegrandOverflowError`."""
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^{I j h} - 1)^k for steps h (rows) and degrees j as r e^{I theta}
+    2^e, r = (2 sin(j h / 2))^k and theta = k (j h + pi) / 2, so no digit
+    cancels at a small step, and e = 0 per row; a row where some nonzero
+    multiplier falls below the smallest normal float is taken from its log
+    and scaled by 2^-e into the float range instead, e the exponent of its
+    largest entry.  Past the float range :class:`IntegrandOverflowError`."""
     half = 0.5 * np.outer(steps, degrees)
-    with np.errstate(over="ignore"):
-        r = (2.0 * np.sin(half)) ** k
+    base = 2.0 * np.sin(half)
+    with np.errstate(over="ignore", under="ignore"):
+        r = base ** k
     if not np.all(np.isfinite(r)):
         raise IntegrandOverflowError(f"order-{k} difference multipliers overflow")
-    return r, k * (half + 0.5 * math.pi)
+    e = np.zeros(len(r), dtype=int)
+    low = ((np.abs(r) < sys.float_info.min) & (base != 0.0)).any(axis=1)
+    if low.any():
+        with np.errstate(divide="ignore"):
+            log2_r = k * np.log2(np.abs(base[low]))
+        e[low] = np.ceil(np.max(log2_r, axis=1))
+        r[low] = np.sign(base[low]) ** k * np.exp2(log2_r - e[low, None])
+    return r, k * (half + 0.5 * math.pi), e
 
 
 def difference_series(f: SliceSeries, k: int, h: float,
                       unit: ImaginaryUnit) -> SliceSeries:
     """Coefficients of the k-th rotational difference on the plane of
     ``unit``: a_j -> (e^{I j h} - 1)^k a_j, up to 2^k |a_j| in modulus."""
-    r, theta = _difference_multipliers(k, [h], np.arange(f.coeffs.shape[0]))
-    return _multiplier_image(f.coeffs, r[0], theta[0], unit)
+    r, theta, e = _difference_multipliers(k, [h], np.arange(f.coeffs.shape[0]))
+    return _multiplier_image(f.coeffs, np.ldexp(r[0], e[0]), theta[0], unit)
 
 
 def modulus(f: SliceSeries, query: ModulusQuery,
@@ -237,53 +252,38 @@ def least_squares(design: np.ndarray, data: np.ndarray
         raise ConditioningError(
             f"least-squares design nearly rank deficient (normal-equations "
             f"cond {cond:.3g})", condition=cond)
-    return sol, float(np.linalg.norm(design @ sol - data)), cond
-
-
-def _first_kind_design(n: int, alpha: float, grid: QuadratureGrid
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Monomials q^0..q^n as design columns, and the root weights sqrt(mu)
-    of the plane nodes.  On q = x + u y, f = a + u b, q^m = Re z^m + u Im z^m
-    and |f|^2 integrates over the sphere to 4 pi (|a|^2 + |b|^2), so rows
-    sqrt(mu) e^{-alpha |z|^2 / 2} (Re z^m; Im z^m) carry the first-kind norm."""
-    z, wq = slice_points(grid)
-    root = alpha / math.pi * np.sqrt(SPHERE_AREA * wq)
-    vand = (z[:, None] ** np.arange(n + 1)) \
-        * (root * np.exp(-0.5 * alpha * np.abs(z) ** 2))[:, None]
-    return np.concatenate([vand.real, vand.imag]), root
-
-
-def first_kind_gram(n: int, alpha: float,
-                    grid: QuadratureGrid | None = None) -> np.ndarray:
-    """Quadrature Gram matrix of the monomials q^0..q^n over the whole
-    algebra.  Real, banded: entries vanish unless the degrees agree or
-    differ by exactly two."""
-    design, _ = _first_kind_design(n, alpha, grid or volume_grid(alpha))
-    return design.T @ design
+    resid = design @ sol - data
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(resid))
+    if not math.isfinite(norm):            # its square overflowed: scale first
+        top = float(np.max(np.abs(resid)))
+        norm = top * float(np.linalg.norm(resid / top))
+    return sol, norm, cond
 
 
 def best_approx_first(f: SliceSeries, n: int, alpha: float,
                       grid: QuadratureGrid | None = None) -> BestApproxResult:
-    """Best degree-n approximation in the whole-algebra Hilbert norm (p = 2):
-    one least-squares solve of the monomial design, columns scaled to unit
-    norm, against sqrt(mu) (a; b) of f from the plane kernel; the value is
-    the residual norm.  Monomials two degrees apart overlap, so the
-    projection mixes degrees.  f's weighted profile is checked as its norm's
-    is, and its underflowed rows are charged on the norm of the residual."""
-    grid = grid or volume_grid(alpha)
-    design, root = _first_kind_design(n, alpha, grid)
-    prepared = prepared_for_grid(f, alpha, grid)
-    v, e = _weighted_plane(prepared.series, grid, alpha)
-    _grid_sum(np.sum(v.real ** 2 + v.imag ** 2, axis=-1), grid)   # f's profile
-    data = np.concatenate([root[:, None] * c.reshape(-1, 4) for c in (v.real, v.imag)])
-    # a column that vanishes on every node stays zero, and is refused
-    d = 1.0 / np.maximum(np.linalg.norm(design, axis=0), np.finfo(float).tiny)
-    sol, value, _ = least_squares(design * d, data)
-    minimizer = SliceSeries(np.ldexp(d[:, None] * sol, e))
-    if prepared.drop is not None:
-        _multiplier_norm(prepared._replace(series=prepared.series - minimizer),
-                         NormSpec("first", 2.0, alpha), grid)
-    return BestApproxResult(n, _checked_ldexp(value, e, "weighted norm"), minimizer, "gram")
+    """Best degree-n approximation in the whole-algebra Hilbert norm (p = 2),
+    exact from f's Parseval terms; ``grid`` is not read.  Monomials two
+    degrees apart overlap, so the projection mixes degrees, but even and odd
+    ones decouple: the Gram is L L^T with L bidiagonal in each parity, the
+    residual r = f - P has (L^T r)_k = 0 for k <= n, and the value is the
+    norm of the residual's coefficients through the factor, a sum of
+    squares past n, not ||f||^2 minus the projection
+    (:func:`slicefock.spaces._first_images`, which charges f's tail and
+    underflowed rows on it)."""
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    log_p, _, terms, x, top = _first_images(_parseval_terms(f, alpha), alpha, n)
+    # P = f - r up to degree n, r_k = x_k e^{top/2} / sqrt(k! / alpha^k)
+    coeffs = extended(terms.series, max(n, terms.series.degree)).coeffs[:n + 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = np.exp(0.5 * (top[0] - _parseval_log_terms(0.0, np.arange(n + 1), alpha)))
+        minimizer = coeffs - np.where(x[0, :n + 1] != 0.0, x[0, :n + 1] * scale[:, None], 0.0)
+    if not np.all(np.isfinite(minimizer)):
+        raise IntegrandOverflowError("best approximation coefficients exceed the float range")
+    return BestApproxResult(n, _checked_exp(0.5 * log_p, "weighted norm"),
+                            SliceSeries(minimizer), "gram")
 
 
 #: Row-block size (numbers) of the Newton Hessian's rank-one terms.

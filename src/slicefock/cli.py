@@ -299,10 +299,10 @@ def cmd_bestapprox(args) -> int:
     grid = _grid_for(args, spec)
     rows = []
     for n in n_list:
+        # exact from coefficients at p = 2: no grid enters
         if args.kind == "first":
-            res = approx.best_approx_first(f, n, args.alpha, grid)
+            res = approx.best_approx_first(f, n, args.alpha)
         elif args.p == 2.0:
-            # exact from coefficients: no grid enters
             res = approx.best_approx_second(f, n, args.alpha)
         else:
             res = approx.best_approx_lp(f, n, args.p, args.alpha,
@@ -364,8 +364,10 @@ def _norm_flags(p, kind: bool = False) -> None:
         p.add_argument("--kind", choices=("first", "second"), default="second")
     p.add_argument("--slice", default=None,
                    help="i | j | k | x,y,z | sup:<M> (second kind; default i)")
-    p.add_argument("--quad-radial", type=int, default=None)
-    p.add_argument("--quad-angular", type=int, default=None)
+    p.add_argument("--quad-radial", type=int, default=None,
+                   help="radial nodes; checked at every p, read at p != 2 only")
+    p.add_argument("--quad-angular", type=int, default=None,
+                   help="angular nodes; checked at every p, read at p != 2 only")
 
 
 def _output_flags(p, table: bool = True) -> None:

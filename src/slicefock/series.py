@@ -309,9 +309,9 @@ def extended(f: SliceSeries, degree: int) -> SliceSeries:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each coefficient row, scaled so that tiny rows do
     not underflow when squared; a row holding inf has norm inf."""
-    m = np.max(np.abs(a), axis=1)
+    m = np.abs(a).max(axis=1)
     safe = np.minimum(np.maximum(m, 5e-324), 1.7976931348623157e308)  # m if 0 < m < inf
-    return m * np.sqrt(np.sum(np.square(a / safe[:, None]), axis=1))
+    return m * np.sqrt(np.square(a / safe[:, None]).sum(axis=1))
 
 
 def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: float,
@@ -335,10 +335,12 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
         top = float(np.max(logs))
         if not top < math.inf:
             raise TruncationError(f"series terms overflow at {where}")
+        if g is None:                      # no tail, no dropped rows
+            return fe, logs, -math.inf, -math.inf, -1
         scaled = np.exp(logs - top) if top > -math.inf else np.zeros(deg + 1)
         total = float(np.sum(scaled))
         log_ref = max(log_floor, top + math.log(total)) if total > 0.0 else log_floor
-        rho = ratio(deg) if g else 0.0
+        rho = ratio(deg)
         last = float(np.max(scaled[-2:]))
         if rho < 1.0:
             log_tail = -math.inf if rho == 0.0 or last == 0.0 else \
@@ -350,7 +352,7 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
                 f"truncation error exceeds tolerance: tail not certified below "
                 f"{math.exp(log_tol):g} at {where} with degree cap {DEGREE_CAP}")
         fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
-    dropped = np.flatnonzero(mags[::g.stride] == 0.0) if g else ()
+    dropped = np.flatnonzero(mags[::g.stride] == 0.0)
     k0 = int(dropped[0]) * g.stride if len(dropped) else -1
     log_drop = -math.inf
     if k0 >= 0:

@@ -4,28 +4,28 @@ The first kind weighs |f|^p e^{-p alpha |q|^2 / 2} over the whole algebra
 with prefactor (alpha p / 2 pi)^2; the second kind weighs the same density
 over a single complex plane with prefactor alpha p / 2 pi, optionally taking
 the sup over planes (realized as a max over a deterministic sphere sample).
-On a fixed plane the monomials are orthogonal, with
-|| q^k ||^2 = k! / alpha^k at p = 2; over the whole algebra they are not:
-powers whose degrees differ by exactly two overlap.
 
-Every second-kind number is the norm of a multiplier image sum_k q^k m_k a_k
-of f (m_k = 1, 1 - rho_k, (e^{I j h} - 1)^k, or 1 past degree n for E_n),
-all through :func:`_multiplier_norm`: at p = 2 a sum sum_k |m_k|^2 t_k over
-the Parseval terms t_k = |a_k|^2 k! / alpha^k, read from no grid, with
-:func:`_parseval_terms` their one certificate (:class:`ParsevalTerms`) and
-:func:`_parseval_power` the one sum, which charges f's tail and underflowed
-rows.  Everything below about grids concerns p != 2 and the first kind.
+Every p = 2 number of either kind is a coefficient sum over f's Parseval
+terms t_k = |a_k|^2 k! / alpha^k, read from no grid, :func:`_parseval_terms`
+their one certificate (:class:`ParsevalTerms`).  On a plane the monomials
+are orthogonal, ||q^k||^2 = k! / alpha^k, and the norm of a multiplier image
+sum_k q^k m_k a_k (m_k = 1, 1 - rho_k, (e^{I j h} - 1)^k, or 1 past degree n
+for E_n) is (sum_k |m_k|^2 t_k)^{1/2} (:func:`_parseval_power`).  Over the
+algebra powers two degrees apart overlap, the Gram of the monomials is
+banded, and norms, best approximations and inner products are sums of
+squares through its bidiagonal Cholesky factor (:func:`_first_images`,
+:func:`_inner`).  Each charges f's tail and underflowed rows against the
+value it reports; every norm, operator error and modulus is one call of
+:func:`_multiplier_norm`.  Everything below concerns p != 2.
 
 Every sphere integral is exact.  On q = x + u y the representation formula
 gives f(q) = a + u b for every unit u, with (a, b) = (Re S, Im S) for the
 componentwise sum S(z) = sum_k z^k a_k at z = x + i y
-(:func:`slice_components`).  So |f|^2 = A + u.w is
-affine in u and the sphere integral of its p/2-th power has a closed form,
-while conj(f) g integrates to 4 pi (conj(a_f) a_g + conj(b_f) b_g).
-First-kind norms and inner products thus evaluate one plane per grid; the
-sphere rule a volume grid carries serves only generic integrands
-(:func:`integrate_volume`).  The sup over planes reads each sampled plane
-from the same (a, b).
+(:func:`slice_components`).  So |f|^2 = A + u.w is affine in u, the
+sphere integral of its p/2-th power has a closed form, and first-kind norms
+evaluate one plane per grid; the sphere rule a volume grid carries serves
+only generic integrands (:func:`integrate_volume`).  The sup over planes
+reads each sampled plane from the same (a, b).
 
 Every grid consumer reads one kernel, :func:`_weighted_plane`: the
 weighted (a, b) = (Re v, Im v) 2^e at the grid's nodes, so nothing
@@ -50,6 +50,7 @@ weighted radial profile peaks in its last two shells
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -82,6 +83,7 @@ from .quadrature import (
     volume_grid,
 )
 from .series import (
+    DEGREE_CAP,
     SliceSeries,
     _certified,
     _lift,
@@ -150,9 +152,9 @@ class NormSpec:
 
     @property
     def parseval(self) -> bool:
-        """Whether the norm is a coefficient sum read from no grid: the
-        second kind at p = 2, the same on every plane."""
-        return self.kind == "second" and self.p == 2.0
+        """Whether the norm is a coefficient sum read from no grid: p = 2,
+        in either kind (the same on every plane in the second)."""
+        return self.p == 2.0
 
     def slice_label(self) -> str | None:
         if self.kind == "first":
@@ -260,7 +262,7 @@ def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
 
 
 # ---------------------------------------------------------------------------
-# second kind at p = 2: coefficient sums
+# p = 2: coefficient sums
 
 def _parseval_log_terms(log_sq, k, alpha: float):
     """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
@@ -318,6 +320,23 @@ def _log_sum(logs: np.ndarray) -> np.ndarray:
         return top[..., 0] + np.log(np.exp(logs - top).sum(axis=-1))
 
 
+def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mult`` (as :func:`_multiplier_norm` takes it) over the degrees
+    0..size-1 as (r of shape (rows, size), theta, e): m_k = r_k e^{I theta_k}
+    2^e, e one exponent per row (a row whose multipliers lie below the float
+    range, scaled back into it), 0 unless ``mult`` returns it."""
+    out = mult(np.arange(size))
+    r = np.atleast_2d(out[0])
+    return r, out[1], out[2] if len(out) > 2 else np.zeros(len(r), int)
+
+
+def _log_abs(r: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log |r_k 2^e| of :func:`_multipliers`' rows (log 0 for a 0)."""
+    with np.errstate(divide="ignore"):   # a multiplier 0 drops its row
+        log_r = np.log(np.abs(r))
+    return log_r + (e * math.log(2.0))[:, None] if e.any() else log_r
+
+
 def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
                     bound: float = 1.0) -> tuple[float, float]:
     """log of the largest p = 2 power sum_k |m_k|^2 t_k of f's Parseval terms
@@ -329,9 +348,8 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
     once more at the tail that power needs (the smallest float if it is 0)."""
     def weighted(terms):
         log_total = float(_log_sum(terms.logw))
-        with np.errstate(divide="ignore"):   # a multiplier 0 drops its row
-            log_sq = log_total if mult is None else float(np.max(_log_sum(
-                2.0 * np.log(np.abs(mult(np.arange(terms.logw.size))[0])) + terms.logw)))
+        log_sq = log_total if mult is None else float(np.max(_log_sum(
+            2.0 * _log_abs(*_multipliers(mult, terms.logw.size)[::2]) + terms.logw)))
         # log of what a unit of relative tail adds to the power, relative to it
         gap = log_total + 2.0 * math.log(bound) - log_sq
 
@@ -349,6 +367,134 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
         log_sq, _, charge = weighted(terms)
     log_bounds = float(np.logaddexp(terms.log_tail, terms.log_drop))
     return log_sq, _check_tail_budget(1.0, charge(log_bounds), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# first kind at p = 2: <q^m, q^m> = (m+1)! / alpha^m, <q^m, q^{m+2}> =
+# -(m+2)! / (2 alpha^{m+1}), 0 otherwise.  On the scaled rows s_k = a_k
+# sqrt(k! / alpha^k) the Gram is H, free of alpha: k + 1 on the diagonal and
+# -sqrt((k+1)(k+2)) / 2 at (k, k+2).  With D its diagonal, D^{-1/2} H D^{-1/2}
+# = I + O has two entries below 1/2 per row off the diagonal, so
+# (Gershgorin) it lies in (0, 2) and ||O|| < 1.
+
+@functools.lru_cache(maxsize=1)
+def _first_factor() -> tuple[np.ndarray, np.ndarray]:
+    """H = L L^T up to every degree a series or an E_n reaches: l_k =
+    L[k, k] and m_k = L[k, k-2] (0 below 2 and past the end).  Even and odd
+    degrees decouple, so each parity is one tridiagonal chain."""
+    diag, sub = np.empty(DEGREE_CAP + 3), np.zeros(DEGREE_CAP + 5)
+    for k in range(diag.size):
+        sub[k] = -0.5 * math.sqrt((k - 1.0) * k) / diag[k - 2] if k >= 2 else 0.0
+        diag[k] = math.sqrt(k + 1.0 - sub[k] * sub[k])
+    return diag, sub
+
+
+def _gram_rows(x: np.ndarray) -> np.ndarray:
+    """L^T x for scaled rows x (..., K, 4), row k l_k x_k + m_{k+2} x_{k+2}:
+    the first-kind p = 2 power is ||L^T x||^2, a sum of squares, and <x, y>
+    is sum_k conj((L^T x)_k) (L^T y)_k."""
+    diag, sub = _first_factor()
+    ahead = np.zeros_like(x)
+    ahead[..., :-2, :] = x[..., 2:, :]
+    return diag[:x.shape[-2], None] * x + sub[2:x.shape[-2] + 2, None] * ahead
+
+
+def _scaled_rows(terms: ParsevalTerms, mult=None, size: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """f's rows m_k s_k for each row of real multipliers (``mult`` as
+    :func:`_multiplier_norm` takes it; f itself without), each image times
+    e^{-top/2}, top its largest log m_k^2 t_k: (x of shape (images, K, 4),
+    zero past f's rows up to ``size``, and top).  Directions come from the
+    stored rows and sizes from the certified log t_k, so no row leaves the
+    float range before its scale."""
+    a, logw, sign = terms.series.coeffs, terms.logw[None], 1.0
+    if mult is not None:
+        r, _, e = _multipliers(mult, logw.size)
+        logw, sign = 2.0 * _log_abs(r, e) + logw, np.sign(r)[..., None]
+    top = np.maximum(logw.max(axis=-1), -1e308)    # an image of zeros stays 0
+    mags = np.hypot.reduce(a, axis=1)
+    x = np.zeros((top.size, max(size, a.shape[0]), 4))
+    x[:, :a.shape[0]] = sign * a / np.where(mags > 0.0, mags, 1.0)[:, None] \
+        * np.exp(0.5 * (logw - top[:, None]))[..., None]
+    return x, top
+
+
+def _charged_bound(terms: ParsevalTerms, alpha: float, first: bool) -> tuple[int, float]:
+    """(K, log W): K the first of f's charged rows (k0, else past the stored
+    degree D) and W >= sum_{k >= K} w_k t_k over them, w_k = 1 on a plane
+    and k + 1 over the algebra, where the ratio bound rho on t_{k+s} / t_k
+    (stride s) behind the tail and drop bounds weighs them by
+    D + 1 + s / (1 - rho) and k0 + 1 + s rho / (1 - rho)."""
+    deg, k0, g = terms.series.degree, terms.k0, terms.series.generator
+    logs = [terms.log_tail, terms.log_drop]
+    for i, start in enumerate((deg, k0)):
+        if first and -math.inf < logs[i] < math.inf:
+            rho = g.parseval_ratio(alpha, start)
+            logs[i] += math.log(start + 1 + g.stride * (1.0 if i == 0 else rho) / (1.0 - rho))
+    top = max(logs)
+    if -math.inf < top < math.inf:
+        top += math.log(sum(math.exp(x - top) for x in logs)) + float(_log_sum(terms.logw))
+    return (k0 if k0 >= 0 else deg + 1), top
+
+
+def _relative(log_err: float, log_value: float) -> float:
+    """e^{log_err - log_value}: 0 with nothing to charge, inf (refused) past
+    the float range, for nan, or with a charge on a value of 0."""
+    if log_err == -math.inf:
+        return 0.0
+    y = log_err - log_value
+    return math.exp(y) if y < 709.0 else math.inf
+
+
+def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
+                  bound: float = 1.0) -> tuple[float, float, ParsevalTerms, np.ndarray, np.ndarray]:
+    """The largest first-kind p = 2 power of f's images under real
+    multipliers (:func:`_scaled_rows`), or with n >= 0 of their residuals r
+    past the best degree-n approximation: (L^T r)_k = 0 for k <= n makes
+    r_k = -m_{k+2} r_{k+2} / l_k down from the rows past n, and the power is
+    sum_{k>n} |(L^T r)_k|^2.  f's rows from K, bounded by W
+    (:func:`_charged_bound`) and their multipliers by ``bound``, add at most
+    2 bound^2 W (H <= 2 D) + 2 bound sqrt(W b) (||O|| < 1 across disjoint
+    rows), b the image's weighted rows K - 2 and K - 1, or twice the power
+    where they reach row n + 2.  Where the tail's charge misses the budget
+    and the drop's meets it, f's terms are certified once more at a tail
+    smaller by the square of the excess.  Returns (log power, relative
+    charge (:func:`_check_tail_budget`), the terms, the rows r, their scales)."""
+    diag, sub = _first_factor()
+    log_bound = math.log(bound) if bound > 0.0 else -math.inf
+
+    def evaluate(terms):
+        x, top = _scaled_rows(terms, mult, n + 3)
+        for k in range(n, -1, -1):
+            x[:, k] = -sub[k + 2] / diag[k] * x[:, k + 2]
+        with np.errstate(divide="ignore"):
+            log_p = top + np.log(np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1)))
+        best = float(np.max(log_p))
+
+        def excess(log_tail, log_drop):
+            k, log_w = _charged_bound(terms._replace(log_tail=log_tail, log_drop=log_drop),
+                                      alpha, True)
+            lo = max(k - 2, 0)
+            with np.errstate(divide="ignore", invalid="ignore"):    # nan is refused
+                log_b = top + np.log(np.sum(np.square(x[:, lo:k]), axis=-1)
+                                     @ np.arange(lo + 1.0, k + 1.0)) \
+                    if n < 0 or k >= n + 3 else math.log(2.0) + log_p
+                log_err = np.logaddexp(math.log(2.0) + 2.0 * log_bound + log_w,
+                                       math.log(2.0) + log_bound + 0.5 * (log_w + log_b))
+            return _relative(float(np.max(log_err)), best) / NORM_TAIL_BUDGET
+        return best, excess, x, top
+
+    log_p, excess, x, top = evaluate(terms)
+    over = excess(terms.log_tail, -math.inf)
+    if over > 1.0 >= excess(-math.inf, terms.log_drop):
+        log_tol = max(terms.log_tail - 2.0 * math.log(16.0 * over), math.log(5e-324))
+        if log_tol < terms.log_tail:
+            terms = _parseval_terms(terms.series, alpha, log_tol)
+            log_p, excess, x, top = evaluate(terms)
+            over = excess(terms.log_tail, -math.inf)
+    if terms.log_drop > -math.inf:
+        over = excess(terms.log_tail, terms.log_drop)
+    return log_p, _check_tail_budget(1.0, over * NORM_TAIL_BUDGET, 2.0), terms, x, top
 
 
 def _checked_exp(log_value: float, what: str) -> float:
@@ -516,42 +662,49 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
                      prefactor: bool = True, what: str = "weighted norm"
                      ) -> tuple[float, float]:
     """The largest ``spec``-norm of sum_k q^k m_k a_k over the rows of m_k =
-    r_k e^{I theta_k}, (r, theta) = ``mult(k)`` (theta 0 for real m; f
-    itself without ``mult``), prefactor left out unless ``prefactor``, and
-    f's relative tail or charge, f ``prepared`` as ``spec`` needs
-    (:func:`_check_prepared`).  A sum of :func:`_parseval_power` at p = 2 in
-    the second kind; else the largest power of the images on every plane
+    r_k e^{I theta_k} 2^e, (r, theta[, e]) = ``mult(k)`` (theta 0 for real
+    m, e one exponent per row; f itself without ``mult``), prefactor left
+    out unless ``prefactor``, and f's relative tail or charge, f
+    ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  At p = 2 a
+    coefficient sum, :func:`_parseval_power` on a plane and
+    :func:`_first_images` (real m) over the algebra; else the largest power
+    of the images on every plane
     ``spec`` reads, on the scale of the largest exponent, charged with the
     largest drop delta at ``bound`` >= |m_k| on f's charged rows: nothing
     cancels, and a sup is charged as one."""
     _check_prepared(prepared, spec)
     if spec.parseval:
-        log_sq, charge = _parseval_power(prepared, spec.alpha, mult, bound)
+        first = spec.kind == "first"
+        log_sq, charge = (_first_images(prepared, spec.alpha, -1, mult, bound)[:2] if first
+                          else _parseval_power(prepared, spec.alpha, mult, bound))
         if not prefactor:
-            log_sq = log_sq + math.log(math.pi) - math.log(spec.alpha)
+            log_sq += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.alpha))
         return _checked_exp(0.5 * log_sq, what), charge
     fe, drop = prepared.series, prepared.drop
     if drop is not None:
         with np.errstate(over="ignore", invalid="ignore"):   # refused by the budget
             drop = drop * bound
     if mult is None:
-        images = [fe]
+        images = [(fe, 0)]
     else:
-        r, theta = np.broadcast_arrays(*mult(np.arange(fe.coeffs.shape[0])))
-        images = [_multiplier_image(fe.coeffs, rr, tt, spec.slice_unit)
-                  for rr, tt in zip(np.atleast_2d(r), np.atleast_2d(theta))]
+        r, theta, scale = _multipliers(mult, fe.coeffs.shape[0])
+        images = [(_multiplier_image(fe.coeffs, rr, tt, spec.slice_unit), int(es))
+                  for rr, tt, es in zip(r, np.broadcast_to(theta, r.shape), scale)]
     rows = []   # (raw, delta, e) of every image on every plane spec reads
-    for g in images:
+    for g, es in images:
+        # the image is the true one times 2^-es, and so is its drop charge
+        d = drop if drop is None or es == 0 else _scaled_drop(drop, es)
         if spec.kind == "first":
-            rows.append(_volume_raw_power(g, grid, spec.p, spec.alpha, drop))
+            planes = [_volume_raw_power(g, grid, spec.p, spec.alpha, d)]
         elif spec.sup_samples is None:
-            rows.append(_slice_raw_power(g, spec.slice_unit, grid, spec.p, spec.alpha, drop))
+            planes = [_slice_raw_power(g, spec.slice_unit, grid, spec.p, spec.alpha, d)]
         else:   # every sampled plane from one shared evaluation
             v, e = _weighted_plane(g, grid, spec.alpha)
             amp_sq, lin = _affine_square(v.real, v.imag)
-            rows += [(*_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u.vector(), 0.0)),
-                                        grid, spec.p, _scaled_drop(drop, e)), e)
-                     for u in sphere_grid(spec.sup_samples)]
+            planes = [(*_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u.vector(), 0.0)),
+                                         grid, spec.p, _scaled_drop(d, e)), e)
+                      for u in sphere_grid(spec.sup_samples)]
+        rows += [(raw, delta, e + es) for raw, delta, e in planes]
     raw, delta, e = np.array(rows).T
     scale = 2.0 ** (spec.p * (e - e.max()))
     with np.errstate(invalid="ignore"):    # an inf delta times 0 is refused below
@@ -594,15 +747,15 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
                 ) -> tuple[float, float]:
     """(value, the larger of f's relative tail and its charged drop), on
     ``grid`` or the default one where a grid is read."""
-    grid = grid or default_grid(spec)
+    grid = grid or (None if spec.parseval else default_grid(spec))
     return _multiplier_norm(prepared_for_spec(f, spec, grid), spec, grid)
 
 
 def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> float:
     """Weighted norm of f under ``spec`` on the given (or default) grid.
 
-    It is :func:`_multiplier_norm` of f itself (at p = 2 in the second kind
-    the coefficient sum sqrt(sum_k t_k), reading no ``grid``), f's tail and
+    It is :func:`_multiplier_norm` of f itself (at p = 2 a coefficient sum
+    that reads no ``grid``: sqrt(sum_k t_k) on a plane), f's tail and
     underflowed rows charged against ``NORM_TAIL_BUDGET`` of it.  Raises
     :class:`NotInSpaceError` when f is not in the space (type at least
     alpha / 2), :class:`RefinementError` when the grid stops short of the
@@ -643,32 +796,34 @@ def norm_report(f: SliceSeries, spec: NormSpec,
 # ---------------------------------------------------------------------------
 # inner products (p = 2)
 
-def _inner(f: SliceSeries, g: SliceSeries, alpha: float, grid: QuadratureGrid,
-           unit: ImaginaryUnit | None = None) -> Quaternion:
-    """int conj(f) g e^{-alpha |q|^2} over the plane of ``unit`` times
-    alpha / pi, or without one over the algebra times 4 pi (alpha / pi)^2,
-    from the kernel's v of each factor (:func:`_weighted_plane`).  With fa
-    the root sum of squares of f's parts and df its drop bound, both on the
-    scale of its v, the underflowed rows move the value by at most the
-    integral of fa dg + df (ga + dg)."""
-    parts, drops, e = [], [], 0
-    for h in (f, g):
-        prep = prepared_for_grid(h, alpha, grid)
-        v, eh = _weighted_plane(prep.series, grid, alpha)
-        parts.append((v.real, v.imag) if unit is None else (_lift(v, unit),))
-        drops.append(_scaled_drop(prep.drop, eh))
-        e += eh
-    if any(d is not None for d in drops):
-        fa, ga = (np.sqrt(sum(np.sum(x * x, axis=-1) for x in ps)) for ps in parts)
-        df, dg = (0.0 if d is None else d[:, None] for d in drops)
-        w = grid.plane_weights
-        with np.errstate(over="ignore", invalid="ignore"):   # refused as non-finite
-            _check_tail_budget(float(np.sum(w * fa * ga)),
-                               float(np.sum(w * (fa * dg + df * (ga + dg)))), 1.0)
-    prod = sum(quat_mul_array(quat_conj_array(a), b) for a, b in zip(*parts))
-    pref = SPHERE_AREA * (alpha / math.pi) ** 2 if unit is None else alpha / math.pi
-    comps = pref * (grid.plane_weights.ravel() @ prod.reshape(-1, 4))
-    return Quaternion(*(_checked_ldexp(float(c), e, "inner product") for c in comps))
+def _inner(f: SliceSeries, g: SliceSeries, alpha: float, first: bool) -> Quaternion:
+    """sum_k conj(y_k^f) y_k^g over the scaled rows x of f and g
+    (:func:`_scaled_rows`), y = L^T x over the algebra and x on a plane,
+    times their scales.  With f = f' + d, d its rows from K_f bounded by W_f
+    (:func:`_charged_bound`), <d, g'> is at most c sqrt(W_f A_g), A_g the
+    weighted mass of g' from K_f - 2 (from K_f on a plane) and c = 2
+    (|H| <= 2 D; 1 on a plane); with the same for g's rows, and
+    c sqrt(W_f W_g) for both, it is charged against ||f|| ||g||."""
+    terms = [_parseval_terms(h, alpha) for h in (f, g)]
+    size = max(t.logw.size for t in terms) + 2
+    (xf, tf), (xg, tg) = ((x[0], top[0]) for x, top in
+                          (_scaled_rows(t, size=size) for t in terms))
+    yf, yg = (_gram_rows(x) if first else x for x in (xf, xg))
+    m = yf.T @ yg                     # sum_k conj(y_k^f) y_k^g from its 4 x 4 moments
+    comps = np.array([np.trace(m), m[0, 1] - m[1, 0] - m[2, 3] + m[3, 2],
+                      m[0, 2] - m[2, 0] - m[3, 1] + m[1, 3], m[0, 3] - m[3, 0] - m[1, 2] + m[2, 1]])
+    weight, reach = (np.arange(1.0, size + 1.0), 2) if first else (np.ones(size), 0)
+    (kf, wf), (kg, wg) = (_charged_bound(t, alpha, first) for t in terms)
+    with np.errstate(divide="ignore", invalid="ignore"):   # nan is refused
+        ag, af = (top + np.log(weight[lo:] @ np.sum(np.square(x[lo:]), axis=-1))
+                  for x, top, lo in ((xg, tg, max(kf - reach, 0)), (xf, tf, max(kg - reach, 0))))
+        log_err = math.log(2.0 if first else 1.0) + np.logaddexp.reduce(
+            [0.5 * (wf + ag), 0.5 * (af + wg), 0.5 * (wf + wg)])
+        log_ref = 0.5 * (tf + tg + np.log(np.sum(yf * yf)) + np.log(np.sum(yg * yg)))
+        logs = np.log(np.abs(comps)) + 0.5 * (tf + tg)
+    _check_tail_budget(1.0, _relative(float(log_err), float(log_ref)), 1.0)
+    return Quaternion(*(math.copysign(_checked_exp(x, "inner product"), c)
+                        for x, c in zip(logs, comps)))
 
 
 def inner_second(f: SliceSeries, g: SliceSeries, alpha: float,
@@ -678,8 +833,11 @@ def inner_second(f: SliceSeries, g: SliceSeries, alpha: float,
 
     Normalized so that <f, f> equals the squared second-kind norm at p = 2;
     the rescaled monomials e_k = sqrt(alpha^k / k!) q^k come out orthonormal.
+    It is sum_k conj(a_k) b_k k! / alpha^k, the same on every plane, from
+    the Parseval certificates of f and g; neither ``unit`` nor ``grid`` is
+    read.
     """
-    return _inner(f, g, alpha, grid or slice_grid(alpha), unit)
+    return _inner(f, g, alpha, False)
 
 
 def inner_first(f: SliceSeries, g: SliceSeries, alpha: float,
@@ -687,11 +845,12 @@ def inner_first(f: SliceSeries, g: SliceSeries, alpha: float,
     """Whole-algebra inner product (alpha/pi)^2 int conj(f) g e^{-alpha |q|^2} dm.
 
     Monomials q^m, q^n are orthogonal here only when |m - n| is odd or at
-    least 4; degrees differing by two genuinely overlap.  With f = a_f + u b_f
-    and g = a_g + u b_g on q = x + u y, the sphere integral of conj(f) g is
-    4 pi (conj(a_f) a_g + conj(b_f) b_g) exactly.
+    least 4; degrees differing by two genuinely overlap:
+    <q^m, q^{m+2}> = -(m+2)! / (2 alpha^{m+1}).  It is sum_mn G_mn
+    conj(a_m) b_n over that banded Gram G, from the Parseval certificates of
+    f and g; ``grid`` is not read.
     """
-    return _inner(f, g, alpha, grid or volume_grid(alpha))
+    return _inner(f, g, alpha, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import math
 import os
 import pathlib
 
 import numpy as np
 import pytest
 
+from slicefock.quadrature import slice_points, volume_grid
 from slicefock.quaternion import ImaginaryUnit, Quaternion
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -44,3 +46,23 @@ def make_quaternion(rng):
 @pytest.fixture
 def make_unit(rng):
     return lambda: random_unit(rng)
+
+
+def first_kind_gram(n, alpha, grid=None, scaled=False):
+    """Quadrature Gram matrix of the monomials q^0..q^n over the whole
+    algebra, the oracle of the closed form; with ``scaled``, of the
+    monomials q^m sqrt(alpha^m / m!), whose Gram stays finite at any degree.
+    On q = x + u y, q^m = Re z^m + u Im z^m, and conj(f) g integrates over
+    the sphere to 4 pi (conj(a_f) a_g + conj(b_f) b_g), so the rows
+    sqrt(mu) e^{-alpha |z|^2 / 2} (Re z^m; Im z^m) on one plane carry it."""
+    from scipy.special import gammaln
+
+    z, wq = slice_points(grid or volume_grid(alpha))
+    m = np.arange(n + 1)
+    log_size = m * np.log(np.abs(z))[:, None] - 0.5 * alpha * np.abs(z)[:, None] ** 2
+    if scaled:
+        log_size -= 0.5 * (gammaln(m + 1.0) - m * math.log(alpha))
+    root = alpha / math.pi * np.sqrt(4.0 * math.pi * wq)
+    vand = np.exp(log_size + 1j * m * np.angle(z)[:, None]) * root[:, None]
+    design = np.concatenate([vand.real, vand.imag])
+    return design.T @ design

@@ -11,7 +11,6 @@ from slicefock.approx import (
     best_approx_second,
     difference_series,
     finite_difference,
-    first_kind_gram,
     modulus,
     operator_error,
     parseval_norm_sq,
@@ -41,7 +40,7 @@ from slicefock.spaces import (
     prepared_for_grid,
 )
 from slicefock.operators import apply, fejer_op, jackson_op, taylor_op, vdp_op
-from conftest import random_poly_coeffs
+from conftest import first_kind_gram, random_poly_coeffs
 
 
 def _quadrature_p2(g, unit, alpha, grid):
@@ -352,6 +351,13 @@ WEIGHTED_CONSUMERS = {
 }
 
 
+#: The weight at which exp's dropped rows miss the budget, where it is not
+#: 0.01: the plane inner product is a coefficient sum, and its Parseval
+#: terms from k = 178 are 1.35e-12 of the sum at alpha = 0.01, within it
+#: (first-kind sums weigh row k by k + 1 and miss it there).
+PAST_THE_BUDGET = {"inner_second": 0.005}
+
+
 @pytest.mark.parametrize("name", sorted(WEIGHTED_CONSUMERS))
 def test_every_weighted_consumer_charges_underflowed_rows(name):
     from slicefock.errors import TruncationError
@@ -363,8 +369,10 @@ def test_every_weighted_consumer_charges_underflowed_rows(name):
     for f, alpha in ((exp_series(), 0.01), (gauss_series(0.25), 1.0)):
         assert prepared_for_grid(f, alpha, slice_grid(alpha / 2.0))[2] is not None
     with pytest.raises(TruncationError, match="truncated-tail"):
-        consume(exp_series(), 0.01)
+        consume(exp_series(), PAST_THE_BUDGET.get(name, 0.01))
     assert consume(gauss_series(0.25), 1.0) > 0.0
+    if name in PAST_THE_BUDGET:
+        assert consume(exp_series(), 0.01) == pytest.approx(math.exp(100.0), rel=1e-11)
 
 
 def test_difference_series_overflow_is_a_named_error():

@@ -643,7 +643,8 @@ def test_growth_needs_an_increasing_finite_radius_range(capsys, r_min, r_max):
 
 
 @pytest.mark.parametrize("argv,names", [
-    (("kernel-fit", "--fn", "mono:2", "--centers", "0.5", "--alpha", "1e-200"),
+    # ||q^4|| = sqrt(24) 1e400 (||q^2|| = sqrt(2) 1e200 is a float and fits)
+    (("kernel-fit", "--fn", "mono:4", "--centers", "0.5", "--alpha", "1e-200"),
      "k!/alpha^k"),
     (("norm", "--fn", "kernel-section:1e200,1,0,0,1"), "overflow"),
     (("bestapprox", "--fn", "exp", "--alpha", "0.01", "--n-list", "176,180"),

@@ -113,11 +113,23 @@ def test_first_kind_best_approximation_of_mono_250_on_a_grid_that_reaches_it():
     ("--fn", "mono:40", "--kind", "first", "--quad-radial", "8"),
 ])
 def test_bestapprox_refuses_where_norm_refuses(capsys, argv):
-    for command in (("norm",), ("bestapprox", "--n-list", "4")):
-        code, out, err = run(capsys, *command, *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error: weighted integrand peaks")
-        assert len(err.splitlines()) == 1
+    # at p = 2 neither reads a grid: both print ||q^k|| = sqrt((k+1)!), as
+    # E_4 of q^k is its norm (it is orthogonal to every polynomial of degree 4)
+    k = int(argv[1].split(":")[1])
+    with mpmath.workdps(40):
+        want = float(mpmath.sqrt(mpmath.factorial(k + 1)))
+    code, out, err = run(capsys, "norm", *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(want, rel=1e-12)
+    code, out, err = run(capsys, "bestapprox", "--n-list", "4", *argv)
+    assert code == 0 and err == ""
+    assert float(out.splitlines()[-1].split(",")[1]) == pytest.approx(want, rel=1e-12)
+    # at p = 4 the norm reads the grid, and is refused as before (the first
+    # kind's bestapprox answers p = 2 only)
+    code, out, err = run(capsys, "norm", *argv, "--p", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: weighted integrand peaks")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("inner", [spaces.inner_first, spaces.inner_second])

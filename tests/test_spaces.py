@@ -344,18 +344,15 @@ def test_grid_short_of_the_mass_is_unresolved(kind):
     # |q^40|^p e^{-p |q|^2 / 2} peaks at |q|^2 = 40; 8 Laguerre nodes reach
     # about 23, so the radial profile peaks in the last shells and the
     # single-grid norm (no refinement) is refused instead of returned too
-    # small.  The second kind reads a grid at p != 2 only: p = 4 there.
-    p = 2.0 if kind == "first" else 4.0
-    spec = NormSpec("second", p, 1.0, sup_samples=4) if kind == "sup" \
-        else NormSpec(kind, p, 1.0)
+    # small.  Either kind reads a grid at p != 2 only: p = 4 there.
+    spec = NormSpec("second", 4.0, 1.0, sup_samples=4) if kind == "sup" \
+        else NormSpec(kind, 4.0, 1.0)
     coarse = default_grid(spec, 8, 16, 8)
     with pytest.raises(RefinementError, match="outermost"):
         norm(monomial(40), spec, coarse)
-    # at p = 2 the closed forms 40! and 41!: the first kind on the default
-    # grid, the second from coefficients, whatever the grid
+    # at p = 2 the closed forms 40! and 41!, from coefficients, whatever the grid
     want = math.factorial(41 if kind == "first" else 40)
     exact = NormSpec("second", 2.0, 1.0, sup_samples=4) if kind == "sup" \
         else NormSpec(kind, 2.0, 1.0)
     assert norm(monomial(40), exact) ** 2 == pytest.approx(want, rel=1e-10)
-    if kind != "first":
-        assert norm(monomial(40), exact, coarse) ** 2 == pytest.approx(want, rel=1e-13)
+    assert norm(monomial(40), exact, coarse) ** 2 == pytest.approx(want, rel=1e-13)

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from slicefock.approx import best_approx_first, first_kind_gram
+from conftest import first_kind_gram
+from slicefock.approx import best_approx_first
 from slicefock.errors import NotInSpaceError
 from slicefock.quaternion import (
     ImaginaryUnit,
