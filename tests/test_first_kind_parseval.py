@@ -132,6 +132,31 @@ def test_first_kind_best_approximation_of_exp_meets_mpmath():
             float(mpmath.sqrt(full)), rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [60, 120])
+def test_first_kind_best_approximation_past_the_first_certificate_meets_mpmath(n):
+    # E_n of exp is far below the tail the first certificate leaves (1e-30
+    # of e), so f's terms are certified again; the Schur complement of each
+    # parity's chain in 40 digits
+    size = n + 40
+    with mpmath.workdps(40):
+        s = [1 / mpmath.sqrt(mpmath.factorial(k)) for k in range(size)]
+        total = mpmath.mpf(0)
+        for parity in (0, 1):
+            idx = list(range(parity, size, 2))
+            gram = mpmath.zeros(len(idx), len(idx))
+            for i, k in enumerate(idx):
+                gram[i, i] = k + 1
+                if i + 1 < len(idx):
+                    gram[i, i + 1] = gram[i + 1, i] = -mpmath.sqrt((k + 1) * (k + 2)) / 2
+            h = sum(1 for k in idx if k <= n)
+            tail = mpmath.matrix([s[k] for k in idx[h:]])
+            rhs = gram[0:h, h:len(idx)] * tail
+            total += (tail.T * gram[h:len(idx), h:len(idx)] * tail)[0] \
+                - (rhs.T * mpmath.lu_solve(gram[0:h, 0:h], rhs))[0]
+        want = float(mpmath.sqrt(total))
+    assert best_approx_first(exp_series(), n, 1.0).value == pytest.approx(want, rel=1e-12)
+
+
 def test_inner_second_matches_the_plane_quadrature_on_every_plane():
     rng = np.random.default_rng(16)
     unit = ImaginaryUnit.from_vector(rng.normal(size=3))
