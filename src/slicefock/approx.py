@@ -142,8 +142,9 @@ def _difference_multipliers(k: int, steps, degrees: np.ndarray
     if not np.all(np.isfinite(r)):
         raise IntegrandOverflowError(f"order-{k} difference multipliers overflow")
     e = np.zeros(len(r), dtype=int)
-    low = ((np.abs(r) < sys.float_info.min) & (base != 0.0)).any(axis=1)
-    if low.any():
+    under = (np.abs(r) < sys.float_info.min) & (base != 0.0)
+    if under.any():
+        low = under.any(axis=1)
         with np.errstate(divide="ignore"):
             log2_r = k * np.log2(np.abs(base[low]))
         e[low] = np.ceil(np.max(log2_r, axis=1))

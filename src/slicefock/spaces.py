@@ -320,21 +320,20 @@ def _log_sum(logs: np.ndarray) -> np.ndarray:
         return top[..., 0] + np.log(np.exp(logs - top).sum(axis=-1))
 
 
-def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``mult`` (as :func:`_multiplier_norm` takes it) over the degrees
     0..size-1 as (r of shape (rows, size), theta, e): m_k = r_k e^{I theta_k}
     2^e, e one exponent per row (a row whose multipliers lie below the float
-    range, scaled back into it), 0 unless ``mult`` returns it."""
+    range, scaled back into it) where ``mult`` returns it, else None."""
     out = mult(np.arange(size))
-    r = np.atleast_2d(out[0])
-    return r, out[1], out[2] if len(out) > 2 else np.zeros(len(r), int)
+    return np.atleast_2d(out[0]), out[1], out[2] if len(out) > 2 else None
 
 
-def _log_abs(r: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _log_abs(r: np.ndarray, e: np.ndarray | None) -> np.ndarray:
     """log |r_k 2^e| of :func:`_multipliers`' rows (log 0 for a 0)."""
     with np.errstate(divide="ignore"):   # a multiplier 0 drops its row
         log_r = np.log(np.abs(r))
-    return log_r + (e * math.log(2.0))[:, None] if e.any() else log_r
+    return log_r if e is None else log_r + (e * math.log(2.0))[:, None]
 
 
 def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
@@ -348,8 +347,12 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
     once more at the tail that power needs (the smallest float if it is 0)."""
     def weighted(terms):
         log_total = float(_log_sum(terms.logw))
-        log_sq = log_total if mult is None else float(np.max(_log_sum(
-            2.0 * _log_abs(*_multipliers(mult, terms.logw.size)[::2]) + terms.logw)))
+        if mult is None:
+            log_sq = log_total
+        else:
+            out = mult(np.arange(terms.logw.size))
+            log_m = _log_abs(out[0], out[2] if len(out) > 2 else None)
+            log_sq = float(np.max(_log_sum(2.0 * log_m + terms.logw)))
         # log of what a unit of relative tail adds to the power, relative to it
         gap = log_total + 2.0 * math.log(bound) - log_sq
 
@@ -689,7 +692,8 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     else:
         r, theta, scale = _multipliers(mult, fe.coeffs.shape[0])
         images = [(_multiplier_image(fe.coeffs, rr, tt, spec.slice_unit), int(es))
-                  for rr, tt, es in zip(r, np.broadcast_to(theta, r.shape), scale)]
+                  for rr, tt, es in zip(r, np.broadcast_to(theta, r.shape),
+                                        np.zeros(len(r), int) if scale is None else scale)]
     rows = []   # (raw, delta, e) of every image on every plane spec reads
     for g, es in images:
         # the image is the true one times 2^-es, and so is its drop charge
