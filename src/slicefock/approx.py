@@ -213,13 +213,15 @@ def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
 @dataclass(frozen=True)
 class BestApproxResult:
     """Best degree-n approximation: the error attained by ``minimizer`` and,
-    where the method certifies one, a lower bound on the minimal error."""
+    where the method certifies one, a lower bound on the minimal error;
+    ``steps`` counts a descent's Newton steps (None for the exact methods)."""
 
     n: int
     value: float
     minimizer: SliceSeries
     method: str
     lower: float | None = None
+    steps: int | None = None
 
 
 def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult:
@@ -333,9 +335,14 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     the Taylor truncation.  Newton runs on Psi_eps = sum_i mu_i
     (|r_i|^2 + eps^2)^(p/2): eps = 0 for p >= 2; for p < 2 eps starts at a
     tenth of the mean residual and shrinks tenfold whenever Newton has
-    settled.  Its systems are solved in the coordinates W^{-1} c, with
-    W^T G W = I for the mu-Gram G of the weighted monomials (W from the
-    eigenvectors of G scaled to unit diagonal), in which they are orthonormal.
+    settled (decrement <= 1e-20 Psi_eps), or once the decrement is
+    <= 1e-6 Psi_eps and the gap in Psi units, p value^(p-1) (value -
+    lower), is within 2 eps^p sum_i mu_i: for p <= 2, (s + eps^2)^(p/2) -
+    s^(p/2) <= eps^p, so that is twice the smoothing's bias, which no
+    further step at this eps closes.  Its systems are solved in the
+    coordinates W^{-1} c, with W^T G W = I for the mu-Gram G of the weighted
+    monomials (W from the eigenvectors of G scaled to unit diagonal), in
+    which they are orthonormal.
 
     Every step bounds the minimum from below by weak duality: the dual
     vector lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i, projected onto the
@@ -344,10 +351,11 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     q = p / (p - 1), a max over the nodes at p = 1).  The solve stops when
     value - lower <= tol value + min(tol, NORM_TAIL_BUDGET) ||f||_p, the
     second term being the error the sampled values already carry, and the
-    result carries both bounds.  Raises :class:`SolverError` carrying the
-    best iterate when the gap is not met within ``max_iter`` Newton steps.
-    f's weighted profile is checked as its norm's is, and its underflowed
-    rows are charged on the residual it attains.
+    result carries both bounds and its Newton ``steps``.  Raises
+    :class:`SolverError` carrying the best iterate when the gap is not met
+    within ``max_iter`` Newton steps.  f's weighted profile is checked as
+    its norm's is, and its underflowed rows are charged on the residual it
+    attains.
     """
     return _best_approx_lp(f, n, p, alpha, unit, grid, tol, max_iter)
 
@@ -392,57 +400,71 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     whiten = d[:, None] * vec / np.sqrt(eig)
     q = math.inf if p == 1.0 else p / (p - 1.0)
     sampled_err = min(tol, NORM_TAIL_BUDGET) * f_norm
+    mass = float(np.sum(mu))
 
     def psi(s, eps):
         return float(mu @ (s + eps * eps) ** (0.5 * p))
 
-    def lower_bound(r, s, eps):
+    def dual(r, s, eps):
+        """lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i and its moments against the
+        weighted monomials, which are -1/p times Psi_eps's gradient."""
         se = (s + eps * eps)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(se > 0.0, se ** (0.5 * p - 1.0) * r, 0.0)
-        moments = _act_adjoint(vr, vi, mu[:, None] * lam, lm).ravel()
+        return lam, _act_adjoint(vr, vi, mu[:, None] * lam, lm).ravel()
+
+    def lower_bound(lam, moments):
         lam -= _act(vr, vi, (whiten @ (whiten.T @ moments)).reshape(-1, 4), lm)
         size = np.sqrt(np.sum(lam * lam, axis=1))
         qnorm = float(np.max(size[mu > 0.0])) if q == math.inf else \
             float(mu @ size ** q) ** (1.0 / q)
         return float(mu @ np.sum(lam * fv, axis=1)) / qnorm if qnorm > 0.0 else 0.0
 
+    def result(upper, lower):
+        return BestApproxResult(
+            n, _checked_ldexp(upper, e, "weighted norm"),
+            SliceSeries(np.ldexp(coeffs * scale[:, None], e)), "descent",
+            lower=math.ldexp(lower, e), steps=steps)
+
     # the Taylor coefficients on the scale 2^e of v, in the scaled basis
     coeffs = np.ldexp(taylor_truncate(fe, n).coeffs, -e) / scale[:, None]
     r = fv - _act(vr, vi, coeffs, lm)
     s = np.sum(r * r, axis=1)
-    eps = 0.0 if p >= 2.0 else 0.1 * float(mu @ np.sqrt(s)) / float(np.sum(mu))
+    eps = 0.0 if p >= 2.0 else 0.1 * float(mu @ np.sqrt(s)) / mass
     dec = math.inf
     steps = 0
     while True:
         upper = psi(s, 0.0) ** (1.0 / p)
+        lam, moments = dual(r, s, eps)
         # an attained value bounds the minimum too: rounding may leave the
         # dual bound an ulp above it at an exact optimum
-        lower = min(lower_bound(r, s, eps), upper)
-        result = BestApproxResult(
-            n, _checked_ldexp(upper, e, "weighted norm"),
-            SliceSeries(np.ldexp(coeffs * scale[:, None], e)), "descent",
-            lower=math.ldexp(lower, e))
+        lower = min(lower_bound(lam, moments), upper)
         if upper - lower <= tol * upper + sampled_err:
             if drop is not None:
                 amp = np.sqrt(s).reshape(-1, grid.angular_nodes.size)
                 _check_tail_budget(*_plane_raw_power(
                     amp, grid, p, _scaled_drop(drop, e)), p)
-            return result
+            return result(upper, lower)
         if steps == max_iter or (dec == 0.0 and eps == 0.0):
+            best = result(upper, lower)
             raise SolverError(
-                f"duality gap {result.value - result.lower:.3g} above tolerance "
-                f"after {steps} Newton steps", best=result)
+                f"duality gap {best.value - best.lower:.3g} above tolerance "
+                f"after {steps} Newton steps", best=best)
         cur = psi(s, eps)
-        if dec <= 1e-20 * cur:
-            # Newton has settled on this smoothing: sharpen it
+        # sharpen the smoothing once Newton has settled on it, or once the
+        # gap in Psi units (upper^p - lower^p <= p upper^(p-1) (upper - lower))
+        # is within twice the smoothing's bias eps^p sum mu, which no further
+        # step at this eps can close; eps = 0 at p >= 2 keeps that inert
+        if dec <= 1e-20 * cur or (dec <= 1e-6 * cur and p * upper ** (p - 1.0)
+                                  * (upper - lower) <= 2.0 * eps ** p * mass):
             eps /= 10.0
             cur = psi(s, eps)
+            _, moments = dual(r, s, eps)
+        grad = -p * moments
         se = s + eps * eps
         with np.errstate(divide="ignore", invalid="ignore"):
             a = p * mu * se ** (0.5 * p - 1.0)
             b = np.where(se > 0.0, p * (p - 2.0) * mu * se ** (0.5 * p - 2.0), 0.0)
-        grad = -_act_adjoint(vr, vi, a[:, None] * r, lm).ravel()
         hess = _gram_expanded(vr, vi, a, lm)
         if p != 2.0:
             # rank-one terms b_i U_i U_i^T with U_i = Phi_i^T r_i, in row

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from slicefock.approx import best_approx_lp, verify_vdp
+from slicefock.approx import (
+    best_approx_first,
+    best_approx_lp,
+    best_approx_second,
+    verify_vdp,
+)
 from slicefock.errors import ConditioningError, IntegrandOverflowError
 from slicefock.quadrature import slice_grid, slice_points
 from slicefock.quaternion import ImaginaryUnit, UNIT_I, left_mult_matrix
@@ -61,8 +66,9 @@ def bfgs_minimum(f, n, p, alpha, unit, grid):
     return objective(res.x)[0] ** (1.0 / p)
 
 
-def assert_certified(res, f, p, alpha, unit, grid, tol=1e-8):
-    size = norm(f, NormSpec("second", p, alpha, slice_unit=unit), grid)
+def assert_certified(res, f, p, alpha, unit, grid, tol=1e-8, size=None):
+    if size is None:
+        size = norm(f, NormSpec("second", p, alpha, slice_unit=unit), grid)
     assert res.lower is not None
     assert res.lower <= res.value
     assert res.value - res.lower <= tol * res.value + \
@@ -155,3 +161,63 @@ def test_tiny_alpha_scales_the_monomials_before_the_gram():
     # z^40 itself overflows there, and is refused before any Gram is formed
     with pytest.raises(IntegrandOverflowError, match="overflow at node"):
         best_approx_lp(f, 40, 1.5, 1e-20)
+
+
+# Cases where a plain looser round stop (dec <= 1e-8 Psi_eps, or one tied
+# to the gap alone) stalls at the step cap: eps is cut on every step while
+# the dual bound lags.  Each with the steps a settle in every round takes.
+SETTLED_STEPS = [
+    ("exp", 2, (24, 48), 37),
+    ("gauss:0.25", 2, (24, 48), 47),
+    ("gauss:0.25", 16, (24, 48), 29),
+    ("gauss:0.25", 4, (48, 96), 35),
+]
+
+
+@pytest.mark.parametrize("name,n,nodes,settled", SETTLED_STEPS)
+def test_smoothing_path_certifies_where_a_looser_stop_stalls(name, n, nodes, settled):
+    f = FAMILIES[name]
+    grid = slice_grid(0.5, *nodes)
+    res = best_approx_lp(f, n, 1.0, 1.0, grid=grid)
+    assert_certified(res, f, 1.0, 1.0, UNIT_I, grid)
+    assert res.steps <= settled
+
+
+def test_exp_p1_sharpens_eps_once_the_gap_meets_the_smoothing():
+    # a settle in every round takes 28 steps here
+    res = best_approx_lp(exp_series(), 4, 1.0, 1.0, grid=slice_grid(0.5, 24, 48))
+    assert res.steps <= 16
+
+
+def test_p_below_2_sweep_takes_at_most_60_percent_of_the_settled_steps():
+    # a settle in every round takes 1,301 steps over these 120 cases
+    families = [exp_series(), gauss_series(0.25),
+                *(random_series(8, seed) for seed in (1, 2, 3))]
+    total = 0
+    for f in families:
+        for p in (1.0, 1.2, 1.5):
+            for nodes in ((24, 48), (48, 96)):
+                grid = slice_grid(p / 2.0, *nodes)
+                size = norm(f, NormSpec("second", p, 1.0), grid)
+                for n in (2, 4, 8, 16):
+                    res = best_approx_lp(f, n, p, 1.0, grid=grid)
+                    assert_certified(res, f, p, 1.0, UNIT_I, grid, size=size)
+                    total += res.steps
+    assert total <= 0.6 * 1301
+
+
+@pytest.mark.parametrize("p,n,unit,settled", [
+    (3.0, 4, SEEDED_UNIT, 2),
+    (6.0, 1, UNIT_I, 5),
+])
+def test_smoothing_rule_is_inert_from_p_2(p, n, unit, settled):
+    # eps = 0 from p = 2: every round settles, as before the gap rule
+    res = best_approx_lp(exp_series(), n, p, 1.0, unit, grid=slice_grid(p / 2.0, 24, 48))
+    assert res.steps == settled
+
+
+def test_only_the_descent_counts_steps():
+    f = random_series(5, 77)
+    assert best_approx_lp(f, 5, 1.0, 1.0, grid=slice_grid(0.5, 24, 48)).steps == 0
+    assert best_approx_second(f, 3, 1.0).steps is None
+    assert best_approx_first(f, 3, 1.0).steps is None
