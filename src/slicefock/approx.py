@@ -213,15 +213,13 @@ def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
 @dataclass(frozen=True)
 class BestApproxResult:
     """Best degree-n approximation: the error attained by ``minimizer`` and,
-    where the method certifies one, a lower bound on the minimal error;
-    ``steps`` counts a descent's Newton steps (None for the exact methods)."""
+    where the method certifies one, a lower bound on the minimal error."""
 
     n: int
     value: float
     minimizer: SliceSeries
     method: str
     lower: float | None = None
-    steps: int | None = None
 
 
 def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult:
@@ -351,11 +349,10 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     q = p / (p - 1), a max over the nodes at p = 1).  The solve stops when
     value - lower <= tol value + min(tol, NORM_TAIL_BUDGET) ||f||_p, the
     second term being the error the sampled values already carry, and the
-    result carries both bounds and its Newton ``steps``.  Raises
-    :class:`SolverError` carrying the best iterate when the gap is not met
-    within ``max_iter`` Newton steps.  f's weighted profile is checked as
-    its norm's is, and its underflowed rows are charged on the residual it
-    attains.
+    result carries both bounds.  Raises :class:`SolverError` carrying the
+    best iterate when the gap is not met within ``max_iter`` Newton steps.
+    f's weighted profile is checked as its norm's is, and its underflowed
+    rows are charged on the residual it attains.
     """
     return _best_approx_lp(f, n, p, alpha, unit, grid, tol, max_iter)
 
@@ -424,7 +421,7 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         return BestApproxResult(
             n, _checked_ldexp(upper, e, "weighted norm"),
             SliceSeries(np.ldexp(coeffs * scale[:, None], e)), "descent",
-            lower=math.ldexp(lower, e), steps=steps)
+            lower=math.ldexp(lower, e))
 
     # the Taylor coefficients on the scale 2^e of v, in the scaled basis
     coeffs = np.ldexp(taylor_truncate(fe, n).coeffs, -e) / scale[:, None]

@@ -307,8 +307,8 @@ def cmd_bestapprox(args) -> int:
         else:
             res = approx.best_approx_lp(f, n, args.p, args.alpha,
                                         spec.slice_unit, grid=grid)
-        rows.append((n, res.value, res.method, res.lower, res.steps))
-    _format_rows(args, ("n", "value", "method", "lower", "steps"), rows, fn=args.fn)
+        rows.append((n, res.value, res.method))
+    _format_rows(args, ("n", "value", "method"), rows, fn=args.fn)
     return 0
 
 

@@ -807,24 +807,17 @@ def _inner(f: SliceSeries, g: SliceSeries, alpha: float, first: bool) -> Quatern
     (:func:`_charged_bound`), <d, g'> is at most c sqrt(W_f A_g), A_g the
     weighted mass of g' from K_f - 2 (from K_f on a plane) and c = 2
     (|H| <= 2 D; 1 on a plane); with the same for g's rows, and
-    c sqrt(W_f W_g) for both, it is charged against ||f|| ||g||.  When g
-    is f, its certificate, rows and charge are taken once."""
-    terms = [_parseval_terms(f, alpha)]
-    terms.append(terms[0] if g is f else _parseval_terms(g, alpha))
+    c sqrt(W_f W_g) for both, it is charged against ||f|| ||g||."""
+    terms = [_parseval_terms(h, alpha) for h in (f, g)]
     size = max(t.logw.size for t in terms) + 2
-
-    def rows(t):
-        x, top = _scaled_rows(t, size=size)
-        return (x[0], top[0], _gram_rows(x[0]) if first else x[0],
-                _charged_bound(t, alpha, first))
-
-    parts = [rows(terms[0])]
-    parts.append(parts[0] if g is f else rows(terms[1]))
-    (xf, tf, yf, (kf, wf)), (xg, tg, yg, (kg, wg)) = parts
+    (xf, tf), (xg, tg) = ((x[0], top[0]) for x, top in
+                          (_scaled_rows(t, size=size) for t in terms))
+    yf, yg = (_gram_rows(x) if first else x for x in (xf, xg))
     m = yf.T @ yg                     # sum_k conj(y_k^f) y_k^g from its 4 x 4 moments
     comps = np.array([np.trace(m), m[0, 1] - m[1, 0] - m[2, 3] + m[3, 2],
                       m[0, 2] - m[2, 0] - m[3, 1] + m[1, 3], m[0, 3] - m[3, 0] - m[1, 2] + m[2, 1]])
     weight, reach = (np.arange(1.0, size + 1.0), 2) if first else (np.ones(size), 0)
+    (kf, wf), (kg, wg) = (_charged_bound(t, alpha, first) for t in terms)
     with np.errstate(divide="ignore", invalid="ignore"):   # nan is refused
         ag, af = (top + np.log(weight[lo:] @ np.sum(np.square(x[lo:]), axis=-1))
                   for x, top, lo in ((xg, tg, max(kf - reach, 0)), (xf, tf, max(kg - reach, 0))))

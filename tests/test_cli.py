@@ -503,19 +503,6 @@ def _main(capsys, argv):
     return code, out, err
 
 
-def test_bestapprox_rows_carry_the_lower_bound_and_the_steps(capsys):
-    code, out, _ = _main(capsys, ("bestapprox", "--fn", "exp", "--p", "1", "--n-list", "2",
-                                  "--quad-radial", "8", "--quad-angular", "16",
-                                  "--format", "json"))
-    row = json.loads(out)["rows"][0]
-    assert code == 0 and row["lower"] <= row["value"] and row["steps"] > 0
-    # the exact p = 2 methods certify no separate bound and take no steps
-    code, out, _ = _main(capsys, ("bestapprox", "--fn", "exp", "--n-list", "2"))
-    header, row = out.splitlines()[1:3]
-    assert code == 0 and header == "n,value,method,lower,steps"
-    assert row.startswith("2,0.4672064088") and row.endswith(",projection,,")
-
-
 @pytest.mark.parametrize("argv", [
     # flags a subcommand does not read
     ("kernel-fit", "--fn", "exp", "--centers", "0.5", "--kind", "first"),

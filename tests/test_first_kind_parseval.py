@@ -5,7 +5,6 @@ against closed forms; the charge of f's underflowed rows is checked to
 cover the error it bounds.
 """
 
-import copy
 import json
 import math
 
@@ -250,22 +249,6 @@ def test_inner_products_charge_the_gershgorin_constant(monkeypatch):
     with pytest.raises(TruncationError, match="underflowed-row"):
         inner_first(f, f, 1.0)
     assert inner_second(f, f, 1.0).w == pytest.approx(float(np.sum(np.exp(logw))), rel=1e-14)
-
-
-@pytest.mark.parametrize("name,alpha", CASES)
-def test_inner_of_f_with_itself_certifies_f_once(monkeypatch, name, alpha):
-    # <f, f> takes f's certificate once, and gives bit for bit what <f, g>
-    # gives for g a copy of f, which is certified on its own
-    from slicefock import spaces
-
-    f, seen = FAMILIES[name], []
-    real = spaces._parseval_terms
-    monkeypatch.setattr(spaces, "_parseval_terms",
-                        lambda h, *args: seen.append(h) or real(h, *args))
-    for inner in (inner_first, inner_second):
-        got = inner(f, f, alpha).to_array()
-        np.testing.assert_array_equal(got, inner(f, copy.copy(f), alpha).to_array())
-    assert len(seen) == 6
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.05, 0.0105])
