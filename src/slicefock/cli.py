@@ -349,9 +349,12 @@ def cmd_kernel_fit(args) -> int:
 
 def _parse_list(text: str, kind=int) -> list:
     try:
-        return [kind(t) for t in text.split(",") if t.strip()]
+        items = [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise CliError(f"bad {kind.__name__} list {text!r}") from exc
+    if not items:
+        raise CliError(f"empty {kind.__name__} list {text!r}")
+    return items
 
 
 def _norm_flags(p, kind: bool = False) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IntegrandOverflowError
 from .quaternion import Quaternion, left_mult_matrix
-from .series import ExpGenerator, SliceSeries, _row_norms, evaluate, extended
+from .series import ExpGenerator, SliceSeries, evaluate, extended
 from .spaces import (
     ParsevalTerms,
     _check_positive,
@@ -108,14 +108,15 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     ex[big] = np.ceil(half[big] / math.log(2.0))
     mant[big] = np.exp(half[big] - ex[big] * math.log(2.0))
     smats = np.stack([extended(s, deg).coeffs for s in sections])   # (N, D+1, 4)
-    coeffs = extended(f, deg).coeffs
+    fe = extended(f, deg)
+    coeffs = fe.coeffs
     with np.errstate(over="ignore"):       # refused below
         design = np.ldexp(np.einsum("k,ikc,cab->kaib", mant, smats, _LEFT_BASIS)
                           .reshape(4 * deg + 4, -1), np.repeat(ex, 4)[:, None])
         data = np.ldexp(mant[:, None] * coeffs, ex[:, None])
     # rows stored below the smallest normal float carry few digits: f's are
     # read from its Parseval terms, as every p = 2 number reads them
-    mags = _row_norms(coeffs)
+    mags = fe.row_norms
     sub = np.flatnonzero((mags > 0.0) & (mags < 2.0 * sys.float_info.min))
     sub = sub[sub < terms.logw.size]
     data[sub] = coeffs[sub] / mags[sub, None] * np.exp(0.5 * terms.logw[sub])[:, None]

@@ -170,6 +170,8 @@ def degree_bound(family: str, n: int, m: int = 0, p: float = 2.0) -> int:
 
 def taylor_op(n: int) -> MultiplierOperator:
     """The Taylor truncation to degree n: rho_k = 1 up to n."""
+    if n < 0:
+        raise ValueError("truncation degree must be nonnegative")
     return MultiplierOperator(np.ones(n + 1), f"taylor:{n}", degree_bound("taylor", n))
 
 

@@ -23,6 +23,7 @@ terms already scaled by the Gaussian weight.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,7 +80,7 @@ class ExpGenerator:
     stride: int = 1
 
     def __post_init__(self):
-        c = tuple(float(x) for x in self.c)
+        c = tuple(float(x) + 0.0 for x in self.c)     # -0.0 -> 0.0: equal is identical
         if len(c) != 4 or not all(math.isfinite(x) for x in c):
             raise ValueError(f"generator constant must be 4 finite floats, got {c!r}")
         if self.stride not in (1, 2):
@@ -140,7 +141,12 @@ class ExpGenerator:
         scale = r ** self.stride
         return ExpGenerator(tuple(x * scale for x in self.c), self.stride)
 
+    # 64 series of at most DEGREE_CAP + 1 rows, with their row norms and
+    # logs, hold at most about 1.6 MB
+    @functools.lru_cache(maxsize=64)
     def series(self, degree: int) -> "SliceSeries":
+        """Rows a_0..a_degree as a series, built once per (generator,
+        degree): equal generators share one read-only series."""
         return SliceSeries(self.coeffs(degree), generator=self)
 
 
@@ -167,6 +173,17 @@ class SliceSeries:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
+
+    @functools.cached_property
+    def row_norms(self) -> np.ndarray:
+        """|a_k| per row (:func:`_row_norms`), computed once, read-only."""
+        return _read_only(_row_norms(self.coeffs))
+
+    @functools.cached_property
+    def log_row_norms(self) -> np.ndarray:
+        """log |a_k| per row (log 0 = -inf), computed once, read-only."""
+        with np.errstate(divide="ignore"):
+            return _read_only(np.log(self.row_norms))
 
     def coefficient(self, k: int) -> Quaternion:
         if k <= self.degree:
@@ -306,6 +323,11 @@ def extended(f: SliceSeries, degree: int) -> SliceSeries:
 # ---------------------------------------------------------------------------
 # tail control
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each coefficient row, scaled so that tiny rows do
     not underflow when squared; a row holding inf has norm inf."""
@@ -329,9 +351,7 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
     fe = f
     while True:
         deg = fe.degree
-        mags = _row_norms(fe.coeffs)
-        with np.errstate(divide="ignore"):
-            logs = log_terms(np.log(mags), np.arange(deg + 1))
+        logs = log_terms(fe.log_row_norms, np.arange(deg + 1))
         top = float(np.max(logs))
         if not top < math.inf:
             raise TruncationError(f"series terms overflow at {where}")
@@ -352,7 +372,7 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
                 f"truncation error exceeds tolerance: tail not certified below "
                 f"{math.exp(log_tol):g} at {where} with degree cap {DEGREE_CAP}")
         fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
-    dropped = np.flatnonzero(mags[::g.stride] == 0.0)
+    dropped = np.flatnonzero(fe.row_norms[::g.stride] == 0.0)
     k0 = int(dropped[0]) * g.stride if len(dropped) else -1
     log_drop = -math.inf
     if k0 >= 0:
@@ -440,16 +460,15 @@ def eval_on_slice(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
     return _lift(_slice_sum(f, z, prepare), unit)
 
 
-def _log_scaled_terms(coeffs: np.ndarray, radii: np.ndarray
+def _log_scaled_terms(f: SliceSeries, radii: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terms of the series at each radius in log scale: (scaled, top, dirs)
-    with scaled[i, k] = |a_k| r_i^k e^{-top_i} <= 1, top_i the log of the
+    """Terms of f at each radius in log scale: (scaled, top, dirs) with
+    scaled[i, k] = |a_k| r_i^k e^{-top_i} <= 1, top_i the log of the
     largest term (0 where every term vanishes) and dirs the unit rows
     a_k / |a_k| (zero rows kept)."""
-    mags = _row_norms(coeffs)
-    dirs = coeffs / np.where(mags > 0.0, mags, 1.0)[:, None]
+    mags, log_mags = f.row_norms, f.log_row_norms
+    dirs = f.coeffs / np.where(mags > 0.0, mags, 1.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_mags = np.log(mags)
         logs = log_mags + np.multiply.outer(np.log(radii), np.arange(mags.size))
     logs[:, 0] = log_mags[0]                   # r^0 = 1, also at r = 0
     top = np.max(logs, axis=1)
@@ -510,7 +529,7 @@ def _log_abs_on_circle(f: SliceSeries, unit: ImaginaryUnit, radius: float,
     if radius == 0.0:
         a0 = math.sqrt(float(np.sum(np.square(coeffs[0]))))
         return np.full(thetas.shape, math.log(a0) if a0 > 0.0 else -math.inf)
-    scaled, top, dirs = _log_scaled_terms(coeffs, np.array([radius]))
+    scaled, top, dirs = _log_scaled_terms(f, np.array([radius]))
     a = dirs * scaled[0][:, None]
     ia = a @ left_mult_matrix(unit.as_quaternion()).T
     ang = np.outer(thetas, np.arange(coeffs.shape[0]))

@@ -90,6 +90,7 @@ from .series import (
     _log_scaled_terms,
     _polar_sum,
     _radius_certificate,
+    _read_only,
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
     max_modulus_type,
     prepared_for_radius,
@@ -264,13 +265,22 @@ def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
 # ---------------------------------------------------------------------------
 # p = 2: coefficient sums
 
+@functools.lru_cache(maxsize=1)
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! = gammaln(k + 1) for k < size, read-only: one table, built on
+    first use, up to ``DEGREE_CAP`` (past it only for a polynomial stored
+    beyond the cap), so scipy is not imported with the package."""
+    from scipy.special import gammaln
+
+    return _read_only(gammaln(np.arange(size) + 1.0))
+
+
 def _parseval_log_terms(log_sq, k, alpha: float):
     """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
     squared plane norm of q^k at p = 2; k log alpha is rounded once, from
     extended precision."""
-    from scipy.special import gammaln
-
-    return log_sq + gammaln(k + 1.0) - np.asarray(k * np.log(np.longdouble(alpha)), float)
+    log_fact = _log_factorials(max(DEGREE_CAP, int(np.max(k))) + 1)[k]
+    return log_sq + log_fact - np.asarray(k * np.log(np.longdouble(alpha)), float)
 
 
 class ParsevalTerms(NamedTuple):
@@ -534,7 +544,7 @@ def _weighted_plane(f: SliceSeries, grid: QuadratureGrid, alpha: float
     terms scaled by e^{top - alpha r^2 / 2 - e ln 2} before the transform, e
     the integer nearest the largest exponent over ln 2.  So v is finite
     where the weighted values are, and no square of it overflows."""
-    scaled, top, dirs = _log_scaled_terms(f.coeffs, grid.radial_nodes)
+    scaled, top, dirs = _log_scaled_terms(f, grid.radial_nodes)
     lam = top - 0.5 * alpha * grid.radial_nodes ** 2
     e = int(np.rint(np.max(lam) / math.log(2.0)))
     scaled *= np.exp(lam - e * math.log(2.0))[:, None]
@@ -986,7 +996,7 @@ def log_max_modulus(f: SliceSeries, radius: float, units=None,
     units = units if units is not None else sphere_grid(8)
     fe, _ = prepared_for_radius(f, radius)
     n_circle = max(2 * (n_theta - 1), 1)
-    scaled, top, dirs = _log_scaled_terms(fe.coeffs, np.array([radius]))
+    scaled, top, dirs = _log_scaled_terms(fe, np.array([radius]))
     s = _polar_sum(scaled, dirs, n_circle)
     amp_sq, w = _affine_square(s[0, :n_theta].real, s[0, :n_theta].imag)
     sq = amp_sq + units_array(units).reshape(-1, 3) @ w.T

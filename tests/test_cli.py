@@ -667,3 +667,23 @@ def test_float_range_failures_are_one_error_line_without_warnings(capsys, argv,
     assert err.startswith("error:") and names in err
     assert "np." not in err          # numbers print as plain Python numbers
     assert len(err.splitlines()) == 1
+
+
+def test_negative_taylor_degree_exits_1(capsys):
+    # a "degree -1" truncation would report ||f|| as its error
+    code, out, err = _main(capsys, ("converge", "--fn", "exp", "--operator",
+                                    "taylor", "--n-list", "-1"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("converge", "--fn", "exp", "--operator", "taylor", "--n-list", ""),
+    ("converge", "--fn", "exp", "--operator", "fejer", "--n-list", " , "),
+    ("bestapprox", "--fn", "exp", "--n-list", ""),
+    ("smoothness", "--fn", "exp", "--delta-list", ""),
+])
+def test_empty_lists_exit_1(capsys, argv):
+    code, out, err = _main(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: empty") and len(err.splitlines()) == 1

@@ -17,6 +17,7 @@ from slicefock.operators import (
     multipliers,
     normalize_jackson,
     rotational_average,
+    taylor_op,
     vdp_op,
 )
 from slicefock.quaternion import ImaginaryUnit, Quaternion, slice_exp
@@ -224,6 +225,9 @@ def test_parameter_validation():
         jackson_op(4, -1, 2.0)
     with pytest.raises(ValueError):
         jackson_op(4, 0, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        taylor_op(-1)
+    assert taylor_op(0).rho.tolist() == [1.0]
 
 
 def test_moment_integrand_at_zero_is_kernel_value():
