@@ -80,7 +80,9 @@ class ExpGenerator:
     stride: int = 1
 
     def __post_init__(self):
-        c = tuple(float(x) + 0.0 for x in self.c)     # -0.0 -> 0.0: equal is identical
+        # + 0.0 stores -0.0 as 0.0: equal generators are identical, so the
+        # series cached for one serves the other bit for bit
+        c = tuple(float(x) + 0.0 for x in self.c)
         if len(c) != 4 or not all(math.isfinite(x) for x in c):
             raise ValueError(f"generator constant must be 4 finite floats, got {c!r}")
         if self.stride not in (1, 2):
