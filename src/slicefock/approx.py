@@ -46,8 +46,8 @@ from .quaternion import (
 from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points
 from .series import (
     SliceSeries,
+    _check_certified,
     _lift,
-    _refuse_drop,
     embed_complex,
     evaluate,
     extended,
@@ -60,18 +60,15 @@ from .spaces import (
     ParsevalTerms,
     Prepared,
     _check_positive,
-    _check_tail_budget,
     _checked_exp,
     _checked_ldexp,
     _first_images,
     _grid_sum,
-    _multiplier_image,
     _multiplier_norm,
     _parseval_log_terms,
     _parseval_power,
     _parseval_terms,
-    _plane_raw_power,
-    _scaled_drop,
+    _real_multipliers,
     _weighted_plane,
     default_grid,
     prepared_for_grid,
@@ -129,35 +126,33 @@ def finite_difference(f: SliceSeries, k: int, h: float, z: Quaternion,
 
 def _difference_multipliers(k: int, steps, degrees: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e^{I j h} - 1)^k for steps h (rows) and degrees j as r e^{I theta}
-    2^e, r = (2 sin(j h / 2))^k and theta = k (j h + pi) / 2, so no digit
-    cancels at a small step, and e = 0 per row; a row where some nonzero
-    multiplier falls below the smallest normal float is taken from its log
-    and scaled by 2^-e into the float range instead, e the exponent of its
-    largest entry.  Past the float range :class:`IntegrandOverflowError`."""
+    """(e^{I j h} - 1)^k for steps h (rows) and degrees j as (log |r|, sign
+    r, theta), r = (2 sin(j h / 2))^k and theta = k (j h + pi) / 2, so no
+    digit cancels at a small step; where r leaves the normal float range,
+    log |r| is k log |2 sin(j h / 2)|, so a multiplier below it keeps its
+    size."""
     half = 0.5 * np.outer(steps, degrees)
     base = 2.0 * np.sin(half)
-    with np.errstate(over="ignore", under="ignore"):
-        r = base ** k
-    if not np.all(np.isfinite(r)):
-        raise IntegrandOverflowError(f"order-{k} difference multipliers overflow")
-    e = np.zeros(len(r), dtype=int)
-    under = (np.abs(r) < sys.float_info.min) & (base != 0.0)
-    if under.any():
-        low = under.any(axis=1)
-        with np.errstate(divide="ignore"):
-            log2_r = k * np.log2(np.abs(base[low]))
-        e[low] = np.ceil(np.max(log2_r, axis=1))
-        r[low] = np.sign(base[low]) ** k * np.exp2(log2_r - e[low, None])
-    return r, k * (half + 0.5 * math.pi), e
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        r = np.abs(base ** k)
+        log_r = np.where((r >= sys.float_info.min) & (r < math.inf), np.log(r),
+                         k * np.log(np.abs(base)))
+    return log_r, np.sign(base) ** k, k * (half + 0.5 * math.pi)
 
 
 def difference_series(f: SliceSeries, k: int, h: float,
                       unit: ImaginaryUnit) -> SliceSeries:
     """Coefficients of the k-th rotational difference on the plane of
-    ``unit``: a_j -> (e^{I j h} - 1)^k a_j, up to 2^k |a_j| in modulus."""
-    r, theta, e = _difference_multipliers(k, [h], np.arange(f.coeffs.shape[0]))
-    return _multiplier_image(f.coeffs, np.ldexp(r[0], e[0]), theta[0], unit)
+    ``unit``: a_j -> (e^{I j h} - 1)^k a_j, up to 2^k |a_j| in modulus,
+    refused past the float range (:class:`IntegrandOverflowError`)."""
+    log_r, sign, theta = _difference_multipliers(k, [h], np.arange(f.coeffs.shape[0]))
+    turned = f.coeffs @ left_mult_matrix(unit.as_quaternion()).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = sign[0] * np.exp(log_r[0])
+        out = (r * np.cos(theta[0]))[:, None] * f.coeffs + (r * np.sin(theta[0]))[:, None] * turned
+    if not np.all(np.isfinite(out)):
+        raise IntegrandOverflowError(f"order-{k} difference coefficients overflow")
+    return SliceSeries(out)
 
 
 def modulus(f: SliceSeries, query: ModulusQuery,
@@ -171,8 +166,8 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     f is ``prepared`` as :func:`slicefock.spaces.prepared_for_spec` returns
     it for the second-kind p-norm, here unless given.  The max over the
     steps' multiplier images is one :func:`slicefock.spaces._multiplier_norm`,
-    f's tail and underflowed rows charged at 2^k: exact at p = 2, reading
-    neither ``grid`` nor ``query.unit``, else a plane quadrature per step."""
+    f's tail charged at 2^k: exact at p = 2, reading neither ``grid`` nor
+    ``query.unit``, else a plane quadrature per step."""
     spec = NormSpec("second", query.p, query.alpha, slice_unit=query.unit)
     grid = grid or default_grid(spec)
     prepared = prepared_for_spec(f, spec, grid, prepared)
@@ -192,17 +187,17 @@ def parseval_log_weights(f: SliceSeries, alpha: float
                          ) -> tuple[SliceSeries, np.ndarray]:
     """Extend f until the Parseval terms |a_k|^2 k! / alpha^k have a tail
     below ``PARSEVAL_TAIL_TOL`` relative; returns the extended series and
-    the log of each term (log 0 for vanishing coefficients).  The mass of
-    generator rows that underflowed to zero in storage, bounded from
-    ``log_coeff``, must stay below that tolerance too."""
-    fe, logw, log_tail, log_drop, _ = _parseval_terms(f, alpha)
-    _refuse_drop(log_tail, log_drop, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
+    the log of each term (log 0 for vanishing coefficients), generator rows
+    stored below the float range counted with their closed form; a tail the
+    degree cap leaves above that tolerance is refused."""
+    fe, logw, log_tail = _parseval_terms(f, alpha)
+    _check_certified(log_tail, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
     return fe, logw
 
 
 def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
     """Squared plane norm at p = 2 from coefficients: sum |a_k|^2 k! / alpha^k,
-    with f's tail and underflowed rows charged against it."""
+    with f's tail charged against it."""
     log_sq, _ = _parseval_power(_parseval_terms(f, alpha), alpha)
     return _checked_exp(log_sq, "squared weighted norm")
 
@@ -237,7 +232,7 @@ def _best_approx_terms(terms: ParsevalTerms, n: int, alpha: float) -> BestApprox
     """:func:`best_approx_second` from f's Parseval terms: the norm of the
     multiplier image 0 up to degree n and 1 past it."""
     value, _ = _multiplier_norm(terms, NormSpec("second", 2.0, alpha), None,
-                                lambda k: ((k > n).astype(float), 0.0))
+                                lambda k: _real_multipliers((k > n).astype(float)))
     return BestApproxResult(n, value, taylor_truncate(terms.series, n), "projection")
 
 
@@ -271,8 +266,7 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
     residual r = f - P has (L^T r)_k = 0 for k <= n, and the value is the
     norm of the residual's coefficients through the factor, a sum of
     squares past n, not ||f||^2 minus the projection
-    (:func:`slicefock.spaces._first_images`, which charges f's tail and
-    underflowed rows on it)."""
+    (:func:`slicefock.spaces._first_images`, which charges f's tail on it)."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     log_p, _, terms, x, top = _first_images(_parseval_terms(f, alpha), alpha, n)
@@ -351,8 +345,7 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     second term being the error the sampled values already carry, and the
     result carries both bounds.  Raises :class:`SolverError` carrying the
     best iterate when the gap is not met within ``max_iter`` Newton steps.
-    f's weighted profile is checked as its norm's is, and its underflowed
-    rows are charged on the residual it attains.
+    f's weighted profile is checked as its norm's is.
     """
     return _best_approx_lp(f, n, p, alpha, unit, grid, tol, max_iter)
 
@@ -367,10 +360,10 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         raise ValueError(f"descent requires a finite p >= 1, got {p!r}")
     _check_positive("weight parameter alpha", alpha)
     grid = grid or slice_grid(alpha * p / 2.0)
-    fe, _, drop, _ = prepared or prepared_for_grid(f, alpha, grid)
+    fe = (prepared or prepared_for_grid(f, alpha, grid)).series
     z, w = slice_points(grid)
     mu = alpha * p / (2.0 * math.pi) * w
-    v, e = _weighted_plane(fe, grid, alpha)
+    v, e = _weighted_plane(fe.directions, fe.log_row_norms, grid, alpha)
     fv = _lift(v, unit).reshape(-1, 4)
     lm = left_mult_matrix(unit.as_quaternion()).T
     with np.errstate(over="ignore", invalid="ignore"):   # refused just below
@@ -437,10 +430,6 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         # dual bound an ulp above it at an exact optimum
         lower = min(lower_bound(lam, moments), upper)
         if upper - lower <= tol * upper + sampled_err:
-            if drop is not None:
-                amp = np.sqrt(s).reshape(-1, grid.angular_nodes.size)
-                _check_tail_budget(*_plane_raw_power(
-                    amp, grid, p, _scaled_drop(drop, e)), p)
             return result(upper, lower)
         if steps == max_iter or (dec == 0.0 and eps == 0.0):
             best = result(upper, lower)
@@ -553,14 +542,12 @@ def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
     :func:`slicefock.spaces.prepared_for_spec` returns it for ``spec`` (else
     :class:`ValueError`): the multiplier image 1 - rho_k (rho_k = 0 past the
     operator) under :func:`slicefock.spaces._multiplier_norm`, reading no
-    ``grid`` at p = 2.  The rows f's certificate charges (underflowed from
-    k0, at p = 2 also past its stored degree) are charged at the largest
-    |1 - rho_k| over them."""
+    ``grid`` at p = 2, where f's rows past its stored degree are charged at
+    the largest |1 - rho_k| over them."""
     m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
-    first = prepared.k0 if prepared.k0 >= 0 else prepared.series.degree + 1
-    bound = float(np.max(np.abs(m[min(first, m.size - 1):])))
-    return _multiplier_norm(prepared, spec, grid,
-                            lambda k: (m[np.minimum(k, m.size - 1)], 0.0), bound)[0]
+    bound = float(np.max(np.abs(m[min(prepared.series.degree + 1, m.size - 1):])))
+    return _multiplier_norm(prepared, spec, grid, lambda k: _real_multipliers(
+        m[np.minimum(k, m.size - 1)]), bound)[0]
 
 
 def vdp_constant(p: float) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,17 @@ class ExpGenerator:
             return -math.inf
         return m * math.log(self.size) - math.lgamma(m + 1) if m else 0.0
 
+    def directions(self, k: np.ndarray) -> np.ndarray:
+        """Unit rows a_k / |a_k| for degrees k on the stride from the closed
+        form, c^m / |c|^m = cos m phi + u sin m phi, shape (len(k), 4)."""
+        w, im = self.c[0], math.hypot(*self.c[1:])
+        phi = k // self.stride * math.atan2(im, w)
+        out = np.zeros((len(k), 4))
+        out[:, 0] = np.cos(phi)
+        if im > 0.0:
+            out[:, 1:] = np.outer(np.sin(phi), np.array(self.c[1:]) / im)
+        return out
+
     def term_ratio(self, r: float, degree: int) -> float:
         """Bound on |a_{k+s}| r^s / |a_k| for every k > degree; it decreases
         in k, so the tail past ``degree`` is dominated by a geometric series."""
@@ -135,7 +147,7 @@ class ExpGenerator:
             else 4.0 * scaled * scaled
 
     def log_total(self, r: float) -> float:
-        """log of sum_k |a_k| r^k <= e^{|c| r^s}, a cap on any dropped mass."""
+        """log of sum_k |a_k| r^k <= e^{|c| r^s}, a cap on any tail's mass."""
         return self.size * r ** self.stride
 
     def dilated(self, r: float) -> "ExpGenerator":
@@ -182,10 +194,33 @@ class SliceSeries:
         return _read_only(_row_norms(self.coeffs))
 
     @functools.cached_property
+    def _log_polar(self) -> tuple[np.ndarray, np.ndarray]:
+        mags = self.row_norms
+        with np.errstate(divide="ignore", invalid="ignore"):   # an inf row is nan
+            logs = np.log(mags)
+            dirs = self.coeffs / np.where(mags > 0.0, mags, 1.0)[:, None]
+        g = self.generator
+        if g is not None and g.size > 0.0:    # c = 0: every row past a_0 is 0
+            k = np.flatnonzero(mags < sys.float_info.min)
+            k = k[k % g.stride == 0]
+            logs[k] = [g.log_coeff(int(j)) for j in k]
+            dirs[k] = g.directions(k)
+        return _read_only(logs), _read_only(dirs)
+
+    @property
     def log_row_norms(self) -> np.ndarray:
-        """log |a_k| per row (log 0 = -inf), computed once, read-only."""
-        with np.errstate(divide="ignore"):
-            return _read_only(np.log(self.row_norms))
+        """log |a_k| per row (log 0 = -inf), computed once, read-only: a
+        generator row stored below the smallest normal float (subnormal or
+        0) is read from the closed form (:meth:`ExpGenerator.log_coeff`),
+        every other one from storage."""
+        return self._log_polar[0]
+
+    @property
+    def directions(self) -> np.ndarray:
+        """Unit rows a_k / |a_k| (zero rows kept), computed once, read-only,
+        from the closed form where :attr:`log_row_norms` is: the rows in
+        log-polar form, a_k = directions[k] e^{log_row_norms[k]}."""
+        return self._log_polar[1]
 
     def coefficient(self, k: int) -> Quaternion:
         if k <= self.degree:
@@ -339,16 +374,17 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: float,
-               where: str) -> tuple[SliceSeries, np.ndarray, float, float, int]:
-    """Extend f, doubling its stored degree up to ``DEGREE_CAP``, until the
-    tail of the terms t_k (log t_k = ``log_terms(log |a_k|, k)``) past the
-    stored degree is below e^log_tol times max(e^log_floor, sum of the
+               where: str) -> tuple[SliceSeries, np.ndarray, float]:
+    """Extend f, doubling its stored degree, until the tail of the terms t_k
+    (log t_k = ``log_terms(log |a_k|, k)``, the rows in log-polar form) past
+    the stored degree is below e^log_tol times max(e^log_floor, sum of the
     stored t_k), bounded from the last two stored terms by the generator's
-    ``ratio(degree)`` on t_{k+s} / t_k for every later k.  Rows that
-    underflowed to zero in storage drop mass bounded the same way from the
-    first, k0.  Returns (series, log t_k, the logs of the tail and drop
-    bounds relative to that reference, k0 or -1); a :class:`TruncationError`
-    names ``where``."""
+    ``ratio(degree)`` on t_{k+s} / t_k for every later k, or until the
+    degree reaches ``DEGREE_CAP``, where the bound is returned as it stands
+    (+inf without a ratio below 1) for the caller to refuse
+    (:func:`_check_certified`) or charge.  Returns (series, log t_k, the log
+    of the tail bound relative to that reference); terms past the float
+    range raise :class:`TruncationError`, naming ``where``."""
     g = f.generator
     fe = f
     while True:
@@ -357,46 +393,36 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
         top = float(np.max(logs))
         if not top < math.inf:
             raise TruncationError(f"series terms overflow at {where}")
-        if g is None:                      # no tail, no dropped rows
-            return fe, logs, -math.inf, -math.inf, -1
+        if g is None:                      # no tail
+            return fe, logs, -math.inf
         scaled = np.exp(logs - top) if top > -math.inf else np.zeros(deg + 1)
         total = float(np.sum(scaled))
         log_ref = max(log_floor, top + math.log(total)) if total > 0.0 else log_floor
         rho = ratio(deg)
         last = float(np.max(scaled[-2:]))
-        if rho < 1.0:
-            log_tail = -math.inf if rho == 0.0 or last == 0.0 else \
-                top + math.log(last) + math.log(rho / (1.0 - rho))
-            if log_tail <= log_ref + log_tol:
-                break
-        if deg >= DEGREE_CAP:
-            raise TruncationError(
-                f"truncation error exceeds tolerance: tail not certified below "
-                f"{math.exp(log_tol):g} at {where} with degree cap {DEGREE_CAP}")
+        if not rho < 1.0:
+            log_tail = math.inf
+        elif rho == 0.0 or last == 0.0:
+            log_tail = -math.inf
+        else:
+            log_tail = top + math.log(last) + math.log(rho / (1.0 - rho))
+        if log_tail <= log_ref + log_tol or deg >= DEGREE_CAP:
+            return fe, logs, log_tail - log_ref if log_tail > -math.inf else log_tail
         fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
-    dropped = np.flatnonzero(fe.row_norms[::g.stride] == 0.0)
-    k0 = int(dropped[0]) * g.stride if len(dropped) else -1
-    log_drop = -math.inf
-    if k0 >= 0:
-        rho = ratio(k0)
-        log_drop = log_terms(g.log_coeff(k0), k0) - math.log1p(-rho) \
-            if rho < 1.0 else math.inf
-    log_tail, log_drop = (-math.inf if x == -math.inf else x - log_ref
-                          for x in (log_tail, log_drop))
-    return fe, logs, log_tail, log_drop, k0
 
 
-def _refuse_drop(log_tail: float, log_drop: float, tol: float, where: str) -> float:
-    """max(tail, drop) of a pointwise certificate from their logs: with no
-    weight to damp the mass of underflowed rows, above ``tol`` it is refused."""
-    if log_drop > math.log(tol):
+def _check_certified(log_tail: float, tol: float, where: str) -> float:
+    """``log_tail`` from :func:`_certified`, refused where the degree cap
+    left it above ``tol`` (:class:`TruncationError`, naming ``where``)."""
+    if not log_tail <= math.log(tol):
         raise TruncationError(
-            f"coefficients underflow before the tail is controlled at {where}")
-    return math.exp(max(log_tail, log_drop))
+            f"truncation error exceeds tolerance: tail not certified below "
+            f"{tol:g} at {where} with degree cap {DEGREE_CAP}")
+    return log_tail
 
 
 def _radius_certificate(f: SliceSeries, radius: float
-                        ) -> tuple[SliceSeries, np.ndarray, float, float, int]:
+                        ) -> tuple[SliceSeries, np.ndarray, float]:
     """:func:`_certified` on the terms |a_k| R^k at ``TAIL_TOL``."""
     log_r = math.log(radius) if radius > 0.0 else 0.0
     return _certified(f, lambda log_mags, k: log_mags + k * log_r,
@@ -406,18 +432,31 @@ def _radius_certificate(f: SliceSeries, radius: float
 
 def prepared_for_radius(f: SliceSeries, radius: float) -> tuple[SliceSeries, float]:
     """Extend f until its tail beyond the stored degree is certified small
-    at the given radius.
+    at the given radius, for the evaluators that read the stored ``coeffs``.
 
     Returns ``(series, tail)`` where ``tail`` bounds
     sum_{k > D} |a_k| R^k relative to max(1, sum_{k <= D} |a_k| R^k), below
-    ``TAIL_TOL``.  Raises :class:`TruncationError` if the bound is
-    unreachable at ``DEGREE_CAP``, or if generator coefficients underflowed
-    to zero while their terms still matter at this radius (the weighted
-    consumers charge that mass instead: :func:`spaces.prepared_for_grid`).
+    ``TAIL_TOL``, together with the mass of the generator rows from k0, the
+    first stored as 0, which those evaluators lose.  Raises
+    :class:`TruncationError` if the tail bound is unreachable at
+    ``DEGREE_CAP``, or if that lost mass exceeds ``TAIL_TOL``.
     """
     radius = float(abs(radius))
-    fe, _, log_tail, log_drop, _ = _radius_certificate(f, radius)
-    return fe, _refuse_drop(log_tail, log_drop, TAIL_TOL, f"radius {radius:g}")
+    fe, logs, log_tail = _radius_certificate(f, radius)
+    _check_certified(log_tail, TAIL_TOL, f"radius {radius:g}")
+    g = fe.generator
+    zero = np.flatnonzero(fe.row_norms[::g.stride] == 0.0) if g else ()
+    if len(zero):
+        k0 = int(zero[0]) * g.stride
+        rho = g.term_ratio(radius, k0)
+        log_ref = max(0.0, float(np.logaddexp.reduce(logs)))
+        log_lost = logs[k0] - math.log1p(-rho) - log_ref if rho < 1.0 else math.inf
+        if log_lost > math.log(TAIL_TOL):
+            raise TruncationError(
+                f"stored coefficients reach 0 before the tail is controlled "
+                f"at radius {radius:g}")
+        log_tail = max(log_tail, log_lost)
+    return fe, math.exp(log_tail)
 
 
 def max_modulus_type(f: SliceSeries) -> float:
@@ -462,29 +501,27 @@ def eval_on_slice(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
     return _lift(_slice_sum(f, z, prepare), unit)
 
 
-def _log_scaled_terms(f: SliceSeries, radii: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terms of f at each radius in log scale: (scaled, top, dirs) with
-    scaled[i, k] = |a_k| r_i^k e^{-top_i} <= 1, top_i the log of the
-    largest term (0 where every term vanishes) and dirs the unit rows
-    a_k / |a_k| (zero rows kept)."""
-    mags, log_mags = f.row_norms, f.log_row_norms
-    dirs = f.coeffs / np.where(mags > 0.0, mags, 1.0)[:, None]
+def _log_scaled_terms(log_mags: np.ndarray, radii: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Terms at each radius in log scale from the log sizes log |a_k| of the
+    rows: (scaled, top) with scaled[i, k] = |a_k| r_i^k e^{-top_i} <= 1,
+    top_i the log of the largest term (0 where every term vanishes)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = log_mags + np.multiply.outer(np.log(radii), np.arange(mags.size))
+        logs = log_mags + np.multiply.outer(np.log(radii), np.arange(log_mags.size))
     logs[:, 0] = log_mags[0]                   # r^0 = 1, also at r = 0
     top = np.max(logs, axis=1)
     top = np.where(np.isfinite(top), top, 0.0)
-    return np.exp(logs - top[:, None]), top, dirs
+    return np.exp(logs - top[:, None]), top
 
 
 def _polar_sum(scaled: np.ndarray, dirs: np.ndarray, n_circle: int) -> np.ndarray:
     """S at r_i exp(2 pi i j / n_circle) from its log-scaled terms
     (:func:`_log_scaled_terms`, each radius's row rescaled as the caller
-    needs): sum_k scaled[i, k] dirs[k] e^{2 pi i j k / n_circle}, shape
-    (R, n_circle, 4) complex, the terms folded modulo the node count and
-    transformed once, so that callers working in log space (log |f| far
-    past the overflow range) never form e^{top}."""
+    needs) and the unit rows ``dirs``: sum_k scaled[i, k] dirs[k]
+    e^{2 pi i j k / n_circle}, shape (R, n_circle, 4) complex, the terms
+    folded modulo the node count and transformed once, so that callers
+    working in log space (log |f| far past the overflow range) never form
+    e^{top}."""
     n_terms = dirs.shape[0]
     folded = np.zeros((scaled.shape[0], n_circle, 4))
     for start in range(0, n_terms, n_circle):
@@ -531,8 +568,8 @@ def _log_abs_on_circle(f: SliceSeries, unit: ImaginaryUnit, radius: float,
     if radius == 0.0:
         a0 = math.sqrt(float(np.sum(np.square(coeffs[0]))))
         return np.full(thetas.shape, math.log(a0) if a0 > 0.0 else -math.inf)
-    scaled, top, dirs = _log_scaled_terms(f, np.array([radius]))
-    a = dirs * scaled[0][:, None]
+    scaled, top = _log_scaled_terms(f.log_row_norms, np.array([radius]))
+    a = f.directions * scaled[0][:, None]
     ia = a @ left_mult_matrix(unit.as_quaternion()).T
     ang = np.outer(thetas, np.arange(coeffs.shape[0]))
     vals = np.cos(ang) @ a + np.sin(ang) @ ia       # (n, 4)

@@ -14,8 +14,8 @@ for E_n) is (sum_k |m_k|^2 t_k)^{1/2} (:func:`_parseval_power`).  Over the
 algebra powers two degrees apart overlap, the Gram of the monomials is
 banded, and norms, best approximations and inner products are sums of
 squares through its bidiagonal Cholesky factor (:func:`_first_images`,
-:func:`_inner`).  Each charges f's tail and underflowed rows against the
-value it reports; every norm, operator error and modulus is one call of
+:func:`_inner`).  Each charges f's tail past its stored degree against
+the value it reports; every norm, operator error and modulus is one call of
 :func:`_multiplier_norm`.  Everything below concerns p != 2.
 
 Every sphere integral is exact.  On q = x + u y the representation formula
@@ -28,8 +28,9 @@ only generic integrands (:func:`integrate_volume`).  The sup over planes
 reads each sampled plane from the same (a, b).
 
 Every grid consumer reads one kernel, :func:`_weighted_plane`: the
-weighted (a, b) = (Re v, Im v) 2^e at the grid's nodes, so nothing
-overflows for a member whose weighted integrand is finite.  Each consumer
+weighted (a, b) = (Re v, Im v) 2^e at the grid's nodes, from the rows in
+log-polar form (unit directions and log sizes), so nothing overflows for a
+member whose weighted integrand is finite.  Each consumer
 multiplies 2^e back once, and a nonzero result past the float range, above
 or below, raises :class:`IntegrandOverflowError`.
 
@@ -38,12 +39,12 @@ generator of order-2 type sigma, in the spaces of weight alpha (both kinds,
 every p) exactly when sigma < alpha / 2: at sigma = alpha / 2 the weighted
 integrand of e(c q^2) does not decay along the ray where Re(c z^2) peaks.
 :func:`prepared_for_grid`, the one preparation of every consumer that
-reads a grid, decides membership so and bounds the mass of generator rows
-that underflowed in storage; each consumer adds it, times the largest
-factor it puts on those rows, to the amplitudes it integrates
-(:func:`_drop_delta`), charged through :func:`_check_tail_budget` against
-the largest value it reports, as the coefficient sums charge theirs
-(:func:`_parseval_power`).  Every quadrature power refuses a grid whose
+reads a grid, decides membership so and certifies f's tail at the grid's
+radius.  Every consumer, grid or coefficient sum, reads f's rows in
+log-polar form (:attr:`SliceSeries.log_row_norms`,
+:attr:`SliceSeries.directions`): a generator row stored below the smallest
+normal float comes from its closed form, so no row's mass is lost in
+storage and none is charged.  Every quadrature power refuses a grid whose
 weighted radial profile peaks in its last two shells
 (:class:`RefinementError`): the grid does not reach the integrand's mass.
 """
@@ -84,8 +85,10 @@ from .quadrature import (
 )
 from .series import (
     DEGREE_CAP,
+    TAIL_TOL,
     SliceSeries,
     _certified,
+    _check_certified,
     _lift,
     _log_scaled_terms,
     _polar_sum,
@@ -97,8 +100,8 @@ from .series import (
     slice_components,
 )
 
-#: A certified truncation or underflow tail may contribute at most this
-#: relative amount to a reported norm.
+#: A certified truncation tail may contribute at most this relative amount
+#: to a reported norm.
 NORM_TAIL_BUDGET = 1e-10
 
 #: Relative change under grid refinement beyond which a norm is rejected as
@@ -215,8 +218,8 @@ def _check_tail_budget(raw: float, delta: float, p: float) -> float:
     it relative to the result, delta / (p raw)."""
     if not math.isfinite(delta) or delta > NORM_TAIL_BUDGET * max(raw, 1e-300) * p:
         raise TruncationError(
-            "truncated-tail or underflowed-row contribution bound exceeds "
-            f"{NORM_TAIL_BUDGET:g} of the result")
+            f"truncated-tail contribution bound exceeds {NORM_TAIL_BUDGET:g} "
+            "of the result")
     return delta / (max(raw, 1e-300) * p)
 
 
@@ -231,35 +234,45 @@ def _check_in_space(f: SliceSeries, alpha: float) -> None:
 
 class Prepared(NamedTuple):
     """f prepared on one grid (:func:`prepared_for_grid`): the extended
-    series, its relative tail, the bound on its underflowed rows per radial
-    node (None without any) and k0, the first of those rows (-1)."""
+    series and its relative tail."""
 
     series: SliceSeries
     tail: float
-    drop: np.ndarray | None
-    k0: int
 
 
 def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
                       ) -> Prepared:
     """The one preparation of f for a Gaussian-weighted consumer on ``grid``:
-    refused outside the spaces of weight ``alpha`` (:class:`NotInSpaceError`),
-    its tail at the grid's radius certified as by :func:`prepared_for_radius`,
-    and the mass of its generator rows from k0, the first that underflowed
-    in storage, bounded per radial node times e^{-alpha r^2 / 2} instead of
-    refused."""
+    refused outside the spaces of weight ``alpha`` (:class:`NotInSpaceError`)
+    and extended until its tail at the grid's radius is certified below
+    ``TAIL_TOL`` relative (:func:`slicefock.series._radius_certificate`).
+    Where ``DEGREE_CAP`` stops that short, the tail is certified as the
+    consumers read it, weighted: at every radial node r its bound times
+    e^{-alpha r^2 / 2} must lie below ``TAIL_TOL`` of the largest weighted
+    sum of the terms (at least 1).  The consumers read the rows in
+    log-polar form, so generator rows stored below the float range keep
+    their closed-form sizes."""
     _check_in_space(f, alpha)
-    fe, _, log_tail, _, k0 = _radius_certificate(f, grid.max_radius)
-    tail = math.exp(log_tail)          # at most TAIL_TOL
-    if k0 < 0:
-        return Prepared(fe, tail, None, k0)
-    g, r = fe.generator, grid.radial_nodes
-    ratio = g.term_ratio(r, k0)
-    # geometric from k0 where the terms decay, else the whole series' bound
+    fe, _, log_tail = _radius_certificate(f, grid.max_radius)
+    if log_tail > math.log(TAIL_TOL):        # at the degree cap
+        log_tail = _check_certified(_weighted_tail(fe, alpha, grid.radial_nodes),
+                                    TAIL_TOL, f"radius {grid.max_radius:g}")
+    return Prepared(fe, math.exp(log_tail))
+
+
+def _weighted_tail(fe: SliceSeries, alpha: float, r: np.ndarray) -> float:
+    """log of the largest bound on sum_{k > D} |a_k| r^k e^{-alpha r^2 / 2}
+    over the radii r, relative to the largest weighted sum of the stored
+    terms (at least 1): geometric from the last two stored terms where the
+    generator's ratio bound is below 1, else its whole series' bound."""
+    g, deg = fe.generator, fe.degree
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = np.where(ratio < 1.0, g.log_coeff(k0) + k0 * np.log(r)
-                        - np.log(1.0 - ratio), g.log_total(r))
-        return Prepared(fe, tail, np.exp(logs - 0.5 * alpha * r * r), k0)
+        logs = fe.log_row_norms + np.multiply.outer(np.log(r), np.arange(deg + 1))
+        rho = g.term_ratio(r, deg)
+        tail = np.where(rho < 1.0, np.max(logs[:, -2:], axis=1) + np.log(rho / (1.0 - rho)),
+                        g.log_total(r)) - 0.5 * alpha * r * r
+        ref = max(0.0, float(np.max(_log_sum(logs) - 0.5 * alpha * r * r)))
+    return float(np.max(tail)) - ref
 
 
 # ---------------------------------------------------------------------------
@@ -286,38 +299,27 @@ def _parseval_log_terms(log_sq, k, alpha: float):
 class ParsevalTerms(NamedTuple):
     """f's certified Parseval terms t_k = |a_k|^2 k! / alpha^k
     (:func:`_parseval_terms`): the extended series, log t_k (log 0 for a
-    vanishing row), and, relative to the sum of the stored terms, the log of
-    the bound on the terms past the stored degree and the log of the bound
-    on those of generator rows from k0, the first that underflowed (-1)."""
+    vanishing row), and the log of the bound on the terms past the stored
+    degree relative to the sum of the stored terms."""
 
     series: SliceSeries
     logw: np.ndarray
     log_tail: float
-    log_drop: float
-    k0: int
 
 
 def _parseval_terms(f: SliceSeries, alpha: float,
                     log_tol: float = math.log(PARSEVAL_TAIL_TOL)) -> ParsevalTerms:
     """The one Parseval certificate: f refused outside the spaces of weight
     ``alpha`` (:class:`NotInSpaceError`), then extended until its terms'
-    tail is below e^log_tol relative (:func:`slicefock.series._certified`).
-    Generator rows stored below the smallest normal float are read from
-    ``log_coeff``; underflowed rows are bounded, not refused
-    (:func:`_parseval_power` charges them with the tail)."""
+    tail is below e^log_tol relative (:func:`slicefock.series._certified`),
+    or up to ``DEGREE_CAP`` with the tail bound it leaves there, which every
+    consumer charges; its rows' sizes are read from
+    :attr:`SliceSeries.log_row_norms`, so a generator row stored below the
+    float range counts with its closed form."""
     _check_in_space(f, alpha)
-    g = f.generator
-
-    def log_terms(log_mags, k):
-        if g is not None and np.ndim(k):
-            sub = (log_mags > -math.inf) & (log_mags < math.log(sys.float_info.min))
-            if sub.any():
-                log_mags = np.where(sub, [g.log_coeff(int(j)) if s else 0.0
-                                          for j, s in zip(k, sub)], log_mags)
-        return _parseval_log_terms(2.0 * log_mags, k, alpha)
-
     return ParsevalTerms(*_certified(
-        f, log_terms, lambda deg: g.parseval_ratio(alpha, deg), log_tol, -math.inf,
+        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
+        lambda deg: f.generator.parseval_ratio(alpha, deg), log_tol, -math.inf,
         f"alpha = {alpha:g}"))
 
 
@@ -330,38 +332,36 @@ def _log_sum(logs: np.ndarray) -> np.ndarray:
         return top[..., 0] + np.log(np.exp(logs - top).sum(axis=-1))
 
 
-def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``mult`` (as :func:`_multiplier_norm` takes it) over the degrees
-    0..size-1 as (r of shape (rows, size), theta, e): m_k = r_k e^{I theta_k}
-    2^e, e one exponent per row (a row whose multipliers lie below the float
-    range, scaled back into it) where ``mult`` returns it, else None."""
-    out = mult(np.arange(size))
-    return np.atleast_2d(out[0]), out[1], out[2] if len(out) > 2 else None
-
-
-def _log_abs(r: np.ndarray, e: np.ndarray | None) -> np.ndarray:
-    """log |r_k 2^e| of :func:`_multipliers`' rows (log 0 for a 0)."""
+def _real_multipliers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Real multipliers m in the form :func:`_multiplier_norm` takes:
+    (log |m|, sign m, theta = 0)."""
     with np.errstate(divide="ignore"):   # a multiplier 0 drops its row
-        log_r = np.log(np.abs(r))
-    return log_r if e is None else log_r + (e * math.log(2.0))[:, None]
+        return np.log(np.abs(m)), np.sign(m), 0.0
+
+
+def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``mult`` (as :func:`_multiplier_norm` takes it) over the degrees
+    0..size-1 as (log |m|, sign, theta), each of shape (rows, size)."""
+    log_r, sign, theta = mult(np.arange(size))
+    log_r = np.atleast_2d(log_r)
+    return log_r, np.broadcast_to(sign, log_r.shape), np.broadcast_to(theta, log_r.shape)
 
 
 def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
                     bound: float = 1.0) -> tuple[float, float]:
     """log of the largest p = 2 power sum_k |m_k|^2 t_k of f's Parseval terms
     over the rows of m (``mult`` as :func:`_multiplier_norm` takes it; 1 when
-    None), and the charge of f's tail and underflowed rows relative to it:
-    with |m_k| <= ``bound`` there they add at most (tail + drop) bound^2
-    sum_k t_k, charged from their logs (:func:`_check_tail_budget`).  Where
-    the tail alone misses its half of the budget, f's terms are certified
-    once more at the tail that power needs (the smallest float if it is 0)."""
+    None), and the charge of f's tail relative to it: with |m_k| <=
+    ``bound`` past the stored degree it adds at most tail bound^2 sum_k t_k,
+    charged from its log (:func:`_check_tail_budget`).  Where it misses its
+    half of the budget, f's terms are certified once more at the tail that
+    power needs (the smallest float if it is 0)."""
     def weighted(terms):
         log_total = float(_log_sum(terms.logw))
         if mult is None:
             log_sq = log_total
         else:
-            out = mult(np.arange(terms.logw.size))
-            log_m = _log_abs(out[0], out[2] if len(out) > 2 else None)
+            log_m = _multipliers(mult, terms.logw.size)[0]
             log_sq = float(np.max(_log_sum(2.0 * log_m + terms.logw)))
         # log of what a unit of relative tail adds to the power, relative to it
         gap = log_total + 2.0 * math.log(bound) - log_sq
@@ -374,12 +374,11 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
         return log_sq, gap, charge
 
     log_sq, gap, charge = weighted(terms)
-    if charge(terms.log_tail) > NORM_TAIL_BUDGET >= charge(terms.log_drop):
+    if charge(terms.log_tail) > NORM_TAIL_BUDGET:
         terms = _parseval_terms(terms.series, alpha, math.log(NORM_TAIL_BUDGET) - gap
                                 if gap < math.inf else math.log(5e-324))
         log_sq, _, charge = weighted(terms)
-    log_bounds = float(np.logaddexp(terms.log_tail, terms.log_drop))
-    return log_sq, _check_tail_budget(1.0, charge(log_bounds), 2.0)
+    return log_sq, _check_tail_budget(1.0, charge(terms.log_tail), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,36 +417,30 @@ def _scaled_rows(terms: ParsevalTerms, mult=None, size: int = 0
     :func:`_multiplier_norm` takes it; f itself without), each image times
     e^{-top/2}, top its largest log m_k^2 t_k: (x of shape (images, K, 4),
     zero past f's rows up to ``size``, and top).  Directions come from the
-    stored rows and sizes from the certified log t_k, so no row leaves the
-    float range before its scale."""
-    a, logw, sign = terms.series.coeffs, terms.logw[None], 1.0
+    series' log-polar rows (:attr:`SliceSeries.directions`) and sizes from
+    the certified log t_k, so no row leaves the float range before its
+    scale."""
+    dirs, logw, sign = terms.series.directions, terms.logw[None], 1.0
     if mult is not None:
-        r, _, e = _multipliers(mult, logw.size)
-        logw, sign = 2.0 * _log_abs(r, e) + logw, np.sign(r)[..., None]
+        log_r, sign, _ = _multipliers(mult, logw.size)
+        logw, sign = 2.0 * log_r + logw, sign[..., None]
     top = np.maximum(logw.max(axis=-1), -1e308)    # an image of zeros stays 0
-    mags = np.hypot.reduce(a, axis=1)
-    x = np.zeros((top.size, max(size, a.shape[0]), 4))
-    x[:, :a.shape[0]] = sign * a / np.where(mags > 0.0, mags, 1.0)[:, None] \
-        * np.exp(0.5 * (logw - top[:, None]))[..., None]
+    x = np.zeros((top.size, max(size, dirs.shape[0]), 4))
+    x[:, :dirs.shape[0]] = sign * dirs * np.exp(0.5 * (logw - top[:, None]))[..., None]
     return x, top
 
 
 def _charged_bound(terms: ParsevalTerms, alpha: float, first: bool) -> tuple[int, float]:
-    """(K, log W): K the first of f's charged rows (k0, else past the stored
-    degree D) and W >= sum_{k >= K} w_k t_k over them, w_k = 1 on a plane
-    and k + 1 over the algebra, where the ratio bound rho on t_{k+s} / t_k
-    (stride s) behind the tail and drop bounds weighs them by
-    D + 1 + s / (1 - rho) and k0 + 1 + s rho / (1 - rho)."""
-    deg, k0, g = terms.series.degree, terms.k0, terms.series.generator
-    logs = [terms.log_tail, terms.log_drop]
-    for i, start in enumerate((deg, k0)):
-        if first and -math.inf < logs[i] < math.inf:
-            rho = g.parseval_ratio(alpha, start)
-            logs[i] += math.log(start + 1 + g.stride * (1.0 if i == 0 else rho) / (1.0 - rho))
-    top = max(logs)
-    if -math.inf < top < math.inf:
-        top += math.log(sum(math.exp(x - top) for x in logs)) + float(_log_sum(terms.logw))
-    return (k0 if k0 >= 0 else deg + 1), top
+    """(K, log W): K = D + 1, the first of f's rows past its stored degree
+    D, and W >= sum_{k >= K} w_k t_k over them, w_k = 1 on a plane and
+    k + 1 over the algebra, where the ratio bound rho on t_{k+s} / t_k
+    (stride s) behind the tail bound weighs them by D + 1 + s / (1 - rho)."""
+    deg, g, log_w = terms.series.degree, terms.series.generator, terms.log_tail
+    if -math.inf < log_w < math.inf:
+        if first:
+            log_w += math.log(deg + 1 + g.stride / (1.0 - g.parseval_ratio(alpha, deg)))
+        log_w += float(_log_sum(terms.logw))
+    return deg + 1, log_w
 
 
 def _relative(log_err: float, log_value: float) -> float:
@@ -465,14 +458,14 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
     multipliers (:func:`_scaled_rows`), or with n >= 0 of their residuals r
     past the best degree-n approximation: (L^T r)_k = 0 for k <= n makes
     r_k = -m_{k+2} r_{k+2} / l_k down from the rows past n, and the power is
-    sum_{k>n} |(L^T r)_k|^2.  f's rows from K, bounded by W
-    (:func:`_charged_bound`) and their multipliers by ``bound``, add at most
-    2 bound^2 W (H <= 2 D) + 2 bound sqrt(W b) (||O|| < 1 across disjoint
-    rows), b the image's weighted rows K - 2 and K - 1, or twice the power
-    where they reach row n + 2.  Where the tail's charge misses the budget
-    and the drop's meets it, f's terms are certified once more at a tail
-    smaller by the square of the excess.  Returns (log power, relative
-    charge (:func:`_check_tail_budget`), the terms, the rows r, their scales)."""
+    sum_{k>n} |(L^T r)_k|^2.  f's rows past its stored degree, from K,
+    bounded by W (:func:`_charged_bound`) and their multipliers by
+    ``bound``, add at most 2 bound^2 W (H <= 2 D) + 2 bound sqrt(W b)
+    (||O|| < 1 across disjoint rows), b the image's weighted rows K - 2 and
+    K - 1, or twice the power where they reach row n + 2.  Where that charge
+    misses the budget, f's terms are certified once more at a tail smaller
+    by the square of the excess.  Returns (log power, relative charge
+    (:func:`_check_tail_budget`), the terms, the rows r, their scales)."""
     diag, sub = _first_factor()
     log_bound = math.log(bound) if bound > 0.0 else -math.inf
 
@@ -483,30 +476,22 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
         with np.errstate(divide="ignore"):
             log_p = top + np.log(np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1)))
         best = float(np.max(log_p))
+        k, log_w = _charged_bound(terms, alpha, True)
+        lo = max(k - 2, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):    # nan is refused
+            log_b = top + np.log(np.sum(np.square(x[:, lo:k]), axis=-1)
+                                 @ np.arange(lo + 1.0, k + 1.0)) \
+                if n < 0 or k >= n + 3 else math.log(2.0) + log_p
+            log_err = np.logaddexp(math.log(2.0) + 2.0 * log_bound + log_w,
+                                   math.log(2.0) + log_bound + 0.5 * (log_w + log_b))
+        return best, _relative(float(np.max(log_err)), best) / NORM_TAIL_BUDGET, x, top
 
-        def excess(log_tail, log_drop):
-            k, log_w = _charged_bound(terms._replace(log_tail=log_tail, log_drop=log_drop),
-                                      alpha, True)
-            lo = max(k - 2, 0)
-            with np.errstate(divide="ignore", invalid="ignore"):    # nan is refused
-                log_b = top + np.log(np.sum(np.square(x[:, lo:k]), axis=-1)
-                                     @ np.arange(lo + 1.0, k + 1.0)) \
-                    if n < 0 or k >= n + 3 else math.log(2.0) + log_p
-                log_err = np.logaddexp(math.log(2.0) + 2.0 * log_bound + log_w,
-                                       math.log(2.0) + log_bound + 0.5 * (log_w + log_b))
-            return _relative(float(np.max(log_err)), best) / NORM_TAIL_BUDGET
-        return best, excess, x, top
-
-    log_p, excess, x, top = evaluate(terms)
-    over = excess(terms.log_tail, -math.inf)
-    if over > 1.0 >= excess(-math.inf, terms.log_drop):
+    log_p, over, x, top = evaluate(terms)
+    if over > 1.0:
         log_tol = max(terms.log_tail - 2.0 * math.log(16.0 * over), math.log(5e-324))
         if log_tol < terms.log_tail:
             terms = _parseval_terms(terms.series, alpha, log_tol)
-            log_p, excess, x, top = evaluate(terms)
-            over = excess(terms.log_tail, -math.inf)
-    if terms.log_drop > -math.inf:
-        over = excess(terms.log_tail, terms.log_drop)
+            log_p, over, x, top = evaluate(terms)
     return log_p, _check_tail_budget(1.0, over * NORM_TAIL_BUDGET, 2.0), terms, x, top
 
 
@@ -534,44 +519,24 @@ def _checked_ldexp(x: float, e: int, what: str, nonzero: bool | None = None) -> 
     return value
 
 
-def _weighted_plane(f: SliceSeries, grid: QuadratureGrid, alpha: float
-                    ) -> tuple[np.ndarray, int]:
+def _weighted_plane(dirs: np.ndarray, log_mags: np.ndarray, grid: QuadratureGrid,
+                    alpha: float) -> tuple[np.ndarray, int]:
     """The one plane-evaluation kernel: S e^{-alpha |z|^2 / 2} at the grid's
-    nodes for a prepared f, S(z) = sum_k z^k a_k componentwise, as a complex
+    nodes for the rows a_k = dirs[k] e^{log_mags[k]} of a prepared series
+    (:attr:`SliceSeries.directions`, :attr:`SliceSeries.log_row_norms`) or
+    of a multiplier image, S(z) = sum_k z^k a_k componentwise, as a complex
     (R, n, 4) array v and an integer e; f(q) e^{-alpha |q|^2 / 2} is
     (Re v + u Im v) 2^e on q = x + u y.  S comes from one FFT per radius of
     its log-scaled terms (:func:`slicefock.series._polar_sum`), each radius's
     terms scaled by e^{top - alpha r^2 / 2 - e ln 2} before the transform, e
     the integer nearest the largest exponent over ln 2.  So v is finite
-    where the weighted values are, and no square of it overflows."""
-    scaled, top, dirs = _log_scaled_terms(f, grid.radial_nodes)
+    where the weighted values are, no square of it overflows, and a row
+    below the float range keeps its size."""
+    scaled, top = _log_scaled_terms(log_mags, grid.radial_nodes)
     lam = top - 0.5 * alpha * grid.radial_nodes ** 2
     e = int(np.rint(np.max(lam) / math.log(2.0)))
     scaled *= np.exp(lam - e * math.log(2.0))[:, None]
     return _polar_sum(scaled, dirs, grid.circle_size)[:, grid.circle_index], e
-
-
-def _scaled_drop(drop: np.ndarray | None, e: int) -> np.ndarray | None:
-    """A per-radius drop bound on the scale of the kernel's v: drop 2^-e."""
-    if drop is None:
-        return None
-    with np.errstate(over="ignore"):       # inf is refused by the budget
-        return np.ldexp(drop, -e)
-
-
-def _drop_delta(amp: np.ndarray, drop: np.ndarray | None, grid: QuadratureGrid,
-                p: float) -> float:
-    """What adding the per-radius bound ``drop`` to the (radial, angular)
-    amplitude ``amp`` can add to the grid sum of amp^p (0 without one):
-    the sum of (amp + d)^p - amp^p, taken as amp^p expm1(p log1p(d / amp))
-    where d < amp, so that no digit of a bound far below amp cancels."""
-    if drop is None:
-        return 0.0
-    d = drop[:, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        extra = np.where(d < amp, amp ** p * np.expm1(p * np.log1p(d / amp)),
-                         (amp + d) ** p - amp ** p)
-        return float(grid.radial_weights @ (extra @ grid.angular_weights))
 
 
 def _grid_sum(integ: np.ndarray, grid: QuadratureGrid) -> float:
@@ -591,25 +556,12 @@ def _grid_sum(integ: np.ndarray, grid: QuadratureGrid) -> float:
     return raw
 
 
-def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float,
-                     drop: np.ndarray | None) -> tuple[float, float]:
+def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float) -> float:
     """Raw integral of amp^p over the plane grid from the (radial, angular)
-    weighted amplitude, and what adding the per-radius bound ``drop`` to
-    amp adds to it (:func:`_drop_delta`)."""
+    weighted amplitude."""
     with np.errstate(over="ignore"):       # a non-finite sample
         integ = amp ** p
-    return _grid_sum(integ, grid), _drop_delta(amp, drop, grid, p)
-
-
-def _slice_raw_power(f: SliceSeries, unit: ImaginaryUnit, grid: QuadratureGrid,
-                     p: float, alpha: float, drop: np.ndarray | None = None
-                     ) -> tuple[float, float, int]:
-    """:func:`_plane_raw_power` of |f| w_alpha on the plane of ``unit``, from
-    |Re v + u Im v| of the kernel's v (:func:`_weighted_plane`): (raw,
-    delta, e), the true raw power and delta being 2^{e p} times these."""
-    v, e = _weighted_plane(f, grid, alpha)
-    amp = np.sqrt(np.sum(np.square(_lift(v, unit)), axis=-1))
-    return (*_plane_raw_power(amp, grid, p, _scaled_drop(drop, e)), e)
+    return _grid_sum(integ, grid)
 
 
 def _affine_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -636,38 +588,13 @@ def _sphere_power(amp_sq: np.ndarray, wnorm: np.ndarray, p: float) -> np.ndarray
         return np.where(wnorm > 0.0, value, SPHERE_AREA * amp_sq ** (0.5 * p))
 
 
-def _volume_raw_power(f: SliceSeries, grid: QuadratureGrid, p: float,
-                      alpha: float, drop: np.ndarray | None = None
-                      ) -> tuple[float, float, int]:
-    """(raw, delta, e) as :func:`_slice_raw_power` returns them, over the
-    whole algebra from one plane: on q = x + u y, |f|^2 w_alpha^2 is
-    (A + u.w) 4^e for (a, b) = (Re v, Im v), so the power's sphere integral
-    is closed-form, and that of G(x) = (x + d)^p - x^p, monotone in x, is at
-    most 4 pi G at the largest x = sqrt(A + u.w) for p >= 1, the smallest
-    below: exact at p = 1 and for w = 0."""
-    v, e = _weighted_plane(f, grid, alpha)
+def _volume_raw_power(v: np.ndarray, grid: QuadratureGrid, p: float) -> float:
+    """The raw power over the whole algebra from the kernel's v on one plane
+    (:func:`_weighted_plane`; the true one is 4^{e p / 2} times it): on
+    q = x + u y, |f|^2 w_alpha^2 is (A + u.w) 4^e for (a, b) = (Re v, Im v),
+    so the power's sphere integral is closed-form."""
     amp_sq, w = _affine_square(v.real, v.imag)
-    wnorm = np.sqrt(np.sum(w * w, axis=-1))
-    raw = _grid_sum(_sphere_power(amp_sq, wnorm, p), grid)
-    if drop is None:
-        return raw, 0.0, e
-    x = np.sqrt(amp_sq + wnorm if p >= 1.0 else np.maximum(amp_sq - wnorm, 0.0))
-    return raw, SPHERE_AREA * _drop_delta(x, _scaled_drop(drop, e), grid, p), e
-
-
-def _multiplier_image(coeffs: np.ndarray, r: np.ndarray, theta: np.ndarray,
-                      unit: ImaginaryUnit | None) -> SliceSeries:
-    """sum_k q^k m_k a_k on the plane of ``unit`` (any, for real m), m_k =
-    r_k e^{I theta_k}: rows Re m_k a_k + Im m_k (u a_k), refused past the
-    float range (:class:`IntegrandOverflowError`)."""
-    lm = left_mult_matrix(unit.as_quaternion()).T if np.any(theta) else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (r * np.cos(theta))[:, None] * coeffs
-        if lm is not None:
-            out += (r * np.sin(theta))[:, None] * (coeffs @ lm)
-    if not np.all(np.isfinite(out)):
-        raise IntegrandOverflowError("multiplier image coefficients overflow")
-    return SliceSeries(out)
+    return _grid_sum(_sphere_power(amp_sq, np.sqrt(np.sum(w * w, axis=-1)), p), grid)
 
 
 def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
@@ -675,16 +602,17 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
                      prefactor: bool = True, what: str = "weighted norm"
                      ) -> tuple[float, float]:
     """The largest ``spec``-norm of sum_k q^k m_k a_k over the rows of m_k =
-    r_k e^{I theta_k} 2^e, (r, theta[, e]) = ``mult(k)`` (theta 0 for real
-    m, e one exponent per row; f itself without ``mult``), prefactor left
-    out unless ``prefactor``, and f's relative tail or charge, f
-    ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  At p = 2 a
-    coefficient sum, :func:`_parseval_power` on a plane and
-    :func:`_first_images` (real m) over the algebra; else the largest power
-    of the images on every plane
-    ``spec`` reads, on the scale of the largest exponent, charged with the
-    largest drop delta at ``bound`` >= |m_k| on f's charged rows: nothing
-    cancels, and a sup is charged as one."""
+    sign_k e^{log_r_k} e^{I theta_k}, (log_r, sign, theta) = ``mult(k)``
+    (theta 0 for real m, :func:`_real_multipliers`; f itself without ``mult``),
+    prefactor left out unless ``prefactor``, and f's relative tail or
+    charge, f ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  At
+    p = 2 a coefficient sum, :func:`_parseval_power` on a plane and
+    :func:`_first_images` (real m) over the algebra, f's tail charged at
+    ``bound`` >= |m_k| past its stored degree; else the largest power of the
+    images on every plane ``spec`` reads, on the scale of the largest
+    exponent.  Each image is formed in log-polar form, row k of size
+    log |m_k| + log |a_k| and direction sign_k e^{I theta_k} dir_k on the
+    plane of the spec's unit, so a row below the float range keeps its size."""
     _check_prepared(prepared, spec)
     if spec.parseval:
         first = spec.kind == "first"
@@ -693,42 +621,37 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
         if not prefactor:
             log_sq += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.alpha))
         return _checked_exp(0.5 * log_sq, what), charge
-    fe, drop = prepared.series, prepared.drop
-    if drop is not None:
-        with np.errstate(over="ignore", invalid="ignore"):   # refused by the budget
-            drop = drop * bound
+    fe = prepared.series
+    dirs, log_mags = fe.directions, fe.log_row_norms
     if mult is None:
-        images = [(fe, 0)]
+        images = [(dirs, log_mags)]
     else:
-        r, theta, scale = _multipliers(mult, fe.coeffs.shape[0])
-        images = [(_multiplier_image(fe.coeffs, rr, tt, spec.slice_unit), int(es))
-                  for rr, tt, es in zip(r, np.broadcast_to(theta, r.shape),
-                                        np.zeros(len(r), int) if scale is None else scale)]
-    rows = []   # (raw, delta, e) of every image on every plane spec reads
-    for g, es in images:
-        # the image is the true one times 2^-es, and so is its drop charge
-        d = drop if drop is None or es == 0 else _scaled_drop(drop, es)
+        log_r, sign, theta = _multipliers(mult, log_mags.size)
+        # u dir_k: the rotated directions, on the plane of the spec's unit
+        turned = dirs @ left_mult_matrix(spec.slice_unit.as_quaternion()).T \
+            if np.any(theta) else 0.0
+        images = [((sg * np.cos(t))[:, None] * dirs + (sg * np.sin(t))[:, None] * turned,
+                   lr + log_mags) for lr, sg, t in zip(log_r, sign, theta)]
+    rows = []   # (raw, e) of every image on every plane spec reads
+    for image in images:
+        v, e = _weighted_plane(*image, grid, spec.alpha)
         if spec.kind == "first":
-            planes = [_volume_raw_power(g, grid, spec.p, spec.alpha, d)]
-        elif spec.sup_samples is None:
-            planes = [_slice_raw_power(g, spec.slice_unit, grid, spec.p, spec.alpha, d)]
+            rows.append((_volume_raw_power(v, grid, spec.p), e))
+            continue
+        if spec.sup_samples is None:
+            amps = [np.sqrt(np.sum(np.square(_lift(v, spec.slice_unit)), axis=-1))]
         else:   # every sampled plane from one shared evaluation
-            v, e = _weighted_plane(g, grid, spec.alpha)
             amp_sq, lin = _affine_square(v.real, v.imag)
-            planes = [(*_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u.vector(), 0.0)),
-                                         grid, spec.p, _scaled_drop(d, e)), e)
-                      for u in sphere_grid(spec.sup_samples)]
-        rows += [(raw, delta, e + es) for raw, delta, e in planes]
-    raw, delta, e = np.array(rows).T
-    scale = 2.0 ** (spec.p * (e - e.max()))
-    with np.errstate(invalid="ignore"):    # an inf delta times 0 is refused below
-        best, worst = float(np.max(raw * scale)), float(np.max(delta * scale))
-    charge = _check_tail_budget(best, worst, spec.p)
+            amps = [np.sqrt(np.maximum(amp_sq + lin @ u.vector(), 0.0))
+                    for u in sphere_grid(spec.sup_samples)]
+        rows += [(_plane_raw_power(amp, grid, spec.p), e) for amp in amps]
+    raw, e = np.array(rows).T
+    best = float(np.max(raw * 2.0 ** (spec.p * (e - e.max()))))
     pref = spec.alpha * spec.p / (2.0 * math.pi) if prefactor else 1.0
     if spec.kind == "first":
         pref *= pref
     return (_checked_ldexp((pref * best) ** (1.0 / spec.p), int(e.max()), what),
-            max(prepared.tail, charge))
+            prepared.tail)
 
 
 def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,
@@ -759,8 +682,8 @@ def _check_prepared(prepared: Prepared | ParsevalTerms, spec: NormSpec
 
 def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
                 ) -> tuple[float, float]:
-    """(value, the larger of f's relative tail and its charged drop), on
-    ``grid`` or the default one where a grid is read."""
+    """(value, f's relative tail or its charge), on ``grid`` or the default
+    one where a grid is read."""
     grid = grid or (None if spec.parseval else default_grid(spec))
     return _multiplier_norm(prepared_for_spec(f, spec, grid), spec, grid)
 
@@ -769,8 +692,8 @@ def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> 
     """Weighted norm of f under ``spec`` on the given (or default) grid.
 
     It is :func:`_multiplier_norm` of f itself (at p = 2 a coefficient sum
-    that reads no ``grid``: sqrt(sum_k t_k) on a plane), f's tail and
-    underflowed rows charged against ``NORM_TAIL_BUDGET`` of it.  Raises
+    that reads no ``grid``: sqrt(sum_k t_k) on a plane), f's tail charged
+    against ``NORM_TAIL_BUDGET`` of it.  Raises
     :class:`NotInSpaceError` when f is not in the space (type at least
     alpha / 2), :class:`RefinementError` when the grid stops short of the
     integrand's mass and :class:`IntegrandOverflowError` for a value past
@@ -977,11 +900,16 @@ class GrowthReport:
     residual: float
 
 
+#: The default units of :func:`log_max_modulus`, as one (8, 3) array.
+_DEFAULT_UNITS = _read_only(units_array(sphere_grid(8)).reshape(-1, 3))
+
+
 def log_max_modulus(f: SliceSeries, radius: float, units=None,
                     n_theta: int = 64) -> float:
     """log max |f| over sampled directions at the given radius: the points
-    radius (cos t + u sin t) for every sampled unit u (default the first 8
-    of :func:`sphere_grid`) and n_theta angles t evenly spaced in [0, pi].
+    radius (cos t + u sin t) for every sampled unit u (default the 8 units
+    of ``sphere_grid(8)``, built once) and n_theta angles t evenly spaced in
+    [0, pi].
 
     The angles t_j = pi j / (n_theta - 1) are nodes j of a uniform circle of
     2 (n_theta - 1) nodes (one node, t = 0, when n_theta = 1), so one
@@ -993,13 +921,13 @@ def log_max_modulus(f: SliceSeries, radius: float, units=None,
     """
     if n_theta < 1:
         raise ValueError("need at least one sampled angle")
-    units = units if units is not None else sphere_grid(8)
+    units = _DEFAULT_UNITS if units is None else units_array(units).reshape(-1, 3)
     fe, _ = prepared_for_radius(f, radius)
     n_circle = max(2 * (n_theta - 1), 1)
-    scaled, top, dirs = _log_scaled_terms(fe, np.array([radius]))
-    s = _polar_sum(scaled, dirs, n_circle)
+    scaled, top = _log_scaled_terms(fe.log_row_norms, np.array([radius]))
+    s = _polar_sum(scaled, fe.directions, n_circle)
     amp_sq, w = _affine_square(s[0, :n_theta].real, s[0, :n_theta].imag)
-    sq = amp_sq + units_array(units).reshape(-1, 3) @ w.T
+    sq = amp_sq + units @ w.T
     peak = float(np.max(sq, initial=0.0))
     return float(top[0]) + 0.5 * math.log(peak) if peak > 0.0 else -math.inf
 

@@ -22,6 +22,7 @@ from slicefock.errors import SolverError
 from slicefock.quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_exp
 from slicefock.quadrature import DEFAULT_ANGULAR, DEFAULT_RADIAL, slice_grid, volume_grid
 from slicefock.series import (
+    ExpGenerator,
     SliceSeries,
     evaluate,
     exp_series,
@@ -43,12 +44,21 @@ from slicefock.operators import apply, fejer_op, jackson_op, taylor_op, vdp_op
 from conftest import first_kind_gram, random_poly_coeffs
 
 
+def _plane_power(g, unit, grid, p, alpha):
+    """(raw, e): the raw plane integral of |g|^p w_alpha^p on ``grid`` is
+    raw 2^{e p}, from the plane kernel's values of g's rows."""
+    from slicefock.series import _lift
+    from slicefock.spaces import _plane_raw_power, _weighted_plane
+
+    v, e = _weighted_plane(g.directions, g.log_row_norms, grid, alpha)
+    amp = np.sqrt(np.sum(np.square(_lift(v, unit)), axis=-1))
+    return _plane_raw_power(amp, grid, p), e
+
+
 def _quadrature_p2(g, unit, alpha, grid):
     """The plane norm at p = 2 by quadrature on ``grid``: the check the
     coefficient sums replace."""
-    from slicefock.spaces import _slice_raw_power
-
-    raw, _, e = _slice_raw_power(g, unit, grid, 2.0, alpha)
+    raw, e = _plane_power(g, unit, grid, 2.0, alpha)
     return math.ldexp(math.sqrt(alpha / math.pi * raw), e)
 
 
@@ -294,30 +304,34 @@ def test_verify_vdp_gauss_family():
         assert rep.slack >= 0.0
 
 
-def test_parseval_tail_counts_underflowed_generator_rows():
-    # exp at alpha = 0.01: 1/k! underflows near k = 178, where the terms
-    # 100^k / k! are still 1e-9 of the largest one.  Their mass, 1.35e-12 of
-    # the sum, is charged: within the budget of the whole sum (which lacks
-    # just that much of e^100), past it for the tails E_n from n = 176 on
-    from slicefock.errors import TruncationError
+def test_parseval_sums_read_exp_rows_stored_as_zero():
+    # exp at alpha = 0.01: 1/k! is 0 in storage from k = 178, where the
+    # terms 100^k / k! are still 1e-9 of the largest one (1.35e-12 of the
+    # sum), and the tails E_n from n = 176 on lie mostly there: read from
+    # their closed form, the sums meet e^100 and 40-digit mpmath
+    import mpmath
 
-    got = parseval_norm_sq(exp_series(), 0.01)
-    assert 0.0 < 1.0 - got / math.exp(100.0) <= 1.36e-12
-    for n in (176, 180):
-        with pytest.raises(TruncationError, match="underflow"):
-            best_approx_second(exp_series(), n, 0.01)
+    assert exp_series().generator.coeffs(180)[178, 0] == 0.0
+    assert parseval_norm_sq(exp_series(), 0.01) == pytest.approx(
+        math.exp(100.0), rel=1e-13)
+    with mpmath.workdps(40):
+        terms = [mpmath.mpf(100) ** k / mpmath.factorial(k) for k in range(600)]
+        for n in (176, 180):
+            want = float(mpmath.sqrt(mpmath.fsum(terms[n + 1:])))
+            assert best_approx_second(exp_series(), n, 0.01).value == pytest.approx(
+                want, rel=1e-12), n
     assert parseval_norm_sq(exp_series(), 0.1) == pytest.approx(
         math.exp(10.0), rel=1e-14)
 
 
-def test_parseval_rows_underflowing_while_terms_grow_are_a_truncation_error():
-    # |c| = 1e-100: rows past a_3 underflow, while the Parseval terms
-    # 10^k / k! still grow there (ratio 2 at k = 4)
-    from slicefock.errors import TruncationError
-    from slicefock.series import ExpGenerator
-
-    with pytest.raises(TruncationError, match="underflow"):
-        parseval_norm_sq(ExpGenerator((1e-100, 0.0, 0.0, 0.0)).series(24), 1e-201)
+def test_parseval_rows_below_the_float_range_while_terms_grow():
+    # |c| = 1e-100: rows past a_3 are 0 in storage, while the Parseval terms
+    # 10^k / k! still grow there (ratio 2 at k = 4); from their closed form
+    # the sum is e^10, to the rounding of k (2 log |c| - log alpha), a
+    # difference of two logs near 230 k
+    f = ExpGenerator((1e-100, 0.0, 0.0, 0.0)).series(24)
+    assert f.coeffs[4, 0] == 0.0
+    assert parseval_norm_sq(f, 1e-201) == pytest.approx(math.exp(10.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("beta,alpha", [(0.25, 1.0), (0.4, 1.0), (0.1, 0.5)])
@@ -345,34 +359,37 @@ WEIGHTED_CONSUMERS = {
     "best_approx_first": lambda f, a: best_approx_first(
         f, 4, a, volume_grid(a / 2.0)).value,
     "best_approx_lp": lambda f, a: best_approx_lp(f, 4, 1.0, a).value,
-    "modulus": lambda f, a: modulus(f, ModulusQuery(k=2, delta=0.5, p=1.0, alpha=a)),
+    "modulus": lambda f, a: a * modulus(f, ModulusQuery(k=2, delta=0.5, p=1.0, alpha=a)),
     "verify_vdp": lambda f, a: verify_vdp(f, 4, 1.0, a).lhs,
     "verify_jackson": lambda f, a: verify_jackson(f, 4, 0, 1.0, a).lhs,
 }
 
+#: The closed forms, (c, rel) for e^{c / alpha}: ||e^q|| = e^{1 / (2 alpha)}
+#: in both kinds at every p, to the 1e-10 budget at p = 1 (quadrature),
+#: and <e^q, e^q> = e^{1 / alpha}, a coefficient sum.
+CLOSED_FORMS = {"norm": (0.5, 1e-10), "norm first": (0.5, 1e-10),
+                "inner_second": (1.0, 1e-11), "inner_first": (1.0, 1e-11)}
 
-#: The weight at which exp's dropped rows miss the budget, where it is not
-#: 0.01: the plane inner product is a coefficient sum, and its Parseval
-#: terms from k = 178 are 1.35e-12 of the sum at alpha = 0.01, within it
-#: (first-kind sums weigh row k by k + 1 and miss it there).
-PAST_THE_BUDGET = {"inner_second": 0.005}
 
-
+@pytest.mark.parametrize("alpha", [0.01, 0.005])
 @pytest.mark.parametrize("name", sorted(WEIGHTED_CONSUMERS))
-def test_every_weighted_consumer_charges_underflowed_rows(name):
-    from slicefock.errors import TruncationError
-
+def test_every_weighted_consumer_reads_exp_rows_stored_as_zero(name, alpha):
+    # 1/k! is 0 in storage from k = 178, where exp's weighted terms still
+    # matter at these weights (1.35e-12 of ||exp||^2 at 0.01, most of it at
+    # 0.005).  Read from their closed form, every consumer gives the value
+    # of the dilated problem, e^{q / sqrt(alpha)} at alpha = 1 on the grid
+    # scaled alike, whose rows that matter are normal floats (the raw
+    # modulus scales by 1 / alpha, undone in its entry), to the 1e-10 the
+    # library states, and the closed form where there is one
     consume = WEIGHTED_CONSUMERS[name]
-    # both drop generator rows on these grids: 1/k! near k = 178 at alpha =
-    # 0.01, whose weighted mass misses the budget, and beta^m / m! near
-    # m = 150 for gauss:0.25 at alpha = 1, whose weighted mass meets it
-    for f, alpha in ((exp_series(), 0.01), (gauss_series(0.25), 1.0)):
-        assert prepared_for_grid(f, alpha, slice_grid(alpha / 2.0))[2] is not None
-    with pytest.raises(TruncationError, match="truncated-tail"):
-        consume(exp_series(), PAST_THE_BUDGET.get(name, 0.01))
+    assert exp_series().generator.coeffs(180)[178, 0] == 0.0
+    got = consume(exp_series(), alpha)
+    dilated = ExpGenerator((1.0 / math.sqrt(alpha), 0.0, 0.0, 0.0)).series(24)
+    assert got == pytest.approx(consume(dilated, 1.0), rel=1e-10)
+    if name in CLOSED_FORMS:
+        c, rel = CLOSED_FORMS[name]
+        assert got == pytest.approx(math.exp(c / alpha), rel=rel)
     assert consume(gauss_series(0.25), 1.0) > 0.0
-    if name in PAST_THE_BUDGET:
-        assert consume(exp_series(), 0.01) == pytest.approx(math.exp(100.0), rel=1e-11)
 
 
 def test_difference_series_overflow_is_a_named_error():
@@ -566,7 +583,6 @@ def _step_loop_modulus(f, query, grid):
     plane by quadrature, and the largest taken on the scale of the largest
     exponent."""
     from slicefock.quaternion import left_mult_matrix
-    from slicefock.spaces import _slice_raw_power
 
     fe = prepared_for_grid(f, query.alpha, grid).series
     lm = left_mult_matrix(query.unit.as_quaternion()).T
@@ -574,8 +590,7 @@ def _step_loop_modulus(f, query, grid):
     for h in np.linspace(0.0, query.delta, query.h_grid)[1:]:
         w = (np.exp(1j * h * np.arange(fe.coeffs.shape[0])) - 1.0) ** query.k
         g = SliceSeries(w.real[:, None] * fe.coeffs + w.imag[:, None] * (fe.coeffs @ lm))
-        raw, _, e = _slice_raw_power(g, query.unit, grid, query.p, query.alpha)
-        steps.append((raw, e))
+        steps.append(_plane_power(g, query.unit, grid, query.p, query.alpha))
     top = max(e for _, e in steps)
     best = max(raw * 2.0 ** (query.p * (e - top)) for raw, e in steps)
     return math.ldexp(best ** (1.0 / query.p), top)
@@ -599,34 +614,38 @@ def test_grid_modulus_and_operator_errors_match_their_per_image_loops(name, p):
                 norm(apply(op, fe) - fe, spec, grid), rel=1e-13), (op.provenance, unit)
 
 
-def test_grid_modulus_charges_the_underflowed_rows_at_2_to_the_k():
-    # exp at alpha = 0.015 on the p = 1 grid drops rows (1/k! near k = 178)
-    # whose charge is 2e-12 of the norm; a 4th difference is charged at
-    # 2^4, which misses the budget of the small value at delta = 0.003
-    # (1.6e-11 of it at the factor 1) and meets it at delta = 0.01
-    from slicefock.errors import TruncationError
-
+def test_grid_modulus_reads_the_rows_stored_as_zero():
+    # exp at alpha = 0.015 on the p = 1 grid: 1/k! is 0 in storage from
+    # k = 178, where the weighted terms are 2e-12 of the norm.  The small
+    # 4th-difference modulus at delta = 0.003, which a 2^4-fold charge of
+    # those rows refused, meets the dilated problem's, e^{q / sqrt(alpha)}
+    # at alpha = 1, whose rows that matter are normal floats
     f, alpha = exp_series(), 0.015
-    assert prepared_for_grid(f, alpha, slice_grid(alpha / 2.0)).drop is not None
-    with pytest.raises(TruncationError, match="underflowed-row"):
-        modulus(f, ModulusQuery(k=4, delta=0.003, p=1.0, alpha=alpha))
-    assert modulus(f, ModulusQuery(k=4, delta=0.01, p=1.0, alpha=alpha)) > 0.0
+    dilated = ExpGenerator((1.0 / math.sqrt(alpha), 0.0, 0.0, 0.0)).series(24)
+    for delta in (0.003, 0.01):
+        got = modulus(f, ModulusQuery(k=4, delta=delta, p=1.0, alpha=alpha))
+        want = modulus(dilated, ModulusQuery(k=4, delta=delta, p=1.0, alpha=1.0)) / alpha
+        assert got == pytest.approx(want, rel=1e-10), delta
 
 
-def test_p2_operator_error_charges_the_underflowed_rows():
-    # exp at alpha = 0.01: the dropped rows are 1.35e-12 of the sum of the
-    # Parseval terms, within the budget of the n = 4 error, past that of the
-    # error from n = 176 on, which is the tail of the terms themselves
-    from slicefock.errors import TruncationError
+def test_p2_operator_error_reads_the_rows_stored_as_zero():
+    # exp at alpha = 0.01: the rows from 178, 0 in storage, are 1.35e-12 of
+    # the sum of the Parseval terms, and hold most of the error from n = 176
+    # on, the tail of the terms themselves: from their closed form it meets
+    # 40-digit mpmath
+    import mpmath
+
     from slicefock.spaces import prepared_for_spec
 
     spec = NormSpec("second", 2.0, 0.01)
     terms = prepared_for_spec(exp_series(), spec, None)
-    assert math.exp(terms.log_drop) > 1e-12 and terms.log_tail == -math.inf
+    assert terms.series.coeffs[178, 0] == 0.0 and terms.series.log_row_norms[178] > -math.inf
     assert operator_error(taylor_op(4), terms, spec, None) == pytest.approx(
         math.exp(50.0), rel=1e-12)
-    with pytest.raises(TruncationError, match="underflowed-row"):
-        operator_error(taylor_op(176), terms, spec, None)
+    with mpmath.workdps(40):
+        want = float(mpmath.sqrt(mpmath.fsum(mpmath.mpf(100) ** k / mpmath.factorial(k)
+                                             for k in range(177, 600))))
+    assert operator_error(taylor_op(176), terms, spec, None) == pytest.approx(want, rel=1e-12)
 
 
 def test_a_record_of_the_other_kind_is_refused():

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from slicefock.kernels import kernel_section
 from slicefock.quaternion import Quaternion
 from slicefock.series import (
+    DEGREE_CAP,
     ExpGenerator,
     _row_norms,
     dilate,
@@ -124,6 +125,32 @@ def test_log_coeff_matches_the_rows(c, s, degree):
                                                     abs=1e-12)
     odd = [k for k in range(degree + 1) if k % s]
     assert all(g.log_coeff(k) == -math.inf for k in odd)
+
+
+@given(constants, st.integers(min_value=-110, max_value=1), strides,
+       st.integers(min_value=0, max_value=DEGREE_CAP))
+@settings(max_examples=60, deadline=None)
+def test_log_polar_rows_are_storage_or_the_closed_form(c, e, s, degree):
+    # the rows every weighted consumer reads: a row stored as a normal float
+    # is read from storage (its log is the log of its norm, bit for bit, and
+    # its direction times that norm is the row); one stored below the float
+    # range, subnormal or 0, comes from the closed form, a unit direction
+    # and log_coeff; a row off the stride is 0 either way
+    g = ExpGenerator(tuple(x * 10.0 ** e for x in c), s)
+    f = g.series(degree)
+    mags, logs, dirs = f.row_norms, f.log_row_norms, f.directions
+    normal = mags >= TINY
+    assert np.array_equal(logs[normal], np.log(mags[normal]))
+    err = np.abs(dirs[normal] * mags[normal, None] - f.coeffs[normal]).max(axis=1)
+    assert np.all(err <= 1e-15 * mags[normal])
+    for k in np.flatnonzero(~normal):
+        if k % s:
+            assert logs[k] == -math.inf and not np.any(dirs[k])
+            continue
+        assert logs[k] == g.log_coeff(int(k))
+        if logs[k] > -math.inf:
+            assert np.array_equal(dirs[k], g.directions(np.array([k]))[0])
+            assert abs(np.linalg.norm(dirs[k]) - 1.0) <= 1e-15
 
 
 @given(constants, strides, st.integers(min_value=0, max_value=200),

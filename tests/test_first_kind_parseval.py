@@ -1,8 +1,9 @@
 """Exact p = 2 numbers over the whole algebra and on every plane, from the
 Parseval certificate and the banded monomial Gram, checked against 40-digit
 mpmath, against the quadratures they replace (kept here as oracles), and
-against closed forms; the charge of f's underflowed rows is checked to
-cover the error it bounds.
+against closed forms, also where f's rows lie below the float range and are
+read from their closed form; the charge of f's tail is checked to be the
+Gershgorin bound.
 """
 
 import json
@@ -70,7 +71,9 @@ def test_first_kind_norm_matches_both_quadratures(name, alpha):
     s, gram, grid, _ = oracle_rows(f, alpha)
     got = norm(f, NormSpec("first", 2.0, alpha)) ** 2
     # the volume norm the closed form replaces, and the quadrature Gram
-    raw, _, e = _volume_raw_power(prepared_for_grid(f, alpha, grid).series, grid, 2.0, alpha)
+    fe = prepared_for_grid(f, alpha, grid).series
+    v, e = _weighted_plane(fe.directions, fe.log_row_norms, grid, alpha)
+    raw = _volume_raw_power(v, grid, 2.0)
     volume = (alpha / math.pi) ** 2 * math.ldexp(raw, 2 * e)
     assert got == pytest.approx(volume, rel=1e-12)
     assert got == pytest.approx(float(np.sum(s * (gram @ s))), rel=1e-12)
@@ -165,7 +168,7 @@ def test_inner_second_matches_the_plane_quadrature_on_every_plane():
     grid = slice_grid(alpha, 96, 192)
 
     def plane(h):
-        v, e = _weighted_plane(h, grid, alpha)
+        v, e = _weighted_plane(h.directions, h.log_row_norms, grid, alpha)
         return _lift(v, unit).reshape(-1, 4) * 2.0 ** e
 
     w = grid.plane_weights.ravel()
@@ -178,11 +181,41 @@ def test_inner_second_matches_the_plane_quadrature_on_every_plane():
     np.testing.assert_array_equal(inner_second(f, g, alpha, grid=grid).to_array(), got)
 
 
-def test_first_kind_best_approximation_past_the_stored_rows_is_refused():
-    # every row of E_200 lies where 1/k! underflowed in storage
-    for best in (best_approx_first, best_approx_second):
-        with pytest.raises(TruncationError, match="underflowed-row"):
-            best(exp_series(), 200, 1.0)
+def mpmath_first_kind_tail_sq(s, n):
+    """E_n^2 over the algebra in mpmath for real scaled rows s_k = a_k
+    sqrt(k! / alpha^k): per parity the Schur complement of the tridiagonal
+    H (k + 1 on the diagonal, -sqrt((k + 1)(k + 2)) / 2 beside it) on the
+    rows past n, whose head block couples to the tail through its last row
+    only, so it is the tail's form minus (H_{h-1,h} s_h)^2 / d_{h-1}, d the
+    head's last LU pivot."""
+    total = mpmath.mpf(0)
+    for parity in (0, 1):
+        idx = list(range(parity, len(s), 2))
+        off = [-mpmath.sqrt((k + 1) * (k + 2)) / 2 for k in idx]    # (i, i + 1)
+        h = sum(1 for k in idx if k <= n)
+        total += sum((k + 1) * s[k] ** 2 for k in idx[h:]) \
+            + 2 * sum(off[i] * s[idx[i]] * s[idx[i + 1]] for i in range(h, len(idx) - 1))
+        if h:
+            pivot = mpmath.mpf(idx[0] + 1)
+            for i in range(1, h):
+                pivot = idx[i] + 1 - off[i - 1] ** 2 / pivot
+            total -= (off[h - 1] * s[idx[h]]) ** 2 / pivot
+    return total
+
+
+def test_best_approximation_past_the_stored_rows_meets_mpmath():
+    # every row of E_180 and E_200 of exp lies where 1/k! is 0 in storage
+    # (from k = 178): both kinds read those rows from their closed form
+    assert exp_series().generator.coeffs(200)[178:].max() == 0.0
+    with mpmath.workdps(50):
+        s = [1 / mpmath.sqrt(mpmath.factorial(k)) for k in range(260)]
+        for n in (180, 200):
+            second = float(mpmath.sqrt(mpmath.fsum(x * x for x in s[n + 1:])))
+            first = float(mpmath.sqrt(mpmath_first_kind_tail_sq(s, n)))
+            assert best_approx_second(exp_series(), n, 1.0).value == pytest.approx(
+                second, rel=1e-12), n
+            assert best_approx_first(exp_series(), n, 1.0).value == pytest.approx(
+                first, rel=1e-12), n
 
 
 def test_first_kind_report_reads_no_grid():
@@ -210,20 +243,26 @@ def test_scaled_form_reaches_the_gershgorin_constant():
     assert 1.98 < (x @ gram @ x) / (x @ ((k + 1.0) * x)) < 2.0
 
 
-def test_first_kind_charge_is_the_gershgorin_bound():
-    # rows from K = 20 charged at W = (K + 1 + rho / (1 - rho)) d sum_k t_k,
-    # d their relative drop bound, next to two rows of zeros (b = 0): the
-    # charge is 2 W, relative to the power, halved at the norm's scale
+def stored_to(k, log_tail=-math.inf):
+    """exp's Parseval terms stored to degree k - 1, rows k - 2 and k - 1
+    zero, with the tail bound e^log_tail past them."""
     terms = _parseval_terms(exp_series(), 1.0)
-    k0, log_drop = 20, math.log(1e-13)
-    coeffs = np.array(terms.series.coeffs)
-    coeffs[k0 - 2:] = 0.0
-    logw = np.where(np.arange(terms.logw.size) < k0 - 2, terms.logw, -math.inf)
-    fake = ParsevalTerms(SliceSeries(coeffs, terms.series.generator), logw,
-                         -math.inf, log_drop, k0)
+    coeffs = np.array(terms.series.coeffs[:k])
+    coeffs[k - 2:] = 0.0
+    logw = np.where(np.arange(k) < k - 2, terms.logw[:k], -math.inf)
+    return ParsevalTerms(SliceSeries(coeffs, terms.series.generator), logw, log_tail)
+
+
+def test_first_kind_charge_is_the_gershgorin_bound():
+    # the rows past the stored degree D = 19, from K = 20, charged at
+    # W = (D + 1 + 1 / (1 - rho)) tau sum_k t_k, tau their relative tail
+    # bound, next to two rows of zeros (b = 0): the charge is 2 W, relative
+    # to the power, halved at the norm's scale
+    k = 20
+    fake = stored_to(k, math.log(1e-13))
     log_p, charge, *_ = _first_images(fake, 1.0)
-    rho = terms.series.generator.parseval_ratio(1.0, k0)
-    w = (k0 + 1 + rho / (1.0 - rho)) * 1e-13 * float(np.sum(np.exp(logw)))
+    rho = fake.series.generator.parseval_ratio(1.0, k - 1)
+    w = (k + 1.0 / (1.0 - rho)) * 1e-13 * float(np.sum(np.exp(fake.logw)))
     assert charge == pytest.approx(2.0 * w / math.exp(log_p) / 2.0, rel=1e-12)
 
 
@@ -233,37 +272,33 @@ def test_inner_products_charge_the_gershgorin_constant(monkeypatch):
     # power the algebra refuses it, and the plane (W below that there) does not
     from slicefock import spaces
 
-    terms = _parseval_terms(exp_series(), 1.0)
-    k0 = 20
-    coeffs = np.array(terms.series.coeffs)
-    coeffs[k0 - 2:] = 0.0
-    logw = np.where(np.arange(terms.logw.size) < k0 - 2, terms.logw, -math.inf)
-    fake = ParsevalTerms(SliceSeries(coeffs, terms.series.generator), logw,
-                         -math.inf, -math.inf, k0)
-    rho = terms.series.generator.parseval_ratio(1.0, k0)
-    weighted = (k0 + 1 + rho / (1.0 - rho)) * float(np.sum(np.exp(logw)))
-    drop = 0.7e-10 * math.exp(_first_images(fake, 1.0)[0]) / weighted
+    k = 20
+    fake = stored_to(k)
+    rho = fake.series.generator.parseval_ratio(1.0, k - 1)
+    weighted = (k + 1.0 / (1.0 - rho)) * float(np.sum(np.exp(fake.logw)))
+    tail = 0.7e-10 * math.exp(_first_images(fake, 1.0)[0]) / weighted
     monkeypatch.setattr(spaces, "_parseval_terms",
-                        lambda f, alpha: fake._replace(log_drop=math.log(drop)))
-    f = SliceSeries(coeffs)
-    with pytest.raises(TruncationError, match="underflowed-row"):
+                        lambda f, alpha: fake._replace(log_tail=math.log(tail)))
+    f = fake.series
+    with pytest.raises(TruncationError, match="truncated-tail"):
         inner_first(f, f, 1.0)
-    assert inner_second(f, f, 1.0).w == pytest.approx(float(np.sum(np.exp(logw))), rel=1e-14)
+    assert inner_second(f, f, 1.0).w == pytest.approx(
+        float(np.sum(np.exp(fake.logw))), rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.05, 0.0105])
-def test_first_kind_charge_covers_the_rows_it_does_not_store(alpha):
+def test_first_kind_norm_counts_the_rows_stored_as_zero(alpha):
     # ||e^{j q}||^2 = (2 / alpha + 1) e^{1 / alpha} over the algebra: its rows
-    # alternate along each parity, so the rows from 178, where 1 / k!
-    # underflows, add nearly twice their weighted mass; the reported bound
-    # covers what they add to the value
+    # alternate along each parity, and at alpha = 0.0105 the rows from 178,
+    # where 1 / k! is 0 in storage, weigh 1e-11 of it; read from their closed
+    # form, the value meets the 40-digit one
     f = ExpGenerator((0.0, 1.0, 0.0, 0.0)).series(8)
     rep = norm_report(f, NormSpec("first", 2.0, alpha))
-    want = math.exp(0.5 * (math.log(2.0 / alpha + 1.0) + 1.0 / alpha))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        want = float(mpmath.sqrt((2 / a + 1) * mpmath.exp(1 / a)))
     assert abs(rep.value - want) <= (rep.tail_bound + 4e-15) * want
     assert rep.tail_bound <= 1e-10
-    if alpha == 0.0105:
-        assert abs(rep.value - want) > 2e-14 * want     # the rows do matter here
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +339,19 @@ def test_difference_series_multiplies_the_scale_back():
 
 
 # ---------------------------------------------------------------------------
-# kernel fits charge f's underflowed rows
+# kernel fits read f's rows below the float range from their closed form
 
-def test_kernel_fit_charges_the_rows_exp_drops_at_alpha_001(capsys):
-    # ||exp||^2 = e^100, and the section at 0.5 spans e^{0.005 q}, whose
-    # overlap with exp is e^{1/2} against its norm e^{1/400}: the residual is
-    # e^50 (1 - e^{-99.0025})^{1/2}, to the 1.35e-12 the dropped rows carry
-    assert cli.main(["kernel-fit", "--fn", "exp", "--alpha", "0.01",
+@pytest.mark.parametrize("alpha", ["0.01", "0.005"])
+def test_kernel_fit_reads_the_rows_exp_stores_as_zero(capsys, alpha):
+    # ||exp||^2 = e^{1/alpha}, and the section at 0.5 spans e^{alpha q / 2},
+    # whose overlap with exp is e^{1/2} against its norm e^{alpha / 4}: the
+    # residual is e^{1/(2 alpha)} (1 - e^{1 - alpha/4 - 1/alpha})^{1/2}; the
+    # rows from 178, 0 in storage, hold 1.35e-12 of the mass at alpha = 0.01
+    # and most of it at 0.005
+    assert cli.main(["kernel-fit", "--fn", "exp", "--alpha", alpha,
                      "--centers", "0.5", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert rows[0]["residual"] == pytest.approx(math.exp(50.0), rel=1e-11)
-    # at alpha = 0.005 they hold most of the mass, and the fit is refused
-    assert cli.main(["kernel-fit", "--fn", "exp", "--alpha", "0.005",
-                     "--centers", "0.5"]) == 1
-    assert capsys.readouterr().err.startswith("error: truncated-tail or underflowed-row")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        want = float(mpmath.exp(1 / (2 * a)) * mpmath.sqrt(1 - mpmath.exp(1 - a / 4 - 1 / a)))
+    assert rows[0]["residual"] == pytest.approx(want, rel=1e-13)

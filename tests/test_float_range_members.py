@@ -18,7 +18,7 @@ import mpmath
 import pytest
 
 from slicefock import approx, cli, spaces
-from slicefock.errors import IntegrandOverflowError, TruncationError
+from slicefock.errors import IntegrandOverflowError
 from slicefock.quadrature import volume_grid
 from slicefock.series import exp_series, monomial
 
@@ -151,25 +151,22 @@ def test_inner_product_past_the_float_range_is_refused(inner):
             inner(monomial(250), monomial(250), 1.0)
 
 
-def test_parseval_tail_below_the_smallest_float_is_charged(capsys):
-    # 1/k! underflows from k = 178: E_170 sums stored rows, while every row
-    # of E_180 and E_200 is past the stored ones, whose mass is charged in
-    # log space and refused instead of read as 0
+def test_parseval_tail_below_the_smallest_float_meets_mpmath(capsys):
+    # 1/k! is 0 in storage from k = 178: E_170 sums stored rows, while every
+    # row of E_180 and E_200 lies past them, read from the closed form and
+    # summed in log space, so each prints its value instead of 0.0
     with mpmath.workdps(40):
-        e_170 = float(mpmath.sqrt(mpmath.nsum(lambda j: 1 / mpmath.factorial(j),
-                                              [171, mpmath.inf])))
-    code, out, err = run(capsys, "bestapprox", "--fn", "exp", "--n-list", "170")
+        want = {n: float(mpmath.sqrt(mpmath.nsum(lambda j: 1 / mpmath.factorial(j),
+                                                 [n + 1, mpmath.inf])))
+                for n in (170, 180, 200)}
+    code, out, err = run(capsys, "bestapprox", "--fn", "exp", "--n-list", "170,180,200")
     assert code == 0 and err == ""
     assert rows(out)[0][1] == "2.846931860618236e-155"
-    assert float(rows(out)[0][1]) == pytest.approx(e_170, rel=1e-10)
-    for n in (180, 200):
-        code, out, err = run(capsys, "bestapprox", "--fn", "exp", "--n-list", str(n))
-        assert code == 1 and out == ""
-        assert err.startswith("error: truncated-tail or underflowed-row")
-        assert len(err.splitlines()) == 1
-    # the same charge through the library, past the stored rows as well
-    with pytest.raises(TruncationError, match="underflowed-row"):
-        approx.best_approx_second(exp_series(), 180, 1.0)
+    for row in rows(out):
+        assert float(row[1]) == pytest.approx(want[int(row[0])], rel=1e-12), row
+    # the same value through the library
+    assert approx.best_approx_second(exp_series(), 180, 1.0).value == pytest.approx(
+        want[180], rel=1e-12)
 
 
 def test_vdp_sweep_prepares_f_once(monkeypatch, capsys):

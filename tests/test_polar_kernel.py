@@ -1,7 +1,8 @@
 """The plane-evaluation kernel against the Horner recursion.
 
-``spaces._weighted_plane`` gives S w_alpha, S(z) = sum_k z^k a_k taken
-componentwise and w_alpha = e^{-alpha |z|^2 / 2}, at a grid's nodes
+``spaces._weighted_plane`` gives S w_alpha from a series' rows in log-polar
+form, S(z) = sum_k z^k a_k taken componentwise and
+w_alpha = e^{-alpha |z|^2 / 2}, at a grid's nodes
 r_i exp(2 pi i index_j / n) as an array v and an integer e, the values
 being v 2^e; one inverse FFT per radius.  ``eval_on_slice`` runs Horner at
 the same nodes and is the oracle.  Agreement is measured against each
@@ -72,9 +73,14 @@ def horner_on_circle(f, unit, radii, n_circle, index=None, alpha=0.0):
     return vals.reshape(z.shape + (4,)) * weight
 
 
+def weighted(f, grid, alpha):
+    """The kernel's (v, e) for the series f."""
+    return _weighted_plane(f.directions, f.log_row_norms, grid, alpha)
+
+
 def kernel_values(f, unit, grid, alpha=0.0):
     """The kernel's plane values (Re v + u Im v) 2^e."""
-    v, e = _weighted_plane(f, grid, alpha)
+    v, e = weighted(f, grid, alpha)
     assert np.all(np.isfinite(v))
     return np.ldexp(_lift(v, unit), e)
 
@@ -87,7 +93,7 @@ def assert_close(got, want, f, radii, alpha=0.0):
 
 
 def prepared(name, radius):
-    # the series a weighted consumer integrates: underflowed rows kept
+    # the series a weighted consumer integrates
     return _radius_certificate(FAMILIES[name](), radius)[0]
 
 
@@ -120,7 +126,7 @@ def test_volume_half_circle_components_match_horner(name):
                  horner_on_circle(f, UNIT_I, radii, n, -index, alpha=1.0),
                  f, radii, alpha=1.0)
     # (a, b) of the representation formula are Re v and Im v
-    v, e = _weighted_plane(f, grid, 1.0)
+    v, e = weighted(f, grid, 1.0)
     z = np.outer(radii, np.exp(1j * grid.angular_nodes))
     want_a, want_b = slice_components(f, z.ravel(), prepare=False)
     weight = np.exp(-0.5 * radii ** 2)[:, None, None]
@@ -163,7 +169,7 @@ def test_large_radius_at_the_degree_cap(radius):
 
 def test_zero_series_gives_zeros():
     f = random_series(3, 1) - random_series(3, 1)
-    v, _ = _weighted_plane(f, circle_grid([0.0, 2.0], 5), 1.0)
+    v, _ = weighted(f, circle_grid([0.0, 2.0], 5), 1.0)
     np.testing.assert_array_equal(v, 0.0)
 
 
@@ -173,7 +179,7 @@ def test_weighted_values_past_the_float_range_stay_finite():
     grid = slice_grid(0.5)
     r = grid.radial_nodes
     assert 250 * math.log(r[-1]) > 709.8
-    v, e = _weighted_plane(monomial(250), grid, 1.0)
+    v, e = weighted(monomial(250), grid, 1.0)
     assert np.all(np.isfinite(v)) and np.max(np.abs(v)) <= 2.0
     amp = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
     normal = amp[:, 0] > 1e-300           # the inner radii underflow, harmlessly

@@ -188,6 +188,19 @@ def test_order_type_gaussian():
     assert rep.type_estimate <= alpha / 2
 
 
+def test_order_type_builds_no_default_units(monkeypatch):
+    # the default units of log_max_modulus are one array built at import:
+    # a radius sweep builds no sphere grid, and reads the same units
+    from slicefock import spaces
+
+    want = order_type(gauss_series(0.25), np.geomspace(2.0, 16.0, 6))
+    calls = []
+    monkeypatch.setattr(spaces, "sphere_grid", lambda *a: calls.append(a))
+    got = order_type(gauss_series(0.25), np.geomspace(2.0, 16.0, 6))
+    assert calls == []
+    np.testing.assert_array_equal(got.log_max_modulus, want.log_max_modulus)
+
+
 def test_order_type_polynomial():
     rep = order_type(random_series(4, 21), radii=np.geomspace(1e2, 1e8, 12))
     assert rep.order_estimate < 0.15
@@ -247,10 +260,21 @@ def test_p2_norm_report_reads_no_grid(slice_spec):
 
 
 @pytest.mark.parametrize("kind", ["first", "second"])
-def test_norm_report_tail_bound_carries_the_charged_drop(kind):
-    # gauss:0.25 at p = 1 drops generator rows on the default grid: the
-    # tail bound reports their charged mass relative to the value, not 0
+def test_norm_report_reads_the_rows_gauss_stores_as_zero(kind):
+    # gauss:0.25 at p = 1 stores its rows from k = 280 as 0 and reaches the
+    # degree cap on the refined default grid, whose tail is then certified
+    # weighted: the report meets the 40-digit closed form, |e(beta q^2)| =
+    # e^{beta (x^2 - |y|^2)} splitting the integral into Gaussians, to a few
+    # ulps (2e-15 here), and its tail bound is that certificate, not 0
+    import mpmath
+
     rep = norm_report(gauss_series(0.25), NormSpec(kind, 1.0, 1.0))
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(1) / 4, mpmath.mpf(3) / 4      # 1/2 -+ beta
+        want = float(mpmath.sqrt(mpmath.pi / lo) * (mpmath.pi / hi) ** 1.5
+                     / (4 * mpmath.pi ** 2) if kind == "first"
+                     else 1 / (2 * mpmath.sqrt(lo * hi)))
+    assert rep.value == pytest.approx(want, rel=1e-14)
     assert 0.0 < rep.tail_bound <= 1e-10
 
 

@@ -28,7 +28,7 @@ CENTERS = [Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-0.4, 0.1, 0.0, 0.2),
 def _numbers() -> list:
     """Every certificate that reads the tables, as a flat list of values."""
     out = []
-    # exp at alpha = 0.01 stores rows that underflowed: its drop is charged
+    # exp at alpha = 0.01 stores rows as 0 and reads them from the closed form
     for f, alpha in ((exp_series(), 1.0), (exp_series(), 0.01),
                      (gauss_series(0.25), 0.6), (kernel_section(CENTERS[0], 1.0), 1.0)):
         out += list(_parseval_terms(f, alpha))
