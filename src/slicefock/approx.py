@@ -8,7 +8,9 @@ smoothness is the sup over step sizes of the weighted L^p size of that
 difference; following its definition it carries no normalization prefactor,
 unlike the norms (any constant ends up inside the reported ratios).  It,
 every operator error and the plane E_n at p = 2 are each one call of
-:func:`slicefock.spaces._multiplier_norm`, the one multiplier-image norm.
+:func:`slicefock.spaces._multiplier_norm`, the one multiplier-image norm: a
+coefficient sum at p = 2 and at even p up to
+:data:`slicefock.spaces.EVEN_P_CAP`, a plane quadrature at every other p.
 
 Best approximation at p = 2 is exact from coefficients in both kinds: on a
 plane the monomials are orthogonal, so the minimizer is the Taylor
@@ -167,7 +169,9 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     it for the second-kind p-norm, here unless given.  The max over the
     steps' multiplier images is one :func:`slicefock.spaces._multiplier_norm`,
     f's tail charged at 2^k: exact at p = 2, reading neither ``grid`` nor
-    ``query.unit``, else a plane quadrature per step."""
+    ``query.unit``; at even p up to ``EVEN_P_CAP`` coefficient convolutions
+    on the plane of ``query.unit`` per step, reading no ``grid``; else a
+    plane quadrature per step."""
     spec = NormSpec("second", query.p, query.alpha, slice_unit=query.unit)
     grid = grid or default_grid(spec)
     prepared = prepared_for_spec(f, spec, grid, prepared)
@@ -542,8 +546,9 @@ def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
     :func:`slicefock.spaces.prepared_for_spec` returns it for ``spec`` (else
     :class:`ValueError`): the multiplier image 1 - rho_k (rho_k = 0 past the
     operator) under :func:`slicefock.spaces._multiplier_norm`, reading no
-    ``grid`` at p = 2, where f's rows past its stored degree are charged at
-    the largest |1 - rho_k| over them."""
+    ``grid`` where it is a coefficient sum (p = 2, and even p up to
+    ``EVEN_P_CAP`` on one plane), where f's rows past its stored degree are
+    charged at the largest |1 - rho_k| over them."""
     m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
     bound = float(np.max(np.abs(m[min(prepared.series.degree + 1, m.size - 1):])))
     return _multiplier_norm(prepared, spec, grid, lambda k: _real_multipliers(
@@ -558,25 +563,33 @@ def vdp_constant(p: float) -> float:
 def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
                unit: ImaginaryUnit = UNIT_I,
                grid: QuadratureGrid | None = None,
-               prepared: Prepared | ParsevalTerms | None = None) -> VdpReport:
+               prepared: Prepared | ParsevalTerms | None = None,
+               on_grid: Prepared | None = None) -> VdpReport:
     """Check ||V_n f - f|| <= (2^((p-1)/p) (2^p + 1)^(1/p) + 1) E_n(f).
 
     At p = 2 both sides are exact from f's Parseval terms (E_n is their
-    tail), and ``grid`` is not read; otherwise the error is a norm on
-    ``grid`` and E_n comes from the certified Newton solve of
-    :func:`best_approx_lp`, whose lower bound on E_n the report also
-    carries.  f is prepared once (:func:`slicefock.spaces.prepared_for_spec`)
-    unless ``prepared`` is given, which must be of the kind that returns;
-    the slack must be nonnegative.
+    tail), and ``grid`` is not read.  Otherwise E_n comes from the certified
+    Newton solve of :func:`best_approx_lp` on ``grid``, whose lower bound on
+    E_n the report also carries, and the error is a coefficient sum at even
+    p up to ``EVEN_P_CAP`` and a norm on ``grid`` at every other p.  f is
+    prepared once for the error (:func:`slicefock.spaces.prepared_for_spec`)
+    unless ``prepared`` is given, which must be of the kind that returns,
+    and, where that is its Parseval terms at p != 2, once more on ``grid``
+    for the solve (:func:`slicefock.spaces.prepared_for_grid`) unless
+    ``on_grid`` is given; the slack must be nonnegative.
     """
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
     prepared = prepared_for_spec(f, spec, grid, prepared)
     lhs = operator_error(vdp_op(n), prepared, spec, grid)
-    if isinstance(prepared, ParsevalTerms):
+    if p == 2.0:
         best = _best_approx_terms(prepared, n, alpha)
     else:
-        best = _best_approx_lp(f, n, p, alpha, unit, grid, prepared=prepared)
+        if isinstance(prepared, Prepared):
+            on_grid = prepared
+        elif on_grid is None:
+            on_grid = prepared_for_grid(f, alpha, grid)
+        best = _best_approx_lp(f, n, p, alpha, unit, grid, prepared=on_grid)
     c = vdp_constant(p)
     rhs = c * best.value
     return VdpReport(n, p, c, lhs, best.value, rhs, rhs - lhs, best.method,
@@ -592,8 +605,8 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
     smoothness of order m + 1 at step 1/n; the ratio should stay within a
     constant factor across n.  f is prepared once for both
     (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
-    given; at p = 2 both are exact and read no grid, otherwise both are
-    quadratures on ``grid``."""
+    given; at p = 2 and at even p up to ``EVEN_P_CAP`` both are coefficient
+    sums and read no grid, otherwise both are quadratures on ``grid``."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
     prepared = prepared_for_spec(f, spec, grid, prepared)

@@ -38,11 +38,12 @@ from .series import (
 #: Accepted ``growth --radii`` counts: the fit needs four radii, and each
 #: radius is a full max-modulus sweep.
 GROWTH_RADII = (4, 1000)
-#: Largest ``smoothness --h-grid``: each step size is a full plane norm at
-#: p != 2, and a row of coefficient terms at p = 2.
+#: Largest ``smoothness --h-grid``: each step size is a row of coefficient
+#: terms at p = 2, p / 2 rows of coefficient convolutions at even p up to
+#: ``spaces.EVEN_P_CAP``, and a full plane norm at every other p.
 H_GRID_CAP = 4096
 #: Largest ``--slice sup:<M>``: at p != 2 each sampled plane is a full plane
-#: integral.
+#: integral (a sup over planes reads the grid at every p != 2).
 SUP_SAMPLES_CAP = 1024
 #: Largest ``kernel-fit --centers`` count: every prefix of the centers is a
 #: least-squares solve with 4 n columns and its singular values.
@@ -231,6 +232,10 @@ def cmd_converge(args) -> int:
         _check_operator_degree(args.operator, n, args.m, args.p)
     grid = _grid_for(args, spec)
     prepared = spaces.prepared_for_spec(f, spec, grid)   # once per sweep
+    # the descent of E_n reads f on the grid, also where the errors are
+    # coefficient sums: prepared there once per sweep too
+    on_grid = spaces.prepared_for_grid(f, spec.alpha, grid) \
+        if args.operator == "vdp" and args.p != 2.0 and spec.coefficient_sum else None
     make_op = {"taylor": operators.taylor_op, "fejer": operators.fejer_op}.get(args.operator)
     rows = []
     for n in n_list:
@@ -238,7 +243,8 @@ def cmd_converge(args) -> int:
             err = approx.operator_error(make_op(n), prepared, spec, grid)
             rows.append((n, err, None, None))
         elif args.operator == "vdp":
-            rep = approx.verify_vdp(f, n, args.p, args.alpha, unit, grid, prepared)
+            rep = approx.verify_vdp(f, n, args.p, args.alpha, unit, grid, prepared,
+                                    on_grid)
             rows.append((n, rep.lhs, rep.rhs, rep.slack))
         else:
             rep = approx.verify_jackson(f, n, args.m, args.p, args.alpha, unit,
@@ -368,9 +374,11 @@ def _norm_flags(p, kind: bool = False) -> None:
     p.add_argument("--slice", default=None,
                    help="i | j | k | x,y,z | sup:<M> (second kind; default i)")
     p.add_argument("--quad-radial", type=int, default=None,
-                   help="radial nodes; checked at every p, read at p != 2 only")
+                   help="radial nodes; checked at every p, read at p != 2 "
+                        "except by the coefficient sums of even p <= 8 on one "
+                        "plane (E_n's descent reads them there too)")
     p.add_argument("--quad-angular", type=int, default=None,
-                   help="angular nodes; checked at every p, read at p != 2 only")
+                   help="angular nodes; read where --quad-radial is")
 
 
 def _output_flags(p, table: bool = True) -> None:

@@ -16,7 +16,15 @@ banded, and norms, best approximations and inner products are sums of
 squares through its bidiagonal Cholesky factor (:func:`_first_images`,
 :func:`_inner`).  Each charges f's tail past its stored degree against
 the value it reports; every norm, operator error and modulus is one call of
-:func:`_multiplier_norm`.  Everything below concerns p != 2.
+:func:`_multiplier_norm`.
+
+On one plane every even p = 2m up to ``EVEN_P_CAP`` is a coefficient sum
+over the same certificate (:func:`_even_power`): with f = F + G J on the
+plane of I, |f|^2 = |F|^2 + |G|^2, so ||f||_{2m}^{2m} = sum_j C(m, j)
+sum_k |c_k^(j)|^2 k! / (m alpha)^k, c^(j) the coefficients of
+F^j G^{m-j}, formed by direct convolution.  f's tail is charged through
+the embedding ||h||_{2m} <= ||h||_2 and the convolutions' rounding through
+their majorants.  Everything below concerns the other p: those of a grid.
 
 Every sphere integral is exact.  On q = x + u y the representation formula
 gives f(q) = a + u b for every unit u, with (a, b) = (Re S, Im S) for the
@@ -66,6 +74,7 @@ from .quaternion import (
     Quaternion,
     UNIT_I,
     left_mult_matrix,
+    perpendicular_unit,
     quat_conj_array,
     quat_mul_array,
     sphere_grid,
@@ -86,6 +95,7 @@ from .quadrature import (
 from .series import (
     DEGREE_CAP,
     TAIL_TOL,
+    ExpGenerator,
     SliceSeries,
     _certified,
     _check_certified,
@@ -110,6 +120,11 @@ DIVERGENCE_GROWTH = 1e-2
 
 #: Relative tail tolerance at which the Parseval terms are first certified.
 PARSEVAL_TAIL_TOL = 1e-30
+
+#: Largest even p whose second-kind numbers on one plane are coefficient
+#: sums (:attr:`NormSpec.coefficient_sum`): the products F^j G^{m-j},
+#: m = p / 2, have degree at most m DEGREE_CAP.
+EVEN_P_CAP = 8
 
 #: Area of the imaginary unit sphere: the sphere integral of a constant.
 SPHERE_AREA = 4.0 * math.pi
@@ -155,10 +170,14 @@ class NormSpec:
         return self.alpha * self.p / 2.0
 
     @property
-    def parseval(self) -> bool:
-        """Whether the norm is a coefficient sum read from no grid: p = 2,
-        in either kind (the same on every plane in the second)."""
-        return self.p == 2.0
+    def coefficient_sum(self) -> bool:
+        """Whether the norm is a coefficient sum over f's Parseval terms,
+        read from no grid: p = 2 in either kind (the same on every plane in
+        the second), and even p up to ``EVEN_P_CAP`` in the second kind on
+        one plane (:func:`_even_power`).  Every other p, a sup over planes
+        and the first kind at p != 2 read a grid."""
+        return self.p == 2.0 or (self.kind == "second" and self.sup_samples is None
+                                 and self.p <= EVEN_P_CAP and self.p % 2.0 == 0.0)
 
     def slice_label(self) -> str | None:
         if self.kind == "first":
@@ -278,22 +297,51 @@ def _weighted_tail(fe: SliceSeries, alpha: float, r: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # p = 2: coefficient sums
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _log_factorials(size: int) -> np.ndarray:
-    """log k! = gammaln(k + 1) for k < size, read-only: one table, built on
-    first use, up to ``DEGREE_CAP`` (past it only for a polynomial stored
-    beyond the cap), so scipy is not imported with the package."""
-    from scipy.special import gammaln
+    """log k! for k < size in extended precision, read-only, built on first
+    use (:func:`_log_factorial_table` sizes it): the sums of log j, so that
+    its consumers round once, each within about half an ulp of a float
+    (gammaln's float values lie several ulps off, most of them high)."""
+    logs = np.log(np.arange(1, max(size, 1), dtype=np.longdouble))
+    return _read_only(np.concatenate([np.zeros(1, np.longdouble), np.cumsum(logs)]))
 
-    return _read_only(gammaln(np.arange(size) + 1.0))
+
+def _log_factorial_table(top: int) -> np.ndarray:
+    """log k! for k <= ``top`` at least: one table up to ``DEGREE_CAP`` for
+    every series' rows, one up to EVEN_P_CAP / 2 times it for the even-p
+    products (past them only for a polynomial stored beyond the cap)."""
+    if top <= DEGREE_CAP:
+        return _log_factorials(DEGREE_CAP + 1)
+    return _log_factorials(max(top, EVEN_P_CAP // 2 * DEGREE_CAP) + 1)
 
 
-def _parseval_log_terms(log_sq, k, alpha: float):
+def _log_size_ratio(g: ExpGenerator, alpha: float) -> np.longdouble:
+    """log(|c|^2 / alpha^s) for the generator's constant c and stride s, in
+    extended precision, so that the logs of |c|^2 and alpha^s, each large,
+    cancel without loss."""
+    c = np.array(g.c, np.longdouble)
+    return np.log(np.sum(c * c)) - g.stride * np.log(np.longdouble(alpha))
+
+
+def _parseval_log_terms(log_sq, k, alpha: float, g: ExpGenerator | None = None):
     """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
-    squared plane norm of q^k at p = 2; k log alpha is rounded once, from
-    extended precision."""
-    log_fact = _log_factorials(max(DEGREE_CAP, int(np.max(k))) + 1)[k]
-    return log_sq + log_fact - np.asarray(k * np.log(np.longdouble(alpha)), float)
+    squared plane norm of q^k at p = 2, and with log_sq = 0 the one weight
+    helper (at p = 2m the products' weights, :func:`_even_images`); log k!
+    - k log alpha is rounded once, from extended precision.  A generator
+    ``g``'s row a_{sj} = c^j / j! (stride s) is read from its closed form,
+    j log(|c|^2 / alpha^s) + log (sj)! - 2 log j!, rounded once
+    (:func:`_log_size_ratio`), so the large logs of its size and of alpha^k
+    do not cancel; a row that overflowed storage stays +inf, refused."""
+    table = _log_factorial_table(int(np.max(k)))
+    out = log_sq + np.asarray(table[k] - k * np.log(np.longdouble(alpha)), float)
+    if g is not None and g.size > 0.0:     # c = 0: every row past a_0 is 0
+        on = np.flatnonzero(k % g.stride == 0)
+        j = k[on] // g.stride
+        closed = np.asarray(j * _log_size_ratio(g, alpha) + table[k[on]] - 2.0 * table[j],
+                            float)
+        out[on] = np.where(out[on] < math.inf, closed, math.inf)
+    return out
 
 
 class ParsevalTerms(NamedTuple):
@@ -318,7 +366,7 @@ def _parseval_terms(f: SliceSeries, alpha: float,
     float range counts with its closed form."""
     _check_in_space(f, alpha)
     return ParsevalTerms(*_certified(
-        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha),
+        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha, f.generator),
         lambda deg: f.generator.parseval_ratio(alpha, deg), log_tol, -math.inf,
         f"alpha = {alpha:g}"))
 
@@ -379,6 +427,143 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
                                 if gap < math.inf else math.log(5e-324))
         log_sq, _, charge = weighted(terms)
     return log_sq, _check_tail_budget(1.0, charge(terms.log_tail), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# even p = 2m on one plane.  With f = F + G J on the plane of I (F, G
+# holomorphic, :func:`slicefock.series.split`), |f|^2 = |F|^2 + |G|^2, so
+# |f|^{2m} = sum_j C(m, j) |F^j G^{m-j}|^2; the Gaussian integral of |h|^2,
+# h = sum_k c_k z^k, against e^{-m alpha |z|^2} is pi sum_k |c_k|^2 k! /
+# (m alpha)^{k+1}, and the prefactor m alpha / pi leaves sum_k |c_k|^2 k! /
+# (m alpha)^k.
+
+#: Unit roundoff of a float.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per image of f under ``mult`` (as :func:`_multiplier_norm` takes it;
+    f itself without) on the plane of ``spec``'s unit at p = 2m: (log P,
+    log E), P the prefactored p-th power and E a bound on its rounding.
+
+    F and G are read from f's rows in log-polar form, dilated by R, R^2 =
+    k0 / (m alpha) with k0 = m max(D, 1) / 2 for f's stored degree D, and
+    each image scaled by e^{-s}, s its largest log row size: row k has size
+    (log t_k - log k! + k log(k0 / m)) / 2 + log |m_k| - s, and direction
+    sign_k e^{I theta_k} dir_k.  The products' coefficients are then
+    c_k R^k e^{-m s}, their weights k! / k0^k (the one weight helper,
+    :func:`_parseval_log_terms`) lie in [e^{-k0}, 1] over the degrees
+    0..mD, and the coefficients that bear on P stay inside the float range.
+
+    Rounding: the rows are off by delta of their sizes A_k (the logs, the
+    split, the phases), one direct convolution by gamma_{D+3} of its
+    majorant, and m - 1 of them by eps = (1 + delta)^m (1 + gamma)^(m-1) - 1
+    of A^{*m} (its float value taken 1 + 2 eps larger), plus eta, the
+    underflow of m (D + 1)^m products.  So with e_k that bound, P moves by
+    at most sum_k w_k e_k sum_j C(m, j) (2 |c_k^(j)| + e_k); the log-space
+    sum adds each term's rounding and gamma_N of the sum."""
+    u = _UNIT_ROUNDOFF
+    m = int(spec.p) // 2
+    fe = terms.series
+    deg = fe.degree
+    k, kp = np.arange(deg + 1), np.arange(m * deg + 1)
+    table = _log_factorial_table(m * deg)
+    half_k0 = 0.5 * max(deg, 1)                          # k0 / m
+    rows = np.asarray(0.5 * (terms.logw - table[k] + k * np.log(np.longdouble(half_k0))),
+                      float)
+    # each row's rounding: its log terms' size, in ulps
+    row_ulps = np.abs(terms.logw) + np.abs(rows)
+    log_w = _parseval_log_terms(0.0, kp, m * half_k0)   # log k! / k0^k
+    w_ulps = np.abs(log_w)
+    # d = (x0 + x1 I) + (x2 + x3 I) J in the orthonormal basis 1, I, J, IJ
+    unit = spec.slice_unit.as_quaternion()
+    other = perpendicular_unit(spec.slice_unit).as_quaternion()
+    basis = np.array([[1.0, 0.0, 0.0, 0.0], unit.to_array(), other.to_array(),
+                      (unit * other).to_array()])
+    x = fe.directions @ basis.T
+    split = np.stack([x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]])
+    log_r, sign, theta = (_multipliers(mult, deg + 1) if mult is not None else
+                          (np.zeros((1, deg + 1)), np.ones((1, deg + 1)), np.zeros((1, deg + 1))))
+    log_binom = np.log([math.comb(m, j) for j in range(m + 1)])[:, None]
+    gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
+    log_under = math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0)
+    log_sum_err = math.log((m + 1) * kp.size * u)        # gamma_N of the final sum
+    out = []
+    for lr, sg, th in zip(log_r, sign, theta):
+        size = lr + rows
+        shift = float(np.max(size))
+        if shift == -math.inf:                           # the zero image
+            out.append((-math.inf, -math.inf))
+            continue
+        a = np.exp(size - shift)
+        live = a > 0.0
+        delta = 4.0 * u * float(np.max(row_ulps[live] + np.abs(lr[live]))
+                                + abs(shift) + 4.0)
+        fac, gac = split * (a * sg * np.exp(1j * th))
+        pf, pg, maj = [np.ones(1)], [np.ones(1)], a
+        for _ in range(m):
+            pf.append(np.convolve(pf[-1], fac))
+            pg.append(np.convolve(pg[-1], gac))
+        for _ in range(m - 1):
+            maj = np.convolve(maj, a)
+        eps = (1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0
+        with np.errstate(divide="ignore"):
+            log_c = np.log(np.abs([np.convolve(pf[j], pg[m - j]) for j in range(m + 1)]))
+            log_e = np.logaddexp(math.log(eps) + np.log(maj * (1.0 + 2.0 * eps)), log_under)
+        logs = 2.0 * log_c + log_w + log_binom
+        log_v = float(_log_sum(logs.ravel()))
+        # P's moves: sum_k w_k e_k (2 sum_j C |c_k^(j)| + 2^m e_k) ...
+        spread = np.logaddexp(math.log(2.0) + _log_sum((log_binom + log_c).T),
+                              m * math.log(2.0) + log_e)
+        # ... and each term's rounding in the log-space sum
+        with np.errstate(invalid="ignore"):
+            ulps = 4.0 * u * (2.0 * np.abs(log_c) + w_ulps + np.abs(logs - log_v) + 4.0)
+            term_err = np.where(logs > -math.inf, logs + np.log(ulps), -math.inf)
+        log_err = np.logaddexp.reduce([
+            float(_log_sum(log_w + log_e + spread)), float(_log_sum(term_err.ravel())),
+            log_sum_err + log_v,
+            log_v + math.log(4.0 * u * (abs(log_v) + 2.0 * m * abs(shift) + 2.0))])
+        out.append((log_v + 2.0 * m * shift, log_err + 2.0 * m * shift))
+    log_pow, log_err = np.array(out).T
+    return log_pow, log_err
+
+
+def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None,
+                bound: float = 1.0) -> tuple[float, float]:
+    """log of the largest prefactored p-th power of f's images on the plane
+    of ``spec``'s unit at even p (:func:`_even_images`), and its charge
+    relative to the norm.  f's tail T past the stored degree moves each
+    image's norm by at most ||T'||_p <= ||T'||_2 <= bound (tau sum_k
+    t_k)^(1/2), T' its image and tau its relative tail: Minkowski, then the
+    embedding ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this
+    normalization (K. Zhu, Analysis on Fock Spaces, Thm 2.10), with |m_k|
+    <= ``bound`` past the degree.  Where that misses half the budget, f's
+    terms are certified once more at the tail the value needs (the smallest
+    float if it is 0), as by :func:`_parseval_power`.  A power off by a
+    relative eps < 1/2 moves the norm by eps / (p (1 - eps)) of it, by
+    E^(1/p) else; tail and rounding are charged together
+    (:func:`_check_tail_budget`)."""
+    p, log_bound = spec.p, math.log(bound)
+
+    def evaluate(terms):
+        log_pow, log_err = _even_images(terms, spec, mult)
+        best = float(np.max(log_pow))
+        log_total = float(_log_sum(terms.logw))
+        tail = _relative(log_bound + 0.5 * (terms.log_tail + log_total), best / p)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rel = np.exp(log_err - log_pow)
+            err = np.where(rel < 0.5, log_pow / p + np.log(rel / (p * (1.0 - rel))),
+                           log_err / p)
+        return best, log_total, tail, _relative(float(np.max(err)), best / p)
+
+    best, log_total, tail, rounding = evaluate(terms)
+    if tail > 0.5 * NORM_TAIL_BUDGET:
+        log_tol = 2.0 * (math.log(0.5 * NORM_TAIL_BUDGET) + best / p - log_bound) - log_total
+        terms = _parseval_terms(terms.series, spec.alpha,
+                                log_tol if log_tol > -math.inf else math.log(5e-324))
+        best, _, tail, rounding = evaluate(terms)
+    return best, _check_tail_budget(1.0, tail + rounding, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +799,17 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     log |m_k| + log |a_k| and direction sign_k e^{I theta_k} dir_k on the
     plane of the spec's unit, so a row below the float range keeps its size."""
     _check_prepared(prepared, spec)
-    if spec.parseval:
+    if spec.coefficient_sum:
         first = spec.kind == "first"
-        log_sq, charge = (_first_images(prepared, spec.alpha, -1, mult, bound)[:2] if first
-                          else _parseval_power(prepared, spec.alpha, mult, bound))
+        if first:
+            log_pow, charge = _first_images(prepared, spec.alpha, -1, mult, bound)[:2]
+        elif spec.p == 2.0:
+            log_pow, charge = _parseval_power(prepared, spec.alpha, mult, bound)
+        else:
+            log_pow, charge = _even_power(prepared, spec, mult, bound)
         if not prefactor:
-            log_sq += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.alpha))
-        return _checked_exp(0.5 * log_sq, what), charge
+            log_pow += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.scale))
+        return _checked_exp(log_pow / spec.p, what), charge
     fe = prepared.series
     dirs, log_mags = fe.directions, fe.log_row_norms
     if mult is None:
@@ -658,13 +847,13 @@ def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,
                       prepared: Prepared | ParsevalTerms | None = None
                       ) -> Prepared | ParsevalTerms:
     """The one preparation of f for the numbers of ``spec``: its Parseval
-    terms where they are coefficient sums (:attr:`NormSpec.parseval`), else
+    terms where they are coefficient sums (:attr:`NormSpec.coefficient_sum`), else
     f prepared on ``grid`` (:func:`prepared_for_grid`).  A given ``prepared``
     is returned when it is of the kind ``spec`` needs, else refused
     (:func:`_check_prepared`)."""
     if prepared is not None:
         return _check_prepared(prepared, spec)
-    if spec.parseval:
+    if spec.coefficient_sum:
         return _parseval_terms(f, spec.alpha)
     return prepared_for_grid(f, spec.alpha, grid)
 
@@ -673,8 +862,8 @@ def _check_prepared(prepared: Prepared | ParsevalTerms, spec: NormSpec
                    ) -> Prepared | ParsevalTerms:
     """``prepared``, when it is the kind of preparation ``spec`` needs
     (:func:`prepared_for_spec`); else :class:`ValueError`."""
-    if isinstance(prepared, ParsevalTerms) != spec.parseval:
-        need = "Parseval terms" if spec.parseval else "a grid preparation"
+    if isinstance(prepared, ParsevalTerms) != spec.coefficient_sum:
+        need = "Parseval terms" if spec.coefficient_sum else "a grid preparation"
         raise ValueError(f"the {spec.kind}-kind p = {spec.p:g} numbers need "
                          f"{need} of f, not {type(prepared).__name__}")
     return prepared
@@ -684,7 +873,7 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
                 ) -> tuple[float, float]:
     """(value, f's relative tail or its charge), on ``grid`` or the default
     one where a grid is read."""
-    grid = grid or (None if spec.parseval else default_grid(spec))
+    grid = grid or (None if spec.coefficient_sum else default_grid(spec))
     return _multiplier_norm(prepared_for_spec(f, spec, grid), spec, grid)
 
 
@@ -710,10 +899,10 @@ def norm_report(f: SliceSeries, spec: NormSpec,
     reports the refined value, the relative deviation and the larger tail
     bound.  A relative deviation beyond ``DIVERGENCE_GROWTH`` raises
     :class:`RefinementError`: the base grid does not resolve the integral.
-    A coefficient sum (:attr:`NormSpec.parseval`) is evaluated once and
+    A coefficient sum (:attr:`NormSpec.coefficient_sum`) is evaluated once and
     reads no grid: its report has stability 0.0 and no grid sizes.
     """
-    if spec.parseval:
+    if spec.coefficient_sum:
         value, tail = _norm_value(f, spec, grid)
         return NormReport(value, spec.kind, spec.p, spec.alpha,
                           spec.slice_label(), (), tail, 0.0)

@@ -42,6 +42,12 @@ def mono_first_p4(k):
         return float((mpmath.factorial(2 * k + 1) / mpmath.mpf(4) ** k) ** 0.25)
 
 
+def mono_second_p4(k):
+    """Second kind, p = 4, on every plane: ((2k)! / 2^(2k))^(1/4)."""
+    with mpmath.workdps(40):
+        return float((mpmath.factorial(2 * k) / mpmath.mpf(2) ** (2 * k)) ** 0.25)
+
+
 def run(capsys, *argv):
     """(exit code, stdout, stderr) of the CLI; a RuntimeWarning fails."""
     with warnings.catch_warnings():
@@ -70,6 +76,21 @@ def test_first_kind_p4_norm_of_mono_100(capsys):
                          "--p", "4")
     assert code == 0 and err == ""
     assert json.loads(out)["value"] == pytest.approx(mono_first_p4(100), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv,k", [
+    (("norm", "--fn", "mono:250", "--p", "4"), 250),
+    # its fourth power, 3.0e1227, is far past the float range; the root is
+    # not (it printed an error while p = 4 read a grid)
+    (("converge", "--fn", "mono:300", "--operator", "taylor", "--n-list", "4",
+      "--p", "4"), 300),
+])
+def test_second_kind_p4_norm_of_a_high_monomial(capsys, argv, k):
+    # a coefficient sum: q^k = F with G = 0, so ||q^k||_4^4 = (2k)! / 2^(2k)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    value = json.loads(out)["value"] if argv[0] == "norm" else float(rows(out)[0][1])
+    assert value == pytest.approx(mono_second_p4(k), rel=1e-12)
 
 
 def test_sup_norm_of_mono_250_equals_the_plane_norm(capsys):
