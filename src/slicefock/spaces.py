@@ -316,31 +316,43 @@ def _log_factorial_table(top: int) -> np.ndarray:
     return _log_factorials(max(top, EVEN_P_CAP // 2 * DEGREE_CAP) + 1)
 
 
-def _log_size_ratio(g: ExpGenerator, alpha: float) -> np.longdouble:
-    """log(|c|^2 / alpha^s) for the generator's constant c and stride s, in
-    extended precision, so that the logs of |c|^2 and alpha^s, each large,
-    cancel without loss."""
+@functools.lru_cache(maxsize=64)
+def _log_weights(beta: float, size: int) -> np.ndarray:
+    """log k! - k log beta for k < size, each rounded once from extended
+    precision, read-only: k! / beta^k is the squared plane norm of q^k at
+    p = 2 (beta = alpha), and the weight of a product's coefficient at even
+    p (:func:`_even_images`)."""
+    k = np.arange(size)
+    return _read_only(np.asarray(_log_factorials(size) - k * np.log(np.longdouble(beta)),
+                                 float))
+
+
+@functools.lru_cache(maxsize=64)
+def _closed_log_terms(g: ExpGenerator, alpha: float, size: int) -> np.ndarray:
+    """log t_k of the generator's rows a_{sj} = c^j / j! (stride s) for
+    k < size from the closed form, j log(|c|^2 / alpha^s) + log (sj)! -
+    2 log j!, each rounded once from extended precision, so that the large
+    logs of |c|^2 and alpha^s cancel without loss (-inf off the stride),
+    read-only."""
+    k = np.arange(size)
+    j = k // g.stride
     c = np.array(g.c, np.longdouble)
-    return np.log(np.sum(c * c)) - g.stride * np.log(np.longdouble(alpha))
+    ratio = np.log(np.sum(c * c)) - g.stride * np.log(np.longdouble(alpha))
+    table = _log_factorials(size)
+    out = np.asarray(j * ratio + table - 2.0 * table[j], float)
+    out[k % g.stride != 0] = -math.inf
+    return _read_only(out)
 
 
 def _parseval_log_terms(log_sq, k, alpha: float, g: ExpGenerator | None = None):
-    """log of |a_k|^2 k! / alpha^k from log |a_k|^2: k! / alpha^k is the
-    squared plane norm of q^k at p = 2, and with log_sq = 0 the one weight
-    helper (at p = 2m the products' weights, :func:`_even_images`); log k!
-    - k log alpha is rounded once, from extended precision.  A generator
-    ``g``'s row a_{sj} = c^j / j! (stride s) is read from its closed form,
-    j log(|c|^2 / alpha^s) + log (sj)! - 2 log j!, rounded once
-    (:func:`_log_size_ratio`), so the large logs of its size and of alpha^k
-    do not cancel; a row that overflowed storage stays +inf, refused."""
-    table = _log_factorial_table(int(np.max(k)))
-    out = log_sq + np.asarray(table[k] - k * np.log(np.longdouble(alpha)), float)
+    """log of |a_k|^2 k! / alpha^k from log |a_k|^2 (:func:`_log_weights`;
+    with log_sq = 0 the weights alone).  A generator ``g``'s rows come from
+    its closed form (:func:`_closed_log_terms`) instead, so no large logs
+    cancel; a row that overflowed storage stays +inf, refused."""
+    size = _log_factorial_table(int(np.max(k))).size
+    out = log_sq + _log_weights(alpha, size)[k]
     if g is not None and g.size > 0.0:     # c = 0: every row past a_0 is 0
-        on = np.flatnonzero(k % g.stride == 0)
-        j = k[on] // g.stride
-        closed = np.asarray(j * _log_size_ratio(g, alpha) + table[k[on]] - 2.0 * table[j],
-                            float)
-        out[on] = np.where(out[on] < math.inf, closed, math.inf)
+        out = np.where(out < math.inf, _closed_log_terms(g, alpha, size)[k], math.inf)
     return out
 
 
@@ -441,91 +453,112 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
+@functools.lru_cache(maxsize=16)
+def _plane_split(unit: ImaginaryUnit) -> np.ndarray:
+    """(4, 2) complex P with d @ P = (F, G) for d = F + G J on the plane
+    of ``unit``, F and G read in the basis {1, I} and J perpendicular to I
+    (:func:`slicefock.quaternion.perpendicular_unit`), read-only."""
+    i = unit.as_quaternion()
+    j = perpendicular_unit(unit).as_quaternion()
+    basis = np.array([[1.0, 0.0, 0.0, 0.0], i.to_array(), j.to_array(), (i * j).to_array()])
+    return _read_only(basis.T @ np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]]))
+
+
+#: Largest count of product coefficients :func:`_even_images` holds at once.
+_PRODUCT_BLOCK = 1 << 20
+
+
 def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Per image of f under ``mult`` (as :func:`_multiplier_norm` takes it;
-    f itself without) on the plane of ``spec``'s unit at p = 2m: (log P,
-    log E), P the prefactored p-th power and E a bound on its rounding.
+    f itself without) on the plane of ``spec``'s unit at p = 2m: log P, P
+    the prefactored p-th power, and the log of a bound on the rounding of
+    its norm P^(1/p).
 
-    F and G are read from f's rows in log-polar form, dilated by R, R^2 =
-    k0 / (m alpha) with k0 = m max(D, 1) / 2 for f's stored degree D, and
-    each image scaled by e^{-s}, s its largest log row size: row k has size
-    (log t_k - log k! + k log(k0 / m)) / 2 + log |m_k| - s, and direction
-    sign_k e^{I theta_k} dir_k.  The products' coefficients are then
-    c_k R^k e^{-m s}, their weights k! / k0^k (the one weight helper,
-    :func:`_parseval_log_terms`) lie in [e^{-k0}, 1] over the degrees
-    0..mD, and the coefficients that bear on P stay inside the float range.
+    F and G are read from f's rows in log-polar form (:func:`_plane_split`),
+    dilated by R, R^2 = k0 / (m alpha) with k0 = m max(D, 1) / 2 for f's
+    stored degree D, and each image scaled by e^{-s}, s its largest log row
+    size: row k has size (log t_k - log k! + k log(k0 / m)) / 2 + log |m_k|
+    - s and direction sign_k e^{I theta_k} dir_k.  The products'
+    coefficients are then c_k R^k e^{-m s}, their weights k! / k0^k
+    (:func:`_log_weights`) lie in [e^{-k0}, 1] over the degrees 0..mD, and
+    the coefficients that bear on P stay inside the float range.
 
-    Rounding: the rows are off by delta of their sizes A_k (the logs, the
+    Rounding: the rows are off by delta of their sizes A_k (their logs, the
     split, the phases), one direct convolution by gamma_{D+3} of its
-    majorant, and m - 1 of them by eps = (1 + delta)^m (1 + gamma)^(m-1) - 1
+    majorant, so every product by eps = (1 + delta)^m (1 + gamma)^(m-1) - 1
     of A^{*m} (its float value taken 1 + 2 eps larger), plus eta, the
-    underflow of m (D + 1)^m products.  So with e_k that bound, P moves by
-    at most sum_k w_k e_k sum_j C(m, j) (2 |c_k^(j)| + e_k); the log-space
-    sum adds each term's rounding and gamma_N of the sum."""
-    u = _UNIT_ROUNDOFF
-    m = int(spec.p) // 2
+    underflow of m (D + 1)^m products.  With e_k that bound, P moves by at
+    most sum_k w_k e_k sum_j C(m, j) (2 |c_k^(j)| + e_k); the sum adds each
+    term's rounding in log space, gamma_N of itself and the rounding of
+    log P.  A relative error r < 1/2 of P moves the norm by r / (p (1 - r))
+    of it, a larger one E by E^(1/p)."""
+    u, p = _UNIT_ROUNDOFF, spec.p
+    m = int(p) // 2
     fe = terms.series
     deg = fe.degree
-    k, kp = np.arange(deg + 1), np.arange(m * deg + 1)
-    table = _log_factorial_table(m * deg)
+    k = np.arange(deg + 1)
     half_k0 = 0.5 * max(deg, 1)                          # k0 / m
+    table = _log_factorial_table(m * deg)
     rows = np.asarray(0.5 * (terms.logw - table[k] + k * np.log(np.longdouble(half_k0))),
                       float)
-    # each row's rounding: its log terms' size, in ulps
-    row_ulps = np.abs(terms.logw) + np.abs(rows)
-    log_w = _parseval_log_terms(0.0, kp, m * half_k0)   # log k! / k0^k
-    w_ulps = np.abs(log_w)
-    # d = (x0 + x1 I) + (x2 + x3 I) J in the orthonormal basis 1, I, J, IJ
-    unit = spec.slice_unit.as_quaternion()
-    other = perpendicular_unit(spec.slice_unit).as_quaternion()
-    basis = np.array([[1.0, 0.0, 0.0, 0.0], unit.to_array(), other.to_array(),
-                      (unit * other).to_array()])
-    x = fe.directions @ basis.T
-    split = np.stack([x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]])
-    log_r, sign, theta = (_multipliers(mult, deg + 1) if mult is not None else
-                          (np.zeros((1, deg + 1)), np.ones((1, deg + 1)), np.zeros((1, deg + 1))))
-    log_binom = np.log([math.comb(m, j) for j in range(m + 1)])[:, None]
+    log_w = _log_weights(m * half_k0, table.size)[:m * deg + 1]     # log k! / k0^k
+    binom = np.array([math.comb(m, j) for j in range(m + 1)], float)
+    log_cw = log_w + np.log(binom)[:, None]              # C(m, j) k! / k0^k
+    if mult is None:
+        size, phase = rows[None], None
+    else:
+        log_r, sign, theta = _multipliers(mult, deg + 1)
+        size, phase = log_r + rows, sign * np.exp(1j * theta)
+    shift = np.max(size, axis=1)
+    zero = shift == -math.inf                            # an image of zeros, exactly 0
+    shift[zero] = 0.0
+    a = np.exp(size - shift[:, None])
+    # each image's rows are off by delta of their sizes: their logs' sizes in ulps
+    ulps = np.where(a > 0.0, np.abs(size) + np.abs(terms.logw), 0.0)
+    delta = 4.0 * u * (np.max(ulps, axis=1) + np.abs(shift) + 4.0)
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
-    log_under = math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0)
-    log_sum_err = math.log((m + 1) * kp.size * u)        # gamma_N of the final sum
-    out = []
-    for lr, sg, th in zip(log_r, sign, theta):
-        size = lr + rows
-        shift = float(np.max(size))
-        if shift == -math.inf:                           # the zero image
-            out.append((-math.inf, -math.inf))
-            continue
-        a = np.exp(size - shift)
-        live = a > 0.0
-        delta = 4.0 * u * float(np.max(row_ulps[live] + np.abs(lr[live]))
-                                + abs(shift) + 4.0)
-        fac, gac = split * (a * sg * np.exp(1j * th))
-        pf, pg, maj = [np.ones(1)], [np.ones(1)], a
-        for _ in range(m):
-            pf.append(np.convolve(pf[-1], fac))
-            pg.append(np.convolve(pg[-1], gac))
-        for _ in range(m - 1):
-            maj = np.convolve(maj, a)
-        eps = (1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0
-        with np.errstate(divide="ignore"):
-            log_c = np.log(np.abs([np.convolve(pf[j], pg[m - j]) for j in range(m + 1)]))
-            log_e = np.logaddexp(math.log(eps) + np.log(maj * (1.0 + 2.0 * eps)), log_under)
-        logs = 2.0 * log_c + log_w + log_binom
-        log_v = float(_log_sum(logs.ravel()))
-        # P's moves: sum_k w_k e_k (2 sum_j C |c_k^(j)| + 2^m e_k) ...
-        spread = np.logaddexp(math.log(2.0) + _log_sum((log_binom + log_c).T),
-                              m * math.log(2.0) + log_e)
-        # ... and each term's rounding in the log-space sum
-        with np.errstate(invalid="ignore"):
-            ulps = 4.0 * u * (2.0 * np.abs(log_c) + w_ulps + np.abs(logs - log_v) + 4.0)
-            term_err = np.where(logs > -math.inf, logs + np.log(ulps), -math.inf)
-        log_err = np.logaddexp.reduce([
-            float(_log_sum(log_w + log_e + spread)), float(_log_sum(term_err.ravel())),
-            log_sum_err + log_v,
-            log_v + math.log(4.0 * u * (abs(log_v) + 2.0 * m * abs(shift) + 2.0))])
-        out.append((log_v + 2.0 * m * shift, log_err + 2.0 * m * shift))
-    log_pow, log_err = np.array(out).T
+    eps = (1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0
+    eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
+    split = (fe.directions @ _plane_split(spec.slice_unit)).T     # (F, G) of each row
+    block = max(1, _PRODUCT_BLOCK // ((m + 1) * log_w.size))
+    log_pow, log_err = np.empty(len(a)), np.empty(len(a))
+    for lo in range(0, len(a), block):
+        at = slice(lo, lo + block)
+        c, maj = [], []
+        for i in range(at.start, min(at.stop, len(a))):
+            row = a[i]
+            pf, pg = split * (row if phase is None else row * phase[i])
+            pf, pg, mj = [None, pf], [None, pg], row         # F^j, G^j from j = 1
+            for _ in range(m - 1):
+                pf.append(np.convolve(pf[-1], pf[1]))
+                pg.append(np.convolve(pg[-1], pg[1]))
+                mj = np.convolve(mj, row)
+            c.append([pg[m], *(np.convolve(pf[j], pg[m - j]) for j in range(1, m)), pf[m]])
+            maj.append(mj)
+        c, maj, ep, sh = np.abs(c), np.array(maj), eps[at, None], 2.0 * m * shift[at]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_c = np.log(c)
+            logs = 2.0 * log_c + log_cw
+            top = np.maximum(np.max(logs, axis=(1, 2)), -1e308)[:, None, None]
+            scaled = np.exp(logs - top)
+            total = np.sum(scaled, axis=(1, 2))
+            # each term's rounding: its logs' sizes in ulps
+            rounded = np.sum(np.where(scaled > 0.0, scaled * (2.0 * np.abs(log_c) + np.abs(
+                log_cw) + np.abs(logs - top) + 4.0), 0.0), axis=(1, 2)) * 4.0 * u
+            e = ep * (1.0 + 2.0 * ep) * maj + eta
+            spread = 2.0 * np.einsum("j,ijk->ik", binom, c) + 2.0 ** m * e
+            moved = np.sum(np.exp(log_w + np.log(e) + np.log(spread) - top[:, 0]), axis=1)
+            top = top[:, 0, 0]
+            log_v = top + np.log(total)
+            summed = total * ((m + 1) * log_w.size * u
+                              + 4.0 * u * (np.abs(log_v) + np.abs(sh) + 2.0))
+            err = moved + rounded + np.where(total > 0.0, summed, 0.0)
+            rel = err / total
+            log_pow[at] = log_v + sh
+            log_err[at] = np.where(rel < 0.5, (log_v + sh) / p + np.log(rel / (p * (1.0 - rel))),
+                                   (top + np.log(err) + sh) / p)
+    log_pow[zero], log_err[zero] = -math.inf, -math.inf
     return log_pow, log_err
 
 
@@ -540,10 +573,8 @@ def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None,
     normalization (K. Zhu, Analysis on Fock Spaces, Thm 2.10), with |m_k|
     <= ``bound`` past the degree.  Where that misses half the budget, f's
     terms are certified once more at the tail the value needs (the smallest
-    float if it is 0), as by :func:`_parseval_power`.  A power off by a
-    relative eps < 1/2 moves the norm by eps / (p (1 - eps)) of it, by
-    E^(1/p) else; tail and rounding are charged together
-    (:func:`_check_tail_budget`)."""
+    float if it is 0), as by :func:`_parseval_power`.  The images' rounding
+    is charged with it (:func:`_check_tail_budget`)."""
     p, log_bound = spec.p, math.log(bound)
 
     def evaluate(terms):
@@ -551,11 +582,7 @@ def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None,
         best = float(np.max(log_pow))
         log_total = float(_log_sum(terms.logw))
         tail = _relative(log_bound + 0.5 * (terms.log_tail + log_total), best / p)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rel = np.exp(log_err - log_pow)
-            err = np.where(rel < 0.5, log_pow / p + np.log(rel / (p * (1.0 - rel))),
-                           log_err / p)
-        return best, log_total, tail, _relative(float(np.max(err)), best / p)
+        return best, log_total, tail, _relative(float(np.max(log_err)), best / p)
 
     best, log_total, tail, rounding = evaluate(terms)
     if tail > 0.5 * NORM_TAIL_BUDGET:
