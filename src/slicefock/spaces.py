@@ -497,25 +497,26 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     m = int(p) // 2
     fe = terms.series
     deg = fe.degree
-    k = np.arange(deg + 1)
     half_k0 = 0.5 * max(deg, 1)                          # k0 / m
-    table = _log_factorial_table(m * deg)
-    rows = np.asarray(0.5 * (terms.logw - table[k] + k * np.log(np.longdouble(half_k0))),
-                      float)
-    log_w = _log_weights(m * half_k0, table.size)[:m * deg + 1]     # log k! / k0^k
+    size = _log_factorial_table(m * deg).size
+    # the Parseval terms' weights k! / alpha^k swapped for k! / (k0 / m)^k,
+    # the dilation's, each rounded once (:func:`_log_weights`)
+    rows = 0.5 * (terms.logw - _log_weights(half_k0, size)[:deg + 1])
+    log_w = _log_weights(m * half_k0, size)[:m * deg + 1]     # log k! / k0^k
     binom = np.array([math.comb(m, j) for j in range(m + 1)], float)
     log_cw = log_w + np.log(binom)[:, None]              # C(m, j) k! / k0^k
+    cw_ulps = np.abs(log_cw) + 4.0
     if mult is None:
-        size, phase = rows[None], None
+        logs, phase = rows[None], None
     else:
         log_r, sign, theta = _multipliers(mult, deg + 1)
-        size, phase = log_r + rows, sign * np.exp(1j * theta)
-    shift = np.max(size, axis=1)
+        logs, phase = log_r + rows, sign * np.exp(1j * theta)
+    shift = np.max(logs, axis=1)
     zero = shift == -math.inf                            # an image of zeros, exactly 0
     shift[zero] = 0.0
-    a = np.exp(size - shift[:, None])
+    a = np.exp(logs - shift[:, None])
     # each image's rows are off by delta of their sizes: their logs' sizes in ulps
-    ulps = np.where(a > 0.0, np.abs(size) + np.abs(terms.logw), 0.0)
+    ulps = np.where(a > 0.0, np.abs(logs) + np.abs(terms.logw), 0.0)
     delta = 4.0 * u * (np.max(ulps, axis=1) + np.abs(shift) + 4.0)
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
     eps = (1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0
@@ -544,10 +545,10 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
             scaled = np.exp(logs - top)
             total = np.sum(scaled, axis=(1, 2))
             # each term's rounding: its logs' sizes in ulps
-            rounded = np.sum(np.where(scaled > 0.0, scaled * (2.0 * np.abs(log_c) + np.abs(
-                log_cw) + np.abs(logs - top) + 4.0), 0.0), axis=(1, 2)) * 4.0 * u
+            rounded = np.sum(np.where(scaled > 0.0, scaled * (
+                2.0 * np.abs(log_c) + cw_ulps + (top - logs)), 0.0), axis=(1, 2)) * 4.0 * u
             e = ep * (1.0 + 2.0 * ep) * maj + eta
-            spread = 2.0 * np.einsum("j,ijk->ik", binom, c) + 2.0 ** m * e
+            spread = 2.0 * (binom @ c) + 2.0 ** m * e
             moved = np.sum(np.exp(log_w + np.log(e) + np.log(spread) - top[:, 0]), axis=1)
             top = top[:, 0, 0]
             log_v = top + np.log(total)

@@ -327,11 +327,12 @@ def test_parseval_sums_read_exp_rows_stored_as_zero():
 def test_parseval_rows_below_the_float_range_while_terms_grow():
     # |c| = 1e-100: rows past a_3 are 0 in storage, while the Parseval terms
     # 10^k / k! still grow there (ratio 2 at k = 4); from their closed form
-    # the sum is e^10, to the rounding of k (2 log |c| - log alpha), a
-    # difference of two logs near 230 k
+    # the sum is e^10.  Each term is read as k log(|c|^2 / alpha) - log k!,
+    # rounded once, not as 2 log |a_k| + log k! - k log alpha, whose logs
+    # near 230 k cancel (3.5e-13 off)
     f = ExpGenerator((1e-100, 0.0, 0.0, 0.0)).series(24)
     assert f.coeffs[4, 0] == 0.0
-    assert parseval_norm_sq(f, 1e-201) == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert parseval_norm_sq(f, 1e-201) == pytest.approx(math.exp(10.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("beta,alpha", [(0.25, 1.0), (0.4, 1.0), (0.1, 0.5)])
