@@ -468,6 +468,23 @@ def _plane_split(unit: ImaginaryUnit) -> np.ndarray:
 _PRODUCT_BLOCK = 1 << 20
 
 
+@functools.lru_cache(maxsize=64)
+def _even_weights(m: int, deg: int) -> tuple[np.ndarray, ...]:
+    """The tables of :func:`_even_images` at p = 2m for a stored degree D:
+    log k! / (k0 / m)^k for k <= D, whose difference with f's log t_k
+    swaps the weights k! / alpha^k for the dilation's; the products'
+    log k! / k0^k, k <= mD; C(m, j); log C(m, j) k! / k0^k per row j and
+    its size in ulps (k0 = m max(D, 1) / 2, each rounded once,
+    :func:`_log_weights`)."""
+    half_k0 = 0.5 * max(deg, 1)                          # k0 / m
+    size = _log_factorial_table(m * deg).size
+    log_w = _log_weights(m * half_k0, size)[:m * deg + 1]
+    binom = np.array([math.comb(m, j) for j in range(m + 1)], float)
+    log_cw = log_w + np.log(binom)[:, None]
+    return tuple(_read_only(x) for x in (
+        _log_weights(half_k0, size)[:deg + 1], log_w, binom, log_cw, np.abs(log_cw) + 4.0))
+
+
 def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Per image of f under ``mult`` (as :func:`_multiplier_norm` takes it;
@@ -497,27 +514,20 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     m = int(p) // 2
     fe = terms.series
     deg = fe.degree
-    half_k0 = 0.5 * max(deg, 1)                          # k0 / m
-    size = _log_factorial_table(m * deg).size
-    # the Parseval terms' weights k! / alpha^k swapped for k! / (k0 / m)^k,
-    # the dilation's, each rounded once (:func:`_log_weights`)
-    rows = 0.5 * (terms.logw - _log_weights(half_k0, size)[:deg + 1])
-    log_w = _log_weights(m * half_k0, size)[:m * deg + 1]     # log k! / k0^k
-    binom = np.array([math.comb(m, j) for j in range(m + 1)], float)
-    log_cw = log_w + np.log(binom)[:, None]              # C(m, j) k! / k0^k
-    cw_ulps = np.abs(log_cw) + 4.0
+    dilated, log_w, binom, log_cw, cw_ulps = _even_weights(m, deg)
+    rows = 0.5 * (terms.logw - dilated)
     if mult is None:
         logs, phase = rows[None], None
     else:
         log_r, sign, theta = _multipliers(mult, deg + 1)
         logs, phase = log_r + rows, sign * np.exp(1j * theta)
-    shift = np.max(logs, axis=1)
+    shift = logs.max(axis=1)
     zero = shift == -math.inf                            # an image of zeros, exactly 0
     shift[zero] = 0.0
     a = np.exp(logs - shift[:, None])
     # each image's rows are off by delta of their sizes: their logs' sizes in ulps
     ulps = np.where(a > 0.0, np.abs(logs) + np.abs(terms.logw), 0.0)
-    delta = 4.0 * u * (np.max(ulps, axis=1) + np.abs(shift) + 4.0)
+    delta = 4.0 * u * (ulps.max(axis=1) + np.abs(shift) + 4.0)
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
     eps = (1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0
     eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
@@ -541,15 +551,15 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_c = np.log(c)
             logs = 2.0 * log_c + log_cw
-            top = np.maximum(np.max(logs, axis=(1, 2)), -1e308)[:, None, None]
+            top = np.maximum(logs.max(axis=(1, 2)), -1e308)[:, None, None]
             scaled = np.exp(logs - top)
-            total = np.sum(scaled, axis=(1, 2))
+            total = scaled.sum(axis=(1, 2))
             # each term's rounding: its logs' sizes in ulps
-            rounded = np.sum(np.where(scaled > 0.0, scaled * (
-                2.0 * np.abs(log_c) + cw_ulps + (top - logs)), 0.0), axis=(1, 2)) * 4.0 * u
+            rounded = np.where(scaled > 0.0, scaled * (
+                2.0 * np.abs(log_c) + cw_ulps + (top - logs)), 0.0).sum(axis=(1, 2)) * 4.0 * u
             e = ep * (1.0 + 2.0 * ep) * maj + eta
             spread = 2.0 * (binom @ c) + 2.0 ** m * e
-            moved = np.sum(np.exp(log_w + np.log(e) + np.log(spread) - top[:, 0]), axis=1)
+            moved = np.exp(log_w + np.log(e) + np.log(spread) - top[:, 0]).sum(axis=1)
             top = top[:, 0, 0]
             log_v = top + np.log(total)
             summed = total * ((m + 1) * log_w.size * u
