@@ -465,7 +465,7 @@ def _plane_split(unit: ImaginaryUnit) -> np.ndarray:
 
 
 #: Largest count of product coefficients :func:`_even_images` holds at once.
-_PRODUCT_BLOCK = 1 << 20
+_PRODUCT_BLOCK = 1 << 18
 
 
 @functools.lru_cache(maxsize=64)
@@ -516,38 +516,37 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     deg = fe.degree
     dilated, log_w, binom, log_cw, cw_ulps = _even_weights(m, deg)
     rows = 0.5 * (terms.logw - dilated)
-    if mult is None:
-        logs, phase = rows[None], None
-    else:
-        log_r, sign, theta = _multipliers(mult, deg + 1)
-        logs, phase = log_r + rows, sign * np.exp(1j * theta)
-    shift = logs.max(axis=1)
-    zero = shift == -math.inf                            # an image of zeros, exactly 0
-    shift[zero] = 0.0
-    a = np.exp(logs - shift[:, None])
-    # each image's rows are off by delta of their sizes: their logs' sizes in ulps
-    ulps = np.where(a > 0.0, np.abs(logs) + np.abs(terms.logw), 0.0)
-    delta = 4.0 * u * (ulps.max(axis=1) + np.abs(shift) + 4.0)
+    log_r, sign, theta = (np.zeros((1, deg + 1)), None, None) if mult is None \
+        else _multipliers(mult, deg + 1)
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
-    eps = (1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0
     eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
     split = (fe.directions @ _plane_split(spec.slice_unit)).T     # (F, G) of each row
     block = max(1, _PRODUCT_BLOCK // ((m + 1) * log_w.size))
-    log_pow, log_err = np.empty(len(a)), np.empty(len(a))
-    for lo in range(0, len(a), block):
+    log_pow, log_err = np.empty(len(log_r)), np.empty(len(log_r))
+    for lo in range(0, len(log_r), block):
         at = slice(lo, lo + block)
+        logs = log_r[at] + rows
+        shift = logs.max(axis=1)
+        zero = shift == -math.inf                        # an image of zeros, exactly 0
+        shift[zero] = 0.0
+        a = np.exp(logs - shift[:, None])
+        phased = a if sign is None else a * sign[at] * np.exp(1j * theta[at])
+        # each image's rows are off by delta of their sizes: their logs' sizes in ulps
+        ulps = np.where(a > 0.0, np.abs(logs) + np.abs(terms.logw), 0.0)
+        delta = 4.0 * u * (ulps.max(axis=1) + np.abs(shift) + 4.0)
+        ep = ((1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0)[:, None]
+        sh = 2.0 * m * shift
         c, maj = [], []
-        for i in range(at.start, min(at.stop, len(a))):
-            row = a[i]
-            pf, pg = split * (row if phase is None else row * phase[i])
-            pf, pg, mj = [None, pf], [None, pg], row         # F^j, G^j from j = 1
+        for row, size in zip(phased, a):
+            pf, pg = split * row
+            pf, pg, mj = [None, pf], [None, pg], size        # F^j, G^j from j = 1
             for _ in range(m - 1):
                 pf.append(np.convolve(pf[-1], pf[1]))
                 pg.append(np.convolve(pg[-1], pg[1]))
-                mj = np.convolve(mj, row)
+                mj = np.convolve(mj, size)
             c.append([pg[m], *(np.convolve(pf[j], pg[m - j]) for j in range(1, m)), pf[m]])
             maj.append(mj)
-        c, maj, ep, sh = np.abs(c), np.array(maj), eps[at, None], 2.0 * m * shift[at]
+        c, maj = np.abs(c), np.array(maj)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_c = np.log(c)
             logs = 2.0 * log_c + log_cw
@@ -566,10 +565,10 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
                               + 4.0 * u * (np.abs(log_v) + np.abs(sh) + 2.0))
             err = moved + rounded + np.where(total > 0.0, summed, 0.0)
             rel = err / total
-            log_pow[at] = log_v + sh
-            log_err[at] = np.where(rel < 0.5, (log_v + sh) / p + np.log(rel / (p * (1.0 - rel))),
-                                   (top + np.log(err) + sh) / p)
-    log_pow[zero], log_err[zero] = -math.inf, -math.inf
+            log_pow[at] = np.where(zero, -math.inf, log_v + sh)
+            log_err[at] = np.where(zero, -math.inf, np.where(
+                rel < 0.5, (log_v + sh) / p + np.log(rel / (p * (1.0 - rel))),
+                (top + np.log(err) + sh) / p))
     return log_pow, log_err
 
 
