@@ -46,11 +46,11 @@ def grid_norm(rows: np.ndarray, spec: NormSpec, prefactor: bool = True) -> float
     return (pref * raw) ** (1.0 / spec.p) * 2.0 ** e
 
 
-def operator_images(name: str, n: int, p: float) -> np.ndarray:
-    """1 - rho_k of the operator, 1 past it, as a function of the degree."""
-    op = {"taylor": operators.taylor_op, "fejer": operators.fejer_op,
-          "vdp": operators.vdp_op}.get(name)
-    return np.append(1.0 - (op(n) if op else operators.jackson_op(n, 0, p)).rho, 1.0)
+def make_op(name: str, n: int, p: float) -> operators.MultiplierOperator:
+    if name == "jackson":
+        return operators.jackson_op(n, 0, p)
+    return {"taylor": operators.taylor_op, "fejer": operators.fejer_op,
+            "vdp": operators.vdp_op}[name](n)
 
 
 @pytest.mark.parametrize("unit", UNITS)
@@ -67,11 +67,9 @@ def test_even_p_numbers_match_the_refined_quadrature(fn, unit):
         assert norm(f, spec) == pytest.approx(grid_norm(a, spec), rel=1e-12)
         for name in ("taylor", "fejer", "vdp", "jackson"):
             for n in NS:
-                m = operator_images(name, n, p)
+                op = make_op(name, n, p)
+                m = np.append(1.0 - op.rho, 1.0)       # 1 - rho_k, 1 past the operator
                 rows = m[np.minimum(np.arange(a.shape[0]), m.size - 1), None] * a
-                op = {"taylor": operators.taylor_op, "fejer": operators.fejer_op,
-                      "vdp": operators.vdp_op}.get(name)
-                op = op(n) if op else operators.jackson_op(n, 0, p)
                 got = operator_error(op, terms, spec, None)
                 assert got == pytest.approx(grid_norm(rows, spec), rel=1e-12), (name, n, p)
         for k in (1, 2, 3):
