@@ -57,7 +57,6 @@ from .series import (
 from .quadrature import (
     QuadratureGrid,
     circle_average,
-    integrate_slice,
     integrate_volume,
     refined,
     slice_grid,

@@ -10,7 +10,8 @@ unlike the norms (any constant ends up inside the reported ratios).  It,
 every operator error and the plane E_n at p = 2 are each one call of
 :func:`slicefock.spaces._multiplier_norm`, the one multiplier-image norm: a
 coefficient sum at p = 2 and at even p up to
-:data:`slicefock.spaces.EVEN_P_CAP`, a plane quadrature at every other p.
+:data:`slicefock.spaces.EVEN_P_CAP` (operator errors in both kinds), a
+quadrature at every other p.
 
 Best approximation at p = 2 is exact from coefficients in both kinds: on a
 plane the monomials are orthogonal, so the minimizer is the Taylor
@@ -140,21 +141,6 @@ def _difference_multipliers(k: int, steps, degrees: np.ndarray
         log_r = np.where((r >= sys.float_info.min) & (r < math.inf), np.log(r),
                          k * np.log(np.abs(base)))
     return log_r, np.sign(base) ** k, k * (half + 0.5 * math.pi)
-
-
-def difference_series(f: SliceSeries, k: int, h: float,
-                      unit: ImaginaryUnit) -> SliceSeries:
-    """Coefficients of the k-th rotational difference on the plane of
-    ``unit``: a_j -> (e^{I j h} - 1)^k a_j, up to 2^k |a_j| in modulus,
-    refused past the float range (:class:`IntegrandOverflowError`)."""
-    log_r, sign, theta = _difference_multipliers(k, [h], np.arange(f.coeffs.shape[0]))
-    turned = f.coeffs @ left_mult_matrix(unit.as_quaternion()).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = sign[0] * np.exp(log_r[0])
-        out = (r * np.cos(theta[0]))[:, None] * f.coeffs + (r * np.sin(theta[0]))[:, None] * turned
-    if not np.all(np.isfinite(out)):
-        raise IntegrandOverflowError(f"order-{k} difference coefficients overflow")
-    return SliceSeries(out)
 
 
 def modulus(f: SliceSeries, query: ModulusQuery,
@@ -547,7 +533,8 @@ def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
     :class:`ValueError`): the multiplier image 1 - rho_k (rho_k = 0 past the
     operator) under :func:`slicefock.spaces._multiplier_norm`, reading no
     ``grid`` where it is a coefficient sum (p = 2, and even p up to
-    ``EVEN_P_CAP`` on one plane), where f's rows past its stored degree are
+    ``EVEN_P_CAP`` in the first kind or on one plane), where f's rows past
+    its stored degree are
     charged at the largest |1 - rho_k| over them."""
     m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
     bound = float(np.max(np.abs(m[min(prepared.series.degree + 1, m.size - 1):])))

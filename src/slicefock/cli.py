@@ -224,8 +224,10 @@ def cmd_norm(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    if args.kind == "first" and args.operator not in ("taylor", "fejer"):
+        raise CliError(f"converge --kind first runs taylor and fejer, not {args.operator}")
     f = parse_function(args.fn)
-    spec = _plane_spec(args)
+    spec = _norm_spec(args, "first") if args.kind == "first" else _plane_spec(args)
     unit = spec.slice_unit
     n_list = _parse_list(args.n_list)
     for n in n_list:
@@ -375,8 +377,9 @@ def _norm_flags(p, kind: bool = False) -> None:
                    help="i | j | k | x,y,z | sup:<M> (second kind; default i)")
     p.add_argument("--quad-radial", type=int, default=None,
                    help="radial nodes; checked at every p, read at p != 2 "
-                        "except by the coefficient sums of even p <= 8 on one "
-                        "plane (E_n's descent reads them there too)")
+                        "except by the coefficient sums of even p <= 8 in the "
+                        "first kind and on one plane of the second (E_n's "
+                        "descent reads them there too)")
     p.add_argument("--quad-angular", type=int, default=None,
                    help="angular nodes; read where --quad-radial is")
 
@@ -397,7 +400,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("converge", help="operator error sweep over degrees")
-    _norm_flags(p)
+    _norm_flags(p, kind=True)
     _output_flags(p)
     p.add_argument("--operator", required=True,
                    choices=("taylor", "fejer", "vdp", "jackson"))

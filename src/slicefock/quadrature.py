@@ -177,8 +177,10 @@ def volume_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
                 n_sphere: int = DEFAULT_SPHERE) -> QuadratureGrid:
     """Rule for integrals over the whole algebra against the 4D volume element.
 
-    The sphere rule it carries serves :func:`integrate_volume`; first-kind
-    norms and inner products integrate the sphere in closed form instead.
+    First-kind norms read it only at p outside {2, 4, 6, 8}, where they
+    integrate the sphere in closed form; at those p they, their operator
+    errors and the inner products are coefficient sums that read no grid.
+    The sphere rule it carries serves :func:`integrate_volume`.
     """
     if scale <= 0.0:
         raise ValueError("radial scale must be positive")
@@ -225,20 +227,6 @@ def _check_finite(values: np.ndarray, nodes) -> None:
         node = nodes[int(np.flatnonzero(bad)[0])]
         raise IntegrandOverflowError(
             f"integrand overflow at node {np.asarray(node).tolist()!r}", node=node)
-
-
-def integrate_slice(g, grid: QuadratureGrid) -> float:
-    """Integral over the plane of a scalar field given as g(z) for complex z.
-
-    The caller guarantees Gaussian-like decay matched to ``grid.scale``; the
-    identity of the plane's imaginary unit never enters the value.
-    """
-    if grid.mode != "slice":
-        raise ValueError("integrate_slice needs a slice-mode grid")
-    z, w = slice_points(grid)
-    vals = np.asarray(g(z), dtype=float)
-    _check_finite(vals, z)
-    return float(np.dot(w, vals))
 
 
 def integrate_volume(g, grid: QuadratureGrid) -> float:

@@ -18,13 +18,18 @@ squares through its bidiagonal Cholesky factor (:func:`_first_images`,
 the value it reports; every norm, operator error and modulus is one call of
 :func:`_multiplier_norm`.
 
-On one plane every even p = 2m up to ``EVEN_P_CAP`` is a coefficient sum
-over the same certificate (:func:`_even_power`): with f = F + G J on the
-plane of I, |f|^2 = |F|^2 + |G|^2, so ||f||_{2m}^{2m} = sum_j C(m, j)
-sum_k |c_k^(j)|^2 k! / (m alpha)^k, c^(j) the coefficients of
-F^j G^{m-j}, formed by direct convolution.  f's tail is charged through
-the embedding ||h||_{2m} <= ||h||_2 and the convolutions' rounding through
-their majorants.  Everything below concerns the other p: those of a grid.
+Every even p = 2m up to ``EVEN_P_CAP`` is a coefficient sum over the same
+certificate (:func:`_even_power`), on one plane and over the algebra: with
+f = F + G J on the plane of I, |f|^2 = |F|^2 + |G|^2, so ||f||_{2m}^{2m}
+= sum_j C(m, j) sum_k |s_k^(j)|^2 on one plane and the mean over planes of
+sum_j C(m, j) ||L^T s^(j)||^2 over the algebra (y^2 = (2|z|^2 - z^2 -
+zbar^2) / 4 weighs the plane by the first kind's banded Gram, L its
+factor), s_k^(j) = c_k^(j) (k! / (m alpha)^k)^(1/2) for the coefficients
+c^(j) of F^j G^{m-j}, formed by direct convolution.  The mean over planes
+is an even form of degree at most 4 in the unit, exact on a spherical
+design (:data:`_PLANE_DESIGNS`).  f's tail is charged by Minkowski and the
+convolutions' rounding through their majorants.  Everything below concerns
+the other p, and the sup over planes: those of a grid.
 
 Every sphere integral is exact.  On q = x + u y the representation formula
 gives f(q) = a + u b for every unit u, with (a, b) = (Re S, Im S) for the
@@ -73,6 +78,8 @@ from .quaternion import (
     ImaginaryUnit,
     Quaternion,
     UNIT_I,
+    UNIT_J,
+    UNIT_K,
     left_mult_matrix,
     perpendicular_unit,
     quat_conj_array,
@@ -121,9 +128,9 @@ DIVERGENCE_GROWTH = 1e-2
 #: Relative tail tolerance at which the Parseval terms are first certified.
 PARSEVAL_TAIL_TOL = 1e-30
 
-#: Largest even p whose second-kind numbers on one plane are coefficient
-#: sums (:attr:`NormSpec.coefficient_sum`): the products F^j G^{m-j},
-#: m = p / 2, have degree at most m DEGREE_CAP.
+#: Largest even p whose first-kind numbers and second-kind numbers on one
+#: plane are coefficient sums (:attr:`NormSpec.coefficient_sum`): the
+#: products F^j G^{m-j}, m = p / 2, have degree at most m DEGREE_CAP.
 EVEN_P_CAP = 8
 
 #: Area of the imaginary unit sphere: the sphere integral of a constant.
@@ -173,11 +180,11 @@ class NormSpec:
     def coefficient_sum(self) -> bool:
         """Whether the norm is a coefficient sum over f's Parseval terms,
         read from no grid: p = 2 in either kind (the same on every plane in
-        the second), and even p up to ``EVEN_P_CAP`` in the second kind on
-        one plane (:func:`_even_power`).  Every other p, a sup over planes
-        and the first kind at p != 2 read a grid."""
-        return self.p == 2.0 or (self.kind == "second" and self.sup_samples is None
-                                 and self.p <= EVEN_P_CAP and self.p % 2.0 == 0.0)
+        the second), and even p up to ``EVEN_P_CAP`` in the first kind or on
+        one plane of the second (:func:`_even_power`).  Every other p and a
+        sup over planes at p != 2 read a grid."""
+        return self.p == 2.0 or (self.sup_samples is None and self.p <= EVEN_P_CAP
+                                 and self.p % 2.0 == 0.0)
 
     def slice_label(self) -> str | None:
         if self.kind == "first":
@@ -442,26 +449,53 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
 
 
 # ---------------------------------------------------------------------------
-# even p = 2m on one plane.  With f = F + G J on the plane of I (F, G
-# holomorphic, :func:`slicefock.series.split`), |f|^2 = |F|^2 + |G|^2, so
-# |f|^{2m} = sum_j C(m, j) |F^j G^{m-j}|^2; the Gaussian integral of |h|^2,
-# h = sum_k c_k z^k, against e^{-m alpha |z|^2} is pi sum_k |c_k|^2 k! /
-# (m alpha)^{k+1}, and the prefactor m alpha / pi leaves sum_k |c_k|^2 k! /
-# (m alpha)^k.
+# even p = 2m.  With f = F + G J on the plane of I (F, G holomorphic,
+# :func:`slicefock.series.split`), |f|^2 = |F|^2 + |G|^2, so |f|^{2m} =
+# sum_j C(m, j) |F^j G^{m-j}|^2.  For h = sum_k c_k z^k, beta = m alpha and
+# s_k = c_k (k! / beta^k)^(1/2), the integral of |h|^2 e^{-beta |z|^2} over
+# a plane is (pi / beta) ||s||^2, and the prefactor beta / pi leaves
+# ||s||^2.  Over the algebra dV = y^2 dx dy dsigma(u) on y > 0, and on each
+# plane y^2 = (2 |z|^2 - z^2 - zbar^2) / 4 makes the integral of y^2 |h|^2
+# e^{-beta |z|^2} (pi / (2 beta^2)) s^H H s = (pi / (2 beta^2)) ||L^T s||^2,
+# H = L L^T the first kind's Gram below.  The prefactor (beta / pi)^2 and
+# the half sphere's 2 pi cancel it: ||f||_{2m, first}^{2m} is the mean over
+# units u of sum_j C(m, j) ||L^T s_u^(j)||^2, an even form in u of degree
+# 2 floor(m / 2), A being even in y and u.w odd (:func:`_affine_square`).
 
 #: Unit roundoff of a float.
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
+
+#: The planes whose mean is the first kind's mean over the sphere of units
+#: at p = 2m, and how far their units may lie from the exact ones: the
+#: octahedron's axes i, j, k (exact), a spherical 3-design, for the
+#: quadratic forms of m <= 3, and the icosahedron's six axes (0, 1, +-phi)
+#: and their cyclic shifts (within 8 ulps), a 5-design, for the quartic of
+#: m = 4 (P. Delsarte, J. M. Goethals and J. J. Seidel, Spherical codes and
+#: designs, Geom. Dedicata 6, 1977).  An even form takes one value at u
+#: and -u, so one unit per axis.
+_PLANE_DESIGNS = (((UNIT_I, UNIT_J, UNIT_K), 0.0),
+                  (tuple(ImaginaryUnit.from_vector(v) for v in (
+                      (0.0, 1.0, _GOLDEN), (0.0, 1.0, -_GOLDEN), (1.0, _GOLDEN, 0.0),
+                      (-1.0, _GOLDEN, 0.0), (_GOLDEN, 0.0, 1.0), (-_GOLDEN, 0.0, 1.0))),
+                   8.0 * _UNIT_ROUNDOFF))
+
 
 @functools.lru_cache(maxsize=16)
-def _plane_split(unit: ImaginaryUnit) -> np.ndarray:
-    """(4, 2) complex P with d @ P = (F, G) for d = F + G J on the plane
-    of ``unit``, F and G read in the basis {1, I} and J perpendicular to I
+def _plane_splits(units: tuple[ImaginaryUnit, ...]) -> np.ndarray:
+    """(4, 2n) complex P with d @ P = (F_1, G_1, ..., F_n, G_n) for
+    d = F + G J on the plane of each of the n ``units``, F and G read in the
+    basis {1, I} and J perpendicular to I
     (:func:`slicefock.quaternion.perpendicular_unit`), read-only."""
-    i = unit.as_quaternion()
-    j = perpendicular_unit(unit).as_quaternion()
-    basis = np.array([[1.0, 0.0, 0.0, 0.0], i.to_array(), j.to_array(), (i * j).to_array()])
-    return _read_only(basis.T @ np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]]))
+    to_fg = np.array([[1.0, 0.0], [1j, 0.0], [0.0, 1.0], [0.0, 1j]])
+    blocks = []
+    for unit in units:
+        i = unit.as_quaternion()
+        j = perpendicular_unit(unit).as_quaternion()
+        basis = np.array([[1.0, 0.0, 0.0, 0.0], i.to_array(), j.to_array(), (i * j).to_array()])
+        blocks.append(basis.T @ to_fg)
+    return _read_only(np.hstack(blocks))
 
 
 #: Largest count of product coefficients :func:`_even_images` holds at once.
@@ -485,33 +519,56 @@ def _even_weights(m: int, deg: int) -> tuple[np.ndarray, ...]:
         _log_weights(half_k0, size)[:deg + 1], log_w, binom, log_cw, np.abs(log_cw) + 4.0))
 
 
+def _band(x: np.ndarray, diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """diag_k x_k + sub_k x_{k+2} along the last axis: L^T x for the first
+    kind's factor (:func:`_first_factor`, sub_k = m_{k+2}), |L^T| x with
+    -sub for its sizes."""
+    out = diag * x
+    out[..., :-2] += sub[:-2] * x[..., 2:]
+    return out
+
+
 def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Per image of f under ``mult`` (as :func:`_multiplier_norm` takes it;
-    f itself without) on the plane of ``spec``'s unit at p = 2m: log P, P
-    the prefactored p-th power, and the log of a bound on the rounding of
-    its norm P^(1/p).
+    f itself without) at p = 2m: log P, P the prefactored p-th power on the
+    plane of ``spec``'s unit in the second kind, the mean over the planes of
+    a design (:data:`_PLANE_DESIGNS`) in the first, and the log of a bound
+    on the rounding of its norm P^(1/p).  The planes are an axis of one
+    pass next to the images, in blocks of ``_PRODUCT_BLOCK`` coefficients.
 
-    F and G are read from f's rows in log-polar form (:func:`_plane_split`),
+    F and G are read from f's rows in log-polar form (:func:`_plane_splits`),
     dilated by R, R^2 = k0 / (m alpha) with k0 = m max(D, 1) / 2 for f's
     stored degree D, and each image scaled by e^{-s}, s its largest log row
     size: row k has size (log t_k - log k! + k log(k0 / m)) / 2 + log |m_k|
     - s and direction sign_k e^{I theta_k} dir_k.  The products'
-    coefficients are then c_k R^k e^{-m s}, their weights k! / k0^k
+    coefficients are then c_k R^k e^{-m s}, their weights w_k = k! / k0^k
     (:func:`_log_weights`) lie in [e^{-k0}, 1] over the degrees 0..mD, and
-    the coefficients that bear on P stay inside the float range.
+    the coefficients that bear on P stay inside the float range.  On a plane
+    P sums C(m, j) w_k |c_k^(j)|^2 in log space; over the algebra the
+    scaled s_k^(j) = (C(m, j) w_k)^(1/2) c_k^(j) pass through L^T
+    (:func:`_first_factor`).
 
     Rounding: the rows are off by delta of their sizes A_k (their logs, the
     split, the phases), one direct convolution by gamma_{D+3} of its
     majorant, so every product by eps = (1 + delta)^m (1 + gamma)^(m-1) - 1
     of A^{*m} (its float value taken 1 + 2 eps larger), plus eta, the
     underflow of m (D + 1)^m products.  With e_k that bound, P moves by at
-    most sum_k w_k e_k sum_j C(m, j) (2 |c_k^(j)| + e_k); the sum adds each
-    term's rounding in log space, gamma_N of itself and the rounding of
-    log P.  A relative error r < 1/2 of P moves the norm by r / (p (1 - r))
-    of it, a larger one E by E^(1/p)."""
+    most sum_k w_k e_k sum_j C(m, j) (2 |c_k^(j)| + e_k) on a plane, and
+    the sum adds each term's rounding in log space.  Over the algebra row k
+    of L^T s^(j) moves by at most d_k = |L^T| of the bound (C(m, j)
+    w_k)^(1/2) e_k plus the rounding of each term s_k (the entries of L
+    are within an ulp), and P by sum d_k (2 |(L^T s)_k| + d_k).  Both add
+    gamma_N of the sum and the rounding of log P.  The mean over planes
+    averages their charges, and adds its own rounding and, for units d off
+    the exact design's, 4 2^p d of the mean: the form has degree at most 4
+    (Bernstein's inequality on the sphere) and lies at most 2^p above its
+    value at any plane (the representation formula gives |f(x + J y)| <=
+    |f(x + I y)| + |f(x - I y)|).  A relative error r < 1/2 of P moves the
+    norm by r / (p (1 - r)) of it, a larger one E by E^(1/p)."""
     u, p = _UNIT_ROUNDOFF, spec.p
     m = int(p) // 2
+    first = spec.kind == "first"
     fe = terms.series
     deg = fe.degree
     dilated, log_w, binom, log_cw, cw_ulps = _even_weights(m, deg)
@@ -520,9 +577,15 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
         else _multipliers(mult, deg + 1)
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
     eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
-    split = (fe.directions @ _plane_split(spec.slice_unit)).T     # (F, G) of each row
-    block = max(1, _PRODUCT_BLOCK // ((m + 1) * log_w.size))
-    log_pow, log_err = np.empty(len(log_r)), np.empty(len(log_r))
+    units, off = _PLANE_DESIGNS[m > 3] if first else ((spec.slice_unit,), 0.0)
+    n, size = len(units), log_w.size
+    split = (fe.directions @ _plane_splits(units)).T     # (F, G) of each row on each plane
+    if first:
+        diag, sub = _first_factor(size)
+        diag, sub, root_binom = diag[:size], sub[2:size + 2], np.sqrt(binom)[:, None]
+        size_sub, half_log_w = -sub, 0.5 * log_w
+    block = max(1, _PRODUCT_BLOCK // ((m + 1) * size * n))
+    log_pow, rel = np.empty(len(log_r)), np.empty(len(log_r))
     for lo in range(0, len(log_r), block):
         at = slice(lo, lo + block)
         logs = log_r[at] + rows
@@ -535,71 +598,130 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
         ulps = np.where(a > 0.0, np.abs(logs) + np.abs(terms.logw), 0.0)
         delta = 4.0 * u * (ulps.max(axis=1) + np.abs(shift) + 4.0)
         ep = ((1.0 + delta) ** m * (1.0 + gamma) ** (m - 1) - 1.0)[:, None]
-        sh = 2.0 * m * shift
-        c, maj = [], []
-        for row, size in zip(phased, a):
-            pf, pg = split * row
-            pf, pg, mj = [None, pf], [None, pg], size        # F^j, G^j from j = 1
+        sh = 2.0 * m * shift[:, None]
+        c = np.empty((len(a), n, m + 1, size), complex)
+        maj = np.empty((len(a), size))
+        for i, (row, mag) in enumerate(zip(phased, a)):
+            mj = mag
             for _ in range(m - 1):
-                pf.append(np.convolve(pf[-1], pf[1]))
-                pg.append(np.convolve(pg[-1], pg[1]))
-                mj = np.convolve(mj, size)
-            c.append([pg[m], *(np.convolve(pf[j], pg[m - j]) for j in range(1, m)), pf[m]])
-            maj.append(mj)
-        c, maj = np.abs(c), np.array(maj)
+                mj = np.convolve(mj, mag)
+            maj[i] = mj
+            for out, (f1, g1) in zip(c[i], (split * row).reshape(n, 2, -1)):
+                pf = [None, f1]                                  # F^j from j = 1
+                for _ in range(m - 1):
+                    pf.append(np.convolve(pf[-1], f1))
+                out[m] = pf[m]
+                if not g1.any():         # G = 0, as for real rows: F^m alone
+                    out[:m] = 0.0
+                    continue
+                pg = [None, g1]
+                for _ in range(m - 1):
+                    pg.append(np.convolve(pg[-1], g1))
+                out[0] = pg[m]
+                for j in range(1, m):
+                    out[j] = np.convolve(pf[j], pg[m - j])
+        size_c = np.abs(c)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_c = np.log(c)
+            log_c = np.log(size_c)
             logs = 2.0 * log_c + log_cw
-            top = np.maximum(logs.max(axis=(1, 2)), -1e308)[:, None, None]
+            top = np.maximum(logs.max(axis=(2, 3)), -1e308)[..., None, None]
             scaled = np.exp(logs - top)
-            total = scaled.sum(axis=(1, 2))
             # each term's rounding: its logs' sizes in ulps
-            rounded = np.where(scaled > 0.0, scaled * (
-                2.0 * np.abs(log_c) + cw_ulps + (top - logs)), 0.0).sum(axis=(1, 2)) * 4.0 * u
+            term_ulps = np.where(scaled > 0.0, 2.0 * np.abs(log_c) + cw_ulps + (top - logs), 0.0)
             e = ep * (1.0 + 2.0 * ep) * maj + eta
-            spread = 2.0 * (binom @ c) + 2.0 ** m * e
-            moved = np.exp(log_w + np.log(e) + np.log(spread) - top[:, 0]).sum(axis=1)
-            top = top[:, 0, 0]
+            top = top[..., 0, 0]
+            if first:
+                mags = np.sqrt(scaled)
+                r = np.where(size_c > 0.0, size_c, 1.0)[..., None]   # phases by real division
+                s = (c.view(float).reshape(*c.shape, 2) / r).view(complex)[..., 0] * mags
+                y = np.abs(_band(s, diag, sub))
+                total = (y * y).sum(axis=(2, 3))
+                # rows of L^T s move by |L^T| of each term's rounding and of the
+                # products' bound, (C(m, j) w_k)^(1/2) e_k on the scale of s
+                d = mags * (4.0 * u * term_ulps + 5.0 * u)
+                d += root_binom * np.exp(half_log_w - 0.5 * top[..., None] + np.log(e)[:, None])[:, :, None]
+                d = _band(d, diag, size_sub)
+                moved = (d * (y + y + d)).sum(axis=(2, 3)) + 3.0 * u * total
+            else:
+                total = scaled.sum(axis=(2, 3))
+                spread = 2.0 * (binom @ size_c) + 2.0 ** m * e[:, None]
+                moved = np.exp(log_w + np.log(e[:, None]) + np.log(spread) - top[..., None]).sum(
+                    axis=-1) + np.sum(scaled * term_ulps, axis=(2, 3)) * 4.0 * u
             log_v = top + np.log(total)
-            summed = total * ((m + 1) * log_w.size * u
-                              + 4.0 * u * (np.abs(log_v) + np.abs(sh) + 2.0))
-            err = moved + rounded + np.where(total > 0.0, summed, 0.0)
-            rel = err / total
-            log_pow[at] = np.where(zero, -math.inf, log_v + sh)
-            log_err[at] = np.where(zero, -math.inf, np.where(
-                rel < 0.5, (log_v + sh) / p + np.log(rel / (p * (1.0 - rel))),
-                (top + np.log(err) + sh) / p))
-    return log_pow, log_err
+            summed = total * ((m + 1) * size * u + 4.0 * u * (np.abs(log_v) + np.abs(sh) + 2.0))
+            err = moved + np.where(total > 0.0, summed, 0.0)
+            lp, rl = log_v + sh, err / total
+            if n > 1:                # the mean over the planes
+                peak = lp.max(axis=1)
+                share = np.exp(lp - peak[:, None])
+                mean = share.sum(axis=1)
+                rl = (share * rl).sum(axis=1) / mean
+                lp = peak + np.log(mean / n)
+                rl += 4.0 * u * (n + np.abs(lp) + 2.0) + 4.0 * 2.0 ** p * off
+            log_pow[at] = np.where(zero, -math.inf, lp.ravel())
+            rel[at] = np.where(zero, 0.0, rl.ravel())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # -inf where nothing is charged
+        return log_pow, log_pow / p + np.where(rel < 0.5, np.log(rel / (p * (1.0 - rel))),
+                                               np.log(rel) / p)
+
+
+def _first_tail(terms: ParsevalTerms, spec: NormSpec) -> float:
+    """log of a bound on the first-kind p-norm, p = 2m, of f's tail T past
+    its stored degree D, by Minkowski over its monomials: ||T|| <= sum_{k>D}
+    |a_k| ||q^k||, ||q^k||^p = Gamma(k m + 2) / (m alpha)^{k m} (the radial
+    integral over the algebra).  There |a_k| ||q^k|| = t_k^(1/2) g_k with
+    g_k^{2m} = Gamma(k m + 2) / (m^{k m} k!^m), free of alpha, and
+    g_{k+1} / g_k <= (1 + 1 / (m (k + 1)))^{1/(2m)}; with the ratio bound
+    rho >= t_{k+s} / t_k (stride s) behind the tail bound the sum is
+    geometric from the last two stored rows, of ratio rho^(1/2)
+    (1 + 1 / (m max(D, 1)))^{s/(2m)}."""
+    if not -math.inf < terms.log_tail < math.inf:      # no tail, or none certified
+        return terms.log_tail
+    deg, g = terms.series.degree, terms.series.generator
+    m = int(spec.p) // 2
+    log_x = 0.5 * math.log(g.parseval_ratio(spec.alpha, deg)) \
+        + g.stride / (2.0 * m) * math.log1p(1.0 / (m * max(deg, 1)))
+    if not log_x < 0.0:
+        return math.inf
+    top = max(0.5 * terms.logw[k] - 0.5 * math.lgamma(k + 1.0)
+              + (math.lgamma(k * m + 2.0) - k * m * math.log(m)) / (2.0 * m)
+              for k in range(max(deg - 1, 0), deg + 1))
+    return float(top) + log_x - math.log(-math.expm1(log_x))
 
 
 def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None,
                 bound: float = 1.0) -> tuple[float, float]:
-    """log of the largest prefactored p-th power of f's images on the plane
-    of ``spec``'s unit at even p (:func:`_even_images`), and its charge
-    relative to the norm.  f's tail T past the stored degree moves each
-    image's norm by at most ||T'||_p <= ||T'||_2 <= bound (tau sum_k
-    t_k)^(1/2), T' its image and tau its relative tail: Minkowski, then the
-    embedding ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this
-    normalization (K. Zhu, Analysis on Fock Spaces, Thm 2.10), with |m_k|
-    <= ``bound`` past the degree.  Where that misses half the budget, f's
-    terms are certified once more at the tail the value needs (the smallest
-    float if it is 0), as by :func:`_parseval_power`.  The images' rounding
-    is charged with it (:func:`_check_tail_budget`)."""
-    p, log_bound = spec.p, math.log(bound)
+    """log of the largest prefactored p-th power of f's images at even p
+    (:func:`_even_images`), and its charge relative to the norm.  f's tail
+    T past the stored degree moves each image's norm by at most ||T'||_p,
+    T' its image, with |m_k| <= ``bound`` past the degree.  On a plane that
+    is at most ||T'||_2 <= bound (tau sum_k t_k)^(1/2), tau the relative
+    tail: Minkowski, then the embedding ||h||_{q, alpha} <= ||h||_{p, alpha}
+    for p <= q in this normalization (K. Zhu, Analysis on Fock Spaces,
+    Thm 2.10).  Over the algebra it is Minkowski over the monomials
+    (:func:`_first_tail`).  Where that misses half the budget, f's terms are
+    certified once more at a tail smaller by the square of the excess (the
+    smallest float if that is 0); over the algebra by 16^2 more, as the
+    monomials' norms grow slowly against their Parseval terms.  The images'
+    rounding is charged with it (:func:`_check_tail_budget`)."""
+    p, log_bound, first = spec.p, math.log(bound), spec.kind == "first"
 
     def evaluate(terms):
         log_pow, log_err = _even_images(terms, spec, mult)
         best = float(np.max(log_pow))
-        log_total = float(_log_sum(terms.logw))
-        tail = _relative(log_bound + 0.5 * (terms.log_tail + log_total), best / p)
-        return best, log_total, tail, _relative(float(np.max(log_err)), best / p)
+        log_tail = _first_tail(terms, spec) if first \
+            else 0.5 * (terms.log_tail + float(_log_sum(terms.logw)))
+        return (best, _relative(log_bound + log_tail, best / p),
+                _relative(float(np.max(log_err)), best / p))
 
-    best, log_total, tail, rounding = evaluate(terms)
+    best, tail, rounding = evaluate(terms)
     if tail > 0.5 * NORM_TAIL_BUDGET:
-        log_tol = 2.0 * (math.log(0.5 * NORM_TAIL_BUDGET) + best / p - log_bound) - log_total
+        log_tol = terms.log_tail - 2.0 * (math.log(tail / (0.5 * NORM_TAIL_BUDGET))
+                                          + (math.log(16.0) if first else 0.0))
         terms = _parseval_terms(terms.series, spec.alpha,
                                 log_tol if log_tol > -math.inf else math.log(5e-324))
-        best, _, tail, rounding = evaluate(terms)
+        best, tail, rounding = evaluate(terms)
     return best, _check_tail_budget(1.0, tail + rounding, 1.0)
 
 
@@ -611,26 +733,36 @@ def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None,
 # = I + O has two entries below 1/2 per row off the diagonal, so
 # (Gershgorin) it lies in (0, 2) and ||O|| < 1.
 
-@functools.lru_cache(maxsize=1)
-def _first_factor() -> tuple[np.ndarray, np.ndarray]:
-    """H = L L^T up to every degree a series or an E_n reaches: l_k =
-    L[k, k] and m_k = L[k, k-2] (0 below 2 and past the end).  Even and odd
-    degrees decouple, so each parity is one tridiagonal chain."""
-    diag, sub = np.empty(DEGREE_CAP + 3), np.zeros(DEGREE_CAP + 5)
-    for k in range(diag.size):
-        sub[k] = -0.5 * math.sqrt((k - 1.0) * k) / diag[k - 2] if k >= 2 else 0.0
-        diag[k] = math.sqrt(k + 1.0 - sub[k] * sub[k])
-    return diag, sub
+def _first_factor(rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """H = L L^T on at least ``rows`` rows: l_k = L[k, k] and m_k =
+    L[k, k-2] (0 below 2, two more past the end).  One table serves every
+    series and E_n (DEGREE_CAP + 3 rows), one the even-p products (EVEN_P_CAP
+    / 2 times as many; past them only a polynomial stored beyond the cap)."""
+    base = DEGREE_CAP + 3
+    return _factor_table(base if rows <= base else max(rows, EVEN_P_CAP // 2 * base))
+
+
+@functools.lru_cache(maxsize=4)
+def _factor_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_first_factor` on ``size`` rows, read-only.  Even and odd
+    degrees decouple, so each parity is one tridiagonal chain; it runs in
+    extended precision and is rounded once, so each entry lies within an
+    ulp of its exact value."""
+    diag, sub = np.empty(size, np.longdouble), np.zeros(size + 2, np.longdouble)
+    for k in range(size):
+        if k >= 2:
+            sub[k] = -np.sqrt(np.longdouble((k - 1) * k)) / (2.0 * diag[k - 2])
+        diag[k] = np.sqrt(k + 1.0 - sub[k] * sub[k])
+    return _read_only(diag.astype(float)), _read_only(sub.astype(float))
 
 
 def _gram_rows(x: np.ndarray) -> np.ndarray:
     """L^T x for scaled rows x (..., K, 4), row k l_k x_k + m_{k+2} x_{k+2}:
     the first-kind p = 2 power is ||L^T x||^2, a sum of squares, and <x, y>
     is sum_k conj((L^T x)_k) (L^T y)_k."""
-    diag, sub = _first_factor()
-    ahead = np.zeros_like(x)
-    ahead[..., :-2, :] = x[..., 2:, :]
-    return diag[:x.shape[-2], None] * x + sub[2:x.shape[-2] + 2, None] * ahead
+    k = x.shape[-2]
+    diag, sub = _first_factor(k)
+    return _band(np.swapaxes(x, -1, -2), diag[:k], sub[2:k + 2]).swapaxes(-1, -2)
 
 
 def _scaled_rows(terms: ParsevalTerms, mult=None, size: int = 0
@@ -688,7 +820,7 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
     misses the budget, f's terms are certified once more at a tail smaller
     by the square of the excess.  Returns (log power, relative charge
     (:func:`_check_tail_budget`), the terms, the rows r, their scales)."""
-    diag, sub = _first_factor()
+    diag, sub = _first_factor(n + 3)
     log_bound = math.log(bound) if bound > 0.0 else -math.inf
 
     def evaluate(terms):
@@ -829,21 +961,22 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     prefactor left out unless ``prefactor``, and f's relative tail or
     charge, f ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  At
     p = 2 a coefficient sum, :func:`_parseval_power` on a plane and
-    :func:`_first_images` (real m) over the algebra, f's tail charged at
-    ``bound`` >= |m_k| past its stored degree; else the largest power of the
-    images on every plane ``spec`` reads, on the scale of the largest
-    exponent.  Each image is formed in log-polar form, row k of size
+    :func:`_first_images` (real m) over the algebra, and at the other even
+    p up to ``EVEN_P_CAP`` :func:`_even_power` (real m over the algebra),
+    f's tail charged at ``bound`` >= |m_k| past its stored degree; else the
+    largest power of the images on every plane ``spec`` reads, on the scale
+    of the largest exponent.  Each image is formed in log-polar form, row k of size
     log |m_k| + log |a_k| and direction sign_k e^{I theta_k} dir_k on the
     plane of the spec's unit, so a row below the float range keeps its size."""
     _check_prepared(prepared, spec)
     if spec.coefficient_sum:
         first = spec.kind == "first"
-        if first:
-            log_pow, charge = _first_images(prepared, spec.alpha, -1, mult, bound)[:2]
-        elif spec.p == 2.0:
-            log_pow, charge = _parseval_power(prepared, spec.alpha, mult, bound)
-        else:
+        if spec.p != 2.0:
             log_pow, charge = _even_power(prepared, spec, mult, bound)
+        elif first:
+            log_pow, charge = _first_images(prepared, spec.alpha, -1, mult, bound)[:2]
+        else:
+            log_pow, charge = _parseval_power(prepared, spec.alpha, mult, bound)
         if not prefactor:
             log_pow += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.scale))
         return _checked_exp(log_pow / spec.p, what), charge
@@ -917,8 +1050,9 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
 def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> float:
     """Weighted norm of f under ``spec`` on the given (or default) grid.
 
-    It is :func:`_multiplier_norm` of f itself (at p = 2 a coefficient sum
-    that reads no ``grid``: sqrt(sum_k t_k) on a plane), f's tail charged
+    It is :func:`_multiplier_norm` of f itself (a coefficient sum that
+    reads no ``grid`` where :attr:`NormSpec.coefficient_sum` says so:
+    sqrt(sum_k t_k) on a plane at p = 2), f's tail charged
     against ``NORM_TAIL_BUDGET`` of it.  Raises
     :class:`NotInSpaceError` when f is not in the space (type at least
     alpha / 2), :class:`RefinementError` when the grid stops short of the

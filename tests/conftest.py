@@ -5,8 +5,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from slicefock.quadrature import slice_points, volume_grid
-from slicefock.quaternion import ImaginaryUnit, Quaternion
+from slicefock.approx import _difference_multipliers
+from slicefock.errors import IntegrandOverflowError
+from slicefock.quadrature import QuadratureGrid, _check_finite, slice_points, volume_grid
+from slicefock.quaternion import ImaginaryUnit, Quaternion, left_mult_matrix
+from slicefock.series import SliceSeries
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -66,3 +69,31 @@ def first_kind_gram(n, alpha, grid=None, scaled=False):
     vand = np.exp(log_size + 1j * m * np.angle(z)[:, None]) * root[:, None]
     design = np.concatenate([vand.real, vand.imag])
     return design.T @ design
+
+
+def integrate_slice(g, grid: QuadratureGrid) -> float:
+    """Integral over the plane of a scalar field given as g(z) for complex
+    z, on a slice-mode grid: the oracle of the plane rule.  The caller
+    guarantees Gaussian-like decay matched to ``grid.scale``."""
+    if grid.mode != "slice":
+        raise ValueError("integrate_slice needs a slice-mode grid")
+    z, w = slice_points(grid)
+    vals = np.asarray(g(z), dtype=float)
+    _check_finite(vals, z)
+    return float(np.dot(w, vals))
+
+
+def difference_series(f: SliceSeries, k: int, h: float,
+                      unit: ImaginaryUnit) -> SliceSeries:
+    """Coefficients of the k-th rotational difference on the plane of
+    ``unit``, a_j -> (e^{I j h} - 1)^k a_j, as a series: the oracle of the
+    modulus's multiplier images, refused past the float range
+    (:class:`IntegrandOverflowError`)."""
+    log_r, sign, theta = _difference_multipliers(k, [h], np.arange(f.coeffs.shape[0]))
+    turned = f.coeffs @ left_mult_matrix(unit.as_quaternion()).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = sign[0] * np.exp(log_r[0])
+        out = (r * np.cos(theta[0]))[:, None] * f.coeffs + (r * np.sin(theta[0]))[:, None] * turned
+    if not np.all(np.isfinite(out)):
+        raise IntegrandOverflowError(f"order-{k} difference coefficients overflow")
+    return SliceSeries(out)

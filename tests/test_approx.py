@@ -9,7 +9,6 @@ from slicefock.approx import (
     best_approx_first,
     best_approx_lp,
     best_approx_second,
-    difference_series,
     finite_difference,
     modulus,
     operator_error,
@@ -41,7 +40,7 @@ from slicefock.spaces import (
     prepared_for_grid,
 )
 from slicefock.operators import apply, fejer_op, jackson_op, taylor_op, vdp_op
-from conftest import first_kind_gram, random_poly_coeffs
+from conftest import difference_series, first_kind_gram, random_poly_coeffs
 
 
 def _plane_power(g, unit, grid, p, alpha):

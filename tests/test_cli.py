@@ -512,6 +512,7 @@ def _main(capsys, argv):
     # a slice is no part of a first-kind norm
     ("norm", "--fn", "mono:3", "--kind", "first", "--slice", "j"),
     ("bestapprox", "--fn", "exp", "--kind", "first", "--slice", "sup:4"),
+    ("converge", "--fn", "exp", "--kind", "first", "--operator", "fejer", "--slice", "j"),
     # one plane only
     ("smoothness", "--fn", "exp", "--slice", "sup:3"),
     ("bestapprox", "--fn", "exp", "--slice", "sup:3", "--p", "1"),
@@ -531,7 +532,7 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
             "--quad-angular", "--out"]
     want = {
         "norm": grid + ["--kind"],
-        "converge": grid + ["--format", "--operator", "--n-list", "--m"],
+        "converge": grid + ["--kind", "--format", "--operator", "--n-list", "--m"],
         "multipliers": ["--family", "--n", "--m", "--p", "--out", "--format"],
         "smoothness": grid + ["--format", "--k", "--delta-list", "--h-grid"],
         "bestapprox": grid + ["--kind", "--format", "--n-list"],
@@ -545,7 +546,7 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
            for name, p in sub.choices.items()}
     assert {k: sorted(v) for k, v in got.items()} == \
         {k: sorted(v) for k, v in want.items()}
-    assert sum(len(v) for v in got.values()) == 56
+    assert sum(len(v) for v in got.values()) == 57
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,8 +14,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import difference_series
 from slicefock import approx, cli, operators, series, spaces
-from slicefock.approx import ModulusQuery, difference_series, modulus, operator_error
+from slicefock.approx import ModulusQuery, modulus, operator_error
 from slicefock.quaternion import ImaginaryUnit, UNIT_I, perpendicular_unit
 from slicefock.series import SliceSeries, exp_series, from_generator, random_series
 from slicefock.spaces import NormSpec, norm, norm_report
@@ -147,8 +148,11 @@ def test_only_even_p_up_to_the_cap_on_one_plane_are_coefficient_sums():
     for p in (1.0, 3.0, 5.0, 10.0, 4.5, 1e6):
         assert not NormSpec("second", p, ALPHA).coefficient_sum
     assert not NormSpec("second", 4.0, ALPHA, sup_samples=4).coefficient_sum
-    assert not NormSpec("first", 4.0, ALPHA).coefficient_sum
-    assert NormSpec("first", 2.0, ALPHA).coefficient_sum
+    # the first kind at the same p, the mean over a design of planes
+    for p in (2.0, 4.0, 6.0, 8.0):
+        assert NormSpec("first", p, ALPHA).coefficient_sum
+    for p in (3.0, 10.0):
+        assert not NormSpec("first", p, ALPHA).coefficient_sum
 
 
 # the outputs of the grid path before even p became coefficient sums

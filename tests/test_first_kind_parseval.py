@@ -328,7 +328,7 @@ def test_modulus_below_the_float_range_is_refused(capsys, p):
 
 def test_difference_series_multiplies_the_scale_back():
     # difference_series returns the true coefficients, which underflow here
-    from slicefock.approx import difference_series
+    from conftest import difference_series
     from slicefock.quaternion import UNIT_I
 
     d = difference_series(SliceSeries(np.array([[0.0] * 4, [1.0, 0, 0, 0]])), 400, 0.01, UNIT_I)

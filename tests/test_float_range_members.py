@@ -145,9 +145,16 @@ def test_bestapprox_refuses_where_norm_refuses(capsys, argv):
     code, out, err = run(capsys, "bestapprox", "--n-list", "4", *argv)
     assert code == 0 and err == ""
     assert float(out.splitlines()[-1].split(",")[1]) == pytest.approx(want, rel=1e-12)
-    # at p = 4 the norm reads the grid, and is refused as before (the first
-    # kind's bestapprox answers p = 2 only)
+    # at p = 4 neither does the norm: it prints the closed form ||q^k||^4 =
+    # (2k + 1)! / 2^{2k}, (501! / 2^500)^{1/4} for k = 250
     code, out, err = run(capsys, "norm", *argv, "--p", "4")
+    assert code == 0 and err == ""
+    with mpmath.workdps(40):
+        want = float((mpmath.factorial(2 * k + 1) / mpmath.mpf(2) ** (2 * k)) ** 0.25)
+    assert json.loads(out)["value"] == pytest.approx(want, rel=1e-12)
+    # at p = 3 the norm reads the grid, and is refused as before (the first
+    # kind's bestapprox answers p = 2 only)
+    code, out, err = run(capsys, "norm", *argv, "--p", "3")
     assert code == 1 and out == ""
     assert err.startswith("error: weighted integrand peaks")
     assert len(err.splitlines()) == 1

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import integrate_slice
 from slicefock.errors import IntegrandOverflowError
 from slicefock.quadrature import (
     circle_average,
-    integrate_slice,
     integrate_volume,
     refined,
     slice_grid,

@@ -368,11 +368,11 @@ def test_grid_short_of_the_mass_is_unresolved(kind):
     # |q^40|^p e^{-p |q|^2 / 2} peaks at |q|^2 = 40; 8 Laguerre nodes reach
     # about 23, so the radial profile peaks in the last shells and the
     # single-grid norm (no refinement) is refused instead of returned too
-    # small.  The first kind and the sup read a grid at every p != 2, one
-    # plane of the second kind at p != 2 other than an even p up to
-    # EVEN_P_CAP, a coefficient sum: p = 4 for them, p = 3 for one plane.
+    # small.  The sup reads a grid at every p != 2, either kind at p != 2
+    # other than an even p up to EVEN_P_CAP, a coefficient sum: p = 4 for
+    # the sup, p = 3 for the others.
     spec = NormSpec("second", 4.0, 1.0, sup_samples=4) if kind == "sup" \
-        else NormSpec(kind, 3.0 if kind == "second" else 4.0, 1.0)
+        else NormSpec(kind, 3.0, 1.0)
     coarse = default_grid(spec, 8, 16, 8)
     with pytest.raises(RefinementError, match="outermost"):
         norm(monomial(40), spec, coarse)
