@@ -471,7 +471,7 @@ _GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
 #: at p = 2m, and how far their units may lie from the exact ones: the
 #: octahedron's axes i, j, k (exact), a spherical 3-design, for the
 #: quadratic forms of m <= 3, and the icosahedron's six axes (0, 1, +-phi)
-#: and their cyclic shifts (within 8 ulps), a 5-design, for the quartic of
+#: and their cyclic shifts (within 8 u), a 5-design, for the quartic of
 #: m = 4 (P. Delsarte, J. M. Goethals and J. J. Seidel, Spherical codes and
 #: designs, Geom. Dedicata 6, 1977).  An even form takes one value at u
 #: and -u, so one unit per axis.
@@ -535,7 +535,9 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     plane of ``spec``'s unit in the second kind, the mean over the planes of
     a design (:data:`_PLANE_DESIGNS`) in the first, and the log of a bound
     on the rounding of its norm P^(1/p).  The planes are an axis of one
-    pass next to the images, in blocks of ``_PRODUCT_BLOCK`` coefficients.
+    pass next to the images, in blocks of ``_PRODUCT_BLOCK`` coefficients;
+    for f with real rows, whose |f(x + u y)| does not depend on u, the
+    plane of i alone.
 
     F and G are read from f's rows in log-polar form (:func:`_plane_splits`),
     dilated by R, R^2 = k0 / (m alpha) with k0 = m max(D, 1) / 2 for f's
@@ -557,8 +559,9 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     most sum_k w_k e_k sum_j C(m, j) (2 |c_k^(j)| + e_k) on a plane, and
     the sum adds each term's rounding in log space.  Over the algebra row k
     of L^T s^(j) moves by at most d_k = |L^T| of the bound (C(m, j)
-    w_k)^(1/2) e_k plus the rounding of each term s_k (the entries of L
-    are within an ulp), and P by sum d_k (2 |(L^T s)_k| + d_k).  Both add
+    w_k)^(1/2) e_k plus the rounding of each term s_k and of the band (the
+    entries of L are within an ulp), and P by sum d_k (2 |(L^T s)_k| +
+    d_k).  Both add
     gamma_N of the sum and the rounding of log P.  The mean over planes
     averages their charges, and adds its own rounding and, for units d off
     the exact design's, 4 2^p d of the mean: the form has degree at most 4
@@ -578,12 +581,14 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
     eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
     units, off = _PLANE_DESIGNS[m > 3] if first else ((spec.slice_unit,), 0.0)
+    if first and not fe.directions[:, 1:].any():
+        units, off = (UNIT_I,), 0.0      # real rows: |f(x + u y)| is one on every plane
     n, size = len(units), log_w.size
     split = (fe.directions @ _plane_splits(units)).T     # (F, G) of each row on each plane
     if first:
         diag, sub = _first_factor(size)
         diag, sub, root_binom = diag[:size], sub[2:size + 2], np.sqrt(binom)[:, None]
-        size_sub, half_log_w = -sub, 0.5 * log_w
+        abs_sub, half_log_w = -sub, 0.5 * log_w
     block = max(1, _PRODUCT_BLOCK // ((m + 1) * size * n))
     log_pow, rel = np.empty(len(log_r)), np.empty(len(log_r))
     for lo in range(0, len(log_r), block):
@@ -636,11 +641,12 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
                 s = (c.view(float).reshape(*c.shape, 2) / r).view(complex)[..., 0] * mags
                 y = np.abs(_band(s, diag, sub))
                 total = (y * y).sum(axis=(2, 3))
-                # rows of L^T s move by |L^T| of each term's rounding and of the
-                # products' bound, (C(m, j) w_k)^(1/2) e_k on the scale of s
-                d = mags * (4.0 * u * term_ulps + 5.0 * u)
-                d += root_binom * np.exp(half_log_w - 0.5 * top[..., None] + np.log(e)[:, None])[:, :, None]
-                d = _band(d, diag, size_sub)
+                # rows of L^T s move by |L^T| of each term's rounding (and the
+                # band's own) and of the products' bound, (C(m, j) w_k)^(1/2) e_k
+                # on the scale of s
+                d = mags * (4.0 * u * term_ulps + 9.0 * u) + root_binom * np.exp(
+                    half_log_w - 0.5 * top[..., None] + np.log(e)[:, None])[:, :, None]
+                d = _band(d, diag, abs_sub)
                 moved = (d * (y + y + d)).sum(axis=(2, 3)) + 3.0 * u * total
             else:
                 total = scaled.sum(axis=(2, 3))

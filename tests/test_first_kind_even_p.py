@@ -52,7 +52,8 @@ def test_first_kind_numbers_match_the_refined_volume_grid(fn):
     for p in PS:
         spec = NormSpec("first", p, ALPHA)
         # f's rows up to its radius certificate on the refined grid
-        a = spaces.prepared_for_grid(f, ALPHA, spaces.refined(spaces.default_grid(spec))).series.coeffs
+        fine = spaces.refined(spaces.default_grid(spec))
+        a = spaces.prepared_for_grid(f, ALPHA, fine).series.coeffs
         terms = spaces.prepared_for_spec(f, spec, None)
         assert isinstance(terms, spaces.ParsevalTerms)
         assert norm(f, spec) == pytest.approx(grid_norm(a, spec), rel=1e-12), p
