@@ -534,8 +534,7 @@ def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
     operator) under :func:`slicefock.spaces._multiplier_norm`, reading no
     ``grid`` where it is a coefficient sum (p = 2, and even p up to
     ``EVEN_P_CAP`` in the first kind or on one plane), where f's rows past
-    its stored degree are
-    charged at the largest |1 - rho_k| over them."""
+    its stored degree are charged at the largest |1 - rho_k| over them."""
     m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
     bound = float(np.max(np.abs(m[min(prepared.series.degree + 1, m.size - 1):])))
     return _multiplier_norm(prepared, spec, grid, lambda k: _real_multipliers(

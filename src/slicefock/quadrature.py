@@ -177,9 +177,9 @@ def volume_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
                 n_sphere: int = DEFAULT_SPHERE) -> QuadratureGrid:
     """Rule for integrals over the whole algebra against the 4D volume element.
 
-    First-kind norms read it only at p outside {2, 4, 6, 8}, where they
-    integrate the sphere in closed form; at those p they, their operator
-    errors and the inner products are coefficient sums that read no grid.
+    First-kind norms and operator errors read it only at p outside
+    {2, 4, 6, 8}, where they integrate the sphere in closed form; at those
+    p they, and the inner products, are coefficient sums that read no grid.
     The sphere rule it carries serves :func:`integrate_volume`.
     """
     if scale <= 0.0:

@@ -561,14 +561,14 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     of L^T s^(j) moves by at most d_k = |L^T| of the bound (C(m, j)
     w_k)^(1/2) e_k plus the rounding of each term s_k and of the band (the
     entries of L are within an ulp), and P by sum d_k (2 |(L^T s)_k| +
-    d_k).  Both add
-    gamma_N of the sum and the rounding of log P.  The mean over planes
-    averages their charges, and adds its own rounding and, for units d off
-    the exact design's, 4 2^p d of the mean: the form has degree at most 4
-    (Bernstein's inequality on the sphere) and lies at most 2^p above its
-    value at any plane (the representation formula gives |f(x + J y)| <=
-    |f(x + I y)| + |f(x - I y)|).  A relative error r < 1/2 of P moves the
-    norm by r / (p (1 - r)) of it, a larger one E by E^(1/p)."""
+    d_k).  Both add gamma_N of the sum and the rounding of log P.  The mean
+    over planes averages their charges, and adds its own rounding and, for
+    units d off the exact design's, 4 2^p d of the mean: the form has
+    degree at most 4 (Bernstein's inequality on the sphere) and lies at
+    most 2^p above its value at any plane (the representation formula gives
+    |f(x + J y)| <= |f(x + I y)| + |f(x - I y)|).  A relative error r < 1/2
+    of P moves the norm by r / (p (1 - r)) of it, a larger one E by
+    E^(1/p)."""
     u, p = _UNIT_ROUNDOFF, spec.p
     m = int(p) // 2
     first = spec.kind == "first"
@@ -582,7 +582,7 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
     units, off = _PLANE_DESIGNS[m > 3] if first else ((spec.slice_unit,), 0.0)
     if first and not fe.directions[:, 1:].any():
-        units, off = (UNIT_I,), 0.0      # real rows: |f(x + u y)| is one on every plane
+        units, off = (UNIT_I,), 0.0      # real rows: |f(x + u y)| is the same on every plane
     n, size = len(units), log_w.size
     split = (fe.directions @ _plane_splits(units)).T     # (F, G) of each row on each plane
     if first:
