@@ -19,8 +19,9 @@ Both angular rules sit on a uniform circle: plane node j is 2 pi j / N, and
 volume node j is pi j / (N + 1) = 2 pi j / (2 (N + 1)), half of a circle
 whose other half holds the conjugates.  ``circle_size`` and
 ``circle_index`` name that circle, so series values on a grid come from one
-FFT per radius (the plane kernel :func:`slicefock.spaces._weighted_plane`)
-and the nodes themselves are built only here (:func:`slice_points`).  The Laguerre,
+FFT per radius and column of the rows, in any basis (the plane kernel
+:func:`slicefock.spaces._weighted_plane`), and the nodes themselves are
+built only here (:func:`slice_points`).  The Laguerre,
 Legendre and sphere rules are cached per node count and returned
 read-only; every grid's arrays are read-only too.
 

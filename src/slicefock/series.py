@@ -16,9 +16,11 @@ f(x + u y) = Re S + u Im S with S(z) = sum_k z^k a_k taken componentwise.
 points.  :func:`_polar_sum` serves every quadrature grid, whose angular
 nodes are uniform on a circle: for each radius S is one inverse FFT of the
 log-scaled terms r^k a_k, folded modulo the node count, so a grid costs
-O(R (D + n log n)) instead of the O(R n D) of Horner.  The one grid
-kernel, :func:`slicefock.spaces._weighted_plane`, gives it each radius's
-terms already scaled by the Gaussian weight.
+O(R (D + n log n)) instead of the O(R n D) of Horner.  It takes the rows
+in any basis, real or complex columns: the 4 components, or on the plane
+of I the split a_k = F_k + G_k J, whose two sums are F and G.  The one
+grid kernel, :func:`slicefock.spaces._weighted_plane`, gives it each
+radius's terms already scaled by the Gaussian weight.
 """
 
 from __future__ import annotations
@@ -517,17 +519,19 @@ def _log_scaled_terms(log_mags: np.ndarray, radii: np.ndarray
 def _polar_sum(scaled: np.ndarray, dirs: np.ndarray, n_circle: int) -> np.ndarray:
     """S at r_i exp(2 pi i j / n_circle) from its log-scaled terms
     (:func:`_log_scaled_terms`, each radius's row rescaled as the caller
-    needs) and the unit rows ``dirs``: sum_k scaled[i, k] dirs[k]
-    e^{2 pi i j k / n_circle}, shape (R, n_circle, 4) complex, the terms
-    folded modulo the node count and transformed once, so that callers
-    working in log space (log |f| far past the overflow range) never form
-    e^{top}."""
-    n_terms = dirs.shape[0]
-    folded = np.zeros((scaled.shape[0], n_circle, 4))
+    needs) and the rows ``dirs`` of shape (K, c), real or complex, in any
+    basis: sum_k scaled[i, k] dirs[k] e^{2 pi i j k / n_circle}, shape
+    (R, n_circle, c) complex.  The terms are folded modulo the node count
+    into one complex buffer per column and transformed once along its
+    contiguous last axis, so that callers working in log space (log |f|
+    far past the overflow range) never form e^{top}."""
+    n_terms, cols = dirs.shape
+    folded = np.zeros((scaled.shape[0], cols, n_circle), complex)
+    rows = dirs.T
     for start in range(0, n_terms, n_circle):
         stop = min(start + n_circle, n_terms)
-        folded[:, :stop - start] += scaled[:, start:stop, None] * dirs[start:stop]
-    return np.fft.ifft(folded, axis=1, norm="forward")
+        folded[..., :stop - start] += rows[:, start:stop] * scaled[:, None, start:stop]
+    return np.fft.ifft(folded, norm="forward").swapaxes(1, 2)
 
 
 def slice_components(f: SliceSeries, z: np.ndarray,

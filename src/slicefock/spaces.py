@@ -41,11 +41,14 @@ only generic integrands (:func:`integrate_volume`).  The sup over planes
 reads each sampled plane from the same (a, b).
 
 Every grid consumer reads one kernel, :func:`_weighted_plane`: the
-weighted (a, b) = (Re v, Im v) 2^e at the grid's nodes, from the rows in
-log-polar form (unit directions and log sizes), so nothing overflows for a
-member whose weighted integrand is finite.  Each consumer
-multiplies 2^e back once, and a nonzero result past the float range, above
-or below, raises :class:`IntegrandOverflowError`.
+weighted sums S 2^e at the grid's nodes, from the rows in log-polar form
+(directions and log sizes) in any basis, so nothing overflows for a member
+whose weighted integrand is finite.  A number on one plane reads the rows'
+split (F_k, G_k) there (:func:`_plane_splits`), two complex columns whose
+sums are F and G, its amplitude (|F|^2 + |G|^2)^(1/2); the sphere and the
+first kind read the 4 real components, (a, b) = (Re v, Im v).  Each
+consumer multiplies 2^e back once, and a nonzero result past the float
+range, above or below, raises :class:`IntegrandOverflowError`.
 
 Every series the library builds is a polynomial or an exponential
 generator of order-2 type sigma, in the spaces of weight alpha (both kinds,
@@ -80,7 +83,6 @@ from .quaternion import (
     UNIT_I,
     UNIT_J,
     UNIT_K,
-    left_mult_matrix,
     perpendicular_unit,
     quat_conj_array,
     quat_mul_array,
@@ -106,7 +108,6 @@ from .series import (
     SliceSeries,
     _certified,
     _check_certified,
-    _lift,
     _log_scaled_terms,
     _polar_sum,
     _radius_certificate,
@@ -884,9 +885,12 @@ def _weighted_plane(dirs: np.ndarray, log_mags: np.ndarray, grid: QuadratureGrid
     """The one plane-evaluation kernel: S e^{-alpha |z|^2 / 2} at the grid's
     nodes for the rows a_k = dirs[k] e^{log_mags[k]} of a prepared series
     (:attr:`SliceSeries.directions`, :attr:`SliceSeries.log_row_norms`) or
-    of a multiplier image, S(z) = sum_k z^k a_k componentwise, as a complex
-    (R, n, 4) array v and an integer e; f(q) e^{-alpha |q|^2 / 2} is
-    (Re v + u Im v) 2^e on q = x + u y.  S comes from one FFT per radius of
+    of a multiplier image, in any basis: ``dirs`` of shape (K, c), real or
+    complex, and S(z) = sum_k z^k a_k per column, as a complex (R, n, c)
+    array v and an integer e.  On the 4 real components f(q) e^{-alpha
+    |q|^2 / 2} is (Re v + u Im v) 2^e on q = x + u y; on the split columns
+    (F_k, G_k) of the plane of I (:func:`_plane_splits`) it is (F + G J)
+    2^e there, so its size is |v| 2^e.  S comes from one FFT per radius of
     its log-scaled terms (:func:`slicefock.series._polar_sum`), each radius's
     terms scaled by e^{top - alpha r^2 / 2 - e ln 2} before the transform, e
     the integer nearest the largest exponent over ln 2.  So v is finite
@@ -896,7 +900,11 @@ def _weighted_plane(dirs: np.ndarray, log_mags: np.ndarray, grid: QuadratureGrid
     lam = top - 0.5 * alpha * grid.radial_nodes ** 2
     e = int(np.rint(np.max(lam) / math.log(2.0)))
     scaled *= np.exp(lam - e * math.log(2.0))[:, None]
-    return _polar_sum(scaled, dirs, grid.circle_size)[:, grid.circle_index], e
+    # the angular nodes are consecutive on the circle: a view, which keeps
+    # each column one contiguous block
+    start = int(grid.circle_index[0])
+    return _polar_sum(scaled, dirs, grid.circle_size)[
+        :, start:start + grid.angular_nodes.size], e
 
 
 def _grid_sum(integ: np.ndarray, grid: QuadratureGrid) -> float:
@@ -967,14 +975,22 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     prefactor left out unless ``prefactor``, and f's relative tail or
     charge, f ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  At
     p = 2 a coefficient sum, :func:`_parseval_power` on a plane and
-    :func:`_first_images` (real m) over the algebra, and at the other even
-    p up to ``EVEN_P_CAP`` :func:`_even_power` (real m over the algebra),
-    f's tail charged at ``bound`` >= |m_k| past its stored degree; else the
-    largest power of the images on every plane ``spec`` reads, on the scale
-    of the largest exponent.  Each image is formed in log-polar form, row k of size
-    log |m_k| + log |a_k| and direction sign_k e^{I theta_k} dir_k on the
-    plane of the spec's unit, so a row below the float range keeps its size."""
+    :func:`_first_images` over the algebra, and at the other even p up to
+    ``EVEN_P_CAP`` :func:`_even_power`, f's tail charged at ``bound`` >=
+    |m_k| past its stored degree; else the largest power of the images on
+    every plane ``spec`` reads, on the scale of the largest exponent.  Each
+    image is formed in log-polar form, row k of size log |m_k| + log |a_k|,
+    so a row below the float range keeps its size.  On one plane its
+    direction is the split (F_k, G_k) of dir_k, d = F + G J
+    (:func:`_plane_splits`), times the scalar sign_k e^{i theta_k}, and the
+    amplitude is (|F|^2 + |G|^2)^(1/2); the sphere and the first kind read
+    the 4 real components.  A rotation e^{I theta} names the plane of one
+    unit, so a complex multiplier on a spec that reads more planes is
+    refused (:class:`ValueError`)."""
     _check_prepared(prepared, spec)
+    one_plane = spec.slice_unit is not None
+    if mult is not None and not one_plane:
+        mult = _real_only(mult, spec)
     if spec.coefficient_sum:
         first = spec.kind == "first"
         if spec.p != 2.0:
@@ -988,23 +1004,23 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
         return _checked_exp(log_pow / spec.p, what), charge
     fe = prepared.series
     dirs, log_mags = fe.directions, fe.log_row_norms
+    if one_plane:
+        dirs = dirs @ _plane_splits((spec.slice_unit,))      # (F, G) of each row
     if mult is None:
         images = [(dirs, log_mags)]
     else:
         log_r, sign, theta = _multipliers(mult, log_mags.size)
-        # u dir_k: the rotated directions, on the plane of the spec's unit
-        turned = dirs @ left_mult_matrix(spec.slice_unit.as_quaternion()).T \
-            if np.any(theta) else 0.0
-        images = [((sg * np.cos(t))[:, None] * dirs + (sg * np.sin(t))[:, None] * turned,
-                   lr + log_mags) for lr, sg, t in zip(log_r, sign, theta)]
+        # e^{I theta} (F + G J) = e^{i theta} F + e^{i theta} G J
+        phase = sign * np.exp(1j * theta) if np.any(theta) else sign
+        images = [(ph[:, None] * dirs, lr + log_mags) for lr, ph in zip(log_r, phase)]
     rows = []   # (raw, e) of every image on every plane spec reads
     for image in images:
         v, e = _weighted_plane(*image, grid, spec.alpha)
         if spec.kind == "first":
             rows.append((_volume_raw_power(v, grid, spec.p), e))
             continue
-        if spec.sup_samples is None:
-            amps = [np.sqrt(np.sum(np.square(_lift(v, spec.slice_unit)), axis=-1))]
+        if one_plane:
+            amps = [np.sqrt(np.sum(np.square(v.real) + np.square(v.imag), axis=-1))]
         else:   # every sampled plane from one shared evaluation
             amp_sq, lin = _affine_square(v.real, v.imag)
             amps = [np.sqrt(np.maximum(amp_sq + lin @ u.vector(), 0.0))
@@ -1017,6 +1033,19 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
         pref *= pref
     return (_checked_ldexp((pref * best) ** (1.0 / spec.p), int(e.max()), what),
             prepared.tail)
+
+
+def _real_only(mult, spec: NormSpec):
+    """``mult`` (as :func:`_multiplier_norm` takes it), refused with
+    :class:`ValueError` naming ``spec`` where a theta is nonzero."""
+    def checked(k):
+        log_r, sign, theta = mult(k)
+        if np.any(theta):
+            raise ValueError(
+                f"a complex multiplier acts on the plane of one unit, not on the "
+                f"{spec.slice_label() or 'first-kind'} p = {spec.p:g} norm")
+        return log_r, sign, theta
+    return checked
 
 
 def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,

@@ -9,7 +9,8 @@ from slicefock.approx import _difference_multipliers
 from slicefock.errors import IntegrandOverflowError
 from slicefock.quadrature import QuadratureGrid, _check_finite, slice_points, volume_grid
 from slicefock.quaternion import ImaginaryUnit, Quaternion, left_mult_matrix
-from slicefock.series import SliceSeries
+from slicefock.series import SliceSeries, _lift
+from slicefock.spaces import _multipliers, _plane_raw_power, _weighted_plane
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -97,3 +98,34 @@ def difference_series(f: SliceSeries, k: int, h: float,
     if not np.all(np.isfinite(out)):
         raise IntegrandOverflowError(f"order-{k} difference coefficients overflow")
     return SliceSeries(out)
+
+
+def four_column_norm(prepared, spec, grid: QuadratureGrid, mult=None,
+                     prefactor: bool = True) -> float:
+    """The largest one-plane norm of f's multiplier images (``mult`` as
+    ``spaces._multiplier_norm`` takes it; f itself without) from the 4 real
+    components: row k of an image is sign_k (cos theta_k dir_k + sin theta_k
+    u dir_k) of size log |m_k| + log |a_k|, the plane kernel runs on those
+    rows, the values Re v + u Im v are lifted (``series._lift``) and the
+    amplitude is the size of their 4 components.  The oracle of the
+    split-basis grid path."""
+    fe = prepared.series
+    dirs, log_mags = fe.directions, fe.log_row_norms
+    unit = spec.slice_unit
+    if mult is None:
+        log_r, sign, theta = (np.zeros((1, log_mags.size)), np.ones((1, log_mags.size)),
+                              np.zeros((1, log_mags.size)))
+    else:
+        log_r, sign, theta = _multipliers(mult, log_mags.size)
+    turned = dirs @ left_mult_matrix(unit.as_quaternion()).T
+    raws, exps = [], []
+    for lr, sg, t in zip(log_r, sign, theta):
+        rows = (sg * np.cos(t))[:, None] * dirs + (sg * np.sin(t))[:, None] * turned
+        v, e = _weighted_plane(rows, lr + log_mags, grid, spec.alpha)
+        amp = np.sqrt(np.sum(np.square(_lift(v, unit)), axis=-1))
+        raws.append(_plane_raw_power(amp, grid, spec.p))
+        exps.append(e)
+    raw, e = np.array(raws), np.array(exps)
+    best = float(np.max(raw * 2.0 ** (spec.p * (e - e.max()))))
+    pref = spec.alpha * spec.p / (2.0 * math.pi) if prefactor else 1.0
+    return math.ldexp((pref * best) ** (1.0 / spec.p), int(e.max()))

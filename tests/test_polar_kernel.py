@@ -10,6 +10,7 @@ radius's weighted term scale sum_k |a_k| r^k w_alpha(r).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from slicefock.series import (
     random_series,
     slice_components,
 )
-from slicefock.spaces import _weighted_plane
+from slicefock.spaces import _plane_splits, _weighted_plane
 
 TOL = 1e-13
 
@@ -188,3 +189,29 @@ def test_weighted_values_past_the_float_range_stay_finite():
     want = 250 * np.log(r[normal]) - 0.5 * r[normal] ** 2
     np.testing.assert_allclose(got, np.broadcast_to(want[:, None], got.shape),
                                rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["exp", "kernel-section"])
+def test_split_columns_are_the_four_columns_mapped_through_the_split(name):
+    # at degree 512 the rows past about 170 are stored below the float range
+    # and read in log-polar form, and at radius 200 they carry the largest
+    # terms; the degree is far above the 16 circle nodes, so the terms are
+    # folded
+    f = extended(exp_series() if name == "exp"
+                 else from_generator("kernel-section:0.3,0.5,-0.2,0.1,1"), 512)
+    assert np.any(f.row_norms < sys.float_info.min)
+    assert np.all(np.isfinite(f.log_row_norms))
+    grid = circle_grid([0.0, 2.0, 25.0, 200.0], 16)
+    assert f.degree > grid.circle_size
+    split = _plane_splits((SEEDED_UNIT,))
+    v2, e2 = _weighted_plane(f.directions @ split, f.log_row_norms, grid, 0.0)
+    v4, e4 = _weighted_plane(f.directions, f.log_row_norms, grid, 0.0)
+    assert e2 == e4
+    assert v2.shape == v4.shape[:-1] + (2,)
+    want = v4 @ split
+    scale = np.max(np.abs(v4), axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(v2 - want) / scale) <= TOL
+    # |F|^2 + |G|^2 is the size of the lifted values
+    lifted = np.sum(np.square(_lift(v4, SEEDED_UNIT)), axis=-1)
+    np.testing.assert_allclose(np.sum(np.abs(v2) ** 2, axis=-1), lifted,
+                               rtol=0.0, atol=TOL * float(np.max(lifted)))
