@@ -528,7 +528,9 @@ def _polar_sum(scaled: np.ndarray, dirs: np.ndarray, n_circle: int) -> np.ndarra
     n_terms, cols = dirs.shape
     folded = np.zeros((scaled.shape[0], cols, n_circle), complex)
     rows = dirs.T
-    for start in range(0, n_terms, n_circle):
+    head = min(n_terms, n_circle)
+    np.multiply(rows[:, :head], scaled[:, None, :head], out=folded[..., :head])
+    for start in range(n_circle, n_terms, n_circle):
         stop = min(start + n_circle, n_terms)
         folded[..., :stop - start] += rows[:, start:stop] * scaled[:, None, start:stop]
     return np.fft.ifft(folded, norm="forward").swapaxes(1, 2)
