@@ -522,9 +522,9 @@ def _polar_sum(scaled: np.ndarray, dirs: np.ndarray, n_circle: int) -> np.ndarra
     needs) and the rows ``dirs`` of shape (K, c), real or complex, in any
     basis: sum_k scaled[i, k] dirs[k] e^{2 pi i j k / n_circle}, shape
     (R, n_circle, c) complex.  The terms are folded modulo the node count
-    into one complex buffer per column and transformed once along its
-    contiguous last axis, so that callers working in log space (log |f|
-    far past the overflow range) never form e^{top}."""
+    into one complex (R, c, n_circle) buffer and transformed once along
+    its contiguous last axis, so that callers working in log space
+    (log |f| far past the overflow range) never form e^{top}."""
     n_terms, cols = dirs.shape
     folded = np.zeros((scaled.shape[0], cols, n_circle), complex)
     rows = dirs.T

@@ -10,7 +10,7 @@ from slicefock.errors import IntegrandOverflowError
 from slicefock.quadrature import QuadratureGrid, _check_finite, slice_points, volume_grid
 from slicefock.quaternion import ImaginaryUnit, Quaternion, left_mult_matrix
 from slicefock.series import SliceSeries, _lift
-from slicefock.spaces import _multipliers, _plane_raw_power, _weighted_plane
+from slicefock.spaces import _multipliers, _plane_raw_power, _real_multipliers, _weighted_plane
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -112,11 +112,8 @@ def four_column_norm(prepared, spec, grid: QuadratureGrid, mult=None,
     fe = prepared.series
     dirs, log_mags = fe.directions, fe.log_row_norms
     unit = spec.slice_unit
-    if mult is None:
-        log_r, sign, theta = (np.zeros((1, log_mags.size)), np.ones((1, log_mags.size)),
-                              np.zeros((1, log_mags.size)))
-    else:
-        log_r, sign, theta = _multipliers(mult, log_mags.size)
+    log_r, sign, theta = _multipliers(
+        mult or (lambda k: _real_multipliers(np.ones(k.size))), log_mags.size)
     turned = dirs @ left_mult_matrix(unit.as_quaternion()).T
     raws, exps = [], []
     for lr, sg, t in zip(log_r, sign, theta):
