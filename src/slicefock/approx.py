@@ -21,7 +21,9 @@ parity on the banded Gram's bidiagonal factor gives the residual, whose norm
 is the value.  For general p >= 1 on a plane a Newton solve of the
 discretized convex problem stops only on a certified duality gap: its
 result carries a lower bound on the minimum from weak duality next to the
-value it attains.  :func:`least_squares` is the kernel-section fit's
+value it attains.  It works in f's split F + G J on the plane, and builds
+each Newton system from one angular FFT of per-node fields on the polar
+grid.  :func:`least_squares` is the kernel-section fit's
 solver, and the one place ``COND_LIMIT`` is checked.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,18 +42,11 @@ from .errors import (
     SolverError,
 )
 from .operators import MultiplierOperator, jackson_op, jackson_rule_r, vdp_op
-from .quaternion import (
-    ImaginaryUnit,
-    Quaternion,
-    UNIT_I,
-    left_mult_matrix,
-    slice_unit,
-)
-from .quadrature import QuadratureGrid, _check_finite, slice_grid, slice_points
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_unit
+from .quadrature import QuadratureGrid, _check_finite, _check_mode, slice_grid
 from .series import (
     SliceSeries,
     _check_certified,
-    _lift,
     embed_complex,
     evaluate,
     extended,
@@ -71,6 +67,7 @@ from .spaces import (
     _parseval_log_terms,
     _parseval_power,
     _parseval_terms,
+    _plane_splits,
     _real_multipliers,
     _weighted_plane,
     default_grid,
@@ -271,36 +268,115 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
                             SliceSeries(minimizer), "gram")
 
 
-#: Row-block size (numbers) of the Newton Hessian's rank-one terms.
-_BLOCK = 32768
+class _PolarColumns(NamedTuple):
+    """The weighted monomials z^k e^{-alpha |z|^2 / 2} of degree k < K on a
+    plane grid's nodes z = r_a e^{i theta_b}, each column scaled by an exact
+    power of two, as the descent reads them."""
+
+    cols: np.ndarray    # (K, N) complex: T_ak e^{i k theta_b}, node-major
+    cols_h: np.ndarray  # (N, K): the conjugate transpose, for moments
+    scale: np.ndarray   # (K,) the power of two of each column
+    table: np.ndarray   # (2K - 1, R): r_a^m e^{-alpha r_a^2} 2^{-E_m}, m = k + l
+    pair: np.ndarray    # (K, K): 2^{E_{k+l}} scale_k scale_l
+    sums: np.ndarray    # (K, K): k + l
+    diffs: np.ndarray   # (K, K): (k - l) mod the angular count
+    shape: tuple        # (R, angular count)
 
 
-def _act(vr: np.ndarray, vi: np.ndarray, rows: np.ndarray,
-         lm: np.ndarray) -> np.ndarray:
-    """The complex matrix vr + i vi acting on quaternion rows from the left
-    through the plane's unit u: row i is sum_k Re v_ik rows_k +
-    Im v_ik (u rows_k), with u rows_k = ``rows_k @ lm``."""
-    return vr @ rows + vi @ (rows @ lm)
+def _polar_columns(grid: QuadratureGrid, alpha: float, n: int) -> _PolarColumns:
+    """The columns T_ak e^{i k theta_b}, T_ak = r_a^k e^{-alpha r_a^2 / 2}
+    scale_k, scale_k the power of two that brings the column's largest
+    entry into [1/2, 1), so that no Gram entry overflows; a radial table
+    past the float range is refused at its node (theta = 0).  The products
+    T_ak T_al come from one table in k + l, built in log space with one power
+    of two E_m per row, so that no r^{k+l} overflows."""
+    r, theta = grid.radial_nodes, grid.angular_nodes
+    k = np.arange(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        radial = r[:, None] ** k * np.exp(-0.5 * alpha * r * r)[:, None]
+    _check_finite(radial, r)
+    _, exps = np.frexp(np.max(radial, axis=0))
+    cols = (np.ldexp(radial, -exps).T[:, :, None]
+            * np.exp(1j * np.outer(k, theta))[:, None, :]).reshape(k.size, -1)
+    logs = np.multiply.outer(np.arange(2 * n + 1), np.log(r)) - alpha * r * r
+    tops = np.rint(np.max(logs, axis=1) / math.log(2.0)).astype(int)
+    sums = np.add.outer(k, k)
+    return _PolarColumns(cols, cols.conj().T, np.ldexp(1.0, -exps),
+                         np.exp(logs - tops[:, None] * math.log(2.0)),
+                         np.ldexp(1.0, tops[sums] - np.add.outer(exps, exps)),
+                         sums, np.subtract.outer(k, k) % theta.size, (r.size, theta.size))
 
 
-def _act_adjoint(vr: np.ndarray, vi: np.ndarray, rows: np.ndarray,
-                 lm: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`_act` over the reals."""
-    return vr.T @ rows - vi.T @ (rows @ lm)
+def _polar_transform(plane: _PolarColumns, fields: np.ndarray) -> np.ndarray:
+    """C[m, f, d] = sum_a table[m, a] sum_b fields[a, f, b] e^{-i d theta_b}
+    for complex fields of shape (R, F, angular count), so that sum_i
+    fields_i conj(V_ik) V_il = C[k + l, k - l] pair_kl and sum_i fields_i
+    conj(V_ik) conj(V_il) = C[k + l, k + l] pair_kl, the frequency taken
+    modulo the angular count, for the columns V of ``plane``: one FFT along
+    the angle and the real radial table, which commute, the FFT taken on
+    whichever side has fewer rows."""
+    rows, count, n_ang = fields.shape
+    late = len(plane.table) < rows
+    if not late:
+        fields = np.fft.fft(fields, axis=-1)
+    radial = plane.table @ fields.reshape(rows, -1).view(float)   # Re and Im alike
+    radial = radial.view(complex).reshape(-1, count, n_ang)
+    return np.fft.fft(radial, axis=-1) if late else radial
 
 
-def _gram_expanded(vr: np.ndarray, vi: np.ndarray, weight: np.ndarray,
-                   lm: np.ndarray) -> np.ndarray:
-    """Real (4K, 4K) matrix of the weighted Gram sum_i weight_i conj(v_ik) v_il
-    acting on K quaternion rows flattened row by row: the blocks
-    Re g_kl I + Im g_kl lm^T that :func:`_act_adjoint` after :func:`_act`
-    gives."""
-    wr, wi = weight[:, None] * vr, weight[:, None] * vi
-    re, im = vr.T @ wr + vi.T @ wi, vr.T @ wi - vi.T @ wr
-    k = re.shape[0]
-    blocks = (re[:, None, :, None] * np.eye(4)[None, :, None, :]
-              + im[:, None, :, None] * lm.T[None, :, None, :])
-    return blocks.reshape(4 * k, 4 * k)
+def _newton_system(plane: _PolarColumns, r: np.ndarray, se: np.ndarray,
+                   mu: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hessian and gradient of Psi_eps = sum_i mu_i (|r_i|^2 + eps^2)^(p/2) at
+    the residual pair r = (F - P_1, G - P_2) of shape (2, N), se = |r|^2 +
+    eps^2, over the real coordinates (Re, Im) of the split coefficients c of
+    P in the columns V of ``plane``, ordered (component j, degree k, Re / Im).
+    With a = p mu se^(p/2 - 1) and b = p (p - 2) mu se^(p/2 - 2), the
+    Hessian is the real form of A_kl = sum_i a_i conj(V_ik) V_il on each
+    component, plus b's rank-one terms: half the real form of P^{jj'}_kl =
+    sum_i b_i conj(V_ik) V_il r_ij conj(r_ij'), and half the conjugate form
+    of Q^{jj'}_kl = sum_i b_i conj(V_ik) conj(V_il) r_ij r_ij'.  The nine
+    fields a, b r_j conj(r_j') and b r_j r_j' go through one
+    :func:`_polar_transform`; the gradient is -sum_i a_i conj(V_ik) r_ij."""
+    n_rad, n_ang = plane.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = p * mu * se ** (0.5 * p - 1.0)
+        b = np.where(se > 0.0, p * (p - 2.0) * mu * se ** (0.5 * p - 2.0), 0.0)
+    fields = np.empty((n_rad, 9, n_ang), complex)
+    fields[:, 0] = a.reshape(n_rad, n_ang)
+    rr = r.reshape(2, 1, n_rad, n_ang)
+    br = b.reshape(n_rad, n_ang) * rr
+    np.multiply(br, rr.conj().swapaxes(0, 1),
+                out=fields[:, 1:5].reshape(n_rad, 2, 2, n_ang).transpose(1, 2, 0, 3))
+    np.multiply(br, rr.swapaxes(0, 1),
+                out=fields[:, 5:].reshape(n_rad, 2, 2, n_ang).transpose(1, 2, 0, 3))
+    c = _polar_transform(plane, fields)
+    pair = plane.pair[:, :, None]
+    herm = c[plane.sums, :5, plane.diffs] * pair               # (k, l): A, then P^{jj'}
+    sym = 0.5 * c[plane.sums, 5:, plane.sums % n_ang] * pair   # (k, l): Q^{jj'} / 2
+    x = 0.5 * herm[..., 1:]
+    x[..., [0, 3]] += herm[..., :1]
+    kk = len(herm)
+    x, sym = (m.reshape(kk, kk, 2, 2).transpose(2, 0, 3, 1).reshape(2 * kk, -1)
+              for m in (x, sym))
+    grad = -((a * r) @ plane.cols_h)
+    return _real_form(x, sym), grad.view(float).ravel()
+
+
+def _real_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Real matrix of the map c -> x c + y conj(c) on complex vectors, in
+    the coordinates (Re c_0, Im c_0, Re c_1, ...)."""
+    out = np.empty((len(x), 2, len(x), 2))
+    out[:, 0, :, 0] = (x + y).real
+    out[:, 1, :, 0] = (x + y).imag
+    out[:, 0, :, 1] = (y - x).imag
+    out[:, 1, :, 1] = (x - y).real
+    return out.reshape(2 * len(x), -1)
+
+
+def _sum_sq(x: np.ndarray) -> np.ndarray:
+    """|x_1i|^2 + |x_2i|^2 for a complex pair x of shape (2, N)."""
+    sq = (x * x.conj()).real
+    return sq[0] + sq[1]
 
 
 def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
@@ -314,7 +390,13 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     coefficients of P, mu_i = (alpha p / 2 pi) times the grid weight and
     w_i = e^{-alpha |z_i|^2 / 2} inside the values (the plane kernel's) and
     the monomial columns, by Newton's method with Armijo backtracking from
-    the Taylor truncation.  Newton runs on Psi_eps = sum_i mu_i
+    the Taylor truncation.  On the plane of ``unit``, f = F + G J and P =
+    P_1 + P_2 J (:func:`slicefock.spaces._plane_splits`), so |f - P|^2 =
+    |F - P_1|^2 + |G - P_2|^2 over the complex split coefficients of P.
+    The nodes r_a e^{i theta_b} are uniform in angle, so each Newton
+    system is nine per-node fields through one angular FFT and one radial
+    table in k + l (:func:`_newton_system`), with no product over the
+    nodes and the degrees at once.  Newton runs on Psi_eps = sum_i mu_i
     (|r_i|^2 + eps^2)^(p/2): eps = 0 for p >= 2; for p < 2 eps starts at a
     tenth of the mean residual and shrinks tenfold whenever Newton has
     settled (decrement <= 1e-20 Psi_eps), or once the decrement is
@@ -322,9 +404,9 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     lower), is within 2 eps^p sum_i mu_i: for p <= 2, (s + eps^2)^(p/2) -
     s^(p/2) <= eps^p, so that is twice the smoothing's bias, which no
     further step at this eps closes.  Its systems are solved in the
-    coordinates W^{-1} c, with W^T G W = I for the mu-Gram G of the weighted
-    monomials (W from the eigenvectors of G scaled to unit diagonal), in
-    which they are orthonormal.
+    coordinates W^{-1} c, with W^H G W = I for the complex mu-Gram G of the
+    weighted monomials (W from the eigenvectors of G scaled to unit
+    diagonal), in which they are orthonormal.
 
     Every step bounds the minimum from below by weak duality: the dual
     vector lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i, projected onto the
@@ -334,8 +416,9 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     value - lower <= tol value + min(tol, NORM_TAIL_BUDGET) ||f||_p, the
     second term being the error the sampled values already carry, and the
     result carries both bounds.  Raises :class:`SolverError` carrying the
-    best iterate when the gap is not met within ``max_iter`` Newton steps.
-    f's weighted profile is checked as its norm's is.
+    best iterate when the gap is not met within ``max_iter`` Newton steps,
+    and :class:`ValueError` for a ``grid`` that is not a plane's.  f's
+    weighted profile is checked as its norm's is.
     """
     return _best_approx_lp(f, n, p, alpha, unit, grid, tol, max_iter)
 
@@ -350,34 +433,29 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         raise ValueError(f"descent requires a finite p >= 1, got {p!r}")
     _check_positive("weight parameter alpha", alpha)
     grid = grid or slice_grid(alpha * p / 2.0)
+    _check_mode(grid, "slice", "the plane descent")
     fe = (prepared or prepared_for_grid(f, alpha, grid)).series
-    z, w = slice_points(grid)
-    mu = alpha * p / (2.0 * math.pi) * w
-    v, e = _weighted_plane(fe.directions, fe.log_row_norms, grid, alpha)
-    fv = _lift(v, unit).reshape(-1, 4)
-    lm = left_mult_matrix(unit.as_quaternion()).T
-    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
-        vand = z[:, None] ** np.arange(n + 1) * np.exp(-0.5 * alpha * np.abs(z) ** 2)[:, None]
-    _check_finite(vand, z)
+    split = _plane_splits((unit,))
+    v, e = _weighted_plane(fe.directions @ split, fe.log_row_norms, grid, alpha)
+    fv = np.ascontiguousarray(v.reshape(-1, 2).T)         # (F, G) at each node
+    mu = alpha * p / (2.0 * math.pi) * grid.plane_weights.ravel()
+    plane = _polar_columns(grid, alpha, n)
     # f's own weighted profile is refused where its norm's is (_grid_sum)
-    amp_p = np.sum(fv * fv, axis=1).reshape(-1, grid.angular_nodes.size) ** (0.5 * p)
+    amp_p = _sum_sq(fv).reshape(plane.shape) ** (0.5 * p)
     f_norm = (alpha * p / (2.0 * math.pi) * _grid_sum(amp_p, grid)) ** (1.0 / p)
-    # each column scaled by an exact power of two, so that no Gram entry
-    # overflows; the coefficients live in the scaled basis until returned
-    _, exps = np.frexp(np.max(np.abs(vand), axis=0))
-    scale = np.ldexp(1.0, -exps)
-    # contiguous real and imaginary parts keep every product in real BLAS
-    vr, vi = vand.real * scale, vand.imag * scale
-    del vand
-    # W^T G W = I from the eigenvectors of the unit-diagonal mu-Gram G
-    gram = _gram_expanded(vr, vi, mu, lm)
-    d = 1.0 / np.sqrt(np.maximum(np.diag(gram), np.finfo(float).tiny))
+    # W^H G W = I from the eigenvectors of the unit-diagonal mu-Gram G
+    gram = _polar_transform(plane, mu.reshape(plane.shape[0], 1, -1).astype(complex)
+                            )[plane.sums, 0, plane.diffs] * plane.pair
+    d = 1.0 / np.sqrt(np.maximum(gram.diagonal().real, np.finfo(float).tiny))
     eig, vec = np.linalg.eigh(gram * d[:, None] * d[None, :])
-    if not eig[0] > eig.size * np.finfo(float).eps * eig[-1]:
+    if not eig[0] > 4 * eig.size * np.finfo(float).eps * eig[-1]:
         raise ConditioningError(
             f"monomials up to degree {n} are not independent on the grid "
-            f"nodes ({len(z)})")
+            f"nodes ({mu.size})")
     whiten = d[:, None] * vec / np.sqrt(eig)
+    project = (whiten @ whiten.conj().T).T          # G^{-1}, acting on rows
+    real_w = _real_form(np.kron(np.eye(2), whiten), 0.0)     # on both components
+    mu_fv = mu * fv
     q = math.inf if p == 1.0 else p / (p - 1.0)
     sampled_err = min(tol, NORM_TAIL_BUDGET) * f_norm
     mass = float(np.sum(mu))
@@ -388,28 +466,29 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     def dual(r, s, eps):
         """lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i and its moments against the
         weighted monomials, which are -1/p times Psi_eps's gradient."""
-        se = (s + eps * eps)[:, None]
+        se = s + eps * eps
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(se > 0.0, se ** (0.5 * p - 1.0) * r, 0.0)
-        return lam, _act_adjoint(vr, vi, mu[:, None] * lam, lm).ravel()
+        return lam, (mu * lam) @ plane.cols_h
 
     def lower_bound(lam, moments):
-        lam -= _act(vr, vi, (whiten @ (whiten.T @ moments)).reshape(-1, 4), lm)
-        size = np.sqrt(np.sum(lam * lam, axis=1))
+        lam -= (moments @ project) @ plane.cols
+        size = np.sqrt(_sum_sq(lam))
         qnorm = float(np.max(size[mu > 0.0])) if q == math.inf else \
             float(mu @ size ** q) ** (1.0 / q)
-        return float(mu @ np.sum(lam * fv, axis=1)) / qnorm if qnorm > 0.0 else 0.0
+        return float(np.vdot(lam, mu_fv).real) / qnorm if qnorm > 0.0 else 0.0
 
     def result(upper, lower):
+        minimizer = ((coeffs * plane.scale).T @ split.conj().T).real
         return BestApproxResult(
             n, _checked_ldexp(upper, e, "weighted norm"),
-            SliceSeries(np.ldexp(coeffs * scale[:, None], e)), "descent",
+            SliceSeries(np.ldexp(minimizer, e)), "descent",
             lower=math.ldexp(lower, e))
 
-    # the Taylor coefficients on the scale 2^e of v, in the scaled basis
-    coeffs = np.ldexp(taylor_truncate(fe, n).coeffs, -e) / scale[:, None]
-    r = fv - _act(vr, vi, coeffs, lm)
-    s = np.sum(r * r, axis=1)
+    # the Taylor coefficients' split on the scale 2^e of v, in the scaled basis
+    coeffs = (np.ldexp(taylor_truncate(fe, n).coeffs, -e) @ split).T / plane.scale
+    r = fv - coeffs @ plane.cols
+    s = _sum_sq(r)
     eps = 0.0 if p >= 2.0 else 0.1 * float(mu @ np.sqrt(s)) / mass
     dec = math.inf
     steps = 0
@@ -435,36 +514,17 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
                                   * (upper - lower) <= 2.0 * eps ** p * mass):
             eps /= 10.0
             cur = psi(s, eps)
-            _, moments = dual(r, s, eps)
-        grad = -p * moments
-        se = s + eps * eps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = p * mu * se ** (0.5 * p - 1.0)
-            b = np.where(se > 0.0, p * (p - 2.0) * mu * se ** (0.5 * p - 2.0), 0.0)
-        hess = _gram_expanded(vr, vi, a, lm)
-        if p != 2.0:
-            # rank-one terms b_i U_i U_i^T with U_i = Phi_i^T r_i, in row
-            # blocks of _BLOCK numbers; b has the sign of p - 2 everywhere
-            rs = r * np.sqrt(np.abs(b))[:, None]
-            rl = rs @ lm
-            rows = max(1, _BLOCK // hess.shape[0])
-            for lo in range(0, len(r), rows):
-                blk = slice(lo, lo + rows)
-                u = np.empty(vr[blk].shape + (4,))
-                for j in range(4):
-                    u[..., j] = (vr[blk] * rs[blk, j, None]
-                                 - vi[blk] * rl[blk, j, None])
-                u = u.reshape(len(u), -1)
-                hess += math.copysign(1.0, p - 2.0) * (u.T @ u)
-        step = whiten @ np.linalg.solve(whiten.T @ hess @ whiten, -(whiten.T @ grad))
-        dec = -float(grad @ step)
-        step = step.reshape(-1, 4)
-        moved = _act(vr, vi, step, lm)
+        hess, grad = _newton_system(plane, r, s + eps * eps, mu, p)
+        grad = grad @ real_w
+        y = np.linalg.solve(real_w.T @ hess @ real_w, -grad)
+        dec = -float(grad @ y)
+        step = (real_w @ y).view(complex).reshape(2, -1)
+        moved = step @ plane.cols
         steps += 1
         t = 1.0
         while t > 1e-12:
             r_new = r - t * moved
-            s_new = np.sum(r_new * r_new, axis=1)
+            s_new = _sum_sq(r_new)
             # rounding slack: near the minimum the decrease of a full step
             # lies below what the objective's last digits resolve
             if psi(s_new, eps) <= cur - 0.25 * t * dec + 1e-15 * cur:

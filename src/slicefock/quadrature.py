@@ -230,14 +230,20 @@ def _check_finite(values: np.ndarray, nodes) -> None:
             f"integrand overflow at node {np.asarray(node).tolist()!r}", node=node)
 
 
+def _check_mode(grid: QuadratureGrid, mode: str, what: str) -> None:
+    """Refuse a grid of another mode than ``mode`` for ``what``
+    (:class:`ValueError` naming both)."""
+    if grid.mode != mode:
+        raise ValueError(f"{what} reads a {mode!r} grid, not a {grid.mode!r} one")
+
+
 def integrate_volume(g, grid: QuadratureGrid) -> float:
     """Integral over the algebra of a scalar field g(q), q an (n, 4) array.
 
     Points are visited slice by slice (per sphere node) in a fixed order, so
     results are deterministic.
     """
-    if grid.mode != "volume":
-        raise ValueError("integrate_volume needs a volume-mode grid")
+    _check_mode(grid, "volume", "integrate_volume")
     rho = grid.radial_nodes
     re = np.outer(rho, np.cos(grid.angular_nodes)).ravel()
     im = np.outer(rho, np.sin(grid.angular_nodes)).ravel()

@@ -96,6 +96,7 @@ from .quadrature import (
     DEFAULT_VOLUME_ANGULAR,
     QuadratureGrid,
     _check_finite,
+    _check_mode,
     refined,
     slice_grid,
     slice_points,
@@ -991,8 +992,8 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     one_plane = spec.slice_unit is not None
     if mult is not None and not one_plane:
         mult = _real_only(mult, spec)
+    first = spec.kind == "first"
     if spec.coefficient_sum:
-        first = spec.kind == "first"
         if spec.p != 2.0:
             log_pow, charge = _even_power(prepared, spec, mult, bound)
         elif first:
@@ -1002,6 +1003,8 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
         if not prefactor:
             log_pow += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.scale))
         return _checked_exp(log_pow / spec.p, what), charge
+    _check_mode(grid, "volume" if first else "slice",
+                f"the {spec.slice_label() or 'first-kind'} p = {spec.p:g} norm")
     fe = prepared.series
     dirs, log_mags = fe.directions, fe.log_row_norms
     if one_plane:
@@ -1016,7 +1019,7 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     rows = []   # (raw, e) of every image on every plane spec reads
     for image in images:
         v, e = _weighted_plane(*image, grid, spec.alpha)
-        if spec.kind == "first":
+        if first:
             rows.append((_volume_raw_power(v, grid, spec.p), e))
             continue
         if one_plane:
@@ -1029,7 +1032,7 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     raw, e = np.array(rows).T
     best = float(np.max(raw * 2.0 ** (spec.p * (e - e.max()))))
     pref = spec.alpha * spec.p / (2.0 * math.pi) if prefactor else 1.0
-    if spec.kind == "first":
+    if first:
         pref *= pref
     return (_checked_ldexp((pref * best) ** (1.0 / spec.p), int(e.max()), what),
             prepared.tail)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from slicefock.approx import best_approx_lp, verify_vdp
+from slicefock import approx
+from slicefock.approx import _newton_system, _polar_columns, best_approx_lp, verify_vdp
 from slicefock.errors import ConditioningError, IntegrandOverflowError
-from slicefock.quadrature import slice_grid, slice_points
+from slicefock.quadrature import slice_grid, slice_points, volume_grid
 from slicefock.quaternion import ImaginaryUnit, UNIT_I, left_mult_matrix
 from slicefock.series import (
     eval_on_slice,
@@ -22,7 +23,13 @@ from slicefock.series import (
     random_series,
     taylor_truncate,
 )
-from slicefock.spaces import NORM_TAIL_BUDGET, NormSpec, norm, prepared_for_grid
+from slicefock.spaces import (
+    NORM_TAIL_BUDGET,
+    NormSpec,
+    _plane_splits,
+    norm,
+    prepared_for_grid,
+)
 
 SEEDED_UNIT = ImaginaryUnit.from_vector(np.random.default_rng(11).normal(size=3))
 FAMILIES = {
@@ -215,6 +222,7 @@ def test_p_below_2_sweep_takes_at_most_60_percent_of_the_settled_steps(newton_st
                     total += newton_steps[0]
                     assert_certified(res, f, p, 1.0, UNIT_I, grid, size=size)
     assert total <= 0.6 * 1301
+    assert total <= 649
 
 
 @pytest.mark.parametrize("p,n,unit,settled", [
@@ -225,3 +233,90 @@ def test_smoothing_rule_is_inert_from_p_2(newton_steps, p, n, unit, settled):
     # eps = 0 from p = 2: every round settles, as before the gap rule
     best_approx_lp(exp_series(), n, p, 1.0, unit, grid=slice_grid(p / 2.0, 24, 48))
     assert newton_steps[0] == settled
+
+
+def dense_newton_system(cols, r, se, mu, p):
+    """Psi_eps's Hessian and gradient as J^T diag J and J^T (a r), J the real
+    Jacobian of the residual's 4 real components per node in the real
+    coordinates (component, degree, Re / Im) of the split coefficients, and
+    diag the per-node 4 x 4 blocks a I + b r r^T."""
+    v = cols.T                                       # (N, K)
+    nodes, k = v.shape
+    jac = np.zeros((nodes, 2, 2, 2, k, 2))           # (i, j, Re / Im, j', l, Re / Im)
+    for j in range(2):                               # r_j = F_j - sum_l V_l c_jl
+        jac[:, j, 0, j, :, 0] = -v.real
+        jac[:, j, 0, j, :, 1] = v.imag
+        jac[:, j, 1, j, :, 0] = -v.imag
+        jac[:, j, 1, j, :, 1] = -v.real
+    jac = jac.reshape(nodes, 4, 4 * k)
+    rho = np.stack((r.real, r.imag), axis=-1).transpose(1, 0, 2).reshape(nodes, 4)
+    a = p * mu * se ** (0.5 * p - 1.0)
+    b = p * (p - 2.0) * mu * se ** (0.5 * p - 2.0)
+    diag = a[:, None, None] * np.eye(4) + b[:, None, None] * rho[:, :, None] * rho[:, None, :]
+    hess = np.einsum("iak,iab,ibl->kl", jac, diag, jac)
+    grad = np.einsum("iak,ia->k", jac, a[:, None] * rho)
+    return hess, grad
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("radial", [6, 16])
+def test_newton_system_matches_the_dense_jacobian_form(radial, p):
+    # 8 angles at n = 6: k + l runs to 12 and k - l to -6, so the gathered
+    # frequencies wrap; the 13 rows of the k + l table lie above 6 radii
+    # and below 16, so the angular FFT runs on either side of the table
+    alpha, n = 1.0, 6
+    grid = slice_grid(alpha * p / 2.0, radial, 8)
+    plane = _polar_columns(grid, alpha, n)
+    z, w = slice_points(grid)
+    weight = np.exp(-0.5 * alpha * np.abs(z) ** 2)
+    # the columns are the weighted monomials, each times a power of two
+    assert np.all(np.frexp(plane.scale)[0] == 0.5)
+    want = z[:, None] ** np.arange(n + 1) * weight[:, None] * plane.scale
+    assert np.max(np.abs(plane.cols.T - want)) <= 1e-14 * np.max(np.abs(want))
+    # the residual pair of a random f on a seeded plane, G != 0
+    f = random_series(8, 5)
+    fg = (eval_on_slice(f, SEEDED_UNIT, z) @ _plane_splits((SEEDED_UNIT,))).T * weight
+    assert np.max(np.abs(fg[1])) > 0.1 * np.max(np.abs(fg[0]))
+    coeffs = np.random.default_rng(7).normal(size=(2, n + 1, 2)) @ [0.1, 0.1j]
+    r = np.ascontiguousarray(fg - coeffs @ plane.cols)
+    mu = alpha * p / (2.0 * math.pi) * w
+    se = np.sum(np.square(np.abs(r)), axis=0) + (0.01 if p < 2.0 else 0.0)
+    hess, grad = _newton_system(plane, r, se, mu, p)
+    want_hess, want_grad = dense_newton_system(plane.cols, r, se, mu, p)
+    assert np.max(np.abs(hess - want_hess)) <= 1e-12 * np.max(np.abs(want_hess))
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def test_descent_reads_the_two_split_columns_and_never_lifts(monkeypatch):
+    seen = []
+    kernel = approx._weighted_plane
+
+    def spy(dirs, log_mags, grid, alpha):
+        seen.append((dirs.shape[1], dirs.dtype))
+        return kernel(dirs, log_mags, grid, alpha)
+
+    assert not hasattr(approx, "_lift")
+    monkeypatch.setattr(approx, "_weighted_plane", spy)
+    grid = slice_grid(0.75, 24, 48)
+    res = best_approx_lp(random_series(6, 2024), 3, 1.5, 1.0, SEEDED_UNIT, grid=grid)
+    assert seen == [(2, np.dtype(complex))]
+    assert_certified(res, FAMILIES["random"], 1.5, 1.0, SEEDED_UNIT, grid)
+
+
+@pytest.mark.parametrize("what,call", [
+    ("the i p = 1 norm reads a 'slice' grid, not a 'volume' one",
+     lambda: norm(exp_series(), NormSpec("second", 1.0, 1.0), volume_grid(0.5))),
+    ("the plane descent reads a 'slice' grid, not a 'volume' one",
+     lambda: best_approx_lp(exp_series(), 4, 1.0, 1.0, grid=volume_grid(0.5))),
+    ("the first-kind p = 1 norm reads a 'volume' grid, not a 'slice' one",
+     lambda: norm(exp_series(), NormSpec("first", 1.0, 1.0), slice_grid(0.5))),
+    ("the sup:8 p = 3 norm reads a 'slice' grid, not a 'volume' one",
+     lambda: norm(exp_series(), NormSpec("second", 3.0, 1.0, sup_samples=8),
+                  volume_grid(1.5))),
+])
+def test_a_grid_of_the_other_mode_is_refused(what, call):
+    # each of these used to return a wrong number: 0.824 for 1.649, 0.040
+    # for 0.159 and 3.297 for 1.649
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == what

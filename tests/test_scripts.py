@@ -1,6 +1,7 @@
 """Each script under ``scripts/`` runs end to end on a small case and writes
 a non-empty output."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -16,6 +17,8 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
     ("convergence_sweep.py", ["--n-list", "2", "--out-dir", "{tmp}"]),
     ("growth_survey.py", ["--out", "{tmp}/growth.json"]),
     ("inequality_report.py", ["--n-list", "2,4", "--out", "{tmp}/report.json"]),
+    ("descent_sweep.py", ["--families", "exp", "--p-list", "1", "--grids", "12x24",
+                          "--n-list", "3", "--out", "{tmp}/sweep.json"]),
 ])
 def test_script_runs_and_writes_output(tmp_path, name, args):
     res = subprocess.run([sys.executable, str(SCRIPTS / name),
@@ -24,3 +27,28 @@ def test_script_runs_and_writes_output(tmp_path, name, args):
     assert res.returncode == 0, res.stderr
     outputs = sorted(tmp_path.iterdir())
     assert outputs and all(p.stat().st_size > 0 for p in outputs)
+
+
+def test_descent_sweep_lists_the_cases_that_regress(tmp_path):
+    def sweep(*args):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "descent_sweep.py"), "--families", "mono:6",
+             "--p-list", "1.5", "--grids", "12x24", "--n-list", "1,3", "--units", "i",
+             *args], capture_output=True, text=True, env=child_env())
+
+    old = tmp_path / "old.json"
+    res = sweep("--out", str(old))
+    assert res.returncode == 0, res.stderr
+    record = json.loads(old.read_text())
+    assert len(record["cases"]) == 2 and record["certified"] == 2
+    assert sweep("--against", str(old)).returncode == 0
+    # a run that took fewer steps, and one whose interval lies above
+    first, second = sorted(record["cases"])
+    record["cases"][first]["steps"] -= 1
+    case = record["cases"][second]
+    case["lower"], case["value"] = 2.0 * case["value"], 2.0 * case["value"] + 1e-9
+    old.write_text(json.dumps(record))
+    res = sweep("--against", str(old))
+    assert res.returncode == 1
+    assert "2 regressions" in res.stdout
+    assert f"{first}: " in res.stdout and f"{second}: value" in res.stdout
