@@ -444,8 +444,7 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     amp_p = _sum_sq(fv).reshape(plane.shape) ** (0.5 * p)
     f_norm = (alpha * p / (2.0 * math.pi) * _grid_sum(amp_p, grid)) ** (1.0 / p)
     # W^H G W = I from the eigenvectors of the unit-diagonal mu-Gram G
-    gram = _polar_transform(plane, mu.reshape(plane.shape[0], 1, -1).astype(complex)
-                            )[plane.sums, 0, plane.diffs] * plane.pair
+    gram = (plane.cols_h.T * mu) @ plane.cols.T
     d = 1.0 / np.sqrt(np.maximum(gram.diagonal().real, np.finfo(float).tiny))
     eig, vec = np.linalg.eigh(gram * d[:, None] * d[None, :])
     if not eig[0] > 4 * eig.size * np.finfo(float).eps * eig[-1]:
