@@ -1003,8 +1003,7 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
         if not prefactor:
             log_pow += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.scale))
         return _checked_exp(log_pow / spec.p, what), charge
-    _check_mode(grid, "volume" if first else "slice",
-                f"the {spec.slice_label() or 'first-kind'} p = {spec.p:g} norm")
+    _check_mode(grid, "volume" if first else "slice", f"a {spec.kind}-kind norm")
     fe = prepared.series
     dirs, log_mags = fe.directions, fe.log_row_norms
     if one_plane:

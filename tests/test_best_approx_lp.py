@@ -304,13 +304,13 @@ def test_descent_reads_the_two_split_columns_and_never_lifts(monkeypatch):
 
 
 @pytest.mark.parametrize("what,call", [
-    ("the i p = 1 norm reads a 'slice' grid, not a 'volume' one",
+    ("a second-kind norm reads a 'slice' grid, not a 'volume' one",
      lambda: norm(exp_series(), NormSpec("second", 1.0, 1.0), volume_grid(0.5))),
     ("the plane descent reads a 'slice' grid, not a 'volume' one",
      lambda: best_approx_lp(exp_series(), 4, 1.0, 1.0, grid=volume_grid(0.5))),
-    ("the first-kind p = 1 norm reads a 'volume' grid, not a 'slice' one",
+    ("a first-kind norm reads a 'volume' grid, not a 'slice' one",
      lambda: norm(exp_series(), NormSpec("first", 1.0, 1.0), slice_grid(0.5))),
-    ("the sup:8 p = 3 norm reads a 'slice' grid, not a 'volume' one",
+    ("a second-kind norm reads a 'slice' grid, not a 'volume' one",
      lambda: norm(exp_series(), NormSpec("second", 3.0, 1.0, sup_samples=8),
                   volume_grid(1.5))),
 ])
