@@ -7,11 +7,14 @@ by h multiplies the degree-j coefficient by e^{I j h}.  The modulus of
 smoothness is the sup over step sizes of the weighted L^p size of that
 difference; following its definition it carries no normalization prefactor,
 unlike the norms (any constant ends up inside the reported ratios).  It,
-every operator error and the plane E_n at p = 2 are each one call of
-:func:`slicefock.spaces._multiplier_norm`, the one multiplier-image norm: a
-coefficient sum at p = 2 and at even p up to
+every operator error and the plane E_n at p = 2 are each one group of
+images of :func:`slicefock.spaces._multiplier_norm`, the one
+multiplier-image norm: a coefficient sum at p = 2 and at even p up to
 :data:`slicefock.spaces.EVEN_P_CAP` (operator errors in both kinds), a
-quadrature at every other p.
+quadrature at every other p.  A sweep over n (:func:`operator_errors`,
+:func:`vdp_sweep`, :func:`jackson_sweep`) is one call for all its groups,
+both sides of the vdp and Jackson checks together where both are norms;
+the single-n functions are its one-element case.
 
 Best approximation at p = 2 is exact from coefficients in both kinds: on a
 plane the monomials are orthogonal, so the minimizer is the Taylor
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .operators import MultiplierOperator, jackson_op, jackson_rule_r, vdp_op
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_unit
-from .quadrature import QuadratureGrid, _check_finite, _check_mode, slice_grid
+from .quadrature import QuadratureGrid, _check_mode, slice_grid
 from .series import (
     SliceSeries,
     _check_certified,
@@ -150,21 +153,62 @@ def modulus(f: SliceSeries, query: ModulusQuery,
     nondecreasing in delta and 0 at delta = 0, where nothing is charged.
     f is ``prepared`` as :func:`slicefock.spaces.prepared_for_spec` returns
     it for the second-kind p-norm, here unless given.  The max over the
-    steps' multiplier images is one :func:`slicefock.spaces._multiplier_norm`,
+    steps' multiplier images is one group of
+    :func:`slicefock.spaces._multiplier_norm` (:func:`_modulus_images`),
     f's tail charged at 2^k: exact at p = 2, reading neither ``grid`` nor
     ``query.unit``; at even p up to ``EVEN_P_CAP`` coefficient convolutions
-    on the plane of ``query.unit`` per step, reading no ``grid``; else a
-    plane quadrature per step."""
+    on the plane of ``query.unit`` per step, reading no ``grid``; else the
+    steps' images on the plane through one batch of the plane kernel."""
     spec = NormSpec("second", query.p, query.alpha, slice_unit=query.unit)
     grid = grid or default_grid(spec)
     prepared = prepared_for_spec(f, spec, grid, prepared)
     if query.delta == 0.0:
         return 0.0      # every difference is 0, past the stored rows too
+    return _norms(prepared, spec, grid, [_modulus_images(query)])[0]
+
+
+class _Images(NamedTuple):
+    """One group of multiplier images for :func:`_norms`: ``mult`` as
+    :func:`slicefock.spaces._multiplier_norm` takes it, the bound on |m_k|
+    past f's stored degree, whether the prefactor is in, and what the value
+    is called where it leaves the float range."""
+
+    mult: Callable
+    bound: float
+    prefactor: bool = True
+    what: str = "weighted norm"
+
+
+def _norms(prepared: Prepared | ParsevalTerms, spec: NormSpec,
+           grid: QuadratureGrid | None, groups: list[_Images]) -> list[float]:
+    """The value of each group, all from one
+    :func:`slicefock.spaces._multiplier_norm` call (none for no group)."""
+    if not groups:
+        return []
+    mults, bounds, prefactors, whats = zip(*groups)
+    return _multiplier_norm(prepared, spec, grid, mults, bounds, prefactors, whats)[0]
+
+
+def _modulus_images(query: ModulusQuery) -> _Images:
+    """The k-th differences at the modulus's steps, charged at 2^k (inf
+    past the float range) without the prefactor."""
     steps = np.linspace(0.0, query.delta, query.h_grid)[1:]
-    return _multiplier_norm(
-        prepared, spec, grid, lambda j: _difference_multipliers(query.k, steps, j),
-        2.0 ** query.k if query.k < 1024 else math.inf, False,
-        f"order-{query.k} modulus")[0]
+    return _Images(lambda j: _difference_multipliers(query.k, steps, j),
+                   2.0 ** query.k if query.k < 1024 else math.inf, False,
+                   f"order-{query.k} modulus")
+
+
+def _error_images(op: MultiplierOperator, prepared: Prepared | ParsevalTerms) -> _Images:
+    """op(f) - f, the multipliers 1 - rho_k (rho_k = 0 past the operator),
+    charged at the largest |1 - rho_k| past f's stored degree."""
+    m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
+    bound = float(np.max(np.abs(m[min(prepared.series.degree + 1, m.size - 1):])))
+    return _Images(lambda k: _real_multipliers(m[np.minimum(k, m.size - 1)]), bound)
+
+
+def _tail_images(n: int) -> _Images:
+    """f past degree n, whose p = 2 plane norm is E_n."""
+    return _Images(lambda k: _real_multipliers((k > n).astype(float)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +262,7 @@ def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult
 def _best_approx_terms(terms: ParsevalTerms, n: int, alpha: float) -> BestApproxResult:
     """:func:`best_approx_second` from f's Parseval terms: the norm of the
     multiplier image 0 up to degree n and 1 past it."""
-    value, _ = _multiplier_norm(terms, NormSpec("second", 2.0, alpha), None,
-                                lambda k: _real_multipliers((k > n).astype(float)))
+    value = _norms(terms, NormSpec("second", 2.0, alpha), None, [_tail_images(n)])[0]
     return BestApproxResult(n, value, taylor_truncate(terms.series, n), "projection")
 
 
@@ -275,36 +318,46 @@ class _PolarColumns(NamedTuple):
 
     cols: np.ndarray    # (K, N) complex: T_ak e^{i k theta_b}, node-major
     cols_h: np.ndarray  # (N, K): the conjugate transpose, for moments
-    scale: np.ndarray   # (K,) the power of two of each column
+    exps: np.ndarray    # (K,) int: column k is scaled by 2^{-exps_k}
     table: np.ndarray   # (2K - 1, R): r_a^m e^{-alpha r_a^2} 2^{-E_m}, m = k + l
-    pair: np.ndarray    # (K, K): 2^{E_{k+l}} scale_k scale_l
+    pair: np.ndarray    # (K, K): 2^{E_{k+l} - exps_k - exps_l}
     sums: np.ndarray    # (K, K): k + l
     diffs: np.ndarray   # (K, K): (k - l) mod the angular count
     shape: tuple        # (R, angular count)
 
+    @property
+    def scale(self) -> np.ndarray:
+        """2^{-exps}, each column's power of two (0 below the float range)."""
+        return np.ldexp(1.0, -self.exps)
+
 
 def _polar_columns(grid: QuadratureGrid, alpha: float, n: int) -> _PolarColumns:
     """The columns T_ak e^{i k theta_b}, T_ak = r_a^k e^{-alpha r_a^2 / 2}
-    scale_k, scale_k the power of two that brings the column's largest
-    entry into [1/2, 1), so that no Gram entry overflows; a radial table
-    past the float range is refused at its node (theta = 0).  The products
-    T_ak T_al come from one table in k + l, built in log space with one power
-    of two E_m per row, so that no r^{k+l} overflows."""
+    2^{-exps_k}, exps_k the power of two that brings the column's largest
+    entry into [1/2, 1) (up to rounding), so that no Gram entry overflows.
+    The columns and the products T_ak T_al, from one table in k + l with
+    one power of two E_m per row, are built in log space, so that no r^k
+    overflows, nor its power of two leaves the float range."""
     r, theta = grid.radial_nodes, grid.angular_nodes
     k = np.arange(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
-        radial = r[:, None] ** k * np.exp(-0.5 * alpha * r * r)[:, None]
-    _check_finite(radial, r)
-    _, exps = np.frexp(np.max(radial, axis=0))
-    cols = (np.ldexp(radial, -exps).T[:, :, None]
-            * np.exp(1j * np.outer(k, theta))[:, None, :]).reshape(k.size, -1)
+    ln2 = math.log(2.0)
+    logs = np.multiply.outer(k, np.log(r)) - 0.5 * alpha * r * r
+    exps = np.floor(np.max(logs, axis=1) / ln2).astype(int) + 1
+    radial = np.exp(logs - exps[:, None] * ln2)
+    cols = (radial[:, :, None] * np.exp(1j * np.outer(k, theta))[:, None, :]).reshape(k.size, -1)
     logs = np.multiply.outer(np.arange(2 * n + 1), np.log(r)) - alpha * r * r
-    tops = np.rint(np.max(logs, axis=1) / math.log(2.0)).astype(int)
+    tops = np.rint(np.max(logs, axis=1) / ln2).astype(int)
     sums = np.add.outer(k, k)
-    return _PolarColumns(cols, cols.conj().T, np.ldexp(1.0, -exps),
-                         np.exp(logs - tops[:, None] * math.log(2.0)),
+    return _PolarColumns(cols, cols.conj().T, exps, np.exp(logs - tops[:, None] * ln2),
                          np.ldexp(1.0, tops[sums] - np.add.outer(exps, exps)),
                          sums, np.subtract.outer(k, k) % theta.size, (r.size, theta.size))
+
+
+def _column_scaled(c: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """c_k 2^{exps_k} for complex c along its last axis, exact (ldexp on the
+    real and imaginary parts), also where 2^{exps_k} is no float."""
+    c = np.ascontiguousarray(c, complex)
+    return np.ldexp(c.view(float), np.repeat(exps, 2)).view(complex)
 
 
 def _polar_transform(plane: _PolarColumns, fields: np.ndarray) -> np.ndarray:
@@ -478,14 +531,14 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         return float(np.vdot(lam, mu_fv).real) / qnorm if qnorm > 0.0 else 0.0
 
     def result(upper, lower):
-        minimizer = ((coeffs * plane.scale).T @ split.conj().T).real
+        minimizer = (_column_scaled(coeffs, -plane.exps).T @ split.conj().T).real
         return BestApproxResult(
             n, _checked_ldexp(upper, e, "weighted norm"),
             SliceSeries(np.ldexp(minimizer, e)), "descent",
             lower=math.ldexp(lower, e))
 
     # the Taylor coefficients' split on the scale 2^e of v, in the scaled basis
-    coeffs = (np.ldexp(taylor_truncate(fe, n).coeffs, -e) @ split).T / plane.scale
+    coeffs = _column_scaled((np.ldexp(taylor_truncate(fe, n).coeffs, -e) @ split).T, plane.exps)
     r = fv - coeffs @ plane.cols
     s = _sum_sq(r)
     eps = 0.0 if p >= 2.0 else 0.1 * float(mu @ np.sqrt(s)) / mass
@@ -589,15 +642,21 @@ def operator_error(op: MultiplierOperator, prepared: Prepared | ParsevalTerms,
                    spec: NormSpec, grid: QuadratureGrid) -> float:
     """Norm of op(f) - f under ``spec``, f as
     :func:`slicefock.spaces.prepared_for_spec` returns it for ``spec`` (else
-    :class:`ValueError`): the multiplier image 1 - rho_k (rho_k = 0 past the
-    operator) under :func:`slicefock.spaces._multiplier_norm`, reading no
-    ``grid`` where it is a coefficient sum (p = 2, and even p up to
-    ``EVEN_P_CAP`` in the first kind or on one plane), where f's rows past
-    its stored degree are charged at the largest |1 - rho_k| over them."""
-    m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
-    bound = float(np.max(np.abs(m[min(prepared.series.degree + 1, m.size - 1):])))
-    return _multiplier_norm(prepared, spec, grid, lambda k: _real_multipliers(
-        m[np.minimum(k, m.size - 1)]), bound)[0]
+    :class:`ValueError`): :func:`operator_errors` of ``op`` alone."""
+    return operator_errors([op], prepared, spec, grid)[0]
+
+
+def operator_errors(ops, prepared: Prepared | ParsevalTerms, spec: NormSpec,
+                    grid: QuadratureGrid) -> list[float]:
+    """Norm of op(f) - f under ``spec`` for each of ``ops``, f as
+    :func:`slicefock.spaces.prepared_for_spec` returns it for ``spec`` (else
+    :class:`ValueError`): the multiplier images 1 - rho_k (rho_k = 0 past
+    the operator), one group each of one
+    :func:`slicefock.spaces._multiplier_norm` call, reading no ``grid``
+    where it is a coefficient sum (p = 2, and even p up to ``EVEN_P_CAP``
+    in the first kind or on one plane), where f's rows past its stored
+    degree are charged at the largest |1 - rho_k| over them."""
+    return _norms(prepared, spec, grid, [_error_images(op, prepared) for op in ops])
 
 
 def vdp_constant(p: float) -> float:
@@ -610,35 +669,47 @@ def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
                grid: QuadratureGrid | None = None,
                prepared: Prepared | ParsevalTerms | None = None,
                on_grid: Prepared | None = None) -> VdpReport:
-    """Check ||V_n f - f|| <= (2^((p-1)/p) (2^p + 1)^(1/p) + 1) E_n(f).
+    """Check ||V_n f - f|| <= (2^((p-1)/p) (2^p + 1)^(1/p) + 1) E_n(f):
+    :func:`vdp_sweep` at n alone."""
+    return vdp_sweep(f, [n], p, alpha, unit, grid, prepared, on_grid)[0]
 
-    At p = 2 both sides are exact from f's Parseval terms (E_n is their
-    tail), and ``grid`` is not read.  Otherwise E_n comes from the certified
-    Newton solve of :func:`best_approx_lp` on ``grid``, whose lower bound on
-    E_n the report also carries, and the error is a coefficient sum at even
-    p up to ``EVEN_P_CAP`` and a norm on ``grid`` at every other p.  f is
-    prepared once for the error (:func:`slicefock.spaces.prepared_for_spec`)
-    unless ``prepared`` is given, which must be of the kind that returns,
-    and, where that is its Parseval terms at p != 2, once more on ``grid``
-    for the solve (:func:`slicefock.spaces.prepared_for_grid`) unless
-    ``on_grid`` is given; the slack must be nonnegative.
-    """
+
+def vdp_sweep(f: SliceSeries, ns, p: float, alpha: float,
+              unit: ImaginaryUnit = UNIT_I, grid: QuadratureGrid | None = None,
+              prepared: Prepared | ParsevalTerms | None = None,
+              on_grid: Prepared | None = None) -> list[VdpReport]:
+    """:func:`verify_vdp` at each degree of ``ns``: the errors
+    ||V_n f - f|| are one :func:`slicefock.spaces._multiplier_norm` call.
+
+    At p = 2 E_n is f's Parseval tail past n, in the same call, and
+    ``grid`` is not read.  Otherwise E_n comes from the certified Newton
+    solve of :func:`best_approx_lp` on ``grid`` per degree, whose lower
+    bound on E_n the report also carries, and the errors are a coefficient
+    sum at even p up to ``EVEN_P_CAP`` and a norm on ``grid`` at every
+    other p.  f is prepared once for the errors
+    (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
+    given, which must be of the kind that returns, and, where that is its
+    Parseval terms at p != 2, once more on ``grid`` for the solves
+    (:func:`slicefock.spaces.prepared_for_grid`) unless ``on_grid`` is
+    given; the slack must be nonnegative."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
     prepared = prepared_for_spec(f, spec, grid, prepared)
-    lhs = operator_error(vdp_op(n), prepared, spec, grid)
+    groups = [_error_images(vdp_op(n), prepared) for n in ns]
     if p == 2.0:
-        best = _best_approx_terms(prepared, n, alpha)
+        values = _norms(prepared, spec, grid, groups + [_tail_images(n) for n in ns])
+        lhs, best = values[:len(ns)], [(v, "projection", None) for v in values[len(ns):]]
     else:
+        lhs = _norms(prepared, spec, grid, groups)
         if isinstance(prepared, Prepared):
             on_grid = prepared
         elif on_grid is None:
             on_grid = prepared_for_grid(f, alpha, grid)
-        best = _best_approx_lp(f, n, p, alpha, unit, grid, prepared=on_grid)
+        best = [(b.value, b.method, b.lower) for b in (
+            _best_approx_lp(f, n, p, alpha, unit, grid, prepared=on_grid) for n in ns)]
     c = vdp_constant(p)
-    rhs = c * best.value
-    return VdpReport(n, p, c, lhs, best.value, rhs, rhs - lhs, best.method,
-                     best.lower)
+    return [VdpReport(n, p, c, err, e_n, c * e_n, c * e_n - err, method, lower)
+            for n, err, (e_n, method, lower) in zip(ns, lhs, best)]
 
 
 def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
@@ -647,18 +718,30 @@ def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
                    prepared: Prepared | ParsevalTerms | None = None
                    ) -> JacksonReport:
     """Compare the smoothing-difference operator error with the modulus of
-    smoothness of order m + 1 at step 1/n; the ratio should stay within a
-    constant factor across n.  f is prepared once for both
+    smoothness of order m + 1 at step 1/n: :func:`jackson_sweep` at n
+    alone."""
+    return jackson_sweep(f, [n], m, p, alpha, unit, grid, prepared)[0]
+
+
+def jackson_sweep(f: SliceSeries, ns, m: int, p: float, alpha: float,
+                  unit: ImaginaryUnit = UNIT_I, grid: QuadratureGrid | None = None,
+                  prepared: Prepared | ParsevalTerms | None = None) -> list[JacksonReport]:
+    """:func:`verify_jackson` at each degree of ``ns``: the smoothing-
+    difference operator errors and the moduli of order m + 1 at the steps
+    1/n, whose ratio should stay within a constant factor across n, all
+    from one :func:`slicefock.spaces._multiplier_norm` call (one group per
+    error and per modulus).  f is prepared once for all
     (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
-    given; at p = 2 and at even p up to ``EVEN_P_CAP`` both are coefficient
-    sums and read no grid, otherwise both are quadratures on ``grid``."""
+    given; at p = 2 and at even p up to ``EVEN_P_CAP`` every side is a
+    coefficient sum and reads no grid, otherwise a quadrature on ``grid``."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
     prepared = prepared_for_spec(f, spec, grid, prepared)
-    lhs = operator_error(jackson_op(n, m, p), prepared, spec, grid)
-    query = ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit)
-    rhs = modulus(f, query, grid, prepared)
-    degenerate = rhs < 1e-150
-    ratio = None if degenerate else lhs / rhs
-    return JacksonReport(n, m, p, jackson_rule_r(m, p), lhs, rhs, ratio,
-                         degenerate)
+    groups = [_error_images(jackson_op(n, m, p), prepared) for n in ns] + [
+        _modulus_images(ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit))
+        for n in ns]
+    values = _norms(prepared, spec, grid, groups)
+    r = jackson_rule_r(m, p)
+    return [JacksonReport(n, m, p, r, lhs, rhs, None if rhs < 1e-150 else lhs / rhs,
+                          rhs < 1e-150)
+            for n, lhs, rhs in zip(ns, values[:len(ns)], values[len(ns):])]

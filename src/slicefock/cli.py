@@ -239,19 +239,17 @@ def cmd_converge(args) -> int:
     on_grid = spaces.prepared_for_grid(f, spec.alpha, grid) \
         if args.operator == "vdp" and args.p != 2.0 and spec.coefficient_sum else None
     make_op = {"taylor": operators.taylor_op, "fejer": operators.fejer_op}.get(args.operator)
-    rows = []
-    for n in n_list:
-        if make_op:
-            err = approx.operator_error(make_op(n), prepared, spec, grid)
-            rows.append((n, err, None, None))
-        elif args.operator == "vdp":
-            rep = approx.verify_vdp(f, n, args.p, args.alpha, unit, grid, prepared,
-                                    on_grid)
-            rows.append((n, rep.lhs, rep.rhs, rep.slack))
-        else:
-            rep = approx.verify_jackson(f, n, args.m, args.p, args.alpha, unit,
-                                        grid, prepared)
-            rows.append((n, rep.lhs, rep.rhs, None))
+    # one multiplier-image call for the whole sweep: errors, and bounds
+    # where they are norms
+    if make_op:
+        errors = approx.operator_errors([make_op(n) for n in n_list], prepared, spec, grid)
+        rows = [(n, err, None, None) for n, err in zip(n_list, errors)]
+    elif args.operator == "vdp":
+        rows = [(rep.n, rep.lhs, rep.rhs, rep.slack) for rep in approx.vdp_sweep(
+            f, n_list, args.p, args.alpha, unit, grid, prepared, on_grid)]
+    else:
+        rows = [(rep.n, rep.lhs, rep.rhs, None) for rep in approx.jackson_sweep(
+            f, n_list, args.m, args.p, args.alpha, unit, grid, prepared)]
     _format_rows(args, ("n", "error", "bound", "slack"), rows,
                  operator=args.operator, fn=args.fn)
     return 0

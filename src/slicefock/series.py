@@ -18,7 +18,8 @@ nodes are uniform on a circle: for each radius S is one inverse FFT of the
 log-scaled terms r^k a_k, folded modulo the node count, so a grid costs
 O(R (D + n log n)) instead of the O(R n D) of Horner.  It takes the rows
 in any basis, real or complex columns: the 4 components, or on the plane
-of I the split a_k = F_k + G_k J, whose two sums are F and G.  The one
+of I the split a_k = F_k + G_k J, whose two sums are F and G; and a
+batch of multiplier images along a leading axis, in one transform.  The one
 grid kernel, :func:`slicefock.spaces._weighted_plane`, gives it each
 radius's terms already scaled by the Gaussian weight.
 """
@@ -506,34 +507,39 @@ def eval_on_slice(f: SliceSeries, unit: ImaginaryUnit, z: np.ndarray,
 def _log_scaled_terms(log_mags: np.ndarray, radii: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Terms at each radius in log scale from the log sizes log |a_k| of the
-    rows: (scaled, top) with scaled[i, k] = |a_k| r_i^k e^{-top_i} <= 1,
+    rows, ``log_mags`` of shape (..., K), one row of sizes per image:
+    (scaled, top) with scaled[..., i, k] = |a_k| r_i^k e^{-top_i} <= 1,
     top_i the log of the largest term (0 where every term vanishes)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = log_mags + np.multiply.outer(np.log(radii), np.arange(log_mags.size))
-    logs[:, 0] = log_mags[0]                   # r^0 = 1, also at r = 0
-    top = np.max(logs, axis=1)
+        logs = log_mags[..., None, :] + np.multiply.outer(np.log(radii),
+                                                          np.arange(log_mags.shape[-1]))
+    logs[..., 0] = log_mags[..., None, 0]      # r^0 = 1, also at r = 0
+    top = np.max(logs, axis=-1)
     top = np.where(np.isfinite(top), top, 0.0)
-    return np.exp(logs - top[:, None]), top
+    return np.exp(logs - top[..., None]), top
 
 
 def _polar_sum(scaled: np.ndarray, dirs: np.ndarray, n_circle: int) -> np.ndarray:
     """S at r_i exp(2 pi i j / n_circle) from its log-scaled terms
     (:func:`_log_scaled_terms`, each radius's row rescaled as the caller
-    needs) and the rows ``dirs`` of shape (K, c), real or complex, in any
-    basis: sum_k scaled[i, k] dirs[k] e^{2 pi i j k / n_circle}, shape
-    (R, n_circle, c) complex.  The terms are folded modulo the node count
-    into one complex (R, c, n_circle) buffer and transformed once along
-    its contiguous last axis, so that callers working in log space
-    (log |f| far past the overflow range) never form e^{top}."""
-    n_terms, cols = dirs.shape
-    folded = np.zeros((scaled.shape[0], cols, n_circle), complex)
-    rows = dirs.T
+    needs) and the rows ``dirs`` of shape (..., K, c), real or complex, in
+    any basis, the leading axes (images) shared with ``scaled``'s (..., R,
+    K): sum_k scaled[..., i, k] dirs[..., k, :] e^{2 pi i j k / n_circle},
+    shape (..., R, n_circle, c) complex.  The terms are folded modulo the
+    node count into one complex (..., R, c, n_circle) buffer and transformed
+    in place along its contiguous last axis, one FFT for every image and
+    radius, so that callers working in log space (log |f| far past the
+    overflow range) never form e^{top}."""
+    n_terms, cols = dirs.shape[-2:]
+    folded = np.zeros(scaled.shape[:-1] + (cols, n_circle), complex)
+    rows = np.swapaxes(dirs, -1, -2)[..., None, :, :]       # (..., 1, c, K)
+    terms = scaled[..., None, :]                             # (..., R, 1, K)
     head = min(n_terms, n_circle)
-    np.multiply(rows[:, :head], scaled[:, None, :head], out=folded[..., :head])
+    np.multiply(rows[..., :head], terms[..., :head], out=folded[..., :head])
     for start in range(n_circle, n_terms, n_circle):
         stop = min(start + n_circle, n_terms)
-        folded[..., :stop - start] += rows[:, start:stop] * scaled[:, None, start:stop]
-    return np.fft.ifft(folded, norm="forward").swapaxes(1, 2)
+        folded[..., :stop - start] += rows[..., start:stop] * terms[..., start:stop]
+    return np.fft.ifft(folded, norm="forward", out=folded).swapaxes(-2, -1)
 
 
 def slice_components(f: SliceSeries, z: np.ndarray,

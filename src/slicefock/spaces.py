@@ -15,8 +15,9 @@ algebra powers two degrees apart overlap, the Gram of the monomials is
 banded, and norms, best approximations and inner products are sums of
 squares through its bidiagonal Cholesky factor (:func:`_first_images`,
 :func:`_inner`).  Each charges f's tail past its stored degree against
-the value it reports; every norm, operator error and modulus is one call of
-:func:`_multiplier_norm`.
+the value it reports; every norm, operator error and modulus, and every
+sweep of them over n, is one call of :func:`_multiplier_norm`, one value
+per group of multiplier images.
 
 Every even p = 2m up to ``EVEN_P_CAP`` is a coefficient sum over the same
 certificate (:func:`_even_power`), on one plane and over the algebra: with
@@ -42,8 +43,9 @@ reads each sampled plane from the same (a, b).
 
 Every grid consumer reads one kernel, :func:`_weighted_plane`: the
 weighted sums S 2^e at the grid's nodes, from the rows in log-polar form
-(directions and log sizes) in any basis, so nothing overflows for a member
-whose weighted integrand is finite.  A number on one plane reads the rows'
+(directions and log sizes) in any basis, for one image or a batch of
+them, so nothing overflows for a member whose weighted integrand is
+finite.  A number on one plane reads the rows'
 split (F_k, G_k) there (:func:`_plane_splits`), two complex columns whose
 sums are F and G, its amplitude (|F|^2 + |G|^2)^(1/2); the sphere and the
 first kind read the 4 real components, (a, b) = (Re v, Im v).  Each
@@ -408,46 +410,111 @@ def _real_multipliers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         return np.log(np.abs(m)), np.sign(m), 0.0
 
 
-def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``mult`` (as :func:`_multiplier_norm` takes it) over the degrees
-    0..size-1 as (log |m|, sign, theta), each of shape (rows, size)."""
+def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One group of ``mult`` (as :func:`_multiplier_norm` takes it) over the
+    degrees 0..size-1 as (log |m|, sign, theta), each of shape (images,
+    size); f itself (None) is one image of log |m| = 0, sign and theta None."""
+    if mult is None:
+        return np.zeros((1, size)), None, None
     log_r, sign, theta = mult(np.arange(size))
     log_r = np.atleast_2d(log_r)
     return log_r, np.broadcast_to(sign, log_r.shape), np.broadcast_to(theta, log_r.shape)
 
 
-def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None,
-                    bound: float = 1.0) -> tuple[float, float]:
-    """log of the largest p = 2 power sum_k |m_k|^2 t_k of f's Parseval terms
-    over the rows of m (``mult`` as :func:`_multiplier_norm` takes it; 1 when
-    None), and the charge of f's tail relative to it: with |m_k| <=
-    ``bound`` past the stored degree it adds at most tail bound^2 sum_k t_k,
-    charged from its log (:func:`_check_tail_budget`).  Where it misses its
-    half of the budget, f's terms are certified once more at the tail that
-    power needs (the smallest float if it is 0)."""
+def _groups(mult, *per_group) -> tuple:
+    """``mult`` as :func:`_multiplier_norm` takes it as a list of groups
+    (one group for None or a single ``mult``), each of ``per_group`` as a
+    list of one value per group (a single value serves every group), and
+    whether ``mult`` was a sequence of groups."""
+    grouped = not (mult is None or callable(mult))
+    mults = list(mult) if grouped else [mult]
+    return (mults, *(list(v) if isinstance(v, (list, tuple)) else [v] * len(mults)
+                     for v in per_group), grouped)
+
+
+#: Largest count of values one block of multiplier images holds at once:
+#: grid values in :func:`_multiplier_norm`, multipliers in the coefficient
+#: sums.
+_IMAGE_BLOCK = 1 << 16
+
+
+def _over_images(mults: list, size: int, per_image: int, evaluate
+                 ) -> tuple[list[np.ndarray], list[int]]:
+    """``evaluate(log_r, sign, theta)`` over the images of the groups
+    ``mults`` (each read by :func:`_multipliers` over the degrees
+    0..size-1; None, f itself, only alone), in blocks of at most
+    ``_IMAGE_BLOCK // per_image`` images (at least one) that may span
+    groups: each of its per-image results concatenated over the blocks,
+    and the index of each group's first image, so that a group's results
+    reduce with ``np.maximum.reduceat``.  One block of images is held at a
+    time, besides the group being read."""
+    limit = max(1, _IMAGE_BLOCK // per_image)
+    starts, out, pending = [], [], []
+    held = total = 0
+
+    def flush():
+        out.append(evaluate(*(parts[0] if len(parts) == 1 or parts[0] is None
+                              else np.concatenate(parts) for parts in zip(*pending))))
+        pending.clear()
+
+    for mult in mults:
+        images = _multipliers(mult, size)
+        count = len(images[0])
+        starts.append(total)
+        total += count
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + limit - held)
+            pending.append([x if x is None else x[lo:hi] for x in images])
+            held += hi - lo
+            lo = hi
+            if held == limit:
+                flush()
+                held = 0
+    if pending:
+        flush()
+    return list(out[0]) if len(out) == 1 else [np.concatenate(r) for r in zip(*out)], starts
+
+
+def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None, bound=1.0):
+    """Per group of ``mult`` (as :func:`_multiplier_norm` takes it; 1 when
+    None) the log of the largest p = 2 power sum_k |m_k|^2 t_k of f's
+    Parseval terms over its images, and the charge of f's tail relative to
+    it: with |m_k| <= the group's ``bound`` past the stored degree it adds
+    at most tail bound^2 sum_k t_k, charged from its log
+    (:func:`_check_tail_budget`).  Where a group misses its half of the
+    budget, f's terms are certified once more, at the tail the group that
+    needs the smallest one needs (the smallest float if it is 0), and every
+    group is read from them.  Lists, one entry per group, where ``mult`` is
+    a sequence of groups; else the one group's floats."""
+    mults, bounds, grouped = _groups(mult, bound)
+
     def weighted(terms):
         log_total = float(_log_sum(terms.logw))
-        if mult is None:
-            log_sq = log_total
+        if mults == [None]:        # f itself
+            log_sq = [log_total]
         else:
-            log_m = _multipliers(mult, terms.logw.size)[0]
-            log_sq = float(np.max(_log_sum(2.0 * log_m + terms.logw)))
-        # log of what a unit of relative tail adds to the power, relative to it
-        gap = log_total + 2.0 * math.log(bound) - log_sq
+            (log_sq,), starts = _over_images(
+                mults, terms.logw.size, terms.logw.size,
+                lambda log_r, sign, theta: (_log_sum(2.0 * log_r + terms.logw),))
+            log_sq = np.maximum.reduceat(log_sq, starts).tolist()
+        # log of what a unit of relative tail adds to each power, relative to it
+        return log_sq, [log_total + 2.0 * math.log(b) - s for b, s in zip(bounds, log_sq)]
 
-        def charge(log_x):
-            if log_x == -math.inf:
-                return 0.0
-            y = log_x + gap
-            return math.exp(y) if y < 709.0 else math.inf   # inf is refused
-        return log_sq, gap, charge
+    def charge(log_x, gap):
+        if log_x == -math.inf:
+            return 0.0
+        y = log_x + gap
+        return math.exp(y) if y < 709.0 else math.inf   # inf is refused
 
-    log_sq, gap, charge = weighted(terms)
-    if charge(terms.log_tail) > NORM_TAIL_BUDGET:
+    log_sq, gaps = weighted(terms)
+    if max(charge(terms.log_tail, g) for g in gaps) > NORM_TAIL_BUDGET:
+        gap = max(gaps)
         terms = _parseval_terms(terms.series, alpha, math.log(NORM_TAIL_BUDGET) - gap
                                 if gap < math.inf else math.log(5e-324))
-        log_sq, _, charge = weighted(terms)
-    return log_sq, _check_tail_budget(1.0, charge(terms.log_tail), 2.0)
+        log_sq, gaps = weighted(terms)
+    charges = [_check_tail_budget(1.0, charge(terms.log_tail, g), 2.0) for g in gaps]
+    return (log_sq, charges) if grouped else (log_sq[0], charges[0])
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +597,12 @@ def _band(x: np.ndarray, diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return out
 
 
-def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
+def _even_images(terms: ParsevalTerms, spec: NormSpec, log_r: np.ndarray | None = None,
+                 sign: np.ndarray | None = None, theta: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Per image of f under ``mult`` (as :func:`_multiplier_norm` takes it;
-    f itself without) at p = 2m: log P, P the prefactored p-th power on the
+    """Per image of f under the multipliers sign e^{log_r} e^{I theta}
+    (each of shape (images, D + 1), as :func:`_multipliers` gives them; f
+    itself without) at p = 2m: log P, P the prefactored p-th power on the
     plane of ``spec``'s unit in the second kind, the mean over the planes of
     a design (:data:`_PLANE_DESIGNS`) in the first, and the log of a bound
     on the rounding of its norm P^(1/p).  The planes are an axis of one
@@ -578,8 +647,8 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, mult=None
     deg = fe.degree
     dilated, log_w, binom, log_cw, cw_ulps = _even_weights(m, deg)
     rows = 0.5 * (terms.logw - dilated)
-    log_r, sign, theta = (np.zeros((1, deg + 1)), None, None) if mult is None \
-        else _multipliers(mult, deg + 1)
+    if log_r is None:
+        log_r, sign, theta = _multipliers(None, deg + 1)
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
     eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
     units, off = _PLANE_DESIGNS[m > 3] if first else ((spec.slice_unit,), 0.0)
@@ -698,39 +767,46 @@ def _first_tail(terms: ParsevalTerms, spec: NormSpec) -> float:
     return float(top) + log_x - math.log(-math.expm1(log_x))
 
 
-def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None,
-                bound: float = 1.0) -> tuple[float, float]:
-    """log of the largest prefactored p-th power of f's images at even p
-    (:func:`_even_images`), and its charge relative to the norm.  f's tail
-    T past the stored degree moves each image's norm by at most ||T'||_p,
-    T' its image, with |m_k| <= ``bound`` past the degree.  On a plane that
-    is at most ||T'||_2 <= bound (tau sum_k t_k)^(1/2), tau the relative
-    tail: Minkowski, then the embedding ||h||_{q, alpha} <= ||h||_{p, alpha}
-    for p <= q in this normalization (K. Zhu, Analysis on Fock Spaces,
-    Thm 2.10).  Over the algebra it is Minkowski over the monomials
-    (:func:`_first_tail`).  Where that misses half the budget, f's terms are
-    certified once more at a tail smaller by the square of the excess (the
+def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None, bound=1.0):
+    """Per group of ``mult`` (as :func:`_multiplier_norm` takes it; f itself
+    without) the log of the largest prefactored p-th power of its images at
+    even p (:func:`_even_images`), and its charge relative to the norm.
+    f's tail T past the stored degree moves each image's norm by at most
+    ||T'||_p, T' its image, with |m_k| <= the group's ``bound`` past the
+    degree.  On a plane that is at most ||T'||_2 <= bound (tau sum_k
+    t_k)^(1/2), tau the relative tail: Minkowski, then the embedding
+    ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this normalization
+    (K. Zhu, Analysis on Fock Spaces, Thm 2.10).  Over the algebra it is
+    Minkowski over the monomials (:func:`_first_tail`).  Where a group
+    misses half the budget, f's terms are certified once more, for every
+    group, at a tail smaller by the square of the largest excess (the
     smallest float if that is 0); over the algebra by 16^2 more, as the
     monomials' norms grow slowly against their Parseval terms.  The images'
-    rounding is charged with it (:func:`_check_tail_budget`)."""
-    p, log_bound, first = spec.p, math.log(bound), spec.kind == "first"
+    rounding is charged with it (:func:`_check_tail_budget`).  Lists, one
+    entry per group, where ``mult`` is a sequence of groups; else floats."""
+    mults, bounds, grouped = _groups(mult, bound)
+    p, first = spec.p, spec.kind == "first"
 
     def evaluate(terms):
-        log_pow, log_err = _even_images(terms, spec, mult)
-        best = float(np.max(log_pow))
+        (log_pow, log_err), starts = _over_images(
+            mults, terms.series.degree + 1, terms.series.degree + 1,
+            lambda log_r, sign, theta: _even_images(terms, spec, log_r, sign, theta))
+        best = np.maximum.reduceat(log_pow, starts).tolist()
+        worst = np.maximum.reduceat(log_err, starts).tolist()
         log_tail = _first_tail(terms, spec) if first \
             else 0.5 * (terms.log_tail + float(_log_sum(terms.logw)))
-        return (best, _relative(log_bound + log_tail, best / p),
-                _relative(float(np.max(log_err)), best / p))
+        return best, [_relative(math.log(b) + log_tail, v / p) for b, v in zip(bounds, best)], \
+            [_relative(w, v / p) for w, v in zip(worst, best)]
 
-    best, tail, rounding = evaluate(terms)
-    if tail > 0.5 * NORM_TAIL_BUDGET:
-        log_tol = terms.log_tail - 2.0 * (math.log(tail / (0.5 * NORM_TAIL_BUDGET))
+    best, tails, roundings = evaluate(terms)
+    if max(tails) > 0.5 * NORM_TAIL_BUDGET:
+        log_tol = terms.log_tail - 2.0 * (math.log(max(tails) / (0.5 * NORM_TAIL_BUDGET))
                                           + (math.log(16.0) if first else 0.0))
         terms = _parseval_terms(terms.series, spec.alpha,
                                 log_tol if log_tol > -math.inf else math.log(5e-324))
-        best, tail, rounding = evaluate(terms)
-    return best, _check_tail_budget(1.0, tail + rounding, 1.0)
+        best, tails, roundings = evaluate(terms)
+    charges = [_check_tail_budget(1.0, t + r, 1.0) for t, r in zip(tails, roundings)]
+    return (best, charges) if grouped else (best[0], charges[0])
 
 
 # ---------------------------------------------------------------------------
@@ -773,22 +849,23 @@ def _gram_rows(x: np.ndarray) -> np.ndarray:
     return _band(np.swapaxes(x, -1, -2), diag[:k], sub[2:k + 2]).swapaxes(-1, -2)
 
 
-def _scaled_rows(terms: ParsevalTerms, mult=None, size: int = 0
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """f's rows m_k s_k for each row of real multipliers (``mult`` as
-    :func:`_multiplier_norm` takes it; f itself without), each image times
-    e^{-top/2}, top its largest log m_k^2 t_k: (x of shape (images, K, 4),
-    zero past f's rows up to ``size``, and top).  Directions come from the
-    series' log-polar rows (:attr:`SliceSeries.directions`) and sizes from
-    the certified log t_k, so no row leaves the float range before its
-    scale."""
-    dirs, logw, sign = terms.series.directions, terms.logw[None], 1.0
-    if mult is not None:
-        log_r, sign, _ = _multipliers(mult, logw.size)
-        logw, sign = 2.0 * log_r + logw, sign[..., None]
+def _scaled_rows(terms: ParsevalTerms, size: int = 0, log_r: np.ndarray | None = None,
+                 sign: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """f's rows m_k s_k for each image of real multipliers sign e^{log_r}
+    (each of shape (images, K), as :func:`_multipliers` gives them; f
+    itself without), each image times e^{-top/2}, top its largest log m_k^2
+    t_k: (x of shape (images, K, 4), zero past f's rows up to ``size``, and
+    top).  Directions come from the series' log-polar rows
+    (:attr:`SliceSeries.directions`) and sizes from the certified log t_k,
+    so no row leaves the float range before its scale."""
+    dirs, logw = terms.series.directions, terms.logw[None]
+    if log_r is not None:
+        logw = 2.0 * log_r + logw
     top = np.maximum(logw.max(axis=-1), -1e308)    # an image of zeros stays 0
     x = np.zeros((top.size, max(size, dirs.shape[0]), 4))
-    x[:, :dirs.shape[0]] = sign * dirs * np.exp(0.5 * (logw - top[:, None]))[..., None]
+    x[:, :dirs.shape[0]] = dirs * np.exp(0.5 * (logw - top[:, None]))[..., None]
+    if sign is not None:
+        x[:, :dirs.shape[0]] *= sign[..., None]
     return x, top
 
 
@@ -815,46 +892,68 @@ def _relative(log_err: float, log_value: float) -> float:
 
 
 def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
-                  bound: float = 1.0) -> tuple[float, float, ParsevalTerms, np.ndarray, np.ndarray]:
-    """The largest first-kind p = 2 power of f's images under real
+                  bound=1.0) -> tuple:
+    """Per group of ``mult`` (as :func:`_multiplier_norm` takes it; f itself
+    without) the largest first-kind p = 2 power of its images under real
     multipliers (:func:`_scaled_rows`), or with n >= 0 of their residuals r
     past the best degree-n approximation: (L^T r)_k = 0 for k <= n makes
     r_k = -m_{k+2} r_{k+2} / l_k down from the rows past n, and the power is
     sum_{k>n} |(L^T r)_k|^2.  f's rows past its stored degree, from K,
-    bounded by W (:func:`_charged_bound`) and their multipliers by
-    ``bound``, add at most 2 bound^2 W (H <= 2 D) + 2 bound sqrt(W b)
-    (||O|| < 1 across disjoint rows), b the image's weighted rows K - 2 and
-    K - 1, or twice the power where they reach row n + 2.  Where that charge
-    misses the budget, f's terms are certified once more at a tail smaller
-    by the square of the excess.  Returns (log power, relative charge
-    (:func:`_check_tail_budget`), the terms, the rows r, their scales)."""
+    bounded by W (:func:`_charged_bound`) and their multipliers by the
+    group's ``bound``, add at most 2 bound^2 W (H <= 2 D) + 2 bound sqrt(W
+    b) (||O|| < 1 across disjoint rows), b the image's weighted rows K - 2
+    and K - 1, or twice the power where they reach row n + 2.  Where a
+    group's charge misses the budget, f's terms are certified once more,
+    for every group, at a tail smaller by the square of the largest excess.
+    Returns (log power, relative charge (:func:`_check_tail_budget`), the
+    terms, the rows r and their scales of the last block of images (every
+    image of a single group)); the first two are lists, one entry per
+    group, where ``mult`` is a sequence of groups, else floats."""
+    mults, bounds, grouped = _groups(mult, bound)
+    log_bounds = [math.log(b) if b > 0.0 else -math.inf for b in bounds]
     diag, sub = _first_factor(n + 3)
-    log_bound = math.log(bound) if bound > 0.0 else -math.inf
+    rows = [None, None]
 
-    def evaluate(terms):
-        x, top = _scaled_rows(terms, mult, n + 3)
+    def images(terms, log_r, sign, theta):
+        x, top = _scaled_rows(terms, n + 3, log_r, sign)
         for k in range(n, -1, -1):
             x[:, k] = -sub[k + 2] / diag[k] * x[:, k + 2]
         with np.errstate(divide="ignore"):
             log_p = top + np.log(np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1)))
-        best = float(np.max(log_p))
-        k, log_w = _charged_bound(terms, alpha, True)
+        k = terms.series.degree + 1
         lo = max(k - 2, 0)
         with np.errstate(divide="ignore", invalid="ignore"):    # nan is refused
             log_b = top + np.log(np.sum(np.square(x[:, lo:k]), axis=-1)
                                  @ np.arange(lo + 1.0, k + 1.0)) \
                 if n < 0 or k >= n + 3 else math.log(2.0) + log_p
-            log_err = np.logaddexp(math.log(2.0) + 2.0 * log_bound + log_w,
-                                   math.log(2.0) + log_bound + 0.5 * (log_w + log_b))
-        return best, _relative(float(np.max(log_err)), best) / NORM_TAIL_BUDGET, x, top
+        rows[:] = x, top
+        return log_p, log_b
 
-    log_p, over, x, top = evaluate(terms)
-    if over > 1.0:
-        log_tol = max(terms.log_tail - 2.0 * math.log(16.0 * over), math.log(5e-324))
+    def evaluate(terms):
+        (log_p, log_b), starts = _over_images(
+            mults, terms.logw.size, 4 * max(n + 3, terms.logw.size),
+            lambda *m: images(terms, *m))
+        best = np.maximum.reduceat(log_p, starts).tolist()
+        log_b = np.maximum.reduceat(log_b, starts).tolist()
+        _, log_w = _charged_bound(terms, alpha, True)
+        over = []
+        for lb, b, v in zip(log_bounds, log_b, best):
+            with np.errstate(invalid="ignore"):     # nan is refused
+                log_err = np.logaddexp(math.log(2.0) + 2.0 * lb + log_w,
+                                       math.log(2.0) + lb + 0.5 * (log_w + b))
+            over.append(_relative(float(log_err), v) / NORM_TAIL_BUDGET)
+        return best, over
+
+    log_p, over = evaluate(terms)
+    if max(over) > 1.0:
+        log_tol = max(terms.log_tail - 2.0 * math.log(16.0 * max(over)), math.log(5e-324))
         if log_tol < terms.log_tail:
             terms = _parseval_terms(terms.series, alpha, log_tol)
-            log_p, over, x, top = evaluate(terms)
-    return log_p, _check_tail_budget(1.0, over * NORM_TAIL_BUDGET, 2.0), terms, x, top
+            log_p, over = evaluate(terms)
+    charges = [_check_tail_budget(1.0, o * NORM_TAIL_BUDGET, 2.0) for o in over]
+    if not grouped:
+        log_p, charges = log_p[0], charges[0]
+    return log_p, charges, terms, *rows
 
 
 def _checked_exp(log_value: float, what: str) -> float:
@@ -882,52 +981,58 @@ def _checked_ldexp(x: float, e: int, what: str, nonzero: bool | None = None) -> 
 
 
 def _weighted_plane(dirs: np.ndarray, log_mags: np.ndarray, grid: QuadratureGrid,
-                    alpha: float) -> tuple[np.ndarray, int]:
+                    alpha: float) -> tuple[np.ndarray, int | np.ndarray]:
     """The one plane-evaluation kernel: S e^{-alpha |z|^2 / 2} at the grid's
     nodes for the rows a_k = dirs[k] e^{log_mags[k]} of a prepared series
     (:attr:`SliceSeries.directions`, :attr:`SliceSeries.log_row_norms`) or
     of a multiplier image, in any basis: ``dirs`` of shape (K, c), real or
     complex, and S(z) = sum_k z^k a_k per column, as a complex (R, n, c)
-    array v and an integer e.  On the 4 real components f(q) e^{-alpha
-    |q|^2 / 2} is (Re v + u Im v) 2^e on q = x + u y; on the split columns
-    (F_k, G_k) of the plane of I (:func:`_plane_splits`) it is (F + G J)
-    2^e there, so its size is |v| 2^e.  S comes from one FFT per radius of
-    its log-scaled terms (:func:`slicefock.series._polar_sum`), each radius's
-    terms scaled by e^{top - alpha r^2 / 2 - e ln 2} before the transform, e
-    the integer nearest the largest exponent over ln 2.  So v is finite
-    where the weighted values are, no square of it overflows, and a row
-    below the float range keeps its size."""
+    array v and an integer e.  With a leading image axis, ``dirs`` of shape
+    (I, K, c) and ``log_mags`` (I, K), it is v of shape (I, R, n, c) and
+    one exponent per image, each image's v and e those it has alone.  On
+    the 4 real components f(q) e^{-alpha |q|^2 / 2} is (Re v + u Im v) 2^e
+    on q = x + u y; on the split columns (F_k, G_k) of the plane of I
+    (:func:`_plane_splits`) it is (F + G J) 2^e there, so its size is |v|
+    2^e.  S comes from one FFT for every image and radius of its log-scaled
+    terms (:func:`slicefock.series._polar_sum`), each radius's terms scaled
+    by e^{top - alpha r^2 / 2 - e ln 2} before the transform, e the integer
+    nearest the image's largest exponent over ln 2.  So v is finite where
+    the weighted values are, no square of it overflows, and a row below the
+    float range keeps its size."""
     scaled, top = _log_scaled_terms(log_mags, grid.radial_nodes)
     lam = top - 0.5 * alpha * grid.radial_nodes ** 2
-    e = int(np.rint(np.max(lam) / math.log(2.0)))
-    scaled *= np.exp(lam - e * math.log(2.0))[:, None]
+    e = np.rint(np.max(lam, axis=-1) / math.log(2.0))
+    scaled *= np.exp(lam - e[..., None] * math.log(2.0))[..., None]
     # the angular nodes are consecutive on the circle: a view, which keeps
     # each column one contiguous block
     start = int(grid.circle_index[0])
-    return _polar_sum(scaled, dirs, grid.circle_size)[
-        :, start:start + grid.angular_nodes.size], e
+    v = _polar_sum(scaled, dirs, grid.circle_size)[..., start:start + grid.angular_nodes.size, :]
+    return v, int(e) if e.ndim == 0 else e.astype(int)
 
 
-def _grid_sum(integ: np.ndarray, grid: QuadratureGrid) -> float:
-    """Grid sum of a (radial, angular) integrand.  A non-finite sample is
-    named by :func:`_check_finite` (the nodes are built only then), and a
-    radial profile that peaks in the last two of four or more shells raises
+def _grid_sum(integ: np.ndarray, grid: QuadratureGrid) -> float | np.ndarray:
+    """Grid sum of a (radial, angular) integrand, or one per image of an
+    (images, radial, angular) one.  A non-finite sample is named by
+    :func:`_check_finite` (the nodes are built only then), and a radial
+    profile that peaks in the last two of four or more shells raises
     :class:`RefinementError`: the grid does not reach the integrand's mass."""
     if not np.all(np.isfinite(integ)):
-        _check_finite(integ.ravel(), slice_points(grid)[0])
+        _check_finite(integ.reshape(-1, grid.plane_weights.size).T, slice_points(grid)[0])
     with np.errstate(over="ignore"):       # a non-finite norm
         profile = grid.radial_weights * (integ @ grid.angular_weights)
-        raw = float(np.sum(profile))
-    if math.isfinite(raw) and raw > 0.0 and 4 <= profile.size <= np.argmax(profile) + 2:
+        raw = np.sum(profile, axis=-1)
+    shells = profile.shape[-1]
+    late = np.argmax(profile, axis=-1) >= shells - 2
+    if shells >= 4 and late.any() and np.any(late & (raw > 0.0) & (raw < math.inf)):
         raise RefinementError(
             "weighted integrand peaks at the grid's outermost radial nodes: "
             "refine the grid")
-    return raw
+    return float(raw) if raw.ndim == 0 else raw
 
 
-def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float) -> float:
+def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float) -> float | np.ndarray:
     """Raw integral of amp^p over the plane grid from the (radial, angular)
-    weighted amplitude."""
+    weighted amplitude, or one per image (:func:`_grid_sum`)."""
     with np.errstate(over="ignore"):       # a non-finite sample
         integ = amp ** p
     return _grid_sum(integ, grid)
@@ -957,89 +1062,114 @@ def _sphere_power(amp_sq: np.ndarray, wnorm: np.ndarray, p: float) -> np.ndarray
         return np.where(wnorm > 0.0, value, SPHERE_AREA * amp_sq ** (0.5 * p))
 
 
-def _volume_raw_power(v: np.ndarray, grid: QuadratureGrid, p: float) -> float:
+def _volume_raw_power(v: np.ndarray, grid: QuadratureGrid, p: float) -> float | np.ndarray:
     """The raw power over the whole algebra from the kernel's v on one plane
-    (:func:`_weighted_plane`; the true one is 4^{e p / 2} times it): on
-    q = x + u y, |f|^2 w_alpha^2 is (A + u.w) 4^e for (a, b) = (Re v, Im v),
-    so the power's sphere integral is closed-form."""
+    (:func:`_weighted_plane`; the true one is 4^{e p / 2} times it), one
+    per image with a leading image axis: on q = x + u y, |f|^2 w_alpha^2 is
+    (A + u.w) 4^e for (a, b) = (Re v, Im v), so the power's sphere integral
+    is closed-form."""
     amp_sq, w = _affine_square(v.real, v.imag)
     return _grid_sum(_sphere_power(amp_sq, np.sqrt(np.sum(w * w, axis=-1)), p), grid)
 
 
 def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
-                     grid: QuadratureGrid | None, mult=None, bound: float = 1.0,
-                     prefactor: bool = True, what: str = "weighted norm"
-                     ) -> tuple[float, float]:
-    """The largest ``spec``-norm of sum_k q^k m_k a_k over the rows of m_k =
-    sign_k e^{log_r_k} e^{I theta_k}, (log_r, sign, theta) = ``mult(k)``
-    (theta 0 for real m, :func:`_real_multipliers`; f itself without ``mult``),
-    prefactor left out unless ``prefactor``, and f's relative tail or
-    charge, f ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  At
-    p = 2 a coefficient sum, :func:`_parseval_power` on a plane and
+                     grid: QuadratureGrid | None, mult=None, bound=1.0,
+                     prefactor=True, what="weighted norm") -> tuple:
+    """The largest ``spec``-norm of sum_k q^k m_k a_k over the images of
+    one group, m_k = sign_k e^{log_r_k} e^{I theta_k}, (log_r, sign,
+    theta) = ``mult(k)`` of shape (images, K) (theta 0 for real m,
+    :func:`_real_multipliers`; f itself without ``mult``), prefactor left
+    out unless ``prefactor``, and f's relative tail or charge, f
+    ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  ``mult`` may
+    also be a sequence of such groups, each with its own count of images,
+    and ``bound``, ``prefactor`` and ``what`` one value for all or one per
+    group: then the values and charges are lists, one entry per group, each
+    group's value the largest over its own images and charged against
+    itself, and f's terms are certified again at most once for all of them,
+    as deep as the group that needs the deepest needs.
+
+    At p = 2 a coefficient sum, :func:`_parseval_power` on a plane and
     :func:`_first_images` over the algebra, and at the other even p up to
     ``EVEN_P_CAP`` :func:`_even_power`, f's tail charged at ``bound`` >=
-    |m_k| past its stored degree; else the largest power of the images on
-    every plane ``spec`` reads, on the scale of the largest exponent.  Each
-    image is formed in log-polar form, row k of size log |m_k| + log |a_k|,
-    so a row below the float range keeps its size.  On one plane its
-    direction is the split (F_k, G_k) of dir_k, d = F + G J
+    |m_k| past its stored degree; else the largest power of a group's
+    images on every plane ``spec`` reads, on the scale of its largest
+    exponent.  Each image is formed in log-polar form, row k of size log
+    |m_k| + log |a_k|, so a row below the float range keeps its size.  On
+    one plane its direction is the split (F_k, G_k) of dir_k, d = F + G J
     (:func:`_plane_splits`), times the scalar sign_k e^{i theta_k}, and the
     amplitude is (|F|^2 + |G|^2)^(1/2); the sphere and the first kind read
-    the 4 real components.  A rotation e^{I theta} names the plane of one
+    the 4 real components.  The images of every group go through the plane
+    kernel together, in blocks of at most ``_IMAGE_BLOCK`` grid values
+    (:func:`_over_images`).  A rotation e^{I theta} names the plane of one
     unit, so a complex multiplier on a spec that reads more planes is
-    refused (:class:`ValueError`)."""
+    refused (:class:`ValueError`).  A value past the float range, or
+    nonzero below it, raises :class:`IntegrandOverflowError` naming its
+    group's ``what``."""
     _check_prepared(prepared, spec)
-    one_plane = spec.slice_unit is not None
-    if mult is not None and not one_plane:
-        mult = _real_only(mult, spec)
+    mults, bounds, prefactors, whats, grouped = _groups(mult, bound, prefactor, what)
+    if spec.slice_unit is None:
+        mults = [m if m is None else _real_only(m, spec) for m in mults]
     first = spec.kind == "first"
     if spec.coefficient_sum:
         if spec.p != 2.0:
-            log_pow, charge = _even_power(prepared, spec, mult, bound)
+            log_pow, charges = _even_power(prepared, spec, mults, bounds)
         elif first:
-            log_pow, charge = _first_images(prepared, spec.alpha, -1, mult, bound)[:2]
+            log_pow, charges = _first_images(prepared, spec.alpha, -1, mults, bounds)[:2]
         else:
-            log_pow, charge = _parseval_power(prepared, spec.alpha, mult, bound)
-        if not prefactor:
-            log_pow += (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.scale))
-        return _checked_exp(log_pow / spec.p, what), charge
+            log_pow, charges = _parseval_power(prepared, spec.alpha, mults, bounds)
+        # the prefactor's log, left out where a group asks
+        shift = (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.scale))
+        values = [_checked_exp((lp if pf else lp + shift) / spec.p, w)
+                  for lp, pf, w in zip(log_pow, prefactors, whats)]
+    else:
+        values = _grid_norms(prepared, spec, grid, mults, prefactors, whats)
+        charges = [prepared.tail] * len(mults)
+    return (values, charges) if grouped else (values[0], charges[0])
+
+
+def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults: list,
+                prefactors: list, whats: list) -> list[float]:
+    """Each group's value in the grid path of :func:`_multiplier_norm`: its
+    images' raw powers with one exponent e per image, each group's largest
+    on the scale of its largest e."""
+    first, one_plane = spec.kind == "first", spec.slice_unit is not None
     _check_mode(grid, "volume" if first else "slice", f"a {spec.kind}-kind norm")
     fe = prepared.series
     dirs, log_mags = fe.directions, fe.log_row_norms
     if one_plane:
         dirs = dirs @ _plane_splits((spec.slice_unit,))      # (F, G) of each row
-    if mult is None:
-        images = [(dirs, log_mags)]
-    else:
-        log_r, sign, theta = _multipliers(mult, log_mags.size)
-        # e^{I theta} (F + G J) = e^{i theta} F + e^{i theta} G J
-        phase = sign * np.exp(1j * theta) if np.any(theta) else sign
-        images = [(ph[:, None] * dirs, lr + log_mags) for lr, ph in zip(log_r, phase)]
-    rows = []   # (raw, e) of every image on every plane spec reads
-    for image in images:
-        v, e = _weighted_plane(*image, grid, spec.alpha)
+    units = None if first or one_plane else [u.vector() for u in sphere_grid(spec.sup_samples)]
+
+    def raw_powers(log_r, sign, theta):
+        if sign is None:
+            rows = dirs[None]
+        else:   # e^{I theta} (F + G J) = e^{i theta} F + e^{i theta} G J
+            rows = (sign * np.exp(1j * theta) if np.any(theta) else sign)[..., None] * dirs
+        v, e = _weighted_plane(rows, log_r + log_mags, grid, spec.alpha)
         if first:
-            rows.append((_volume_raw_power(v, grid, spec.p), e))
-            continue
+            return _volume_raw_power(v, grid, spec.p), e
         if one_plane:
-            amps = [np.sqrt(np.sum(np.square(v.real) + np.square(v.imag), axis=-1))]
-        else:   # every sampled plane from one shared evaluation
-            amp_sq, lin = _affine_square(v.real, v.imag)
-            amps = [np.sqrt(np.maximum(amp_sq + lin @ u.vector(), 0.0))
-                    for u in sphere_grid(spec.sup_samples)]
-        rows += [(_plane_raw_power(amp, grid, spec.p), e) for amp in amps]
-    raw, e = np.array(rows).T
-    best = float(np.max(raw * 2.0 ** (spec.p * (e - e.max()))))
-    pref = spec.alpha * spec.p / (2.0 * math.pi) if prefactor else 1.0
+            amp = np.sqrt(np.sum(np.square(v.real) + np.square(v.imag), axis=-1))
+            return _plane_raw_power(amp, grid, spec.p), e
+        amp_sq, lin = _affine_square(v.real, v.imag)   # every sampled plane from one evaluation
+        return np.max([_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u, 0.0)), grid, spec.p)
+                       for u in units], axis=0), e
+
+    per_image = grid.radial_nodes.size * grid.circle_size * dirs.shape[1]
+    (raw, e), starts = _over_images(mults, log_mags.size, per_image, raw_powers)
+    top = np.maximum.reduceat(e, starts)
+    counts = [b - a for a, b in zip(starts, starts[1:] + [e.size])]
+    best = np.maximum.reduceat(raw * 2.0 ** (spec.p * (e - np.repeat(top, counts))), starts)
+    pref = spec.alpha * spec.p / (2.0 * math.pi)
     if first:
         pref *= pref
-    return (_checked_ldexp((pref * best) ** (1.0 / spec.p), int(e.max()), what),
-            prepared.tail)
+    return [_checked_ldexp(((pref if pf else 1.0) * b) ** (1.0 / spec.p), t, w)
+            for b, t, pf, w in zip(best.tolist(), top.tolist(), prefactors, whats)]
 
 
 def _real_only(mult, spec: NormSpec):
-    """``mult`` (as :func:`_multiplier_norm` takes it), refused with
-    :class:`ValueError` naming ``spec`` where a theta is nonzero."""
+    """``mult`` (one group, as :func:`_multiplier_norm` takes it), refused
+    with :class:`ValueError` naming ``spec`` where a theta is nonzero."""
     def checked(k):
         log_r, sign, theta = mult(k)
         if np.any(theta):

@@ -182,10 +182,10 @@ def test_past_the_cap_the_grid_path_prints_what_it_did(capsys, p, code, out, err
 
 def test_a_p4_vdp_sweep_certifies_f_once_and_prepares_it_on_the_grid_once(monkeypatch, capsys):
     # the errors are coefficient sums over one Parseval certificate, made
-    # once for the sweep; E_n's descent reads f on the grid, prepared once
-    # too.  An error too small for that certificate's tail charge (here
-    # n = 32, 2e-7) certifies f's terms once more within its own call, at
-    # the tighter tail it needs
+    # once for the sweep, and are one multiplier-image call; E_n's descent
+    # reads f on the grid, prepared once too.  The errors too small for
+    # that certificate's tail charge (here n = 24 to 64, down to 1e-11)
+    # certify f's terms once more, together, at the tail the smallest needs
     made = []
     certified, prepared = series._certified, spaces.prepared_for_grid
 
@@ -197,18 +197,31 @@ def test_a_p4_vdp_sweep_certifies_f_once_and_prepares_it_on_the_grid_once(monkey
         made.append(("grid", None))
         return prepared(*args)
 
+    def alpha_tols():
+        return [tol for kind, tol in made if kind == "alpha"]
+
     monkeypatch.setattr(series, "_certified", count_certified)
     monkeypatch.setattr(spaces, "_certified", count_certified)
     monkeypatch.setattr(spaces, "prepared_for_grid", count_prepared)
     monkeypatch.setattr(approx, "prepared_for_grid", count_prepared)
-    first = ("alpha", math.log(spaces.PARSEVAL_TAIL_TOL))
-    argv = ["converge", "--fn", "gauss:0.25", "--p", "4", "--n-list", "2,4,8,16,32"]
+    first = math.log(spaces.PARSEVAL_TAIL_TOL)
+    argv = ["converge", "--fn", "gauss:0.25", "--p", "4", "--n-list", "4,8,16,24,32,48,64"]
     assert cli.main([*argv, "--operator", "vdp"]) == 0
-    assert made.count(first) == 1 and made.count(("grid", None)) == 1
+    tols = alpha_tols()
+    assert len(tols) == 2 and tols[0] == first and tols[1] < first
+    assert made.count(("grid", None)) == 1
     assert sum(kind == "radius" for kind, _ in made) == 1     # the grid's
-    assert all(tol < first[1] for kind, tol in made if kind == "alpha" and tol != first[1])
     capsys.readouterr()
     made.clear()
     assert cli.main([*argv, "--operator", "fejer"]) == 0
-    assert made.count(first) == 1
+    assert alpha_tols() == [first]
+    assert not any(kind in ("grid", "radius") for kind, _ in made)
+    # a p = 2 jackson sweep: its errors and moduli are one call, over one
+    # certificate and at most one deeper for every n together
+    capsys.readouterr()
+    made.clear()
+    assert cli.main(["converge", "--fn", "gauss:0.25", "--operator", "jackson", "--m", "6",
+                     "--n-list", "8,16,32,64"]) == 0
+    tols = alpha_tols()
+    assert 1 <= len(tols) <= 2 and tols[0] == first and all(t < first for t in tols[1:])
     assert not any(kind in ("grid", "radius") for kind, _ in made)

@@ -52,3 +52,28 @@ def test_descent_sweep_lists_the_cases_that_regress(tmp_path):
     assert res.returncode == 1
     assert "2 regressions" in res.stdout
     assert f"{first}: " in res.stdout and f"{second}: value" in res.stdout
+
+
+def test_convergence_sweep_lists_the_rows_that_moved(tmp_path):
+    def sweep(out, *args):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "convergence_sweep.py"), "--n-list", "2,4",
+             "--out-dir", str(tmp_path / out), *args],
+            capture_output=True, text=True, env=child_env())
+
+    assert sweep("old").returncode == 0
+    res = sweep("new", "--against", str(tmp_path / "old"))
+    assert res.returncode == 0 and "12 pairs, 0 changes" in res.stdout
+    # one number moved past the budget, one within it, and a pair that failed
+    path = tmp_path / "old" / "exp__taylor.csv"
+    lines = path.read_text().splitlines()
+    n, err = lines[2].split(",")[:2]
+    lines[2] = lines[2].replace(err, repr(float(err) * (1.0 + 1e-9)))
+    n3, err3 = lines[3].split(",")[:2]
+    lines[3] = lines[3].replace(err3, repr(float(err3) * (1.0 + 1e-12)))
+    path.write_text("\n".join(lines) + "\n")
+    (tmp_path / "old" / "mono_6__vdp.csv").unlink()
+    res = sweep("new", "--against", str(tmp_path / "old"))
+    assert res.returncode == 1 and "12 pairs, 2 changes" in res.stdout
+    assert f"exp__taylor.csv n={n} error: {err}, was" in res.stdout
+    assert "mono_6__vdp.csv: written, failed before" in res.stdout
