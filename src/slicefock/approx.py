@@ -183,8 +183,8 @@ def _norms(prepared: Prepared | ParsevalTerms, spec: NormSpec,
            grid: QuadratureGrid | None, groups: list[_Images]) -> list[float]:
     """The value of each group, all from one
     :func:`slicefock.spaces._multiplier_norm` call (none for no group)."""
-    if not groups:
-        return []
+    if len(groups) < 2:         # one group is its own call: no lists to pack
+        return [_multiplier_norm(prepared, spec, grid, *group)[0] for group in groups]
     mults, bounds, prefactors, whats = zip(*groups)
     return _multiplier_norm(prepared, spec, grid, mults, bounds, prefactors, whats)[0]
 

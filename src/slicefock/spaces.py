@@ -413,9 +413,9 @@ def _real_multipliers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """One group of ``mult`` (as :func:`_multiplier_norm` takes it) over the
     degrees 0..size-1 as (log |m|, sign, theta), each of shape (images,
-    size); f itself (None) is one image of log |m| = 0, sign and theta None."""
+    size); for f itself (None), one image of multiplier 1, all three None."""
     if mult is None:
-        return np.zeros((1, size)), None, None
+        return None, None, None
     log_r, sign, theta = mult(np.arange(size))
     log_r = np.atleast_2d(log_r)
     return log_r, np.broadcast_to(sign, log_r.shape), np.broadcast_to(theta, log_r.shape)
@@ -426,10 +426,11 @@ def _groups(mult, *per_group) -> tuple:
     (one group for None or a single ``mult``), each of ``per_group`` as a
     list of one value per group (a single value serves every group), and
     whether ``mult`` was a sequence of groups."""
-    grouped = not (mult is None or callable(mult))
-    mults = list(mult) if grouped else [mult]
-    return (mults, *(list(v) if isinstance(v, (list, tuple)) else [v] * len(mults)
-                     for v in per_group), grouped)
+    if mult is None or callable(mult):
+        return [mult], *[[v] for v in per_group], False
+    mults = list(mult)
+    return mults, *[list(v) if isinstance(v, (list, tuple)) else [v] * len(mults)
+                    for v in per_group], True
 
 
 #: Largest count of values one block of multiplier images holds at once:
@@ -449,12 +450,16 @@ def _over_images(mults: list, size: int, per_image: int, evaluate
     reduce with ``np.maximum.reduceat``.  One block of images is held at a
     time, besides the group being read."""
     limit = max(1, _IMAGE_BLOCK // per_image)
+    if len(mults) == 1:
+        images = _multipliers(mults[0], size)
+        if images[0] is None or len(images[0]) <= limit:     # one group in one block
+            return list(evaluate(*images)), [0]
     starts, out, pending = [], [], []
     held = total = 0
 
     def flush():
-        out.append(evaluate(*(parts[0] if len(parts) == 1 or parts[0] is None
-                              else np.concatenate(parts) for parts in zip(*pending))))
+        out.append(evaluate(*pending[0]) if len(pending) == 1 else evaluate(
+            *(None if parts[0] is None else np.concatenate(parts) for parts in zip(*pending))))
         pending.clear()
 
     for mult in mults:
@@ -508,8 +513,8 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None, bound=1.0):
         return math.exp(y) if y < 709.0 else math.inf   # inf is refused
 
     log_sq, gaps = weighted(terms)
-    if max(charge(terms.log_tail, g) for g in gaps) > NORM_TAIL_BUDGET:
-        gap = max(gaps)
+    gap = max(gaps)         # the charge grows with the gap
+    if charge(terms.log_tail, gap) > NORM_TAIL_BUDGET:
         terms = _parseval_terms(terms.series, alpha, math.log(NORM_TAIL_BUDGET) - gap
                                 if gap < math.inf else math.log(5e-324))
         log_sq, gaps = weighted(terms)
@@ -648,7 +653,7 @@ def _even_images(terms: ParsevalTerms, spec: NormSpec, log_r: np.ndarray | None 
     dilated, log_w, binom, log_cw, cw_ulps = _even_weights(m, deg)
     rows = 0.5 * (terms.logw - dilated)
     if log_r is None:
-        log_r, sign, theta = _multipliers(None, deg + 1)
+        log_r = np.zeros((1, deg + 1))
     gamma = (deg + 3) * u / (1.0 - (deg + 3) * u)
     eta = math.exp(math.log(m) + m * math.log(deg + 1.0) - 1072.0 * math.log(2.0))
     units, off = _PLANE_DESIGNS[m > 3] if first else ((spec.slice_unit,), 0.0)
@@ -937,11 +942,11 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
         log_b = np.maximum.reduceat(log_b, starts).tolist()
         _, log_w = _charged_bound(terms, alpha, True)
         over = []
-        for lb, b, v in zip(log_bounds, log_b, best):
-            with np.errstate(invalid="ignore"):     # nan is refused
+        with np.errstate(invalid="ignore"):     # nan is refused
+            for lb, b, v in zip(log_bounds, log_b, best):
                 log_err = np.logaddexp(math.log(2.0) + 2.0 * lb + log_w,
                                        math.log(2.0) + lb + 0.5 * (log_w + b))
-            over.append(_relative(float(log_err), v) / NORM_TAIL_BUDGET)
+                over.append(_relative(float(log_err), v) / NORM_TAIL_BUDGET)
         return best, over
 
     log_p, over = evaluate(terms)
@@ -1117,9 +1122,9 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
             log_pow, charges = _first_images(prepared, spec.alpha, -1, mults, bounds)[:2]
         else:
             log_pow, charges = _parseval_power(prepared, spec.alpha, mults, bounds)
-        # the prefactor's log, left out where a group asks
-        shift = (2.0 if first else 1.0) * (math.log(math.pi) - math.log(spec.scale))
-        values = [_checked_exp((lp if pf else lp + shift) / spec.p, w)
+        # less the prefactor's log where a group leaves it out
+        values = [_checked_exp((lp if pf else lp + (2.0 if first else 1.0) * (
+            math.log(math.pi) - math.log(spec.scale))) / spec.p, w)
                   for lp, pf, w in zip(log_pow, prefactors, whats)]
     else:
         values = _grid_norms(prepared, spec, grid, mults, prefactors, whats)
@@ -1141,11 +1146,11 @@ def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults:
     units = None if first or one_plane else [u.vector() for u in sphere_grid(spec.sup_samples)]
 
     def raw_powers(log_r, sign, theta):
-        if sign is None:
-            rows = dirs[None]
+        if log_r is None:       # f itself
+            v, e = _weighted_plane(dirs[None], log_mags[None], grid, spec.alpha)
         else:   # e^{I theta} (F + G J) = e^{i theta} F + e^{i theta} G J
-            rows = (sign * np.exp(1j * theta) if np.any(theta) else sign)[..., None] * dirs
-        v, e = _weighted_plane(rows, log_r + log_mags, grid, spec.alpha)
+            phase = sign * np.exp(1j * theta) if np.any(theta) else sign
+            v, e = _weighted_plane(phase[..., None] * dirs, log_r + log_mags, grid, spec.alpha)
         if first:
             return _volume_raw_power(v, grid, spec.p), e
         if one_plane:
@@ -1157,14 +1162,15 @@ def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults:
 
     per_image = grid.radial_nodes.size * grid.circle_size * dirs.shape[1]
     (raw, e), starts = _over_images(mults, log_mags.size, per_image, raw_powers)
-    top = np.maximum.reduceat(e, starts)
-    counts = [b - a for a, b in zip(starts, starts[1:] + [e.size])]
-    best = np.maximum.reduceat(raw * 2.0 ** (spec.p * (e - np.repeat(top, counts))), starts)
     pref = spec.alpha * spec.p / (2.0 * math.pi)
     if first:
         pref *= pref
-    return [_checked_ldexp(((pref if pf else 1.0) * b) ** (1.0 / spec.p), t, w)
-            for b, t, pf, w in zip(best.tolist(), top.tolist(), prefactors, whats)]
+    values = []
+    for lo, hi, pf, w in zip(starts, starts[1:] + [e.size], prefactors, whats):
+        top = int(e[lo:hi].max())
+        best = float(np.max(raw[lo:hi] * 2.0 ** (spec.p * (e[lo:hi] - top))))
+        values.append(_checked_ldexp(((pref if pf else 1.0) * best) ** (1.0 / spec.p), top, w))
+    return values
 
 
 def _real_only(mult, spec: NormSpec):

@@ -9,8 +9,8 @@ So the sweep's rows are the per-n numbers (``operator_error``,
 ``verify_vdp``, ``verify_jackson``): bit for bit where the sweep reads f's
 terms at the depth the single call reads them, and within the two charges
 where the sweep's certificate is the deeper one.  The backends: the plane
-at p = 2 and 4, the plane grid at p = 1.5, the first kind at p = 2 and 4,
-and the sup over 8 planes at p = 3.
+at p = 2 and 4, the plane grid at p = 1.5, the first kind at p = 2 and 4
+and on the volume grid at p = 3, and the sup over 8 planes at p = 3.
 """
 
 import math
@@ -29,7 +29,7 @@ from slicefock.approx import (
     verify_vdp,
 )
 from slicefock.operators import fejer_op, jackson_op, taylor_op, vdp_op
-from slicefock.quadrature import slice_grid
+from slicefock.quadrature import slice_grid, volume_grid
 from slicefock.quaternion import UNIT_I
 from slicefock.series import exp_series, from_generator
 from slicefock.spaces import NORM_TAIL_BUDGET, NormSpec, prepared_for_spec
@@ -37,13 +37,15 @@ from slicefock.spaces import NORM_TAIL_BUDGET, NormSpec, prepared_for_spec
 ALPHA = 1.0
 NS = (2, 4, 8, 16, 32, 64)
 #: (spec, grid nodes) of each backend; the grid is read at p = 1.5 and 3,
-#: where the images past n = 32 need more nodes over 8 planes.
+#: where the images past n = 32 need more radial nodes over the algebra and
+#: over 8 planes than on one.
 BACKENDS = {
     "second-p2": (NormSpec("second", 2.0, ALPHA), None),
     "second-p4": (NormSpec("second", 4.0, ALPHA), None),
     "second-p1.5": (NormSpec("second", 1.5, ALPHA), (24, 48)),
     "first-p2": (NormSpec("first", 2.0, ALPHA), None),
     "first-p4": (NormSpec("first", 4.0, ALPHA), None),
+    "first-p3": (NormSpec("first", 3.0, ALPHA), (64, 32, 8)),
     "sup:8-p3": (NormSpec("second", 3.0, ALPHA, sup_samples=8), (48, 96)),
 }
 FUNCTIONS = {"gauss:0.25": lambda: from_generator("gauss:0.25"), "exp": lambda: exp_series()}
@@ -65,7 +67,8 @@ def depth(monkeypatch):
 
 def setup(backend, fn):
     spec, nodes = BACKENDS[backend]
-    grid = None if nodes is None else slice_grid(spec.scale, *nodes)
+    grid = None if nodes is None else slice_grid(spec.scale, *nodes) if len(nodes) == 2 \
+        else volume_grid(spec.scale, *nodes)
     f = FUNCTIONS[fn]()
     return f, spec, grid, prepared_for_spec(f, spec, grid)
 
