@@ -446,9 +446,8 @@ def _over_images(mults: list, size: int, per_image: int, evaluate
     0..size-1; None, f itself, only alone), in blocks of at most
     ``_IMAGE_BLOCK // per_image`` images (at least one) that may span
     groups: each of its per-image results concatenated over the blocks,
-    and the index of each group's first image, so that a group's results
-    reduce with ``np.maximum.reduceat``.  One block of images is held at a
-    time, besides the group being read."""
+    and the index of each group's first image (:func:`_group_max`).  One
+    block of images is held at a time, besides the group being read."""
     limit = max(1, _IMAGE_BLOCK // per_image)
     if len(mults) == 1:
         images = _multipliers(mults[0], size)
@@ -481,6 +480,14 @@ def _over_images(mults: list, size: int, per_image: int, evaluate
     return list(out[0]) if len(out) == 1 else [np.concatenate(r) for r in zip(*out)], starts
 
 
+def _group_max(values: np.ndarray, starts: list[int]) -> list[float]:
+    """The largest of each group's entries of ``values``, the groups
+    starting at ``starts`` (:func:`_over_images`)."""
+    if len(starts) == 1:
+        return [float(values.max())]
+    return np.maximum.reduceat(values, starts).tolist()
+
+
 def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None, bound=1.0):
     """Per group of ``mult`` (as :func:`_multiplier_norm` takes it; 1 when
     None) the log of the largest p = 2 power sum_k |m_k|^2 t_k of f's
@@ -502,7 +509,7 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None, bound=1.0):
             (log_sq,), starts = _over_images(
                 mults, terms.logw.size, terms.logw.size,
                 lambda log_r, sign, theta: (_log_sum(2.0 * log_r + terms.logw),))
-            log_sq = np.maximum.reduceat(log_sq, starts).tolist()
+            log_sq = _group_max(log_sq, starts)
         # log of what a unit of relative tail adds to each power, relative to it
         return log_sq, [log_total + 2.0 * math.log(b) - s for b, s in zip(bounds, log_sq)]
 
@@ -796,8 +803,7 @@ def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None, bound=1.0):
         (log_pow, log_err), starts = _over_images(
             mults, terms.series.degree + 1, terms.series.degree + 1,
             lambda log_r, sign, theta: _even_images(terms, spec, log_r, sign, theta))
-        best = np.maximum.reduceat(log_pow, starts).tolist()
-        worst = np.maximum.reduceat(log_err, starts).tolist()
+        best, worst = _group_max(log_pow, starts), _group_max(log_err, starts)
         log_tail = _first_tail(terms, spec) if first \
             else 0.5 * (terms.log_tail + float(_log_sum(terms.logw)))
         return best, [_relative(math.log(b) + log_tail, v / p) for b, v in zip(bounds, best)], \
@@ -938,8 +944,7 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
         (log_p, log_b), starts = _over_images(
             mults, terms.logw.size, 4 * max(n + 3, terms.logw.size),
             lambda *m: images(terms, *m))
-        best = np.maximum.reduceat(log_p, starts).tolist()
-        log_b = np.maximum.reduceat(log_b, starts).tolist()
+        best, log_b = _group_max(log_p, starts), _group_max(log_b, starts)
         _, log_w = _charged_bound(terms, alpha, True)
         over = []
         with np.errstate(invalid="ignore"):     # nan is refused
@@ -1146,25 +1151,31 @@ def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults:
     units = None if first or one_plane else [u.vector() for u in sphere_grid(spec.sup_samples)]
 
     def raw_powers(log_r, sign, theta):
-        if log_r is None:       # f itself
-            v, e = _weighted_plane(dirs[None], log_mags[None], grid, spec.alpha)
+        if log_r is None:       # f itself, one image: the kernel's form without the axis
+            v, e = _weighted_plane(dirs, log_mags, grid, spec.alpha)
         else:   # e^{I theta} (F + G J) = e^{i theta} F + e^{i theta} G J
             phase = sign * np.exp(1j * theta) if np.any(theta) else sign
             v, e = _weighted_plane(phase[..., None] * dirs, log_r + log_mags, grid, spec.alpha)
         if first:
-            return _volume_raw_power(v, grid, spec.p), e
-        if one_plane:
+            raw = _volume_raw_power(v, grid, spec.p)
+        elif one_plane:
             amp = np.sqrt(np.sum(np.square(v.real) + np.square(v.imag), axis=-1))
-            return _plane_raw_power(amp, grid, spec.p), e
-        amp_sq, lin = _affine_square(v.real, v.imag)   # every sampled plane from one evaluation
-        return np.max([_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u, 0.0)), grid, spec.p)
-                       for u in units], axis=0), e
+            raw = _plane_raw_power(amp, grid, spec.p)
+        else:   # every sampled plane from one evaluation
+            amp_sq, lin = _affine_square(v.real, v.imag)
+            raw = np.max([_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u, 0.0)), grid,
+                                           spec.p) for u in units], axis=0)
+        return raw, e
 
-    per_image = grid.radial_nodes.size * grid.circle_size * dirs.shape[1]
-    (raw, e), starts = _over_images(mults, log_mags.size, per_image, raw_powers)
     pref = spec.alpha * spec.p / (2.0 * math.pi)
     if first:
         pref *= pref
+    if mults == [None]:         # f itself, one image on its own scale
+        raw, e = raw_powers(None, None, None)
+        return [_checked_ldexp(((pref if prefactors[0] else 1.0) * float(raw)) ** (1.0 / spec.p),
+                               e, whats[0])]
+    per_image = grid.radial_nodes.size * grid.circle_size * dirs.shape[1]
+    (raw, e), starts = _over_images(mults, log_mags.size, per_image, raw_powers)
     values = []
     for lo, hi, pf, w in zip(starts, starts[1:] + [e.size], prefactors, whats):
         top = int(e[lo:hi].max())
