@@ -183,10 +183,9 @@ def _norms(prepared: Prepared | ParsevalTerms, spec: NormSpec,
            grid: QuadratureGrid | None, groups: list[_Images]) -> list[float]:
     """The value of each group, all from one
     :func:`slicefock.spaces._multiplier_norm` call (none for no group)."""
-    if len(groups) < 2:         # one group is its own call: no lists to pack
-        return [_multiplier_norm(prepared, spec, grid, *group)[0] for group in groups]
-    mults, bounds, prefactors, whats = zip(*groups)
-    return _multiplier_norm(prepared, spec, grid, mults, bounds, prefactors, whats)[0]
+    if not groups:
+        return []
+    return _multiplier_norm(prepared, spec, grid, *zip(*groups))[0]
 
 
 def _modulus_images(query: ModulusQuery) -> _Images:
@@ -229,7 +228,7 @@ def parseval_log_weights(f: SliceSeries, alpha: float
 def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
     """Squared plane norm at p = 2 from coefficients: sum |a_k|^2 k! / alpha^k,
     with f's tail charged against it."""
-    log_sq, _ = _parseval_power(_parseval_terms(f, alpha), alpha)
+    (log_sq,), _ = _parseval_power(_parseval_terms(f, alpha), alpha)
     return _checked_exp(log_sq, "squared weighted norm")
 
 
@@ -299,7 +298,7 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
     (:func:`slicefock.spaces._first_images`, which charges f's tail on it)."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    log_p, _, terms, x, top = _first_images(_parseval_terms(f, alpha), alpha, n)
+    (log_p,), _, terms, x, top = _first_images(_parseval_terms(f, alpha), alpha, n)
     # P = f - r up to degree n, r_k = x_k e^{top/2} / sqrt(k! / alpha^k)
     coeffs = extended(terms.series, max(n, terms.series.degree)).coeffs[:n + 1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -324,11 +323,6 @@ class _PolarColumns(NamedTuple):
     sums: np.ndarray    # (K, K): k + l
     diffs: np.ndarray   # (K, K): (k - l) mod the angular count
     shape: tuple        # (R, angular count)
-
-    @property
-    def scale(self) -> np.ndarray:
-        """2^{-exps}, each column's power of two (0 below the float range)."""
-        return np.ldexp(1.0, -self.exps)
 
 
 def _polar_columns(grid: QuadratureGrid, alpha: float, n: int) -> _PolarColumns:

@@ -418,19 +418,8 @@ def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray | None, np.nda
         return None, None, None
     log_r, sign, theta = mult(np.arange(size))
     log_r = np.atleast_2d(log_r)
-    return log_r, np.broadcast_to(sign, log_r.shape), np.broadcast_to(theta, log_r.shape)
-
-
-def _groups(mult, *per_group) -> tuple:
-    """``mult`` as :func:`_multiplier_norm` takes it as a list of groups
-    (one group for None or a single ``mult``), each of ``per_group`` as a
-    list of one value per group (a single value serves every group), and
-    whether ``mult`` was a sequence of groups."""
-    if mult is None or callable(mult):
-        return [mult], *[[v] for v in per_group], False
-    mults = list(mult)
-    return mults, *[list(v) if isinstance(v, (list, tuple)) else [v] * len(mults)
-                    for v in per_group], True
+    zero = np.zeros(log_r.shape)    # cheaper than two broadcast views of sign and theta
+    return log_r, sign + zero, theta + zero
 
 
 #: Largest count of values one block of multiplier images holds at once:
@@ -442,17 +431,13 @@ _IMAGE_BLOCK = 1 << 16
 def _over_images(mults: list, size: int, per_image: int, evaluate
                  ) -> tuple[list[np.ndarray], list[int]]:
     """``evaluate(log_r, sign, theta)`` over the images of the groups
-    ``mults`` (each read by :func:`_multipliers` over the degrees
+    ``mults`` (each read once by :func:`_multipliers` over the degrees
     0..size-1; None, f itself, only alone), in blocks of at most
     ``_IMAGE_BLOCK // per_image`` images (at least one) that may span
     groups: each of its per-image results concatenated over the blocks,
     and the index of each group's first image (:func:`_group_max`).  One
     block of images is held at a time, besides the group being read."""
     limit = max(1, _IMAGE_BLOCK // per_image)
-    if len(mults) == 1:
-        images = _multipliers(mults[0], size)
-        if images[0] is None or len(images[0]) <= limit:     # one group in one block
-            return list(evaluate(*images)), [0]
     starts, out, pending = [], [], []
     held = total = 0
 
@@ -463,13 +448,15 @@ def _over_images(mults: list, size: int, per_image: int, evaluate
 
     for mult in mults:
         images = _multipliers(mult, size)
-        count = len(images[0])
+        count = 1 if images[0] is None else len(images[0])
+        if count <= limit and len(mults) == 1:       # one group in one block
+            return list(evaluate(*images)), [0]
         starts.append(total)
         total += count
         lo = 0
         while lo < count:
             hi = min(count, lo + limit - held)
-            pending.append([x if x is None else x[lo:hi] for x in images])
+            pending.append(images if hi - lo == count else [x[lo:hi] for x in images])
             held += hi - lo
             lo = hi
             if held == limit:
@@ -488,22 +475,20 @@ def _group_max(values: np.ndarray, starts: list[int]) -> list[float]:
     return np.maximum.reduceat(values, starts).tolist()
 
 
-def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None, bound=1.0):
-    """Per group of ``mult`` (as :func:`_multiplier_norm` takes it; 1 when
-    None) the log of the largest p = 2 power sum_k |m_k|^2 t_k of f's
-    Parseval terms over its images, and the charge of f's tail relative to
-    it: with |m_k| <= the group's ``bound`` past the stored degree it adds
-    at most tail bound^2 sum_k t_k, charged from its log
+def _parseval_power(terms: ParsevalTerms, alpha: float, mults=(None,), bounds=(1.0,)
+                    ) -> tuple[list[float], list[float]]:
+    """Per group of ``mults`` (as :func:`_multiplier_norm` takes them; None
+    for f itself) the log of the largest p = 2 power sum_k |m_k|^2 t_k of
+    f's Parseval terms over its images, and the charge of f's tail relative
+    to it: with |m_k| <= the group's entry of ``bounds`` past the stored
+    degree it adds at most tail bound^2 sum_k t_k, charged from its log
     (:func:`_check_tail_budget`).  Where a group misses its half of the
     budget, f's terms are certified once more, at the tail the group that
     needs the smallest one needs (the smallest float if it is 0), and every
-    group is read from them.  Lists, one entry per group, where ``mult`` is
-    a sequence of groups; else the one group's floats."""
-    mults, bounds, grouped = _groups(mult, bound)
-
+    group is read from them.  Two lists, one entry per group."""
     def weighted(terms):
         log_total = float(_log_sum(terms.logw))
-        if mults == [None]:        # f itself
+        if mults[0] is None:        # f itself
             log_sq = [log_total]
         else:
             (log_sq,), starts = _over_images(
@@ -525,8 +510,7 @@ def _parseval_power(terms: ParsevalTerms, alpha: float, mult=None, bound=1.0):
         terms = _parseval_terms(terms.series, alpha, math.log(NORM_TAIL_BUDGET) - gap
                                 if gap < math.inf else math.log(5e-324))
         log_sq, gaps = weighted(terms)
-    charges = [_check_tail_budget(1.0, charge(terms.log_tail, g), 2.0) for g in gaps]
-    return (log_sq, charges) if grouped else (log_sq[0], charges[0])
+    return log_sq, [_check_tail_budget(1.0, charge(terms.log_tail, g), 2.0) for g in gaps]
 
 
 # ---------------------------------------------------------------------------
@@ -779,24 +763,25 @@ def _first_tail(terms: ParsevalTerms, spec: NormSpec) -> float:
     return float(top) + log_x - math.log(-math.expm1(log_x))
 
 
-def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None, bound=1.0):
-    """Per group of ``mult`` (as :func:`_multiplier_norm` takes it; f itself
-    without) the log of the largest prefactored p-th power of its images at
-    even p (:func:`_even_images`), and its charge relative to the norm.
-    f's tail T past the stored degree moves each image's norm by at most
-    ||T'||_p, T' its image, with |m_k| <= the group's ``bound`` past the
-    degree.  On a plane that is at most ||T'||_2 <= bound (tau sum_k
-    t_k)^(1/2), tau the relative tail: Minkowski, then the embedding
-    ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this normalization
-    (K. Zhu, Analysis on Fock Spaces, Thm 2.10).  Over the algebra it is
-    Minkowski over the monomials (:func:`_first_tail`).  Where a group
+def _even_power(terms: ParsevalTerms, spec: NormSpec, mults=(None,), bounds=(1.0,)
+                ) -> tuple[list[float], list[float]]:
+    """Per group of ``mults`` (as :func:`_multiplier_norm` takes them; None
+    for f itself) the log of the largest prefactored p-th power of its
+    images at even p (:func:`_even_images`), and its charge relative to the
+    norm.  f's tail T past the stored degree moves each image's norm by at
+    most ||T'||_p, T' its image, with |m_k| <= the group's entry of
+    ``bounds`` past the degree.  On a plane that is at most ||T'||_2 <=
+    bound (tau sum_k t_k)^(1/2), tau the relative tail: Minkowski, then the
+    embedding ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this
+    normalization (K. Zhu, Analysis on Fock Spaces, Thm 2.10).  Over the
+    algebra it is Minkowski over the monomials (:func:`_first_tail`).
+    Where a group
     misses half the budget, f's terms are certified once more, for every
     group, at a tail smaller by the square of the largest excess (the
     smallest float if that is 0); over the algebra by 16^2 more, as the
     monomials' norms grow slowly against their Parseval terms.  The images'
-    rounding is charged with it (:func:`_check_tail_budget`).  Lists, one
-    entry per group, where ``mult`` is a sequence of groups; else floats."""
-    mults, bounds, grouped = _groups(mult, bound)
+    rounding is charged with it (:func:`_check_tail_budget`).  Two lists,
+    one entry per group."""
     p, first = spec.p, spec.kind == "first"
 
     def evaluate(terms):
@@ -816,8 +801,7 @@ def _even_power(terms: ParsevalTerms, spec: NormSpec, mult=None, bound=1.0):
         terms = _parseval_terms(terms.series, spec.alpha,
                                 log_tol if log_tol > -math.inf else math.log(5e-324))
         best, tails, roundings = evaluate(terms)
-    charges = [_check_tail_budget(1.0, t + r, 1.0) for t, r in zip(tails, roundings)]
-    return (best, charges) if grouped else (best[0], charges[0])
+    return best, [_check_tail_budget(1.0, t + r, 1.0) for t, r in zip(tails, roundings)]
 
 
 # ---------------------------------------------------------------------------
@@ -902,16 +886,16 @@ def _relative(log_err: float, log_value: float) -> float:
     return math.exp(y) if y < 709.0 else math.inf
 
 
-def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
-                  bound=1.0) -> tuple:
-    """Per group of ``mult`` (as :func:`_multiplier_norm` takes it; f itself
-    without) the largest first-kind p = 2 power of its images under real
+def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mults=(None,),
+                  bounds=(1.0,)) -> tuple:
+    """Per group of ``mults`` (as :func:`_multiplier_norm` takes them; None
+    for f itself) the largest first-kind p = 2 power of its images under real
     multipliers (:func:`_scaled_rows`), or with n >= 0 of their residuals r
     past the best degree-n approximation: (L^T r)_k = 0 for k <= n makes
     r_k = -m_{k+2} r_{k+2} / l_k down from the rows past n, and the power is
     sum_{k>n} |(L^T r)_k|^2.  f's rows past its stored degree, from K,
     bounded by W (:func:`_charged_bound`) and their multipliers by the
-    group's ``bound``, add at most 2 bound^2 W (H <= 2 D) + 2 bound sqrt(W
+    group's entry of ``bounds``, add at most 2 bound^2 W (H <= 2 D) + 2 bound sqrt(W
     b) (||O|| < 1 across disjoint rows), b the image's weighted rows K - 2
     and K - 1, or twice the power where they reach row n + 2.  Where a
     group's charge misses the budget, f's terms are certified once more,
@@ -919,8 +903,7 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
     Returns (log power, relative charge (:func:`_check_tail_budget`), the
     terms, the rows r and their scales of the last block of images (every
     image of a single group)); the first two are lists, one entry per
-    group, where ``mult`` is a sequence of groups, else floats."""
-    mults, bounds, grouped = _groups(mult, bound)
+    group."""
     log_bounds = [math.log(b) if b > 0.0 else -math.inf for b in bounds]
     diag, sub = _first_factor(n + 3)
     rows = [None, None]
@@ -961,8 +944,6 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mult=None,
             terms = _parseval_terms(terms.series, alpha, log_tol)
             log_p, over = evaluate(terms)
     charges = [_check_tail_budget(1.0, o * NORM_TAIL_BUDGET, 2.0) for o in over]
-    if not grouped:
-        log_p, charges = log_p[0], charges[0]
     return log_p, charges, terms, *rows
 
 
@@ -1083,25 +1064,25 @@ def _volume_raw_power(v: np.ndarray, grid: QuadratureGrid, p: float) -> float | 
 
 
 def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
-                     grid: QuadratureGrid | None, mult=None, bound=1.0,
-                     prefactor=True, what="weighted norm") -> tuple:
-    """The largest ``spec``-norm of sum_k q^k m_k a_k over the images of
-    one group, m_k = sign_k e^{log_r_k} e^{I theta_k}, (log_r, sign,
-    theta) = ``mult(k)`` of shape (images, K) (theta 0 for real m,
-    :func:`_real_multipliers`; f itself without ``mult``), prefactor left
-    out unless ``prefactor``, and f's relative tail or charge, f
-    ``prepared`` as ``spec`` needs (:func:`_check_prepared`).  ``mult`` may
-    also be a sequence of such groups, each with its own count of images,
-    and ``bound``, ``prefactor`` and ``what`` one value for all or one per
-    group: then the values and charges are lists, one entry per group, each
-    group's value the largest over its own images and charged against
-    itself, and f's terms are certified again at most once for all of them,
-    as deep as the group that needs the deepest needs.
+                     grid: QuadratureGrid | None, mults=(None,), bounds=(1.0,),
+                     prefactors=(True,), whats=("weighted norm",)
+                     ) -> tuple[list[float], list[float]]:
+    """Per group of multiplier images, the largest ``spec``-norm of sum_k
+    q^k m_k a_k over its images, and f's relative tail or charge, f
+    ``prepared`` as ``spec`` needs (:func:`_check_prepared`): two lists, one
+    entry per group.  Group g has m_k = sign_k e^{log_r_k} e^{I theta_k},
+    (log_r, sign, theta) = ``mults[g](k)`` of shape (images, K), its own
+    count of images (theta 0 for real m, :func:`_real_multipliers`; None
+    for f itself, only alone), its prefactor left out unless
+    ``prefactors[g]``, and is named ``whats[g]`` where its value leaves the
+    float range.  Each group's value is charged against itself, and f's
+    terms are certified again at most once for all of them, as deep as the
+    group that needs the deepest needs.
 
     At p = 2 a coefficient sum, :func:`_parseval_power` on a plane and
     :func:`_first_images` over the algebra, and at the other even p up to
-    ``EVEN_P_CAP`` :func:`_even_power`, f's tail charged at ``bound`` >=
-    |m_k| past its stored degree; else the largest power of a group's
+    ``EVEN_P_CAP`` :func:`_even_power`, f's tail charged at ``bounds[g]``
+    >= |m_k| past its stored degree; else the largest power of a group's
     images on every plane ``spec`` reads, on the scale of its largest
     exponent.  Each image is formed in log-polar form, row k of size log
     |m_k| + log |a_k|, so a row below the float range keeps its size.  On
@@ -1114,9 +1095,8 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     unit, so a complex multiplier on a spec that reads more planes is
     refused (:class:`ValueError`).  A value past the float range, or
     nonzero below it, raises :class:`IntegrandOverflowError` naming its
-    group's ``what``."""
+    group."""
     _check_prepared(prepared, spec)
-    mults, bounds, prefactors, whats, grouped = _groups(mult, bound, prefactor, what)
     if spec.slice_unit is None:
         mults = [m if m is None else _real_only(m, spec) for m in mults]
     first = spec.kind == "first"
@@ -1134,7 +1114,7 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     else:
         values = _grid_norms(prepared, spec, grid, mults, prefactors, whats)
         charges = [prepared.tail] * len(mults)
-    return (values, charges) if grouped else (values[0], charges[0])
+    return values, charges
 
 
 def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults: list,
@@ -1170,7 +1150,7 @@ def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults:
     pref = spec.alpha * spec.p / (2.0 * math.pi)
     if first:
         pref *= pref
-    if mults == [None]:         # f itself, one image on its own scale
+    if mults[0] is None:        # f itself, one image on its own scale
         raw, e = raw_powers(None, None, None)
         return [_checked_ldexp(((pref if prefactors[0] else 1.0) * float(raw)) ** (1.0 / spec.p),
                                e, whats[0])]
@@ -1228,7 +1208,8 @@ def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
     """(value, f's relative tail or its charge), on ``grid`` or the default
     one where a grid is read."""
     grid = grid or (None if spec.coefficient_sum else default_grid(spec))
-    return _multiplier_norm(prepared_for_spec(f, spec, grid), spec, grid)
+    (value,), (tail,) = _multiplier_norm(prepared_for_spec(f, spec, grid), spec, grid)
+    return value, tail
 
 
 def norm(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None = None) -> float:

@@ -270,8 +270,9 @@ def test_newton_system_matches_the_dense_jacobian_form(radial, p):
     z, w = slice_points(grid)
     weight = np.exp(-0.5 * alpha * np.abs(z) ** 2)
     # the columns are the weighted monomials, each times a power of two
-    assert np.all(np.frexp(plane.scale)[0] == 0.5)
-    want = z[:, None] ** np.arange(n + 1) * weight[:, None] * plane.scale
+    scale = np.ldexp(1.0, -plane.exps)
+    assert np.all(np.frexp(scale)[0] == 0.5)
+    want = z[:, None] ** np.arange(n + 1) * weight[:, None] * scale
     assert np.max(np.abs(plane.cols.T - want)) <= 1e-14 * np.max(np.abs(want))
     # the residual pair of a random f on a seeded plane, G != 0
     f = random_series(8, 5)

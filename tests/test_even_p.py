@@ -131,7 +131,7 @@ def test_the_tail_is_charged_through_the_embedding(p):
     # by at most ||T||_p <= ||T||_2 <= (tau sum_k t_k)^(1/2)
     spec = NormSpec("second", p, ALPHA)
     terms = spaces._parseval_terms(exp_series(), ALPHA)
-    log_pow, charge = spaces._even_power(terms._replace(log_tail=math.log(1e-22)), spec)
+    (log_pow,), (charge,) = spaces._even_power(terms._replace(log_tail=math.log(1e-22)), spec)
     tail = math.sqrt(1e-22 * np.sum(np.exp(terms.logw))) / math.exp(log_pow / p)
     assert tail <= charge <= tail + 1e-12
 

@@ -201,7 +201,7 @@ def test_the_tail_is_charged_by_minkowski_over_the_monomials():
                 / mpmath.factorial(k), [23, mpmath.inf]))
         bound = math.exp(spaces._first_tail(terms, spec))
         assert tail <= bound <= 8.0 * tail
-        log_pow, charge = spaces._even_power(terms, spec)
+        (log_pow,), (charge,) = spaces._even_power(terms, spec)
         value = math.exp(log_pow / p)
         assert tail / value <= charge <= spaces.NORM_TAIL_BUDGET
         assert abs(value - math.exp(0.5)) <= charge * value
@@ -219,7 +219,7 @@ def test_a_tail_over_half_the_budget_certifies_f_once_more(monkeypatch):
     monkeypatch.setattr(spaces, "_certified", count)
     for p in PS:
         made.clear()
-        log_pow, charge = spaces._even_power(terms, NormSpec("first", p, ALPHA))
+        (log_pow,), (charge,) = spaces._even_power(terms, NormSpec("first", p, ALPHA))
         assert len(made) == 1 and made[0] < math.log(1e-6)
         assert math.exp(log_pow / p) == pytest.approx(math.exp(0.5), rel=1e-12)
         assert charge <= spaces.NORM_TAIL_BUDGET
@@ -240,8 +240,8 @@ def test_converge_first_kind_fejer_at_p2_is_the_parseval_value(capsys):
     want = []
     for n in (2, 8, 32):
         m = np.append(1.0 - operators.fejer_op(n).rho, 1.0)
-        log_pow = spaces._first_images(terms, ALPHA, -1, lambda k: spaces._real_multipliers(
-            m[np.minimum(k, m.size - 1)]), 1.0)[0]
+        (log_pow,) = spaces._first_images(terms, ALPHA, -1, [lambda k: spaces._real_multipliers(
+            m[np.minimum(k, m.size - 1)])], [1.0])[0]
         want.append(math.exp(0.5 * log_pow))
     assert cli.main(["converge", "--kind", "first", "--operator", "fejer", "--fn", "gauss:0.25",
                      "--n-list", "2,8,32"]) == 0

@@ -260,7 +260,7 @@ def test_first_kind_charge_is_the_gershgorin_bound():
     # to the power, halved at the norm's scale
     k = 20
     fake = stored_to(k, math.log(1e-13))
-    log_p, charge, *_ = _first_images(fake, 1.0)
+    (log_p,), (charge,), *_ = _first_images(fake, 1.0)
     rho = fake.series.generator.parseval_ratio(1.0, k - 1)
     w = (k + 1.0 / (1.0 - rho)) * 1e-13 * float(np.sum(np.exp(fake.logw)))
     assert charge == pytest.approx(2.0 * w / math.exp(log_p) / 2.0, rel=1e-12)
@@ -276,7 +276,7 @@ def test_inner_products_charge_the_gershgorin_constant(monkeypatch):
     fake = stored_to(k)
     rho = fake.series.generator.parseval_ratio(1.0, k - 1)
     weighted = (k + 1.0 / (1.0 - rho)) * float(np.sum(np.exp(fake.logw)))
-    tail = 0.7e-10 * math.exp(_first_images(fake, 1.0)[0]) / weighted
+    tail = 0.7e-10 * math.exp(_first_images(fake, 1.0)[0][0]) / weighted
     monkeypatch.setattr(spaces, "_parseval_terms",
                         lambda f, alpha: fake._replace(log_tail=math.log(tail)))
     f = fake.series

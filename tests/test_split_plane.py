@@ -112,6 +112,6 @@ def test_a_complex_multiplier_off_one_plane_is_refused(spec):
     prepared = prepared_for_spec(exp_series(), spec, grid)
     with pytest.raises(ValueError, match=f"not on the {spec.slice_label() or 'first-kind'} "):
         spaces._multiplier_norm(prepared, spec, grid,
-                                lambda j: _difference_multipliers(1, [0.3], j))
+                                [lambda j: _difference_multipliers(1, [0.3], j)])
     # real multipliers are read on every plane
-    assert spaces._multiplier_norm(prepared, spec, grid, fejer_multipliers(8))[0] > 0.0
+    assert spaces._multiplier_norm(prepared, spec, grid, [fejer_multipliers(8)])[0][0] > 0.0

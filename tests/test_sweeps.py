@@ -109,7 +109,7 @@ def test_each_group_of_a_sweep_is_its_single_call(backend, fn, depth):
     single_depths = []
     for value, charge, group in zip(values, charges, images):
         depth.clear()
-        v, c = spaces._multiplier_norm(prepared, spec, grid, *group)
+        (v,), (c,) = spaces._multiplier_norm(prepared, spec, grid, *zip(group))
         single_depths.append(min(depth, default=math.inf))
         assert agree(value, v, sweep_depth, single_depths[-1], (charge, c))
         if sweep_depth == single_depths[-1]:
