@@ -329,15 +329,23 @@ def _polar_columns(grid: QuadratureGrid, alpha: float, n: int) -> _PolarColumns:
     """The columns T_ak e^{i k theta_b}, T_ak = r_a^k e^{-alpha r_a^2 / 2}
     2^{-exps_k}, exps_k the power of two that brings the column's largest
     entry into [1/2, 1) (up to rounding), so that no Gram entry overflows.
-    The columns and the products T_ak T_al, from one table in k + l with
-    one power of two E_m per row, are built in log space, so that no r^k
-    overflows, nor its power of two leaves the float range."""
+    A column whose largest r^k e^{-alpha r^2 / 2} is a normal float is
+    formed directly and scaled exactly; any other is built from its logs,
+    as are the products T_ak T_al, from one table in k + l with one power
+    of two E_m per row, so that no r^k overflows, nor its power of two
+    leaves the float range."""
     r, theta = grid.radial_nodes, grid.angular_nodes
     k = np.arange(n + 1)
     ln2 = math.log(2.0)
     logs = np.multiply.outer(k, np.log(r)) - 0.5 * alpha * r * r
-    exps = np.floor(np.max(logs, axis=1) / ln2).astype(int) + 1
-    radial = np.exp(logs - exps[:, None] * ln2)
+    with np.errstate(over="ignore", invalid="ignore"):     # such columns come from logs
+        radial = np.exp(-0.5 * alpha * r * r) * r ** k[:, None]
+        top = np.max(radial, axis=1)
+        direct = (top >= sys.float_info.min) & (top < math.inf)
+        exps = np.where(direct, np.frexp(top)[1],
+                        np.floor(np.max(logs, axis=1) / ln2).astype(int) + 1)
+        radial = np.where(direct[:, None], np.ldexp(radial, -exps[:, None]),
+                          np.exp(logs - exps[:, None] * ln2))
     cols = (radial[:, :, None] * np.exp(1j * np.outer(k, theta))[:, None, :]).reshape(k.size, -1)
     logs = np.multiply.outer(np.arange(2 * n + 1), np.log(r)) - alpha * r * r
     tops = np.rint(np.max(logs, axis=1) / ln2).astype(int)
