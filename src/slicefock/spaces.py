@@ -912,30 +912,26 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mults=(None,)
         x, top = _scaled_rows(terms, n + 3, log_r, sign)
         for k in range(n, -1, -1):
             x[:, k] = -sub[k + 2] / diag[k] * x[:, k + 2]
-        with np.errstate(divide="ignore"):
-            log_p = top + np.log(np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1)))
+        log_p = top + np.log(np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1)))
         k = terms.series.degree + 1
         lo = max(k - 2, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):    # nan is refused
-            log_b = top + np.log(np.sum(np.square(x[:, lo:k]), axis=-1)
-                                 @ np.arange(lo + 1.0, k + 1.0)) \
-                if n < 0 or k >= n + 3 else math.log(2.0) + log_p
+        log_b = top + np.log(np.sum(np.square(x[:, lo:k]), axis=-1)
+                             @ np.arange(lo + 1.0, k + 1.0)) \
+            if n < 0 or k >= n + 3 else math.log(2.0) + log_p
         rows[:] = x, top
         return log_p, log_b
 
     def evaluate(terms):
-        (log_p, log_b), starts = _over_images(
-            mults, terms.logw.size, 4 * max(n + 3, terms.logw.size),
-            lambda *m: images(terms, *m))
-        best, log_b = _group_max(log_p, starts), _group_max(log_b, starts)
-        _, log_w = _charged_bound(terms, alpha, True)
-        over = []
-        with np.errstate(invalid="ignore"):     # nan is refused
-            for lb, b, v in zip(log_bounds, log_b, best):
-                log_err = np.logaddexp(math.log(2.0) + 2.0 * lb + log_w,
-                                       math.log(2.0) + lb + 0.5 * (log_w + b))
-                over.append(_relative(float(log_err), v) / NORM_TAIL_BUDGET)
-        return best, over
+        # an image of zeros has log -inf, and nan is refused
+        with np.errstate(divide="ignore", invalid="ignore"):
+            (log_p, log_b), starts = _over_images(
+                mults, terms.logw.size, 4 * max(n + 3, terms.logw.size),
+                lambda *m: images(terms, *m))
+            best, log_b = _group_max(log_p, starts), _group_max(log_b, starts)
+            _, log_w = _charged_bound(terms, alpha, True)
+            return best, [_relative(float(np.logaddexp(
+                math.log(2.0) + 2.0 * lb + log_w, math.log(2.0) + lb + 0.5 * (log_w + b))), v)
+                / NORM_TAIL_BUDGET for lb, b, v in zip(log_bounds, log_b, best)]
 
     log_p, over = evaluate(terms)
     if max(over) > 1.0:
