@@ -775,13 +775,12 @@ def _even_power(terms: ParsevalTerms, spec: NormSpec, mults=(None,), bounds=(1.0
     embedding ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this
     normalization (K. Zhu, Analysis on Fock Spaces, Thm 2.10).  Over the
     algebra it is Minkowski over the monomials (:func:`_first_tail`).
-    Where a group
-    misses half the budget, f's terms are certified once more, for every
-    group, at a tail smaller by the square of the largest excess (the
-    smallest float if that is 0); over the algebra by 16^2 more, as the
-    monomials' norms grow slowly against their Parseval terms.  The images'
-    rounding is charged with it (:func:`_check_tail_budget`).  Two lists,
-    one entry per group."""
+    Where a group misses half the budget, f's terms are certified once
+    more, for every group, at a tail smaller by the square of the largest
+    excess (the smallest float if that is 0); over the algebra by 16^2
+    more, as the monomials' norms grow slowly against their Parseval terms.
+    The images' rounding is charged with it (:func:`_check_tail_budget`).
+    Two lists, one entry per group."""
     p, first = spec.p, spec.kind == "first"
 
     def evaluate(terms):
@@ -889,21 +888,21 @@ def _relative(log_err: float, log_value: float) -> float:
 def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mults=(None,),
                   bounds=(1.0,)) -> tuple:
     """Per group of ``mults`` (as :func:`_multiplier_norm` takes them; None
-    for f itself) the largest first-kind p = 2 power of its images under real
-    multipliers (:func:`_scaled_rows`), or with n >= 0 of their residuals r
-    past the best degree-n approximation: (L^T r)_k = 0 for k <= n makes
-    r_k = -m_{k+2} r_{k+2} / l_k down from the rows past n, and the power is
-    sum_{k>n} |(L^T r)_k|^2.  f's rows past its stored degree, from K,
-    bounded by W (:func:`_charged_bound`) and their multipliers by the
-    group's entry of ``bounds``, add at most 2 bound^2 W (H <= 2 D) + 2 bound sqrt(W
-    b) (||O|| < 1 across disjoint rows), b the image's weighted rows K - 2
-    and K - 1, or twice the power where they reach row n + 2.  Where a
-    group's charge misses the budget, f's terms are certified once more,
-    for every group, at a tail smaller by the square of the largest excess.
-    Returns (log power, relative charge (:func:`_check_tail_budget`), the
-    terms, the rows r and their scales of the last block of images (every
-    image of a single group)); the first two are lists, one entry per
-    group."""
+    for f itself) the largest first-kind p = 2 power of its images under
+    real multipliers (:func:`_scaled_rows`), or with n >= 0 of their
+    residuals r past the best degree-n approximation: (L^T r)_k = 0 for k
+    <= n makes r_k = -m_{k+2} r_{k+2} / l_k down from the rows past n, and
+    the power is sum_{k>n} |(L^T r)_k|^2.  f's rows past its stored degree,
+    from K, bounded by W (:func:`_charged_bound`) and their multipliers by
+    the group's entry of ``bounds``, add at most 2 bound^2 W (H <= 2 D) + 2
+    bound sqrt(W b) (||O|| < 1 across disjoint rows), b the image's
+    weighted rows K - 2 and K - 1, or twice the power where they reach row
+    n + 2.  Where a group's charge misses the budget, f's terms are
+    certified once more, for every group, at a tail smaller by the square
+    of the largest excess.  Returns (log power, relative charge
+    (:func:`_check_tail_budget`), the terms, the rows r and their scales of
+    the last block of images (every image of a single group)); the first
+    two are lists, one entry per group."""
     log_bounds = [math.log(b) if b > 0.0 else -math.inf for b in bounds]
     diag, sub = _first_factor(n + 3)
     rows = [None, None]
