@@ -9,7 +9,10 @@ script exits with the first failure's code.
 With ``--against OLD_DIR`` it compares the CSVs with an earlier run's
 (comment lines ignored): it lists every number that moved by more than
 NORM_TAIL_BUDGET relative, and every pair whose exit status changed (a CSV
-written in one run only), and exits 1 if there is any.
+written in one run only), and exits 1 if there is any.  The vdp bound and
+slack at p != 2 rest on E_n from the descent, certified to its stop rule
+DESCENT_TOL E_n + NORM_TAIL_BUDGET ||f||_p: they are held to c times that,
+c the vdp constant, the slack also to the error's budget.
 
     python scripts/convergence_sweep.py --out-dir new --against old
 """
@@ -19,8 +22,10 @@ import csv
 import pathlib
 import sys
 
+from slicefock.approx import DESCENT_TOL, vdp_constant
 from slicefock.cli import main as cli_main
-from slicefock.spaces import NORM_TAIL_BUDGET
+from slicefock.cli import parse_function
+from slicefock.spaces import NORM_TAIL_BUDGET, NormSpec, norm
 
 FUNCTIONS = ["exp", "gauss:0.25", "mono:6"]
 OPERATORS = ["taylor", "fejer", "vdp", "jackson"]
@@ -31,9 +36,24 @@ def rows(path: pathlib.Path) -> list[list[str]]:
         return list(csv.reader(line for line in fh if not line.startswith("#")))
 
 
-def changes(name: str, new: pathlib.Path, old: pathlib.Path) -> list[str]:
+def allowed(col: str, got: dict, was: dict, descent) -> float:
+    """How far column ``col`` may move from the old row ``was`` to ``got``:
+    NORM_TAIL_BUDGET of it, or for the bound and slack of a vdp pair at
+    p != 2 (``descent`` = (c, ||f||_p)) c (DESCENT_TOL E_n + NORM_TAIL_BUDGET
+    ||f||_p), E_n the larger bound over c, the slack also the error's
+    budget."""
+    if descent is None or col not in ("bound", "slack"):
+        return NORM_TAIL_BUDGET * abs(float(was[col]))
+    c, f_norm = descent
+    free = DESCENT_TOL * max(abs(float(got["bound"])), abs(float(was["bound"]))) \
+        + c * NORM_TAIL_BUDGET * f_norm
+    return free + NORM_TAIL_BUDGET * abs(float(was["error"])) if col == "slack" else free
+
+
+def changes(name: str, new: pathlib.Path, old: pathlib.Path, descent=None) -> list[str]:
     """The differences of one pair's CSV ``new`` from ``old``: exit status
-    (which of them exists), row count, and numbers moved past the budget."""
+    (which of them exists), row count, and numbers moved past what they may
+    (:func:`allowed`; ``descent`` for a vdp pair at p != 2)."""
     if new.exists() != old.exists():
         return [f"{name}: " + ("written, failed before" if new.exists() else
                                "failed, was written")]
@@ -48,7 +68,8 @@ def changes(name: str, new: pathlib.Path, old: pathlib.Path) -> list[str]:
         for col, x, y in zip(header, got, was):
             if x == y:
                 continue
-            if not (x and y) or abs(float(x) - float(y)) > NORM_TAIL_BUDGET * abs(float(y)):
+            if not (x and y) or abs(float(x) - float(y)) > allowed(
+                    col, dict(zip(header, got)), dict(zip(header, was)), descent):
                 out.append(f"{name} {header[0]}={got[0]} {col}: {x or 'empty'}, was {y or 'empty'}")
     return out
 
@@ -66,11 +87,15 @@ def main() -> int:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failed = 0
-    names = []
+    names, descents = [], {}
+    p, alpha = float(args.p), float(args.alpha)
     for fn in FUNCTIONS:
         for op in OPERATORS:
             path = out / f"{fn.replace(':', '_')}__{op}.csv"
             names.append(path.name)
+            if args.against and op == "vdp" and p != 2.0:
+                descents[path.name] = (vdp_constant(p),
+                                       norm(parse_function(fn), NormSpec("second", p, alpha)))
             path.unlink(missing_ok=True)
             rc = cli_main([
                 "converge", "--fn", fn, "--operator", op,
@@ -84,7 +109,8 @@ def main() -> int:
             print(f"wrote {path}")
     if args.against:
         old = pathlib.Path(args.against)
-        lines = [line for name in names for line in changes(name, out / name, old / name)]
+        lines = [line for name in names
+                 for line in changes(name, out / name, old / name, descents.get(name))]
         for line in lines:
             print(line)
         print(f"against {old}: {len(names)} pairs, {len(lines)} changes")

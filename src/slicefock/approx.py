@@ -32,6 +32,7 @@ solver, and the one place ``COND_LIMIT`` is checked.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -49,18 +50,17 @@ from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_unit
 from .quadrature import QuadratureGrid, _check_mode, slice_grid
 from .series import (
     SliceSeries,
-    _check_certified,
     embed_complex,
     evaluate,
     extended,
     taylor_truncate,
 )
 from .spaces import (
-    PARSEVAL_TAIL_TOL,
     NormSpec,
     NORM_TAIL_BUDGET,
     ParsevalTerms,
     Prepared,
+    _charged,
     _check_positive,
     _checked_exp,
     _checked_ldexp,
@@ -80,6 +80,10 @@ from .spaces import (
 
 #: Condition number past which a Gram matrix is refused rather than solved.
 COND_LIMIT = 1e12
+
+#: The descent's default relative tolerance on its duality gap
+#: (:func:`best_approx_lp`).
+DESCENT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +148,23 @@ def _difference_multipliers(k: int, steps, degrees: np.ndarray
 
 
 def modulus(f: SliceSeries, query: ModulusQuery,
-            grid: QuadratureGrid | None = None,
-            prepared: Prepared | ParsevalTerms | None = None) -> float:
+            grid: QuadratureGrid | None = None) -> float:
     """Weighted modulus of smoothness: sup over 0 <= h <= delta of the raw
     weighted L^p size of the k-th rotational difference.
 
     The sup is a max over ``h_grid`` uniform steps including the endpoint,
     nondecreasing in delta and 0 at delta = 0, where nothing is charged.
-    f is ``prepared`` as :func:`slicefock.spaces.prepared_for_spec` returns
-    it for the second-kind p-norm, here unless given.  The max over the
-    steps' multiplier images is one group of
-    :func:`slicefock.spaces._multiplier_norm` (:func:`_modulus_images`),
-    f's tail charged at 2^k: exact at p = 2, reading neither ``grid`` nor
-    ``query.unit``; at even p up to ``EVEN_P_CAP`` coefficient convolutions
-    on the plane of ``query.unit`` per step, reading no ``grid``; else the
-    steps' images on the plane through one batch of the plane kernel."""
+    f is prepared as :func:`slicefock.spaces.prepared_for_spec` returns it
+    for the second-kind p-norm.  The max over the steps' multiplier images
+    is one group of :func:`slicefock.spaces._multiplier_norm`
+    (:func:`_modulus_images`), f's tail charged at 2^k: exact at p = 2,
+    reading neither ``grid`` nor ``query.unit``; at even p up to
+    ``EVEN_P_CAP`` coefficient convolutions on the plane of ``query.unit``
+    per step, reading no ``grid``; else the steps' images on the plane
+    through one batch of the plane kernel."""
     spec = NormSpec("second", query.p, query.alpha, slice_unit=query.unit)
     grid = grid or default_grid(spec)
-    prepared = prepared_for_spec(f, spec, grid, prepared)
+    prepared = prepared_for_spec(f, spec, grid)
     if query.delta == 0.0:
         return 0.0      # every difference is 0, past the stored rows too
     return _norms(prepared, spec, grid, [_modulus_images(query)])[0]
@@ -213,22 +216,10 @@ def _tail_images(n: int) -> _Images:
 # ---------------------------------------------------------------------------
 # plane Parseval data (p = 2)
 
-def parseval_log_weights(f: SliceSeries, alpha: float
-                         ) -> tuple[SliceSeries, np.ndarray]:
-    """Extend f until the Parseval terms |a_k|^2 k! / alpha^k have a tail
-    below ``PARSEVAL_TAIL_TOL`` relative; returns the extended series and
-    the log of each term (log 0 for vanishing coefficients), generator rows
-    stored below the float range counted with their closed form; a tail the
-    degree cap leaves above that tolerance is refused."""
-    fe, logw, log_tail = _parseval_terms(f, alpha)
-    _check_certified(log_tail, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
-    return fe, logw
-
-
 def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
     """Squared plane norm at p = 2 from coefficients: sum |a_k|^2 k! / alpha^k,
-    with f's tail charged against it."""
-    (log_sq,), _ = _parseval_power(_parseval_terms(f, alpha), alpha)
+    with f's tail charged against it (:func:`slicefock.spaces._charged`)."""
+    (log_sq,), *_ = _charged(_parseval_power, _parseval_terms(f, alpha), alpha)
     return _checked_exp(log_sq, "squared weighted norm")
 
 
@@ -253,14 +244,10 @@ def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult
     Monomials are orthogonal there, so the minimizer is the Taylor
     truncation and the error is the weighted coefficient tail
     (sum_{k>n} |a_k|^2 k! / alpha^k)^(1/2); no quadrature enters, and the
-    value is the same on every plane.
+    value is the same on every plane: the norm of the multiplier image 0
+    up to degree n and 1 past it.
     """
-    return _best_approx_terms(_parseval_terms(f, alpha), n, alpha)
-
-
-def _best_approx_terms(terms: ParsevalTerms, n: int, alpha: float) -> BestApproxResult:
-    """:func:`best_approx_second` from f's Parseval terms: the norm of the
-    multiplier image 0 up to degree n and 1 past it."""
+    terms = _parseval_terms(f, alpha)
     value = _norms(terms, NormSpec("second", 2.0, alpha), None, [_tail_images(n)])[0]
     return BestApproxResult(n, value, taylor_truncate(terms.series, n), "projection")
 
@@ -295,14 +282,16 @@ def best_approx_first(f: SliceSeries, n: int, alpha: float,
     residual r = f - P has (L^T r)_k = 0 for k <= n, and the value is the
     norm of the residual's coefficients through the factor, a sum of
     squares past n, not ||f||^2 minus the projection
-    (:func:`slicefock.spaces._first_images`, which charges f's tail on it)."""
+    (:func:`slicefock.spaces._first_images`, whose charges on it
+    :func:`slicefock.spaces._charged` checks)."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    (log_p,), _, terms, x, top = _first_images(_parseval_terms(f, alpha), alpha, n)
+    (log_p,), _, terms, x, top = _charged(functools.partial(_first_images, alpha=alpha, n=n),
+                                          _parseval_terms(f, alpha), alpha)
     # P = f - r up to degree n, r_k = x_k e^{top/2} / sqrt(k! / alpha^k)
     coeffs = extended(terms.series, max(n, terms.series.degree)).coeffs[:n + 1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scale = np.exp(0.5 * (top[0] - _parseval_log_terms(0.0, np.arange(n + 1), alpha)))
+        scale = np.exp(0.5 * (top[0] - _parseval_log_terms(0.0, n + 1, alpha)))
         minimizer = coeffs - np.where(x[0, :n + 1] != 0.0, x[0, :n + 1] * scale[:, None], 0.0)
     if not np.all(np.isfinite(minimizer)):
         raise IntegrandOverflowError("best approximation coefficients exceed the float range")
@@ -435,7 +424,7 @@ def _sum_sq(x: np.ndarray) -> np.ndarray:
 
 
 def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
-                   unit: ImaginaryUnit = UNIT_I, tol: float = 1e-8,
+                   unit: ImaginaryUnit = UNIT_I, tol: float = DESCENT_TOL,
                    grid: QuadratureGrid | None = None,
                    max_iter: int = 200) -> BestApproxResult:
     """Best degree-n approximation in the weighted plane L^p norm, p >= 1,
@@ -480,7 +469,7 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
 
 def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
                     unit: ImaginaryUnit, grid: QuadratureGrid | None,
-                    tol: float = 1e-8, max_iter: int = 200,
+                    tol: float = DESCENT_TOL, max_iter: int = 200,
                     prepared: Prepared | None = None) -> BestApproxResult:
     """:func:`best_approx_lp`, f taken as ``prepared`` on ``grid`` when given
     (:func:`slicefock.spaces.prepared_for_grid`)."""
@@ -668,18 +657,15 @@ def vdp_constant(p: float) -> float:
 
 def verify_vdp(f: SliceSeries, n: int, p: float, alpha: float,
                unit: ImaginaryUnit = UNIT_I,
-               grid: QuadratureGrid | None = None,
-               prepared: Prepared | ParsevalTerms | None = None,
-               on_grid: Prepared | None = None) -> VdpReport:
+               grid: QuadratureGrid | None = None) -> VdpReport:
     """Check ||V_n f - f|| <= (2^((p-1)/p) (2^p + 1)^(1/p) + 1) E_n(f):
     :func:`vdp_sweep` at n alone."""
-    return vdp_sweep(f, [n], p, alpha, unit, grid, prepared, on_grid)[0]
+    return vdp_sweep(f, [n], p, alpha, unit, grid)[0]
 
 
 def vdp_sweep(f: SliceSeries, ns, p: float, alpha: float,
-              unit: ImaginaryUnit = UNIT_I, grid: QuadratureGrid | None = None,
-              prepared: Prepared | ParsevalTerms | None = None,
-              on_grid: Prepared | None = None) -> list[VdpReport]:
+              unit: ImaginaryUnit = UNIT_I, grid: QuadratureGrid | None = None
+              ) -> list[VdpReport]:
     """:func:`verify_vdp` at each degree of ``ns``: the errors
     ||V_n f - f|| are one :func:`slicefock.spaces._multiplier_norm` call.
 
@@ -689,24 +675,20 @@ def vdp_sweep(f: SliceSeries, ns, p: float, alpha: float,
     bound on E_n the report also carries, and the errors are a coefficient
     sum at even p up to ``EVEN_P_CAP`` and a norm on ``grid`` at every
     other p.  f is prepared once for the errors
-    (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
-    given, which must be of the kind that returns, and, where that is its
+    (:func:`slicefock.spaces.prepared_for_spec`) and, where that is its
     Parseval terms at p != 2, once more on ``grid`` for the solves
-    (:func:`slicefock.spaces.prepared_for_grid`) unless ``on_grid`` is
-    given; the slack must be nonnegative."""
+    (:func:`slicefock.spaces.prepared_for_grid`); the slack must be
+    nonnegative."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    prepared = prepared_for_spec(f, spec, grid, prepared)
+    prepared = prepared_for_spec(f, spec, grid)
     groups = [_error_images(vdp_op(n), prepared) for n in ns]
     if p == 2.0:
         values = _norms(prepared, spec, grid, groups + [_tail_images(n) for n in ns])
         lhs, best = values[:len(ns)], [(v, "projection", None) for v in values[len(ns):]]
     else:
         lhs = _norms(prepared, spec, grid, groups)
-        if isinstance(prepared, Prepared):
-            on_grid = prepared
-        elif on_grid is None:
-            on_grid = prepared_for_grid(f, alpha, grid)
+        on_grid = prepared if isinstance(prepared, Prepared) else prepared_for_grid(f, alpha, grid)
         best = [(b.value, b.method, b.lower) for b in (
             _best_approx_lp(f, n, p, alpha, unit, grid, prepared=on_grid) for n in ns)]
     c = vdp_constant(p)
@@ -716,29 +698,27 @@ def vdp_sweep(f: SliceSeries, ns, p: float, alpha: float,
 
 def verify_jackson(f: SliceSeries, n: int, m: int, p: float, alpha: float,
                    unit: ImaginaryUnit = UNIT_I,
-                   grid: QuadratureGrid | None = None,
-                   prepared: Prepared | ParsevalTerms | None = None
-                   ) -> JacksonReport:
+                   grid: QuadratureGrid | None = None) -> JacksonReport:
     """Compare the smoothing-difference operator error with the modulus of
     smoothness of order m + 1 at step 1/n: :func:`jackson_sweep` at n
     alone."""
-    return jackson_sweep(f, [n], m, p, alpha, unit, grid, prepared)[0]
+    return jackson_sweep(f, [n], m, p, alpha, unit, grid)[0]
 
 
 def jackson_sweep(f: SliceSeries, ns, m: int, p: float, alpha: float,
-                  unit: ImaginaryUnit = UNIT_I, grid: QuadratureGrid | None = None,
-                  prepared: Prepared | ParsevalTerms | None = None) -> list[JacksonReport]:
+                  unit: ImaginaryUnit = UNIT_I, grid: QuadratureGrid | None = None
+                  ) -> list[JacksonReport]:
     """:func:`verify_jackson` at each degree of ``ns``: the smoothing-
     difference operator errors and the moduli of order m + 1 at the steps
     1/n, whose ratio should stay within a constant factor across n, all
     from one :func:`slicefock.spaces._multiplier_norm` call (one group per
     error and per modulus).  f is prepared once for all
-    (:func:`slicefock.spaces.prepared_for_spec`) unless ``prepared`` is
-    given; at p = 2 and at even p up to ``EVEN_P_CAP`` every side is a
-    coefficient sum and reads no grid, otherwise a quadrature on ``grid``."""
+    (:func:`slicefock.spaces.prepared_for_spec`); at p = 2 and at even p up
+    to ``EVEN_P_CAP`` every side is a coefficient sum and reads no grid,
+    otherwise a quadrature on ``grid``."""
     spec = NormSpec("second", p, alpha, slice_unit=unit)
     grid = grid or slice_grid(spec.scale)
-    prepared = prepared_for_spec(f, spec, grid, prepared)
+    prepared = prepared_for_spec(f, spec, grid)
     groups = [_error_images(jackson_op(n, m, p), prepared) for n in ns] + [
         _modulus_images(ModulusQuery(k=m + 1, delta=1.0 / n, p=p, alpha=alpha, unit=unit))
         for n in ns]

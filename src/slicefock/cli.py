@@ -233,23 +233,19 @@ def cmd_converge(args) -> int:
     for n in n_list:
         _check_operator_degree(args.operator, n, args.m, args.p)
     grid = _grid_for(args, spec)
-    prepared = spaces.prepared_for_spec(f, spec, grid)   # once per sweep
-    # the descent of E_n reads f on the grid, also where the errors are
-    # coefficient sums: prepared there once per sweep too
-    on_grid = spaces.prepared_for_grid(f, spec.alpha, grid) \
-        if args.operator == "vdp" and args.p != 2.0 and spec.coefficient_sum else None
     make_op = {"taylor": operators.taylor_op, "fejer": operators.fejer_op}.get(args.operator)
-    # one multiplier-image call for the whole sweep: errors, and bounds
-    # where they are norms
+    # one multiplier-image call for the whole sweep, f prepared once for it:
+    # errors, and bounds where they are norms
     if make_op:
-        errors = approx.operator_errors([make_op(n) for n in n_list], prepared, spec, grid)
+        errors = approx.operator_errors([make_op(n) for n in n_list],
+                                        spaces.prepared_for_spec(f, spec, grid), spec, grid)
         rows = [(n, err, None, None) for n, err in zip(n_list, errors)]
     elif args.operator == "vdp":
         rows = [(rep.n, rep.lhs, rep.rhs, rep.slack) for rep in approx.vdp_sweep(
-            f, n_list, args.p, args.alpha, unit, grid, prepared, on_grid)]
+            f, n_list, args.p, args.alpha, unit, grid)]
     else:
         rows = [(rep.n, rep.lhs, rep.rhs, None) for rep in approx.jackson_sweep(
-            f, n_list, args.m, args.p, args.alpha, unit, grid, prepared)]
+            f, n_list, args.m, args.p, args.alpha, unit, grid)]
     _format_rows(args, ("n", "error", "bound", "slack"), rows,
                  operator=args.operator, fn=args.fn)
     return 0

@@ -77,7 +77,7 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     for t in terms:
         _check_certified(t.log_tail, NORM_TAIL_BUDGET, f"alpha = {alpha:g}")
     deg = max(t.series.degree for t in terms)
-    half = 0.5 * _parseval_log_terms(0.0, np.arange(deg + 1), alpha)
+    half = 0.5 * _parseval_log_terms(0.0, deg + 1, alpha)
 
     def rows(g):
         """sqrt(k! / alpha^k) a_k for g's rows 0..deg, (deg + 1, 4)."""

@@ -393,16 +393,16 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
     while True:
         deg = fe.degree
         logs = log_terms(fe.log_row_norms, np.arange(deg + 1))
-        top = float(np.max(logs))
+        top = float(logs.max())
         if not top < math.inf:
             raise TruncationError(f"series terms overflow at {where}")
         if g is None:                      # no tail
             return fe, logs, -math.inf
         scaled = np.exp(logs - top) if top > -math.inf else np.zeros(deg + 1)
-        total = float(np.sum(scaled))
+        total = float(scaled.sum())
         log_ref = max(log_floor, top + math.log(total)) if total > 0.0 else log_floor
         rho = ratio(deg)
-        last = float(np.max(scaled[-2:]))
+        last = float(scaled[-2:].max())
         if not rho < 1.0:
             log_tail = math.inf
         elif rho == 0.0 or last == 0.0:

@@ -15,9 +15,9 @@ algebra powers two degrees apart overlap, the Gram of the monomials is
 banded, and norms, best approximations and inner products are sums of
 squares through its bidiagonal Cholesky factor (:func:`_first_images`,
 :func:`_inner`).  Each charges f's tail past its stored degree against
-the value it reports; every norm, operator error and modulus, and every
-sweep of them over n, is one call of :func:`_multiplier_norm`, one value
-per group of multiplier images.
+the value it reports, by one rule (:func:`_charged`); every norm, operator
+error and modulus, and every sweep of them over n, is one call of
+:func:`_multiplier_norm`, one value per group of multiplier images.
 
 Every even p = 2m up to ``EVEN_P_CAP`` is a coefficient sum over the same
 certificate (:func:`_even_power`), on one plane and over the algebra: with
@@ -242,15 +242,14 @@ def default_grid(spec: NormSpec, n_radial: int | None = None,
                        DEFAULT_SPHERE if n_sphere is None else n_sphere)
 
 
-def _check_tail_budget(raw: float, delta: float, p: float) -> float:
-    """The evaluation-error contribution ``delta`` to the raw p-th power must
-    stay below NORM_TAIL_BUDGET of the result (norm scale: raw / p); returns
-    it relative to the result, delta / (p raw)."""
-    if not math.isfinite(delta) or delta > NORM_TAIL_BUDGET * max(raw, 1e-300) * p:
+def _check_tail_budget(rel: float) -> float:
+    """``rel``, a charge relative to the result, where it lies within
+    NORM_TAIL_BUDGET; else (inf and nan too) :class:`TruncationError`."""
+    if not rel <= NORM_TAIL_BUDGET:
         raise TruncationError(
             f"truncated-tail contribution bound exceeds {NORM_TAIL_BUDGET:g} "
             "of the result")
-    return delta / (max(raw, 1e-300) * p)
+    return rel
 
 
 def _check_in_space(f: SliceSeries, alpha: float) -> None:
@@ -355,15 +354,16 @@ def _closed_log_terms(g: ExpGenerator, alpha: float, size: int) -> np.ndarray:
     return _read_only(out)
 
 
-def _parseval_log_terms(log_sq, k, alpha: float, g: ExpGenerator | None = None):
-    """log of |a_k|^2 k! / alpha^k from log |a_k|^2 (:func:`_log_weights`;
-    with log_sq = 0 the weights alone).  A generator ``g``'s rows come from
-    its closed form (:func:`_closed_log_terms`) instead, so no large logs
-    cancel; a row that overflowed storage stays +inf, refused."""
-    size = _log_factorial_table(int(np.max(k))).size
-    out = log_sq + _log_weights(alpha, size)[k]
+def _parseval_log_terms(log_sq, count: int, alpha: float, g: ExpGenerator | None = None):
+    """log of |a_k|^2 k! / alpha^k for k < ``count`` from log |a_k|^2
+    (:func:`_log_weights`; with log_sq = 0 the weights alone).  A generator
+    ``g``'s rows come from its closed form (:func:`_closed_log_terms`)
+    instead, so no large logs cancel; a row that overflowed storage stays
+    +inf, refused."""
+    size = _log_factorial_table(count - 1).size
+    out = log_sq + _log_weights(alpha, size)[:count]
     if g is not None and g.size > 0.0:     # c = 0: every row past a_0 is 0
-        out = np.where(out < math.inf, _closed_log_terms(g, alpha, size)[k], math.inf)
+        out = np.where(out < math.inf, _closed_log_terms(g, alpha, size)[:count], math.inf)
     return out
 
 
@@ -389,7 +389,7 @@ def _parseval_terms(f: SliceSeries, alpha: float,
     float range counts with its closed form."""
     _check_in_space(f, alpha)
     return ParsevalTerms(*_certified(
-        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k, alpha, f.generator),
+        f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k.size, alpha, f.generator),
         lambda deg: f.generator.parseval_ratio(alpha, deg), log_tol, -math.inf,
         f"alpha = {alpha:g}"))
 
@@ -475,42 +475,58 @@ def _group_max(values: np.ndarray, starts: list[int]) -> list[float]:
     return np.maximum.reduceat(values, starts).tolist()
 
 
-def _parseval_power(terms: ParsevalTerms, alpha: float, mults=(None,), bounds=(1.0,)
-                    ) -> tuple[list[float], list[float]]:
+def _relative(log_err: float, log_value: float) -> float:
+    """e^{log_err - log_value}: 0 with nothing to charge, inf (refused) past
+    the float range, for nan, or with a charge on a value of 0."""
+    if log_err == -math.inf:
+        return 0.0
+    y = log_err - log_value
+    return math.exp(y) if y < 709.0 else math.inf
+
+
+def _charged(evaluate, terms: ParsevalTerms, alpha: float) -> tuple:
+    """The one charge rule of every coefficient sum.  ``evaluate(terms)``
+    (:func:`_parseval_power`, :func:`_even_power`, :func:`_first_images`)
+    gives per group of images the log of its power, the charges of f's
+    tail and of the rounding relative to its norm, then what else its
+    caller reads.  Where the largest tail charge x exceeds half the budget,
+    f's terms are certified once more, for every group, at a tail smaller
+    by (16 x / (NORM_TAIL_BUDGET / 2))^2 (the smallest float at least), as
+    every charge shrinks at least as fast as the tail's square root.
+    Returns the log powers, the groups' charges checked against the budget
+    (:func:`_check_tail_budget`), the terms read, and the rest."""
+    log_pow, tails, roundings, *rest = evaluate(terms)
+    x = max(tails)
+    if x > 0.5 * NORM_TAIL_BUDGET:
+        log_tol = max(terms.log_tail - 2.0 * math.log(16.0 * x / (0.5 * NORM_TAIL_BUDGET)),
+                      math.log(5e-324))
+        if log_tol < terms.log_tail:
+            terms = _parseval_terms(terms.series, alpha, log_tol)
+            log_pow, tails, roundings, *rest = evaluate(terms)
+    return (log_pow, [_check_tail_budget(t + r) for t, r in zip(tails, roundings)], terms,
+            *rest)
+
+
+def _parseval_power(terms: ParsevalTerms, mults=(None,), bounds=(1.0,)
+                    ) -> tuple[list[float], list[float], list[float]]:
     """Per group of ``mults`` (as :func:`_multiplier_norm` takes them; None
     for f itself) the log of the largest p = 2 power sum_k |m_k|^2 t_k of
-    f's Parseval terms over its images, and the charge of f's tail relative
-    to it: with |m_k| <= the group's entry of ``bounds`` past the stored
-    degree it adds at most tail bound^2 sum_k t_k, charged from its log
-    (:func:`_check_tail_budget`).  Where a group misses its half of the
-    budget, f's terms are certified once more, at the tail the group that
-    needs the smallest one needs (the smallest float if it is 0), and every
-    group is read from them.  Two lists, one entry per group."""
-    def weighted(terms):
-        log_total = float(_log_sum(terms.logw))
-        if mults[0] is None:        # f itself
-            log_sq = [log_total]
-        else:
-            (log_sq,), starts = _over_images(
-                mults, terms.logw.size, terms.logw.size,
-                lambda log_r, sign, theta: (_log_sum(2.0 * log_r + terms.logw),))
-            log_sq = _group_max(log_sq, starts)
-        # log of what a unit of relative tail adds to each power, relative to it
-        return log_sq, [log_total + 2.0 * math.log(b) - s for b, s in zip(bounds, log_sq)]
-
-    def charge(log_x, gap):
-        if log_x == -math.inf:
-            return 0.0
-        y = log_x + gap
-        return math.exp(y) if y < 709.0 else math.inf   # inf is refused
-
-    log_sq, gaps = weighted(terms)
-    gap = max(gaps)         # the charge grows with the gap
-    if charge(terms.log_tail, gap) > NORM_TAIL_BUDGET:
-        terms = _parseval_terms(terms.series, alpha, math.log(NORM_TAIL_BUDGET) - gap
-                                if gap < math.inf else math.log(5e-324))
-        log_sq, gaps = weighted(terms)
-    return log_sq, [_check_tail_budget(1.0, charge(terms.log_tail, g), 2.0) for g in gaps]
+    f's Parseval terms over its images, the charge of f's tail relative to
+    its norm, and no rounding charge (:func:`_charged`): with |m_k| <= the
+    group's entry of ``bounds`` past the stored degree the tail adds at
+    most tail bound^2 sum_k t_k to the power, charged from its log.  Three
+    lists, one entry per group."""
+    log_total = float(_log_sum(terms.logw))
+    if mults[0] is None:        # f itself
+        log_sq = [log_total]
+    else:
+        (log_sq,), starts = _over_images(
+            mults, terms.logw.size, terms.logw.size,
+            lambda log_r, sign, theta: (_log_sum(2.0 * log_r + terms.logw),))
+        log_sq = _group_max(log_sq, starts)
+    # a unit of relative tail adds e^gap of each power to it, half that to its norm
+    gaps = [log_total + 2.0 * math.log(b) - s for b, s in zip(bounds, log_sq)]
+    return log_sq, [0.5 * _relative(terms.log_tail, -g) for g in gaps], [0.0] * len(gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -764,43 +780,28 @@ def _first_tail(terms: ParsevalTerms, spec: NormSpec) -> float:
 
 
 def _even_power(terms: ParsevalTerms, spec: NormSpec, mults=(None,), bounds=(1.0,)
-                ) -> tuple[list[float], list[float]]:
+                ) -> tuple[list[float], list[float], list[float]]:
     """Per group of ``mults`` (as :func:`_multiplier_norm` takes them; None
     for f itself) the log of the largest prefactored p-th power of its
-    images at even p (:func:`_even_images`), and its charge relative to the
-    norm.  f's tail T past the stored degree moves each image's norm by at
-    most ||T'||_p, T' its image, with |m_k| <= the group's entry of
-    ``bounds`` past the degree.  On a plane that is at most ||T'||_2 <=
-    bound (tau sum_k t_k)^(1/2), tau the relative tail: Minkowski, then the
-    embedding ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this
-    normalization (K. Zhu, Analysis on Fock Spaces, Thm 2.10).  Over the
-    algebra it is Minkowski over the monomials (:func:`_first_tail`).
-    Where a group misses half the budget, f's terms are certified once
-    more, for every group, at a tail smaller by the square of the largest
-    excess (the smallest float if that is 0); over the algebra by 16^2
-    more, as the monomials' norms grow slowly against their Parseval terms.
-    The images' rounding is charged with it (:func:`_check_tail_budget`).
-    Two lists, one entry per group."""
-    p, first = spec.p, spec.kind == "first"
-
-    def evaluate(terms):
-        (log_pow, log_err), starts = _over_images(
-            mults, terms.series.degree + 1, terms.series.degree + 1,
-            lambda log_r, sign, theta: _even_images(terms, spec, log_r, sign, theta))
-        best, worst = _group_max(log_pow, starts), _group_max(log_err, starts)
-        log_tail = _first_tail(terms, spec) if first \
-            else 0.5 * (terms.log_tail + float(_log_sum(terms.logw)))
-        return best, [_relative(math.log(b) + log_tail, v / p) for b, v in zip(bounds, best)], \
-            [_relative(w, v / p) for w, v in zip(worst, best)]
-
-    best, tails, roundings = evaluate(terms)
-    if max(tails) > 0.5 * NORM_TAIL_BUDGET:
-        log_tol = terms.log_tail - 2.0 * (math.log(max(tails) / (0.5 * NORM_TAIL_BUDGET))
-                                          + (math.log(16.0) if first else 0.0))
-        terms = _parseval_terms(terms.series, spec.alpha,
-                                log_tol if log_tol > -math.inf else math.log(5e-324))
-        best, tails, roundings = evaluate(terms)
-    return best, [_check_tail_budget(1.0, t + r, 1.0) for t, r in zip(tails, roundings)]
+    images at even p (:func:`_even_images`), and the charges of f's tail
+    and of the images' rounding relative to its norm (:func:`_charged`).
+    f's tail T past the stored degree moves each image's norm by at most
+    ||T'||_p, T' its image, with |m_k| <= the group's entry of ``bounds``
+    past the degree.  On a plane that is at most ||T'||_2 <= bound (tau
+    sum_k t_k)^(1/2), tau the relative tail: Minkowski, then the embedding
+    ||h||_{q, alpha} <= ||h||_{p, alpha} for p <= q in this normalization
+    (K. Zhu, Analysis on Fock Spaces, Thm 2.10).  Over the algebra it is
+    Minkowski over the monomials (:func:`_first_tail`).  Three lists, one
+    entry per group."""
+    p = spec.p
+    (log_pow, log_err), starts = _over_images(
+        mults, terms.series.degree + 1, terms.series.degree + 1,
+        functools.partial(_even_images, terms, spec))
+    best, worst = _group_max(log_pow, starts), _group_max(log_err, starts)
+    log_tail = _first_tail(terms, spec) if spec.kind == "first" \
+        else 0.5 * (terms.log_tail + float(_log_sum(terms.logw)))
+    return best, [_relative(math.log(b) + log_tail, v / p) for b, v in zip(bounds, best)], \
+        [_relative(w, v / p) for w, v in zip(worst, best)]
 
 
 # ---------------------------------------------------------------------------
@@ -844,23 +845,25 @@ def _gram_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _scaled_rows(terms: ParsevalTerms, size: int = 0, log_r: np.ndarray | None = None,
-                 sign: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 sign: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f's rows m_k s_k for each image of real multipliers sign e^{log_r}
     (each of shape (images, K), as :func:`_multipliers` gives them; f
     itself without), each image times e^{-top/2}, top its largest log m_k^2
-    t_k: (x of shape (images, K, 4), zero past f's rows up to ``size``, and
-    top).  Directions come from the series' log-polar rows
-    (:attr:`SliceSeries.directions`) and sizes from the certified log t_k,
-    so no row leaves the float range before its scale."""
+    t_k: (x of shape (images, K, 4), zero past f's rows up to ``size``,
+    top, and the rows' sizes, of shape (images, K)).  Directions come from
+    the series' log-polar rows (:attr:`SliceSeries.directions`) and sizes
+    from the certified log t_k, so no row leaves the float range before its
+    scale."""
     dirs, logw = terms.series.directions, terms.logw[None]
     if log_r is not None:
         logw = 2.0 * log_r + logw
     top = np.maximum(logw.max(axis=-1), -1e308)    # an image of zeros stays 0
     x = np.zeros((top.size, max(size, dirs.shape[0]), 4))
-    x[:, :dirs.shape[0]] = dirs * np.exp(0.5 * (logw - top[:, None]))[..., None]
+    mag = np.exp(0.5 * (logw - top[:, None]))
+    x[:, :dirs.shape[0]] = dirs * mag[..., None]
     if sign is not None:
         x[:, :dirs.shape[0]] *= sign[..., None]
-    return x, top
+    return x, top, mag
 
 
 def _charged_bound(terms: ParsevalTerms, alpha: float, first: bool) -> tuple[int, float]:
@@ -876,13 +879,64 @@ def _charged_bound(terms: ParsevalTerms, alpha: float, first: bool) -> tuple[int
     return deg + 1, log_w
 
 
-def _relative(log_err: float, log_value: float) -> float:
-    """e^{log_err - log_value}: 0 with nothing to charge, inf (refused) past
-    the float range, for nan, or with a charge on a value of 0."""
-    if log_err == -math.inf:
-        return 0.0
-    y = log_err - log_value
-    return math.exp(y) if y < 709.0 else math.inf
+def _first_rows(terms: ParsevalTerms, n: int, log_r: np.ndarray | None = None,
+                sign: np.ndarray | None = None, theta: np.ndarray | None = None) -> tuple:
+    """Per image of f under the real multipliers sign e^{log_r} (each of
+    shape (images, K), as :func:`_multipliers` gives them; f itself
+    without) for :func:`_first_images`: log P, P the image's first-kind
+    p = 2 power, or with n >= 0 its residual's past the best degree-n
+    approximation, the log of b, the log of a bound on the rounding of
+    P^(1/2) (:func:`_root_rounding`), the rows r and their scale e^{top/2}
+    (:func:`_scaled_rows`)."""
+    x, top, mag = _scaled_rows(terms, n + 3, log_r, sign)
+    size = x.shape[1]
+    diag, sub = _first_factor(size)
+    for k in range(n, -1, -1):
+        x[:, k] = -sub[k + 2] / diag[k] * x[:, k + 2]
+    total = np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1))
+    log_p = top + np.log(total)
+    deg = terms.series.degree + 1
+    lo = max(deg - 2, 0)
+    weight = np.arange(1.0, deg + 1.0)          # k + 1
+    sized = np.square(mag) * weight
+    log_b = top + np.log(sized[:, lo:].sum(axis=-1)) if n < 0 or deg >= n + 3 \
+        else math.log(2.0) + log_p
+    logw = terms.logw
+    ulps = np.abs(logw) + np.abs(terms.series.log_row_norms) \
+        + np.abs(logw if log_r is None else 2.0 * log_r + logw)
+    np.minimum(ulps, 1e300, out=ulps)           # a row of zeros (logs -inf) has no error
+    spread = np.square(mag * ulps)[:, n + 1:] @ weight[n + 1:]
+    log_e = np.array([_root_rounding(
+        4.0 * _UNIT_ROUNDOFF * math.sqrt(2.0) * (math.sqrt(a) + (abs(t) + 4.75) * math.sqrt(b)),
+        s, lp, abs(t), 4 * (size - n - 1), size) for a, b, s, lp, t in zip(
+            spread.tolist(), sized[:, n + 1:].sum(axis=-1).tolist(), total.tolist(),
+            log_p.tolist(), top.tolist())])
+    return log_p, log_b, log_e, x, top
+
+
+def _root_rounding(dev: float, total: float, log_p: float, top: float, count: int,
+                   rows: int) -> float:
+    """log of a bound on the rounding of P^(1/2), P = e^{log_p} = ``total``
+    e^top a sum of ``count`` squares of the entries of L^T r, r of ``rows``
+    rows, -inf for a sum of 0 (an image of zeros, exactly 0).  Row k of r,
+    of size A_k, is off by at most e_k = 4 u (U_k + |top| + 4.75) A_k, U_k
+    = |log m_k^2 t_k| + |log t_k| + |log |a_k|| its logs' sizes in ulps,
+    3 u A_k of it for the band's own rounding (L's entries are within an
+    ulp).  P reads only the rows k > n, the image's own, and row k of L^T r
+    moves by at most l_k e_k + |m_{k+2}| e_{k+2}, so (l_k^2 + m_k^2 = k +
+    1) L^T r moves by at most ``dev`` = 4 u (2 sum_{k>n} (k + 1) (U_k +
+    |top| + 4.75)^2 A_k^2)^(1/2), taken by Minkowski, and the root by at
+    most ``dev`` and the rows' underflow.  gamma_N, the squares' underflow
+    and the rounding of log P, 4 u (|log P| + |top| + 2), move P by a
+    relative e, the root by e / (2 (1 - e)) for e < 1/2, by e^(1/2) else."""
+    if not total > 0.0:
+        return -math.inf
+    u = _UNIT_ROUNDOFF
+    rel = count * u / (1.0 - count * u) + 4.0 * u * (abs(log_p) + top + 2.0) \
+        + count * 2.0 ** -1075 / total
+    root = math.sqrt(total)
+    return 0.5 * log_p + math.log((dev + (rows + 2.0) * 2.0 ** -1074) / root + (
+        rel / (2.0 * (1.0 - rel)) if rel < 0.5 else math.sqrt(rel)))
 
 
 def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mults=(None,),
@@ -892,54 +946,27 @@ def _first_images(terms: ParsevalTerms, alpha: float, n: int = -1, mults=(None,)
     real multipliers (:func:`_scaled_rows`), or with n >= 0 of their
     residuals r past the best degree-n approximation: (L^T r)_k = 0 for k
     <= n makes r_k = -m_{k+2} r_{k+2} / l_k down from the rows past n, and
-    the power is sum_{k>n} |(L^T r)_k|^2.  f's rows past its stored degree,
-    from K, bounded by W (:func:`_charged_bound`) and their multipliers by
-    the group's entry of ``bounds``, add at most 2 bound^2 W (H <= 2 D) + 2
-    bound sqrt(W b) (||O|| < 1 across disjoint rows), b the image's
-    weighted rows K - 2 and K - 1, or twice the power where they reach row
-    n + 2.  Where a group's charge misses the budget, f's terms are
-    certified once more, for every group, at a tail smaller by the square
-    of the largest excess.  Returns (log power, relative charge
-    (:func:`_check_tail_budget`), the terms, the rows r and their scales of
-    the last block of images (every image of a single group)); the first
-    two are lists, one entry per group."""
+    the power is sum_{k>n} |(L^T r)_k|^2 (:func:`_first_rows`).  f's rows
+    past its stored degree, from K, bounded by W (:func:`_charged_bound`)
+    and their multipliers by the group's entry of ``bounds``, add at most 2
+    bound^2 W (H <= 2 D) + 2 bound sqrt(W b) (||O|| < 1 across disjoint
+    rows), b the image's weighted rows K - 2 and K - 1, or twice the power
+    where they reach row n + 2.  Returns (log power, the charges of f's
+    tail and of the rounding relative to the norm (:func:`_charged`), and
+    the rows r and their scales of every image); the first three are
+    lists, one entry per group."""
     log_bounds = [math.log(b) if b > 0.0 else -math.inf for b in bounds]
-    diag, sub = _first_factor(n + 3)
-    rows = [None, None]
-
-    def images(terms, log_r, sign, theta):
-        x, top = _scaled_rows(terms, n + 3, log_r, sign)
-        for k in range(n, -1, -1):
-            x[:, k] = -sub[k + 2] / diag[k] * x[:, k + 2]
-        log_p = top + np.log(np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1)))
-        k = terms.series.degree + 1
-        lo = max(k - 2, 0)
-        log_b = top + np.log(np.sum(np.square(x[:, lo:k]), axis=-1)
-                             @ np.arange(lo + 1.0, k + 1.0)) \
-            if n < 0 or k >= n + 3 else math.log(2.0) + log_p
-        rows[:] = x, top
-        return log_p, log_b
-
-    def evaluate(terms):
-        # an image of zeros has log -inf, and nan is refused
-        with np.errstate(divide="ignore", invalid="ignore"):
-            (log_p, log_b), starts = _over_images(
-                mults, terms.logw.size, 4 * max(n + 3, terms.logw.size),
-                lambda *m: images(terms, *m))
-            best, log_b = _group_max(log_p, starts), _group_max(log_b, starts)
-            _, log_w = _charged_bound(terms, alpha, True)
-            return best, [_relative(float(np.logaddexp(
-                math.log(2.0) + 2.0 * lb + log_w, math.log(2.0) + lb + 0.5 * (log_w + b))), v)
-                / NORM_TAIL_BUDGET for lb, b, v in zip(log_bounds, log_b, best)]
-
-    log_p, over = evaluate(terms)
-    if max(over) > 1.0:
-        log_tol = max(terms.log_tail - 2.0 * math.log(16.0 * max(over)), math.log(5e-324))
-        if log_tol < terms.log_tail:
-            terms = _parseval_terms(terms.series, alpha, log_tol)
-            log_p, over = evaluate(terms)
-    charges = [_check_tail_budget(1.0, o * NORM_TAIL_BUDGET, 2.0) for o in over]
-    return log_p, charges, terms, *rows
+    # an image of zeros has log -inf, and nan is refused
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        (log_p, log_b, log_e, x, top), starts = _over_images(
+            mults, terms.logw.size, 4 * max(n + 3, terms.logw.size),
+            functools.partial(_first_rows, terms, n))
+        best, log_b, worst = (_group_max(v, starts) for v in (log_p, log_b, log_e))
+        _, log_w = _charged_bound(terms, alpha, True)
+        tails = [0.5 * _relative(float(np.logaddexp(
+            math.log(2.0) + 2.0 * lb + log_w, math.log(2.0) + lb + 0.5 * (log_w + b))), v)
+            for lb, b, v in zip(log_bounds, log_b, best)]
+    return best, tails, [_relative(w, 0.5 * v) for w, v in zip(worst, best)], x, top
 
 
 def _checked_exp(log_value: float, what: str) -> float:
@@ -1064,8 +1091,8 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
                      ) -> tuple[list[float], list[float]]:
     """Per group of multiplier images, the largest ``spec``-norm of sum_k
     q^k m_k a_k over its images, and f's relative tail or charge, f
-    ``prepared`` as ``spec`` needs (:func:`_check_prepared`): two lists, one
-    entry per group.  Group g has m_k = sign_k e^{log_r_k} e^{I theta_k},
+    ``prepared`` as ``spec`` needs (:func:`prepared_for_spec`; else
+    :class:`ValueError`): two lists, one entry per group.  Group g has m_k = sign_k e^{log_r_k} e^{I theta_k},
     (log_r, sign, theta) = ``mults[g](k)`` of shape (images, K), its own
     count of images (theta 0 for real m, :func:`_real_multipliers`; None
     for f itself, only alone), its prefactor left out unless
@@ -1077,7 +1104,7 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     At p = 2 a coefficient sum, :func:`_parseval_power` on a plane and
     :func:`_first_images` over the algebra, and at the other even p up to
     ``EVEN_P_CAP`` :func:`_even_power`, f's tail charged at ``bounds[g]``
-    >= |m_k| past its stored degree; else the largest power of a group's
+    >= |m_k| past its stored degree by the one rule of :func:`_charged`; else the largest power of a group's
     images on every plane ``spec`` reads, on the scale of its largest
     exponent.  Each image is formed in log-polar form, row k of size log
     |m_k| + log |a_k|, so a row below the float range keeps its size.  On
@@ -1091,17 +1118,18 @@ def _multiplier_norm(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     refused (:class:`ValueError`).  A value past the float range, or
     nonzero below it, raises :class:`IntegrandOverflowError` naming its
     group."""
-    _check_prepared(prepared, spec)
+    if isinstance(prepared, ParsevalTerms) != spec.coefficient_sum:
+        raise ValueError(f"the {spec.kind}-kind p = {spec.p:g} numbers need " + (
+            "Parseval terms" if spec.coefficient_sum else "a grid preparation")
+            + f" of f, not {type(prepared).__name__}")
     if spec.slice_unit is None:
         mults = [m if m is None else _real_only(m, spec) for m in mults]
     first = spec.kind == "first"
     if spec.coefficient_sum:
-        if spec.p != 2.0:
-            log_pow, charges = _even_power(prepared, spec, mults, bounds)
-        elif first:
-            log_pow, charges = _first_images(prepared, spec.alpha, -1, mults, bounds)[:2]
-        else:
-            log_pow, charges = _parseval_power(prepared, spec.alpha, mults, bounds)
+        evaluate = functools.partial(_even_power, spec=spec) if spec.p != 2.0 else \
+            functools.partial(_first_images, alpha=spec.alpha) if first else _parseval_power
+        log_pow, charges, *_ = _charged(functools.partial(evaluate, mults=mults, bounds=bounds),
+                                        prepared, spec.alpha)
         # less the prefactor's log where a group leaves it out
         values = [_checked_exp((lp if pf else lp + (2.0 if first else 1.0) * (
             math.log(math.pi) - math.log(spec.scale))) / spec.p, w)
@@ -1172,30 +1200,14 @@ def _real_only(mult, spec: NormSpec):
     return checked
 
 
-def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid,
-                      prepared: Prepared | ParsevalTerms | None = None
+def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid
                       ) -> Prepared | ParsevalTerms:
     """The one preparation of f for the numbers of ``spec``: its Parseval
-    terms where they are coefficient sums (:attr:`NormSpec.coefficient_sum`), else
-    f prepared on ``grid`` (:func:`prepared_for_grid`).  A given ``prepared``
-    is returned when it is of the kind ``spec`` needs, else refused
-    (:func:`_check_prepared`)."""
-    if prepared is not None:
-        return _check_prepared(prepared, spec)
+    terms where they are coefficient sums (:attr:`NormSpec.coefficient_sum`),
+    else f prepared on ``grid`` (:func:`prepared_for_grid`)."""
     if spec.coefficient_sum:
         return _parseval_terms(f, spec.alpha)
     return prepared_for_grid(f, spec.alpha, grid)
-
-
-def _check_prepared(prepared: Prepared | ParsevalTerms, spec: NormSpec
-                   ) -> Prepared | ParsevalTerms:
-    """``prepared``, when it is the kind of preparation ``spec`` needs
-    (:func:`prepared_for_spec`); else :class:`ValueError`."""
-    if isinstance(prepared, ParsevalTerms) != spec.coefficient_sum:
-        need = "Parseval terms" if spec.coefficient_sum else "a grid preparation"
-        raise ValueError(f"the {spec.kind}-kind p = {spec.p:g} numbers need "
-                         f"{need} of f, not {type(prepared).__name__}")
-    return prepared
 
 
 def _norm_value(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid | None
@@ -1263,7 +1275,7 @@ def _inner(f: SliceSeries, g: SliceSeries, alpha: float, first: bool) -> Quatern
     c sqrt(W_f W_g) for both, it is charged against ||f|| ||g||."""
     terms = [_parseval_terms(h, alpha) for h in (f, g)]
     size = max(t.logw.size for t in terms) + 2
-    (xf, tf), (xg, tg) = ((x[0], top[0]) for x, top in
+    (xf, tf), (xg, tg) = ((x[0], top[0]) for x, top, _ in
                           (_scaled_rows(t, size=size) for t in terms))
     yf, yg = (_gram_rows(x) if first else x for x in (xf, xg))
     m = yf.T @ yg                     # sum_k conj(y_k^f) y_k^g from its 4 x 4 moments
@@ -1278,7 +1290,7 @@ def _inner(f: SliceSeries, g: SliceSeries, alpha: float, first: bool) -> Quatern
             [0.5 * (wf + ag), 0.5 * (af + wg), 0.5 * (wf + wg)])
         log_ref = 0.5 * (tf + tg + np.log(np.sum(yf * yf)) + np.log(np.sum(yg * yg)))
         logs = np.log(np.abs(comps)) + 0.5 * (tf + tg)
-    _check_tail_budget(1.0, _relative(float(log_err), float(log_ref)), 1.0)
+    _check_tail_budget(_relative(float(log_err), float(log_ref)))
     return Quaternion(*(math.copysign(_checked_exp(x, "inner product"), c)
                         for x, c in zip(logs, comps)))
 

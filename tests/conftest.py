@@ -9,8 +9,15 @@ from slicefock.approx import _difference_multipliers
 from slicefock.errors import IntegrandOverflowError
 from slicefock.quadrature import QuadratureGrid, _check_finite, slice_points, volume_grid
 from slicefock.quaternion import ImaginaryUnit, Quaternion, left_mult_matrix
-from slicefock.series import SliceSeries, _lift
-from slicefock.spaces import _multipliers, _plane_raw_power, _real_multipliers, _weighted_plane
+from slicefock.series import SliceSeries, _check_certified, _lift
+from slicefock.spaces import (
+    PARSEVAL_TAIL_TOL,
+    _multipliers,
+    _parseval_terms,
+    _plane_raw_power,
+    _real_multipliers,
+    _weighted_plane,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -50,6 +57,17 @@ def make_quaternion(rng):
 @pytest.fixture
 def make_unit(rng):
     return lambda: random_unit(rng)
+
+
+def parseval_log_weights(f: SliceSeries, alpha: float) -> tuple[SliceSeries, np.ndarray]:
+    """f's Parseval certificate held to ``PARSEVAL_TAIL_TOL``: the extended
+    series and the log of each term |a_k|^2 k! / alpha^k (log 0 for a
+    vanishing row), generator rows stored below the float range counted with
+    their closed form; a tail the degree cap leaves above that tolerance is
+    refused."""
+    fe, logw, log_tail = _parseval_terms(f, alpha)
+    _check_certified(log_tail, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
+    return fe, logw
 
 
 def first_kind_gram(n, alpha, grid=None, scaled=False):

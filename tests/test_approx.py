@@ -482,7 +482,7 @@ def test_p2_modulus_recertifies_the_tail_a_tiny_step_needs(monkeypatch, name, de
     calls = []
     certify = approx._parseval_terms
 
-    def spy(g, alpha, log_tol=math.log(approx.PARSEVAL_TAIL_TOL)):
+    def spy(g, alpha, log_tol=math.log(spaces.PARSEVAL_TAIL_TOL)):
         out = certify(g, alpha, log_tol)
         calls.append((math.exp(log_tol), out))
         return out
@@ -661,12 +661,6 @@ def test_a_record_of_the_other_kind_is_refused():
         operator_error(taylor_op(4), terms, p1, grid)
     with pytest.raises(ValueError, match="need Parseval terms"):
         operator_error(taylor_op(4), on_grid, p2, grid)
-    with pytest.raises(ValueError, match="need Parseval terms"):
-        modulus(f, ModulusQuery(k=1, delta=0.5, p=2.0, alpha=1.0), grid, on_grid)
-    with pytest.raises(ValueError, match="need Parseval terms"):
-        verify_vdp(f, 4, 2.0, 1.0, grid=grid, prepared=on_grid)
-    with pytest.raises(ValueError, match="need a grid preparation"):
-        verify_jackson(f, 4, 0, 1.0, 1.0, grid=grid, prepared=terms)
 
 
 def test_converge_sweep_certifies_f_once(monkeypatch, capsys):
@@ -712,7 +706,7 @@ def test_verify_jackson_prepares_f_once(monkeypatch):
 
 
 def test_parseval_consumers_refuse_type_at_least_half_alpha():
-    from slicefock.approx import parseval_log_weights
+    from conftest import parseval_log_weights
     from slicefock.errors import NotInSpaceError
     from slicefock.kernels import fit_with_sections
 

@@ -600,7 +600,7 @@ def test_kernel_fit_past_the_float_range_exits_1(capsys, argv):
 
 
 def test_parseval_ratio_overflow_is_a_truncation_error():
-    from slicefock.approx import parseval_log_weights
+    from conftest import parseval_log_weights
     from slicefock.errors import TruncationError
     from slicefock.series import ExpGenerator
 

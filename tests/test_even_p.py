@@ -77,7 +77,7 @@ def test_even_p_numbers_match_the_refined_quadrature(fn, unit):
             query = ModulusQuery(k=k, delta=0.5, p=p, alpha=ALPHA, unit=UNITS[unit], h_grid=8)
             want = max(grid_norm(difference_series(fe, k, h, UNITS[unit]).coeffs, spec, False)
                        for h in np.linspace(0.0, 0.5, 8)[1:])
-            assert modulus(f, query, None, terms) == pytest.approx(want, rel=1e-12), (k, p)
+            assert modulus(f, query) == pytest.approx(want, rel=1e-12), (k, p)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.05, 0.012])
@@ -131,9 +131,10 @@ def test_the_tail_is_charged_through_the_embedding(p):
     # by at most ||T||_p <= ||T||_2 <= (tau sum_k t_k)^(1/2)
     spec = NormSpec("second", p, ALPHA)
     terms = spaces._parseval_terms(exp_series(), ALPHA)
-    (log_pow,), (charge,) = spaces._even_power(terms._replace(log_tail=math.log(1e-22)), spec)
+    (log_pow,), (charge,), (rounding,) = spaces._even_power(
+        terms._replace(log_tail=math.log(1e-22)), spec)
     tail = math.sqrt(1e-22 * np.sum(np.exp(terms.logw))) / math.exp(log_pow / p)
-    assert tail <= charge <= tail + 1e-12
+    assert charge == pytest.approx(tail, rel=1e-12) and 0.0 < rounding <= 1e-12
 
 
 @pytest.mark.parametrize("p", PS)

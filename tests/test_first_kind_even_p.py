@@ -201,13 +201,19 @@ def test_the_tail_is_charged_by_minkowski_over_the_monomials():
                 / mpmath.factorial(k), [23, mpmath.inf]))
         bound = math.exp(spaces._first_tail(terms, spec))
         assert tail <= bound <= 8.0 * tail
-        (log_pow,), (charge,) = spaces._even_power(terms, spec)
+        (log_pow,), (charge,), (rounding,) = spaces._even_power(terms, spec)
         value = math.exp(log_pow / p)
-        assert tail / value <= charge <= spaces.NORM_TAIL_BUDGET
-        assert abs(value - math.exp(0.5)) <= charge * value
+        assert tail / value <= charge and rounding < charge <= spaces.NORM_TAIL_BUDGET
+        assert abs(value - math.exp(0.5)) <= (charge + rounding) * value
 
 
-def test_a_tail_over_half_the_budget_certifies_f_once_more(monkeypatch):
+@pytest.mark.parametrize("kind,p", [("second", 2.0), ("first", 2.0), ("second", 4.0),
+                                    ("first", 4.0), ("first", 6.0), ("first", 8.0)])
+def test_a_tail_over_half_the_budget_certifies_f_once_more(monkeypatch, kind, p):
+    # one rule for every coefficient sum (spaces._charged): exp's terms to
+    # degree 16, their tail bound loosened to 1e-6, charge e^{1/2} more than
+    # half the budget, so they are certified once more, deeper, and the
+    # value meets it
     made = []
     certified = spaces._certified
 
@@ -215,14 +221,14 @@ def test_a_tail_over_half_the_budget_certifies_f_once_more(monkeypatch):
         made.append(args[3])
         return certified(*args)
 
-    terms = spaces._parseval_terms(exp_series(16), ALPHA, math.log(1e-6))
+    terms = spaces._parseval_terms(exp_series(16), ALPHA, math.log(1e-6))._replace(
+        log_tail=math.log(1e-6))
+    spec = NormSpec(kind, p, ALPHA)
     monkeypatch.setattr(spaces, "_certified", count)
-    for p in PS:
-        made.clear()
-        (log_pow,), (charge,) = spaces._even_power(terms, NormSpec("first", p, ALPHA))
-        assert len(made) == 1 and made[0] < math.log(1e-6)
-        assert math.exp(log_pow / p) == pytest.approx(math.exp(0.5), rel=1e-12)
-        assert charge <= spaces.NORM_TAIL_BUDGET
+    (value,), (charge,) = spaces._multiplier_norm(terms, spec, None)
+    assert len(made) == 1 and made[0] < math.log(1e-6)
+    assert value == pytest.approx(math.exp(0.5), rel=1e-12)
+    assert charge <= spaces.NORM_TAIL_BUDGET
 
 
 def test_converge_first_kind_prints_the_closed_form(capsys):

@@ -266,6 +266,28 @@ def test_first_kind_charge_is_the_gershgorin_bound():
     assert charge == pytest.approx(2.0 * w / math.exp(log_p) / 2.0, rel=1e-12)
 
 
+def test_first_kind_p2_rounding_charge_bounds_an_mpmath_sum():
+    # a polynomial has no tail: the charge of random:8:1 is the rounding of
+    # its rows' logs, of L^T and of the sum, and bounds the distance to
+    # ||L^T s|| at 50 digits, s_k = a_k (k! / alpha^k)^(1/2), L from its
+    # recurrence
+    f = random_series(8, 1)
+    rep = norm_report(f, NormSpec("first", 2.0, 1.0))
+    assert 0.0 < rep.tail_bound <= 1e-13
+    size = f.coeffs.shape[0] + 2
+    with mpmath.workdps(50):
+        diag, sub = [mpmath.mpf(0)] * size, [mpmath.mpf(0)] * size
+        for k in range(size):
+            if k >= 2:
+                sub[k] = -mpmath.sqrt((k - 1) * k) / (2 * diag[k - 2])
+            diag[k] = mpmath.sqrt(k + 1 - sub[k] ** 2)
+        s = [[mpmath.mpf(float(c)) * mpmath.sqrt(mpmath.factorial(k)) for c in row]
+             for k, row in enumerate(f.coeffs)] + [[mpmath.mpf(0)] * 4] * 2
+        want = mpmath.sqrt(mpmath.fsum((diag[k] * s[k][c] + sub[k + 2] * s[k + 2][c]) ** 2
+                                       for k in range(size - 2) for c in range(4)))
+        assert abs(rep.value - want) / want <= rep.tail_bound
+
+
 def test_inner_products_charge_the_gershgorin_constant(monkeypatch):
     # the same record: <f, f> moves by at most c W, c = 2 over the algebra
     # (|H| <= 2 D) and 1 on a plane; with W at 0.7e-10 of the first-kind

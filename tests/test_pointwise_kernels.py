@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from conftest import parseval_log_weights
 from slicefock import operators
 from slicefock.errors import ConditioningError
 from slicefock.kernels import SectionFit, fit_with_sections, kernel_section
@@ -40,7 +41,6 @@ from slicefock.series import (
     random_series,
     zero_series,
 )
-from slicefock.approx import parseval_log_weights
 from slicefock.spaces import log_max_modulus, order_type
 
 TOL = 1e-12

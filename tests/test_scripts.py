@@ -1,6 +1,7 @@
 """Each script under ``scripts/`` runs end to end on a small case and writes
 a non-empty output."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -77,3 +78,26 @@ def test_convergence_sweep_lists_the_rows_that_moved(tmp_path):
     assert res.returncode == 1 and "12 pairs, 2 changes" in res.stdout
     assert f"exp__taylor.csv n={n} error: {err}, was" in res.stdout
     assert "mono_6__vdp.csv: written, failed before" in res.stdout
+
+
+def test_against_holds_the_vdp_columns_to_the_descent_stop_rule(tmp_path):
+    # the vdp bound c E_n and slack at p != 2 rest on the descent's E_n,
+    # certified to DESCENT_TOL E_n + NORM_TAIL_BUDGET ||f||: with c = 3 and
+    # ||f|| = 10 they may move by 1e-8 * 3 + 3e-9 (the slack 1e-10 more),
+    # the error by 1e-10 of itself
+    spec = importlib.util.spec_from_file_location("convergence_sweep",
+                                                  SCRIPTS / "convergence_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("# converge\nn,error,bound,slack\n4,1.0,3.0,2.0\n")
+
+    def moved(error, bound, slack, descent=(3.0, 10.0)):
+        new.write_text(f"n,error,bound,slack\n4,{error!r},{bound!r},{slack!r}\n")
+        return sweep.changes("pair", new, old, descent)
+
+    assert moved(1.0 + 5e-11, 3.0 + 3e-8, 2.0 + 3e-8) == []
+    assert [line.split()[2] for line in moved(1.0 + 5e-11, 3.0 + 3e-8, 2.0 + 3e-8, None)] \
+        == ["bound:", "slack:"]
+    assert [line.split()[2] for line in moved(1.0 + 2e-10, 3.0 + 4e-8, 2.0 + 3.4e-8)] \
+        == ["error:", "bound:", "slack:"]

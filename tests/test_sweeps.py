@@ -133,15 +133,12 @@ def converge_rows(capsys, argv):
     ("first-p4", ("taylor", "fejer")),
 ])
 def test_converge_rows_are_the_per_n_numbers(capsys, depth, backend, operators, fn):
-    f, spec, grid, prepared = setup(backend, fn)
+    f, spec, grid, _ = setup(backend, fn)
     ns = NS if spec.p != 1.5 else NS[:3]
     argv = ["--fn", fn, "--p", repr(spec.p), "--kind", spec.kind,
             "--n-list", ",".join(map(str, ns))]
     if grid is not None:
         argv += ["--quad-radial", "24", "--quad-angular", "48"]
-    # E_n's descent at p != 2 reads f on the grid, prepared once for the sweep
-    on_grid = spaces.prepared_for_grid(f, ALPHA, slice_grid(spec.scale)) \
-        if spec.p == 4.0 and spec.kind == "second" else None
     for operator in operators:
         depth.clear()
         rows = converge_rows(capsys, [*argv, "--operator", operator])
@@ -150,14 +147,15 @@ def test_converge_rows_are_the_per_n_numbers(capsys, depth, backend, operators, 
             depth.clear()
             if operator in ("taylor", "fejer"):
                 op = (taylor_op if operator == "taylor" else fejer_op)(n)
-                want = [operator_error(op, prepared, spec, grid), None, None]
+                want = [operator_error(op, prepared_for_spec(f, spec, grid), spec, grid),
+                        None, None]
             elif operator == "vdp":
-                rep = verify_vdp(f, n, spec.p, ALPHA, UNIT_I, grid, prepared, on_grid)
+                rep = verify_vdp(f, n, spec.p, ALPHA, UNIT_I, grid)
                 want = [rep.lhs, rep.rhs, rep.slack]
             else:
-                rep = verify_jackson(f, n, 0, spec.p, ALPHA, UNIT_I, grid, prepared)
+                rep = verify_jackson(f, n, 0, spec.p, ALPHA, UNIT_I, grid)
                 want = [rep.lhs, rep.rhs, None]
-            single_depth = min(depth, default=math.inf)
+            single_depth = min(depth[1:], default=math.inf)
             for got, w in zip(row, want):
                 if w is None:
                     assert got is None
@@ -175,12 +173,11 @@ def test_a_long_sweep_holds_one_block_of_images_at_a_time():
 
     f, spec, _, _ = setup("second-p1.5", "exp")
     grid = slice_grid(spec.scale, 12, 24)
-    prepared = prepared_for_spec(f, spec, grid)
 
     def peak(ns):
         tracemalloc.start()
         try:
-            reports = jackson_sweep(f, ns, 0, spec.p, ALPHA, UNIT_I, grid, prepared)
+            reports = jackson_sweep(f, ns, 0, spec.p, ALPHA, UNIT_I, grid)
             return tracemalloc.get_traced_memory()[1], reports
         finally:
             tracemalloc.stop()

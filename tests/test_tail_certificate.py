@@ -18,9 +18,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slicefock.approx import PARSEVAL_TAIL_TOL, parseval_log_weights
+from conftest import parseval_log_weights
 from slicefock.errors import TruncationError
 from slicefock.series import ExpGenerator, prepared_for_radius
+from slicefock.spaces import PARSEVAL_TAIL_TOL
 
 #: Terms past the returned degree that make up the true tail.
 TAIL_TERMS = 400
