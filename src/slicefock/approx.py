@@ -45,6 +45,7 @@ from .errors import (
     IntegrandOverflowError,
     SolverError,
 )
+from .memo import memoized
 from .operators import MultiplierOperator, jackson_op, jackson_rule_r, vdp_op
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_unit
 from .quadrature import QuadratureGrid, _check_mode, slice_grid
@@ -60,6 +61,7 @@ from .spaces import (
     NORM_TAIL_BUDGET,
     ParsevalTerms,
     Prepared,
+    _Keyed,
     _charged,
     _check_positive,
     _checked_exp,
@@ -191,26 +193,47 @@ def _norms(prepared: Prepared | ParsevalTerms, spec: NormSpec,
     return _multiplier_norm(prepared, spec, grid, *zip(*groups))[0]
 
 
+# The images of each group below depend only on the query, the operator or
+# n, so their tables are built once per size (spaces._Keyed).
+
 def _modulus_images(query: ModulusQuery) -> _Images:
     """The k-th differences at the modulus's steps, charged at 2^k (inf
     past the float range) without the prefactor."""
-    steps = np.linspace(0.0, query.delta, query.h_grid)[1:]
-    return _Images(lambda j: _difference_multipliers(query.k, steps, j),
+    return _Images(_Keyed(_step_differences, (query.k, query.delta, query.h_grid)),
                    2.0 ** query.k if query.k < 1024 else math.inf, False,
                    f"order-{query.k} modulus")
+
+
+def _step_differences(k: int, delta: float, h_grid: int, degrees: np.ndarray):
+    return _difference_multipliers(k, np.linspace(0.0, delta, h_grid)[1:], degrees)
 
 
 def _error_images(op: MultiplierOperator, prepared: Prepared | ParsevalTerms) -> _Images:
     """op(f) - f, the multipliers 1 - rho_k (rho_k = 0 past the operator),
     charged at the largest |1 - rho_k| past f's stored degree."""
-    m = np.append(1.0 - op.rho, 1.0)       # 1 past the operator's length
+    m = _error_multipliers(op)
     bound = float(np.max(np.abs(m[min(prepared.series.degree + 1, m.size - 1):])))
-    return _Images(lambda k: _real_multipliers(m[np.minimum(k, m.size - 1)]), bound)
+    return _Images(_Keyed(_operator_differences, (op,)), bound)
+
+
+@memoized
+def _error_multipliers(op: MultiplierOperator) -> np.ndarray:
+    """1 - rho_k, then 1 for every degree past the operator's length."""
+    return np.append(1.0 - op.rho, 1.0)
+
+
+def _operator_differences(op: MultiplierOperator, k: np.ndarray):
+    m = _error_multipliers(op)
+    return _real_multipliers(m[np.minimum(k, m.size - 1)])
 
 
 def _tail_images(n: int) -> _Images:
     """f past degree n, whose p = 2 plane norm is E_n."""
-    return _Images(lambda k: _real_multipliers((k > n).astype(float)), 1.0)
+    return _Images(_Keyed(_past_degree, (n,)), 1.0)
+
+
+def _past_degree(n: int, k: np.ndarray):
+    return _real_multipliers((k > n).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +367,40 @@ def _polar_columns(grid: QuadratureGrid, alpha: float, n: int) -> _PolarColumns:
                          sums, np.subtract.outer(k, k) % theta.size, (r.size, theta.size))
 
 
+class _DescentBasis(NamedTuple):
+    """What the plane descent reads of its grid, alpha, n and p alone
+    (:func:`_descent_basis`)."""
+
+    plane: _PolarColumns
+    mu: np.ndarray          # (N,): alpha p / 2 pi times the plane weights
+    mass: float             # sum mu
+    project: np.ndarray     # (K, K): G^{-1} of the mu-Gram G, acting on rows
+    real_w: np.ndarray      # (4K, 4K): the real form of W on both split components
+
+
+@memoized
+def _descent_basis(grid: QuadratureGrid, alpha: float, n: int, p: float) -> _DescentBasis:
+    """The weighted monomials up to degree n on ``grid``
+    (:func:`_polar_columns`), the node masses mu and the whitening W of
+    their complex mu-Gram G, W^H G W = I, from the eigenvectors of G scaled
+    to unit diagonal, built once per process for these arguments (a grid by
+    identity).  Monomials that are not independent on the nodes raise
+    :class:`ConditioningError`, on every call."""
+    mu = alpha * p / (2.0 * math.pi) * grid.plane_weights.ravel()
+    plane = _polar_columns(grid, alpha, n)
+    gram = (plane.cols_h.T * mu) @ plane.cols.T
+    d = 1.0 / np.sqrt(np.maximum(gram.diagonal().real, np.finfo(float).tiny))
+    eig, vec = np.linalg.eigh(gram * d[:, None] * d[None, :])
+    if not eig[0] > 4 * eig.size * np.finfo(float).eps * eig[-1]:
+        raise ConditioningError(
+            f"monomials up to degree {n} are not independent on the grid "
+            f"nodes ({mu.size})")
+    whiten = d[:, None] * vec / np.sqrt(eig)
+    return _DescentBasis(plane, mu, float(np.sum(mu)),
+                         (whiten @ whiten.conj().T).T,
+                         _real_form(np.kron(np.eye(2), whiten), 0.0))
+
+
 def _column_scaled(c: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """c_k 2^{exps_k} for complex c along its last axis, exact (ldexp on the
     real and imaginary parts), also where 2^{exps_k} is no float."""
@@ -450,7 +507,12 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     further step at this eps closes.  Its systems are solved in the
     coordinates W^{-1} c, with W^H G W = I for the complex mu-Gram G of the
     weighted monomials (W from the eigenvectors of G scaled to unit
-    diagonal), in which they are orthonormal.
+    diagonal), in which they are orthonormal.  That basis (the columns, the
+    node masses mu and W) does not depend on f: it is built once per
+    process for each grid (by identity), alpha, n and p
+    (:func:`_descent_basis`), so a sweep over functions on one grid pays
+    for it once, and a :class:`ConditioningError` for monomials that are
+    not independent on the nodes is raised on every call.
 
     Every step bounds the minimum from below by weak duality: the dual
     vector lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i, projected onto the
@@ -482,26 +544,13 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     split = _plane_splits((unit,))
     v, e = _weighted_plane(fe.directions @ split, fe.log_row_norms, grid, alpha)
     fv = np.ascontiguousarray(v.reshape(-1, 2).T)         # (F, G) at each node
-    mu = alpha * p / (2.0 * math.pi) * grid.plane_weights.ravel()
-    plane = _polar_columns(grid, alpha, n)
     # f's own weighted profile is refused where its norm's is (_grid_sum)
-    amp_p = _sum_sq(fv).reshape(plane.shape) ** (0.5 * p)
+    amp_p = _sum_sq(fv).reshape(v.shape[:2]) ** (0.5 * p)
     f_norm = (alpha * p / (2.0 * math.pi) * _grid_sum(amp_p, grid)) ** (1.0 / p)
-    # W^H G W = I from the eigenvectors of the unit-diagonal mu-Gram G
-    gram = (plane.cols_h.T * mu) @ plane.cols.T
-    d = 1.0 / np.sqrt(np.maximum(gram.diagonal().real, np.finfo(float).tiny))
-    eig, vec = np.linalg.eigh(gram * d[:, None] * d[None, :])
-    if not eig[0] > 4 * eig.size * np.finfo(float).eps * eig[-1]:
-        raise ConditioningError(
-            f"monomials up to degree {n} are not independent on the grid "
-            f"nodes ({mu.size})")
-    whiten = d[:, None] * vec / np.sqrt(eig)
-    project = (whiten @ whiten.conj().T).T          # G^{-1}, acting on rows
-    real_w = _real_form(np.kron(np.eye(2), whiten), 0.0)     # on both components
+    plane, mu, mass, project, real_w = _descent_basis(grid, alpha, n, p)
     mu_fv = mu * fv
     q = math.inf if p == 1.0 else p / (p - 1.0)
     sampled_err = min(tol, NORM_TAIL_BUDGET) * f_norm
-    mass = float(np.sum(mu))
 
     def psi(s, eps):
         return float(mu @ (s + eps * eps) ** (0.5 * p))

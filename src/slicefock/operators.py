@@ -16,6 +16,10 @@ combination v_k = 2 rho_{2n,k} - rho_{n,k} which reproduces all polynomials
 of degree up to n.  The smoothing-difference operator combines rotated
 samples with alternating binomial weights and matches moduli of smoothness
 of the corresponding order.
+
+The operators are built once per process for their parameters
+(:mod:`slicefock.memo`): equal parameters return the same read-only
+operator.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import memoized
 from .quadrature import circle_nodes
 from .series import SliceSeries, extended
 
@@ -132,13 +137,15 @@ def multipliers(kernel: TrigKernel) -> np.ndarray:
     return _cosine_moments(kernel.n, kernel.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierOperator:
     """Diagonal action a_k -> rho_k a_k on right Taylor coefficients.
 
     The multipliers are real, so the action commutes with right scalar
     multiplication; entries beyond ``degree_bound`` are zero and the result
-    of applying the operator is a polynomial of at most that degree.
+    of applying the operator is a polynomial of at most that degree.  An
+    operator compares and hashes by identity, so the multiplier images
+    built from it are keyed on it.
     """
 
     rho: np.ndarray
@@ -170,12 +177,23 @@ def degree_bound(family: str, n: int, m: int = 0, p: float = 2.0) -> int:
 
 def taylor_op(n: int) -> MultiplierOperator:
     """The Taylor truncation to degree n: rho_k = 1 up to n."""
+    return _taylor_op(n)
+
+
+@memoized
+def _taylor_op(n: int) -> MultiplierOperator:
     if n < 0:
         raise ValueError("truncation degree must be nonnegative")
     return MultiplierOperator(np.ones(n + 1), f"taylor:{n}", degree_bound("taylor", n))
 
 
 def fejer_op(n: int) -> MultiplierOperator:
+    """The Fejer mean: rho_k = 1 - k / n below n."""
+    return _fejer_op(n)
+
+
+@memoized
+def _fejer_op(n: int) -> MultiplierOperator:
     rho = multipliers(fejer_kernel(n))
     return MultiplierOperator(rho, f"fejer:{n}", degree_bound("fejer", n))
 
@@ -188,6 +206,11 @@ def vdp_op(n: int) -> MultiplierOperator:
     result degree is bounded by 2n - 1.  The leading ones are pinned to
     their closed-form value 1.
     """
+    return _vdp_op(n)
+
+
+@memoized
+def _vdp_op(n: int) -> MultiplierOperator:
     big = multipliers(fejer_kernel(2 * n))        # length 2n
     small = multipliers(fejer_kernel(n))          # length n
     v = 2.0 * big
@@ -213,6 +236,11 @@ def jackson_op(n: int, m: int, p: float) -> MultiplierOperator:
     :func:`multipliers` (zero for j k beyond r (n - 1)), and r from
     :func:`jackson_rule_r`; tau_0 = 1 and tau_j = 0 beyond r (n - 1).
     """
+    return _jackson_op(n, m, p)
+
+
+@memoized
+def _jackson_op(n: int, m: int, p: float) -> MultiplierOperator:
     if m < 0:
         raise ValueError("difference order m must be nonnegative")
     if p < 1.0:

@@ -23,7 +23,8 @@ FFT per radius and column of the rows, in any basis (the plane kernel
 :func:`slicefock.spaces._weighted_plane`), and the nodes themselves are
 built only here (:func:`slice_points`).  The Laguerre,
 Legendre and sphere rules are cached per node count and returned
-read-only; every grid's arrays are read-only too.
+read-only.  A grid is built once per process for its arguments
+(:mod:`slicefock.memo`): equal arguments return the same read-only grid.
 
 Integrands must be assembled with their Gaussian decay included, e.g.
 (|f(q)| e^{-alpha |q|^2 / 2})^p as one expression, never as a huge factor
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import IntegrandOverflowError
+from .memo import memoized
 
 DEFAULT_RADIAL = 64
 DEFAULT_ANGULAR = 128
@@ -49,13 +51,20 @@ DEFAULT_SPHERE = 64
 MAX_RADIAL = 192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Radial x angular (plane) or radial x angular x sphere (volume) rule.
 
     ``radial_weights`` already contain the Laguerre weight rescaled by the
     substitution Jacobian, so a plain weighted sum of integrand samples
-    approximates the integral.
+    approximates the integral.  Every array is read-only, and
+    ``plane_weights`` is formed once, at construction.
+
+    A grid compares and hashes by identity: two grids are equal only if
+    they are one object.  :func:`slice_grid` and :func:`volume_grid` return
+    one object per process for equal arguments, so the tables the library
+    builds on a grid (the plane descent's basis) are keyed on it; a grid
+    built by hand works the same, with tables of its own.
     """
 
     mode: str                      # "slice" | "volume"
@@ -66,10 +75,14 @@ class QuadratureGrid:
     angular_weights: np.ndarray
     sphere_units: np.ndarray | None = None     # (m, 3) rows on the sphere
     sphere_weights: np.ndarray | None = None
+    #: (radial, angular) product weights of the plane or half-plane rule.
+    plane_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+        object.__setattr__(self, "plane_weights",
+                           np.outer(self.radial_weights, self.angular_weights))
+        for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
@@ -96,11 +109,6 @@ class QuadratureGrid:
         2 pi circle_index[j] / circle_size."""
         n = self.angular_nodes.size
         return np.arange(n) if self.mode == "slice" else np.arange(1, n + 1)
-
-    @property
-    def plane_weights(self) -> np.ndarray:
-        """(radial, angular) product weights of the plane or half-plane rule."""
-        return np.outer(self.radial_weights, self.angular_weights)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -142,7 +150,13 @@ def _check_counts(**counts: int) -> None:
 
 def slice_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
                n_angular: int = DEFAULT_ANGULAR) -> QuadratureGrid:
-    """Rule for integrals over one complex plane against the area element."""
+    """Rule for integrals over one complex plane against the area element,
+    one object per process for equal arguments."""
+    return _slice_grid(scale, n_radial, n_angular)
+
+
+@memoized
+def _slice_grid(scale: float, n_radial: int, n_angular: int) -> QuadratureGrid:
     if scale <= 0.0:
         raise ValueError("radial scale must be positive")
     _check_counts(radial=n_radial, angular=n_angular)
@@ -181,8 +195,15 @@ def volume_grid(scale: float, n_radial: int = DEFAULT_RADIAL,
     First-kind norms and operator errors read it only at p outside
     {2, 4, 6, 8}, where they integrate the sphere in closed form; at those
     p they, and the inner products, are coefficient sums that read no grid.
-    The sphere rule it carries serves :func:`integrate_volume`.
+    The sphere rule it carries serves :func:`integrate_volume`.  Equal
+    arguments return one object per process.
     """
+    return _volume_grid(scale, n_radial, n_angular, n_sphere)
+
+
+@memoized
+def _volume_grid(scale: float, n_radial: int, n_angular: int,
+                 n_sphere: int) -> QuadratureGrid:
     if scale <= 0.0:
         raise ValueError("radial scale must be positive")
     if not 0.5 / scale / scale < math.inf:

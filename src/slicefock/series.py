@@ -377,7 +377,7 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: float,
-               where: str) -> tuple[SliceSeries, np.ndarray, float]:
+               where: str) -> tuple[SliceSeries, np.ndarray, float, float | None]:
     """Extend f, doubling its stored degree, until the tail of the terms t_k
     (log t_k = ``log_terms(log |a_k|, k)``, the rows in log-polar form) past
     the stored degree is below e^log_tol times max(e^log_floor, sum of the
@@ -386,8 +386,10 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
     degree reaches ``DEGREE_CAP``, where the bound is returned as it stands
     (+inf without a ratio below 1) for the caller to refuse
     (:func:`_check_certified`) or charge.  Returns (series, log t_k, the log
-    of the tail bound relative to that reference); terms past the float
-    range raise :class:`TruncationError`, naming ``where``."""
+    of the tail bound relative to that reference, and log sum_k t_k as
+    :func:`slicefock.spaces._log_sum` forms it, None for a polynomial, whose
+    sum is never formed here); terms past the float range raise
+    :class:`TruncationError`, naming ``where``."""
     g = f.generator
     fe = f
     while True:
@@ -397,9 +399,9 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
         if not top < math.inf:
             raise TruncationError(f"series terms overflow at {where}")
         if g is None:                      # no tail
-            return fe, logs, -math.inf
+            return fe, logs, -math.inf, None
         scaled = np.exp(logs - top) if top > -math.inf else np.zeros(deg + 1)
-        total = float(scaled.sum())
+        total = scaled.sum()
         log_ref = max(log_floor, top + math.log(total)) if total > 0.0 else log_floor
         rho = ratio(deg)
         last = float(scaled[-2:].max())
@@ -410,7 +412,8 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
         else:
             log_tail = top + math.log(last) + math.log(rho / (1.0 - rho))
         if log_tail <= log_ref + log_tol or deg >= DEGREE_CAP:
-            return fe, logs, log_tail - log_ref if log_tail > -math.inf else log_tail
+            log_sum = top + float(np.log(total)) if top > -math.inf else -math.inf
+            return fe, logs, log_tail - log_ref if log_tail > -math.inf else log_tail, log_sum
         fe = extended(f, min(DEGREE_CAP, max(2 * (deg + 1), 16)))
 
 
@@ -425,7 +428,7 @@ def _check_certified(log_tail: float, tol: float, where: str) -> float:
 
 
 def _radius_certificate(f: SliceSeries, radius: float
-                        ) -> tuple[SliceSeries, np.ndarray, float]:
+                        ) -> tuple[SliceSeries, np.ndarray, float, float | None]:
     """:func:`_certified` on the terms |a_k| R^k at ``TAIL_TOL``."""
     log_r = math.log(radius) if radius > 0.0 else 0.0
     return _certified(f, lambda log_mags, k: log_mags + k * log_r,
@@ -445,7 +448,7 @@ def prepared_for_radius(f: SliceSeries, radius: float) -> tuple[SliceSeries, flo
     ``DEGREE_CAP``, or if that lost mass exceeds ``TAIL_TOL``.
     """
     radius = float(abs(radius))
-    fe, logs, log_tail = _radius_certificate(f, radius)
+    fe, logs, log_tail, _ = _radius_certificate(f, radius)
     _check_certified(log_tail, TAIL_TOL, f"radius {radius:g}")
     g = fe.generator
     zero = np.flatnonzero(fe.row_norms[::g.stride] == 0.0) if g else ()

@@ -73,11 +73,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import IntegrandOverflowError, NotInSpaceError, RefinementError, TruncationError
+from .memo import memoized
 from .prng import SplitMix64
 from .quaternion import (
     ImaginaryUnit,
@@ -282,7 +283,7 @@ def prepared_for_grid(f: SliceSeries, alpha: float, grid: QuadratureGrid
     log-polar form, so generator rows stored below the float range keep
     their closed-form sizes."""
     _check_in_space(f, alpha)
-    fe, _, log_tail = _radius_certificate(f, grid.max_radius)
+    fe, _, log_tail, _ = _radius_certificate(f, grid.max_radius)
     if log_tail > math.log(TAIL_TOL):        # at the degree cap
         log_tail = _check_certified(_weighted_tail(fe, alpha, grid.radial_nodes),
                                     TAIL_TOL, f"radius {grid.max_radius:g}")
@@ -370,12 +371,19 @@ def _parseval_log_terms(log_sq, count: int, alpha: float, g: ExpGenerator | None
 class ParsevalTerms(NamedTuple):
     """f's certified Parseval terms t_k = |a_k|^2 k! / alpha^k
     (:func:`_parseval_terms`): the extended series, log t_k (log 0 for a
-    vanishing row), and the log of the bound on the terms past the stored
-    degree relative to the sum of the stored terms."""
+    vanishing row), the log of the bound on the terms past the stored
+    degree relative to the sum of the stored terms, and the log of that
+    sum as :func:`_log_sum` forms it (None: formed from ``logw`` when read,
+    :meth:`log_total`)."""
 
     series: SliceSeries
     logw: np.ndarray
     log_tail: float
+    log_sum: float | None = None
+
+    def log_total(self) -> float:
+        """log sum_k t_k over the stored terms."""
+        return float(_log_sum(self.logw)) if self.log_sum is None else self.log_sum
 
 
 def _parseval_terms(f: SliceSeries, alpha: float,
@@ -388,10 +396,12 @@ def _parseval_terms(f: SliceSeries, alpha: float,
     :attr:`SliceSeries.log_row_norms`, so a generator row stored below the
     float range counts with its closed form."""
     _check_in_space(f, alpha)
-    return ParsevalTerms(*_certified(
+    fe, logw, log_tail, log_sum = _certified(
         f, lambda log_mags, k: _parseval_log_terms(2.0 * log_mags, k.size, alpha, f.generator),
         lambda deg: f.generator.parseval_ratio(alpha, deg), log_tol, -math.inf,
-        f"alpha = {alpha:g}"))
+        f"alpha = {alpha:g}")
+    return ParsevalTerms(fe, logw, log_tail,
+                         float(_log_sum(logw)) if log_sum is None else log_sum)
 
 
 def _log_sum(logs: np.ndarray) -> np.ndarray:
@@ -410,16 +420,37 @@ def _real_multipliers(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         return np.log(np.abs(m)), np.sign(m), 0.0
 
 
+class _Keyed(NamedTuple):
+    """A group of multiplier images (as :func:`_multiplier_norm` takes one)
+    that depends only on ``args``: ``build(*args, k)`` over the degrees k.
+    :func:`_multipliers` builds its tables once per size (:mod:`slicefock.memo`),
+    so ``args`` must never hold f."""
+
+    build: Callable
+    args: tuple
+
+    def __call__(self, k: np.ndarray):
+        return self.build(*self.args, k)
+
+
 def _multipliers(mult, size: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """One group of ``mult`` (as :func:`_multiplier_norm` takes it) over the
     degrees 0..size-1 as (log |m|, sign, theta), each of shape (images,
-    size); for f itself (None), one image of multiplier 1, all three None."""
+    size), read-only and kept for a :class:`_Keyed` group; for f itself
+    (None), one image of multiplier 1, all three None."""
     if mult is None:
         return None, None, None
+    return (_kept_tables if isinstance(mult, _Keyed) else _tables)(mult, size)
+
+
+def _tables(mult, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log_r, sign, theta = mult(np.arange(size))
     log_r = np.atleast_2d(log_r)
     zero = np.zeros(log_r.shape)    # cheaper than two broadcast views of sign and theta
     return log_r, sign + zero, theta + zero
+
+
+_kept_tables = memoized(_tables)
 
 
 #: Largest count of values one block of multiplier images holds at once:
@@ -516,7 +547,7 @@ def _parseval_power(terms: ParsevalTerms, mults=(None,), bounds=(1.0,)
     group's entry of ``bounds`` past the stored degree the tail adds at
     most tail bound^2 sum_k t_k to the power, charged from its log.  Three
     lists, one entry per group."""
-    log_total = float(_log_sum(terms.logw))
+    log_total = terms.log_total()
     if mults[0] is None:        # f itself
         log_sq = [log_total]
     else:
@@ -799,7 +830,7 @@ def _even_power(terms: ParsevalTerms, spec: NormSpec, mults=(None,), bounds=(1.0
         functools.partial(_even_images, terms, spec))
     best, worst = _group_max(log_pow, starts), _group_max(log_err, starts)
     log_tail = _first_tail(terms, spec) if spec.kind == "first" \
-        else 0.5 * (terms.log_tail + float(_log_sum(terms.logw)))
+        else 0.5 * (terms.log_tail + terms.log_total())
     return best, [_relative(math.log(b) + log_tail, v / p) for b, v in zip(bounds, best)], \
         [_relative(w, v / p) for w, v in zip(worst, best)]
 
@@ -875,7 +906,7 @@ def _charged_bound(terms: ParsevalTerms, alpha: float, first: bool) -> tuple[int
     if -math.inf < log_w < math.inf:
         if first:
             log_w += math.log(deg + 1 + g.stride / (1.0 - g.parseval_ratio(alpha, deg)))
-        log_w += float(_log_sum(terms.logw))
+        log_w += terms.log_total()
     return deg + 1, log_w
 
 
@@ -1189,15 +1220,19 @@ def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults:
 
 def _real_only(mult, spec: NormSpec):
     """``mult`` (one group, as :func:`_multiplier_norm` takes it), refused
-    with :class:`ValueError` naming ``spec`` where a theta is nonzero."""
-    def checked(k):
-        log_r, sign, theta = mult(k)
-        if np.any(theta):
-            raise ValueError(
-                f"a complex multiplier acts on the plane of one unit, not on the "
-                f"{spec.slice_label() or 'first-kind'} p = {spec.p:g} norm")
-        return log_r, sign, theta
-    return checked
+    with :class:`ValueError` naming ``spec`` where a theta is nonzero; kept
+    as ``mult`` is (:class:`_Keyed`), a refusal never."""
+    args = (mult, f"a complex multiplier acts on the plane of one unit, not on the "
+                  f"{spec.slice_label() or 'first-kind'} p = {spec.p:g} norm")
+    return _Keyed(_real_images, args) if isinstance(mult, _Keyed) else \
+        functools.partial(_real_images, *args)
+
+
+def _real_images(mult, refusal: str, k: np.ndarray):
+    log_r, sign, theta = mult(k)
+    if np.any(theta):
+        raise ValueError(refusal)
+    return log_r, sign, theta
 
 
 def prepared_for_spec(f: SliceSeries, spec: NormSpec, grid: QuadratureGrid

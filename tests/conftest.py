@@ -65,7 +65,7 @@ def parseval_log_weights(f: SliceSeries, alpha: float) -> tuple[SliceSeries, np.
     vanishing row), generator rows stored below the float range counted with
     their closed form; a tail the degree cap leaves above that tolerance is
     refused."""
-    fe, logw, log_tail = _parseval_terms(f, alpha)
+    fe, logw, log_tail, _ = _parseval_terms(f, alpha)
     _check_certified(log_tail, PARSEVAL_TAIL_TOL, f"alpha = {alpha:g}")
     return fe, logw
 

@@ -132,13 +132,25 @@ def test_node_counts_below_one_rejected():
 
 
 def test_cached_rules_equal_fresh_ones_and_are_read_only():
-    from slicefock.quadrature import _legendre_rule, _scaled_laguerre, _sphere_rule
+    from slicefock.quadrature import (
+        _legendre_rule,
+        _scaled_laguerre,
+        _slice_grid,
+        _sphere_rule,
+        _volume_grid,
+    )
 
-    warm = [slice_grid(0.7, 20, 40), volume_grid(0.7, 12, 10, 32)]
+    def built():
+        # a kept grid never reads the rules again: each build drops the grids
+        _slice_grid.cache_clear()
+        _volume_grid.cache_clear()
+        return [slice_grid(0.7, 20, 40), volume_grid(0.7, 12, 10, 32)]
+
+    warm = built()
     for cached in (_scaled_laguerre, _legendre_rule, _sphere_rule):
         cached.cache_clear()
-    fresh = [slice_grid(0.7, 20, 40), volume_grid(0.7, 12, 10, 32)]
-    again = [slice_grid(0.7, 20, 40), volume_grid(0.7, 12, 10, 32)]
+    fresh = built()
+    again = built()
     assert _scaled_laguerre.cache_info().hits >= 2
     assert _sphere_rule.cache_info().hits >= 1
     for grids in zip(warm, fresh, again):

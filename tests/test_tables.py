@@ -18,8 +18,10 @@ from slicefock.series import (
     _row_norms,
     exp_series,
     gauss_series,
+    monomial,
+    random_series,
 )
-from slicefock.spaces import _log_factorials, _parseval_terms, order_type
+from slicefock.spaces import _log_factorials, _log_sum, _parseval_terms, order_type
 
 CENTERS = [Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-0.4, 0.1, 0.0, 0.2),
            Quaternion(0.0, 0.6, -0.3, 0.0)]
@@ -111,3 +113,16 @@ def test_import_loads_no_scipy():
                          text=True, env=child_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 40.0])
+def test_parseval_terms_carry_the_log_sum_of_their_terms(alpha):
+    # the sum series._certified forms while certifying is, bit for bit, the
+    # log-sum of the terms every coefficient sum used to form again
+    for f in (exp_series(), gauss_series(0.25), kernel_section(CENTERS[1], 1.0),
+              random_series(8, 3), monomial(40)):
+        if alpha < 0.5 and f.generator is not None and f.generator.type > 0.0:
+            continue                  # outside the space of this weight
+        terms = _parseval_terms(f, alpha)
+        assert terms.log_sum.hex() == float(_log_sum(terms.logw)).hex()
+        assert terms._replace(log_sum=None).log_total() == terms.log_total()
