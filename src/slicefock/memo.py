@@ -31,7 +31,7 @@ def _arrays(value):
     elif isinstance(value, tuple):
         for item in value:
             yield from _arrays(item)
-    elif hasattr(value, "__dict__") and not callable(value):
+    elif hasattr(value, "__dict__"):
         for item in vars(value).values():
             yield from _arrays(item)
 
