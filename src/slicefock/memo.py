@@ -6,9 +6,10 @@ basis.
 :func:`memoized` wraps a private builder; the store keys each table on the
 builder and its positional arguments (a grid or an operator by identity)
 and keeps the most recently read tables within ``MEMO_BYTES`` bytes of
-arrays.  A table larger than that is built for its call and not kept.
-Every array of a kept table is read-only.  A builder that raises keeps
-nothing, so its error is raised again on every call.
+arrays, counting those of the arguments a table keeps alive.  A table
+larger than that is built for its call and not kept.  Every array of a
+kept table is read-only.  A builder that raises keeps nothing, so its
+error is raised again on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-#: Bytes of arrays the store holds at most, over every table it keeps.
+#: Bytes of arrays the store holds at most, over every table it keeps and
+#: the arguments (a grid, an operator) it keys them on.
 MEMO_BYTES = 32 << 20
 
 
@@ -56,7 +58,7 @@ class _Store:
         arrays = list(_arrays(table))
         for a in arrays:
             a.setflags(write=False)
-        size = sum(a.nbytes for a in arrays)
+        size = sum(a.nbytes for a in arrays) + sum(a.nbytes for a in _arrays(key[1]))
         if size > self.budget:
             return
         with self.lock:
