@@ -117,8 +117,8 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("alpha", [0.01, 1.0, 40.0])
 def test_parseval_terms_carry_the_log_sum_of_their_terms(alpha):
-    # the sum series._certified forms while certifying is, bit for bit, the
-    # log-sum of the terms every coefficient sum used to form again
+    # the sum series._certified forms while certifying is, bit for bit,
+    # spaces._log_sum of the terms, which every coefficient sum reads
     for f in (exp_series(), gauss_series(0.25), kernel_section(CENTERS[1], 1.0),
               random_series(8, 3), monomial(40)):
         if alpha < 0.5 and f.generator is not None and f.generator.type > 0.0:
