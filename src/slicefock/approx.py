@@ -51,8 +51,7 @@ from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, slice_unit
 from .quadrature import QuadratureGrid, _check_mode, slice_grid
 from .series import (
     SliceSeries,
-    embed_complex,
-    evaluate,
+    _at_points,
     extended,
     taylor_truncate,
 )
@@ -119,18 +118,20 @@ def finite_difference(f: SliceSeries, k: int, h: float, z: Quaternion,
     """Alternating binomial sum sum_s (-1)^{k+s} C(k,s) f(z e^{u s h}).
 
     ``unit`` is the rotation axis; by default the axis of z itself.
-    Annihilates constants for every k >= 1.
+    Annihilates constants for every k >= 1; k = 0 gives f(z), and a
+    negative k raises ``ValueError``.  Every point has modulus |z|, so all
+    k + 1 values come from one plane sum (:func:`slicefock.series._at_points`).
     """
+    if k < 0:
+        raise ValueError(f"difference order must be nonnegative, got {k!r}")
     if unit is None:
         unit, _ = slice_unit(z)
-    acc = Quaternion()
-    rot = embed_complex(complex(math.cos(h), math.sin(h)), unit)
-    power = Quaternion(1.0)
-    for s in range(k + 1):
-        sign = (-1.0) ** (k + s)
-        acc = acc + (evaluate(f, z * power) * (sign * math.comb(k, s)))
-        power = power * rot
-    return acc
+    t = h * np.arange(k + 1)           # z e^{u t} = z cos t + (z u) sin t
+    points = (np.multiply.outer(np.cos(t), z.to_array())
+              + np.multiply.outer(np.sin(t), (z * unit.as_quaternion()).to_array()))
+    values = _at_points(f, points)
+    signs = np.array([(-1.0) ** (k + j) * math.comb(k, j) for j in range(k + 1)])
+    return Quaternion.from_array(signs @ values)
 
 
 def _difference_multipliers(k: int, steps, degrees: np.ndarray

@@ -60,7 +60,20 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
     The degree is the largest that f's and the sections' Parseval
     certificates reach (:func:`slicefock.spaces._parseval_terms`), each
     tail below ``PARSEVAL_TAIL_TOL`` of its sum, or, where the degree cap
-    stops a certificate, below ``NORM_TAIL_BUDGET``.  Every row is formed
+    stops a certificate, below ``NORM_TAIL_BUDGET``.
+
+    Only f and the section of largest |c| = alpha |q_i| are certified.  A
+    section's Parseval terms are t_k = (|c|^k / k!)^2 k! / alpha^k = x^k / k!
+    with x = |c|^2 / alpha, so its certificate depends on x alone.  At a
+    degree D it compares max(t_{D-1}, t_D) rho / (1 - rho), rho = x / (D + 1)
+    the generator's ``parseval_ratio``, with S_D = t_0 + ... + t_D.  Each
+    factor grows with x: rho, t_D / S_D, and t_{D-1} / S_D where it is the
+    larger (x < D), its log-derivative (D - 1) / x - 1 + t_D / S_D being
+    positive there at every stored degree D >= 24.  So a section with a
+    smaller x meets the tolerance at every degree the largest does, and as
+    every section doubles its degree from the same stored degree, the
+    largest x stops last: its degree is the largest any section reaches,
+    and where its tail passes every other section's does.  Every row is formed
     from the series' log-polar rows, dir_k e^{log |a_k| + log sqrt(k! /
     alpha^k)}, so no factor leaves the float range before the product does
     and a generator row stored below it keeps its closed-form size.
@@ -73,7 +86,8 @@ def fit_with_sections(f: SliceSeries, centers, alpha: float) -> SectionFit:
         raise ValueError("centers must be distinct")
     sections = [kernel_section(c, alpha) for c in centers]
     # the degree at which every Parseval tail is certified
-    terms = [_parseval_terms(g, alpha) for g in (f, *sections)]
+    widest = max(sections, key=lambda g: g.generator.size)
+    terms = [_parseval_terms(g, alpha) for g in (f, widest)]
     for t in terms:
         _check_certified(t.log_tail, NORM_TAIL_BUDGET, f"alpha = {alpha:g}")
     deg = max(t.series.degree for t in terms)

@@ -238,8 +238,8 @@ def units_array(units) -> np.ndarray:
 
 def quat_mul_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of (..., 4) arrays, broadcasting like elementwise ops."""
-    pw, px, py, pz = np.moveaxis(p, -1, 0)
-    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return np.stack([
         pw * qw - px * qx - py * qy - pz * qz,
         pw * qx + px * qw + py * qz - pz * qy,

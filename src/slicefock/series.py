@@ -39,6 +39,7 @@ from .quaternion import (
     ImaginaryUnit,
     Quaternion,
     left_mult_matrix,
+    quat_mul_array,
     slice_unit,
 )
 
@@ -99,6 +100,24 @@ class ExpGenerator:
         return math.hypot(*self.c)
 
     @property
+    def _angle(self) -> float:
+        """phi in c = |c| (cos phi + u sin phi), in [0, pi]."""
+        return math.atan2(math.hypot(*self.c[1:]), self.c[0])
+
+    @property
+    def _axis(self) -> np.ndarray:
+        """The unit u of Im c (0 where Im c = 0), Im c first scaled by the
+        power of two that brings its largest component into [1/2, 1): exact,
+        so a normal Im c gives Im c / |Im c| bit for bit, and a subnormal one
+        is normalized from full-precision components."""
+        im = np.array(self.c[1:])
+        top = float(np.abs(im).max())
+        if top == 0.0:
+            return im
+        im = np.ldexp(im, -math.frexp(top)[1])
+        return im / math.hypot(*im)
+
+    @property
     def type(self) -> float:
         """Order-2 type: log max |f| on |q| = r is type r^2 + o(r^2)."""
         return self.size if self.stride == 2 else 0.0
@@ -107,14 +126,12 @@ class ExpGenerator:
         """Rows a_0..a_degree, shape (degree + 1, 4)."""
         m = np.arange(degree // self.stride + 1)
         mags = _exp_magnitudes(self.size, m.size)
-        w, im = self.c[0], math.hypot(*self.c[1:])
-        phi = m * math.atan2(im, w)
+        phi = m * self._angle
         out = np.zeros((degree + 1, 4))
         out[::self.stride, 0] = mags * np.cos(phi)
-        if im > 0.0:   # only the unit's own axes: an inf magnitude times 0 is nan
-            axes = np.flatnonzero(self.c[1:])
-            out[::self.stride, 1 + axes] = np.outer(
-                mags * np.sin(phi), np.take(self.c[1:], axes) / im)
+        axes = np.flatnonzero(self.c[1:])
+        if axes.size:   # only the unit's own axes: an inf magnitude times 0 is nan
+            out[::self.stride, 1 + axes] = np.outer(mags * np.sin(phi), self._axis[axes])
         return out
 
     def log_coeff(self, k: int) -> float:
@@ -127,12 +144,10 @@ class ExpGenerator:
     def directions(self, k: np.ndarray) -> np.ndarray:
         """Unit rows a_k / |a_k| for degrees k on the stride from the closed
         form, c^m / |c|^m = cos m phi + u sin m phi, shape (len(k), 4)."""
-        w, im = self.c[0], math.hypot(*self.c[1:])
-        phi = k // self.stride * math.atan2(im, w)
+        phi = k // self.stride * self._angle
         out = np.zeros((len(k), 4))
         out[:, 0] = np.cos(phi)
-        if im > 0.0:
-            out[:, 1:] = np.outer(np.sin(phi), np.array(self.c[1:]) / im)
+        out[:, 1:] = np.outer(np.sin(phi), self._axis)
         return out
 
     def term_ratio(self, r: float, degree: int) -> float:
@@ -555,6 +570,18 @@ def slice_components(f: SliceSeries, z: np.ndarray,
     """
     s = _slice_sum(f, z, prepare)
     return s.real, s.imag
+
+
+def _at_points(f: SliceSeries, qs: np.ndarray) -> np.ndarray:
+    """Values of f at the quaternions ``qs`` (rows of components), shape
+    (n, 4), from one :func:`slice_components` call, f prepared once for the
+    largest |q|: with q = x + u y, y = |Im q|, f(q) = a + u b for (a, b) at
+    x + i y, each point lifted with its own unit u (b = 0 where y = 0)."""
+    y = np.sqrt(np.sum(qs[:, 1:] ** 2, axis=1))
+    a, b = slice_components(f, qs[:, 0] + 1j * y)
+    units = np.zeros_like(qs)
+    units[:, 1:] = qs[:, 1:] / np.where(y > 0.0, y, 1.0)[:, None]
+    return a + quat_mul_array(units, b)
 
 
 def evaluate(f: SliceSeries, q: Quaternion) -> Quaternion:

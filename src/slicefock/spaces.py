@@ -110,6 +110,7 @@ from .series import (
     TAIL_TOL,
     ExpGenerator,
     SliceSeries,
+    _at_points,
     _certified,
     _check_certified,
     _log_scaled_terms,
@@ -119,7 +120,6 @@ from .series import (
     eval_on_slice,  # noqa: F401  (kept in this namespace for its importers)
     max_modulus_type,
     prepared_for_radius,
-    slice_components,
 )
 
 #: A certified truncation tail may contribute at most this relative amount
@@ -1386,9 +1386,9 @@ def growth_bound_check(f: SliceSeries, spec: NormSpec, samples,
     """Check |f(q)| <= c e^{alpha |q|^2 / 2} ||f|| on the sample points.
 
     Reports the largest observed ratio |f(q)| e^{-alpha |q|^2 / 2} / ||f||
-    and every violating point.  All samples come from one plane evaluation:
-    with q = x + u y, f(q) = a + u b for (a, b) of :func:`slice_components`
-    at x + i y, the series prepared once for the largest |q|.
+    and every violating point.  All samples come from one plane evaluation
+    (:func:`slicefock.series._at_points`), the series prepared once for the
+    largest |q|.
     """
     nval = norm(f, spec, grid)
     c = growth_constant(spec)
@@ -1398,11 +1398,7 @@ def growth_bound_check(f: SliceSeries, spec: NormSpec, samples,
     if not samples:
         return GrowthBoundReport(c, nval, -1.0, Quaternion(), ())
     qs = np.array([q.to_array() for q in samples])
-    y = np.sqrt(np.sum(qs[:, 1:] ** 2, axis=1))
-    a, b = slice_components(f, qs[:, 0] + 1j * y)
-    units = np.zeros_like(qs)
-    units[:, 1:] = qs[:, 1:] / np.where(y > 0.0, y, 1.0)[:, None]
-    values = a + quat_mul_array(units, b)
+    values = _at_points(f, qs)
     ratio = (np.sqrt(np.sum(values * values, axis=1))
              * np.exp(-0.5 * spec.alpha * np.sum(qs * qs, axis=1)) / nval)
     worst = int(np.argmax(ratio))
@@ -1470,6 +1466,60 @@ class GrowthReport:
 #: The default units of :func:`log_max_modulus`, as one (8, 3) array.
 _DEFAULT_UNITS = _read_only(units_array(sphere_grid(8)).reshape(-1, 3))
 
+#: Radii evaluated together by :func:`_log_max_moduli`: a block's arrays
+#: hold about 1 MB at the degree cap and 64 angles.
+_RADIUS_BLOCK = 32
+
+
+def _log_max_moduli(f: SliceSeries, radii: np.ndarray, units, n_theta: int,
+                    skip: bool) -> tuple[np.ndarray, np.ndarray]:
+    """log max |f| at each radius over the sampled units and angles
+    (:func:`log_max_modulus`), certifying f in one pass over the radii.
+
+    The radii are certified in increasing order, each one continuing the
+    doubling from the series the last certified radius reached, so each
+    reaches the degree its own :func:`prepared_for_radius` reaches from f.
+    A radius whose certificate fails raises :class:`TruncationError`, or
+    with ``skip`` is left out.  Every kept radius then reads the series of
+    the largest one: the tail-to-head ratio of the terms |a_k| r^k grows
+    with r, so a longer series only adds terms its own certificate bounds.
+    Per block of ``_RADIUS_BLOCK`` radii, one log-scaled FFT
+    (:func:`_polar_sum`) gives (a, b) = (Re S, Im S) at every angle, then
+    |f|^2 = A + u.w for every unit (:func:`_affine_square`), and all the
+    sampled units are one product, taken in log space so that no radius
+    overflows.  Returns (mask of the kept radii, their logs in input
+    order)."""
+    if n_theta < 1:
+        raise ValueError("need at least one sampled angle")
+    bad = radii[~((radii >= 0.0) & (radii < math.inf))]
+    if bad.size:
+        raise ValueError(f"a radius must be finite and nonnegative, got {bad[0]!r}")
+    units = _DEFAULT_UNITS if units is None else units_array(units).reshape(-1, 3)
+    keep = np.zeros(radii.size, bool)
+    reach = fe = f
+    for i in np.argsort(radii, kind="stable"):
+        try:
+            reach, _ = prepared_for_radius(reach, float(radii[i]))
+        except TruncationError:
+            if not skip:
+                raise
+            continue
+        keep[i] = True
+        fe = reach
+    used = radii[keep]
+    logs = np.empty(used.size)
+    n_circle = max(2 * (n_theta - 1), 1)
+    for start in range(0, used.size, _RADIUS_BLOCK):
+        block = slice(start, start + _RADIUS_BLOCK)
+        scaled, top = _log_scaled_terms(fe.log_row_norms, used[block])
+        s = _polar_sum(scaled, fe.directions, n_circle)[:, :n_theta]
+        amp_sq, w = _affine_square(s.real, s.imag)
+        sq = amp_sq[:, None, :] + units @ w.swapaxes(-1, -2)
+        peak = np.max(sq, axis=(1, 2), initial=0.0)
+        with np.errstate(divide="ignore"):
+            logs[block] = np.where(peak > 0.0, top + 0.5 * np.log(peak), -math.inf)
+    return keep, logs
+
 
 def log_max_modulus(f: SliceSeries, radius: float, units=None,
                     n_theta: int = 64) -> float:
@@ -1480,23 +1530,12 @@ def log_max_modulus(f: SliceSeries, radius: float, units=None,
 
     The angles t_j = pi j / (n_theta - 1) are nodes j of a uniform circle of
     2 (n_theta - 1) nodes (one node, t = 0, when n_theta = 1), so one
-    log-scaled FFT (:func:`_polar_sum`) gives the representation-formula
-    (a, b) = (Re S, Im S) at every angle.  Then
-    |f|^2 = A + u.w for every unit (:func:`_affine_square`), and all sampled
-    units are one (units x n_theta) product, taken in log space so that no
-    radius overflows.
+    log-scaled FFT gives the representation-formula values at every angle
+    (:func:`_log_max_moduli`, of which this is the one-radius case).  A
+    negative, nan or infinite radius raises ``ValueError``.
     """
-    if n_theta < 1:
-        raise ValueError("need at least one sampled angle")
-    units = _DEFAULT_UNITS if units is None else units_array(units).reshape(-1, 3)
-    fe, _ = prepared_for_radius(f, radius)
-    n_circle = max(2 * (n_theta - 1), 1)
-    scaled, top = _log_scaled_terms(fe.log_row_norms, np.array([radius]))
-    s = _polar_sum(scaled, fe.directions, n_circle)
-    amp_sq, w = _affine_square(s[0, :n_theta].real, s[0, :n_theta].imag)
-    sq = amp_sq + units @ w.T
-    peak = float(np.max(sq, initial=0.0))
-    return float(top[0]) + 0.5 * math.log(peak) if peak > 0.0 else -math.inf
+    return float(_log_max_moduli(f, np.array([radius], dtype=float), units,
+                                 n_theta, skip=False)[1][0])
 
 
 def order_type(f: SliceSeries, radii=None, units=None,
@@ -1506,23 +1545,19 @@ def order_type(f: SliceSeries, radii=None, units=None,
     The order comes from the least-squares slope of log log M(r) against
     log r on the outer half of the radius grid, a limsup-flavored window
     estimate; the type is the median of log M(r) / r^2 there and is only
-    reported when the estimated order is within 0.1 of 2.
+    reported when the estimated order is within 0.1 of 2.  Every radius is
+    certified in one pass and all are evaluated together
+    (:func:`_log_max_moduli`); a radius whose tail the degree cap cannot
+    certify is left out, and a negative, nan or infinite one raises
+    ``ValueError``.
     """
     radii = np.asarray(radii if radii is not None else np.geomspace(2.0, 16.0, 10),
                        dtype=float)
-    logs = []
-    used = []
-    for r in radii:
-        try:
-            logs.append(log_max_modulus(f, float(r), units, n_theta))
-            used.append(float(r))
-        except TruncationError:
-            continue
+    keep, logm = _log_max_moduli(f, radii, units, n_theta, skip=True)
+    used = radii[keep]
     if len(used) < 4:
         raise ValueError("radius grid too large: tail control failed at nearly "
                          "all radii")
-    used = np.asarray(used)
-    logm = np.asarray(logs)
     half = len(used) // 2
     x = np.log(used[half:])
     if not np.all((logm[half:] > 0.0) & np.isfinite(logm[half:])):
