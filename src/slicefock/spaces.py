@@ -1496,16 +1496,15 @@ def _log_max_moduli(f: SliceSeries, radii: np.ndarray, units, n_theta: int,
         raise ValueError(f"a radius must be finite and nonnegative, got {bad[0]!r}")
     units = _DEFAULT_UNITS if units is None else units_array(units).reshape(-1, 3)
     keep = np.zeros(radii.size, bool)
-    reach = fe = f
+    fe = f
     for i in np.argsort(radii, kind="stable"):
         try:
-            reach, _ = prepared_for_radius(reach, float(radii[i]))
+            fe, _ = prepared_for_radius(fe, float(radii[i]))
         except TruncationError:
             if not skip:
                 raise
             continue
         keep[i] = True
-        fe = reach
     used = radii[keep]
     logs = np.empty(used.size)
     n_circle = max(2 * (n_theta - 1), 1)

@@ -12,14 +12,16 @@ the per-item loops they replaced.
   the largest degree.
 """
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import slicefock.series as series
 import slicefock.spaces as spaces
-from slicefock import kernels
+from slicefock import cli, kernels
 from slicefock.approx import finite_difference, least_squares
 from slicefock.errors import TruncationError
 from slicefock.kernels import fit_with_sections, kernel_section
@@ -123,10 +125,34 @@ def test_a_bad_radius_is_refused(radius):
         order_type(exp_series(), radii)
 
 
-def test_a_negative_radius_is_not_its_modulus():
-    # the true value at r = 2 is log 8; a negative radius is no radius
-    assert log_max_modulus(monomial(3), 2.0) == pytest.approx(math.log(8.0), rel=1e-14)
-    assert log_max_modulus(monomial(3), 0.0) == -math.inf
+def test_radius_zero_is_a_radius():
+    # the refusal stops below 0: f(0) = a_0, and -0.0 is 0
+    for r in (0.0, -0.0):
+        assert log_max_modulus(monomial(3), r) == -math.inf
+        assert log_max_modulus(exp_series(), r) == 0.0
+
+
+def test_a_thousand_radii_stay_within_four_mib(capsys):
+    # the largest radius count the CLI accepts; exp keeps the radii whose
+    # own certificate holds, blocks of radii bound the evaluation's memory
+    tracemalloc.start()
+    try:
+        cli.main(["growth", "--fn", "exp", "--radii", "1000", "--r-min", "1",
+                  "--r-max", "1e3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    radii = np.geomspace(1.0, 1e3, 1000)
+    want = []
+    for r in radii:
+        try:
+            prepared_for_radius(exp_series(), float(r))
+        except TruncationError:
+            continue
+        want.append(float(r))
+    assert json.loads(capsys.readouterr().out)["radii"] == want
+    assert len(want) == 658
 
 
 # ---------------------------------------------------------------------------
