@@ -420,12 +420,14 @@ def _certified(f: SliceSeries, log_terms, ratio, log_tol: float, log_floor: floa
         log_ref = max(log_floor, top + math.log(total)) if total > 0.0 else log_floor
         rho = ratio(deg)
         last = float(scaled[-2:].max())
+        # a last term below the float range relative to the top keeps its log
+        log_last = top + math.log(last) if last > 0.0 else float(logs[-2:].max())
         if not rho < 1.0:
             log_tail = math.inf
-        elif rho == 0.0 or last == 0.0:
+        elif rho == 0.0 or log_last == -math.inf:
             log_tail = -math.inf
         else:
-            log_tail = top + math.log(last) + math.log(rho / (1.0 - rho))
+            log_tail = log_last + math.log(rho / (1.0 - rho))
         if log_tail <= log_ref + log_tol or deg >= DEGREE_CAP:
             log_sum = top + float(np.log(total)) if top > -math.inf else -math.inf
             return fe, logs, log_tail - log_ref if log_tail > -math.inf else log_tail, log_sum

@@ -454,8 +454,8 @@ _kept_tables = memoized(_tables)
 
 
 #: Largest count of values one block of multiplier images holds at once:
-#: grid values in :func:`_multiplier_norm`, multipliers in the coefficient
-#: sums.
+#: grid values in :func:`_multiplier_norm` (and of the planes of a sup,
+#: :func:`_sup_raw_power`), multipliers in the coefficient sums.
 _IMAGE_BLOCK = 1 << 16
 
 
@@ -522,15 +522,15 @@ def _charged(evaluate, terms: ParsevalTerms, alpha: float) -> tuple:
     tail and of the rounding relative to its norm, then what else its
     caller reads.  Where the largest tail charge x exceeds half the budget,
     f's terms are certified once more, for every group, at a tail smaller
-    by (16 x / (NORM_TAIL_BUDGET / 2))^2 (the smallest float at least), as
-    every charge shrinks at least as fast as the tail's square root.
+    by (16 x / (NORM_TAIL_BUDGET / 2))^2, as every charge shrinks at least
+    as fast as the tail's square root (up to ``DEGREE_CAP`` for a charge on a
+    value of 0, x = inf).
     Returns the log powers, the groups' charges checked against the budget
     (:func:`_check_tail_budget`), the terms read, and the rest."""
     log_pow, tails, roundings, *rest = evaluate(terms)
     x = max(tails)
     if x > 0.5 * NORM_TAIL_BUDGET:
-        log_tol = max(terms.log_tail - 2.0 * math.log(16.0 * x / (0.5 * NORM_TAIL_BUDGET)),
-                      math.log(5e-324))
+        log_tol = terms.log_tail - 2.0 * math.log(16.0 * x / (0.5 * NORM_TAIL_BUDGET))
         if log_tol < terms.log_tail:
             terms = _parseval_terms(terms.series, alpha, log_tol)
             log_pow, tails, roundings, *rest = evaluate(terms)
@@ -876,22 +876,25 @@ def _gram_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _scaled_rows(terms: ParsevalTerms, size: int = 0, log_r: np.ndarray | None = None,
-                 sign: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 sign: np.ndarray | None = None, head: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f's rows m_k s_k for each image of real multipliers sign e^{log_r}
     (each of shape (images, K), as :func:`_multipliers` gives them; f
     itself without), each image times e^{-top/2}, top its largest log m_k^2
-    t_k: (x of shape (images, K, 4), zero past f's rows up to ``size``,
-    top, and the rows' sizes, of shape (images, K)).  Directions come from
-    the series' log-polar rows (:attr:`SliceSeries.directions`) and sizes
-    from the certified log t_k, so no row leaves the float range before its
-    scale."""
+    t_k over the rows from ``head`` (the rows before it left 0): (x of
+    shape (images, K, 4), zero past f's rows up to ``size``, top, and the
+    rows' sizes, of shape (images, K)).  Directions come from the series'
+    log-polar rows (:attr:`SliceSeries.directions`) and sizes from the
+    certified log t_k, so no row leaves the float range before its scale."""
     dirs, logw = terms.series.directions, terms.logw[None]
     if log_r is not None:
         logw = 2.0 * log_r + logw
-    top = np.maximum(logw.max(axis=-1), -1e308)    # an image of zeros stays 0
+    logw = logw[:, head:]
+    top = np.maximum(logw.max(axis=-1, initial=-math.inf), -1e308)  # zeros stay 0
     x = np.zeros((top.size, max(size, dirs.shape[0]), 4))
-    mag = np.exp(0.5 * (logw - top[:, None]))
-    x[:, :dirs.shape[0]] = dirs * mag[..., None]
+    mag = np.zeros((top.size, dirs.shape[0]))
+    mag[:, head:] = np.exp(0.5 * (logw - top[:, None]))
+    x[:, head:dirs.shape[0]] = dirs[head:] * mag[:, head:, None]
     if sign is not None:
         x[:, :dirs.shape[0]] *= sign[..., None]
     return x, top, mag
@@ -918,8 +921,9 @@ def _first_rows(terms: ParsevalTerms, n: int, log_r: np.ndarray | None = None,
     p = 2 power, or with n >= 0 its residual's past the best degree-n
     approximation, the log of b, the log of a bound on the rounding of
     P^(1/2) (:func:`_root_rounding`), the rows r and their scale e^{top/2}
-    (:func:`_scaled_rows`)."""
-    x, top, mag = _scaled_rows(terms, n + 3, log_r, sign)
+    (:func:`_scaled_rows`), scaled by the largest of the rows past n, the
+    residual's own, so that the residual of a tiny E_n keeps its size."""
+    x, top, mag = _scaled_rows(terms, n + 3, log_r, sign, max(n + 1, 0))
     size = x.shape[1]
     diag, sub = _first_factor(size)
     for k in range(n, -1, -1):
@@ -1082,6 +1086,33 @@ def _plane_raw_power(amp: np.ndarray, grid: QuadratureGrid, p: float) -> float |
     return _grid_sum(integ, grid)
 
 
+def _sup_raw_power(amp_sq: np.ndarray, lin: np.ndarray, units: list, grid: QuadratureGrid,
+                   p: float) -> float | np.ndarray:
+    """The largest raw power over the planes of ``units`` of the amplitude
+    (A + u.w)^(1/2) (:func:`_affine_square`), or one per image: the planes
+    in blocks of at most ``_IMAGE_BLOCK`` grid values (one plane at least),
+    each block one :func:`_plane_raw_power`.  u.w is formed one plane at a
+    time, so every value is the one a plane alone gives; where a block is
+    refused, its planes are summed one by one, so the first plane that
+    fails names its node, as in plane order."""
+    count = max(1, _IMAGE_BLOCK // amp_sq.size)
+    best = None
+    for lo in range(0, len(units), count):
+        planes = units[lo:lo + count]
+        sq = np.empty((len(planes),) + amp_sq.shape)
+        for out, u in zip(sq, planes):
+            np.matmul(lin, u, out=out)
+        amp = np.sqrt(np.maximum(np.add(sq, amp_sq, out=sq), 0.0, out=sq), out=sq)
+        try:
+            raw = _plane_raw_power(amp, grid, p).max(axis=0)
+        except (IntegrandOverflowError, RefinementError):
+            for plane in amp:
+                _plane_raw_power(plane, grid, p)
+            raise
+        best = raw if best is None else np.maximum(best, raw)
+    return best
+
+
 def _affine_square(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|a + u b|^2 = A + u.w for every unit u: returns A and the (..., 3) w."""
     amp_sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
@@ -1196,9 +1227,7 @@ def _grid_norms(prepared: Prepared, spec: NormSpec, grid: QuadratureGrid, mults:
             amp = np.sqrt(np.sum(np.square(v.real) + np.square(v.imag), axis=-1))
             raw = _plane_raw_power(amp, grid, spec.p)
         else:   # every sampled plane from one evaluation
-            amp_sq, lin = _affine_square(v.real, v.imag)
-            raw = np.max([_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u, 0.0)), grid,
-                                           spec.p) for u in units], axis=0)
+            raw = _sup_raw_power(*_affine_square(v.real, v.imag), units, grid, spec.p)
         return raw, e
 
     pref = spec.alpha * spec.p / (2.0 * math.pi)

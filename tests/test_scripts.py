@@ -20,6 +20,8 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
     ("inequality_report.py", ["--n-list", "2,4", "--out", "{tmp}/report.json"]),
     ("descent_sweep.py", ["--families", "exp", "--p-list", "1", "--grids", "12x24",
                           "--n-list", "3", "--out", "{tmp}/sweep.json"]),
+    ("moment_reference.py", ["--n-list", "2", "--m-list", "0", "--p-list", "1.5",
+                             "--dps", "20", "--out", "{tmp}/moments.json"]),
 ])
 def test_script_runs_and_writes_output(tmp_path, name, args):
     res = subprocess.run([sys.executable, str(SCRIPTS / name),

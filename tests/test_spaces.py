@@ -382,3 +382,43 @@ def test_grid_short_of_the_mass_is_unresolved(kind):
         else NormSpec(kind, 2.0, 1.0)
     assert norm(monomial(40), exact) ** 2 == pytest.approx(want, rel=1e-10)
     assert norm(monomial(40), exact, coarse) ** 2 == pytest.approx(want, rel=1e-13)
+
+
+def _sup_one_plane_at_a_time(amp_sq, lin, units, grid, p):
+    from slicefock.spaces import _plane_raw_power
+    return np.max([_plane_raw_power(np.sqrt(np.maximum(amp_sq + lin @ u, 0.0)), grid, p)
+                   for u in units], axis=0)
+
+
+@pytest.mark.parametrize("block", [1, 3 * 12 * 24, 1 << 16])
+@pytest.mark.parametrize("images", [(), (5,)])
+def test_sup_planes_in_blocks_match_one_plane_at_a_time(monkeypatch, block, images):
+    from slicefock import spaces
+    from slicefock.quaternion import sphere_grid
+
+    rng = np.random.default_rng(28)
+    grid = slice_grid(1.0, 12, 24)
+    shells = np.exp(-2.0 * np.arange(12.0))[:, None, None]     # the mass in the first shells
+    a, b = (shells * rng.normal(size=images + (12, 24, 4)) for _ in range(2))
+    amp_sq, lin = spaces._affine_square(a, b)
+    units = [u.vector() for u in sphere_grid(32)]
+    monkeypatch.setattr(spaces, "_IMAGE_BLOCK", block)
+    got = spaces._sup_raw_power(amp_sq, lin, units, grid, 1.5)
+    np.testing.assert_array_equal(got, _sup_one_plane_at_a_time(amp_sq, lin, units, grid, 1.5))
+
+
+def test_sup_refusal_names_the_first_failing_plane_s_node():
+    # the plane of j overflows at node 50, the later plane of k at node 10:
+    # the refusal names node 50, as when the planes are summed in order
+    from slicefock.errors import IntegrandOverflowError
+    from slicefock.quadrature import slice_points
+    from slicefock.spaces import _sup_raw_power
+
+    grid = slice_grid(1.0, 12, 24)
+    amp_sq = np.repeat(np.exp(-4.0 * np.arange(12.0))[:, None], 24, axis=1)   # in shell 0
+    lin = np.zeros((12, 24, 3))
+    lin.reshape(-1, 3)[50, 1] = lin.reshape(-1, 3)[10, 2] = 1e300
+    units = [np.eye(3)[c] for c in range(3)]
+    with pytest.raises(IntegrandOverflowError) as err:
+        _sup_raw_power(amp_sq, lin, units, grid, 4.0)
+    np.testing.assert_array_equal(err.value.node, slice_points(grid)[0][50])
