@@ -299,13 +299,13 @@ def _moment_panels(n: int, r: int) -> np.ndarray:
     """Panel edges of :func:`moment_bound`'s rule in x = n t on [0, n pi]:
     D // 7 + 1 equal panels, D = r (n - 1) the kernel's degree, so that one
     spans at most 3.5 periods of the kernel's top frequency, the first of
-    them, of length h, graded at h 4^-j for j = 1 .. ceil(log_4 h) down to
-    a length at most 1.  (x + 1)^s has its branch point at x = -1, so it is
-    then analytic inside each panel's Bernstein ellipse of ratio 3,
-    whatever h."""
+    them, of length h, graded at h 8^-j for j = 1 .. ceil(log_8 (h / 2))
+    down to a length at most 2.  (x + 1)^s has its branch point at x = -1,
+    so it is then analytic inside each panel's Bernstein ellipse of ratio
+    2, whatever h."""
     count = r * (n - 1) // 7 + 1
     h = n * math.pi / count
-    graded = [h * 0.25 ** j for j in range(math.ceil(math.log(h, 4.0)), 0, -1)]
+    graded = [h * 0.125 ** j for j in range(math.ceil(math.log(0.5 * h, 8.0)), 0, -1)]
     return np.concatenate(([0.0, *graded], h * np.arange(1.0, count + 1.0)))
 
 
@@ -337,15 +337,15 @@ def moment_bound(n: int, m: int, p: float) -> float:
     r = jackson_rule_r(m, p)
     edges = _moment_panels(n, r)
     u, w = _panel_rule()
-    width = (edges[1:] - edges[:-1])[:, None]
-    x = (edges[:-1, None] + width * u).ravel()
-    wx = (width * w).ravel()
-    with np.errstate(divide="ignore"):     # a node on a zero of the kernel adds 0
-        log_f = 2 * r * np.log(np.abs(np.sin(0.5 * x) / (n * np.sin(0.5 / n * x))))
+    width = edges[1:] - edges[:-1]
+    x = edges[:-1, None] + width[:, None] * u     # (panels, nodes) > 0: no sine is 0
+    half = np.sin(np.multiply.outer((0.5, 0.5 / n), x))
+    log_f = 2 * r * np.log(np.abs(half[0] / (n * half[1])))
     terms = (m + 1) * p * np.log1p(x) + log_f
     top = terms.max()
+    num, den = (np.exp(t) @ w @ width for t in (terms - top, log_f))
     try:
-        return math.exp(top + math.log(wx @ np.exp(terms - top)) - math.log(wx @ np.exp(log_f)))
+        return math.exp(top + math.log(num) - math.log(den))
     except OverflowError:
         raise IntegrandOverflowError(
             f"moment_bound({n}, {m}, {p}) exceeds the float range") from None
