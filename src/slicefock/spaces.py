@@ -878,25 +878,25 @@ def _gram_rows(x: np.ndarray) -> np.ndarray:
 def _scaled_rows(terms: ParsevalTerms, size: int = 0, log_r: np.ndarray | None = None,
                  sign: np.ndarray | None = None, head: int = 0
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f's rows m_k s_k for each image of real multipliers sign e^{log_r}
-    (each of shape (images, K), as :func:`_multipliers` gives them; f
-    itself without), each image times e^{-top/2}, top its largest log m_k^2
-    t_k over the rows from ``head`` (the rows before it left 0): (x of
+    """f's rows m_k s_k from row ``head`` on (those before it left 0) for
+    each image of real multipliers sign e^{log_r} (each of shape (images,
+    K), as :func:`_multipliers` gives them; f itself without), each image
+    times e^{-top/2}, top its largest log m_k^2 t_k over those rows: (x of
     shape (images, K, 4), zero past f's rows up to ``size``, top, and the
-    rows' sizes, of shape (images, K)).  Directions come from the series'
-    log-polar rows (:attr:`SliceSeries.directions`) and sizes from the
-    certified log t_k, so no row leaves the float range before its scale."""
-    dirs, logw = terms.series.directions, terms.logw[None]
+    sizes of the rows from ``head``, of shape (images, K - head)).
+    Directions come from the series' log-polar rows
+    (:attr:`SliceSeries.directions`) and sizes from the certified log t_k,
+    so no row leaves the float range before its scale."""
+    dirs, logw = terms.series.directions[head:], terms.logw[None, head:]
     if log_r is not None:
-        logw = 2.0 * log_r + logw
-    logw = logw[:, head:]
+        logw = 2.0 * log_r[:, head:] + logw
     top = np.maximum(logw.max(axis=-1, initial=-math.inf), -1e308)  # zeros stay 0
-    x = np.zeros((top.size, max(size, dirs.shape[0]), 4))
-    mag = np.zeros((top.size, dirs.shape[0]))
-    mag[:, head:] = np.exp(0.5 * (logw - top[:, None]))
-    x[:, head:dirs.shape[0]] = dirs[head:] * mag[:, head:, None]
+    rows = slice(head, head + dirs.shape[0])
+    x = np.zeros((top.size, max(size, rows.stop), 4))
+    mag = np.exp(0.5 * (logw - top[:, None]))
+    x[:, rows] = dirs * mag[..., None]
     if sign is not None:
-        x[:, :dirs.shape[0]] *= sign[..., None]
+        x[:, rows] *= sign[:, head:, None]
     return x, top, mag
 
 
@@ -923,28 +923,29 @@ def _first_rows(terms: ParsevalTerms, n: int, log_r: np.ndarray | None = None,
     P^(1/2) (:func:`_root_rounding`), the rows r and their scale e^{top/2}
     (:func:`_scaled_rows`), scaled by the largest of the rows past n, the
     residual's own, so that the residual of a tiny E_n keeps its size."""
-    x, top, mag = _scaled_rows(terms, n + 3, log_r, sign, max(n + 1, 0))
+    head = n + 1                                # rows past n, the residual's own
+    x, top, mag = _scaled_rows(terms, n + 3, log_r, sign, head)
     size = x.shape[1]
     diag, sub = _first_factor(size)
     for k in range(n, -1, -1):
         x[:, k] = -sub[k + 2] / diag[k] * x[:, k + 2]
-    total = np.sum(np.square(_gram_rows(x)[:, n + 1:]), axis=(-2, -1))
+    total = np.sum(np.square(_gram_rows(x)[:, head:]), axis=(-2, -1))
     log_p = top + np.log(total)
     deg = terms.series.degree + 1
     lo = max(deg - 2, 0)
-    weight = np.arange(1.0, deg + 1.0)          # k + 1
+    weight = np.arange(head + 1.0, deg + 1.0)   # k + 1
     sized = np.square(mag) * weight
-    log_b = top + np.log(sized[:, lo:].sum(axis=-1)) if n < 0 or deg >= n + 3 \
+    log_b = top + np.log(sized[:, lo - head:].sum(axis=-1)) if n < 0 or deg >= n + 3 \
         else math.log(2.0) + log_p
-    logw = terms.logw
-    ulps = np.abs(logw) + np.abs(terms.series.log_row_norms) \
-        + np.abs(logw if log_r is None else 2.0 * log_r + logw)
+    logw = terms.logw[head:]
+    ulps = np.abs(logw) + np.abs(terms.series.log_row_norms[head:]) \
+        + np.abs(logw if log_r is None else 2.0 * log_r[:, head:] + logw)
     np.minimum(ulps, 1e300, out=ulps)           # a row of zeros (logs -inf) has no error
-    spread = np.square(mag * ulps)[:, n + 1:] @ weight[n + 1:]
+    spread = np.square(mag * ulps) @ weight
     log_e = np.array([_root_rounding(
         4.0 * _UNIT_ROUNDOFF * math.sqrt(2.0) * (math.sqrt(a) + (abs(t) + 4.75) * math.sqrt(b)),
-        s, lp, abs(t), 4 * (size - n - 1), size) for a, b, s, lp, t in zip(
-            spread.tolist(), sized[:, n + 1:].sum(axis=-1).tolist(), total.tolist(),
+        s, lp, abs(t), 4 * (size - head), size) for a, b, s, lp, t in zip(
+            spread.tolist(), sized.sum(axis=-1).tolist(), total.tolist(),
             log_p.tolist(), top.tolist())])
     return log_p, log_b, log_e, x, top
 

@@ -157,7 +157,7 @@ def test_first_kind_best_approximation_past_the_first_certificate_meets_mpmath(n
             total += (tail.T * gram[h:len(idx), h:len(idx)] * tail)[0] \
                 - (rhs.T * mpmath.lu_solve(gram[0:h, 0:h], rhs))[0]
         want = float(mpmath.sqrt(total))
-    assert best_approx_first(exp_series(), n, 1.0).value == pytest.approx(want, rel=1e-12)
+    assert best_approx_first(exp_series(), n, 1.0).value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_inner_second_matches_the_plane_quadrature_on_every_plane():
