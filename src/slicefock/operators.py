@@ -290,9 +290,20 @@ _PANEL_ORDER = 16
 
 @memoized
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The ``_PANEL_ORDER``-point Gauss-Legendre nodes and weights on [0, 1]."""
-    u, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-    return 0.5 * (u + 1.0), 0.5 * w
+    """The ``_PANEL_ORDER``-point Gauss-Legendre nodes and weights on [0, 1]:
+    the roots of P_N by Newton's method from cos(pi (k - 1/4) / (N + 1/2)),
+    P_N and P_N' by the three-term recurrence.  (numpy's ``leggauss`` takes
+    them from a LAPACK eigen-solve, whose first call in a process raises its
+    peak memory by about 0.6 MB.)"""
+    order = _PANEL_ORDER
+    x = np.cos(math.pi * (np.arange(order, 0.0, -1.0) - 0.25) / (order + 0.5))
+    for _ in range(6):                  # quadratic from the start: 3 would do
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, order + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = order * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope * slope)
 
 
 def _moment_panels(n: int, r: int) -> np.ndarray:

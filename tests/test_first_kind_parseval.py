@@ -6,6 +6,7 @@ read from their closed form; the charge of f's tail is checked to be the
 Gershgorin bound.
 """
 
+import functools
 import json
 import math
 
@@ -31,6 +32,7 @@ from slicefock.spaces import (
     NormSpec,
     ParsevalTerms,
     _first_factor,
+    _charged,
     _first_images,
     _parseval_terms,
     _volume_raw_power,
@@ -207,17 +209,21 @@ def test_best_approximation_past_the_stored_rows_meets_mpmath():
     # every row of E_180, E_200 and E_240 of exp lies where 1/k! is 0 in
     # storage (from k = 178): both kinds read those rows from their closed
     # form, and the residual's squared rows (below e^-745 of f's largest
-    # from n = 180) keep their size on the residual's own scale
+    # from n = 180) keep their size on the residual's own scale, where the
+    # first kind's charge still bounds the distance to mpmath
     assert exp_series().generator.coeffs(200)[178:].max() == 0.0
     with mpmath.workdps(50):
         s = [1 / mpmath.sqrt(mpmath.factorial(k)) for k in range(300)]
         for n in (170, 180, 200, 240):
             second = float(mpmath.sqrt(mpmath.fsum(x * x for x in s[n + 1:])))
-            first = float(mpmath.sqrt(mpmath_first_kind_tail_sq(s, n)))
+            first = mpmath.sqrt(mpmath_first_kind_tail_sq(s, n))
             assert best_approx_second(exp_series(), n, 1.0).value == pytest.approx(
                 second, rel=1e-12, abs=0.0), n
-            assert best_approx_first(exp_series(), n, 1.0).value == pytest.approx(
-                first, rel=1e-12, abs=0.0), n
+            value = best_approx_first(exp_series(), n, 1.0).value
+            assert value == pytest.approx(float(first), rel=1e-12, abs=0.0), n
+            _, (charge,), *_ = _charged(functools.partial(_first_images, alpha=1.0, n=n),
+                                        _parseval_terms(exp_series(), 1.0), 1.0)
+            assert abs(value - first) <= charge * first, n
 
 
 def test_first_kind_report_reads_no_grid():

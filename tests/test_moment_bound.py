@@ -1,16 +1,17 @@
 """The smoothing-difference moment int (n |t| + 1)^s K_{n,r}(t) dt against
 30-digit mpmath values of its product form (``scripts/moment_reference.py``
-wrote ``moment_bound_mpmath.json``), past the float range, and refused
-where the operator is."""
+wrote ``moment_bound_mpmath.json``), its panel rule against numpy's, past
+the float range, and refused where the operator is."""
 
 import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from slicefock.errors import IntegrandOverflowError
-from slicefock.operators import jackson_op, moment_bound
+from slicefock.operators import _panel_rule, jackson_op, moment_bound
 
 PINNED = json.loads((pathlib.Path(__file__).parent / "moment_bound_mpmath.json").read_text())
 
@@ -20,6 +21,13 @@ def test_pinned_grid_is_the_whole_grid():
     assert PINNED["dps"] >= 30
     assert keys == {(n, m, p) for n in (1, 2, 3, 8, 64, 256, 1024) for m in (0, 1, 3)
                     for p in (1.0, 1.5, 2.0, 3.0, 8.0)}
+
+
+def test_panel_rule_is_numpy_s_gauss_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    u, w = _panel_rule()
+    np.testing.assert_allclose(u, 0.5 * (nodes + 1.0), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, 0.5 * weights, rtol=1e-14)
 
 
 def test_moment_bound_meets_mpmath():
