@@ -349,7 +349,7 @@ def moment_bound(n: int, m: int, p: float) -> float:
     edges = _moment_panels(n, r)
     u, w = _panel_rule()
     width = edges[1:] - edges[:-1]
-    x = edges[:-1, None] + width[:, None] * u     # (panels, nodes) > 0: no sine is 0
+    x = edges[:-1, None] + width[:, None] * u     # (panels, nodes), all > 0
     half = np.sin(np.multiply.outer((0.5, 0.5 / n), x))
     log_f = 2 * r * np.log(np.abs(half[0] / (n * half[1])))
     terms = (m + 1) * p * np.log1p(x) + log_f
