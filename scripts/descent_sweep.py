@@ -9,10 +9,11 @@ one JSON record per case: Newton steps (each solves one linear system),
 value, lower bound, the sampled norm of f, whether the stop rule's gap is
 met, and the seconds the solve took.
 
-With ``--against OLD.json`` it lists the cases that took more steps than in
-OLD, or whose value lies outside OLD's certified interval [lower, value]
-widened by the stop rule's slack tol value + min(tol, NORM_TAIL_BUDGET)
-||f||_p, and exits 1 if there is any.
+With ``--against OLD.json`` it prints the change in total Newton steps over
+the cases both runs share, then lists apart the cases that took more steps
+than in OLD and those whose value lies outside OLD's certified interval
+[lower, value] widened by the stop rule's slack tol value + min(tol,
+NORM_TAIL_BUDGET) ||f||_p, and exits 1 if either list is not empty.
 
     python scripts/descent_sweep.py --out new.json --against old.json
 """
@@ -55,18 +56,18 @@ def run_case(f, n, p, grid, unit, counter) -> dict:
     return case
 
 
-def regressions(new: dict, old: dict) -> list[str]:
-    """Cases of ``new`` with more steps than in ``old``, or a value outside
-    old's widened certified interval."""
-    lines = []
+def regressions(new: dict, old: dict) -> tuple[list[str], list[str]]:
+    """The cases of ``new`` with more steps than in ``old``, and apart from
+    them those with a value outside old's widened certified interval."""
+    steps, values = [], []
     for key in sorted(set(new) & set(old)):
         a, b = old[key], new[key]
         if b["steps"] > a["steps"]:
-            lines.append(f"{key}: {b['steps']} steps, was {a['steps']}")
+            steps.append(f"{key}: {b['steps']} steps, was {a['steps']}")
         lo, hi = a["lower"] - slack(a), a["value"] + slack(a)
         if not lo <= b["value"] <= hi:
-            lines.append(f"{key}: value {b['value']!r} outside [{lo!r}, {hi!r}]")
-    return lines
+            values.append(f"{key}: value {b['value']!r} outside [{lo!r}, {hi!r}]")
+    return steps, values
 
 
 def main() -> int:
@@ -116,12 +117,18 @@ def main() -> int:
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
             old = json.load(fh)["cases"]
-        lines = regressions(cases, old)
-        print(f"against {args.against}: {len(set(cases) & set(old))} shared cases, "
-              f"{len(lines)} regressions")
-        for line in lines:
-            print(line)
-        return 1 if lines else 0
+        shared = set(cases) & set(old)
+        was, now = (sum(run[key]["steps"] for key in shared) for run in (old, cases))
+        more, outside = regressions(cases, old)
+        print(f"against {args.against}: {len(shared)} shared cases, "
+              f"{len(more) + len(outside)} regressions; Newton steps {was} -> {now} "
+              f"({now - was:+d})")
+        for title, lines in (("with more steps", more),
+                             ("with a value outside the widened interval", outside)):
+            print(f"{len(lines)} cases {title}")
+            for line in lines:
+                print(f"  {line}")
+        return 1 if more or outside else 0
     return 0
 
 

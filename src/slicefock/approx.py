@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -253,13 +254,17 @@ def parseval_norm_sq(f: SliceSeries, alpha: float) -> float:
 @dataclass(frozen=True)
 class BestApproxResult:
     """Best degree-n approximation: the error attained by ``minimizer`` and,
-    where the method certifies one, a lower bound on the minimal error."""
+    where the method certifies one, a lower bound.  The descent's ``lower``
+    bounds the minimum of its sampled problem, sum_i mu_i |(f - P)(z_i)
+    w_i|^p over f's values on the grid nodes, not E_n(f) itself: once E_n
+    falls to the rounding of those values (about 1e-16 ||f||), ``lower``
+    can lie above E_n."""
 
     n: int
     value: float
     minimizer: SliceSeries
     method: str
-    lower: float | None = None
+    lower: float | None = None   # the sampled problem's minimum, not E_n
 
 
 def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult:
@@ -333,8 +338,8 @@ class _PolarColumns(NamedTuple):
     exps: np.ndarray    # (K,) int: column k is scaled by 2^{-exps_k}
     table: np.ndarray   # (2K - 1, R): r_a^m e^{-alpha r_a^2} 2^{-E_m}, m = k + l
     pair: np.ndarray    # (K, K): 2^{E_{k+l} - exps_k - exps_l}
-    sums: np.ndarray    # (K, K): k + l
-    diffs: np.ndarray   # (K, K): (k - l) mod the angular count
+    at_diff: np.ndarray  # (K, K): flat index of (k + l, (k - l) mod angular count)
+    at_sum: np.ndarray   # (K, K): flat index of (k + l, (k + l) mod angular count)
     shape: tuple        # (R, angular count)
 
 
@@ -365,7 +370,8 @@ def _polar_columns(grid: QuadratureGrid, alpha: float, n: int) -> _PolarColumns:
     sums = np.add.outer(k, k)
     return _PolarColumns(cols, cols.conj().T, exps, np.exp(logs - tops[:, None] * ln2),
                          np.ldexp(1.0, tops[sums] - np.add.outer(exps, exps)),
-                         sums, np.subtract.outer(k, k) % theta.size, (r.size, theta.size))
+                         sums * theta.size + np.subtract.outer(k, k) % theta.size,
+                         sums * theta.size + sums % theta.size, (r.size, theta.size))
 
 
 class _DescentBasis(NamedTuple):
@@ -410,68 +416,70 @@ def _column_scaled(c: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 
 def _polar_transform(plane: _PolarColumns, fields: np.ndarray) -> np.ndarray:
-    """C[m, f, d] = sum_a table[m, a] sum_b fields[a, f, b] e^{-i d theta_b}
-    for complex fields of shape (R, F, angular count), so that sum_i
+    """C[f, m, d] = sum_a table[m, a] sum_b fields[f, a, b] e^{-i d theta_b}
+    for complex fields of shape (F, R, angular count), so that sum_i
     fields_i conj(V_ik) V_il = C[k + l, k - l] pair_kl and sum_i fields_i
     conj(V_ik) conj(V_il) = C[k + l, k + l] pair_kl, the frequency taken
     modulo the angular count, for the columns V of ``plane``: one FFT along
     the angle and the real radial table, which commute, the FFT taken on
     whichever side has fewer rows."""
-    rows, count, n_ang = fields.shape
-    late = len(plane.table) < rows
+    late = len(plane.table) < fields.shape[1]
     if not late:
         fields = np.fft.fft(fields, axis=-1)
-    radial = plane.table @ fields.reshape(rows, -1).view(float)   # Re and Im alike
-    radial = radial.view(complex).reshape(-1, count, n_ang)
+    radial = (plane.table @ fields.view(float)).view(complex)   # Re and Im alike
     return np.fft.fft(radial, axis=-1) if late else radial
 
 
 def _newton_system(plane: _PolarColumns, r: np.ndarray, se: np.ndarray,
-                   mu: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hessian and gradient of Psi_eps = sum_i mu_i (|r_i|^2 + eps^2)^(p/2) at
-    the residual pair r = (F - P_1, G - P_2) of shape (2, N), se = |r|^2 +
-    eps^2, over the real coordinates (Re, Im) of the split coefficients c of
-    P in the columns V of ``plane``, ordered (component j, degree k, Re / Im).
-    With a = p mu se^(p/2 - 1) and b = p (p - 2) mu se^(p/2 - 2), the
-    Hessian is the real form of A_kl = sum_i a_i conj(V_ik) V_il on each
-    component, plus b's rank-one terms: half the real form of P^{jj'}_kl =
-    sum_i b_i conj(V_ik) V_il r_ij conj(r_ij'), and half the conjugate form
-    of Q^{jj'}_kl = sum_i b_i conj(V_ik) conj(V_il) r_ij r_ij'.  The nine
-    fields a, b r_j conj(r_j') and b r_j r_j' go through one
-    :func:`_polar_transform`; the gradient is -sum_i a_i conj(V_ik) r_ij."""
-    n_rad, n_ang = plane.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = p * mu * se ** (0.5 * p - 1.0)
-        b = np.where(se > 0.0, p * (p - 2.0) * mu * se ** (0.5 * p - 2.0), 0.0)
-    fields = np.empty((n_rad, 9, n_ang), complex)
-    fields[:, 0] = a.reshape(n_rad, n_ang)
-    rr = r.reshape(2, 1, n_rad, n_ang)
-    br = b.reshape(n_rad, n_ang) * rr
-    np.multiply(br, rr.conj().swapaxes(0, 1),
-                out=fields[:, 1:5].reshape(n_rad, 2, 2, n_ang).transpose(1, 2, 0, 3))
-    np.multiply(br, rr.swapaxes(0, 1),
-                out=fields[:, 5:].reshape(n_rad, 2, 2, n_ang).transpose(1, 2, 0, 3))
-    c = _polar_transform(plane, fields)
-    pair = plane.pair[:, :, None]
-    herm = c[plane.sums, :5, plane.diffs] * pair               # (k, l): A, then P^{jj'}
-    sym = 0.5 * c[plane.sums, 5:, plane.sums % n_ang] * pair   # (k, l): Q^{jj'} / 2
-    x = 0.5 * herm[..., 1:]
-    x[..., [0, 3]] += herm[..., :1]
-    kk = len(herm)
-    x, sym = (m.reshape(kk, kk, 2, 2).transpose(2, 0, 3, 1).reshape(2 * kk, -1)
-              for m in (x, sym))
-    grad = -((a * r) @ plane.cols_h)
-    return _real_form(x, sym), grad.view(float).ravel()
+                   v: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
+    """Hessian of Psi_eps = sum_i mu_i (|r_i|^2 + eps^2)^(p/2) at the residual
+    pair r = (F - P_1, G - P_2) of shape (2, N), given se = |r|^2 + eps^2
+    and v = se^(p/2 - 1), over the real coordinates (Re, Im) of the split
+    coefficients c of P in the columns V of ``plane``, ordered (component j,
+    degree k, Re / Im).  It is the real form of c -> X c + Y conj(c) with
+    2 x 2 blocks X^{jj'}_kl = sum_i x_ijj' conj(V_ik) V_il and Y^{jj'}_kl =
+    sum_i h_i r_ij r_ij' conj(V_ik) conj(V_il), where a = p mu v, h = p (p
+    - 2) mu v / (2 se) (half the rank-one weight), x_ijj' = h_i r_ij
+    conj(r_ij') + a_i [j = j'].  X^{10} = (X^{01})^H and Y^{10} = Y^{01},
+    so seven fields remain: x_00, x_01, x_11 and h r_j r_j' for j <= j'.
+    The real x_00 and x_11 go through as the one complex field x_00 + i
+    x_11, whose transform's Hermitian and anti-Hermitian parts are X^{00}
+    and i X^{11}, so five fields go through one :func:`_polar_transform`.
+    The gradient, -p times the dual vector v r's moments sum_i mu_i v_i r_ij
+    conj(V_ik), is the caller's: the descent forms those moments for its
+    lower bound."""
+    muv = mu * v
+    h = np.divide(0.5 * p * (p - 2.0) * muv, se, out=np.zeros_like(se), where=se > 0.0)
+    hr = h * r
+    fields = np.empty((5, r.shape[1]), complex)
+    fields.real[0], fields.imag[0] = p * muv + (hr * r.conj()).real
+    np.multiply(hr[0], r[1].conj(), out=fields[1])
+    np.multiply(hr[0], r[0], out=fields[2])
+    np.multiply(hr, r[1], out=fields[3:])
+    c = _polar_transform(plane, fields.reshape(5, *plane.shape)).reshape(5, -1)
+    herm = np.take(c[:2], plane.at_diff, axis=1) * plane.pair    # X^00 + i X^11, X^01
+    sym = np.take(c[2:], plane.at_sum, axis=1) * plane.pair      # Y^00, Y^01, Y^11
+    kk = len(plane.pair)
+    x, y = np.empty((2, 2, kk, 2, kk), complex)                  # (j, k, j', l)
+    packed = herm[0].conj().T
+    x[0, :, 0] = 0.5 * (herm[0] + packed)
+    x[1, :, 1] = -0.5j * (herm[0] - packed)
+    x[0, :, 1] = herm[1]
+    x[1, :, 0] = herm[1].conj().T
+    y[0, :, 0], y[0, :, 1], y[1, :, 1] = sym
+    y[1, :, 0] = sym[1]
+    return _real_form(x.reshape(2 * kk, -1), y.reshape(2 * kk, -1))
 
 
 def _real_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Real matrix of the map c -> x c + y conj(c) on complex vectors, in
     the coordinates (Re c_0, Im c_0, Re c_1, ...)."""
+    plus, minus = x + y, x - y
     out = np.empty((len(x), 2, len(x), 2))
-    out[:, 0, :, 0] = (x + y).real
-    out[:, 1, :, 0] = (x + y).imag
-    out[:, 0, :, 1] = (y - x).imag
-    out[:, 1, :, 1] = (x - y).real
+    out[:, 0, :, 0] = plus.real
+    out[:, 1, :, 0] = plus.imag
+    out[:, 0, :, 1] = -minus.imag
+    out[:, 1, :, 1] = minus.real
     return out.reshape(2 * len(x), -1)
 
 
@@ -496,19 +504,25 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     P_1 + P_2 J (:func:`slicefock.spaces._plane_splits`), so |f - P|^2 =
     |F - P_1|^2 + |G - P_2|^2 over the complex split coefficients of P.
     The nodes r_a e^{i theta_b} are uniform in angle, so each Newton
-    system is nine per-node fields through one angular FFT and one radial
-    table in k + l (:func:`_newton_system`), with no product over the
-    nodes and the degrees at once.  Newton runs on Psi_eps = sum_i mu_i
+    system is seven per-node fields (the lower block row follows from the
+    upper one), its two real diagonal fields packed into one complex field,
+    through one angular FFT and one radial table in k + l
+    (:func:`_newton_system`), with no product over the nodes and the
+    degrees at once.  Newton runs on Psi_eps = sum_i mu_i
     (|r_i|^2 + eps^2)^(p/2): eps = 0 for p >= 2; for p < 2 eps starts at a
-    tenth of the mean residual and shrinks tenfold whenever Newton has
+    tenth of the mean residual and shrinks hundredfold whenever Newton has
     settled (decrement <= 1e-20 Psi_eps), or once the decrement is
     <= 1e-6 Psi_eps and the gap in Psi units, p value^(p-1) (value -
     lower), is within 2 eps^p sum_i mu_i: for p <= 2, (s + eps^2)^(p/2) -
     s^(p/2) <= eps^p, so that is twice the smoothing's bias, which no
-    further step at this eps closes.  Its systems are solved in the
-    coordinates W^{-1} c, with W^H G W = I for the complex mu-Gram G of the
-    weighted monomials (W from the eigenvectors of G scaled to unit
-    diagonal), in which they are orthonormal.  That basis (the columns, the
+    further step at this eps closes.  Each step forms one power, v =
+    (|r|^2 + eps^2)^(p/2 - 1): the dual vector below is v r, the gradient
+    is -p times its moments against the weighted monomials, and the
+    Hessian's weights are p mu v and p (p - 2) mu v / (|r|^2 + eps^2).
+    Its systems are solved in the coordinates W^{-1} c, with W^H G W = I
+    for the complex mu-Gram G of the weighted monomials (W from the
+    eigenvectors of G scaled to unit diagonal), in which they are
+    orthonormal.  That basis (the columns, the
     node masses mu and W) does not depend on f: it is built once per
     process for each grid (by identity), alpha, n and p
     (:func:`_descent_basis`), so a sweep over functions on one grid pays
@@ -522,10 +536,13 @@ def best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     q = p / (p - 1), a max over the nodes at p = 1).  The solve stops when
     value - lower <= tol value + min(tol, NORM_TAIL_BUDGET) ||f||_p, the
     second term being the error the sampled values already carry, and the
-    result carries both bounds.  Raises :class:`SolverError` carrying the
-    best iterate when the gap is not met within ``max_iter`` Newton steps,
-    and :class:`ValueError` for a ``grid`` that is not a plane's.  f's
-    weighted profile is checked as its norm's is.
+    result carries both bounds; ``lower`` bounds the minimum of this
+    sampled problem, not E_n(f) itself (:class:`BestApproxResult`).  Raises
+    :class:`SolverError` carrying the best iterate when the gap is not met
+    within ``max_iter`` Newton steps, and :class:`ValueError` for a ``tol``
+    that is not a positive finite float, a ``max_iter`` that is not a
+    nonnegative integer, or a ``grid`` that is not a plane's.  f's weighted
+    profile is checked as its norm's is.
     """
     return _best_approx_lp(f, n, p, alpha, unit, grid, tol, max_iter)
 
@@ -539,6 +556,11 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"descent requires a finite p >= 1, got {p!r}")
     _check_positive("weight parameter alpha", alpha)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+            or not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"descent tolerance tol must be a positive finite float, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     grid = grid or slice_grid(alpha * p / 2.0)
     _check_mode(grid, "slice", "the plane descent")
     fe = (prepared or prepared_for_grid(f, alpha, grid)).series
@@ -557,12 +579,14 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
         return float(mu @ (s + eps * eps) ** (0.5 * p))
 
     def dual(r, s, eps):
-        """lam_i = (|r_i|^2 + eps^2)^(p/2 - 1) r_i and its moments against the
-        weighted monomials, which are -1/p times Psi_eps's gradient."""
+        """se = |r|^2 + eps^2, v = se^(p/2 - 1), lam_i = v_i r_i and lam's
+        moments against the weighted monomials, which are -1/p times
+        Psi_eps's gradient."""
         se = s + eps * eps
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(se > 0.0, se ** (0.5 * p - 1.0) * r, 0.0)
-        return lam, (mu * lam) @ plane.cols_h
+            v = se ** (0.5 * p - 1.0)
+            lam = np.where(se > 0.0, v * r, 0.0)
+        return se, v, lam, (mu * lam) @ plane.cols_h
 
     def lower_bound(lam, moments):
         lam -= (moments @ project) @ plane.cols
@@ -583,11 +607,12 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
     r = fv - coeffs @ plane.cols
     s = _sum_sq(r)
     eps = 0.0 if p >= 2.0 else 0.1 * float(mu @ np.sqrt(s)) / mass
+    cur = psi(s, eps)
     dec = math.inf
     steps = 0
     while True:
-        upper = psi(s, 0.0) ** (1.0 / p)
-        lam, moments = dual(r, s, eps)
+        upper = (psi(s, 0.0) if eps else cur) ** (1.0 / p)
+        se, v, lam, moments = dual(r, s, eps)
         # an attained value bounds the minimum too: rounding may leave the
         # dual bound an ulp above it at an exact optimum
         lower = min(lower_bound(lam, moments), upper)
@@ -598,17 +623,18 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
             raise SolverError(
                 f"duality gap {best.value - best.lower:.3g} above tolerance "
                 f"after {steps} Newton steps", best=best)
-        cur = psi(s, eps)
         # sharpen the smoothing once Newton has settled on it, or once the
         # gap in Psi units (upper^p - lower^p <= p upper^(p-1) (upper - lower))
         # is within twice the smoothing's bias eps^p sum mu, which no further
         # step at this eps can close; eps = 0 at p >= 2 keeps that inert
         if dec <= 1e-20 * cur or (dec <= 1e-6 * cur and p * upper ** (p - 1.0)
                                   * (upper - lower) <= 2.0 * eps ** p * mass):
-            eps /= 10.0
+            eps /= 100.0
             cur = psi(s, eps)
-        hess, grad = _newton_system(plane, r, s + eps * eps, mu, p)
-        grad = grad @ real_w
+            se, v, _, moments = dual(r, s, eps)
+        hess = _newton_system(plane, r, se, v, mu, p)
+        # Psi_eps's gradient is -p times the dual vector's moments
+        grad = (-p * moments).view(float).ravel() @ real_w
         y = np.linalg.solve(real_w.T @ hess @ real_w, -grad)
         dec = -float(grad @ y)
         step = (real_w @ y).view(complex).reshape(2, -1)
@@ -620,8 +646,9 @@ def _best_approx_lp(f: SliceSeries, n: int, p: float, alpha: float,
             s_new = _sum_sq(r_new)
             # rounding slack: near the minimum the decrease of a full step
             # lies below what the objective's last digits resolve
-            if psi(s_new, eps) <= cur - 0.25 * t * dec + 1e-15 * cur:
-                coeffs, r, s = coeffs + t * step, r_new, s_new
+            new = psi(s_new, eps)
+            if new <= cur - 0.25 * t * dec + 1e-15 * cur:
+                coeffs, r, s, cur = coeffs + t * step, r_new, s_new, new
                 break
             t *= 0.5
         else:
@@ -666,6 +693,8 @@ class VdpReport:
     rhs: float
     slack: float
     method: str
+    # the descent's lower bound on the minimum of its sampled problem on the
+    # grid (BestApproxResult.lower), not on E_n itself; None at p = 2
     best_approx_lower: float | None = None
 
     def to_record(self) -> dict:

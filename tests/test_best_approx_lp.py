@@ -13,7 +13,7 @@ from scipy.optimize import minimize
 
 from slicefock import approx
 from slicefock.approx import _newton_system, _polar_columns, best_approx_lp, verify_vdp
-from slicefock.errors import ConditioningError
+from slicefock.errors import ConditioningError, SolverError
 from slicefock.quadrature import slice_grid, slice_points, volume_grid
 from slicefock.quaternion import ImaginaryUnit, UNIT_I, left_mult_matrix
 from slicefock.series import (
@@ -203,7 +203,7 @@ def test_smoothing_path_certifies_where_a_looser_stop_stalls(newton_steps, name,
 def test_exp_p1_sharpens_eps_once_the_gap_meets_the_smoothing(newton_steps):
     # a settle in every round takes 28 steps here
     best_approx_lp(exp_series(), 4, 1.0, 1.0, grid=slice_grid(0.5, 24, 48))
-    assert newton_steps[0] <= 16
+    assert newton_steps[0] <= 9
 
 
 def test_p_below_2_sweep_takes_at_most_60_percent_of_the_settled_steps(newton_steps):
@@ -222,7 +222,7 @@ def test_p_below_2_sweep_takes_at_most_60_percent_of_the_settled_steps(newton_st
                     total += newton_steps[0]
                     assert_certified(res, f, p, 1.0, UNIT_I, grid, size=size)
     assert total <= 0.6 * 1301
-    assert total <= 649
+    assert total <= 508
 
 
 @pytest.mark.parametrize("p,n,unit,settled", [
@@ -282,7 +282,10 @@ def test_newton_system_matches_the_dense_jacobian_form(radial, p):
     r = np.ascontiguousarray(fg - coeffs @ plane.cols)
     mu = alpha * p / (2.0 * math.pi) * w
     se = np.sum(np.square(np.abs(r)), axis=0) + (0.01 if p < 2.0 else 0.0)
-    hess, grad = _newton_system(plane, r, se, mu, p)
+    v = se ** (0.5 * p - 1.0)
+    hess = _newton_system(plane, r, se, v, mu, p)
+    # the gradient is -p times the dual vector's moments
+    grad = (-p * ((mu * v * r) @ plane.cols_h)).view(float).ravel()
     want_hess, want_grad = dense_newton_system(plane.cols, r, se, mu, p)
     assert np.max(np.abs(hess - want_hess)) <= 1e-12 * np.max(np.abs(want_hess))
     assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
@@ -321,3 +324,30 @@ def test_a_grid_of_the_other_mode_is_refused(what, call):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == what
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True, "1e-8",
+                                 slice_grid(0.5, 12, 24)])
+def test_a_tolerance_that_is_not_a_positive_finite_float_is_refused(newton_steps, tol):
+    # a grid passed in tol's slot used to fail inside on a comparison; 0, -1
+    # and nan ran 200 Newton steps to a SolverError; inf returned the Taylor
+    # start as certified
+    with pytest.raises(ValueError, match="tol must be a positive finite float"):
+        best_approx_lp(exp_series(), 4, 1.0, 1.0, UNIT_I, tol)
+    assert newton_steps[0] == 0
+
+
+@pytest.mark.parametrize("max_iter", [-1, 2.5, None, True])
+def test_a_step_cap_that_is_not_a_nonnegative_integer_is_refused(newton_steps, max_iter):
+    # -1 (or 2.5, which no step count equals) used to remove the cap
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        best_approx_lp(exp_series(), 4, 1.0, 1.0, max_iter=max_iter)
+    assert newton_steps[0] == 0
+
+
+def test_integer_tolerance_and_numpy_step_cap_are_accepted():
+    grid = slice_grid(0.5, 24, 48)
+    res = best_approx_lp(exp_series(), 4, 1.0, 1.0, UNIT_I, 1, grid, np.int64(50))
+    assert res.lower <= res.value
+    with pytest.raises(SolverError, match="after 0 Newton steps"):
+        best_approx_lp(exp_series(), 4, 1.0, 1.0, grid=grid, max_iter=0)

@@ -32,13 +32,15 @@ def test_script_runs_and_writes_output(tmp_path, name, args):
     assert outputs and all(p.stat().st_size > 0 for p in outputs)
 
 
-def test_descent_sweep_lists_the_cases_that_regress(tmp_path):
-    def sweep(*args):
-        return subprocess.run(
-            [sys.executable, str(SCRIPTS / "descent_sweep.py"), "--families", "mono:6",
-             "--p-list", "1.5", "--grids", "12x24", "--n-list", "1,3", "--units", "i",
-             *args], capture_output=True, text=True, env=child_env())
+def descent_sweep(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "descent_sweep.py"), "--families", "mono:6",
+         "--p-list", "1.5", "--grids", "12x24", "--n-list", "1,3", "--units", "i",
+         *args], capture_output=True, text=True, env=child_env())
 
+
+def test_descent_sweep_lists_the_cases_that_regress(tmp_path):
+    sweep = descent_sweep
     old = tmp_path / "old.json"
     res = sweep("--out", str(old))
     assert res.returncode == 0, res.stderr
@@ -55,6 +57,30 @@ def test_descent_sweep_lists_the_cases_that_regress(tmp_path):
     assert res.returncode == 1
     assert "2 regressions" in res.stdout
     assert f"{first}: " in res.stdout and f"{second}: value" in res.stdout
+
+
+def test_descent_sweep_prints_the_step_change_and_lists_steps_apart(tmp_path):
+    old = tmp_path / "old.json"
+    assert descent_sweep("--out", str(old)).returncode == 0
+    record = json.loads(old.read_text())
+    total = record["steps"]
+    first, second = sorted(record["cases"])
+    # fewer steps than before is no regression
+    record["cases"][second]["steps"] += 3
+    old.write_text(json.dumps(record))
+    res = descent_sweep("--against", str(old))
+    assert res.returncode == 0, res.stdout
+    assert f"Newton steps {total + 3} -> {total} (-3)" in res.stdout
+    assert "0 cases with more steps\n0 cases with a value outside" in res.stdout
+    # one more step than before, on the same total, exits 1 as before
+    record["cases"][first]["steps"] -= 1
+    old.write_text(json.dumps(record))
+    res = descent_sweep("--against", str(old))
+    assert res.returncode == 1
+    assert f"Newton steps {total + 2} -> {total} (-2)" in res.stdout
+    steps = record["cases"][first]["steps"]
+    assert (f"1 cases with more steps\n  {first}: {steps + 1} steps, was {steps}\n"
+            "0 cases with a value outside") in res.stdout
 
 
 def test_convergence_sweep_lists_the_rows_that_moved(tmp_path):
