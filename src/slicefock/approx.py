@@ -264,7 +264,7 @@ class BestApproxResult:
     value: float
     minimizer: SliceSeries
     method: str
-    lower: float | None = None   # the sampled problem's minimum, not E_n
+    lower: float | None = None
 
 
 def best_approx_second(f: SliceSeries, n: int, alpha: float) -> BestApproxResult:
@@ -461,9 +461,9 @@ def _newton_system(plane: _PolarColumns, r: np.ndarray, se: np.ndarray,
     sym = np.take(c[2:], plane.at_sum, axis=1) * plane.pair      # Y^00, Y^01, Y^11
     kk = len(plane.pair)
     x, y = np.empty((2, 2, kk, 2, kk), complex)                  # (j, k, j', l)
-    packed = herm[0].conj().T
-    x[0, :, 0] = 0.5 * (herm[0] + packed)
-    x[1, :, 1] = -0.5j * (herm[0] - packed)
+    packed = herm[0]
+    x[0, :, 0] = 0.5 * (packed + packed.conj().T)
+    x[1, :, 1] = -0.5j * (packed - packed.conj().T)
     x[0, :, 1] = herm[1]
     x[1, :, 0] = herm[1].conj().T
     y[0, :, 0], y[0, :, 1], y[1, :, 1] = sym

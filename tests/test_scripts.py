@@ -32,23 +32,29 @@ def test_script_runs_and_writes_output(tmp_path, name, args):
     assert outputs and all(p.stat().st_size > 0 for p in outputs)
 
 
-def descent_sweep(*args):
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / "descent_sweep.py"), "--families", "mono:6",
-         "--p-list", "1.5", "--grids", "12x24", "--n-list", "1,3", "--units", "i",
-         *args], capture_output=True, text=True, env=child_env())
-
-
 def test_descent_sweep_lists_the_cases_that_regress(tmp_path):
-    sweep = descent_sweep
+    def sweep(*args):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "descent_sweep.py"), "--families", "mono:6",
+             "--p-list", "1.5", "--grids", "12x24", "--n-list", "1,3", "--units", "i",
+             *args], capture_output=True, text=True, env=child_env())
+
     old = tmp_path / "old.json"
     res = sweep("--out", str(old))
     assert res.returncode == 0, res.stderr
     record = json.loads(old.read_text())
     assert len(record["cases"]) == 2 and record["certified"] == 2
     assert sweep("--against", str(old)).returncode == 0
-    # a run that took fewer steps, and one whose interval lies above
+    # fewer steps than before is no regression; the total change is printed
+    total = record["steps"]
     first, second = sorted(record["cases"])
+    record["cases"][second]["steps"] += 3
+    old.write_text(json.dumps(record))
+    res = sweep("--against", str(old))
+    assert res.returncode == 0, res.stdout
+    assert f"Newton steps {total + 3} -> {total} (-3)" in res.stdout
+    assert "0 cases with more steps\n0 cases with a value outside" in res.stdout
+    # a run that took fewer steps, and one whose interval lies above
     record["cases"][first]["steps"] -= 1
     case = record["cases"][second]
     case["lower"], case["value"] = 2.0 * case["value"], 2.0 * case["value"] + 1e-9
@@ -57,30 +63,11 @@ def test_descent_sweep_lists_the_cases_that_regress(tmp_path):
     assert res.returncode == 1
     assert "2 regressions" in res.stdout
     assert f"{first}: " in res.stdout and f"{second}: value" in res.stdout
-
-
-def test_descent_sweep_prints_the_step_change_and_lists_steps_apart(tmp_path):
-    old = tmp_path / "old.json"
-    assert descent_sweep("--out", str(old)).returncode == 0
-    record = json.loads(old.read_text())
-    total = record["steps"]
-    first, second = sorted(record["cases"])
-    # fewer steps than before is no regression
-    record["cases"][second]["steps"] += 3
-    old.write_text(json.dumps(record))
-    res = descent_sweep("--against", str(old))
-    assert res.returncode == 0, res.stdout
-    assert f"Newton steps {total + 3} -> {total} (-3)" in res.stdout
-    assert "0 cases with more steps\n0 cases with a value outside" in res.stdout
-    # one more step than before, on the same total, exits 1 as before
-    record["cases"][first]["steps"] -= 1
-    old.write_text(json.dumps(record))
-    res = descent_sweep("--against", str(old))
-    assert res.returncode == 1
+    # the two are listed apart
     assert f"Newton steps {total + 2} -> {total} (-2)" in res.stdout
     steps = record["cases"][first]["steps"]
     assert (f"1 cases with more steps\n  {first}: {steps + 1} steps, was {steps}\n"
-            "0 cases with a value outside") in res.stdout
+            f"1 cases with a value outside the widened interval\n  {second}: value") in res.stdout
 
 
 def test_convergence_sweep_lists_the_rows_that_moved(tmp_path):
